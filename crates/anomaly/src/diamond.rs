@@ -13,6 +13,8 @@ use std::net::Ipv4Addr;
 
 use pt_core::MeasuredRoute;
 
+use crate::codec::{push_addr, push_uint};
+
 /// A diamond: head, tail, and the interfaces seen between them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diamond {
@@ -113,15 +115,23 @@ impl DestinationGraph {
     /// then one `tri` line per `(head, tail)` key in sorted order, so
     /// identical graph *contents* always produce identical bytes.
     pub fn snapshot_write(&self, out: &mut String) {
-        use std::fmt::Write;
-        let mut keys: Vec<(Ipv4Addr, Ipv4Addr)> = self.triples.keys().copied().collect();
-        keys.sort_unstable();
-        let _ = writeln!(out, "graph {} {}", self.routes_ingested, keys.len());
-        for key in keys {
-            let mids = &self.triples[&key];
-            let _ = write!(out, "tri {} {} {}", key.0, key.1, mids.len());
-            for m in mids {
-                let _ = write!(out, " {m}");
+        let mut triples: Vec<_> = self.triples.iter().collect();
+        triples.sort_unstable_by_key(|(key, _)| **key);
+        out.push_str("graph ");
+        push_uint(out, self.routes_ingested as u64);
+        out.push(' ');
+        push_uint(out, triples.len() as u64);
+        out.push('\n');
+        for (key, mids) in triples {
+            out.push_str("tri ");
+            push_addr(out, key.0);
+            out.push(' ');
+            push_addr(out, key.1);
+            out.push(' ');
+            push_uint(out, mids.len() as u64);
+            for &m in mids {
+                out.push(' ');
+                push_addr(out, m);
             }
             out.push('\n');
         }

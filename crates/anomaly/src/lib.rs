@@ -10,6 +10,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod cycle;
 pub mod diamond;
 pub mod r#loop;

@@ -221,7 +221,7 @@ pub(crate) type UnitId = u32;
 /// counters, sets, and per-key u64 maps), so producers can fold units
 /// in any order; everything order-sensitive (kept routes, virtual-time
 /// floats, quarantine records) is tagged with its unit id and re-ordered
-/// deterministically by [`finalize_campaign`].
+/// deterministically by [`CampaignMode::finalize`].
 pub(crate) struct BlockOutput {
     pub(crate) classic: CampaignAccumulator,
     pub(crate) paris: CampaignAccumulator,
@@ -230,8 +230,21 @@ pub(crate) struct BlockOutput {
     pub(crate) quarantined: Vec<QuarantinedUnit>,
 }
 
-impl BlockOutput {
-    pub(crate) fn empty() -> Self {
+/// An order-insensitive fold of unit results: what one worker
+/// accumulates, what a block's workers merge into, and what the
+/// checkpoint engine merges blocks into.
+pub(crate) trait Fold: Send {
+    /// The fold of no units.
+    fn empty() -> Self;
+    /// Fold another fold in. Order-insensitive, like everything that
+    /// feeds it.
+    fn absorb(&mut self, other: Self);
+    /// Record a unit that panicked in place of its results.
+    fn quarantine(&mut self, unit: QuarantinedUnit);
+}
+
+impl Fold for BlockOutput {
+    fn empty() -> Self {
         BlockOutput {
             classic: CampaignAccumulator::new(StrategyId::ClassicUdp),
             paris: CampaignAccumulator::new(StrategyId::ParisUdp),
@@ -241,47 +254,113 @@ impl BlockOutput {
         }
     }
 
-    /// Fold another block in. Order-insensitive, like everything that
-    /// feeds it.
-    pub(crate) fn absorb(&mut self, other: BlockOutput) {
+    fn absorb(&mut self, other: BlockOutput) {
         self.classic.merge(other.classic);
         self.paris.merge(other.paris);
         self.routes.extend(other.routes);
         self.virtual_secs.extend(other.virtual_secs);
         self.quarantined.extend(other.quarantined);
     }
+
+    fn quarantine(&mut self, unit: QuarantinedUnit) {
+        self.quarantined.push(unit);
+    }
 }
 
-/// Check the campaign-wide invariants and return the unit count.
-pub(crate) fn campaign_units(net: &SyntheticInternet, config: &CampaignConfig) -> u32 {
-    assert!(config.workers >= 1 && config.rounds >= 1);
-    let n_units = net.dests.len() * config.rounds;
-    assert!(u32::try_from(n_units).is_ok(), "campaign too large for u32 unit ids");
-    n_units as u32
+/// One campaign mode — side-by-side traces or multipath discovery — as
+/// the block engine and the checkpoint driver see it: how many units,
+/// how to run one over a worker's warm state, how to commit it to a
+/// fold, and how to turn the complete fold into the result. The two
+/// config types implement it, so a mode *is* its configuration.
+pub(crate) trait CampaignMode: Sync {
+    /// Per-worker recycled buffers (hop records, probe registries).
+    type Scratch: Default + Send;
+    /// One unit's raw output, held back from the fold until the unit
+    /// is known to have completed: quarantine semantics require that a
+    /// panic anywhere in the unit contaminates nothing.
+    type Unit;
+    /// The order-insensitive fold of units.
+    type Fold: Fold;
+    /// The finalized campaign result.
+    type Result;
+
+    /// Worker threads per block.
+    fn workers(&self) -> usize;
+    /// The campaign seed every unit stream derives from.
+    fn seed(&self) -> u64;
+    /// Check the campaign-wide invariants and return the unit count.
+    fn n_units(&self, net: &SyntheticInternet) -> u32;
+    /// Run one `(destination, round)` unit over a pristine pooled
+    /// simulator, with every draw derived from `(seed, destination,
+    /// round)` so the claiming worker is irrelevant. Must not touch
+    /// shared state: the caller commits on success
+    /// ([`CampaignMode::ingest`]) or discards on panic.
+    fn run_unit(
+        &self,
+        unit: UnitId,
+        net: &SyntheticInternet,
+        pool: &mut SimulatorPool,
+        scratch: &mut Self::Scratch,
+    ) -> Self::Unit;
+    /// Commit one completed unit to the fold — the only place a unit's
+    /// measurements touch shared state.
+    fn ingest(
+        &self,
+        unit: UnitId,
+        done: Self::Unit,
+        scratch: &mut Self::Scratch,
+        fold: &mut Self::Fold,
+    );
+    /// Order-sensitive assembly of the final result from an (unordered)
+    /// fold of every unit. A pure function of the fold's contents — the
+    /// reason worker count, block partitioning, and kill/resume points
+    /// all leave the digest byte-identical.
+    fn finalize(&self, net: &SyntheticInternet, fold: Self::Fold) -> Self::Result;
+}
+
+/// One worker's warm state. After the first unit, every acquire hands
+/// back the same simulator (arena slots, payload buffers and event-queue
+/// capacity intact) reset for the next destination, and the scratch's
+/// hop records and probe registry recycle across every unit — so a
+/// worker's steady-state loop performs no heap allocation at all.
+struct WorkerState<S> {
+    pool: SimulatorPool,
+    scratch: S,
+}
+
+impl<S: Default> WorkerState<S> {
+    fn new(net: &SyntheticInternet) -> Self {
+        WorkerState { pool: SimulatorPool::new(net.topology.clone()), scratch: S::default() }
+    }
 }
 
 /// Run a full side-by-side campaign over `net`.
 pub fn run(net: &SyntheticInternet, config: &CampaignConfig) -> CampaignResult {
-    let n_units = campaign_units(net, config);
-    let out = run_units(net, config, 0..n_units);
-    finalize_campaign(net.dests.len(), out)
+    run_whole(net, config)
+}
+
+/// A whole campaign as one block.
+fn run_whole<M: CampaignMode>(net: &SyntheticInternet, mode: &M) -> M::Result {
+    let n_units = mode.n_units(net);
+    mode.finalize(net, run_block(net, mode, 0..n_units))
 }
 
 /// Execute one contiguous block of units over the work-stealing pool —
-/// the whole campaign for [`run`], one checkpoint block for the
-/// crash-safe engine in [`crate::snapshot`]. Results are independent of
-/// the block partitioning because every unit's draws derive from
-/// `(seed, destination, round)` alone and the fold is order-insensitive.
-pub(crate) fn run_units(
+/// the whole campaign for [`run`] / [`run_multipath`], one checkpoint
+/// block for the crash-safe engine in [`crate::snapshot`]. Results are
+/// independent of the block partitioning because every unit's draws
+/// derive from `(seed, destination, round)` alone and the fold is
+/// order-insensitive.
+pub(crate) fn run_block<M: CampaignMode>(
     net: &SyntheticInternet,
-    config: &CampaignConfig,
+    mode: &M,
     units: Range<UnitId>,
-) -> BlockOutput {
+) -> M::Fold {
     let n_block = units.len();
     if n_block == 0 {
-        return BlockOutput::empty();
+        return M::Fold::empty();
     }
-    let workers = config.workers.min(n_block).max(1);
+    let workers = mode.workers().min(n_block).max(1);
 
     // Pre-distribute units round-robin across per-worker deques; a
     // worker that drains its own queue steals the oldest units from its
@@ -293,14 +372,13 @@ pub(crate) fn run_units(
         locals[unit as usize % workers].push(unit);
     }
 
-    let outputs: Vec<BlockOutput> = std::thread::scope(|scope| {
+    let outputs: Vec<M::Fold> = std::thread::scope(|scope| {
         let handles: Vec<_> = locals
             .into_iter()
             .enumerate()
             .map(|(worker_idx, local)| {
                 let stealers = &stealers;
-                let config = &*config;
-                scope.spawn(move || run_worker(worker_idx, local, stealers, net, config))
+                scope.spawn(move || run_worker(worker_idx, local, stealers, net, mode))
             })
             .collect();
         // A worker thread only dies if the quarantine machinery itself
@@ -308,42 +386,11 @@ pub(crate) fn run_units(
         handles.into_iter().map(|h| h.join().expect("campaign worker died")).collect()
     });
 
-    let mut merged = BlockOutput::empty();
+    let mut merged = M::Fold::empty();
     for out in outputs {
         merged.absorb(out);
     }
     merged
-}
-
-/// Order-sensitive assembly of the final result from an (unordered)
-/// fold of every unit: re-sort by unit id, sum the virtual-time floats
-/// in that fixed order, and compute the reports. Pure function of the
-/// fold's contents — the reason worker count, block partitioning, and
-/// kill/resume points all leave the digest byte-identical.
-pub(crate) fn finalize_campaign(n_dests: usize, out: BlockOutput) -> CampaignResult {
-    let BlockOutput { classic, paris, mut routes, mut virtual_secs, mut quarantined } = out;
-    // Which worker (or checkpoint block) ran which unit is scheduling
-    // noise; re-ordering by unit id (Paris before classic within a
-    // unit) makes the kept-route list and the float summation below
-    // pure functions of the seed.
-    routes.sort_by_key(|(unit, tool, _, _)| (*unit, *tool != StrategyId::ParisUdp));
-    virtual_secs.sort_by_key(|(unit, _)| *unit);
-    quarantined.sort_by_key(|q| q.unit);
-    let total_virtual: f64 = virtual_secs.iter().map(|(_, v)| v).sum();
-
-    let classic_report = classic.report();
-    let paris_report = paris.report();
-    let comparison = compare(&classic, &paris);
-    CampaignResult {
-        classic,
-        paris,
-        classic_report,
-        paris_report,
-        comparison,
-        routes: routes.into_iter().map(|(_, tool, round, route)| (tool, round, route)).collect(),
-        mean_virtual_secs: total_virtual / n_dests.max(1) as f64,
-        quarantined,
-    }
 }
 
 /// Claim the next unit: own queue first, then steal the oldest work
@@ -393,41 +440,34 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn run_worker(
+fn run_worker<M: CampaignMode>(
     worker_idx: usize,
     local: Worker<UnitId>,
     stealers: &[Stealer<UnitId>],
     net: &SyntheticInternet,
-    config: &CampaignConfig,
-) -> BlockOutput {
-    // One pool per worker: after the first unit, every acquire hands
-    // back the same warm simulator (arena slots, payload buffers and
-    // event-queue capacity intact) reset for the next destination.
-    let mut pool = SimulatorPool::new(net.topology.clone());
-    // One trace scratch per worker: hop records and the probe registry
-    // recycle across every unit, so a worker's steady-state trace loop
-    // performs no heap allocation at all.
-    let mut scratch = TraceScratch::new();
-    let mut out = BlockOutput::empty();
+    mode: &M,
+) -> M::Fold {
+    let mut state = WorkerState::<M::Scratch>::new(net);
+    let mut out = M::Fold::empty();
     while let Some(unit) = next_unit(worker_idx, &local, stealers) {
         // Unit isolation: a panicking unit is quarantined, not fatal.
-        // `run_unit` mutates nothing outside itself — its routes only
-        // reach the accumulators via `ingest_unit` after it returns —
-        // so catching the unwind discards *all* of the unit's work.
-        let result =
-            catch_unwind(AssertUnwindSafe(|| run_unit(unit, net, config, &mut pool, &mut scratch)));
+        // `run_unit` mutates nothing outside itself — its results only
+        // reach the fold via `ingest` after it returns — so catching
+        // the unwind discards *all* of the unit's work.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            mode.run_unit(unit, net, &mut state.pool, &mut state.scratch)
+        }));
         match result {
-            Ok(traced) => ingest_unit(unit, traced, config, &mut scratch, &mut out),
+            Ok(done) => mode.ingest(unit, done, &mut state.scratch, &mut out),
             Err(payload) => {
                 // The unwind may have left the pooled simulator (lost
-                // with the dropped transport) and the trace scratch in
+                // with the dropped transport) and the scratch in
                 // arbitrary states; rebuild both so nothing poisoned
                 // leaks into later units.
-                pool = SimulatorPool::new(net.topology.clone());
-                scratch = TraceScratch::new();
+                state = WorkerState::new(net);
                 let (dest_idx, round, unit_stream) =
-                    unit_coords(unit, net.dests.len(), config.seed);
-                out.quarantined.push(QuarantinedUnit {
+                    unit_coords(unit, net.dests.len(), mode.seed());
+                out.quarantine(QuarantinedUnit {
                     unit,
                     dest: dest_idx,
                     round,
@@ -441,93 +481,139 @@ fn run_worker(
     out
 }
 
-/// One unit's raw output, held back from the accumulators until the
-/// unit is known to have completed: quarantine semantics require that a
-/// panic anywhere in the unit contaminates nothing.
-struct UnitTrace {
+/// One side-by-side unit's raw output: the measured pair, not yet
+/// ingested.
+pub(crate) struct UnitTrace {
     round: usize,
     paris: MeasuredRoute,
     classic: MeasuredRoute,
     virtual_secs: f64,
 }
 
-/// Run one `(destination, round)` unit: a Paris + classic trace pair
-/// over a pristine simulator, with every draw derived from
-/// `(seed, destination, round)` so the claiming worker is irrelevant.
-/// Returns the measured pair without touching shared state — the caller
-/// ingests on success ([`ingest_unit`]) or discards on panic.
-fn run_unit(
-    unit: UnitId,
-    net: &SyntheticInternet,
-    config: &CampaignConfig,
-    pool: &mut SimulatorPool,
-    scratch: &mut TraceScratch,
-) -> UnitTrace {
-    let (dest_idx, round, unit_stream) = unit_coords(unit, net.dests.len(), config.seed);
-    let dest = &net.dests[dest_idx];
+impl CampaignMode for CampaignConfig {
+    type Scratch = TraceScratch;
+    type Unit = UnitTrace;
+    type Fold = BlockOutput;
+    type Result = CampaignResult;
 
-    let mut rng = StdRng::seed_from_u64(unit_stream);
-    let sim = pool.acquire(splitmix64(unit_stream ^ 0x5157_ea11));
-    let mut tx = SimTransport::new(sim, net.source);
-
-    // Injected runaway: a permanent forwarding loop toward the
-    // destination, installed before probing starts and never lifted.
-    // Consumes no RNG draws, so healthy units are unaffected.
-    if config.inject.runaway_units.contains(&unit) {
-        install_runaway_loop(&mut tx, dest, &net.topology);
+    fn workers(&self) -> usize {
+        self.workers
     }
 
-    // Routing events are exogenous: draw independently before each
-    // trace of the pair.
-    schedule_dynamics(&mut rng, &mut tx, dest, &net.topology, config);
-
-    // Paris traceroute first (§3 order), fixed random five-tuple.
-    let sp = rng.gen_range(10_000..=60_000);
-    let dp = rng.gen_range(10_000..=60_000);
-    let mut paris = ParisUdp::new(sp, dp);
-    let paris_route = trace_with(&mut tx, &mut paris, dest.addr, config.trace, scratch);
-
-    // Injected panic: after the Paris trace, so the quarantine tests
-    // prove a half-done unit's results are discarded wholesale.
-    if config.inject.panic_units.contains(&unit) {
-        panic!("injected fault: unit {unit} (dest {dest_idx}, round {round})");
+    fn seed(&self) -> u64 {
+        self.seed
     }
 
-    schedule_dynamics(&mut rng, &mut tx, dest, &net.topology, config);
-
-    // Then classic traceroute. Each trace is a fresh process in the
-    // study, so the PID — and with it the source port — is new every
-    // time; this is what lets classic explore different flow mappings
-    // across rounds.
-    let pid = rng.gen::<u16>() & 0x7fff;
-    let mut classic = ClassicUdp::new(pid);
-    let classic_route = trace_with(&mut tx, &mut classic, dest.addr, config.trace, scratch);
-
-    let virtual_secs = tx.now().as_secs_f64();
-    pool.release(tx.into_simulator());
-    UnitTrace { round, paris: paris_route, classic: classic_route, virtual_secs }
-}
-
-/// Commit one completed unit's results to the fold — the only place a
-/// unit's measurements touch shared state.
-fn ingest_unit(
-    unit: UnitId,
-    traced: UnitTrace,
-    config: &CampaignConfig,
-    scratch: &mut TraceScratch,
-    out: &mut BlockOutput,
-) {
-    let UnitTrace { round, paris, classic, virtual_secs } = traced;
-    out.paris.ingest(round, &paris);
-    out.classic.ingest(round, &classic);
-    if config.keep_routes {
-        out.routes.push((unit, StrategyId::ParisUdp, round, paris));
-        out.routes.push((unit, StrategyId::ClassicUdp, round, classic));
-    } else {
-        scratch.recycle(paris);
-        scratch.recycle(classic);
+    fn n_units(&self, net: &SyntheticInternet) -> u32 {
+        assert!(self.workers >= 1 && self.rounds >= 1);
+        let n_units = net.dests.len() * self.rounds;
+        assert!(u32::try_from(n_units).is_ok(), "campaign too large for u32 unit ids");
+        n_units as u32
     }
-    out.virtual_secs.push((unit, virtual_secs));
+
+    /// A Paris + classic trace pair.
+    fn run_unit(
+        &self,
+        unit: UnitId,
+        net: &SyntheticInternet,
+        pool: &mut SimulatorPool,
+        scratch: &mut TraceScratch,
+    ) -> UnitTrace {
+        let (dest_idx, round, unit_stream) = unit_coords(unit, net.dests.len(), self.seed);
+        let dest = &net.dests[dest_idx];
+
+        let mut rng = StdRng::seed_from_u64(unit_stream);
+        let sim = pool.acquire(splitmix64(unit_stream ^ 0x5157_ea11));
+        let mut tx = SimTransport::new(sim, net.source);
+
+        // Injected runaway: a permanent forwarding loop toward the
+        // destination, installed before probing starts and never lifted.
+        // Consumes no RNG draws, so healthy units are unaffected.
+        if self.inject.runaway_units.contains(&unit) {
+            install_runaway_loop(&mut tx, dest, &net.topology);
+        }
+
+        // Routing events are exogenous: draw independently before each
+        // trace of the pair.
+        schedule_dynamics(&mut rng, &mut tx, dest, &net.topology, self);
+
+        // Paris traceroute first (§3 order), fixed random five-tuple.
+        let sp = rng.gen_range(10_000..=60_000);
+        let dp = rng.gen_range(10_000..=60_000);
+        let mut paris = ParisUdp::new(sp, dp);
+        let paris_route = trace_with(&mut tx, &mut paris, dest.addr, self.trace, scratch);
+
+        // Injected panic: after the Paris trace, so the quarantine tests
+        // prove a half-done unit's results are discarded wholesale.
+        if self.inject.panic_units.contains(&unit) {
+            panic!("injected fault: unit {unit} (dest {dest_idx}, round {round})");
+        }
+
+        schedule_dynamics(&mut rng, &mut tx, dest, &net.topology, self);
+
+        // Then classic traceroute. Each trace is a fresh process in the
+        // study, so the PID — and with it the source port — is new every
+        // time; this is what lets classic explore different flow mappings
+        // across rounds.
+        let pid = rng.gen::<u16>() & 0x7fff;
+        let mut classic = ClassicUdp::new(pid);
+        let classic_route = trace_with(&mut tx, &mut classic, dest.addr, self.trace, scratch);
+
+        let virtual_secs = tx.now().as_secs_f64();
+        pool.release(tx.into_simulator());
+        UnitTrace { round, paris: paris_route, classic: classic_route, virtual_secs }
+    }
+
+    fn ingest(
+        &self,
+        unit: UnitId,
+        done: UnitTrace,
+        scratch: &mut TraceScratch,
+        out: &mut BlockOutput,
+    ) {
+        let UnitTrace { round, paris, classic, virtual_secs } = done;
+        out.paris.ingest(round, &paris);
+        out.classic.ingest(round, &classic);
+        if self.keep_routes {
+            out.routes.push((unit, StrategyId::ParisUdp, round, paris));
+            out.routes.push((unit, StrategyId::ClassicUdp, round, classic));
+        } else {
+            scratch.recycle(paris);
+            scratch.recycle(classic);
+        }
+        out.virtual_secs.push((unit, virtual_secs));
+    }
+
+    /// Re-sort by unit id, sum the virtual-time floats in that fixed
+    /// order, and compute the reports.
+    fn finalize(&self, net: &SyntheticInternet, out: BlockOutput) -> CampaignResult {
+        let BlockOutput { classic, paris, mut routes, mut virtual_secs, mut quarantined } = out;
+        // Which worker (or checkpoint block) ran which unit is scheduling
+        // noise; re-ordering by unit id (Paris before classic within a
+        // unit) makes the kept-route list and the float summation below
+        // pure functions of the seed.
+        routes.sort_by_key(|(unit, tool, _, _)| (*unit, *tool != StrategyId::ParisUdp));
+        virtual_secs.sort_by_key(|(unit, _)| *unit);
+        quarantined.sort_by_key(|q| q.unit);
+        let total_virtual: f64 = virtual_secs.iter().map(|(_, v)| v).sum();
+
+        let classic_report = classic.report();
+        let paris_report = paris.report();
+        let comparison = compare(&classic, &paris);
+        CampaignResult {
+            classic,
+            paris,
+            classic_report,
+            paris_report,
+            comparison,
+            routes: routes
+                .into_iter()
+                .map(|(_, tool, round, route)| (tool, round, route))
+                .collect(),
+            mean_virtual_secs: total_virtual / net.dests.len().max(1) as f64,
+            quarantined,
+        }
+    }
 }
 
 /// Install a *permanent* two-router forwarding loop toward `dest` on
@@ -818,116 +904,168 @@ pub(crate) struct MultipathBlock {
     pub(crate) quarantined: Vec<QuarantinedUnit>,
 }
 
-impl MultipathBlock {
-    pub(crate) fn empty() -> Self {
+impl Fold for MultipathBlock {
+    fn empty() -> Self {
         MultipathBlock { units: Vec::new(), quarantined: Vec::new() }
     }
 
-    pub(crate) fn absorb(&mut self, other: MultipathBlock) {
+    fn absorb(&mut self, other: MultipathBlock) {
         self.units.extend(other.units);
         self.quarantined.extend(other.quarantined);
     }
-}
 
-/// Check the multipath campaign's invariants and return the unit count.
-pub(crate) fn multipath_units(net: &SyntheticInternet, config: &MultipathConfig) -> u32 {
-    assert!(config.workers >= 1 && config.rounds >= 1);
-    // Validated here, not deep inside a worker thread: the per-unit
-    // port draw needs room for every flow id above a base in the
-    // study's [10000, 60000] range, and one walk's probes must fit the
-    // 15-bit probe-id space.
-    assert!(
-        (1..=4096).contains(&config.mda.max_flows_per_hop),
-        "MultipathConfig: max_flows_per_hop must be in 1..=4096, got {}",
-        config.mda.max_flows_per_hop
-    );
-    let n_units = net.dests.len() * config.rounds;
-    assert!(u32::try_from(n_units).is_ok(), "campaign too large for u32 unit ids");
-    n_units as u32
+    fn quarantine(&mut self, unit: QuarantinedUnit) {
+        self.quarantined.push(unit);
+    }
 }
 
 /// Run a multipath-discovery campaign over `net`: windowed MDA toward
 /// every destination, on the same seed-derived, work-stealing
 /// `(destination, round)` pool as [`run`].
 pub fn run_multipath(net: &SyntheticInternet, config: &MultipathConfig) -> MultipathResult {
-    let n_units = multipath_units(net, config);
-    let out = run_multipath_block(net, config, 0..n_units);
-    finalize_multipath(net, config, out)
+    run_whole(net, config)
 }
 
-/// Execute one contiguous block of multipath units — the whole campaign
-/// for [`run_multipath`], one checkpoint block for the crash-safe
-/// engine in [`crate::snapshot`].
-pub(crate) fn run_multipath_block(
-    net: &SyntheticInternet,
-    config: &MultipathConfig,
-    units: Range<UnitId>,
-) -> MultipathBlock {
-    let n_block = units.len();
-    if n_block == 0 {
-        return MultipathBlock::empty();
+impl MultipathConfig {
+    /// The walk parameters every unit of this campaign shares: `mda` as
+    /// configured, with the adaptive preset's probing policies layered
+    /// over its statistical knobs when `adaptive` is set. Units only
+    /// draw the ports (and, adaptively, the jitter seed) on top — so
+    /// this is also exactly what a checkpoint's fingerprint must cover.
+    pub(crate) fn walk_template(&self) -> MdaConfig {
+        if !self.adaptive {
+            return self.mda;
+        }
+        let policy = MdaConfig::adaptive(0);
+        MdaConfig {
+            flow_retries: policy.flow_retries,
+            max_consecutive_stars: policy.max_consecutive_stars,
+            retry_backoff: policy.retry_backoff,
+            jitter_seed: policy.jitter_seed,
+            pace_initial: policy.pace_initial,
+            pace_cap: policy.pace_cap,
+            dead_hop_flows: policy.dead_hop_flows,
+            protocol_fallback: policy.protocol_fallback,
+            fallback_after_stars: policy.fallback_after_stars,
+            ..self.mda
+        }
     }
-    let workers = config.workers.min(n_block).max(1);
-
-    let locals: Vec<Worker<UnitId>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<UnitId>> = locals.iter().map(Worker::stealer).collect();
-    for unit in units {
-        locals[unit as usize % workers].push(unit);
-    }
-
-    let outputs: Vec<MultipathBlock> = std::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .enumerate()
-            .map(|(worker_idx, local)| {
-                let stealers = &stealers;
-                let config = &*config;
-                scope.spawn(move || {
-                    let mut pool = SimulatorPool::new(net.topology.clone());
-                    let mut scratch = MdaScratch::new();
-                    let mut out = MultipathBlock::empty();
-                    while let Some(unit) = next_unit(worker_idx, &local, stealers) {
-                        // Same unit isolation as the side-by-side
-                        // campaign: catch the unit's panic, rebuild the
-                        // worker's pool and scratch, quarantine.
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            run_multipath_unit(unit, net, config, &mut pool, &mut scratch)
-                        }));
-                        match result {
-                            Ok(tagged) => out.units.push(tagged),
-                            Err(payload) => {
-                                pool = SimulatorPool::new(net.topology.clone());
-                                scratch = MdaScratch::new();
-                                let (dest_idx, round, unit_stream) =
-                                    unit_coords(unit, net.dests.len(), config.seed);
-                                out.quarantined.push(QuarantinedUnit {
-                                    unit,
-                                    dest: dest_idx,
-                                    round,
-                                    addr: net.dests[dest_idx].addr,
-                                    seed: unit_stream,
-                                    panic: panic_text(payload),
-                                });
-                            }
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("campaign worker died")).collect()
-    });
-
-    let mut merged = MultipathBlock::empty();
-    for out in outputs {
-        merged.absorb(out);
-    }
-    merged
 }
 
-/// Order-sensitive assembly of the multipath result from an (unordered)
-/// fold of every unit — the counterpart of [`finalize_campaign`].
-pub(crate) fn finalize_multipath(
+impl CampaignMode for MultipathConfig {
+    type Scratch = MdaScratch;
+    type Unit = TaggedUnit;
+    type Fold = MultipathBlock;
+    type Result = MultipathResult;
+
+    fn workers(&self) -> usize {
+        self.workers
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn n_units(&self, net: &SyntheticInternet) -> u32 {
+        assert!(self.workers >= 1 && self.rounds >= 1);
+        // Validated here, not deep inside a worker thread: the per-unit
+        // port draw needs room for every flow id above a base in the
+        // study's [10000, 60000] range, and one walk's probes must fit the
+        // 15-bit probe-id space.
+        assert!(
+            (1..=4096).contains(&self.mda.max_flows_per_hop),
+            "MultipathConfig: max_flows_per_hop must be in 1..=4096, got {}",
+            self.mda.max_flows_per_hop
+        );
+        let n_units = net.dests.len() * self.rounds;
+        assert!(u32::try_from(n_units).is_ok(), "campaign too large for u32 unit ids");
+        n_units as u32
+    }
+
+    /// A full MDA walk toward one destination.
+    fn run_unit(
+        &self,
+        unit: UnitId,
+        net: &SyntheticInternet,
+        pool: &mut SimulatorPool,
+        scratch: &mut MdaScratch,
+    ) -> TaggedUnit {
+        let (dest_idx, round, unit_stream) = unit_coords(unit, net.dests.len(), self.seed);
+        let dest = &net.dests[dest_idx];
+
+        if self.inject.panic_units.contains(&unit) {
+            panic!("injected fault: unit {unit} (dest {dest_idx}, round {round})");
+        }
+
+        let mut rng = StdRng::seed_from_u64(unit_stream);
+        let sim = pool.acquire(splitmix64(unit_stream ^ 0x6d64_6121));
+        let mut tx = SimTransport::new(sim, net.source);
+
+        // Injected runaway: a permanent forwarding loop mid-branch — the
+        // walk inches hop by hop to its TTL ceiling unless a watchdog
+        // budget cuts it off first. No RNG draws consumed.
+        if self.inject.runaway_units.contains(&unit) {
+            install_runaway_loop(&mut tx, dest, &net.topology);
+        }
+
+        // The study's port discipline: draw the flow family's base source
+        // port and the destination port uniformly, leaving room above the
+        // base for every flow id.
+        let template = self.walk_template();
+        let max_flows = template.max_flows_per_hop as u16;
+        let base_src_port = rng.gen_range(10_000..=60_000u16.saturating_sub(max_flows));
+        let dst_port = rng.gen_range(10_000..=60_000);
+        // The adaptive policies' jitter seed comes from the unit stream,
+        // so retry schedules are reproducible and worker-count
+        // independent.
+        let jitter_seed = if self.adaptive {
+            splitmix64(unit_stream ^ 0x6164_7074)
+        } else {
+            template.jitter_seed
+        };
+        let mda = MdaConfig { base_src_port, dst_port, jitter_seed, ..template };
+        let map = discover_with(&mut tx, dest.addr, &mda, scratch);
+
+        let discovery = UnitDiscovery {
+            dest: dest_idx,
+            round,
+            addr: dest.addr,
+            width: map.max_width(),
+            observed_width: map.max_observed_width(),
+            delta: map.discovered_delta(),
+            class: map.classification(),
+            hops: map.hops.len(),
+            links: map.links.len(),
+            stars: map.hops.iter().map(|h| h.stars).sum(),
+            unconverged_hops: map.hops.iter().filter(|h| !h.converged).count(),
+            probes: map.total_probes,
+            reached: map.reached,
+            degraded: map.degraded,
+        };
+        scratch.recycle(map);
+        let virtual_secs = tx.now().as_secs_f64();
+        pool.release(tx.into_simulator());
+        (unit, discovery, virtual_secs)
+    }
+
+    fn ingest(
+        &self,
+        _unit: UnitId,
+        done: TaggedUnit,
+        _scratch: &mut MdaScratch,
+        out: &mut MultipathBlock,
+    ) {
+        out.units.push(done);
+    }
+
+    fn finalize(&self, net: &SyntheticInternet, out: MultipathBlock) -> MultipathResult {
+        finalize_multipath(net, self, out)
+    }
+}
+
+/// Sort units round-major, merge rounds into the per-destination view,
+/// and aggregate the report.
+fn finalize_multipath(
     net: &SyntheticInternet,
     config: &MultipathConfig,
     out: MultipathBlock,
@@ -1006,86 +1144,6 @@ pub(crate) fn finalize_multipath(
         mean_virtual_secs: total_virtual / n_dests.max(1) as f64,
         quarantined,
     }
-}
-
-/// One multipath unit: a full MDA walk toward one destination over a
-/// pristine simulator, every draw derived from `(seed, dest, round)`.
-fn run_multipath_unit(
-    unit: UnitId,
-    net: &SyntheticInternet,
-    config: &MultipathConfig,
-    pool: &mut SimulatorPool,
-    scratch: &mut MdaScratch,
-) -> TaggedUnit {
-    let (dest_idx, round, unit_stream) = unit_coords(unit, net.dests.len(), config.seed);
-    let dest = &net.dests[dest_idx];
-
-    if config.inject.panic_units.contains(&unit) {
-        panic!("injected fault: unit {unit} (dest {dest_idx}, round {round})");
-    }
-
-    let mut rng = StdRng::seed_from_u64(unit_stream);
-    let sim = pool.acquire(splitmix64(unit_stream ^ 0x6d64_6121));
-    let mut tx = SimTransport::new(sim, net.source);
-
-    // Injected runaway: a permanent forwarding loop mid-branch — the
-    // walk inches hop by hop to its TTL ceiling unless a watchdog
-    // budget cuts it off first. No RNG draws consumed.
-    if config.inject.runaway_units.contains(&unit) {
-        install_runaway_loop(&mut tx, dest, &net.topology);
-    }
-
-    // The study's port discipline: draw the flow family's base source
-    // port and the destination port uniformly, leaving room above the
-    // base for every flow id.
-    let max_flows = config.mda.max_flows_per_hop as u16;
-    let base_src_port = rng.gen_range(10_000..=60_000u16.saturating_sub(max_flows));
-    let dst_port = rng.gen_range(10_000..=60_000);
-    let mda = if config.adaptive {
-        // The adaptive preset's probing policies layered over this
-        // campaign's statistical knobs; the jitter seed comes from the
-        // unit stream, so retry schedules are reproducible and
-        // worker-count independent.
-        let policy = MdaConfig::adaptive(splitmix64(unit_stream ^ 0x6164_7074));
-        MdaConfig {
-            flow_retries: policy.flow_retries,
-            max_consecutive_stars: policy.max_consecutive_stars,
-            retry_backoff: policy.retry_backoff,
-            jitter_seed: policy.jitter_seed,
-            pace_initial: policy.pace_initial,
-            pace_cap: policy.pace_cap,
-            dead_hop_flows: policy.dead_hop_flows,
-            protocol_fallback: policy.protocol_fallback,
-            fallback_after_stars: policy.fallback_after_stars,
-            base_src_port,
-            dst_port,
-            ..config.mda
-        }
-    } else {
-        MdaConfig { base_src_port, dst_port, ..config.mda }
-    };
-    let map = discover_with(&mut tx, dest.addr, &mda, scratch);
-
-    let discovery = UnitDiscovery {
-        dest: dest_idx,
-        round,
-        addr: dest.addr,
-        width: map.max_width(),
-        observed_width: map.max_observed_width(),
-        delta: map.discovered_delta(),
-        class: map.classification(),
-        hops: map.hops.len(),
-        links: map.links.len(),
-        stars: map.hops.iter().map(|h| h.stars).sum(),
-        unconverged_hops: map.hops.iter().filter(|h| !h.converged).count(),
-        probes: map.total_probes,
-        reached: map.reached,
-        degraded: map.degraded,
-    };
-    scratch.recycle(map);
-    let virtual_secs = tx.now().as_secs_f64();
-    pool.release(tx.into_simulator());
-    (unit, discovery, virtual_secs)
 }
 
 #[cfg(test)]

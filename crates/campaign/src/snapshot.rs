@@ -1,60 +1,98 @@
-//! Crash-safe campaigns: versioned checkpoints and kill-anywhere
-//! resume.
+//! Crash-safe campaigns: an append-only checkpoint journal and
+//! kill-anywhere resume.
 //!
 //! The campaign engines in [`crate::runner`] fold `(destination, round)`
 //! units in any order and only impose order at finalization, which makes
 //! the whole campaign a *resumable* fold: execute units in blocks,
-//! snapshot the fold state after each block, and — after a crash or a
-//! kill — reload the snapshot and continue from the work-list cursor.
-//! Because every unit's randomness derives from `(seed, destination,
-//! round)` alone, the resumed run produces the exact units the dead run
-//! would have, and the final report digest is **byte-identical** to an
-//! uninterrupted run's, for any worker count and any kill point
-//! (`tests/checkpoint_resume.rs` pins this).
+//! journal each block's own output as it completes, and — after a crash
+//! or a kill — replay the journal and continue from the work-list
+//! cursor. Because every unit's randomness derives from `(seed,
+//! destination, round)` alone, the resumed run produces the exact units
+//! the dead run would have, and the final report digest is
+//! **byte-identical** to an uninterrupted run's, for any worker count
+//! and any kill point (`tests/checkpoint_resume.rs` pins this).
 //!
-//! The snapshot is a versioned, line-oriented text format
-//! (`ptsnap v1 ...`), hand-rolled (no serde in this workspace) and
-//! *canonical*: sets and maps serialize in sorted order, so equal fold
-//! contents produce equal bytes no matter how work was sharded. Floats
-//! travel as IEEE-754 bit patterns — a reload loses nothing. Writes are
-//! atomic (temp file + rename), so a crash mid-checkpoint leaves the
-//! previous snapshot intact.
+//! # The journal (`ptsnap v2`)
+//!
+//! One file at [`CheckpointConfig::path`], a sequence of *records*:
+//!
+//! ```text
+//! ptsnap v2 <mode> <start> <end> <body bytes> <fingerprint>\n
+//! <body: the fold of units start..end, canonical text>
+//! end <digest>\n
+//! ```
+//!
+//! A checkpoint appends one record holding only the block just run, so
+//! its cost is the block's, not the campaign's so far. Records chain:
+//! the first starts at unit 0 and each next one starts where the last
+//! ended. The digest covers the header line and the body. Replay stops
+//! at the first record that does not chain, is cut short, or fails its
+//! digest — and since a unit is a pure function of `(seed, destination,
+//! round)`, whatever the damaged tail held is simply recomputed: damage
+//! costs work, never a different result. A header that parses but names
+//! another format version, mode or campaign fingerprint refuses the
+//! resume with `InvalidData` instead.
+//!
+//! To keep the file and the replay O(fold) rather than O(units), the
+//! driver *folds* the journal — rewrites it as the single record
+//! `0..cursor`, via temp file + rename — whenever the bytes appended
+//! since the last fold reach that fold's size. The file therefore never
+//! exceeds twice a full-fold record plus one block record, and — a
+//! merged fold being no larger than its parts — each rewrite is at most
+//! twice the bytes appended since the one before, so all writes
+//! together stay within three times the blocks' own records.
+//!
+//! Bodies are line-oriented text, hand-rolled (no serde in this
+//! workspace) and *canonical*: sets and maps serialize in sorted order,
+//! so equal fold contents produce equal bytes no matter how work was
+//! sharded. Floats travel as IEEE-754 bit patterns — a reload loses
+//! nothing.
 
-use std::fs;
-use std::io;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
+use pt_anomaly::codec::{push_addr, push_hex64, push_uint};
 use pt_anomaly::CampaignAccumulator;
-use pt_core::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind, StrategyId};
-use pt_mda::BalancerClass;
+use pt_core::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind, StrategyId, TraceConfig};
+use pt_mda::{BalancerClass, MdaConfig, MdaProtocol};
 use pt_netsim::time::SimDuration;
 use pt_topogen::SyntheticInternet;
 use pt_wire::UnreachableCode;
 
 use crate::runner::{
-    campaign_units, finalize_campaign, finalize_multipath, multipath_units, run_multipath_block,
-    run_units, splitmix64, BlockOutput, CampaignConfig, CampaignResult, MultipathBlock,
-    MultipathConfig, MultipathResult, QuarantinedUnit, UnitDiscovery, UnitId,
+    run_block, splitmix64, BlockOutput, CampaignConfig, CampaignMode, CampaignResult,
+    DynamicsConfig, Fold, InjectConfig, MultipathBlock, MultipathConfig, MultipathResult,
+    QuarantinedUnit, UnitDiscovery, UnitId,
 };
 
-/// Magic first-line prefix; bump the version when the format changes.
-/// A loader refuses snapshots whose version it does not speak — there
-/// is no silent cross-version reinterpretation.
-const MAGIC: &str = "ptsnap v1";
+/// Magic prefix of every record header; bump the version when the
+/// format changes. A loader refuses journals whose version it does not
+/// speak — there is no silent cross-version reinterpretation.
+const MAGIC: &str = "ptsnap";
+const VERSION: &str = "v2";
+
+/// `end <16 hex digits>\n`.
+const TRAILER_LEN: usize = 21;
+
+/// No header line is longer: magic, version, mode, three decimal
+/// fields and the fingerprint come to under 100 bytes.
+const MAX_HEADER_LEN: u64 = 128;
 
 /// Checkpointing knobs for [`run_checkpointed`] / [`run_resumed`] and
 /// their multipath twins.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
-    /// Where the snapshot lives. Overwritten atomically at every
-    /// checkpoint.
+    /// Where the journal lives. Appended to at every checkpoint and
+    /// occasionally rewritten atomically through `<path>.tmp`.
     pub path: PathBuf,
-    /// Units per checkpoint block: the campaign snapshots after every
+    /// Units per checkpoint block: the campaign journals after every
     /// `every_units` completed units (and once more at the end). A
     /// crash loses at most one block of work.
     pub every_units: u32,
-    /// Testing hook: stop — returning `Ok(None)` with the snapshot on
+    /// Testing hook: stop — returning `Ok(None)` with the journal on
     /// disk — after this many checkpoints, *as if the process had been
     /// killed there*. `None` runs to completion.
     pub stop_after_checkpoints: Option<usize>,
@@ -71,130 +109,205 @@ fn invalid<E: std::fmt::Display>(err: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("campaign snapshot: {err}"))
 }
 
-/// Write `text` to `path` atomically: temp file in the same directory,
-/// then rename over the target.
-fn atomic_write(path: &Path, text: &str) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, text)?;
-    fs::rename(&tmp, path)
-}
-
 // ---------------------------------------------------------------------
-// Fingerprints: refuse to resume a snapshot under a different campaign.
+// Fingerprints: refuse to resume a journal under a different campaign.
 // ---------------------------------------------------------------------
 
 fn mix(h: u64, v: u64) -> u64 {
     splitmix64(h ^ splitmix64(v))
 }
 
-fn mix_inject(mut h: u64, inject: &crate::runner::InjectConfig) -> u64 {
-    for &u in &inject.panic_units {
+fn mix_inject(mut h: u64, inject: &InjectConfig) -> u64 {
+    let InjectConfig { panic_units, runaway_units } = inject;
+    for &u in panic_units {
         h = mix(h, 0x70616e_u64 ^ u64::from(u));
     }
-    for &u in &inject.runaway_units {
+    for &u in runaway_units {
         h = mix(h, 0x72756e_u64 ^ u64::from(u));
     }
     h
 }
 
+fn mix_net(mut h: u64, net: &SyntheticInternet) -> u64 {
+    h = mix(h, net.dests.len() as u64);
+    mix(h, u64::from(net.dests.first().map_or(0, |d| u32::from(d.addr))))
+}
+
 /// Everything that changes a side-by-side campaign's results, folded
 /// into one value. Workers are deliberately excluded — worker count is
 /// a pure performance knob, and resuming under a different one is
-/// legal and byte-identical.
-pub(crate) fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64 {
-    let mut h = mix(0x7369_6465, config.seed); // "side"
-    h = mix(h, config.rounds as u64);
-    h = mix(h, net.dests.len() as u64);
-    h = mix(h, u64::from(net.dests.first().map_or(0, |d| u32::from(d.addr))));
-    let t = &config.trace;
+/// legal and byte-identical. The configs are destructured exhaustively
+/// so that a new field fails to compile here until it is classified.
+fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64 {
+    let CampaignConfig { rounds, workers: _, trace, dynamics, seed, keep_routes, inject } = config;
+    let TraceConfig {
+        min_ttl,
+        max_ttl,
+        probes_per_hop,
+        timeout,
+        max_consecutive_stars,
+        window,
+        probe_budget,
+        time_budget,
+    } = *trace;
+    let DynamicsConfig {
+        forwarding_loop_prob,
+        forwarding_loop_delay,
+        forwarding_loop_window,
+        balancer_flap_prob,
+        balancer_flap_after,
+    } = *dynamics;
+    let mut h = mix(0x7369_6465, *seed); // "side"
+    h = mix(h, *rounds as u64);
+    h = mix_net(h, net);
     for v in [
-        u64::from(t.min_ttl),
-        u64::from(t.max_ttl),
-        u64::from(t.probes_per_hop),
-        t.timeout.nanos(),
-        u64::from(t.max_consecutive_stars),
-        u64::from(t.window),
-        u64::from(t.probe_budget),
-        t.time_budget.nanos(),
+        u64::from(min_ttl),
+        u64::from(max_ttl),
+        u64::from(probes_per_hop),
+        timeout.nanos(),
+        u64::from(max_consecutive_stars),
+        u64::from(window),
+        u64::from(probe_budget),
+        time_budget.nanos(),
+        forwarding_loop_prob.to_bits(),
+        forwarding_loop_delay.nanos(),
+        forwarding_loop_window.nanos(),
+        balancer_flap_prob.to_bits(),
+        balancer_flap_after.nanos(),
+        u64::from(*keep_routes),
     ] {
         h = mix(h, v);
     }
-    let d = &config.dynamics;
-    for v in [
-        d.forwarding_loop_prob.to_bits(),
-        d.forwarding_loop_delay.nanos(),
-        d.forwarding_loop_window.nanos(),
-        d.balancer_flap_prob.to_bits(),
-        d.balancer_flap_after.nanos(),
-    ] {
-        h = mix(h, v);
-    }
-    h = mix(h, u64::from(config.keep_routes));
-    mix_inject(h, &config.inject)
+    mix_inject(h, inject)
 }
 
-/// The multipath counterpart of [`campaign_fingerprint`].
-pub(crate) fn multipath_fingerprint(net: &SyntheticInternet, config: &MultipathConfig) -> u64 {
-    let mut h = mix(0x6d64_6121, config.seed); // "mda!"
-    h = mix(h, config.rounds as u64);
-    h = mix(h, net.dests.len() as u64);
-    h = mix(h, u64::from(net.dests.first().map_or(0, |d| u32::from(d.addr))));
-    let m = &config.mda;
+/// The multipath counterpart of [`campaign_fingerprint`]. It hashes the
+/// walk template the units actually read
+/// ([`MultipathConfig::walk_template`]): under `adaptive` the preset
+/// overrides the probing-policy fields of `mda`, so those do not count;
+/// the ports are drawn per unit and never count.
+fn multipath_fingerprint(net: &SyntheticInternet, config: &MultipathConfig) -> u64 {
+    let MultipathConfig { rounds, workers: _, mda: _, adaptive, seed, inject } = config;
+    let MdaConfig {
+        alpha,
+        max_flows_per_hop,
+        max_ttl,
+        timeout,
+        max_consecutive_stars,
+        window,
+        flow_retries,
+        classify_repeats,
+        base_src_port: _,
+        dst_port: _,
+        protocol,
+        retry_backoff,
+        jitter_seed,
+        pace_initial,
+        pace_cap,
+        dead_hop_flows,
+        protocol_fallback,
+        fallback_after_stars,
+        probe_budget,
+        time_budget,
+    } = config.walk_template();
+    let mut h = mix(0x6d64_6121, *seed); // "mda!"
+    h = mix(h, *rounds as u64);
+    h = mix_net(h, net);
     for v in [
-        m.alpha.to_bits(),
-        m.max_flows_per_hop as u64,
-        u64::from(m.max_ttl),
-        u64::from(m.window),
-        m.probe_budget as u64,
-        m.time_budget.nanos(),
+        alpha.to_bits(),
+        max_flows_per_hop as u64,
+        u64::from(max_ttl),
+        timeout.nanos(),
+        u64::from(max_consecutive_stars),
+        u64::from(window),
+        u64::from(flow_retries),
+        u64::from(classify_repeats),
+        match protocol {
+            MdaProtocol::Udp => 0,
+            MdaProtocol::Tcp => 1,
+        },
+        retry_backoff.nanos(),
+        jitter_seed,
+        pace_initial.nanos(),
+        pace_cap.nanos(),
+        dead_hop_flows as u64,
+        u64::from(protocol_fallback),
+        u64::from(fallback_after_stars),
+        probe_budget as u64,
+        time_budget.nanos(),
+        u64::from(*adaptive),
     ] {
         h = mix(h, v);
     }
-    h = mix(h, u64::from(config.adaptive));
-    mix_inject(h, &config.inject)
+    mix_inject(h, inject)
 }
 
 // ---------------------------------------------------------------------
 // Shared line-format helpers.
 // ---------------------------------------------------------------------
 
-fn take<'a>(lines: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str, String> {
-    lines.next().ok_or_else(|| format!("truncated at {what}"))
-}
-
-fn tok<T: std::str::FromStr>(
-    t: &mut std::str::SplitAsciiWhitespace<'_>,
-    what: &str,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    t.next()
-        .ok_or_else(|| format!("missing {what}"))?
-        .parse()
-        .map_err(|e| format!("bad {what}: {e}"))
-}
-
-fn tok_hex_u64(t: &mut std::str::SplitAsciiWhitespace<'_>, what: &str) -> Result<u64, String> {
-    u64::from_str_radix(t.next().ok_or_else(|| format!("missing {what}"))?, 16)
-        .map_err(|e| format!("bad {what}: {e}"))
-}
-
-fn expect_tag(line: &str, tag: &str) -> Result<(), String> {
-    if line.split_ascii_whitespace().next() == Some(tag) {
-        Ok(())
+/// The next line, split into tokens, with its leading `tag` consumed.
+fn tagged<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    tag: &str,
+) -> Result<std::str::SplitAsciiWhitespace<'a>, String> {
+    let line = lines.next().ok_or_else(|| format!("truncated at {tag:?} line"))?;
+    let mut t = line.split_ascii_whitespace();
+    if t.next() == Some(tag) {
+        Ok(t)
     } else {
         Err(format!("expected {tag:?} line, got {line:?}"))
     }
 }
 
-/// Escape a panic message into a single whitespace-preserving token
-/// stream: backslash, newline and carriage return are encoded so the
-/// message always fits one line.
-fn escape_panic(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n").replace('\r', "\\r")
+fn word<'a>(t: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str, String> {
+    t.next().ok_or_else(|| format!("missing {what}"))
+}
+
+fn tok<'a, T: std::str::FromStr>(
+    t: &mut impl Iterator<Item = &'a str>,
+    what: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    word(t, what)?.parse().map_err(|e| format!("bad {what}: {e}"))
+}
+
+fn tok_hex_u64<'a>(t: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<u64, String> {
+    u64::from_str_radix(word(t, what)?, 16).map_err(|e| format!("bad {what}: {e}"))
+}
+
+/// A vector for `n` announced items. The count comes from the file, so
+/// it only pre-sizes up to a bound; a larger section grows as it parses.
+fn announced<T>(n: usize) -> Vec<T> {
+    Vec::with_capacity(n.min(1 << 12))
+}
+
+/// ` <v>`: one more decimal field on the current line.
+fn field(out: &mut String, v: u64) {
+    out.push(' ');
+    push_uint(out, v);
+}
+
+/// `<tag> <count>\n`: the header line of a counted section.
+fn section(out: &mut String, tag: &str, count: usize) {
+    out.push_str(tag);
+    field(out, count as u64);
+    out.push('\n');
+}
+
+/// Escape a panic message so that it always fits one line: backslash,
+/// newline and carriage return are encoded.
+fn push_escaped_panic(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            c => out.push(c),
+        }
+    }
 }
 
 fn unescape_panic(s: &str) -> String {
@@ -220,52 +333,44 @@ fn unescape_panic(s: &str) -> String {
 }
 
 fn write_quarantined(out: &mut String, quarantined: &[QuarantinedUnit]) {
-    use std::fmt::Write;
     let mut sorted: Vec<&QuarantinedUnit> = quarantined.iter().collect();
     sorted.sort_by_key(|q| q.unit);
-    let _ = writeln!(out, "quarantined {}", sorted.len());
+    section(out, "quarantined", sorted.len());
     for q in sorted {
-        let _ = writeln!(
-            out,
-            "q {} {} {} {} {:016x} {}",
-            q.unit,
-            q.dest,
-            q.round,
-            q.addr,
-            q.seed,
-            escape_panic(&q.panic)
-        );
+        out.push('q');
+        field(out, u64::from(q.unit));
+        field(out, q.dest as u64);
+        field(out, q.round as u64);
+        out.push(' ');
+        push_addr(out, q.addr);
+        out.push(' ');
+        push_hex64(out, q.seed);
+        out.push(' ');
+        push_escaped_panic(out, &q.panic);
+        out.push('\n');
     }
 }
 
 fn read_quarantined<'a>(
     lines: &mut impl Iterator<Item = &'a str>,
 ) -> Result<Vec<QuarantinedUnit>, String> {
-    let header = take(lines, "quarantined header")?;
-    expect_tag(header, "quarantined")?;
-    let mut t = header.split_ascii_whitespace();
-    t.next();
-    let n: usize = tok(&mut t, "quarantine count")?;
-    let mut out = Vec::with_capacity(n);
+    let n: usize = tok(&mut tagged(lines, "quarantined")?, "quarantine count")?;
+    let mut out = announced(n);
     for _ in 0..n {
-        let line = take(lines, "quarantine record")?;
+        let line = lines.next().ok_or("truncated at quarantine record")?;
         // The panic text is the 7th field and may contain spaces.
-        let mut fields = line.splitn(7, ' ');
-        let tag = fields.next().ok_or("empty quarantine record")?;
-        if tag != "q" {
+        let mut f = line.splitn(7, ' ');
+        if f.next() != Some("q") {
             return Err(format!("expected q record, got {line:?}"));
         }
-        let parse = |f: Option<&str>, what: &str| -> Result<String, String> {
-            f.map(str::to_owned).ok_or_else(|| format!("q: missing {what}"))
-        };
-        let unit: u32 = parse(fields.next(), "unit")?.parse().map_err(|e| format!("{e}"))?;
-        let dest: usize = parse(fields.next(), "dest")?.parse().map_err(|e| format!("{e}"))?;
-        let round: usize = parse(fields.next(), "round")?.parse().map_err(|e| format!("{e}"))?;
-        let addr: Ipv4Addr = parse(fields.next(), "addr")?.parse().map_err(|e| format!("{e}"))?;
-        let seed = u64::from_str_radix(&parse(fields.next(), "seed")?, 16)
-            .map_err(|e| format!("q: bad seed: {e}"))?;
-        let panic = unescape_panic(&parse(fields.next(), "panic text")?);
-        out.push(QuarantinedUnit { unit, dest, round, addr, seed, panic });
+        out.push(QuarantinedUnit {
+            unit: tok(&mut f, "q unit")?,
+            dest: tok(&mut f, "q dest")?,
+            round: tok(&mut f, "q round")?,
+            addr: tok(&mut f, "q addr")?,
+            seed: tok_hex_u64(&mut f, "q seed")?,
+            panic: unescape_panic(word(&mut f, "q panic text")?),
+        });
     }
     Ok(out)
 }
@@ -274,16 +379,20 @@ fn read_quarantined<'a>(
 // Route (de)serialization — only present under `keep_routes`.
 // ---------------------------------------------------------------------
 
-fn kind_code(kind: ResponseKind) -> String {
-    match kind {
-        ResponseKind::TimeExceeded => "TE".to_owned(),
-        ResponseKind::EchoReply => "ER".to_owned(),
-        ResponseKind::TcpReply => "TR".to_owned(),
-        ResponseKind::Unreachable(UnreachableCode::Network) => "UN".to_owned(),
-        ResponseKind::Unreachable(UnreachableCode::Host) => "UH".to_owned(),
-        ResponseKind::Unreachable(UnreachableCode::Port) => "UP".to_owned(),
-        ResponseKind::Unreachable(UnreachableCode::Other(c)) => format!("UO{c}"),
-    }
+fn push_kind(out: &mut String, kind: ResponseKind) {
+    out.push_str(match kind {
+        ResponseKind::TimeExceeded => "TE",
+        ResponseKind::EchoReply => "ER",
+        ResponseKind::TcpReply => "TR",
+        ResponseKind::Unreachable(UnreachableCode::Network) => "UN",
+        ResponseKind::Unreachable(UnreachableCode::Host) => "UH",
+        ResponseKind::Unreachable(UnreachableCode::Port) => "UP",
+        ResponseKind::Unreachable(UnreachableCode::Other(c)) => {
+            out.push_str("UO");
+            push_uint(out, u64::from(c));
+            return;
+        }
+    });
 }
 
 fn kind_parse(s: &str) -> Result<ResponseKind, String> {
@@ -322,97 +431,84 @@ fn halt_parse(s: &str) -> Result<HaltReason, String> {
     })
 }
 
+/// ` <addr>,<rtt>,<kind>,<probe ttl>,<response ttl>,<ip id>`, with `-`
+/// for an absent field.
 fn write_probe(out: &mut String, p: &ProbeResult) {
-    use std::fmt::Write;
+    fn or_dash(out: &mut String, v: Option<u64>) {
+        match v {
+            Some(v) => push_uint(out, v),
+            None => out.push('-'),
+        }
+    }
+    out.push(' ');
     match p.addr {
-        Some(a) => {
-            let _ = write!(out, " {a}");
-        }
-        None => out.push_str(" -"),
+        Some(a) => push_addr(out, a),
+        None => out.push('-'),
     }
-    match p.rtt {
-        Some(rtt) => {
-            let _ = write!(out, ",{}", rtt.nanos());
-        }
-        None => out.push_str(",-"),
-    }
+    out.push(',');
+    or_dash(out, p.rtt.map(SimDuration::nanos));
+    out.push(',');
     match p.kind {
-        Some(k) => {
-            let _ = write!(out, ",{}", kind_code(k));
-        }
-        None => out.push_str(",-"),
+        Some(k) => push_kind(out, k),
+        None => out.push('-'),
     }
-    for field in [p.probe_ttl.map(u64::from), p.response_ttl.map(u64::from)] {
-        match field {
-            Some(v) => {
-                let _ = write!(out, ",{v}");
-            }
-            None => out.push_str(",-"),
-        }
-    }
-    match p.ip_id {
-        Some(v) => {
-            let _ = write!(out, ",{v}");
-        }
-        None => out.push_str(",-"),
+    for v in [p.probe_ttl.map(u64::from), p.response_ttl.map(u64::from), p.ip_id.map(u64::from)] {
+        out.push(',');
+        or_dash(out, v);
     }
 }
 
 fn parse_probe(s: &str) -> Result<ProbeResult, String> {
+    /// The next comma-separated field, `None` for `-`.
+    fn opt<'a>(f: &mut std::str::Split<'a, char>, what: &str) -> Result<Option<&'a str>, String> {
+        let v = f.next().ok_or_else(|| format!("probe: missing {what}"))?;
+        Ok((v != "-").then_some(v))
+    }
+    fn num<T: std::str::FromStr>(v: Option<&str>, what: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        v.map(|v| v.parse().map_err(|e| format!("probe: bad {what}: {e}"))).transpose()
+    }
     let mut f = s.split(',');
-    let mut next = |what: &str| f.next().ok_or_else(|| format!("probe: missing {what}"));
-    let opt = |v: &str| if v == "-" { None } else { Some(v.to_owned()) };
-    let addr = match opt(next("addr")?) {
-        Some(v) => Some(v.parse::<Ipv4Addr>().map_err(|e| format!("{e}"))?),
-        None => None,
-    };
-    let rtt = match opt(next("rtt")?) {
-        Some(v) => Some(SimDuration::from_nanos(v.parse::<u64>().map_err(|e| format!("{e}"))?)),
-        None => None,
-    };
-    let kind = match opt(next("kind")?) {
-        Some(v) => Some(kind_parse(&v)?),
-        None => None,
-    };
-    let probe_ttl = match opt(next("probe_ttl")?) {
-        Some(v) => Some(v.parse::<u8>().map_err(|e| format!("{e}"))?),
-        None => None,
-    };
-    let response_ttl = match opt(next("response_ttl")?) {
-        Some(v) => Some(v.parse::<u8>().map_err(|e| format!("{e}"))?),
-        None => None,
-    };
-    let ip_id = match opt(next("ip_id")?) {
-        Some(v) => Some(v.parse::<u16>().map_err(|e| format!("{e}"))?),
-        None => None,
-    };
-    Ok(ProbeResult { addr, rtt, kind, probe_ttl, response_ttl, ip_id })
+    Ok(ProbeResult {
+        addr: num(opt(&mut f, "addr")?, "addr")?,
+        rtt: num(opt(&mut f, "rtt")?, "rtt")?.map(SimDuration::from_nanos),
+        kind: opt(&mut f, "kind")?.map(kind_parse).transpose()?,
+        probe_ttl: num(opt(&mut f, "probe_ttl")?, "probe_ttl")?,
+        response_ttl: num(opt(&mut f, "response_ttl")?, "response_ttl")?,
+        ip_id: num(opt(&mut f, "ip_id")?, "ip_id")?,
+    })
 }
 
 fn write_routes(out: &mut String, routes: &[(UnitId, StrategyId, usize, MeasuredRoute)]) {
-    use std::fmt::Write;
     let mut order: Vec<usize> = (0..routes.len()).collect();
     // Canonical order: unit id, Paris before classic — the same order
     // finalization imposes.
     order.sort_by_key(|&i| (routes[i].0, routes[i].1 != StrategyId::ParisUdp));
-    let _ = writeln!(out, "routes {}", routes.len());
+    section(out, "routes", routes.len());
     for i in order {
         let (unit, tool, round, route) = &routes[i];
-        let _ = writeln!(
-            out,
-            "route {} {} {} {} {} {} {} {} {}",
-            unit,
-            tool.name(),
-            round,
-            route.strategy.name(),
-            route.source,
-            route.destination,
-            route.min_ttl,
-            halt_name(route.halt),
-            route.hops.len(),
-        );
+        out.push_str("route");
+        field(out, u64::from(*unit));
+        out.push(' ');
+        out.push_str(tool.name());
+        field(out, *round as u64);
+        out.push(' ');
+        out.push_str(route.strategy.name());
+        out.push(' ');
+        push_addr(out, route.source);
+        out.push(' ');
+        push_addr(out, route.destination);
+        field(out, u64::from(route.min_ttl));
+        out.push(' ');
+        out.push_str(halt_name(route.halt));
+        field(out, route.hops.len() as u64);
+        out.push('\n');
         for hop in &route.hops {
-            let _ = write!(out, "hop {} {}", hop.ttl, hop.probes.len());
+            out.push_str("hop");
+            field(out, u64::from(hop.ttl));
+            field(out, hop.probes.len() as u64);
             for p in &hop.probes {
                 write_probe(out, p);
             }
@@ -424,39 +520,28 @@ fn write_routes(out: &mut String, routes: &[(UnitId, StrategyId, usize, Measured
 fn read_routes<'a>(
     lines: &mut impl Iterator<Item = &'a str>,
 ) -> Result<Vec<(UnitId, StrategyId, usize, MeasuredRoute)>, String> {
-    let header = take(lines, "routes header")?;
-    expect_tag(header, "routes")?;
-    let mut t = header.split_ascii_whitespace();
-    t.next();
-    let n: usize = tok(&mut t, "route count")?;
-    let mut out = Vec::with_capacity(n);
+    let n: usize = tok(&mut tagged(lines, "routes")?, "route count")?;
+    let mut out = announced(n);
     for _ in 0..n {
-        let line = take(lines, "route record")?;
-        expect_tag(line, "route")?;
-        let mut t = line.split_ascii_whitespace();
-        t.next();
+        let mut t = tagged(lines, "route")?;
         let unit: u32 = tok(&mut t, "unit")?;
-        let tool = StrategyId::from_name(t.next().ok_or("route: missing tool")?)
-            .ok_or("route: unknown tool")?;
+        let tool = StrategyId::from_name(word(&mut t, "tool")?).ok_or("route: unknown tool")?;
         let round: usize = tok(&mut t, "round")?;
-        let strategy = StrategyId::from_name(t.next().ok_or("route: missing strategy")?)
-            .ok_or("route: unknown strategy")?;
+        let strategy =
+            StrategyId::from_name(word(&mut t, "strategy")?).ok_or("route: unknown strategy")?;
         let source: Ipv4Addr = tok(&mut t, "source")?;
         let destination: Ipv4Addr = tok(&mut t, "destination")?;
         let min_ttl: u8 = tok(&mut t, "min_ttl")?;
-        let halt = halt_parse(t.next().ok_or("route: missing halt")?)?;
+        let halt = halt_parse(word(&mut t, "halt")?)?;
         let n_hops: usize = tok(&mut t, "hop count")?;
-        let mut hops = Vec::with_capacity(n_hops);
+        let mut hops = announced(n_hops);
         for _ in 0..n_hops {
-            let line = take(lines, "hop record")?;
-            expect_tag(line, "hop")?;
-            let mut t = line.split_ascii_whitespace();
-            t.next();
+            let mut t = tagged(lines, "hop")?;
             let ttl: u8 = tok(&mut t, "ttl")?;
             let n_probes: usize = tok(&mut t, "probe count")?;
-            let mut probes = Vec::with_capacity(n_probes);
+            let mut probes = announced(n_probes);
             for _ in 0..n_probes {
-                probes.push(parse_probe(t.next().ok_or("hop: truncated probes")?)?);
+                probes.push(parse_probe(word(&mut t, "probe")?)?);
             }
             hops.push(Hop { ttl, probes });
         }
@@ -471,166 +556,65 @@ fn read_routes<'a>(
 }
 
 // ---------------------------------------------------------------------
-// The side-by-side campaign snapshot.
+// The two modes' record bodies.
 // ---------------------------------------------------------------------
 
-/// The resumable fold state of a side-by-side campaign: everything the
-/// engine has accumulated, plus the work-list cursor (units `0..cursor`
-/// are done — completed or quarantined).
-pub(crate) struct CampaignSnapshot {
-    pub(crate) fingerprint: u64,
-    pub(crate) cursor: u32,
-    pub(crate) out: BlockOutput,
+/// What the checkpoint driver needs from a campaign mode on top of
+/// running it: a name for the record header, the fingerprint that ties
+/// a journal to one campaign, and the fold's canonical body codec (used
+/// alike for one block's record and for the folded `0..cursor` record).
+pub(crate) trait Checkpointed: CampaignMode {
+    /// The mode word of the record header.
+    const MODE: &'static str;
+    /// Everything results-affecting about this campaign over `net`.
+    fn fingerprint(&self, net: &SyntheticInternet) -> u64;
+    /// Append the canonical text of `fold` to `out`.
+    fn write_fold(fold: &Self::Fold, out: &mut String);
+    /// The inverse of [`Checkpointed::write_fold`].
+    fn read_fold<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Self::Fold, String>;
 }
 
-impl CampaignSnapshot {
-    fn empty(fingerprint: u64) -> Self {
-        CampaignSnapshot { fingerprint, cursor: 0, out: BlockOutput::empty() }
+impl Checkpointed for CampaignConfig {
+    const MODE: &'static str = "side-by-side";
+
+    fn fingerprint(&self, net: &SyntheticInternet) -> u64 {
+        campaign_fingerprint(net, self)
     }
 
-    fn serialize(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(s, "{MAGIC} side-by-side");
-        let _ = writeln!(s, "fingerprint {:016x}", self.fingerprint);
-        let _ = writeln!(s, "cursor {}", self.cursor);
-        write_quarantined(&mut s, &self.out.quarantined);
-        let mut virt: Vec<(UnitId, f64)> = self.out.virtual_secs.clone();
+    /// Quarantined units, per-unit virtual times, both anomaly
+    /// accumulators, and the kept routes.
+    fn write_fold(fold: &BlockOutput, out: &mut String) {
+        write_quarantined(out, &fold.quarantined);
+        let mut virt: Vec<(UnitId, f64)> = fold.virtual_secs.clone();
         virt.sort_by_key(|(unit, _)| *unit);
-        let _ = writeln!(s, "virt {}", virt.len());
+        section(out, "virt", virt.len());
         for (unit, v) in virt {
-            let _ = writeln!(s, "v {} {:016x}", unit, v.to_bits());
+            out.push('v');
+            field(out, u64::from(unit));
+            out.push(' ');
+            push_hex64(out, v.to_bits());
+            out.push('\n');
         }
-        self.out.classic.snapshot_write(&mut s);
-        self.out.paris.snapshot_write(&mut s);
-        write_routes(&mut s, &self.out.routes);
-        s.push_str("end\n");
-        s
+        fold.classic.snapshot_write(out);
+        fold.paris.snapshot_write(out);
+        write_routes(out, &fold.routes);
     }
 
-    fn parse(text: &str) -> Result<CampaignSnapshot, String> {
-        let mut lines = text.lines();
-        let magic = take(&mut lines, "magic")?;
-        if magic != format!("{MAGIC} side-by-side") {
-            return Err(format!("not a v1 side-by-side snapshot (got {magic:?})"));
-        }
-        let line = take(&mut lines, "fingerprint")?;
-        expect_tag(line, "fingerprint")?;
-        let mut t = line.split_ascii_whitespace();
-        t.next();
-        let fingerprint = tok_hex_u64(&mut t, "fingerprint")?;
-        let line = take(&mut lines, "cursor")?;
-        expect_tag(line, "cursor")?;
-        let mut t = line.split_ascii_whitespace();
-        t.next();
-        let cursor: u32 = tok(&mut t, "cursor")?;
-        let quarantined = read_quarantined(&mut lines)?;
-        let line = take(&mut lines, "virt header")?;
-        expect_tag(line, "virt")?;
-        let mut t = line.split_ascii_whitespace();
-        t.next();
-        let n_virt: usize = tok(&mut t, "virt count")?;
-        let mut virtual_secs = Vec::with_capacity(n_virt);
+    fn read_fold<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<BlockOutput, String> {
+        let quarantined = read_quarantined(lines)?;
+        let n_virt: usize = tok(&mut tagged(lines, "virt")?, "virt count")?;
+        let mut virtual_secs = announced(n_virt);
         for _ in 0..n_virt {
-            let line = take(&mut lines, "virt record")?;
-            expect_tag(line, "v")?;
-            let mut t = line.split_ascii_whitespace();
-            t.next();
+            let mut t = tagged(lines, "v")?;
             let unit: u32 = tok(&mut t, "virt unit")?;
-            let bits = tok_hex_u64(&mut t, "virt bits")?;
-            virtual_secs.push((unit, f64::from_bits(bits)));
+            virtual_secs.push((unit, f64::from_bits(tok_hex_u64(&mut t, "virt bits")?)));
         }
-        let classic = CampaignAccumulator::snapshot_read(&mut lines)?;
-        let paris = CampaignAccumulator::snapshot_read(&mut lines)?;
-        let routes = read_routes(&mut lines)?;
-        if take(&mut lines, "end marker")? != "end" {
-            return Err("missing end marker".to_owned());
-        }
-        Ok(CampaignSnapshot {
-            fingerprint,
-            cursor,
-            out: BlockOutput { classic, paris, routes, virtual_secs, quarantined },
-        })
-    }
-
-    fn save(&self, path: &Path) -> io::Result<()> {
-        atomic_write(path, &self.serialize())
-    }
-
-    fn load(path: &Path) -> io::Result<CampaignSnapshot> {
-        CampaignSnapshot::parse(&fs::read_to_string(path)?).map_err(invalid)
+        let classic = CampaignAccumulator::snapshot_read(lines)?;
+        let paris = CampaignAccumulator::snapshot_read(lines)?;
+        let routes = read_routes(lines)?;
+        Ok(BlockOutput { classic, paris, routes, virtual_secs, quarantined })
     }
 }
-
-fn drive_campaign(
-    net: &SyntheticInternet,
-    config: &CampaignConfig,
-    ckpt: &CheckpointConfig,
-    mut snap: CampaignSnapshot,
-) -> io::Result<Option<CampaignResult>> {
-    let n_units = campaign_units(net, config);
-    if snap.cursor > n_units {
-        return Err(invalid(format!(
-            "cursor {} exceeds the campaign's {} units",
-            snap.cursor, n_units
-        )));
-    }
-    let every = ckpt.every_units.max(1);
-    let mut checkpoints = 0usize;
-    while snap.cursor < n_units {
-        let end = n_units.min(snap.cursor.saturating_add(every));
-        snap.out.absorb(run_units(net, config, snap.cursor..end));
-        snap.cursor = end;
-        snap.save(&ckpt.path)?;
-        checkpoints += 1;
-        if snap.cursor < n_units
-            && ckpt.stop_after_checkpoints.is_some_and(|limit| checkpoints >= limit)
-        {
-            return Ok(None);
-        }
-    }
-    Ok(Some(finalize_campaign(net.dests.len(), snap.out)))
-}
-
-/// Run a side-by-side campaign with periodic checkpoints — [`crate::run`]
-/// with crash safety. Returns `Ok(None)` only when
-/// [`CheckpointConfig::stop_after_checkpoints`] cut the run short (the
-/// snapshot is on disk, ready for [`run_resumed`]); otherwise the result
-/// is byte-for-byte the one [`crate::run`] produces.
-pub fn run_checkpointed(
-    net: &SyntheticInternet,
-    config: &CampaignConfig,
-    ckpt: &CheckpointConfig,
-) -> io::Result<Option<CampaignResult>> {
-    drive_campaign(net, config, ckpt, CampaignSnapshot::empty(campaign_fingerprint(net, config)))
-}
-
-/// Resume a checkpointed campaign from its snapshot and run it to
-/// completion (or to the next `stop_after_checkpoints` kill point). The
-/// snapshot must have been taken by a campaign with the same
-/// results-affecting configuration — worker count may differ freely —
-/// or this fails with `InvalidData` instead of producing a silently
-/// inconsistent result.
-pub fn run_resumed(
-    net: &SyntheticInternet,
-    config: &CampaignConfig,
-    ckpt: &CheckpointConfig,
-) -> io::Result<Option<CampaignResult>> {
-    let snap = CampaignSnapshot::load(&ckpt.path)?;
-    let expect = campaign_fingerprint(net, config);
-    if snap.fingerprint != expect {
-        return Err(invalid(format!(
-            "fingerprint mismatch: snapshot {:016x}, campaign {:016x} — refusing to resume \
-             under a different configuration",
-            snap.fingerprint, expect
-        )));
-    }
-    drive_campaign(net, config, ckpt, snap)
-}
-
-// ---------------------------------------------------------------------
-// The multipath campaign snapshot.
-// ---------------------------------------------------------------------
 
 fn class_name(class: BalancerClass) -> &'static str {
     match class {
@@ -651,163 +635,484 @@ fn class_parse(s: &str) -> Result<BalancerClass, String> {
     })
 }
 
-/// The resumable fold state of a multipath campaign.
-pub(crate) struct MultipathSnapshot {
-    pub(crate) fingerprint: u64,
-    pub(crate) cursor: u32,
-    pub(crate) out: MultipathBlock,
-}
+impl Checkpointed for MultipathConfig {
+    const MODE: &'static str = "multipath";
 
-impl MultipathSnapshot {
-    fn empty(fingerprint: u64) -> Self {
-        MultipathSnapshot { fingerprint, cursor: 0, out: MultipathBlock::empty() }
+    fn fingerprint(&self, net: &SyntheticInternet) -> u64 {
+        multipath_fingerprint(net, self)
     }
 
-    fn serialize(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(s, "{MAGIC} multipath");
-        let _ = writeln!(s, "fingerprint {:016x}", self.fingerprint);
-        let _ = writeln!(s, "cursor {}", self.cursor);
-        write_quarantined(&mut s, &self.out.quarantined);
-        let mut order: Vec<usize> = (0..self.out.units.len()).collect();
-        order.sort_by_key(|&i| self.out.units[i].0);
-        let _ = writeln!(s, "units {}", order.len());
+    /// Quarantined units and the per-unit discoveries.
+    fn write_fold(fold: &MultipathBlock, out: &mut String) {
+        write_quarantined(out, &fold.quarantined);
+        let mut order: Vec<usize> = (0..fold.units.len()).collect();
+        order.sort_by_key(|&i| fold.units[i].0);
+        section(out, "units", order.len());
         for i in order {
-            let (unit, u, virt) = &self.out.units[i];
-            let _ = writeln!(
-                s,
-                "u {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {:016x}",
-                unit,
-                u.dest,
-                u.round,
-                u.addr,
-                u.width,
-                u.observed_width,
-                u.delta,
-                class_name(u.class),
-                u.hops,
-                u.links,
-                u.stars,
-                u.unconverged_hops,
-                u.probes,
-                u.reached,
-                u.degraded,
-                virt.to_bits(),
-            );
+            let (unit, u, virt) = &fold.units[i];
+            out.push('u');
+            field(out, u64::from(*unit));
+            field(out, u.dest as u64);
+            field(out, u.round as u64);
+            out.push(' ');
+            push_addr(out, u.addr);
+            field(out, u.width as u64);
+            field(out, u.observed_width as u64);
+            field(out, u64::from(u.delta));
+            out.push(' ');
+            out.push_str(class_name(u.class));
+            for v in [u.hops, u.links, u.stars, u.unconverged_hops, u.probes] {
+                field(out, v as u64);
+            }
+            field(out, u64::from(u.reached));
+            field(out, u64::from(u.degraded));
+            out.push(' ');
+            push_hex64(out, virt.to_bits());
+            out.push('\n');
         }
-        s.push_str("end\n");
-        s
     }
 
-    fn parse(text: &str) -> Result<MultipathSnapshot, String> {
-        let mut lines = text.lines();
-        let magic = take(&mut lines, "magic")?;
-        if magic != format!("{MAGIC} multipath") {
-            return Err(format!("not a v1 multipath snapshot (got {magic:?})"));
+    fn read_fold<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<MultipathBlock, String> {
+        fn flag<'a>(t: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<bool, String> {
+            match word(t, what)? {
+                "0" => Ok(false),
+                "1" => Ok(true),
+                other => Err(format!("bad {what}: {other:?}")),
+            }
         }
-        let line = take(&mut lines, "fingerprint")?;
-        expect_tag(line, "fingerprint")?;
-        let mut t = line.split_ascii_whitespace();
-        t.next();
-        let fingerprint = tok_hex_u64(&mut t, "fingerprint")?;
-        let line = take(&mut lines, "cursor")?;
-        expect_tag(line, "cursor")?;
-        let mut t = line.split_ascii_whitespace();
-        t.next();
-        let cursor: u32 = tok(&mut t, "cursor")?;
-        let quarantined = read_quarantined(&mut lines)?;
-        let line = take(&mut lines, "units header")?;
-        expect_tag(line, "units")?;
-        let mut t = line.split_ascii_whitespace();
-        t.next();
-        let n_units: usize = tok(&mut t, "unit count")?;
-        let mut units = Vec::with_capacity(n_units);
+        let quarantined = read_quarantined(lines)?;
+        let n_units: usize = tok(&mut tagged(lines, "units")?, "unit count")?;
+        let mut units = announced(n_units);
         for _ in 0..n_units {
-            let line = take(&mut lines, "unit record")?;
-            expect_tag(line, "u")?;
-            let mut t = line.split_ascii_whitespace();
-            t.next();
+            let mut t = tagged(lines, "u")?;
             let unit: u32 = tok(&mut t, "unit")?;
-            let dest: usize = tok(&mut t, "dest")?;
-            let round: usize = tok(&mut t, "round")?;
-            let addr: Ipv4Addr = tok(&mut t, "addr")?;
-            let width: usize = tok(&mut t, "width")?;
-            let observed_width: usize = tok(&mut t, "observed width")?;
-            let delta: u8 = tok(&mut t, "delta")?;
-            let class = class_parse(t.next().ok_or("u: missing class")?)?;
-            let hops: usize = tok(&mut t, "hops")?;
-            let links: usize = tok(&mut t, "links")?;
-            let stars: usize = tok(&mut t, "stars")?;
-            let unconverged_hops: usize = tok(&mut t, "unconverged hops")?;
-            let probes: usize = tok(&mut t, "probes")?;
-            let reached: bool = tok(&mut t, "reached")?;
-            let degraded: bool = tok(&mut t, "degraded")?;
+            let discovery = UnitDiscovery {
+                dest: tok(&mut t, "dest")?,
+                round: tok(&mut t, "round")?,
+                addr: tok(&mut t, "addr")?,
+                width: tok(&mut t, "width")?,
+                observed_width: tok(&mut t, "observed width")?,
+                delta: tok(&mut t, "delta")?,
+                class: class_parse(word(&mut t, "class")?)?,
+                hops: tok(&mut t, "hops")?,
+                links: tok(&mut t, "links")?,
+                stars: tok(&mut t, "stars")?,
+                unconverged_hops: tok(&mut t, "unconverged hops")?,
+                probes: tok(&mut t, "probes")?,
+                reached: flag(&mut t, "reached")?,
+                degraded: flag(&mut t, "degraded")?,
+            };
             let virt = f64::from_bits(tok_hex_u64(&mut t, "virt bits")?);
-            units.push((
-                unit,
-                UnitDiscovery {
-                    dest,
-                    round,
-                    addr,
-                    width,
-                    observed_width,
-                    delta,
-                    class,
-                    hops,
-                    links,
-                    stars,
-                    unconverged_hops,
-                    probes,
-                    reached,
-                    degraded,
-                },
-                virt,
-            ));
+            units.push((unit, discovery, virt));
         }
-        if take(&mut lines, "end marker")? != "end" {
-            return Err("missing end marker".to_owned());
-        }
-        Ok(MultipathSnapshot { fingerprint, cursor, out: MultipathBlock { units, quarantined } })
-    }
-
-    fn save(&self, path: &Path) -> io::Result<()> {
-        atomic_write(path, &self.serialize())
-    }
-
-    fn load(path: &Path) -> io::Result<MultipathSnapshot> {
-        MultipathSnapshot::parse(&fs::read_to_string(path)?).map_err(invalid)
+        Ok(MultipathBlock { units, quarantined })
     }
 }
 
-fn drive_multipath(
-    net: &SyntheticInternet,
-    config: &MultipathConfig,
-    ckpt: &CheckpointConfig,
-    mut snap: MultipathSnapshot,
-) -> io::Result<Option<MultipathResult>> {
-    let n_units = multipath_units(net, config);
-    if snap.cursor > n_units {
+// ---------------------------------------------------------------------
+// Record framing.
+// ---------------------------------------------------------------------
+
+/// A 64-bit multiply-mix over 8-byte words, chained from `seed`. Each
+/// step is a bijection of the running state, so any change confined to
+/// one word — a flipped bit above all — always changes the result;
+/// dropped, swapped or foreign lines escape with probability 2⁻⁶⁴. An
+/// integrity check against tearing and rot, not against an adversary.
+fn digest64(seed: u64, bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
+    let mut h = seed ^ (bytes.len() as u64).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes")));
+    }
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    splitmix64(step(h, u64::from_le_bytes(last)))
+}
+
+/// The digest of one record: its header line, then its body.
+fn record_digest(header: &[u8], body: &[u8]) -> u64 {
+    digest64(digest64(0, header), body)
+}
+
+fn header_line(mode: &str, fingerprint: u64, range: &Range<u32>, body_len: usize) -> String {
+    let mut line = format!("{MAGIC} {VERSION} {mode}");
+    for v in [u64::from(range.start), u64::from(range.end), body_len as u64] {
+        field(&mut line, v);
+    }
+    line.push(' ');
+    push_hex64(&mut line, fingerprint);
+    line.push('\n');
+    line
+}
+
+fn trailer_line(digest: u64) -> String {
+    let mut line = String::with_capacity(TRAILER_LEN);
+    line.push_str("end ");
+    push_hex64(&mut line, digest);
+    line.push('\n');
+    line
+}
+
+/// The unit range and body length a parsed header announces.
+struct Header {
+    range: Range<u32>,
+    body_len: u64,
+}
+
+/// Parse one header line. `Ok(None)`: not a header (torn or rotted).
+/// `Err`: a header, but of another format version, mode or campaign —
+/// the resume must be refused, not repaired.
+fn parse_header(line: &[u8], mode: &str, fingerprint: u64) -> io::Result<Option<Header>> {
+    let Some(line) = line.strip_suffix(b"\n").and_then(|l| std::str::from_utf8(l).ok()) else {
+        return Ok(None);
+    };
+    let mut t = line.split(' ');
+    if t.next() != Some(MAGIC) {
+        return Ok(None);
+    }
+    match t.next() {
+        Some(VERSION) => {}
+        Some(other) => {
+            return Err(invalid(format!(
+                "format version {other:?} is not the {VERSION:?} this build speaks"
+            )))
+        }
+        None => return Ok(None),
+    }
+    let parsed = (|| {
+        let got_mode = word(&mut t, "mode")?;
+        let range = tok(&mut t, "start")?..tok(&mut t, "end")?;
+        let body_len = tok(&mut t, "body length")?;
+        let got_fingerprint = tok_hex_u64(&mut t, "fingerprint")?;
+        match t.next() {
+            None => Ok((got_mode, got_fingerprint, Header { range, body_len })),
+            Some(extra) => Err(format!("trailing {extra:?}")),
+        }
+    })();
+    let Ok((got_mode, got_fingerprint, header)): Result<_, String> = parsed else {
+        return Ok(None);
+    };
+    if got_mode != mode {
+        return Err(invalid(format!("a {got_mode} journal, not a {mode} one")));
+    }
+    if got_fingerprint != fingerprint {
         return Err(invalid(format!(
-            "cursor {} exceeds the campaign's {} units",
-            snap.cursor, n_units
+            "fingerprint mismatch: journal {got_fingerprint:016x}, campaign {fingerprint:016x} — \
+             refusing to resume under a different configuration"
         )));
     }
+    Ok(Some(header))
+}
+
+/// What replaying a journal recovered.
+struct Replayed<F> {
+    /// The fold of every intact, chained record.
+    fold: F,
+    /// Units `0..cursor` are in `fold`.
+    cursor: u32,
+    /// Length of the intact prefix; anything beyond is damage.
+    good_len: u64,
+    /// Length of the first record — the last fold's size.
+    fold_bytes: u64,
+    /// Length of the file as found.
+    file_len: u64,
+}
+
+/// Stream the journal at `path` record by record, folding every record
+/// that chains and verifies, and stopping at the first that does not.
+/// Holds one record's body in memory at a time, and never allocates
+/// more for it than the file has bytes left.
+fn replay<M: Checkpointed>(path: &Path, fingerprint: u64) -> io::Result<Replayed<M::Fold>> {
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut reader = BufReader::with_capacity(1 << 16, file);
+    let mut out =
+        Replayed { fold: M::Fold::empty(), cursor: 0, good_len: 0, fold_bytes: 0, file_len };
+    let mut line = Vec::new();
+    let mut body = Vec::new();
+    loop {
+        line.clear();
+        let header_len = reader.by_ref().take(MAX_HEADER_LEN).read_until(b'\n', &mut line)? as u64;
+        let first = out.good_len == 0;
+        let header = match parse_header(&line, M::MODE, fingerprint)? {
+            Some(header) => header,
+            // The first record is installed by rename, never torn: a
+            // file that does not open with a header is not a journal.
+            None if first => return Err(invalid("no ptsnap record header at the start")),
+            None => break,
+        };
+        let chains = header.range.start == out.cursor && header.range.end >= out.cursor;
+        let left = file_len.saturating_sub(out.good_len + header_len);
+        let record_tail = header.body_len.saturating_add(TRAILER_LEN as u64);
+        if !chains || record_tail > left {
+            break;
+        }
+        body.clear();
+        reader.by_ref().take(header.body_len).read_to_end(&mut body)?;
+        let mut trailer = [0u8; TRAILER_LEN];
+        match reader.read_exact(&mut trailer) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
+            Err(e) => return Err(e),
+        }
+        if body.len() as u64 != header.body_len
+            || trailer.as_slice() != trailer_line(record_digest(&line, &body)).as_bytes()
+        {
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&body) else { break };
+        let mut lines = text.lines();
+        let Ok(block) = M::read_fold(&mut lines) else { break };
+        if lines.next().is_some() {
+            break;
+        }
+        if first {
+            // The first record is the bulk of the journal: keep it as
+            // parsed instead of merging it into an empty fold, which
+            // would hold both at once.
+            out.fold = block;
+        } else {
+            out.fold.absorb(block);
+        }
+        out.cursor = header.range.end;
+        let record_len = header_len + record_tail;
+        if first {
+            out.fold_bytes = record_len;
+        }
+        out.good_len += record_len;
+    }
+    Ok(out)
+}
+
+/// What one drive wrote and ran — read by the linear-bytes and
+/// idempotent-resume regression tests only.
+#[cfg_attr(not(test), allow(dead_code))]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DriveStats {
+    /// Bytes written to the journal and its temp file: every appended
+    /// record plus every fold rewrite.
+    pub(crate) bytes_written: u64,
+    /// Units executed (not replayed).
+    pub(crate) units_run: u32,
+}
+
+/// One encoded record, ready to write.
+struct Record {
+    header: String,
+    /// The body, then the trailer line.
+    body: String,
+}
+
+impl Record {
+    /// Encode `fold` as the record of `range`. `size_hint` pre-sizes
+    /// the body buffer; a low guess only costs regrowth.
+    fn encode<M: Checkpointed>(
+        fingerprint: u64,
+        range: Range<u32>,
+        fold: &M::Fold,
+        size_hint: u64,
+    ) -> Record {
+        let mut body = String::with_capacity(size_hint as usize);
+        M::write_fold(fold, &mut body);
+        let header = header_line(M::MODE, fingerprint, &range, body.len());
+        let digest = record_digest(header.as_bytes(), body.as_bytes());
+        body.push_str(&trailer_line(digest));
+        Record { header, body }
+    }
+
+    fn len(&self) -> u64 {
+        (self.header.len() + self.body.len()) as u64
+    }
+
+    fn write_to(&self, file: &mut File) -> io::Result<()> {
+        file.write_all(self.header.as_bytes())?;
+        file.write_all(self.body.as_bytes())
+    }
+
+    /// Make this record the whole journal at `path`: temp file, then
+    /// rename over the journal, so a kill at any point leaves either
+    /// the old journal or the new one, both complete (and a stale temp
+    /// file is simply overwritten). Returns an append handle on the new
+    /// journal.
+    fn install(&self, path: &Path) -> io::Result<File> {
+        let tmp = tmp_path(path);
+        self.write_to(&mut File::create(&tmp)?)?;
+        fs::rename(&tmp, path)?;
+        OpenOptions::new().append(true).open(path)
+    }
+}
+
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
+}
+
+/// The open journal: an append handle on [`CheckpointConfig::path`] plus
+/// the two byte counts the folding rule compares. Record buffers are
+/// not kept between checkpoints: a fold's is several blocks' worth, and
+/// even a block's would sit idle through the next block's probing,
+/// where the campaign's memory peaks.
+struct Journal<'a, M> {
+    path: &'a Path,
+    fingerprint: u64,
+    file: File,
+    /// Size of the `0..cursor` record the file starts with.
+    fold_bytes: u64,
+    /// Bytes of block records appended after it.
+    appended: u64,
+    /// Size of the last block record — the next one's size hint.
+    block_bytes: u64,
+    stats: DriveStats,
+    mode: std::marker::PhantomData<fn(&M)>,
+}
+
+impl<'a, M: Checkpointed> Journal<'a, M> {
+    /// Start a fresh journal at `path` — the record of no units —
+    /// replacing whatever is there, a previous campaign's journal or a
+    /// stale temp file alike.
+    fn create(path: &'a Path, fingerprint: u64) -> io::Result<Self> {
+        let record = Record::encode::<M>(fingerprint, 0..0, &M::Fold::empty(), 0);
+        Ok(Journal {
+            path,
+            fingerprint,
+            file: record.install(path)?,
+            fold_bytes: record.len(),
+            appended: 0,
+            block_bytes: 0,
+            stats: DriveStats { bytes_written: record.len(), units_run: 0 },
+            mode: std::marker::PhantomData,
+        })
+    }
+
+    /// Reopen the journal at `path` for appending after `replayed`,
+    /// cutting off a damaged tail so the next record chains.
+    fn reopen(path: &'a Path, fingerprint: u64, replayed: &Replayed<M::Fold>) -> io::Result<Self> {
+        if replayed.good_len == 0 {
+            // Even the first record was damaged: nothing to keep.
+            return Journal::create(path, fingerprint);
+        }
+        // A kill between a fold's write and its rename leaves this.
+        match fs::remove_file(tmp_path(path)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+        let file = OpenOptions::new().append(true).open(path)?;
+        if replayed.good_len < replayed.file_len {
+            file.set_len(replayed.good_len)?;
+        }
+        Ok(Journal {
+            path,
+            fingerprint,
+            file,
+            fold_bytes: replayed.fold_bytes,
+            appended: replayed.good_len - replayed.fold_bytes,
+            block_bytes: 0,
+            stats: DriveStats::default(),
+            mode: std::marker::PhantomData,
+        })
+    }
+
+    /// Checkpoint: append the record of the block just run.
+    fn append(&mut self, block: Range<u32>, output: &M::Fold) -> io::Result<()> {
+        let record = Record::encode::<M>(self.fingerprint, block, output, self.block_bytes);
+        record.write_to(&mut self.file)?;
+        self.block_bytes = record.len();
+        self.appended += record.len();
+        self.stats.bytes_written += record.len();
+        Ok(())
+    }
+
+    /// The folding rule: once as many bytes have been appended as the
+    /// last fold took, rewrite the journal as the single record
+    /// `0..cursor`. Amortised doubling — no knob.
+    fn fold_if_due(&mut self, cursor: u32, fold: &M::Fold) -> io::Result<()> {
+        if self.appended < self.fold_bytes {
+            return Ok(());
+        }
+        // A fold only grows, so the last one's size is a floor.
+        let record = Record::encode::<M>(self.fingerprint, 0..cursor, fold, self.fold_bytes);
+        // The old handle points at the file the rename replaces.
+        self.file = record.install(self.path)?;
+        self.fold_bytes = record.len();
+        self.appended = 0;
+        self.stats.bytes_written += record.len();
+        Ok(())
+    }
+}
+
+/// The one checkpoint driver: run the campaign block by block from the
+/// journal's cursor, journaling each block.
+fn drive<M: Checkpointed>(
+    net: &SyntheticInternet,
+    mode: &M,
+    ckpt: &CheckpointConfig,
+    resume: bool,
+) -> io::Result<(Option<M::Result>, DriveStats)> {
+    let n_units = mode.n_units(net);
+    let fingerprint = mode.fingerprint(net);
+    let (mut journal, mut fold, mut cursor) = if resume {
+        let replayed = replay::<M>(&ckpt.path, fingerprint)?;
+        if replayed.cursor > n_units {
+            return Err(invalid(format!(
+                "cursor {} exceeds the campaign's {n_units} units",
+                replayed.cursor
+            )));
+        }
+        let journal = Journal::<M>::reopen(&ckpt.path, fingerprint, &replayed)?;
+        (journal, replayed.fold, replayed.cursor)
+    } else {
+        (Journal::<M>::create(&ckpt.path, fingerprint)?, M::Fold::empty(), 0)
+    };
     let every = ckpt.every_units.max(1);
     let mut checkpoints = 0usize;
-    while snap.cursor < n_units {
-        let end = n_units.min(snap.cursor.saturating_add(every));
-        snap.out.absorb(run_multipath_block(net, config, snap.cursor..end));
-        snap.cursor = end;
-        snap.save(&ckpt.path)?;
+    while cursor < n_units {
+        let end = n_units.min(cursor.saturating_add(every));
+        let block = run_block(net, mode, cursor..end);
+        journal.stats.units_run += end - cursor;
+        journal.append(cursor..end, &block)?;
+        fold.absorb(block);
+        cursor = end;
+        journal.fold_if_due(cursor, &fold)?;
         checkpoints += 1;
-        if snap.cursor < n_units
-            && ckpt.stop_after_checkpoints.is_some_and(|limit| checkpoints >= limit)
+        if cursor < n_units && ckpt.stop_after_checkpoints.is_some_and(|limit| checkpoints >= limit)
         {
-            return Ok(None);
+            return Ok((None, journal.stats));
         }
     }
-    Ok(Some(finalize_multipath(net, config, snap.out)))
+    Ok((Some(mode.finalize(net, fold)), journal.stats))
+}
+
+/// Run a side-by-side campaign with periodic checkpoints — [`crate::run`]
+/// with crash safety, journaling to a fresh file at
+/// [`CheckpointConfig::path`] (anything already there is replaced).
+/// Returns `Ok(None)` only when
+/// [`CheckpointConfig::stop_after_checkpoints`] cut the run short (the
+/// journal is on disk, ready for [`run_resumed`]); otherwise the result
+/// is byte-for-byte the one [`crate::run`] produces.
+pub fn run_checkpointed(
+    net: &SyntheticInternet,
+    config: &CampaignConfig,
+    ckpt: &CheckpointConfig,
+) -> io::Result<Option<CampaignResult>> {
+    Ok(drive(net, config, ckpt, false)?.0)
+}
+
+/// Resume a checkpointed campaign from its journal and run it to
+/// completion (or to the next `stop_after_checkpoints` kill point); on
+/// a journal that is already complete, just finalize it. The journal
+/// must have been written by a campaign with the same results-affecting
+/// configuration — worker count may differ freely — or this fails with
+/// `InvalidData` instead of producing a silently inconsistent result.
+/// A torn or corrupt tail is cut off and its units are run again.
+pub fn run_resumed(
+    net: &SyntheticInternet,
+    config: &CampaignConfig,
+    ckpt: &CheckpointConfig,
+) -> io::Result<Option<CampaignResult>> {
+    Ok(drive(net, config, ckpt, true)?.0)
 }
 
 /// [`run_checkpointed`] for the multipath campaign mode.
@@ -816,7 +1121,7 @@ pub fn run_multipath_checkpointed(
     config: &MultipathConfig,
     ckpt: &CheckpointConfig,
 ) -> io::Result<Option<MultipathResult>> {
-    drive_multipath(net, config, ckpt, MultipathSnapshot::empty(multipath_fingerprint(net, config)))
+    Ok(drive(net, config, ckpt, false)?.0)
 }
 
 /// [`run_resumed`] for the multipath campaign mode.
@@ -825,29 +1130,37 @@ pub fn run_multipath_resumed(
     config: &MultipathConfig,
     ckpt: &CheckpointConfig,
 ) -> io::Result<Option<MultipathResult>> {
-    let snap = MultipathSnapshot::load(&ckpt.path)?;
-    let expect = multipath_fingerprint(net, config);
-    if snap.fingerprint != expect {
-        return Err(invalid(format!(
-            "fingerprint mismatch: snapshot {:016x}, campaign {:016x} — refusing to resume \
-             under a different configuration",
-            snap.fingerprint, expect
-        )));
-    }
-    drive_multipath(net, config, ckpt, snap)
+    Ok(drive(net, config, ckpt, true)?.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::report_digest;
-    use crate::runner::run;
+    use crate::report::{multipath_digest, report_digest};
+    use crate::runner::{run, run_multipath};
     use pt_topogen::{generate, InternetConfig};
 
-    fn tmp_path(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("ptsnap-test-{}-{name}", std::process::id()));
         p
+    }
+
+    fn ckpt(
+        path: &Path,
+        every_units: u32,
+        stop_after_checkpoints: Option<usize>,
+    ) -> CheckpointConfig {
+        CheckpointConfig { path: path.to_path_buf(), every_units, stop_after_checkpoints }
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        fs::metadata(path).expect("journal exists").len()
+    }
+
+    /// The length of `fold` encoded as one record.
+    fn record_len<M: Checkpointed>(fold: &M::Fold, range: Range<u32>) -> u64 {
+        Record::encode::<M>(0, range, fold, 0).len()
     }
 
     #[test]
@@ -861,19 +1174,26 @@ mod tests {
             ..CampaignConfig::default()
         };
         let plain = report_digest(&run(&net, &config));
-        let path = tmp_path("canonical");
-        let ckpt =
-            CheckpointConfig { every_units: 17, stop_after_checkpoints: None, path: path.clone() };
-        let result = run_checkpointed(&net, &config, &ckpt).unwrap().expect("ran to completion");
+        let path = tmp("canonical");
+        let result =
+            run_checkpointed(&net, &config, &ckpt(&path, 17, None)).unwrap().expect("completes");
         assert_eq!(report_digest(&result), plain);
-        // The final on-disk snapshot round-trips to identical bytes —
-        // the canonical-format property the resume tests build on.
-        let text = fs::read_to_string(&path).unwrap();
-        let reparsed = CampaignSnapshot::parse(&text).unwrap();
-        assert_eq!(reparsed.cursor, 80);
-        assert_eq!(reparsed.serialize(), text);
+        // The journal replays to the whole campaign, cleanly.
+        let fingerprint = config.fingerprint(&net);
+        let replayed = replay::<CampaignConfig>(&path, fingerprint).unwrap();
+        assert_eq!(replayed.cursor, 80);
+        assert_eq!(replayed.good_len, file_len(&path));
         // Kept routes survive the round trip exactly.
-        assert_eq!(reparsed.out.routes.len(), result.routes.len());
+        assert_eq!(replayed.fold.routes.len(), result.routes.len());
+        // Canonical: the replayed fold — merged from a fold record and
+        // block records, each parsed back from text — encodes to the
+        // bytes an uninterrupted single block's fold encodes to.
+        let mut journaled = String::new();
+        CampaignConfig::write_fold(&replayed.fold, &mut journaled);
+        let mut direct = String::new();
+        let whole = run_block(&net, &CampaignConfig { workers: 1, ..config }, 0..80);
+        CampaignConfig::write_fold(&whole, &mut direct);
+        assert!(journaled == direct, "journal replay changed the fold's canonical bytes");
         let _ = fs::remove_file(&path);
     }
 
@@ -881,12 +1201,8 @@ mod tests {
     fn resume_refuses_a_mismatched_configuration() {
         let net = generate(&InternetConfig::tiny(42));
         let config = CampaignConfig { rounds: 2, workers: 2, seed: 99, ..Default::default() };
-        let path = tmp_path("mismatch");
-        let ckpt = CheckpointConfig {
-            every_units: 40,
-            stop_after_checkpoints: Some(1),
-            path: path.clone(),
-        };
+        let path = tmp("mismatch");
+        let ckpt = ckpt(&path, 40, Some(1));
         assert!(run_checkpointed(&net, &config, &ckpt).unwrap().is_none());
         // Same campaign, different seed: a silent resume would splice
         // two unrelated campaigns together.
@@ -894,6 +1210,9 @@ mod tests {
         let err = run_resumed(&net, &other, &ckpt).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
+        // The other mode's loader refuses it too.
+        let err = run_multipath_resumed(&net, &MultipathConfig::default(), &ckpt).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // But a different *worker count* is explicitly fine.
         let reworked = CampaignConfig { workers: 7, ..config.clone() };
         assert!(run_resumed(&net, &reworked, &ckpt).unwrap().is_some());
@@ -901,9 +1220,249 @@ mod tests {
     }
 
     #[test]
+    fn every_results_affecting_trace_field_is_fingerprinted() {
+        type Flip = (&'static str, fn(&mut CampaignConfig));
+        let flips: [Flip; 19] = [
+            ("rounds", |c| c.rounds += 1),
+            ("seed", |c| c.seed += 1),
+            ("keep_routes", |c| c.keep_routes = !c.keep_routes),
+            ("trace.min_ttl", |c| c.trace.min_ttl += 1),
+            ("trace.max_ttl", |c| c.trace.max_ttl -= 1),
+            ("trace.probes_per_hop", |c| c.trace.probes_per_hop += 1),
+            ("trace.timeout", |c| c.trace.timeout = SimDuration::from_millis(500)),
+            ("trace.max_consecutive_stars", |c| c.trace.max_consecutive_stars -= 1),
+            ("trace.window", |c| c.trace.window += 1),
+            ("trace.probe_budget", |c| c.trace.probe_budget += 1),
+            ("trace.time_budget", |c| c.trace.time_budget = SimDuration::from_secs(9)),
+            ("dynamics.forwarding_loop_prob", |c| c.dynamics.forwarding_loop_prob *= 2.0),
+            ("dynamics.forwarding_loop_delay", |c| {
+                c.dynamics.forwarding_loop_delay = SimDuration::from_millis(1)
+            }),
+            ("dynamics.forwarding_loop_window", |c| {
+                c.dynamics.forwarding_loop_window = SimDuration::from_millis(1)
+            }),
+            ("dynamics.balancer_flap_prob", |c| c.dynamics.balancer_flap_prob *= 2.0),
+            ("dynamics.balancer_flap_after", |c| {
+                c.dynamics.balancer_flap_after = SimDuration::from_millis(1)
+            }),
+            ("inject.panic_units", |c| c.inject.panic_units.extend([3])),
+            ("inject.runaway_units", |c| c.inject.runaway_units.extend([3])),
+            ("inject: panic vs runaway", |c| {
+                c.inject.panic_units.remove(&5);
+                c.inject.runaway_units.insert(5);
+            }),
+        ];
+        let net = generate(&InternetConfig::tiny(42));
+        let mut config = CampaignConfig { rounds: 2, workers: 2, seed: 99, ..Default::default() };
+        config.inject.panic_units.insert(5);
+        let path = tmp("flip-trace");
+        let ckpt = ckpt(&path, 40, Some(1));
+        assert!(run_checkpointed(&net, &config, &ckpt).unwrap().is_none());
+        for (field, flip) in flips {
+            let mut flipped = config.clone();
+            flip(&mut flipped);
+            let err = run_resumed(&net, &flipped, &ckpt).expect_err(field);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{field}: {err}");
+        }
+        // A refused resume leaves the journal as it was.
+        assert!(run_resumed(&net, &config, &ckpt).unwrap().is_some());
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_results_affecting_mda_field_is_fingerprinted() {
+        type Flip = (&'static str, fn(&mut MultipathConfig));
+        // Read by every walk.
+        let always: [Flip; 13] = [
+            ("rounds", |c| c.rounds += 1),
+            ("seed", |c| c.seed += 1),
+            ("adaptive", |c| c.adaptive = !c.adaptive),
+            ("inject.panic_units", |c| c.inject.panic_units.extend([3])),
+            ("mda.alpha", |c| c.mda.alpha = 0.05),
+            ("mda.max_flows_per_hop", |c| c.mda.max_flows_per_hop += 1),
+            ("mda.max_ttl", |c| c.mda.max_ttl -= 1),
+            ("mda.timeout", |c| c.mda.timeout = SimDuration::from_millis(500)),
+            ("mda.window", |c| c.mda.window += 1),
+            ("mda.classify_repeats", |c| c.mda.classify_repeats += 1),
+            ("mda.protocol", |c| c.mda.protocol = MdaProtocol::Tcp),
+            ("mda.probe_budget", |c| c.mda.probe_budget += 1),
+            ("mda.time_budget", |c| c.mda.time_budget = SimDuration::from_secs(9)),
+        ];
+        // The probing policies: read from `mda` by a fixed-rate walk,
+        // overridden by the preset under `adaptive`.
+        let policies: [Flip; 9] = [
+            ("mda.max_consecutive_stars", |c| c.mda.max_consecutive_stars += 1),
+            ("mda.flow_retries", |c| c.mda.flow_retries += 1),
+            ("mda.retry_backoff", |c| c.mda.retry_backoff = SimDuration::from_millis(1)),
+            ("mda.jitter_seed", |c| c.mda.jitter_seed += 1),
+            ("mda.pace_initial", |c| c.mda.pace_initial = SimDuration::from_millis(1)),
+            ("mda.pace_cap", |c| c.mda.pace_cap = SimDuration::from_millis(1)),
+            ("mda.dead_hop_flows", |c| c.mda.dead_hop_flows += 1),
+            ("mda.protocol_fallback", |c| c.mda.protocol_fallback = !c.mda.protocol_fallback),
+            ("mda.fallback_after_stars", |c| c.mda.fallback_after_stars += 1),
+        ];
+        // Drawn per unit; what the config holds is never read.
+        let never: [Flip; 3] = [
+            ("workers", |c| c.workers += 1),
+            ("mda.base_src_port", |c| c.mda.base_src_port += 1),
+            ("mda.dst_port", |c| c.mda.dst_port += 1),
+        ];
+        let net = generate(&InternetConfig::tiny(42));
+        let path = tmp("flip-mda");
+        let ckpt = ckpt(&path, 20, Some(1));
+        for adaptive in [false, true] {
+            let config = MultipathConfig { workers: 2, adaptive, seed: 7, ..Default::default() };
+            assert!(run_multipath_checkpointed(&net, &config, &ckpt).unwrap().is_none());
+            let resumed_kind = |flip: fn(&mut MultipathConfig)| {
+                let mut flipped = config.clone();
+                flip(&mut flipped);
+                // An accepted resume completes the journal; the flips
+                // that follow meet the same fingerprint check on it.
+                run_multipath_resumed(&net, &flipped, &ckpt).map(drop).map_err(|e| e.kind())
+            };
+            for (field, flip) in always {
+                assert_eq!(resumed_kind(flip), Err(io::ErrorKind::InvalidData), "{field}");
+            }
+            for (field, flip) in policies {
+                let expect = if adaptive { Ok(()) } else { Err(io::ErrorKind::InvalidData) };
+                assert_eq!(resumed_kind(flip), expect, "{field}, adaptive = {adaptive}");
+            }
+            for (field, flip) in never {
+                assert_eq!(resumed_kind(flip), Ok(()), "{field}");
+            }
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
     fn panic_text_escaping_round_trips() {
         for s in ["plain", "with\nnewline", "back\\slash", "mixed \\n literal\r\n", ""] {
-            assert_eq!(unescape_panic(&escape_panic(s)), s);
+            let mut escaped = String::new();
+            push_escaped_panic(&mut escaped, s);
+            assert!(!escaped.contains(['\n', '\r']), "{escaped:?} must fit one line");
+            assert_eq!(unescape_panic(&escaped), s);
         }
+    }
+
+    /// Bytes written, and the file-size bound checked at every
+    /// checkpoint, for a side-by-side campaign of `rounds` rounds
+    /// stepped one 16-unit block per resume.
+    fn stepped_bytes_written(net: &SyntheticInternet, rounds: usize, name: &str) -> u64 {
+        let config = CampaignConfig { rounds, workers: 2, seed: 99, ..Default::default() };
+        let fingerprint = config.fingerprint(net);
+        let path = tmp(name);
+        let ckpt = ckpt(&path, 16, Some(1));
+        let mut written = 0;
+        let mut resume = false;
+        loop {
+            let (result, stats) = drive(net, &config, &ckpt, resume).unwrap();
+            resume = true;
+            written += stats.bytes_written;
+            assert_eq!(stats.units_run, 16);
+            // The file holds at most two full folds and one block.
+            let replayed = replay::<CampaignConfig>(&path, fingerprint).unwrap();
+            let block = run_block(net, &config, replayed.cursor - 16..replayed.cursor);
+            let bound = 2 * record_len::<CampaignConfig>(&replayed.fold, 0..replayed.cursor)
+                + record_len::<CampaignConfig>(&block, replayed.cursor - 16..replayed.cursor);
+            assert!(
+                file_len(&path) <= bound,
+                "at unit {}: journal {} bytes, bound {bound}",
+                replayed.cursor,
+                file_len(&path)
+            );
+            if result.is_some() {
+                let _ = fs::remove_file(&path);
+                return written;
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_written_grow_linearly_with_the_campaign() {
+        let net = generate(&InternetConfig::tiny(42));
+        let short = stepped_bytes_written(&net, 4, "linear-4");
+        let long = stepped_bytes_written(&net, 8, "linear-8");
+        // Rewriting the whole fold at every checkpoint grows ~4x here.
+        assert!(
+            long as f64 <= 2.5 * short as f64,
+            "doubling the rounds took bytes written from {short} to {long}"
+        );
+    }
+
+    #[test]
+    fn checkpointed_run_starts_a_fresh_journal_over_an_old_one() {
+        let net = generate(&InternetConfig::tiny(42));
+        let config = MultipathConfig { workers: 2, seed: 7, ..Default::default() };
+        let path = tmp("fresh");
+        // An old journal of another campaign and mode, complete, and a
+        // temp file a kill left behind.
+        let other = CampaignConfig { rounds: 1, workers: 2, ..Default::default() };
+        run_checkpointed(&net, &other, &ckpt(&path, 64, None)).unwrap();
+        fs::write(tmp_path(&path), "half a fold").unwrap();
+        let plain = multipath_digest(&run_multipath(&net, &config));
+        for _ in 0..2 {
+            let (result, stats) = drive(&net, &config, &ckpt(&path, 16, None), false).unwrap();
+            assert_eq!(multipath_digest(&result.expect("completes")), plain);
+            assert_eq!(stats.units_run, 40, "nothing of the old journal was replayed");
+            assert!(!tmp_path(&path).exists(), "the stale temp file is gone");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resuming_a_completed_journal_is_idempotent() {
+        let net = generate(&InternetConfig::tiny(42));
+        let config = CampaignConfig { rounds: 2, workers: 2, seed: 99, ..Default::default() };
+        let path = tmp("idempotent");
+        let ckpt = ckpt(&path, 17, None);
+        let first = run_checkpointed(&net, &config, &ckpt).unwrap().expect("completes");
+        let bytes = fs::read(&path).unwrap();
+        fs::write(tmp_path(&path), "half a fold").unwrap();
+        for _ in 0..3 {
+            let (again, stats) = drive(&net, &config, &ckpt, true).unwrap();
+            assert_eq!(report_digest(&again.expect("finalizes")), report_digest(&first));
+            assert_eq!(stats, DriveStats::default(), "nothing run, nothing written");
+            assert!(fs::read(&path).unwrap() == bytes, "the journal is untouched");
+            assert!(!tmp_path(&path).exists(), "the stale temp file is gone");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn other_format_versions_and_foreign_files_are_refused() {
+        let net = generate(&InternetConfig::tiny(42));
+        let config = CampaignConfig { rounds: 1, workers: 2, ..Default::default() };
+        let path = tmp("foreign");
+        for (content, why) in [
+            ("ptsnap v1 side-by-side\nfingerprint 0000000000000000\ncursor 0\n", "version"),
+            ("", "start"),
+            ("not a journal at all\n", "start"),
+            ("ptsnap v2 side-by-side 0 0", "start"),
+        ] {
+            fs::write(&path, content).unwrap();
+            let err = run_resumed(&net, &config, &ckpt(&path, 16, None)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{content:?}");
+            assert!(err.to_string().contains(why), "{content:?}: {err}");
+            // Refused means untouched.
+            assert_eq!(fs::read_to_string(&path).unwrap(), content);
+        }
+        let _ = fs::remove_file(&path);
+        let err = run_resumed(&net, &config, &ckpt(&path, 16, None)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn digest_sees_every_single_byte_change() {
+        let body: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let base = digest64(0, &body);
+        for at in [0, 7, 8, 500, 991, 992, 999] {
+            for bit in 0..8 {
+                let mut flipped = body.clone();
+                flipped[at] ^= 1 << bit;
+                assert_ne!(digest64(0, &flipped), base, "byte {at}, bit {bit}");
+            }
+        }
+        assert_ne!(digest64(0, &body[..999]), base);
+        assert_ne!(digest64(1, &body), base);
     }
 }
