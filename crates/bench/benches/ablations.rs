@@ -1,4 +1,4 @@
-//! Ablations for the design choices DESIGN.md calls out:
+//! Ablations for the tracer's and the simulator's design choices:
 //!
 //! * probes per hop (1, as the study; 3, as classic defaults) — diamonds
 //!   need multiplicity, loops do not;

@@ -1,9 +1,9 @@
 //! # pt-bench — shared helpers for the experiment-regeneration benches
 //!
 //! Each bench target in `benches/` regenerates one of the paper's
-//! figures or reported statistics (see DESIGN.md's experiment index),
-//! printing the paper-vs-measured rows before timing the underlying
-//! computation with Criterion.
+//! figures or reported statistics (each prints its experiment id and
+//! the paper section it reproduces), printing the paper-vs-measured
+//! rows before timing the underlying computation with Criterion.
 
 #![warn(missing_docs)]
 

@@ -29,7 +29,7 @@ use pt_core::{
 use pt_mda::{discover_with, BalancerClass, MdaConfig, MdaScratch};
 use pt_netsim::routing::NextHop;
 use pt_netsim::time::SimDuration;
-use pt_netsim::{SimTransport, SimulatorPool};
+use pt_netsim::{splitmix64, SimTransport, SimulatorPool};
 use pt_topogen::{DestInfo, SyntheticInternet};
 
 /// Routing-dynamics knobs: the §4 causes that are *events*, not topology.
@@ -202,13 +202,6 @@ pub struct CampaignResult {
     /// so the healthy-unit digest is independent of *where* a panic
     /// struck and of the worker count.
     pub quarantined: Vec<QuarantinedUnit>,
-}
-
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A `(destination, round)` work unit, encoded round-major so unit order
@@ -940,13 +933,7 @@ impl MultipathConfig {
         MdaConfig {
             flow_retries: policy.flow_retries,
             max_consecutive_stars: policy.max_consecutive_stars,
-            retry_backoff: policy.retry_backoff,
-            jitter_seed: policy.jitter_seed,
-            pace_initial: policy.pace_initial,
-            pace_cap: policy.pace_cap,
-            dead_hop_flows: policy.dead_hop_flows,
-            protocol_fallback: policy.protocol_fallback,
-            fallback_after_stars: policy.fallback_after_stars,
+            adaptive: policy.adaptive,
             ..self.mda
         }
     }
@@ -1018,12 +1005,12 @@ impl CampaignMode for MultipathConfig {
         // The adaptive policies' jitter seed comes from the unit stream,
         // so retry schedules are reproducible and worker-count
         // independent.
-        let jitter_seed = if self.adaptive {
-            splitmix64(unit_stream ^ 0x6164_7074)
+        let adaptive = if self.adaptive {
+            Some(splitmix64(unit_stream ^ 0x6164_7074))
         } else {
-            template.jitter_seed
+            template.adaptive
         };
-        let mda = MdaConfig { base_src_port, dst_port, jitter_seed, ..template };
+        let mda = MdaConfig { base_src_port, dst_port, adaptive, ..template };
         let map = discover_with(&mut tx, dest.addr, &mda, scratch);
 
         let discovery = UnitDiscovery {

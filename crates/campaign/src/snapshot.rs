@@ -58,14 +58,15 @@ use pt_anomaly::codec::{push_addr, push_hex64, push_uint};
 use pt_anomaly::CampaignAccumulator;
 use pt_core::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind, StrategyId, TraceConfig};
 use pt_mda::{BalancerClass, MdaConfig, MdaProtocol};
+use pt_netsim::splitmix64;
 use pt_netsim::time::SimDuration;
 use pt_topogen::SyntheticInternet;
 use pt_wire::UnreachableCode;
 
 use crate::runner::{
-    run_block, splitmix64, BlockOutput, CampaignConfig, CampaignMode, CampaignResult,
-    DynamicsConfig, Fold, InjectConfig, MultipathBlock, MultipathConfig, MultipathResult,
-    QuarantinedUnit, UnitDiscovery, UnitId,
+    run_block, BlockOutput, CampaignConfig, CampaignMode, CampaignResult, DynamicsConfig, Fold,
+    InjectConfig, MultipathBlock, MultipathConfig, MultipathResult, QuarantinedUnit, UnitDiscovery,
+    UnitId,
 };
 
 /// Magic prefix of every record header; bump the version when the
@@ -200,13 +201,7 @@ fn multipath_fingerprint(net: &SyntheticInternet, config: &MultipathConfig) -> u
         base_src_port: _,
         dst_port: _,
         protocol,
-        retry_backoff,
-        jitter_seed,
-        pace_initial,
-        pace_cap,
-        dead_hop_flows,
-        protocol_fallback,
-        fallback_after_stars,
+        adaptive: policies,
         probe_budget,
         time_budget,
     } = config.walk_template();
@@ -226,13 +221,8 @@ fn multipath_fingerprint(net: &SyntheticInternet, config: &MultipathConfig) -> u
             MdaProtocol::Udp => 0,
             MdaProtocol::Tcp => 1,
         },
-        retry_backoff.nanos(),
-        jitter_seed,
-        pace_initial.nanos(),
-        pace_cap.nanos(),
-        dead_hop_flows as u64,
-        u64::from(protocol_fallback),
-        u64::from(fallback_after_stars),
+        u64::from(policies.is_some()),
+        policies.unwrap_or(0),
         probe_budget as u64,
         time_budget.nanos(),
         u64::from(*adaptive),
@@ -1290,16 +1280,10 @@ mod tests {
         ];
         // The probing policies: read from `mda` by a fixed-rate walk,
         // overridden by the preset under `adaptive`.
-        let policies: [Flip; 9] = [
+        let policies: [Flip; 3] = [
             ("mda.max_consecutive_stars", |c| c.mda.max_consecutive_stars += 1),
             ("mda.flow_retries", |c| c.mda.flow_retries += 1),
-            ("mda.retry_backoff", |c| c.mda.retry_backoff = SimDuration::from_millis(1)),
-            ("mda.jitter_seed", |c| c.mda.jitter_seed += 1),
-            ("mda.pace_initial", |c| c.mda.pace_initial = SimDuration::from_millis(1)),
-            ("mda.pace_cap", |c| c.mda.pace_cap = SimDuration::from_millis(1)),
-            ("mda.dead_hop_flows", |c| c.mda.dead_hop_flows += 1),
-            ("mda.protocol_fallback", |c| c.mda.protocol_fallback = !c.mda.protocol_fallback),
-            ("mda.fallback_after_stars", |c| c.mda.fallback_after_stars += 1),
+            ("mda.adaptive", |c| c.mda.adaptive = Some(1)),
         ];
         // Drawn per unit; what the config holds is never read.
         let never: [Flip; 3] = [

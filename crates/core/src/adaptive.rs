@@ -29,6 +29,7 @@
 
 use std::net::Ipv4Addr;
 
+use pt_netsim::splitmix64;
 use pt_netsim::time::{SimDuration, SimTime};
 
 use crate::paris::{ParisIcmp, ParisTcp, ParisUdp};
@@ -70,14 +71,6 @@ impl Default for AdaptiveTraceConfig {
 /// initial pass (≤ 39 hops × probes per hop) can reach, so a late
 /// answer to an original probe can never be credited to a retry.
 const RETRY_IDX_BASE: u64 = 0x1000;
-
-/// splitmix64 — the repo's standard seed-chain hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Backoff before retry pass `pass`: `retry_backoff · 2^pass` plus
 /// deterministic jitter in `[0, base/2]`.

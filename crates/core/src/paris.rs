@@ -7,7 +7,7 @@ use pt_wire::ipv4::{protocol, Ipv4Header};
 use pt_wire::tcp::flags as tcp_flags;
 use pt_wire::{IcmpMessage, Packet, TcpSegment, Transport as Wire, UdpDatagram};
 
-use crate::probe::{prefix_u16, prefix_u32, quotation_for, ProbeSpec, ProbeStrategy, StrategyId};
+use crate::probe::{prefix_u16, prefix_u32, quotation_for, ProbeStrategy, StrategyId};
 
 /// Paris traceroute, UDP mode.
 ///
@@ -75,48 +75,6 @@ impl ProbeStrategy for ParisUdp {
             payload,
         );
         Packet::new(ip, Wire::Udp(udp))
-    }
-
-    fn build_probe_batch(
-        &mut self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        specs: &[ProbeSpec],
-        payloads: &mut dyn FnMut() -> Vec<u8>,
-        out: &mut Vec<Packet>,
-    ) {
-        // The pinned-checksum arithmetic sums the pseudo-header (addresses,
-        // protocol, UDP length), ports, and length — none of which involve
-        // the TTL — so one invariant sum serves the whole window and each
-        // probe costs two one's-complement adds instead of a fresh
-        // pseudo-header walk. Byte-identical to the unbatched constructor
-        // by construction (it is implemented on top of the same solve).
-        let template = {
-            let mut ip = Ipv4Header::new(src, dst, protocol::UDP, 0);
-            ip.total_length = (pt_wire::ipv4::HEADER_LEN
-                + pt_wire::udp::HEADER_LEN
-                + self.payload_len.max(2)) as u16;
-            ip
-        };
-        let invariant = UdpDatagram::pinned_checksum_invariant(
-            self.src_port,
-            self.dst_port,
-            self.payload_len,
-            &template,
-        );
-        for spec in specs {
-            let mut ip = template;
-            ip.ttl = spec.ttl;
-            let udp = UdpDatagram::with_pinned_checksum_from_invariant(
-                invariant,
-                self.src_port,
-                self.dst_port,
-                self.tag(spec.probe_idx),
-                self.payload_len,
-                payloads(),
-            );
-            out.push(Packet::new(ip, Wire::Udp(udp)));
-        }
     }
 
     fn match_response(&self, dst: Ipv4Addr, response: &Packet) -> Option<u64> {

@@ -73,6 +73,11 @@ impl core::fmt::Display for StrategyId {
 
 /// One entry of a probe batch: the TTL to probe at and the strategy's
 /// monotone probe index, in launch order.
+///
+/// No engine builds batches any more; this type and
+/// [`ProbeStrategy::build_probe_batch`] remain only because `ptbench`
+/// (`core.build_batch.ns_per_probe`) calls them. Drop both in the next
+/// change that may edit the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeSpec {
     /// IP TTL for this probe.
@@ -108,20 +113,11 @@ pub trait ProbeStrategy {
         self.build_probe_with(src, dst, ttl, probe_idx, Vec::new())
     }
 
-    /// Build one TTL window's probes in a single pass, appending the
-    /// packets to `out` in `specs` order. `payloads` yields one cleared
-    /// (possibly warm) buffer per probe — the windowed tracer threads
-    /// `Transport::grab_payload` through it so batch construction stays
-    /// allocation-free.
-    ///
-    /// The default implementation loops [`ProbeStrategy::build_probe_with`].
-    /// Strategies whose per-probe header arithmetic shares an invariant
-    /// part — Paris UDP's pinned-checksum pseudo-header sum, which does
-    /// not depend on the TTL — override this to compute the invariant
-    /// once per batch. Every override must produce packets byte-identical
-    /// to the default loop (pinned by the batched-vs-sequential equality
-    /// tests), which is what lets the driver switch freely between paths
-    /// without perturbing campaign digests.
+    /// Build `specs`' probes in order, appending the packets to `out`;
+    /// `payloads` yields one cleared (possibly warm) buffer per probe.
+    /// A plain loop over [`ProbeStrategy::build_probe_with`] that no
+    /// strategy overrides and no engine calls: the tracers build one
+    /// probe at a time. Kept only for `ptbench`; see [`ProbeSpec`].
     fn build_probe_batch(
         &mut self,
         src: Ipv4Addr,
@@ -209,11 +205,8 @@ mod tests {
 
     #[test]
     fn batched_construction_matches_sequential_for_every_strategy() {
-        // `build_probe_batch` — default loop or strategy override — must
-        // produce packets byte-identical to one-at-a-time construction:
-        // the windowed tracer switches to the batch path on the strength
-        // of this equality, and any divergence would silently change
-        // campaign digests.
+        // `build_probe_batch` is the benchmark's entry point: what it
+        // times must be the packets the tracers build one at a time.
         use crate::{ClassicIcmp, ClassicUdp, ParisIcmp, ParisTcp, ParisUdp, TcpTraceroute};
         let src = Ipv4Addr::new(10, 0, 1, 1);
         let dst = Ipv4Addr::new(192, 0, 2, 9);

@@ -50,7 +50,7 @@ use pt_netsim::time::{SimDuration, SimTime};
 use pt_netsim::SimTransport;
 use pt_wire::{IcmpMessage, Packet, Transport as Wire};
 
-use crate::probe::{ProbeSpec, ProbeStrategy};
+use crate::probe::ProbeStrategy;
 use crate::route::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind};
 
 /// The packet I/O a tracer needs. `pt-netsim`'s [`SimTransport`]
@@ -259,13 +259,6 @@ pub struct TraceScratch {
     probe_vecs: Vec<Vec<ProbeResult>>,
     /// Recycled `MeasuredRoute::hops` vectors.
     hop_vecs: Vec<Vec<Hop>>,
-    /// Planned `(ttl, probe_idx)` specs for the current window top-up —
-    /// the slice handed to [`ProbeStrategy::build_probe_batch`].
-    batch_specs: Vec<ProbeSpec>,
-    /// `(hop index, slot)` registry targets parallel to `batch_specs`.
-    batch_slots: Vec<(usize, usize)>,
-    /// Packets built by the strategy's batch pass, drained on send.
-    batch_packets: Vec<Packet>,
 }
 
 impl TraceScratch {
@@ -414,20 +407,7 @@ pub fn trace_with<T: Transport>(
         //    terminal reply (a hop the terminal reply belongs to still
         //    gets its full probe complement — classic traceroute sends
         //    all three probes at the terminal TTL).
-        //
-        //    The window's probes are *planned* first — the budget,
-        //    terminal, and window gates apply in exactly the order the
-        //    per-probe loop applied them — then built in one strategy
-        //    pass ([`ProbeStrategy::build_probe_batch`], which amortizes
-        //    per-probe header arithmetic such as the Paris pinned-
-        //    checksum pseudo-header sum) and registered + sent in plan
-        //    order. `Transport::send` never advances time (it enqueues),
-        //    so the batch's send timestamps, and therefore the measured
-        //    routes and campaign digests, are byte-identical to
-        //    one-probe-at-a-time construction.
-        scratch.batch_specs.clear();
-        scratch.batch_slots.clear();
-        while !sent_done && outstanding + scratch.batch_specs.len() < window {
+        while !sent_done && outstanding < window {
             if (config.probe_budget != 0 && probe_idx >= u64::from(config.probe_budget))
                 || time_cutoff.is_some_and(|cutoff| transport.now() >= cutoff)
             {
@@ -456,8 +436,21 @@ pub fn trace_with<T: Transport>(
             if pph > 0 {
                 let idx = probe_idx;
                 probe_idx += 1;
-                scratch.batch_specs.push(ProbeSpec { ttl: next_ttl, probe_idx: idx });
-                scratch.batch_slots.push((hop_index, next_slot));
+                let payload = transport.grab_payload();
+                let packet = strategy.build_probe_with(source, destination, next_ttl, idx, payload);
+                let sent = transport.now();
+                scratch.registry.push((
+                    idx,
+                    Outstanding {
+                        hop: hop_index,
+                        slot: next_slot,
+                        sent,
+                        deadline: sent + config.timeout,
+                        expired: false,
+                    },
+                ));
+                transport.send(packet);
+                outstanding += 1;
                 next_slot += 1;
             }
             if next_slot >= pph {
@@ -467,38 +460,6 @@ pub fn trace_with<T: Transport>(
                 } else {
                     next_ttl += 1;
                 }
-            }
-        }
-        if !scratch.batch_specs.is_empty() {
-            // Split-borrow the scratch so the built packets can drain
-            // into sends while the spec/slot plans are still readable.
-            let TraceScratch { registry, batch_specs, batch_slots, batch_packets, .. } =
-                &mut *scratch;
-            debug_assert!(batch_packets.is_empty());
-            strategy.build_probe_batch(
-                source,
-                destination,
-                batch_specs,
-                &mut || transport.grab_payload(),
-                batch_packets,
-            );
-            debug_assert_eq!(batch_packets.len(), batch_specs.len());
-            for ((packet, spec), &(hop, slot)) in
-                batch_packets.drain(..).zip(batch_specs.iter()).zip(batch_slots.iter())
-            {
-                let sent = transport.now();
-                registry.push((
-                    spec.probe_idx,
-                    Outstanding {
-                        hop,
-                        slot,
-                        sent,
-                        deadline: sent + config.timeout,
-                        expired: false,
-                    },
-                ));
-                transport.send(packet);
-                outstanding += 1;
             }
         }
 

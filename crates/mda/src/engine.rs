@@ -50,6 +50,7 @@
 use std::net::Ipv4Addr;
 
 use pt_core::{prefix_u16, prefix_u32, quotation_for, Transport};
+use pt_netsim::splitmix64;
 use pt_netsim::time::{SimDuration, SimTime};
 use pt_wire::ipv4::{protocol, Ipv4Header};
 use pt_wire::tcp::{flags as tcp_flags, TcpSegment};
@@ -83,6 +84,32 @@ const TCP_FALLBACK_PORT: u16 = 80;
 /// black holes.
 const DEAD_FLOW_RETRIES: u8 = 2;
 
+/// Base delay before the adaptive walk re-probes a timed-out flow at a
+/// hop that has already answered (rate-limit evidence). Doubles per
+/// retry, with deterministic jitter drawn from [`MdaConfig::adaptive`].
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(750);
+
+/// Once a hop shows rate-limit evidence (a timeout after an answer) the
+/// adaptive walk enumerates it one probe at a time with at least this
+/// gap between launches, doubling per further starved interval up to
+/// [`PACE_CAP`] — past the hostile nets' 5 s refill interval.
+const PACE_INITIAL: SimDuration = SimDuration::from_millis(1_500);
+const PACE_CAP: SimDuration = SimDuration::from_secs(8);
+
+/// The adaptive walk's flow budget for an all-star hop before giving up
+/// on it (the fixed-rate walk uses the stopping rule's own scale,
+/// `rule.get(1)`): against a hop that answers *nothing*, flow diversity
+/// buys no information (filters and MPLS interiors are
+/// flow-independent), and the walk crosses more silent hops, so per-hop
+/// thrift keeps the fault-free overhead bounded.
+const DEAD_HOP_FLOWS: usize = 4;
+
+/// Consecutive all-star hops right after answering hops that make the
+/// adaptive walk fall back from UDP to TCP (a UDP filter, not a dead
+/// path). Below both presets' `max_consecutive_stars`, or abandonment
+/// would win.
+const FALLBACK_AFTER_STARS: u8 = 2;
+
 /// MDA parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MdaConfig {
@@ -115,35 +142,13 @@ pub struct MdaConfig {
     pub dst_port: u16,
     /// Protocol the walk starts with.
     pub protocol: MdaProtocol,
-    /// Base delay before re-probing a timed-out flow at a hop that has
-    /// already answered (rate-limit evidence). Doubles per retry, with
-    /// deterministic jitter drawn from `jitter_seed`. `ZERO` retries
-    /// immediately — the classic walk.
-    pub retry_backoff: SimDuration,
-    /// Seed for the retry-jitter draws; derive it from the unit seed so
-    /// campaigns stay reproducible for any worker count.
-    pub jitter_seed: u64,
-    /// Once a hop shows rate-limit evidence (a timeout after an
-    /// answer), enumerate it one probe at a time with at least this gap
-    /// between launches, doubling per further starved interval up to
-    /// `pace_cap`. `ZERO` disables pacing.
-    pub pace_initial: SimDuration,
-    /// Ceiling for the per-hop pacing gap.
-    pub pace_cap: SimDuration,
-    /// Flow budget for an all-star hop before giving up on it, `0`
-    /// meaning the stopping rule's own scale (`rule.get(1)` — the
-    /// classic behaviour). The adaptive walk sets a smaller budget:
-    /// against a hop that answers *nothing*, flow diversity buys no
-    /// information (filters and MPLS interiors are flow-independent),
-    /// and the walk crosses more silent hops, so per-hop thrift keeps
-    /// the fault-free overhead bounded.
-    pub dead_hop_flows: usize,
-    /// Fall back from UDP to TCP mid-walk when a run of all-star hops
-    /// right after answering hops suggests a UDP filter.
-    pub protocol_fallback: bool,
-    /// Consecutive all-star hops that trigger the protocol fallback.
-    /// Must be below `max_consecutive_stars` or abandonment wins.
-    pub fallback_after_stars: u8,
+    /// `Some(jitter seed)` arms the hostile-network probing policies
+    /// ([`MdaConfig::adaptive`]): backoff retries with jitter drawn from
+    /// the seed, per-hop pacing, a thriftier dead-hop flow budget and
+    /// the mid-walk UDP → TCP fallback. `None` is the fixed-rate walk.
+    /// Derive the seed from the unit seed so campaigns stay
+    /// reproducible for any worker count.
+    pub adaptive: Option<u64>,
     /// Watchdog: hard ceiling on probes one walk may send (`0` =
     /// unlimited; the 15-bit id space still caps every walk). When it
     /// trips with enumeration still wanting probes, the walk winds
@@ -172,13 +177,7 @@ impl Default for MdaConfig {
             base_src_port: 40_000,
             dst_port: 33_435,
             protocol: MdaProtocol::Udp,
-            retry_backoff: SimDuration::ZERO,
-            jitter_seed: 0,
-            pace_initial: SimDuration::ZERO,
-            pace_cap: SimDuration::ZERO,
-            dead_hop_flows: 0,
-            protocol_fallback: false,
-            fallback_after_stars: 2,
+            adaptive: None,
             probe_budget: 0,
             time_budget: SimDuration::ZERO,
         }
@@ -205,13 +204,7 @@ impl MdaConfig {
         MdaConfig {
             flow_retries: 5,
             max_consecutive_stars: 5,
-            retry_backoff: SimDuration::from_millis(750),
-            jitter_seed,
-            pace_initial: SimDuration::from_millis(1_500),
-            pace_cap: SimDuration::from_secs(8),
-            dead_hop_flows: 4,
-            protocol_fallback: true,
-            fallback_after_stars: 2,
+            adaptive: Some(jitter_seed),
             ..MdaConfig::default()
         }
     }
@@ -333,37 +326,28 @@ fn match_response(
     (tag & 0x8000 != 0).then_some(tag & ID_SPACE)
 }
 
-/// SplitMix64 — the same tiny generator the campaign layer uses to
-/// derive per-unit seeds; here it turns `(seed, key)` into retry
-/// jitter without any RNG state to carry.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Flow budget for a hop with no interface yet: the configured
-/// dead-hop budget, or the stopping rule's own scale when unset.
+/// Flow budget for a hop with no interface yet: the adaptive walk's
+/// dead-hop budget, or the stopping rule's own scale.
 fn dead_hop_budget(rule: &mut RuleTable, config: &MdaConfig) -> usize {
-    if config.dead_hop_flows > 0 {
-        config.dead_hop_flows
+    if config.adaptive.is_some() {
+        DEAD_HOP_FLOWS
     } else {
         rule.get(1)
     }
 }
 
 /// Exponential backoff with deterministic jitter for the `attempt`-th
-/// retry of `flow` at `ttl`: `retry_backoff * 2^attempt`, plus up to
+/// retry of `flow` at `ttl`: `RETRY_BACKOFF * 2^attempt`, plus up to
 /// half that again drawn from the walk's jitter seed — reproducible,
-/// and no two flows thunder back in lockstep.
+/// and no two flows thunder back in lockstep. The fixed-rate walk
+/// retries immediately.
 fn backoff_delay(config: &MdaConfig, ttl: u8, flow: u16, attempt: u8) -> SimDuration {
-    if config.retry_backoff == SimDuration::ZERO {
+    let Some(jitter_seed) = config.adaptive else {
         return SimDuration::ZERO;
-    }
-    let base = config.retry_backoff.nanos().saturating_mul(1u64 << u32::from(attempt.min(6)));
+    };
+    let base = RETRY_BACKOFF.nanos().saturating_mul(1u64 << u32::from(attempt.min(6)));
     let key = (u64::from(ttl) << 32) | (u64::from(flow) << 16) | u64::from(attempt);
-    let jitter = splitmix64(config.jitter_seed ^ key) % (base / 2 + 1);
+    let jitter = splitmix64(jitter_seed ^ key) % (base / 2 + 1);
     SimDuration::from_nanos(base.saturating_add(jitter))
 }
 
@@ -482,7 +466,7 @@ impl HopState {
             // No interface yet: an all-silent hop is abandoned after as
             // many flows as would rule out a *second* interface had one
             // answered — the rule's own scale, not the full flow budget
-            // (or the adaptive walk's smaller `dead_hop_flows` budget).
+            // (or the adaptive walk's smaller `DEAD_HOP_FLOWS` budget).
             dead_hop_budget(rule, config)
         } else {
             // The rule bounds *answered* probes at the hop (the MDA
@@ -719,8 +703,8 @@ pub fn discover_with<T: Transport>(
             if h.interfaces.is_empty() {
                 consecutive_stars += 1;
                 if proto == MdaProtocol::Udp
-                    && config.protocol_fallback
-                    && consecutive_stars >= config.fallback_after_stars
+                    && config.adaptive.is_some()
+                    && consecutive_stars >= FALLBACK_AFTER_STARS
                 {
                     // A run of all-star hops right behind answering
                     // hops smells like a UDP filter, not a dead path:
@@ -914,7 +898,7 @@ pub fn discover_with<T: Transport>(
                                     // lone timeout is ordinary link
                                     // loss and costs only its backoff.
                                     if lively
-                                        && config.pace_initial > SimDuration::ZERO
+                                        && config.adaptive.is_some()
                                         && st.pace_bumped_at != now
                                     {
                                         st.pace_bumped_at = now;
@@ -922,15 +906,15 @@ pub fn discover_with<T: Transport>(
                                         if st.starves >= 2 {
                                             st.paced = true;
                                             st.pace = if st.pace == SimDuration::ZERO {
-                                                config.pace_initial
+                                                PACE_INITIAL
                                             } else {
-                                                (st.pace + st.pace).min(config.pace_cap)
+                                                (st.pace + st.pace).min(PACE_CAP)
                                             };
                                         }
                                     }
                                     let spent = config.flow_retries.saturating_sub(retries_left);
                                     let exhausted = retries_left == 0
-                                        || (config.retry_backoff > SimDuration::ZERO
+                                        || (config.adaptive.is_some()
                                             && !lively
                                             && spent >= DEAD_FLOW_RETRIES);
                                     st.slots[fi] = if exhausted {

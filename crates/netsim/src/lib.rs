@@ -48,7 +48,7 @@ pub use arena::{PacketArena, PacketRef};
 pub use builder::TopologyBuilder;
 pub use node::{BalancerKind, HostConfig, IcmpRateLimit, NatConfig, NodeKind, RouterConfig};
 pub use routing::{NextHop, NodeRouting, RouteDelta, RouteOverlay, RoutingTable};
-pub use sim::{SimStats, Simulator, SimulatorPool};
+pub use sim::{splitmix64, SimStats, Simulator, SimulatorPool};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkId, NodeId, Topology};
 pub use transport::SimTransport;

@@ -144,32 +144,6 @@ impl NodeState {
     }
 }
 
-/// One node's cached forwarding decision: the egress interface its last
-/// route lookup resolved to, tagged with the destination and the
-/// (epoch, route-version) pair it was computed under.
-///
-/// A probe window delivers a batch of same-destination packets to each
-/// node per tick, and every packet of a trace revisits the same nodes
-/// round after round — so the table lookup in [`Simulator::forward`]
-/// almost always repeats the node's previous one. The memo collapses
-/// those repeats to three compares. Only plain [`NextHop::Iface`]
-/// results are cached: balanced next hops must take the full path every
-/// time so their RNG draws and flow-hash evaluations happen in exactly
-/// the order the unmemoized simulator produced (digest identity), and
-/// blackholes/no-route are too rare to matter.
-///
-/// The default entry's epoch 0 never matches (the simulator epoch
-/// starts at 1), so a fresh memo is empty without initialization.
-#[derive(Debug, Clone, Copy)]
-struct FwdMemo {
-    dst: u32,
-    epoch: u64,
-    version: u64,
-    egress: u32,
-}
-
-const FWD_MEMO_EMPTY: FwdMemo = FwdMemo { dst: 0, epoch: 0, version: 0, egress: 0 };
-
 /// The simulator: owns runtime state over a shared immutable topology.
 #[derive(Debug)]
 pub struct Simulator {
@@ -180,12 +154,6 @@ pub struct Simulator {
     /// wheel, so `schedule`/`step` are O(1) amortized with no per-event
     /// allocation (see [`crate::wheel`]).
     queue: EventWheel<EventKind>,
-    /// The current tick's events, drained from the wheel in one batch
-    /// ([`EventWheel::pop_tick_into`]) and stored *reversed* so
-    /// `Vec::pop` serves them in ascending `(time, seq)` order.
-    /// [`Simulator::next_event`] interleaves this batch with the wheel
-    /// for events scheduled mid-batch.
-    tick_events: Vec<(SimTime, u64, EventKind)>,
     state: Vec<NodeState>,
     /// Delivery lanes, one per node, indexed by `NodeId` — no hashing
     /// anywhere on the delivery or drain path.
@@ -204,16 +172,12 @@ pub struct Simulator {
     /// Bumped by [`Simulator::reset`]; node slots lazily re-derive when
     /// their recorded epoch trails this.
     epoch: u64,
-    /// Per-node forwarding memo, indexed by `NodeId` (see [`FwdMemo`]).
-    /// Never cleared: entries invalidate themselves through their
-    /// `(epoch, version)` tags.
-    fwd_memo: Vec<FwdMemo>,
-    /// Bumped on every applied `RouteSet` event; tags [`FwdMemo`]
-    /// entries so any routing delta invalidates the whole memo.
-    route_version: u64,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// The splitmix64 finalizer: the one seed-chain hash every engine crate
+/// derives its per-node, per-unit and per-retry draws from. Digests
+/// depend on its exact output.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -241,19 +205,16 @@ impl Simulator {
         Simulator {
             state: vec![template; topology.nodes.len()],
             inbox: (0..topology.nodes.len()).map(|_| VecDeque::new()).collect(),
-            fwd_memo: vec![FWD_MEMO_EMPTY; topology.nodes.len()],
             topo: topology,
             clock: SimTime::ZERO,
             next_seq: 0,
             queue: EventWheel::new(),
-            tick_events: Vec::new(),
             dirty_inboxes: Vec::new(),
             stats: SimStats::default(),
             scratch: Vec::new(),
             arena: PacketArena::new(),
             seed,
             epoch: 1,
-            route_version: 0,
         }
     }
 
@@ -269,11 +230,6 @@ impl Simulator {
         // irrelevant when everything is being released — and keeps the
         // wheel's slab and batch capacities warm.
         let arena = &mut self.arena;
-        for (_, _, kind) in self.tick_events.drain(..) {
-            if let EventKind::Arrival { packet, .. } = kind {
-                arena.release(packet);
-            }
-        }
         self.queue.clear(|kind| {
             if let EventKind::Arrival { packet, .. } = kind {
                 arena.release(packet);
@@ -314,10 +270,7 @@ impl Simulator {
     /// `proptest_wheel.rs` pins. Only callable while no events are
     /// pending (typically right after construction or a reset).
     pub fn set_wheel_shift(&mut self, shift: u32) {
-        assert!(
-            self.queue.is_empty() && self.tick_events.is_empty(),
-            "cannot resize wheel buckets with events pending"
-        );
+        assert!(self.queue.is_empty(), "cannot resize wheel buckets with events pending");
         self.queue = EventWheel::with_shift(shift);
     }
 
@@ -373,45 +326,17 @@ impl Simulator {
         self.schedule(at, EventKind::RouteSet { node, prefix, next_hop });
     }
 
-    /// The time of the next pending event, if any — the head of the
-    /// current tick batch or of the wheel, whichever sorts first. Takes
-    /// `&mut self` because the wheel may advance its cursor to locate
-    /// the event (the answer, and event order, are unaffected).
+    /// The time of the next pending event, if any. Takes `&mut self`
+    /// because the wheel may advance its cursor to locate the event (the
+    /// answer, and event order, are unaffected).
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let batch = self.tick_events.last().map(|&(time, seq, _)| (time, seq));
-        match (batch, self.queue.next_key()) {
-            (Some(b), Some(w)) => Some(if w < b { w.0 } else { b.0 }),
-            (Some(b), None) => Some(b.0),
-            (None, w) => w.map(|(time, _)| time),
-        }
-    }
-
-    /// The next event in global `(time, seq)` order.
-    ///
-    /// Events are pulled from the wheel a whole tick at a time
-    /// ([`EventWheel::pop_tick_into`]) so the sort/drain machinery runs
-    /// once per tick instead of once per event — a probe window whose
-    /// packets share a link delay lands as one batch. Processing an
-    /// event can schedule new ones into the *current* tick (a sub-tick
-    /// link delay), and those must interleave with the rest of the
-    /// batch, so each serve compares the batch head against the wheel
-    /// head and takes the smaller key.
-    fn next_event(&mut self) -> Option<(SimTime, u64, EventKind)> {
-        if self.tick_events.is_empty() && self.queue.pop_tick_into(&mut self.tick_events) > 0 {
-            // Drained ascending; reverse so `Vec::pop` serves in order.
-            self.tick_events.reverse();
-        }
-        let &(time, seq, _) = self.tick_events.last()?;
-        if self.queue.next_key().is_some_and(|k| k < (time, seq)) {
-            return self.queue.pop();
-        }
-        self.tick_events.pop()
+        self.queue.next_key().map(|(time, _)| time)
     }
 
     /// Process a single event, advancing the clock to it. Returns `false`
     /// when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((time, _seq, kind)) = self.next_event() else { return false };
+        let Some((time, _seq, kind)) = self.queue.pop() else { return false };
         debug_assert!(time >= self.clock, "event from the past");
         self.clock = time;
         match kind {
@@ -420,7 +345,6 @@ impl Simulator {
             }
             EventKind::RouteSet { node, prefix, next_hop } => {
                 self.freshen(node);
-                self.route_version += 1;
                 match next_hop {
                     Some(nh) => self.state[node.0].routing.set(prefix, nh),
                     None => {
@@ -910,18 +834,6 @@ impl Simulator {
             }
         }
         let dst = self.arena.get(packet).ip.dst;
-        // Per-node memo short-circuit: a tick batch delivers a window of
-        // same-destination packets here back to back, and successive
-        // probes of a trace revisit this node every round, so the lookup
-        // below almost always repeats the previous one (see [`FwdMemo`]).
-        let memo = self.fwd_memo[node.0];
-        if memo.epoch == self.epoch
-            && memo.version == self.route_version
-            && memo.dst == u32::from(dst)
-        {
-            self.transmit(node, memo.egress as usize, packet);
-            return;
-        }
         // The next hop stays borrowed from the shared base table (or this
         // simulator's delta) for the whole egress decision; balanced
         // egress sets are indexed in place, never cloned (the RNG draw
@@ -935,15 +847,7 @@ impl Simulator {
             return;
         };
         let egress = match next_hop {
-            NextHop::Iface(i) => {
-                self.fwd_memo[node.0] = FwdMemo {
-                    dst: u32::from(dst),
-                    epoch: self.epoch,
-                    version: self.route_version,
-                    egress: *i as u32,
-                };
-                *i
-            }
+            NextHop::Iface(i) => *i,
             NextHop::Blackhole => {
                 self.stats.dropped_blackhole += 1;
                 self.arena.release(packet);

@@ -294,31 +294,6 @@ impl<T> EventWheel<T> {
         Some((time, seq, payload))
     }
 
-    /// Drain the current tick's entire ready batch into `out`, appended
-    /// in ascending `(time, seq)` order, returning how many events were
-    /// delivered. Equivalent to calling [`EventWheel::pop`] exactly that
-    /// many times, but the bucket drain, sort, and slab bookkeeping are
-    /// paid once per tick instead of once per event — the batch-delivery
-    /// path the simulator's run loop feeds through `forward`.
-    ///
-    /// Events scheduled *after* the drain may still sort before the
-    /// tail of `out` (a zero-delay hop landing in the current tick), so
-    /// a caller interleaving processing with scheduling must compare
-    /// [`EventWheel::next_key`] against its remaining batch entries to
-    /// preserve global order — exactly what `Simulator::step` does.
-    pub fn pop_tick_into(&mut self, out: &mut Vec<(SimTime, u64, T)>) -> usize {
-        self.advance();
-        let drained = self.ready.len();
-        while let Some(idx) = self.ready.pop() {
-            self.len -= 1;
-            let slot = &mut self.slots[idx as usize];
-            let payload = slot.payload.take().expect("ready entry had no payload");
-            out.push((slot.time, slot.seq, payload));
-            self.free.push(idx);
-        }
-        drained
-    }
-
     /// Remove every pending event, handing each payload to `visit` in
     /// arbitrary order, and rewind the wheel to tick zero. Slab and
     /// batch capacities survive — the warm-reuse path `Simulator::reset`

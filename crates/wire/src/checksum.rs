@@ -40,11 +40,11 @@ impl Checksum {
     /// intermediate carry), and the carries are folded back down *once*
     /// at the end instead of after every word. One's-complement
     /// addition is associative and commutative, so the result is
-    /// bit-identical to the word-at-a-time reference
-    /// ([`Checksum::add_bytes_scalar`]) — pinned by a differential
-    /// proptest — while the inner loop is branch-free and
-    /// auto-vectorizable. Sound for buffers up to 2^34 bytes, far
-    /// beyond any packet.
+    /// bit-identical to folding word by word with
+    /// [`Checksum::add_word`] — `tests/proptest_wire.rs` holds that
+    /// reference and pins the equality — while the inner loop is
+    /// branch-free and auto-vectorizable. Sound for buffers up to 2^34
+    /// bytes, far beyond any packet.
     pub fn add_bytes(&mut self, bytes: &[u8]) {
         let mut acc = u64::from(self.sum);
         let mut chunks = bytes.chunks_exact(32);
@@ -63,20 +63,6 @@ impl Checksum {
             acc += u64::from(u16::from_be_bytes([*last, 0]));
         }
         self.sum = fold_u64(acc);
-    }
-
-    /// Word-at-a-time reference implementation of [`Checksum::add_bytes`]:
-    /// folds the end-around carry after every single word, exactly as the
-    /// original RFC 1071 sample code does. Kept as the differential-test
-    /// oracle for the wide deferred-carry path; not used on hot paths.
-    pub fn add_bytes_scalar(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(2);
-        for chunk in &mut chunks {
-            self.add_word(u16::from_be_bytes([chunk[0], chunk[1]]));
-        }
-        if let [last] = chunks.remainder() {
-            self.add_word(u16::from_be_bytes([*last, 0]));
-        }
     }
 
     /// The current one's-complement sum, not complemented, folded to 16 bits.
@@ -210,28 +196,5 @@ mod tests {
         let free = solve_payload_word(c.raw());
         c.add_word(free);
         assert_eq!(c.raw(), 0xffff);
-    }
-
-    #[test]
-    fn wide_add_bytes_matches_scalar_reference() {
-        // Deterministic pseudo-random buffers across every length 0..80
-        // (odd lengths included) and several nonzero starting sums —
-        // the unit-test counterpart of the proptest differential.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u8
-        };
-        for len in 0..80usize {
-            let bytes: Vec<u8> = (0..len).map(|_| next()).collect();
-            for start in [0u16, 0x0001, 0xfffe, 0xffff] {
-                let mut wide = Checksum::new();
-                wide.add_word(start);
-                let mut scalar = wide;
-                wide.add_bytes(&bytes);
-                scalar.add_bytes_scalar(&bytes);
-                assert_eq!(wide.raw(), scalar.raw(), "len {len}, start {start:#06x}");
-            }
-        }
     }
 }

@@ -7,7 +7,7 @@
 //! region) and manipulates the payload so the pinned checksum still
 //! verifies; see [`UdpDatagram::with_pinned_checksum`].
 
-use crate::checksum::{ones_add, solve_payload_word};
+use crate::checksum::solve_payload_word;
 use crate::ipv4::Ipv4Header;
 use crate::ParseError;
 
@@ -68,67 +68,21 @@ impl UdpDatagram {
         target: u16,
         payload_len: usize,
         ip: &Ipv4Header,
-        payload: Vec<u8>,
+        mut payload: Vec<u8>,
     ) -> Self {
-        let invariant = Self::pinned_checksum_invariant(src_port, dst_port, payload_len, ip);
-        Self::with_pinned_checksum_from_invariant(
-            invariant,
-            src_port,
-            dst_port,
-            target,
-            payload_len,
-            payload,
-        )
-    }
-
-    /// The probe-invariant part of the pinned-checksum arithmetic: the
-    /// one's-complement sum of the pseudo-header, ports, and UDP length —
-    /// everything in the verification sum except the per-probe pinned
-    /// `target` and the free payload word that compensates for it.
-    ///
-    /// For a Paris UDP probe batch, none of these inputs vary across
-    /// probes (the IP TTL is not in the pseudo-header), so this sum can
-    /// be computed once per batch and each probe solved from it with
-    /// [`UdpDatagram::with_pinned_checksum_from_invariant`] — two
-    /// one's-complement adds per probe instead of a fresh pseudo-header
-    /// walk.
-    pub fn pinned_checksum_invariant(
-        src_port: u16,
-        dst_port: u16,
-        payload_len: usize,
-        ip: &Ipv4Header,
-    ) -> u16 {
+        assert!(target != 0, "UDP checksum 0 means 'absent' and cannot be pinned");
         let payload_len = payload_len.max(2);
         let udp_len = (HEADER_LEN + payload_len) as u16;
         let mut c = ip.pseudo_header_sum(udp_len);
         c.add_word(src_port);
         c.add_word(dst_port);
         c.add_word(udp_len);
-        c.raw()
-    }
-
-    /// [`UdpDatagram::with_pinned_checksum_in`] with the invariant sum
-    /// precomputed by [`UdpDatagram::pinned_checksum_invariant`] — the
-    /// batched probe-construction path. Byte-identical to the unbatched
-    /// constructor (which is implemented on top of this).
-    ///
-    /// # Panics
-    /// Panics if `target == 0`, as for `with_pinned_checksum`.
-    pub fn with_pinned_checksum_from_invariant(
-        invariant: u16,
-        src_port: u16,
-        dst_port: u16,
-        target: u16,
-        payload_len: usize,
-        mut payload: Vec<u8>,
-    ) -> Self {
-        assert!(target != 0, "UDP checksum 0 means 'absent' and cannot be pinned");
-        let payload_len = payload_len.max(2);
+        c.add_word(target);
         // The free word sits at payload offset 0 — always a full,
         // even-offset 16-bit word slot since payload_len >= 2. Zero
         // padding beyond it contributes nothing to the sum, including
         // the high-order-padded trailing byte of an odd payload_len.
-        let word = solve_payload_word(ones_add(invariant, target));
+        let word = solve_payload_word(c.raw());
         payload.clear();
         payload.resize(payload_len, 0);
         payload[..2].copy_from_slice(&word.to_be_bytes());
@@ -296,27 +250,6 @@ mod tests {
                     panic!("odd len {payload_len} target {target:#06x}: {e:?}")
                 });
                 assert_eq!(parsed.checksum, target);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_invariant_solve_matches_direct_constructor() {
-        for payload_len in [2usize, 3, 12, 17] {
-            let ip = ip_for(HEADER_LEN + payload_len);
-            let invariant = UdpDatagram::pinned_checksum_invariant(40000, 50000, payload_len, &ip);
-            for target in [0x0001u16, 0x8000, 0xffff] {
-                let direct =
-                    UdpDatagram::with_pinned_checksum(40000, 50000, target, payload_len, &ip);
-                let batched = UdpDatagram::with_pinned_checksum_from_invariant(
-                    invariant,
-                    40000,
-                    50000,
-                    target,
-                    payload_len,
-                    Vec::new(),
-                );
-                assert_eq!(direct, batched);
             }
         }
     }

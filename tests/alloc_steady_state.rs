@@ -12,17 +12,9 @@
 //!   progress counters) recycles through `TraceScratch`,
 //! * inbox lanes and the ICMP scratch buffer keep their capacity across
 //!   `Simulator::reset`,
-//! * per-window batched probe construction (`ProbeStrategy::
-//!   build_probe_batch`) stages specs, registry slots and built packets
-//!   in `TraceScratch` vecs whose capacity survives recycling,
-//! * the simulator serves each tick's events from a batch drained out
-//!   of the wheel in one go (`EventWheel::pop_tick_into`), through a
-//!   buffer that stays warm across `Simulator::reset`,
 //! * and all of the above hold in both tracer modes: the strictly
 //!   sequential `window = 1` discipline and the windowed default, whose
-//!   speculative probes, truncated hops and probe batches must recycle
-//!   too. (The windowed units below are what drive the batched
-//!   construction and tick-batch delivery paths under the counter.)
+//!   speculative probes and truncated hops must recycle too.
 //!
 //! The file contains exactly one `#[test]`: the counting allocator is
 //! installed process-wide (`#[global_allocator]` is a program-level

@@ -1,0 +1,133 @@
+//! Golden digests: fixed-seed campaign results pinned by committed
+//! values, so "byte-identical to the parent commit" is a test and not
+//! a by-hand diff of `examples/campaign_digest` output.
+//!
+//! `tests/determinism.rs`, `worker_invariance.rs` and
+//! `checkpoint_resume.rs` compare a run with another run of the same
+//! build; none of them notices a change that moves *every* run the
+//! same way. These constants do. They were recorded at the parent of
+//! the PR that removed the batched probe paths (commit `7f59ae0`) and
+//! that PR left them unchanged.
+//!
+//! A PR that *means* to change results (a new default, a fixed bug in
+//! the simulator, a retuned timeout) updates the constants in the same
+//! commit and says why in its description. A PR that does not mean to
+//! and trips this test has changed behaviour: the assert prints the
+//! whole digest, so diff it against the parent's.
+//!
+//! Each value is the 64-bit FNV-1a hash of the canonical digest string
+//! (`multipath_digest` alone runs to 14 KB) followed by the bit
+//! pattern of `mean_virtual_secs`, which `report_digest` leaves out
+//! and which is the field that moves when a send timestamp does.
+
+use std::path::PathBuf;
+
+use paris_traceroute_repro::campaign::{
+    multipath_digest, report_digest, run, run_checkpointed, run_multipath, run_resumed,
+    CampaignConfig, CampaignResult, CheckpointConfig, DynamicsConfig, MultipathConfig,
+};
+use paris_traceroute_repro::core::TraceConfig;
+use paris_traceroute_repro::topogen::{generate, InternetConfig};
+
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// `examples/campaign_digest.rs`'s campaign — and, because where a
+/// campaign is cut and who resumes it leave no trace, the same campaign
+/// killed at a checkpoint and resumed.
+const CAMPAIGN: u64 = 0x10e4_beb5_6ad6_c112;
+
+/// `examples/campaign_digest.rs`'s configuration.
+fn campaign_config() -> CampaignConfig {
+    CampaignConfig {
+        rounds: 3,
+        workers: 4,
+        seed: 99,
+        dynamics: DynamicsConfig::none(),
+        ..CampaignConfig::default()
+    }
+}
+
+fn campaign_text(result: &CampaignResult) -> String {
+    format!(
+        "{}mean_virtual_secs: {:#x}\n",
+        report_digest(result),
+        result.mean_virtual_secs.to_bits()
+    )
+}
+
+#[track_caller]
+fn assert_golden(what: &str, text: &str, golden: u64) {
+    let got = fnv1a64(text);
+    assert_eq!(
+        got, golden,
+        "{what}: digest hashes to {got:#018x}, golden is {golden:#018x}\n{text}"
+    );
+}
+
+#[test]
+fn campaign_digest_example() {
+    let net = generate(&InternetConfig::tiny(42));
+    let result = run(&net, &campaign_config());
+    assert_golden("campaign_digest", &campaign_text(&result), CAMPAIGN);
+}
+
+#[test]
+fn campaign_digest_kept_routes() {
+    // The same campaign with every route kept: addresses, response
+    // kinds, RTTs and IP-IDs of all 240 traces, not just the report's
+    // aggregates.
+    let net = generate(&InternetConfig::tiny(42));
+    let result = run(&net, &CampaignConfig { keep_routes: true, ..campaign_config() });
+    assert_golden("campaign_digest routes", &format!("{:?}", result.routes), 0x4251_d906_5243_a18c);
+}
+
+#[test]
+fn campaign_with_default_dynamics_sequential() {
+    let net = generate(&InternetConfig::tiny(42));
+    let config = CampaignConfig {
+        dynamics: DynamicsConfig::default(),
+        trace: TraceConfig { window: 1, ..TraceConfig::paper() },
+        ..campaign_config()
+    };
+    let result = run(&net, &config);
+    assert_golden("dynamics, window 1", &campaign_text(&result), 0x9f74_477b_e09f_b854);
+}
+
+#[test]
+fn multipath_digest_example() {
+    let net = generate(&InternetConfig::tiny(42));
+    let config = MultipathConfig { rounds: 2, workers: 4, seed: 99, ..Default::default() };
+    let result = run_multipath(&net, &config);
+    assert_golden("multipath_digest", &multipath_digest(&result), 0xaa4f_2d55_2019_accd);
+}
+
+#[test]
+fn adaptive_multipath_on_a_hostile_net() {
+    let net = generate(&InternetConfig::hostile(42));
+    let config =
+        MultipathConfig { rounds: 2, workers: 4, seed: 99, adaptive: true, ..Default::default() };
+    let result = run_multipath(&net, &config);
+    assert_golden("adaptive multipath, hostile", &multipath_digest(&result), 0x10b8_8c5f_bf23_7da2);
+}
+
+#[test]
+fn campaign_killed_and_resumed() {
+    let net = generate(&InternetConfig::tiny(42));
+    let config = campaign_config();
+    let mut path: PathBuf = std::env::temp_dir();
+    path.push(format!("pt-golden-{}.snap", std::process::id()));
+    // 120 units, a checkpoint every 32, killed after the second.
+    let ckpt =
+        CheckpointConfig { path: path.clone(), every_units: 32, stop_after_checkpoints: Some(2) };
+    let early = run_checkpointed(&net, &config, &ckpt).expect("journal is writable");
+    assert!(early.is_none(), "killed after the second checkpoint");
+    let resume = CheckpointConfig { stop_after_checkpoints: None, ..ckpt };
+    let result = run_resumed(&net, &CampaignConfig { workers: 1, ..config }, &resume)
+        .expect("journal loads")
+        .expect("resumed run completes");
+    let _ = std::fs::remove_file(&path);
+    assert_golden("killed and resumed", &campaign_text(&result), CAMPAIGN);
+}
