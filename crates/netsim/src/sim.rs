@@ -37,7 +37,7 @@ use crate::arena::{PacketArena, PacketRef};
 use crate::node::{BalancerKind, HostConfig, NodeKind, RouterConfig};
 use crate::routing::{NextHop, NodeRouting, RouteDelta};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{Node, NodeId, Topology};
+use crate::topology::{NodeId, Topology};
 use crate::wheel::EventWheel;
 
 /// Counters describing everything the simulator did.
@@ -111,14 +111,14 @@ struct NodeState {
     /// When `icmp_tokens` was last settled (whole-token boundaries
     /// only, so fractional refill credit carries forward exactly).
     icmp_tokens_at: SimTime,
-    /// Whether this node is already listed in `Simulator::dirty_inboxes`
+    /// Whether this node is already listed in `SimState::dirty_inboxes`
     /// for the current epoch (keeps that list O(distinct nodes), not
     /// O(deliveries)).
     inbox_dirty: bool,
     /// Which simulator epoch this slot was derived for. A slot whose
     /// epoch trails the simulator's is *stale*: its contents are
     /// leftovers from before the last [`Simulator::reset`] and must be
-    /// re-derived before use ([`Simulator::freshen`]).
+    /// re-derived before use ([`SimState::freshen`]).
     epoch: u64,
 }
 
@@ -148,13 +148,22 @@ impl NodeState {
 #[derive(Debug)]
 pub struct Simulator {
     topo: Arc<Topology>,
+    state: SimState,
+}
+
+/// Everything a simulator mutates. Held apart from `topo` so the event
+/// methods below borrow the topology and the state as disjoint fields:
+/// they take `&Topology` and never see the `Arc`, so no event touches
+/// the reference count worker threads share.
+#[derive(Debug)]
+struct SimState {
     clock: SimTime,
     next_seq: u64,
     /// Pending events, popped in exact `(time, seq)` order — a timing
     /// wheel, so `schedule`/`step` are O(1) amortized with no per-event
     /// allocation (see [`crate::wheel`]).
     queue: EventWheel<EventKind>,
-    state: Vec<NodeState>,
+    nodes: Vec<NodeState>,
     /// Delivery lanes, one per node, indexed by `NodeId` — no hashing
     /// anywhere on the delivery or drain path.
     inbox: Vec<VecDeque<(SimTime, Packet)>>,
@@ -202,10 +211,9 @@ impl Simulator {
             inbox_dirty: false,
             epoch: 0,
         };
-        Simulator {
-            state: vec![template; topology.nodes.len()],
+        let state = SimState {
+            nodes: vec![template; topology.nodes.len()],
             inbox: (0..topology.nodes.len()).map(|_| VecDeque::new()).collect(),
-            topo: topology,
             clock: SimTime::ZERO,
             next_seq: 0,
             queue: EventWheel::new(),
@@ -215,7 +223,8 @@ impl Simulator {
             arena: PacketArena::new(),
             seed,
             epoch: 1,
-        }
+        };
+        Simulator { topo: topology, state }
     }
 
     /// Rewind to the state `Simulator::new(topology, seed)` would
@@ -226,37 +235,27 @@ impl Simulator {
     /// *not* O(nodes) — cheap enough to call once per `(destination,
     /// round)` campaign work unit.
     pub fn reset(&mut self, seed: u64) {
+        let st = &mut self.state;
         // clear() hands events back in arbitrary order — ordering is
         // irrelevant when everything is being released — and keeps the
         // wheel's slab and batch capacities warm.
-        let arena = &mut self.arena;
-        self.queue.clear(|kind| {
+        let arena = &mut st.arena;
+        st.queue.clear(|kind| {
             if let EventKind::Arrival { packet, .. } = kind {
                 arena.release(packet);
             }
         });
-        for node in self.dirty_inboxes.drain(..) {
-            for (_, packet) in self.inbox[node.0].drain(..) {
-                self.arena.recycle_packet(packet);
+        for node in st.dirty_inboxes.drain(..) {
+            for (_, packet) in st.inbox[node.0].drain(..) {
+                st.arena.recycle_packet(packet);
             }
         }
-        debug_assert!(self.arena.is_empty(), "in-flight packet leaked across reset");
-        self.clock = SimTime::ZERO;
-        self.next_seq = 0;
-        self.stats = SimStats::default();
-        self.seed = seed;
-        self.epoch += 1;
-    }
-
-    /// Re-derive `node`'s state if it is stale (first touch after a
-    /// reset). Every path that reads or writes mutable node state goes
-    /// through here first.
-    #[inline]
-    fn freshen(&mut self, node: NodeId) {
-        let st = &mut self.state[node.0];
-        if st.epoch != self.epoch {
-            *st = NodeState::fresh(self.seed, node.0, self.epoch);
-        }
+        debug_assert!(st.arena.is_empty(), "in-flight packet leaked across reset");
+        st.clock = SimTime::ZERO;
+        st.next_seq = 0;
+        st.stats = SimStats::default();
+        st.seed = seed;
+        st.epoch += 1;
     }
 
     /// The shared topology.
@@ -270,48 +269,43 @@ impl Simulator {
     /// `proptest_wheel.rs` pins. Only callable while no events are
     /// pending (typically right after construction or a reset).
     pub fn set_wheel_shift(&mut self, shift: u32) {
-        assert!(self.queue.is_empty(), "cannot resize wheel buckets with events pending");
-        self.queue = EventWheel::with_shift(shift);
+        assert!(self.state.queue.is_empty(), "cannot resize wheel buckets with events pending");
+        self.state.queue = EventWheel::with_shift(shift);
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.clock
+        self.state.clock
     }
 
     /// Activity counters so far.
     pub fn stats(&self) -> SimStats {
-        self.stats
-    }
-
-    fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.schedule(time, seq, kind);
+        self.state.stats
     }
 
     /// Inject a packet originated by `node` at the current time.
     pub fn inject(&mut self, node: NodeId, packet: Packet) {
-        let packet = self.arena.alloc(packet);
-        self.schedule(self.clock, EventKind::Arrival { node, iface_in: None, packet });
+        let st = &mut self.state;
+        let packet = st.arena.alloc(packet);
+        st.schedule(st.clock, EventKind::Arrival { node, iface_in: None, packet });
     }
 
     /// Hand a packet that already left the simulator (a consumed inbox
     /// delivery) back, so its payload buffer rejoins the recycling pool.
     pub fn recycle(&mut self, packet: Packet) {
-        self.arena.recycle_packet(packet);
+        self.state.arena.recycle_packet(packet);
     }
 
     /// Number of packets currently in flight (arena-resident).
     pub fn in_flight(&self) -> usize {
-        self.arena.live()
+        self.state.arena.live()
     }
 
     /// Total arena slots ever created. Bounded in-flight traffic stops
     /// growing this after warm-up — the zero-allocation evidence the
     /// benches and tests check.
     pub fn arena_slots(&self) -> usize {
-        self.arena.slot_count()
+        self.state.arena.slot_count()
     }
 
     /// Install (`Some`) or remove (`None`) a route at `node` at time `at`
@@ -323,34 +317,33 @@ impl Simulator {
         prefix: Ipv4Prefix,
         next_hop: Option<NextHop>,
     ) {
-        self.schedule(at, EventKind::RouteSet { node, prefix, next_hop });
-    }
-
-    /// The time of the next pending event, if any. Takes `&mut self`
-    /// because the wheel may advance its cursor to locate the event (the
-    /// answer, and event order, are unaffected).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.queue.next_key().map(|(time, _)| time)
+        self.state.schedule(at, EventKind::RouteSet { node, prefix, next_hop });
     }
 
     /// Process a single event, advancing the clock to it. Returns `false`
     /// when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((time, _seq, kind)) = self.queue.pop() else { return false };
-        debug_assert!(time >= self.clock, "event from the past");
-        self.clock = time;
+        self.step_due(SimTime(u64::MAX))
+    }
+
+    /// Process the next event if it is scheduled at or before `t`,
+    /// advancing the clock to it — one wheel query decides both. Returns
+    /// `false`, leaving the clock alone, when nothing is due by `t`.
+    pub fn step_due(&mut self, t: SimTime) -> bool {
+        let st = &mut self.state;
+        let Some((time, _seq, kind)) = st.queue.pop_due(t) else { return false };
+        debug_assert!(time >= st.clock, "event from the past");
+        st.clock = time;
         match kind {
             EventKind::Arrival { node, iface_in, packet } => {
-                self.process_arrival(node, iface_in, packet)
+                st.process_arrival(&self.topo, node, iface_in, packet)
             }
             EventKind::RouteSet { node, prefix, next_hop } => {
-                self.freshen(node);
+                st.freshen(node);
+                let routing = &mut st.nodes[node.0].routing;
                 match next_hop {
-                    Some(nh) => self.state[node.0].routing.set(prefix, nh),
-                    None => {
-                        let topo = Arc::clone(&self.topo);
-                        self.state[node.0].routing.remove(&topo.node(node).routing, prefix);
-                    }
+                    Some(nh) => routing.set(prefix, nh),
+                    None => routing.remove(&self.topo.node(node).routing, prefix),
                 }
             }
         }
@@ -360,11 +353,9 @@ impl Simulator {
     /// Process every event scheduled at or before `t`; the clock finishes
     /// at exactly `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        while self.peek_time().is_some_and(|pt| pt <= t) {
-            self.step();
-        }
-        if self.clock < t {
-            self.clock = t;
+        while self.step_due(t) {}
+        if self.state.clock < t {
+            self.state.clock = t;
         }
     }
 
@@ -387,7 +378,7 @@ impl Simulator {
     #[doc(hidden)]
     pub fn take_inbox(&mut self, node: NodeId) -> Vec<(SimTime, Packet)> {
         debug_assert_eq!(
-            self.state[node.0].epoch, self.epoch,
+            self.state.nodes[node.0].epoch, self.state.epoch,
             "take_inbox({node:?}) on a node untouched since the last reset: \
              pre-reset deliveries were drained (stale-epoch read)"
         );
@@ -401,17 +392,17 @@ impl Simulator {
     /// allocation survives), so round loops that pass a recycled buffer
     /// reallocate nothing.
     pub fn take_inbox_into(&mut self, node: NodeId, out: &mut Vec<(SimTime, Packet)>) {
-        out.extend(self.inbox[node.0].drain(..));
+        out.extend(self.state.inbox[node.0].drain(..));
     }
 
     /// Pop the oldest delivery to `node`, if any.
     pub fn pop_delivery(&mut self, node: NodeId) -> Option<(SimTime, Packet)> {
-        self.inbox[node.0].pop_front()
+        self.state.inbox[node.0].pop_front()
     }
 
     /// Number of undelivered packets waiting at `node`.
     pub fn inbox_len(&self, node: NodeId) -> usize {
-        self.inbox[node.0].len()
+        self.state.inbox[node.0].len()
     }
 
     /// A cleared payload buffer from the arena's recycling pool (fresh
@@ -420,37 +411,63 @@ impl Simulator {
     /// of released responses circulate back into new probes and the
     /// probe→response cycle stops allocating after warm-up.
     pub fn grab_payload(&mut self) -> Vec<u8> {
-        self.arena.grab_payload()
+        self.state.arena.grab_payload()
     }
 
     /// Read `node`'s live routing state (tests and dynamics helpers):
     /// the shared base table merged with this simulator's delta. A node
     /// not yet touched since the last reset shows a pristine delta.
     pub fn routing_of(&self, node: NodeId) -> NodeRouting<'_> {
-        let st = &self.state[node.0];
-        let delta = if st.epoch == self.epoch { &st.routing } else { RouteDelta::pristine_ref() };
+        let st = &self.state.nodes[node.0];
+        let delta =
+            if st.epoch == self.state.epoch { &st.routing } else { RouteDelta::pristine_ref() };
         NodeRouting::new(&self.topo.node(node).routing, delta)
+    }
+}
+
+impl SimState {
+    /// Re-derive `node`'s state if it is stale (first touch after a
+    /// reset). Every path that reads or writes mutable node state goes
+    /// through here first.
+    #[inline]
+    fn freshen(&mut self, node: NodeId) {
+        let st = &mut self.nodes[node.0];
+        if st.epoch != self.epoch {
+            *st = NodeState::fresh(self.seed, node.0, self.epoch);
+        }
+    }
+
+    fn schedule(&mut self, time: SimTime, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.schedule(time, seq, kind);
     }
 
     // ------------------------------------------------------------------
     // Packet processing
     // ------------------------------------------------------------------
 
-    fn process_arrival(&mut self, node: NodeId, iface_in: Option<usize>, packet: PacketRef) {
-        // One Arc bump pins the topology so node config is *borrowed* for
-        // the whole arrival — the hot path clones no NodeKind/config, and
-        // the packet itself stays parked in the arena.
-        let topo = Arc::clone(&self.topo);
-        let n = topo.node(node);
-        if n.owns_addr(self.arena.get(packet).ip.dst) {
-            self.deliver_local(node, n, packet);
+    /// Node config is *borrowed* from `topo` for the whole arrival — the
+    /// hot path clones no NodeKind/config, and the packet itself stays
+    /// parked in the arena.
+    fn process_arrival(
+        &mut self,
+        topo: &Topology,
+        node: NodeId,
+        iface_in: Option<usize>,
+        packet: PacketRef,
+    ) {
+        // The builder's address index, not a scan of the node's
+        // interfaces: core routers carry hundreds.
+        if topo.owner_of(self.arena.get(packet).ip.dst) == Some(node) {
+            self.deliver_local(topo, node, packet);
             return;
         }
-        match &n.kind {
+        match &topo.node(node).kind {
             NodeKind::Host(_) => {
                 if iface_in.is_none() {
                     // Hosts route only their own packets (via gateway).
-                    self.forward(&topo, node, iface_in, packet);
+                    self.forward(topo, node, packet);
                 } else {
                     // A host never forwards transit traffic.
                     self.stats.dropped_no_route += 1;
@@ -470,7 +487,7 @@ impl Simulator {
                         }
                         // Expired: quote the packet exactly as received —
                         // probe TTL 1 normally, 0 past a zero-TTL forwarder.
-                        self.expire(node, iface_in, cfg, packet);
+                        self.expire(topo, node, iface_in, cfg, packet);
                         return;
                     }
                     // Normal decrement; the Fig. 4 misconfiguration sends
@@ -488,31 +505,31 @@ impl Simulator {
                     }
                 }
                 if let Some(code) = cfg.broken {
-                    self.respond_unreachable(node, iface_in, cfg, packet, code);
+                    self.respond_unreachable(topo, node, iface_in, cfg, packet, code);
                     return;
                 }
-                self.forward(&topo, node, iface_in, packet);
+                self.forward(topo, node, packet);
             }
         }
     }
 
-    fn deliver_local(&mut self, node: NodeId, n: &Node, packet: PacketRef) {
+    fn deliver_local(&mut self, topo: &Topology, node: NodeId, packet: PacketRef) {
         self.stats.delivered += 1;
         let packet = self.arena.take(packet);
         let probed_addr = packet.ip.dst;
-        let response = match &n.kind {
+        let response = match &topo.node(node).kind {
             NodeKind::Host(h) => self.host_response(node, h, probed_addr, &packet),
             NodeKind::Router(r) => self.router_local_response(node, r, probed_addr, &packet),
         };
         self.freshen(node);
-        let st = &mut self.state[node.0];
+        let st = &mut self.nodes[node.0];
         if !st.inbox_dirty {
             st.inbox_dirty = true;
             self.dirty_inboxes.push(node);
         }
         self.inbox[node.0].push_back((self.clock, packet));
         if let Some(resp) = response {
-            self.originate(node, resp);
+            self.originate(topo, node, resp);
         }
     }
 
@@ -641,6 +658,7 @@ impl Simulator {
 
     fn expire(
         &mut self,
+        topo: &Topology,
         node: NodeId,
         iface_in: Option<usize>,
         cfg: &RouterConfig,
@@ -659,7 +677,7 @@ impl Simulator {
         // The probe is consumed here: move it out, quote it, then hand
         // its payload buffer back to the pool.
         let packet = self.arena.take(packet);
-        let src_addr = self.responding_addr(node, iface_in);
+        let src_addr = Self::responding_addr(topo, node, iface_in);
         self.stats.time_exceeded_sent += 1;
         let resp = self.icmp_response(
             node,
@@ -669,11 +687,12 @@ impl Simulator {
             IcmpKind::TimeExceeded,
         );
         self.arena.recycle_packet(packet);
-        self.originate(node, resp);
+        self.originate(topo, node, resp);
     }
 
     fn respond_unreachable(
         &mut self,
+        topo: &Topology,
         node: NodeId,
         iface_in: Option<usize>,
         cfg: &RouterConfig,
@@ -691,7 +710,7 @@ impl Simulator {
             return;
         }
         let packet = self.arena.take(packet);
-        let src_addr = self.responding_addr(node, iface_in);
+        let src_addr = Self::responding_addr(topo, node, iface_in);
         self.stats.dest_unreachable_sent += 1;
         let resp = self.icmp_response(
             node,
@@ -701,7 +720,7 @@ impl Simulator {
             IcmpKind::Unreachable(code),
         );
         self.arena.recycle_packet(packet);
-        self.originate(node, resp);
+        self.originate(topo, node, resp);
     }
 
     fn rate_limited(&mut self, node: NodeId, cfg: &RouterConfig) -> bool {
@@ -709,7 +728,7 @@ impl Simulator {
             return false;
         }
         self.freshen(node);
-        let state = &mut self.state[node.0];
+        let state = &mut self.nodes[node.0];
         if let Some(min) = cfg.icmp_min_interval {
             if let Some(last) = state.last_icmp {
                 if self.clock.since(last) < min {
@@ -753,8 +772,8 @@ impl Simulator {
     /// The address a router answers from: by default the interface the
     /// offending packet arrived on (the address classic traceroute
     /// reports), or the primary address for fixed-responder routers.
-    fn responding_addr(&self, node: NodeId, iface_in: Option<usize>) -> Ipv4Addr {
-        let n = self.topo.node(node);
+    fn responding_addr(topo: &Topology, node: NodeId, iface_in: Option<usize>) -> Ipv4Addr {
+        let n = topo.node(node);
         let fixed = matches!(
             n.kind.as_router().map(|r| r.responder),
             Some(crate::node::ResponderAddr::Fixed)
@@ -797,7 +816,7 @@ impl Simulator {
         transport: Transport,
     ) -> Packet {
         self.freshen(node);
-        let state = &mut self.state[node.0];
+        let state = &mut self.nodes[node.0];
         let mut ip = Ipv4Header::new(src, dst, transport.protocol(), initial_ttl);
         ip.identification = state.ip_id;
         state.ip_id = state.ip_id.wrapping_add(1);
@@ -806,22 +825,14 @@ impl Simulator {
 
     /// Send `packet` from `node` without TTL processing (the node is the
     /// packet's origin).
-    fn originate(&mut self, node: NodeId, packet: Packet) {
+    fn originate(&mut self, topo: &Topology, node: NodeId, packet: Packet) {
         let packet = self.arena.alloc(packet);
-        let topo = Arc::clone(&self.topo);
-        self.forward(&topo, node, None, packet);
+        self.forward(topo, node, packet);
     }
 
-    /// `topo` is the caller's pin of `self.topo` (one Arc bump per
-    /// arrival covers the whole event; re-pinning here would put a
-    /// second pair of atomic ops on every forwarded hop).
-    fn forward(
-        &mut self,
-        topo: &Topology,
-        node: NodeId,
-        iface_in: Option<usize>,
-        packet: PacketRef,
-    ) {
+    /// Route `packet` out of `node`: NAT rewrite, longest-prefix lookup,
+    /// balancer choice, then onto the egress link.
+    fn forward(&mut self, topo: &Topology, node: NodeId, packet: PacketRef) {
         self.freshen(node);
         // NAT: rewrite the source of anything leaving the stub.
         if let NodeKind::Router(cfg) = &topo.node(node).kind {
@@ -838,9 +849,9 @@ impl Simulator {
         // simulator's delta) for the whole egress decision; balanced
         // egress sets are indexed in place, never cloned (the RNG draw
         // borrows a disjoint NodeState field, the packet a disjoint
-        // Simulator field).
+        // SimState field).
         let base = &topo.node(node).routing;
-        let st = &mut self.state[node.0];
+        let st = &mut self.nodes[node.0];
         let Some(next_hop) = NodeRouting::new(base, &st.routing).lookup(dst) else {
             self.stats.dropped_no_route += 1;
             self.arena.release(packet);
@@ -869,27 +880,23 @@ impl Simulator {
                 egresses[idx]
             }
         };
-        // Don't bounce a packet straight back out the interface it came
-        // in on unless routing genuinely says so (it may, in a transient
-        // forwarding loop — allow it; real routers do too).
-        let _ = iface_in;
-        self.transmit(node, egress, packet);
+        self.transmit(topo, node, egress, packet);
     }
 
-    fn transmit(&mut self, node: NodeId, iface_idx: usize, packet: PacketRef) {
-        let iface = self.topo.node(node).ifaces[iface_idx];
+    fn transmit(&mut self, topo: &Topology, node: NodeId, iface_idx: usize, packet: PacketRef) {
+        let iface = topo.node(node).ifaces[iface_idx];
         let Some(link_id) = iface.link else {
             // Loopback/unattached interface: nowhere to go.
             self.stats.dropped_no_route += 1;
             self.arena.release(packet);
             return;
         };
-        let link = *self.topo.link(link_id);
+        let link = *topo.link(link_id);
         if link.loss > 0.0 {
             // forward() freshened this node before routing the packet
             // here, so the slot cannot be stale.
-            debug_assert_eq!(self.state[node.0].epoch, self.epoch);
-            if self.state[node.0].rng.gen::<f64>() < link.loss {
+            debug_assert_eq!(self.nodes[node.0].epoch, self.epoch);
+            if self.nodes[node.0].rng.gen::<f64>() < link.loss {
                 self.stats.dropped_loss += 1;
                 self.arena.release(packet);
                 return;

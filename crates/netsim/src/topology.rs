@@ -93,11 +93,6 @@ pub struct Node {
 }
 
 impl Node {
-    /// Whether `addr` belongs to any of this node's interfaces.
-    pub fn owns_addr(&self, addr: Ipv4Addr) -> bool {
-        self.ifaces.iter().any(|i| i.addr == addr)
-    }
-
     /// The node's primary (first-interface) address.
     pub fn primary_addr(&self) -> Ipv4Addr {
         self.ifaces.first().map(|i| i.addr).unwrap_or(Ipv4Addr::UNSPECIFIED)
@@ -111,10 +106,13 @@ pub struct Topology {
     pub nodes: Vec<Node>,
     /// All links; `LinkId` indexes this vector.
     pub links: Vec<Link>,
-    /// Address → owning node, for local-delivery checks. Keyed with the
-    /// deterministic [`AddrMap`] hasher so iteration never depends on
-    /// `RandomState`.
-    pub addr_owner: AddrMap<NodeId>,
+    /// Address → owning node: the simulator's per-arrival
+    /// local-delivery check. Written only by
+    /// [`crate::builder::TopologyBuilder::build`], which asserts it
+    /// duplicate-free, so it cannot disagree with `nodes`. Keyed with
+    /// the deterministic [`AddrMap`] hasher so iteration never depends
+    /// on `RandomState`.
+    pub(crate) addr_owner: AddrMap<NodeId>,
 }
 
 impl Topology {

@@ -70,14 +70,10 @@ impl SimTransport {
             if let Some(delivery) = self.sim.pop_delivery(self.source) {
                 return Some(delivery);
             }
-            match self.sim.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.sim.step();
-                }
-                _ => {
-                    self.sim.run_until(deadline);
-                    return self.sim.pop_delivery(self.source);
-                }
+            if !self.sim.step_due(deadline) {
+                // Nothing left before the deadline: park the clock there.
+                self.sim.run_until(deadline);
+                return None;
             }
         }
     }

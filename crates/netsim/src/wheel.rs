@@ -284,8 +284,18 @@ impl<T> EventWheel<T> {
 
     /// Pop the event with the smallest `(time, seq)`.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        self.pop_due(SimTime(u64::MAX))
+    }
+
+    /// [`EventWheel::pop`], but only if that event's time is at or
+    /// before `by` — peek and pop in one `advance`.
+    pub(crate) fn pop_due(&mut self, by: SimTime) -> Option<(SimTime, u64, T)> {
         self.advance();
-        let idx = self.ready.pop()?;
+        let idx = *self.ready.last()?;
+        if self.slots[idx as usize].time > by {
+            return None;
+        }
+        self.ready.pop();
         self.len -= 1;
         let slot = &mut self.slots[idx as usize];
         let payload = slot.payload.take().expect("ready entry had no payload");
