@@ -19,6 +19,8 @@
 //! probes in flight at once (`tracer` module docs) — the virtual-time
 //! analogue of the paper's 32 parallel tracing processes — and
 //! `window = 1` reproduces the strictly sequential discipline exactly.
+//! Crediting each reply to the probe that caused it is [`ProbeWindow`]'s
+//! job, shared with `pt-mda`'s multipath walk.
 //!
 //! The driver also records the three pieces of side information Paris
 //! traceroute adds (§2.2): the **probe TTL** (from the quoted IP header),
@@ -27,16 +29,17 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod classic;
 pub mod paris;
 pub mod probe;
 pub mod render;
 pub mod route;
+#[cfg(test)]
+mod scripted;
 pub mod tcptrace;
 pub mod tracer;
+pub mod window;
 
-pub use adaptive::{trace_adaptive, AdaptiveTraceConfig};
 pub use classic::{ClassicIcmp, ClassicUdp};
 pub use paris::{ParisIcmp, ParisTcp, ParisUdp};
 pub use probe::{prefix_u16, prefix_u32, quotation_for, ProbeSpec, ProbeStrategy, StrategyId};
@@ -44,3 +47,4 @@ pub use render::{render, RenderOptions};
 pub use route::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind};
 pub use tcptrace::TcpTraceroute;
 pub use tracer::{trace, trace_with, TraceConfig, TraceScratch, Transport};
+pub use window::{ProbeWindow, Reply};

@@ -14,18 +14,18 @@
 //! outstanding at once — the virtual-time analogue of the paper's 32
 //! parallel tracing processes, applied inside one trace. Probes are
 //! *launched* in strict `(TTL, slot)` order but *retired* by the
-//! response/deadline that actually resolves them; every response is
-//! attributed to its probe through the outstanding-probe registry (by
-//! the probe id the strategy recovers from the response), never to
-//! "whatever was sent last", so reordered and late replies land in the
-//! right hop record. Halting decisions — terminal reply, star limit —
-//! are taken only when a hop *finalizes*, and hops finalize in TTL
-//! order; speculative probes past a terminal reply or the star limit
-//! are discarded along with their hop records, so the measured route a
-//! windowed trace reports is the same one a sequential trace measures
-//! (identical on deterministic lossless paths, where `window` only
-//! changes how much virtual time the trace takes: roughly ×`window`
-//! less).
+//! response/deadline that actually resolves them, through the
+//! [`ProbeWindow`] this driver shares with `pt-mda` (the registry, the
+//! wait and the attribution by probe id are documented there), so
+//! reordered and late replies land in the right hop record: an expired
+//! probe stays registered, and a late answer still fills its record in.
+//! Halting decisions — terminal reply, star limit — are taken only when
+//! a hop *finalizes*, and hops finalize in TTL order; speculative probes
+//! past a terminal reply or the star limit are discarded along with
+//! their hop records, so the measured route a windowed trace reports is
+//! the same one a sequential trace measures (identical on deterministic
+//! lossless paths, where `window` only changes how much virtual time the
+//! trace takes: roughly ×`window` less).
 //!
 //! `window = 1` reproduces the strictly sequential send→wait→timeout
 //! discipline: same probes at the same virtual times, same route —
@@ -38,8 +38,8 @@
 //!
 //! The driver is allocation-free in steady state: probe payloads come
 //! from the transport's recycling pool ([`Transport::grab_payload`]),
-//! and the per-trace bookkeeping (hop records, the outstanding-probe
-//! registry, per-hop progress counters) lives in a caller-held
+//! and the per-trace bookkeeping (hop records, the probe window,
+//! per-hop progress counters) lives in a caller-held
 //! [`TraceScratch`] that [`trace_with`] reuses and
 //! [`TraceScratch::recycle`] refills from finished routes. [`trace`]
 //! remains the convenience form that allocates fresh scratch per call.
@@ -52,6 +52,7 @@ use pt_wire::{IcmpMessage, Packet, Transport as Wire};
 
 use crate::probe::ProbeStrategy;
 use crate::route::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind};
+use crate::window::ProbeWindow;
 
 /// The packet I/O a tracer needs. `pt-netsim`'s [`SimTransport`]
 /// implements it over virtual time; a raw-socket transport would
@@ -64,7 +65,10 @@ pub trait Transport {
     /// Transmit a probe.
     fn send(&mut self, packet: Packet);
     /// Block until the next inbound packet or `deadline`, whichever is
-    /// first. `None` means the deadline passed silently.
+    /// first. `None` means the deadline passed silently, and promises
+    /// `now() >= deadline` on return: [`ProbeWindow::settle`] retires
+    /// probes by comparing their deadlines with `now()`, so a transport
+    /// that gave up early would leave it waiting forever.
     fn recv_until(&mut self, deadline: SimTime) -> Option<(SimTime, Packet)>;
     /// Non-blocking poll: the next inbound packet that has *already*
     /// arrived, without advancing time. The windowed driver drains this
@@ -203,7 +207,7 @@ impl TraceConfig {
 }
 
 /// Classify a response packet and extract the Paris side information.
-pub(crate) fn classify(resp: &Packet) -> (ResponseKind, Option<u8>) {
+fn classify(resp: &Packet) -> (ResponseKind, Option<u8>) {
     match &resp.transport {
         Wire::Icmp(IcmpMessage::TimeExceeded { quotation }) => {
             (ResponseKind::TimeExceeded, Some(quotation.ip.ttl))
@@ -217,18 +221,11 @@ pub(crate) fn classify(resp: &Packet) -> (ResponseKind, Option<u8>) {
     }
 }
 
+/// Where a probe's result goes: `hops[hop].probes[slot]`.
 #[derive(Debug, Clone, Copy)]
-struct Outstanding {
+struct ProbeSlot {
     hop: usize,
     slot: usize,
-    sent: SimTime,
-    /// `sent + timeout`: when this probe stops occupying the window.
-    deadline: SimTime,
-    /// The deadline passed with no answer. The entry stays in the
-    /// registry so a late response can still be attributed to it, but
-    /// it no longer counts toward window occupancy and its hop already
-    /// counts it as resolved.
-    expired: bool,
 }
 
 /// Per-hop probe vectors the scratch retains; sized for a caller that
@@ -238,22 +235,20 @@ struct Outstanding {
 /// traces.
 const SCRATCH_HOP_POOL_CAP: usize = 96;
 
-/// Reusable per-trace bookkeeping: the outstanding-probe registry, the
-/// per-hop progress counters, and pools of hop/probe vectors harvested
-/// from finished routes. A worker that keeps one `TraceScratch` across
+/// Reusable per-trace bookkeeping: the probe window, the per-hop
+/// progress counters, and pools of hop/probe vectors harvested from
+/// finished routes. A worker that keeps one `TraceScratch` across
 /// its traces — recycling each consumed [`MeasuredRoute`] back into it
 /// — runs [`trace_with`] with zero steady-state heap allocation (the
 /// counting-allocator regression test pins this end to end, in both
 /// sequential and windowed modes).
 #[derive(Debug, Default)]
 pub struct TraceScratch {
-    /// Outstanding probes by index. A linear scan: a trace keeps at
-    /// most `hops × probes_per_hop` entries, and the common case is a
-    /// handful of unanswered stragglers.
-    registry: Vec<(u64, Outstanding)>,
+    /// Outstanding probes by index.
+    window: ProbeWindow<ProbeSlot>,
     /// Resolved-probe counters (answered or expired), parallel to the
     /// route's hop list; a hop finalizes — in TTL order — once its
-    /// counter reaches `probes_per_hop`.
+    /// counter reaches the hop's probe complement.
     hop_resolved: Vec<u8>,
     /// Recycled `Hop::probes` vectors.
     probe_vecs: Vec<Vec<ProbeResult>>,
@@ -304,23 +299,15 @@ impl TraceScratch {
             }
         }
     }
+}
 
-    /// [`TraceScratch::truncate_hops`] applied to a finished route —
-    /// the adaptive wrapper's splice/truncate entry point.
-    pub(crate) fn truncate_route(&mut self, route: &mut MeasuredRoute, keep: usize) {
-        let mut hops = core::mem::take(&mut route.hops);
-        self.truncate_hops(&mut hops, keep);
-        route.hops = hops;
-    }
-
-    /// Return a drained hop vector to the pool (the adaptive splice
-    /// empties a tail route's vector into the prefix and stashes the
-    /// husk here, keeping the loop allocation-free).
-    pub(crate) fn stash_hops(&mut self, hops: Vec<Hop>) {
-        if self.hop_vecs.len() < 4 {
-            self.hop_vecs.push(hops);
-        }
-    }
+/// Hop `i` exists and every probe of its own complement is resolved
+/// (answered or expired). The complement is the hop's, not
+/// `probes_per_hop`: a budget cut truncates the hop being filled to
+/// the slots actually probed, and a terminal reply among them still
+/// wins the halt.
+fn hop_complete(hops: &[Hop], resolved: &[u8], i: usize) -> bool {
+    i < hops.len() && usize::from(resolved[i]) == hops[i].probes.len()
 }
 
 /// Run one traceroute toward `destination` with the given strategy,
@@ -350,7 +337,7 @@ pub fn trace_with<T: Transport>(
 ) -> MeasuredRoute {
     let source = transport.source_addr();
     let mut hops: Vec<Hop> = scratch.take_hops();
-    scratch.registry.clear();
+    scratch.window.clear();
     scratch.hop_resolved.clear();
     let window = usize::from(config.window).max(1);
     let pph = usize::from(config.probes_per_hop);
@@ -372,8 +359,6 @@ pub fn trace_with<T: Transport>(
     let mut sent_done = config.min_ttl > config.max_ttl;
     // First hop index not yet finalized; halting is decided here only.
     let mut frontier: usize = 0;
-    // Probes in flight (sent, unanswered, deadline not yet passed).
-    let mut outstanding: usize = 0;
     // Lowest hop with a terminal response recorded so far. Probes are
     // never launched for hops past it, and the trace halts (discarding
     // any speculative later hops) once the frontier reaches it.
@@ -384,7 +369,7 @@ pub fn trace_with<T: Transport>(
         //    reports — the halt reason, which hops exist, the star
         //    count — is decided here, so out-of-order responses and
         //    speculative probes cannot change the measured route.
-        while frontier < hops.len() && usize::from(scratch.hop_resolved[frontier]) == pph {
+        while hop_complete(&hops, &scratch.hop_resolved, frontier) {
             if terminal_hop.is_some_and(|h| h <= frontier) {
                 halt = HaltReason::Terminal;
                 scratch.truncate_hops(&mut hops, frontier + 1);
@@ -407,7 +392,7 @@ pub fn trace_with<T: Transport>(
         //    terminal reply (a hop the terminal reply belongs to still
         //    gets its full probe complement — classic traceroute sends
         //    all three probes at the terminal TTL).
-        while !sent_done && outstanding < window {
+        while !sent_done && scratch.window.in_flight() < window {
             if (config.probe_budget != 0 && probe_idx >= u64::from(config.probe_budget))
                 || time_cutoff.is_some_and(|cutoff| transport.now() >= cutoff)
             {
@@ -439,18 +424,9 @@ pub fn trace_with<T: Transport>(
                 let payload = transport.grab_payload();
                 let packet = strategy.build_probe_with(source, destination, next_ttl, idx, payload);
                 let sent = transport.now();
-                scratch.registry.push((
-                    idx,
-                    Outstanding {
-                        hop: hop_index,
-                        slot: next_slot,
-                        sent,
-                        deadline: sent + config.timeout,
-                        expired: false,
-                    },
-                ));
+                let slot = ProbeSlot { hop: hop_index, slot: next_slot };
+                scratch.window.launch(idx, sent, config.timeout, slot);
                 transport.send(packet);
-                outstanding += 1;
                 next_slot += 1;
             }
             if next_slot >= pph {
@@ -463,14 +439,14 @@ pub fn trace_with<T: Transport>(
             }
         }
 
-        if outstanding == 0 {
+        if scratch.window.in_flight() == 0 {
             if sent_done {
                 // Hops pushed by this iteration's send phase may already
                 // be complete (probes_per_hop = 0 resolves a hop the
                 // moment it opens): give finalization another pass
                 // before concluding MaxTtl, so the star limit still
                 // halts empty-hop traces.
-                if frontier < hops.len() && usize::from(scratch.hop_resolved[frontier]) == pph {
+                if hop_complete(&hops, &scratch.hop_resolved, frontier) {
                     continue 'drive;
                 }
                 break; // every hop finalized without a halt: MaxTtl
@@ -485,57 +461,28 @@ pub fn trace_with<T: Transport>(
             break;
         }
 
-        // 3. Resolve whichever in-flight probe settles first: a
-        //    response that already arrived (drained without advancing
-        //    time), the next response before the earliest outstanding
-        //    deadline, or that deadline itself.
-        let delivery = match transport.try_recv() {
-            Some(d) => d,
-            None => {
-                let deadline = scratch
-                    .registry
-                    .iter()
-                    .filter(|(_, o)| !o.expired)
-                    .map(|(_, o)| o.deadline)
-                    .min()
-                    .expect("outstanding probes must carry deadlines");
-                match transport.recv_until(deadline) {
-                    Some(d) => d,
-                    None => {
-                        // The deadline passed silently: retire every
-                        // probe whose window has closed. Entries stay in
-                        // the registry so late responses still attribute.
-                        let now = transport.now();
-                        for (_, o) in scratch.registry.iter_mut() {
-                            if !o.expired && o.deadline <= now {
-                                o.expired = true;
-                                outstanding -= 1;
-                                scratch.hop_resolved[o.hop] += 1;
-                            }
-                        }
-                        continue 'drive;
-                    }
-                }
-            }
+        // 3. Resolve whichever in-flight probe settles first. An
+        //    expired probe counts as resolved at once but stays
+        //    registered: a late answer still fills its record in.
+        let Some(reply) = scratch.window.settle(
+            transport,
+            None,
+            |resp| strategy.match_response(destination, resp),
+            |probe, _| {
+                scratch.hop_resolved[probe.hop] += 1;
+                true
+            },
+        ) else {
+            continue; // stray, duplicate or expiry: look again
         };
-        let (at, resp) = delivery;
-        let Some(matched) = strategy.match_response(destination, &resp) else {
-            transport.release(resp);
-            continue; // stray packet; keep waiting
-        };
-        let Some(pos) = scratch.registry.iter().position(|&(id, _)| id == matched) else {
-            transport.release(resp);
-            continue; // duplicate or unknown probe id
-        };
-        let (_, o) = scratch.registry.swap_remove(pos);
-        if !o.expired {
-            outstanding -= 1;
+        let (o, resp) = (reply.probe, reply.packet);
+        if !reply.late {
             scratch.hop_resolved[o.hop] += 1;
         }
         let (kind, probe_ttl) = classify(&resp);
         hops[o.hop].probes[o.slot] = ProbeResult {
             addr: Some(resp.ip.src),
-            rtt: Some(at.since(o.sent)),
+            rtt: Some(reply.at.since(reply.sent)),
             kind: Some(kind),
             probe_ttl,
             response_ttl: Some(resp.ip.ttl),
@@ -797,6 +744,34 @@ mod tests {
     }
 
     #[test]
+    fn budget_cut_inside_the_terminal_hop_still_halts_terminal() {
+        // linear(3) at three probes per hop wants 12 probes; slots 10-12
+        // are the destination's. A cut after slot 10 or 11 truncates the
+        // terminal hop to the slots probed, and the terminal reply among
+        // them is an organic halt, not a degraded trace.
+        let sc = scenarios::linear(3);
+        for window in [1u8, 3] {
+            for (probe_budget, halt, hops) in [
+                (9, HaltReason::Budget, 3),
+                (10, HaltReason::Terminal, 4),
+                (11, HaltReason::Terminal, 4),
+                (12, HaltReason::Terminal, 4),
+            ] {
+                let mut tx = transport(&sc, 1);
+                let mut strat = ParisUdp::new(41000, 52000);
+                let config = TraceConfig { probe_budget, window, ..TraceConfig::three_probes() };
+                let route = trace(&mut tx, &mut strat, sc.destination, config);
+                let case = format!("budget {probe_budget}, window {window}");
+                assert_eq!(route.halt, halt, "{case}");
+                assert_eq!(route.hops.len(), hops, "{case}");
+                assert_eq!(route.degraded(), halt == HaltReason::Budget, "{case}");
+                assert_eq!(route.reached_destination(), halt == HaltReason::Terminal, "{case}");
+                assert_eq!(route.probes_sent(), probe_budget as usize, "{case}");
+            }
+        }
+    }
+
+    #[test]
     fn budgeted_trace_that_finishes_in_budget_is_identical_to_unbudgeted() {
         let sc = scenarios::linear(6);
         let mut tx = transport(&sc, 1);
@@ -930,86 +905,10 @@ mod tests {
     // simulator only hits probabilistically.
     // ------------------------------------------------------------------
 
-    use pt_wire::icmp::Quotation;
-    use pt_wire::ipv4::{protocol, Ipv4Header};
-
-    /// A transport whose "network" is a script: each sent probe may
-    /// produce replies at arbitrary future times (including never, out
-    /// of order, or twice).
-    struct ScriptedTransport<F: FnMut(&Packet, SimTime) -> Vec<(SimTime, Packet)>> {
-        now: SimTime,
-        source: Ipv4Addr,
-        pending: Vec<(SimTime, u64, Packet)>,
-        next_seq: u64,
-        plan: F,
-    }
-
-    impl<F: FnMut(&Packet, SimTime) -> Vec<(SimTime, Packet)>> ScriptedTransport<F> {
-        fn new(source: Ipv4Addr, plan: F) -> Self {
-            ScriptedTransport { now: SimTime::ZERO, source, pending: Vec::new(), next_seq: 0, plan }
-        }
-
-        fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, Packet)> {
-            let best = self
-                .pending
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (at, seq, _))| (*at, *seq))
-                .map(|(i, (at, _, _))| (i, *at))?;
-            if best.1 > deadline {
-                return None;
-            }
-            let (at, _, packet) = self.pending.remove(best.0);
-            self.now = self.now.max(at);
-            Some((at, packet))
-        }
-    }
-
-    impl<F: FnMut(&Packet, SimTime) -> Vec<(SimTime, Packet)>> Transport for ScriptedTransport<F> {
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn source_addr(&self) -> Ipv4Addr {
-            self.source
-        }
-        fn send(&mut self, packet: Packet) {
-            for (at, resp) in (self.plan)(&packet, self.now) {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.pending.push((at, seq, resp));
-            }
-        }
-        fn recv_until(&mut self, deadline: SimTime) -> Option<(SimTime, Packet)> {
-            match self.pop_due(deadline) {
-                Some(d) => Some(d),
-                None => {
-                    self.now = self.now.max(deadline);
-                    None
-                }
-            }
-        }
-        fn try_recv(&mut self) -> Option<(SimTime, Packet)> {
-            self.pop_due(self.now)
-        }
-    }
+    use crate::scripted::{port_unreachable_for, time_exceeded_for, ScriptedTransport};
 
     fn hop_addr(ttl: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 9, ttl, 1)
-    }
-
-    fn time_exceeded_for(probe: &Packet, from: Ipv4Addr) -> Packet {
-        let q = Quotation::from_probe(probe.ip, &probe.transport_bytes());
-        let ip = Ipv4Header::new(from, probe.ip.src, protocol::ICMP, 250);
-        Packet::new(ip, Wire::Icmp(IcmpMessage::TimeExceeded { quotation: q }))
-    }
-
-    fn port_unreachable_for(probe: &Packet, from: Ipv4Addr) -> Packet {
-        let q = Quotation::from_probe(probe.ip, &probe.transport_bytes());
-        let ip = Ipv4Header::new(from, probe.ip.src, protocol::ICMP, 60);
-        Packet::new(
-            ip,
-            Wire::Icmp(IcmpMessage::DestUnreachable { code: UnreachableCode::Port, quotation: q }),
-        )
     }
 
     #[test]

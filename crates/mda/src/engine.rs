@@ -14,18 +14,18 @@
 //!
 //! # Windowing
 //!
-//! Up to [`MdaConfig::window`] probes stay in flight at once, the same
-//! registry/`try_recv` discipline `pt_core::trace_with` uses: probes
-//! launch in a deterministic `(TTL, flow, retry)` priority order,
-//! retire by the probe id recovered from each response (never "the
-//! probe most recently sent"), and every stopping decision is taken
-//! over a hop's *committed prefix* — its flow results folded strictly
-//! in flow order. Results a wider window speculatively gathered past
-//! the point where the stopping rule fires are discarded, as are hops
-//! speculated past the terminal hop or the consecutive-star limit, so
-//! on deterministic networks a windowed walk discovers the
-//! byte-identical DAG a sequential (`window = 1`) walk discovers —
-//! only faster in virtual time.
+//! Up to [`MdaConfig::window`] probes stay in flight at once, in the
+//! [`pt_core::ProbeWindow`] the tracer drives too (registry, wait and
+//! attribution by probe id are documented there; an expired probe is
+//! dropped from it, because its retry carries a new id): probes launch
+//! in a deterministic `(TTL, flow, retry)` priority order, and every
+//! stopping decision is taken over a hop's *committed prefix* — its
+//! flow results folded strictly in flow order. Results a wider window
+//! speculatively gathered past the point where the stopping rule fires
+//! are discarded, as are hops speculated past the terminal hop or the
+//! consecutive-star limit, so on deterministic networks a windowed walk
+//! discovers the byte-identical DAG a sequential (`window = 1`) walk
+//! discovers — only faster in virtual time.
 //!
 //! # Classification
 //!
@@ -49,7 +49,7 @@
 
 use std::net::Ipv4Addr;
 
-use pt_core::{prefix_u16, prefix_u32, quotation_for, Transport};
+use pt_core::{prefix_u16, prefix_u32, quotation_for, ProbeWindow, Transport};
 use pt_netsim::splitmix64;
 use pt_netsim::time::{SimDuration, SimTime};
 use pt_wire::ipv4::{protocol, Ipv4Header};
@@ -553,12 +553,69 @@ enum ProbeKind {
     Classify,
 }
 
+/// What the window remembers of a probe: its hop state and its role.
 #[derive(Debug, Clone, Copy)]
-struct RegEntry {
-    id: u16,
+struct Probe {
     hop: usize,
     kind: ProbeKind,
-    deadline: SimTime,
+}
+
+/// A probe's deadline passed unanswered: a star once its retries are
+/// spent, a (possibly backed-off) retry otherwise, and — at a hop that
+/// has answered before — rate-limit evidence for the pacing policy.
+fn expire(
+    st: &mut HopState,
+    kind: ProbeKind,
+    now: SimTime,
+    rule: &mut RuleTable,
+    config: &MdaConfig,
+) {
+    let ProbeKind::Enumerate { flow } = kind else {
+        st.class_resolved += 1;
+        return;
+    };
+    let fi = usize::from(flow);
+    if st.enum_done && fi >= st.committed {
+        return; // speculative leftover
+    }
+    let Slot::InFlight { retries_left } = st.slots[fi] else {
+        return;
+    };
+    let lively = st.lively();
+    // Timeouts at a hop that has answered are rate-limit evidence — but
+    // only repeated ones. Count one starve per sweep instant (one
+    // starved window is one signal) and engage or widen pacing from the
+    // second on; a lone timeout is ordinary link loss and costs only
+    // its backoff.
+    if lively && config.adaptive.is_some() && st.pace_bumped_at != now {
+        st.pace_bumped_at = now;
+        st.starves = st.starves.saturating_add(1);
+        if st.starves >= 2 {
+            st.paced = true;
+            st.pace = if st.pace == SimDuration::ZERO {
+                PACE_INITIAL
+            } else {
+                (st.pace + st.pace).min(PACE_CAP)
+            };
+        }
+    }
+    let spent = config.flow_retries.saturating_sub(retries_left);
+    let exhausted =
+        retries_left == 0 || (config.adaptive.is_some() && !lively && spent >= DEAD_FLOW_RETRIES);
+    st.slots[fi] = if exhausted {
+        Slot::Star
+    } else {
+        // First retry fires immediately (right for isolated loss, and
+        // exactly the classic walk); repeats back off — by then the
+        // silence is a pattern.
+        let not_before = if lively && spent >= 1 {
+            now + backoff_delay(config, st.ttl, flow, spent - 1)
+        } else {
+            now
+        };
+        Slot::AwaitingRetry { retries_left: retries_left - 1, not_before }
+    };
+    st.commit(rule, config);
 }
 
 /// What the launch scan decided to send next.
@@ -572,7 +629,7 @@ enum Launch {
 
 const RECORD_POOL_CAP: usize = 64;
 
-/// Reusable per-walk bookkeeping: the outstanding-probe registry, the
+/// Reusable per-walk bookkeeping: the probe window, the
 /// per-hop walk states, the stopping-rule memo, and pools of result
 /// vectors harvested from finished maps. A caller that keeps one
 /// `MdaScratch` across walks — recycling each consumed
@@ -580,7 +637,7 @@ const RECORD_POOL_CAP: usize = 64;
 /// steady-state heap allocation.
 #[derive(Debug, Default)]
 pub struct MdaScratch {
-    registry: Vec<RegEntry>,
+    window: ProbeWindow<Probe>,
     states: Vec<HopState>,
     rule: RuleTable,
     record_pool: Vec<HopInterfaces>,
@@ -667,7 +724,7 @@ pub fn discover_with<T: Transport>(
     let source = transport.source_addr();
     let window = usize::from(config.window).max(1);
     scratch.rule.reset(config.alpha);
-    scratch.registry.clear();
+    scratch.window.clear();
 
     let mut opened = 0usize; // states[..opened] are live this walk
     let mut frontier = 0usize; // first hop not yet finalized
@@ -714,7 +771,7 @@ pub fn discover_with<T: Transport>(
                     // match the protocol in force); hops before the
                     // run keep their committed UDP evidence.
                     let first = frontier + 1 - usize::from(consecutive_stars);
-                    scratch.registry.retain(|e| e.hop < first);
+                    scratch.window.forget(|p| p.hop >= first);
                     opened = first;
                     frontier = first;
                     consecutive_stars = 0;
@@ -740,11 +797,11 @@ pub fn discover_with<T: Transport>(
         //    rather than recycling ids into mis-attribution.
         let now = transport.now();
         let mut wake: Option<SimTime> = None;
-        while scratch.registry.len() < window {
+        while scratch.window.in_flight() < window {
             if total_probes >= probe_gate || time_cutoff.is_some_and(|cutoff| now >= cutoff) {
                 // A watchdog (or the id space) closed the launch gate.
                 // Leaving `wake` unset lets the walk wind down: once
-                // the registry drains, nothing reopens it. The map is
+                // the window drains, nothing reopens it. The map is
                 // degraded only if enumeration still wanted probes —
                 // a walk that was already done keeps a clean bill.
                 if !budget_hit {
@@ -821,145 +878,43 @@ pub fn discover_with<T: Transport>(
             let packet =
                 build_probe(config, proto, source, destination, ttl, flow, next_id, payload);
             let sent = transport.now();
-            scratch.registry.push(RegEntry {
-                id: next_id,
-                hop: hop_idx,
-                kind,
-                deadline: sent + config.timeout,
-            });
+            let probe = Probe { hop: hop_idx, kind };
+            scratch.window.launch(u64::from(next_id), sent, config.timeout, probe);
             next_id = next_id.wrapping_add(1) & ID_SPACE;
             transport.send(packet);
         }
 
-        if scratch.registry.is_empty() {
-            if let Some(at) = wake {
-                // Nothing in flight but a deferred launch (a backoff
-                // retry or a paced hop's gate) is pending: idle the
-                // clock forward until it is due. Anything delivered
-                // meanwhile answers no outstanding probe — a stray.
-                if let Some((_, resp)) = transport.recv_until(at) {
-                    transport.release(resp);
-                }
-                continue 'drive;
-            }
+        if scratch.window.in_flight() == 0 && wake.is_none() {
             // Nothing in flight and nothing launchable: every opened
             // hop is finalized and the TTL ceiling stops new ones.
             kept = opened;
             break;
         }
 
-        // 3. Resolve whichever in-flight probe settles first: a
-        //    response that already arrived, the next response before
-        //    the earliest outstanding deadline, or that deadline.
-        let delivery = match transport.try_recv() {
-            Some(d) => d,
-            None => {
-                let deadline = scratch
-                    .registry
-                    .iter()
-                    .map(|e| e.deadline)
-                    .min()
-                    .expect("outstanding probes carry deadlines");
-                // A deferred launch due earlier than every deadline
-                // bounds the wait: wake up, launch it, keep walking.
-                let deadline = wake.map_or(deadline, |w| deadline.min(w));
-                match transport.recv_until(deadline) {
-                    Some(d) => d,
-                    None => {
-                        // The deadline passed silently: expire every
-                        // probe whose window has closed — stars after
-                        // retries, retries otherwise.
-                        let now = transport.now();
-                        let mut i = 0;
-                        while i < scratch.registry.len() {
-                            if scratch.registry[i].deadline > now {
-                                i += 1;
-                                continue;
-                            }
-                            let e = scratch.registry.swap_remove(i);
-                            let st = &mut scratch.states[e.hop];
-                            match e.kind {
-                                ProbeKind::Enumerate { flow } => {
-                                    let fi = usize::from(flow);
-                                    if st.enum_done && fi >= st.committed {
-                                        continue; // speculative leftover
-                                    }
-                                    let Slot::InFlight { retries_left } = st.slots[fi] else {
-                                        continue;
-                                    };
-                                    let lively = st.lively();
-                                    // Timeouts at a hop that has
-                                    // answered are rate-limit
-                                    // evidence — but only repeated
-                                    // ones. Count one starve per sweep
-                                    // instant (one starved window is
-                                    // one signal) and engage or widen
-                                    // pacing from the second on; a
-                                    // lone timeout is ordinary link
-                                    // loss and costs only its backoff.
-                                    if lively
-                                        && config.adaptive.is_some()
-                                        && st.pace_bumped_at != now
-                                    {
-                                        st.pace_bumped_at = now;
-                                        st.starves = st.starves.saturating_add(1);
-                                        if st.starves >= 2 {
-                                            st.paced = true;
-                                            st.pace = if st.pace == SimDuration::ZERO {
-                                                PACE_INITIAL
-                                            } else {
-                                                (st.pace + st.pace).min(PACE_CAP)
-                                            };
-                                        }
-                                    }
-                                    let spent = config.flow_retries.saturating_sub(retries_left);
-                                    let exhausted = retries_left == 0
-                                        || (config.adaptive.is_some()
-                                            && !lively
-                                            && spent >= DEAD_FLOW_RETRIES);
-                                    st.slots[fi] = if exhausted {
-                                        Slot::Star
-                                    } else {
-                                        // First retry fires immediately
-                                        // (right for isolated loss, and
-                                        // exactly the classic walk);
-                                        // repeats back off — by then
-                                        // the silence is a pattern.
-                                        let not_before = if lively && spent >= 1 {
-                                            now + backoff_delay(config, st.ttl, flow, spent - 1)
-                                        } else {
-                                            now
-                                        };
-                                        Slot::AwaitingRetry {
-                                            retries_left: retries_left - 1,
-                                            not_before,
-                                        }
-                                    };
-                                    st.commit(&mut scratch.rule, config);
-                                }
-                                ProbeKind::Classify => st.class_resolved += 1,
-                            }
-                        }
-                        continue 'drive;
-                    }
-                }
-            }
+        // 3. Resolve whichever in-flight probe settles first, waking
+        //    no later than the next deferred launch (a backoff retry
+        //    or a paced hop's gate; with nothing in flight this just
+        //    idles the clock to it). An expired probe leaves the
+        //    window: its retry carries a new id, so a late answer is a
+        //    stray.
+        let Some(reply) = scratch.window.settle(
+            transport,
+            wake,
+            |resp| match_response(config, proto, destination, resp).map(u64::from),
+            |probe, now| {
+                let st = &mut scratch.states[probe.hop];
+                expire(st, probe.kind, now, &mut scratch.rule, config);
+                false
+            },
+        ) else {
+            continue; // stray, duplicate, expiry or wake-up: look again
         };
-        let (_at, resp) = delivery;
-        let Some(id) = match_response(config, proto, destination, &resp) else {
-            transport.release(resp);
-            continue; // stray packet
-        };
-        let Some(pos) = scratch.registry.iter().position(|e| e.id == id) else {
-            transport.release(resp);
-            continue; // late (already expired) or duplicate
-        };
-        let entry = scratch.registry.swap_remove(pos);
+        let (probe, resp) = (reply.probe, reply.packet);
         let from = resp.ip.src;
         let terminal = is_terminal(destination, &resp);
         transport.release(resp);
-        let st = &mut scratch.states[entry.hop];
-        match entry.kind {
+        let st = &mut scratch.states[probe.hop];
+        match probe.kind {
             ProbeKind::Enumerate { flow } => {
                 let fi = usize::from(flow);
                 if st.enum_done && fi >= st.committed {
@@ -1088,46 +1043,4 @@ fn next_launch(
         return (Some(Launch::OpenHop), wake);
     }
     (None, wake)
-}
-
-/// Distinguish per-flow from per-packet balancing at `ttl`: send
-/// `repeats` probes with an identical flow identifier and watch the
-/// responder set. The standalone form of the classification the walk
-/// performs inline; useful for re-probing a known hop.
-pub fn classify_balancer<T: Transport>(
-    transport: &mut T,
-    destination: Ipv4Addr,
-    ttl: u8,
-    repeats: usize,
-    config: &MdaConfig,
-) -> BalancerClass {
-    let source = transport.source_addr();
-    let mut seen: Vec<Ipv4Addr> = Vec::new();
-    let mut answered = 0usize;
-    for i in 0..repeats {
-        let payload = transport.grab_payload();
-        let id = (i & 0x7fff) as u16;
-        let probe = build_probe(config, config.protocol, source, destination, ttl, 0, id, payload);
-        transport.send(probe);
-        let deadline = transport.now() + config.timeout;
-        while let Some((_, resp)) = transport.recv_until(deadline) {
-            let matched = match_response(config, config.protocol, destination, &resp) == Some(id);
-            let from = resp.ip.src;
-            transport.release(resp);
-            if matched {
-                answered += 1;
-                if !seen.contains(&from) {
-                    seen.push(from);
-                }
-                break;
-            }
-        }
-    }
-    if answered < 2 {
-        BalancerClass::Undetermined
-    } else if seen.len() > 1 {
-        BalancerClass::PerPacket
-    } else {
-        BalancerClass::PerFlow
-    }
 }

@@ -21,9 +21,7 @@
 //! * non-responses are first-class: a silent interface inside a
 //!   balanced hop surfaces as per-hop stars and non-convergence
 //!   ([`HopInterfaces::stars`]) instead of silently shrinking the
-//!   hop's width;
-//! * [`classify_balancer`] re-probes one hop with a fixed flow
-//!   identifier standalone, for callers that already hold a map.
+//!   hop's width.
 
 #![warn(missing_docs)]
 
@@ -31,7 +29,7 @@ mod engine;
 mod map;
 mod rule;
 
-pub use engine::{classify_balancer, discover, discover_with, MdaConfig, MdaProtocol, MdaScratch};
+pub use engine::{discover, discover_with, MdaConfig, MdaProtocol, MdaScratch};
 pub use map::{BalancerClass, DagLink, HopInterfaces, MultipathMap};
 pub use rule::{probes_to_rule_out, probes_to_rule_out_lossy};
 
@@ -45,6 +43,27 @@ mod tests {
 
     fn transport(sc: &scenarios::Scenario, seed: u64) -> SimTransport {
         SimTransport::new(Simulator::new(sc.topology.clone(), seed), sc.source)
+    }
+
+    /// `S - r - D` with a `first_link_ms` one-way delay on `S - r`:
+    /// the topology, the source node and the destination address.
+    fn chain(
+        first_link_ms: u64,
+        dest: pt_netsim::HostConfig,
+    ) -> (std::sync::Arc<pt_netsim::Topology>, pt_netsim::NodeId, std::net::Ipv4Addr) {
+        let mut b = pt_netsim::TopologyBuilder::new();
+        let s = b.host("S", pt_netsim::HostConfig::default());
+        let r = b.router("r", pt_netsim::node::RouterConfig::default());
+        let d = b.host("D", dest);
+        b.link(s, r, SimDuration::from_millis(first_link_ms), 0.0);
+        b.link(r, d, SimDuration::from_millis(1), 0.0);
+        b.default_via(s, r);
+        b.default_via(r, d);
+        b.default_via(d, r);
+        let s_pfx = b.subnet_of(s);
+        b.route_via(r, s_pfx, s);
+        let dst = b.addr_of(d);
+        (std::sync::Arc::new(b.build()), s, dst)
     }
 
     #[test]
@@ -212,45 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn classifies_per_flow_vs_per_packet_standalone() {
-        let per_flow = scenarios::fig6(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
-        let mut tx = transport(&per_flow, 3);
-        assert_eq!(
-            classify_balancer(&mut tx, per_flow.destination, 7, 12, &MdaConfig::default()),
-            BalancerClass::PerFlow
-        );
-        let per_packet = scenarios::fig6(BalancerKind::PerPacket);
-        let mut tx = transport(&per_packet, 3);
-        assert_eq!(
-            classify_balancer(&mut tx, per_packet.destination, 7, 12, &MdaConfig::default()),
-            BalancerClass::PerPacket
-        );
-    }
-
-    #[test]
-    fn undetermined_when_hop_never_answers() {
-        // A firewalled destination swallows every probe that reaches it:
-        // probing at/past its hop yields no responses at all.
-        let mut b = pt_netsim::TopologyBuilder::new();
-        let s = b.host("S", pt_netsim::HostConfig::default());
-        let r = b.router("r", pt_netsim::node::RouterConfig::default());
-        let d = b.host("D", pt_netsim::HostConfig::firewalled());
-        b.link(s, r, SimDuration::from_millis(1), 0.0);
-        b.link(r, d, SimDuration::from_millis(1), 0.0);
-        b.default_via(s, r);
-        b.default_via(r, d);
-        b.default_via(d, r);
-        let s_pfx = b.subnet_of(s);
-        b.route_via(r, s_pfx, s);
-        let dst = b.addr_of(d);
-        let topo = std::sync::Arc::new(b.build());
-        let mut tx = SimTransport::new(Simulator::new(topo, 1), s);
-        let cfg = MdaConfig { timeout: SimDuration::from_millis(50), ..MdaConfig::default() };
-        let class = classify_balancer(&mut tx, dst, 5, 4, &cfg);
-        assert_eq!(class, BalancerClass::Undetermined);
-    }
-
-    #[test]
     fn probe_budget_degrades_a_walk_deterministically() {
         let sc = scenarios::fig6(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
         let walk = |budget: usize| {
@@ -291,20 +271,35 @@ mod tests {
     }
 
     #[test]
+    fn late_answers_are_strays_and_the_walk_ends_at_the_star_limit() {
+        // S -(100 ms)- r - D against a 50 ms timeout: every reply lands
+        // after its probe expired, while that flow's retry (a new id) or
+        // a later flow is in flight. An expired probe has left the
+        // window, so the late reply credits nothing — in particular not
+        // the retry now occupying its flow's slot.
+        let (topo, s, dst) = chain(100, pt_netsim::HostConfig::default());
+        let walk = |window: u8| {
+            let mut tx = SimTransport::new(Simulator::new(topo.clone(), 1), s);
+            let cfg = MdaConfig {
+                timeout: SimDuration::from_millis(50),
+                flow_retries: 1,
+                window,
+                ..MdaConfig::default()
+            };
+            let map = discover(&mut tx, dst, &cfg);
+            assert!(!map.reached, "window {window}");
+            assert_eq!(map.hops.len(), usize::from(cfg.max_consecutive_stars), "window {window}");
+            for h in &map.hops {
+                assert!(h.interfaces.is_empty() && h.stars > 0 && !h.converged, "window {window}");
+            }
+            map.dag_digest()
+        };
+        assert_eq!(walk(1), walk(8));
+    }
+
+    #[test]
     fn firewalled_destination_abandons_at_the_star_limit() {
-        let mut b = pt_netsim::TopologyBuilder::new();
-        let s = b.host("S", pt_netsim::HostConfig::default());
-        let r = b.router("r", pt_netsim::node::RouterConfig::default());
-        let d = b.host("D", pt_netsim::HostConfig::firewalled());
-        b.link(s, r, SimDuration::from_millis(1), 0.0);
-        b.link(r, d, SimDuration::from_millis(1), 0.0);
-        b.default_via(s, r);
-        b.default_via(r, d);
-        b.default_via(d, r);
-        let s_pfx = b.subnet_of(s);
-        b.route_via(r, s_pfx, s);
-        let dst = b.addr_of(d);
-        let topo = std::sync::Arc::new(b.build());
+        let (topo, s, dst) = chain(1, pt_netsim::HostConfig::firewalled());
         for window in [1u8, 8] {
             let mut tx = SimTransport::new(Simulator::new(topo.clone(), 1), s);
             let cfg =
