@@ -172,6 +172,19 @@ pub fn prefix_u32(prefix: &[u8; 8], offset: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ClassicIcmp, ClassicUdp, ParisIcmp, ParisTcp, ParisUdp, TcpTraceroute};
+    use pt_wire::FlowPolicy;
+
+    fn all_six_tools() -> Vec<Box<dyn ProbeStrategy>> {
+        vec![
+            Box::new(ClassicUdp::new(1234)),
+            Box::new(ClassicIcmp::new(77)),
+            Box::new(ParisUdp::new(41000, 52000)),
+            Box::new(ParisIcmp::new(0xb00b)),
+            Box::new(ParisTcp::new(55555)),
+            Box::new(TcpTraceroute::new(40123)),
+        ]
+    }
 
     #[test]
     fn ids_have_names_and_flow_constancy() {
@@ -193,6 +206,23 @@ mod tests {
         assert!(StrategyId::ParisIcmp.keeps_flow_constant());
         assert!(StrategyId::ParisTcp.keeps_flow_constant());
         assert!(StrategyId::TcpTraceroute.keeps_flow_constant());
+        // Fig. 2, measured on built probes: under every policy that
+        // hashes a header field a tool's probes share one flow key
+        // exactly when the tool is declared flow-constant. A balancer
+        // that hashes the destination alone cannot split any tool.
+        let src = Ipv4Addr::new(10, 0, 0, 1);
+        let dst = Ipv4Addr::new(192, 0, 2, 99);
+        for mut tool in all_six_tools() {
+            let id = tool.id();
+            let probes: Vec<Packet> = (0..32u64)
+                .map(|idx| tool.build_probe(src, dst, 1 + (idx % 30) as u8, idx))
+                .collect();
+            for policy in FlowPolicy::ALL {
+                let constant = probes.iter().all(|p| policy.same_flow(&probes[0], p));
+                let expected = id.keeps_flow_constant() || policy == FlowPolicy::DestinationOnly;
+                assert_eq!(constant, expected, "{id} under {policy:?}");
+            }
+        }
     }
 
     #[test]
@@ -207,20 +237,11 @@ mod tests {
     fn batched_construction_matches_sequential_for_every_strategy() {
         // `build_probe_batch` is the benchmark's entry point: what it
         // times must be the packets the tracers build one at a time.
-        use crate::{ClassicIcmp, ClassicUdp, ParisIcmp, ParisTcp, ParisUdp, TcpTraceroute};
         let src = Ipv4Addr::new(10, 0, 1, 1);
         let dst = Ipv4Addr::new(192, 0, 2, 9);
         let specs: Vec<ProbeSpec> =
             (0u64..9).map(|i| ProbeSpec { ttl: 1 + (i as u8 % 5), probe_idx: i * 7 + 3 }).collect();
-        let strategies: Vec<Box<dyn ProbeStrategy>> = vec![
-            Box::new(ClassicUdp::new(1234)),
-            Box::new(ClassicIcmp::new(77)),
-            Box::new(ParisUdp::new(41000, 52000)),
-            Box::new(ParisIcmp::new(0xb00b)),
-            Box::new(ParisTcp::new(55555)),
-            Box::new(TcpTraceroute::new(40123)),
-        ];
-        for mut strategy in strategies {
+        for mut strategy in all_six_tools() {
             let id = strategy.id();
             let sequential: Vec<Packet> = specs
                 .iter()

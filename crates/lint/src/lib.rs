@@ -39,12 +39,12 @@ pub struct Outcome {
 /// - `target/`, hidden dirs, and the lint's own known-bad fixtures are
 ///   skipped.
 /// - `support/` is skipped: those crates are offline stand-ins for
-///   crates.io dependencies (`criterion` must read the wall clock to
-///   be a benchmark harness) and sit outside the determinism boundary
-///   — swapping in the real crates must not change what the lint
-///   covers.
-/// - `crates/bench/` may time things (that is its job) but still must
-///   not draw entropy or hide `unsafe`.
+///   crates.io dependencies (`rand`, `proptest`, `crossbeam-deque`)
+///   and sit outside the determinism boundary — swapping in the real
+///   crates must not change what the lint covers.
+/// - `crates/bench/` — today only the benchmark, `ptbench`
+///   (`crates/bench/src/bin/ptbench/`) — may time things (that is its
+///   job) but still must not draw entropy or hide `unsafe`.
 /// - integration tests and examples are exempt from the engine-only
 ///   rules (D1/D4/D6) but must stay clock- and entropy-clean.
 /// - everything else — engine crate sources and the umbrella `src/` —

@@ -79,7 +79,8 @@ fn waivers_suppress_with_reason_and_only_with_reason() {
 fn rules_match_the_path_policy() {
     assert!(rules_for_path("crates/netsim/src/sim.rs").expect("engine file in scope").map_order);
     assert!(rules_for_path("src/lib.rs").expect("umbrella crate in scope").bare_unwrap);
-    let bench = rules_for_path("crates/bench/benches/wire.rs").expect("bench in scope");
+    let bench =
+        rules_for_path("crates/bench/src/bin/ptbench/src/main.rs").expect("ptbench in scope");
     assert!(!bench.wall_clock && bench.entropy && bench.unsafe_block);
     let tests = rules_for_path("tests/determinism.rs").expect("tests in scope");
     assert!(tests.wall_clock && !tests.map_order && !tests.bare_unwrap);

@@ -427,11 +427,6 @@ impl RouteOverlay {
         self.delta.is_pristine()
     }
 
-    /// Number of routes in the delta (diagnostics).
-    pub fn delta_len(&self) -> usize {
-        self.delta.len()
-    }
-
     /// Install or replace the route for exactly `prefix`.
     pub fn set(&mut self, prefix: Ipv4Prefix, next_hop: NextHop) {
         self.delta.set(prefix, next_hop);

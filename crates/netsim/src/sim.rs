@@ -303,7 +303,7 @@ impl Simulator {
 
     /// Total arena slots ever created. Bounded in-flight traffic stops
     /// growing this after warm-up — the zero-allocation evidence the
-    /// benches and tests check.
+    /// tests check and `ptbench` reports.
     pub fn arena_slots(&self) -> usize {
         self.state.arena.slot_count()
     }
@@ -398,11 +398,6 @@ impl Simulator {
     /// Pop the oldest delivery to `node`, if any.
     pub fn pop_delivery(&mut self, node: NodeId) -> Option<(SimTime, Packet)> {
         self.state.inbox[node.0].pop_front()
-    }
-
-    /// Number of undelivered packets waiting at `node`.
-    pub fn inbox_len(&self, node: NodeId) -> usize {
-        self.state.inbox[node.0].len()
     }
 
     /// A cleared payload buffer from the arena's recycling pool (fresh
@@ -952,11 +947,6 @@ impl SimulatorPool {
             "released simulator belongs to a different topology"
         );
         self.idle.push(sim);
-    }
-
-    /// Number of idle simulators held.
-    pub fn idle_count(&self) -> usize {
-        self.idle.len()
     }
 }
 

@@ -180,11 +180,6 @@ pub struct DestTruth {
 }
 
 impl DestTruth {
-    /// Whether classic traceroute should see *any* anomaly source here.
-    pub fn any_anomaly_source(&self) -> bool {
-        (self.per_flow_lb || self.per_packet_lb) || self.zero_ttl || self.broken || self.nat
-    }
-
     /// Whether any load balancer (per-flow or per-packet) sits on this
     /// branch — the population multipath discovery must enumerate.
     pub fn has_balancer(&self) -> bool {

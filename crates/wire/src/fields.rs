@@ -5,8 +5,8 @@
 //! balancers use it, which tools vary it per probe, and whether it is
 //! quoted inside an ICMP Time Exceeded response (the IP header and the
 //! first eight transport octets are; everything later is not). The
-//! `header_fields` bench verifies the load-balancing column *behaviourally*
-//! by flipping each field on a simulated balancer and watching the path.
+//! table's per-tool claim is measured on built probes by `pt-core`'s
+//! `probe::tests::ids_have_names_and_flow_constancy`.
 
 /// The protocol layer a header field belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -8,7 +8,6 @@
 //! whether a given traceroute's probes stay on one path is decided by the
 //! same header bytes that would decide it on a real router.
 
-use crate::ipv4::protocol;
 use crate::packet::{Packet, Transport};
 
 /// A flow identifier: the digest a load balancer reduces a packet to.
@@ -113,16 +112,11 @@ impl Fnv1a {
     }
 }
 
-/// Convenience: is this packet's protocol subject to flow hashing at all?
-pub fn is_hashable_protocol(proto: u8) -> bool {
-    matches!(proto, protocol::UDP | protocol::TCP | protocol::ICMP)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::icmp::IcmpMessage;
-    use crate::ipv4::Ipv4Header;
+    use crate::ipv4::{protocol, Ipv4Header};
     use crate::tcp::TcpSegment;
     use crate::udp::UdpDatagram;
     use std::net::Ipv4Addr;

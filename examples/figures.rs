@@ -4,8 +4,14 @@
 //! ```sh
 //! cargo run --example figures
 //! ```
+//!
+//! Every conclusion printed is computed from the routes printed above
+//! it; a figure whose conclusion does not hold is named on stderr and
+//! the exit status is non-zero.
 
-use pt_anomaly::{find_cycles, find_loops, DestinationGraph};
+use std::process::ExitCode;
+
+use pt_anomaly::{find_cycles, find_loops, CycleCause, DestinationGraph, LoopCause};
 use pt_core::{trace, ClassicUdp, ParisUdp, TraceConfig};
 use pt_netsim::node::BalancerKind;
 use pt_netsim::{scenarios, SimTransport, Simulator};
@@ -27,52 +33,74 @@ fn show(addrs: &[Option<std::net::Ipv4Addr>]) -> String {
         .join(" → ")
 }
 
-fn fig1() {
+/// `Err` says which of a figure's conclusions the routes did not bear out.
+type Reproduced = Result<(), String>;
+
+fn ensure(holds: bool, otherwise: &str) -> Reproduced {
+    if holds {
+        Ok(())
+    } else {
+        Err(otherwise.to_string())
+    }
+}
+
+fn fig1() -> Reproduced {
     println!("== Fig. 1: missing nodes and false links ==");
     let sc = scenarios::fig1(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
     let mut tx = tx_for(&sc, 1);
+    let a_then_d = |addrs: &[Option<std::net::Ipv4Addr>]| {
+        addrs.get(6) == Some(&Some(sc.a("A"))) && addrs.get(7) == Some(&Some(sc.a("D")))
+    };
     // Classic traceroute with many PIDs: collect what hops 6..=9 show.
+    let mut classic_false_links = 0;
     for pid in [7u16, 19, 23] {
         let mut strat = ClassicUdp::new(pid);
-        let r = trace(&mut tx, &mut strat, sc.destination, TraceConfig::default());
-        println!("  classic (pid {pid:>2}) hops 6..9: {}", show_range(&r.addresses(), 5, 9));
+        let addrs = trace(&mut tx, &mut strat, sc.destination, TraceConfig::default()).addresses();
+        println!("  classic (pid {pid:>2}) hops 6..9: {}", show_range(&addrs, 5, 9));
+        classic_false_links += usize::from(a_then_d(&addrs));
     }
     let mut paris = ParisUdp::new(41_001, 52_001);
-    let r = trace(&mut tx, &mut paris, sc.destination, TraceConfig::default());
-    println!("  paris            hops 6..9: {}", show_range(&r.addresses(), 5, 9));
+    let addrs = trace(&mut tx, &mut paris, sc.destination, TraceConfig::default()).addresses();
+    println!("  paris            hops 6..9: {}", show_range(&addrs, 5, 9));
+    ensure(classic_false_links > 0, "no classic trace pairs A at hop 7 with D at hop 8")?;
+    ensure(!a_then_d(&addrs), "the Paris trace pairs A with D")?;
     println!(
         "  true paths: L→A→C(silent)→E and L→B(silent)→D→E; classic can pair A at hop 7 with D at hop 8 — a link that does not exist.\n"
     );
+    Ok(())
 }
 
-fn fig3() {
+fn fig3() -> Reproduced {
     println!("== Fig. 3: a loop from load balancing over unequal lengths ==");
     let sc = scenarios::fig3(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
     let mut tx = tx_for(&sc, 4);
     // Hunt for a classic trace showing E twice.
-    for pid in 0..200u16 {
-        let mut strat = ClassicUdp::new(pid);
-        let r = trace(&mut tx, &mut strat, sc.destination, TraceConfig::default());
-        let loops = find_loops(&r);
-        if loops.iter().any(|l| l.addr == sc.a("E")) {
-            println!("  classic (pid {pid}) hops 6..10: {}", show_range(&r.addresses(), 5, 10));
-            println!("  loop on E — probes straddled the short (L→A→E) and long (L→B→C→E) paths");
-            break;
-        }
-    }
+    let (pid, looping) = (0..200u16)
+        .find_map(|pid| {
+            let mut strat = ClassicUdp::new(pid);
+            let r = trace(&mut tx, &mut strat, sc.destination, TraceConfig::default());
+            find_loops(&r).iter().any(|l| l.addr == sc.a("E")).then_some((pid, r))
+        })
+        .ok_or("no classic trace with PID 0..200 shows E twice")?;
+    println!("  classic (pid {pid}) hops 6..10: {}", show_range(&looping.addresses(), 5, 10));
+    println!("  loop on E — probes straddled the short (L→A→E) and long (L→B→C→E) paths");
     let mut paris = ParisUdp::new(41_002, 52_002);
     let r = trace(&mut tx, &mut paris, sc.destination, TraceConfig::default());
-    println!("  paris          hops 6..10: {} (no loop)\n", show_range(&r.addresses(), 5, 10));
+    let loops = find_loops(&r);
+    let verdict = if loops.is_empty() { "no loop" } else { "LOOP" };
+    println!("  paris          hops 6..10: {} ({verdict})\n", show_range(&r.addresses(), 5, 10));
+    ensure(loops.is_empty(), "the Paris trace shows a loop")
 }
 
-fn fig4() {
+fn fig4() -> Reproduced {
     println!("== Fig. 4: a loop from zero-TTL forwarding ==");
     let sc = scenarios::fig4();
     let mut tx = tx_for(&sc, 1);
     let mut paris = ParisUdp::new(41_003, 52_003);
     let r = trace(&mut tx, &mut paris, sc.destination, TraceConfig::default());
     println!("  hops 6..10: {}", show_range(&r.addresses(), 5, 10));
-    for l in find_loops(&r) {
+    let loops = find_loops(&r);
+    for l in &loops {
         println!(
             "  loop on {} at hops {}..{} — cause: {:?} (probe TTLs {:?} then {:?})",
             l.addr,
@@ -83,27 +111,43 @@ fn fig4() {
             r.hops[l.start + 1].probes[0].probe_ttl,
         );
     }
+    ensure(
+        matches!(&loops[..], [l] if l.addr == sc.a("A") && l.cause == LoopCause::ZeroTtlForwarding),
+        "the loops found are not one zero-TTL-forwarding loop on A",
+    )?;
+    ensure(!r.addresses().contains(&Some(sc.a("F"))), "F answered a probe")?;
     println!("  F itself never appears: it forwarded the TTL-0 probe instead of answering.\n");
+    Ok(())
 }
 
-fn fig5() {
+fn fig5() -> Reproduced {
     println!("== Fig. 5: a loop from NAT address rewriting ==");
     let sc = scenarios::fig5();
     let mut tx = tx_for(&sc, 1);
     let mut paris = ParisUdp::new(41_004, 52_004);
     let r = trace(&mut tx, &mut paris, sc.destination, TraceConfig::default());
     println!("  hops 6..10: {}", show_range(&r.addresses(), 5, 10));
+    let ttls: Vec<u8> =
+        r.hops.iter().skip(5).take(4).filter_map(|h| h.probes[0].response_ttl).collect();
     print!("  response TTLs at hops 6..9:");
-    for i in 5..9 {
-        print!(" {}", r.hops[i].probes[0].response_ttl.unwrap());
+    for ttl in &ttls {
+        print!(" {ttl}");
     }
-    println!(" — the paper's 250, 249, 248, 247: one address, four distances.");
-    for l in find_loops(&r) {
+    let as_published = ttls == [250, 249, 248, 247];
+    let verdict = if as_published { "the paper's" } else { "NOT the paper's" };
+    println!(" — {verdict} 250, 249, 248, 247: one address, four distances.");
+    ensure(as_published, "the response TTLs are not the paper's")?;
+    let loops = find_loops(&r);
+    for l in &loops {
         println!("  loop on {} — cause: {:?}\n", l.addr, l.cause);
     }
+    ensure(
+        matches!(&loops[..], [l] if l.addr == sc.a("N") && l.cause == LoopCause::AddressRewriting),
+        "the loops found are not one address-rewriting loop on N",
+    )
 }
 
-fn fig6() {
+fn fig6() -> Reproduced {
     println!("== Fig. 6: diamonds ==");
     let sc = scenarios::fig6(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
     let mut tx = tx_for(&sc, 6);
@@ -134,6 +178,7 @@ fn fig6() {
         classic_graph.ingest(&r);
     }
     print_diamonds("diamonds from 64 classic traces", &classic_graph);
+    ensure(classic_graph.is_diamond(sc.a("C"), sc.a("G")), "classic shows no (C, G) diamond")?;
     println!(
         "    note (C, G): classic's flow mixing fabricates the triple C→E→G, so even\n    (C, G) looks like a diamond — a false one."
     );
@@ -145,18 +190,25 @@ fn fig6() {
         paris_graph.ingest(&r);
     }
     print_diamonds("diamonds from 64 Paris traces (each a coherent path)", &paris_graph);
+    let papers_four =
+        [("L", "D"), ("L", "E"), ("A", "G"), ("B", "G")].map(|(h, t)| (sc.a(h), sc.a(t)));
+    ensure(
+        paris_graph.diamond_signatures() == papers_four.into_iter().collect(),
+        "the Paris diamonds are not the paper's (L,D), (L,E), (A,G), (B,G)",
+    )?;
     println!(
         "    exactly the paper's four: (L,D), (L,E), (A,G), (B,G) — and (C,G) is not\n    among them, because only D truly sits between C and G.\n"
     );
+    Ok(())
 }
 
-fn forwarding_loop() {
+fn forwarding_loop() -> Reproduced {
     println!("== §4.2: a genuine forwarding loop makes a cycle ==");
     let (sc, x, y) = scenarios::forwarding_loop_chain();
     let mut tx = tx_for(&sc, 3);
     let dst_pfx = pt_netsim::Ipv4Prefix::host(sc.destination);
-    let x_to_y = sc.topology.iface_toward(x, y).unwrap();
-    let y_to_x = sc.topology.iface_toward(y, x).unwrap();
+    let x_to_y = sc.topology.iface_toward(x, y).ok_or("X has no interface toward Y")?;
+    let y_to_x = sc.topology.iface_toward(y, x).ok_or("Y has no interface toward X")?;
     {
         let sim = tx.simulator_mut();
         let now = sim.now();
@@ -166,7 +218,8 @@ fn forwarding_loop() {
     let mut paris = ParisUdp::new(41_005, 52_005);
     let r = trace(&mut tx, &mut paris, sc.destination, TraceConfig::default());
     println!("  hops 6..12: {}", show_range(&r.addresses(), 5, 12));
-    for c in find_cycles(&r).iter().take(3) {
+    let cycles = find_cycles(&r);
+    for c in cycles.iter().take(3) {
         println!(
             "  cycle on {} (hops {} and {}) — cause: {:?}",
             c.addr,
@@ -176,13 +229,27 @@ fn forwarding_loop() {
         );
     }
     println!();
+    ensure(
+        cycles.iter().any(|c| c.cause == CycleCause::ForwardingLoop),
+        "no cycle is attributed to a forwarding loop",
+    )
 }
 
-fn main() {
-    fig1();
-    fig3();
-    fig4();
-    fig5();
-    fig6();
-    forwarding_loop();
+fn main() -> ExitCode {
+    let outcomes = [
+        ("Fig. 1", fig1()),
+        ("Fig. 3", fig3()),
+        ("Fig. 4", fig4()),
+        ("Fig. 5", fig5()),
+        ("Fig. 6", fig6()),
+        ("§4.2 forwarding loop", forwarding_loop()),
+    ];
+    let mut status = ExitCode::SUCCESS;
+    for (name, outcome) in outcomes {
+        if let Err(why) = outcome {
+            eprintln!("figures: {name} did not reproduce: {why}");
+            status = ExitCode::FAILURE;
+        }
+    }
+    status
 }

@@ -1,7 +1,7 @@
 //! End-to-end integration: wire → simulator → tracer → anomaly analysis,
 //! exercised through the umbrella crate's re-exports.
 
-use paris_traceroute_repro::anomaly::{find_cycles, find_loops, DestinationGraph};
+use paris_traceroute_repro::anomaly::{find_cycles, find_loops, DestinationGraph, LoopCause};
 use paris_traceroute_repro::core::{trace, ClassicUdp, ParisIcmp, ParisTcp, ParisUdp, TraceConfig};
 use paris_traceroute_repro::netsim::node::BalancerKind;
 use paris_traceroute_repro::netsim::{scenarios, SimTransport, Simulator};
@@ -41,29 +41,37 @@ fn the_headline_claim_fig1() {
 #[test]
 fn every_paris_mode_is_loop_free_on_every_figure() {
     // UDP, ICMP and TCP Paris modes across fig1/fig3/fig6 (the per-flow
-    // load-balancing figures): no loops, no cycles, ever.
-    let figs: Vec<scenarios::Scenario> = vec![
-        scenarios::fig1(BalancerKind::PerFlow(FlowPolicy::FiveTuple)),
-        scenarios::fig3(BalancerKind::PerFlow(FlowPolicy::FirstFourOctets)),
-        scenarios::fig6(BalancerKind::PerFlow(FlowPolicy::FiveTupleTos)),
-    ];
-    for (fi, sc) in figs.iter().enumerate() {
-        let mut tx = tx_for(sc, 5);
-        for rep in 0..8u16 {
-            let mut strategies: Vec<Box<dyn paris_traceroute_repro::core::ProbeStrategy>> = vec![
-                Box::new(ParisUdp::new(41_000 + rep, 52_000)),
-                Box::new(ParisIcmp::new(0x1000 + rep)),
-                Box::new(ParisTcp::new(55_000 + rep)),
-            ];
-            for s in &mut strategies {
-                let r = trace(&mut tx, s.as_mut(), sc.destination, TraceConfig::default());
-                assert!(
-                    find_loops(&r).is_empty(),
-                    "fig index {fi}, {} rep {rep}: loops {:?}",
-                    s.id(),
-                    r.addresses()
-                );
-                assert!(find_cycles(&r).is_empty(), "fig index {fi}, {} rep {rep}", s.id());
+    // load-balancing figures), each under every hash policy a balancer
+    // may use: no loops, no cycles, ever.
+    for policy in FlowPolicy::ALL {
+        let kind = BalancerKind::PerFlow(policy);
+        let figs = [
+            ("fig1", scenarios::fig1(kind)),
+            ("fig3", scenarios::fig3(kind)),
+            ("fig6", scenarios::fig6(kind)),
+        ];
+        for (fig, sc) in &figs {
+            let mut tx = tx_for(sc, 5);
+            for rep in 0..8u16 {
+                let mut strategies: Vec<Box<dyn paris_traceroute_repro::core::ProbeStrategy>> = vec![
+                    Box::new(ParisUdp::new(41_000 + rep, 52_000)),
+                    Box::new(ParisIcmp::new(0x1000 + rep)),
+                    Box::new(ParisTcp::new(55_000 + rep)),
+                ];
+                for s in &mut strategies {
+                    let r = trace(&mut tx, s.as_mut(), sc.destination, TraceConfig::default());
+                    assert!(
+                        find_loops(&r).is_empty(),
+                        "{fig} under {policy:?}, {} rep {rep}: loops {:?}",
+                        s.id(),
+                        r.addresses()
+                    );
+                    assert!(
+                        find_cycles(&r).is_empty(),
+                        "{fig} under {policy:?}, {} rep {rep}",
+                        s.id()
+                    );
+                }
             }
         }
     }
@@ -109,6 +117,62 @@ fn diamond_pipeline_classic_vs_paris() {
     assert!(paris_sigs.is_subset(&classic_sigs));
     assert!(classic_sigs.len() > paris_sigs.len(), "classic fabricates extra diamonds");
     assert!(!paris_g.is_diamond(sc.a("C"), sc.a("G")));
+    assert!(classic_g.is_diamond(sc.a("C"), sc.a("G")), "classic fabricates (C, G)");
+    // Measured, not reconstructed: Paris sees exactly the paper's four.
+    let papers_four =
+        [("L", "D"), ("L", "E"), ("A", "G"), ("B", "G")].map(|(h, t)| (sc.a(h), sc.a(t)));
+    assert_eq!(paris_sigs, papers_four.into_iter().collect());
+}
+
+#[test]
+fn fig4_zero_ttl_loop_is_found_and_classified() {
+    // Fig. 4 end to end: F forwards the probe it should have answered,
+    // so A answers twice (probe TTL 0, then 1) and F is never seen.
+    let sc = scenarios::fig4();
+    let mut tx = tx_for(&sc, 3);
+    let mut s = ParisUdp::new(41_000, 52_000);
+    let r = trace(&mut tx, &mut s, sc.destination, TraceConfig::default());
+    let loops = find_loops(&r);
+    assert_eq!(loops.len(), 1, "exactly the (A, A) loop: {loops:?}");
+    let l = &loops[0];
+    assert_eq!(l.addr, sc.a("A"));
+    assert_eq!(l.cause, LoopCause::ZeroTtlForwarding);
+    assert_eq!(r.hops[l.start].probes[0].probe_ttl, Some(0));
+    assert!(!r.addresses().contains(&Some(sc.a("F"))), "F answered: {:?}", r.addresses());
+}
+
+#[test]
+fn fig5_nat_loop_is_found_and_classified() {
+    // Fig. 5 end to end: one address at four distances (response TTLs
+    // 250, 249, 248, 247) is a rewriting loop, and it ends the route.
+    let sc = scenarios::fig5();
+    let mut tx = tx_for(&sc, 5);
+    let mut s = ParisUdp::new(41_000, 52_000);
+    let r = trace(&mut tx, &mut s, sc.destination, TraceConfig::default());
+    let ttls: Vec<_> = r.hops[5..9].iter().map(|h| h.probes[0].response_ttl).collect();
+    assert_eq!(ttls, [Some(250), Some(249), Some(248), Some(247)]);
+    let loops = find_loops(&r);
+    assert_eq!(loops.len(), 1, "{loops:?}");
+    assert_eq!(loops[0].addr, sc.a("N"));
+    assert_eq!(loops[0].cause, LoopCause::AddressRewriting);
+    assert!(loops[0].at_route_end, "rewriting loops live at the end of routes");
+}
+
+#[test]
+fn section_2_1_probe_arithmetic_is_exact() {
+    // §2.1: three probes per hop through a random two-way balancer at
+    // hops 7 and 8. Each of the six probes meets device 0 or 1, so the
+    // 2^6 outcomes are equally likely: one bit per probe, hop 7 in the
+    // low three.
+    let both_devices_seen = |hop: u32| hop != 0b000 && hop != 0b111;
+    let (mut undiscovered, mut ambiguous) = (0, 0);
+    for outcome in 0..64u32 {
+        let (hop7, hop8) = (outcome & 0b111, outcome >> 3);
+        undiscovered += u32::from(!both_devices_seen(hop7));
+        ambiguous += u32::from(both_devices_seen(hop7) || both_devices_seen(hop8));
+    }
+    assert_eq!(undiscovered, 16, "P(a hop-7 device undiscovered) = 0.25");
+    assert_eq!(ambiguous, 60, "P(two devices at hop 7 or hop 8: link ambiguity) = 0.9375");
 }
 
 #[test]
