@@ -1,19 +1,21 @@
 //! # pt-campaign — the paper's measurement study, end to end
 //!
 //! Reproduces §3's setup over the synthetic Internet: parallel probing
-//! "processes" (threads, 32 in the paper) each own a shard of the
-//! destination list and trace every destination once per round — first
-//! with Paris traceroute (fixed random five-tuple per trace), then with
-//! classic traceroute (NetBSD header behaviour) — on a shared simulator
-//! whose virtual clock, IP-ID counters and routing dynamics persist
-//! across traces. Results flow into `pt-anomaly` accumulators; the
-//! classic-vs-Paris comparison reproduces §4's attribution.
+//! "processes" (threads, 32 in the paper) work down one list of
+//! `(destination, round)` units, tracing every destination once per
+//! round — first with Paris traceroute (fixed random five-tuple per
+//! trace), then with classic traceroute (NetBSD header behaviour). Each
+//! unit runs on a pristine pooled simulator whose seed, like every
+//! other draw the unit makes, derives from `(campaign seed,
+//! destination, round)`, so which worker claims a unit changes nothing.
+//! Results flow into `pt-anomaly` accumulators; the classic-vs-Paris
+//! comparison reproduces §4's attribution.
 //!
 //! A second campaign mode, [`run_multipath`], runs the §6 future work
 //! at the same scale: windowed MDA discovery (`pt-mda`) toward every
-//! destination over the identical work-stealing `(destination, round)`
-//! pool, with the same seed-derived determinism guarantee, scored
-//! against the generator's planted balancers by [`validate_multipath`].
+//! destination over the identical `(destination, round)` worker pool,
+//! with the same seed-derived determinism guarantee, scored against the
+//! generator's planted balancers by [`validate_multipath`].
 
 #![warn(missing_docs)]
 

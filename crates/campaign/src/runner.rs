@@ -1,9 +1,10 @@
-//! The side-by-side campaign runner: a work-stealing pool of
+//! The side-by-side campaign runner: a pool of workers over one list of
 //! per-destination trace tasks.
 //!
 //! Execution is decomposed into `(destination, round)` work units — one
 //! Paris + one classic trace over a pristine per-unit simulator — that
-//! `workers` threads claim from pre-distributed work-stealing deques.
+//! `workers` threads claim one at a time from a shared cursor, the way
+//! the study's 32 probing processes worked down one destination list.
 //! Every random draw a unit makes (probe ports, dynamics, the
 //! simulator's own node RNGs) derives from `splitmix64` mixes of
 //! `(campaign seed, destination index, round)`, never from the worker
@@ -17,8 +18,8 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam_deque::{Steal, Stealer, Worker};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -338,12 +339,12 @@ fn run_whole<M: CampaignMode>(net: &SyntheticInternet, mode: &M) -> M::Result {
     mode.finalize(net, run_block(net, mode, 0..n_units))
 }
 
-/// Execute one contiguous block of units over the work-stealing pool —
-/// the whole campaign for [`run`] / [`run_multipath`], one checkpoint
-/// block for the crash-safe engine in [`crate::snapshot`]. Results are
-/// independent of the block partitioning because every unit's draws
-/// derive from `(seed, destination, round)` alone and the fold is
-/// order-insensitive.
+/// Execute one contiguous block of units over the worker pool — the
+/// whole campaign for [`run`] / [`run_multipath`], one checkpoint block
+/// for the crash-safe engine in [`crate::snapshot`]. Results are
+/// independent of the block partitioning, and of which worker claims
+/// which unit, because every unit's draws derive from `(seed,
+/// destination, round)` alone and the fold is order-insensitive.
 pub(crate) fn run_block<M: CampaignMode>(
     net: &SyntheticInternet,
     mode: &M,
@@ -355,25 +356,23 @@ pub(crate) fn run_block<M: CampaignMode>(
     }
     let workers = mode.workers().min(n_block).max(1);
 
-    // Pre-distribute units round-robin across per-worker deques; a
-    // worker that drains its own queue steals the oldest units from its
-    // siblings, so stragglers (expensive destinations, dynamics-heavy
-    // units) get rebalanced instead of serializing the tail.
-    let locals: Vec<Worker<UnitId>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<UnitId>> = locals.iter().map(Worker::stealer).collect();
-    for unit in units {
-        locals[unit as usize % workers].push(unit);
-    }
+    // One shared cursor: a worker's next unit is the lowest unclaimed
+    // one, so no worker idles while a unit is unclaimed and stragglers
+    // (expensive destinations, dynamics-heavy units) never serialize
+    // the tail behind one queue. The cursor counts *offsets* into the
+    // block in a `usize`: every exiting worker bumps it once past the
+    // end, which a `UnitId` cursor would wrap back to unit 0 on a block
+    // ending near `u32::MAX`. `Relaxed` suffices — the counter publishes
+    // no data, and the scope's joins order the folds.
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let offset = cursor.fetch_add(1, Ordering::Relaxed);
+        (offset < n_block).then(|| units.start + offset as UnitId)
+    };
 
     let outputs: Vec<M::Fold> = std::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .enumerate()
-            .map(|(worker_idx, local)| {
-                let stealers = &stealers;
-                scope.spawn(move || run_worker(worker_idx, local, stealers, net, mode))
-            })
-            .collect();
+        let handles: Vec<_> =
+            (0..workers).map(|_| scope.spawn(|| run_worker(claim, net, mode))).collect();
         // A worker thread only dies if the quarantine machinery itself
         // panicked (unit panics are caught inside `run_worker`).
         handles.into_iter().map(|h| h.join().expect("campaign worker died")).collect()
@@ -384,31 +383,6 @@ pub(crate) fn run_block<M: CampaignMode>(
         merged.absorb(out);
     }
     merged
-}
-
-/// Claim the next unit: own queue first, then steal the oldest work
-/// from siblings. No unit is ever pushed after the workers start, so an
-/// all-empty sweep means the campaign is drained.
-fn next_unit(
-    worker_idx: usize,
-    local: &Worker<UnitId>,
-    stealers: &[Stealer<UnitId>],
-) -> Option<UnitId> {
-    if let Some(unit) = local.pop() {
-        return Some(unit);
-    }
-    let n = stealers.len();
-    for off in 1..n {
-        let victim = &stealers[(worker_idx + off) % n];
-        loop {
-            match victim.steal() {
-                Steal::Success(unit) => return Some(unit),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-    }
-    None
 }
 
 /// Decode a unit id into `(dest_idx, round)` and derive its RNG stream.
@@ -433,16 +407,17 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// One worker: fold every unit `claim` hands out, until it hands out
+/// none. `claim` is the scheduler's whole freedom — production passes
+/// [`run_block`]'s shared cursor; a test substitutes any schedule.
 fn run_worker<M: CampaignMode>(
-    worker_idx: usize,
-    local: Worker<UnitId>,
-    stealers: &[Stealer<UnitId>],
+    mut claim: impl FnMut() -> Option<UnitId>,
     net: &SyntheticInternet,
     mode: &M,
 ) -> M::Fold {
     let mut state = WorkerState::<M::Scratch>::new(net);
     let mut out = M::Fold::empty();
-    while let Some(unit) = next_unit(worker_idx, &local, stealers) {
+    while let Some(unit) = claim() {
         // Unit isolation: a panicking unit is quarantined, not fatal.
         // `run_unit` mutates nothing outside itself — its results only
         // reach the fold via `ingest` after it returns — so catching
@@ -711,12 +686,12 @@ fn schedule_dynamics(
 
 // ---------------------------------------------------------------------
 // The multipath campaign mode: MDA per destination over the same
-// work-stealing (destination, round) pool.
+// (destination, round) worker pool.
 // ---------------------------------------------------------------------
 
 /// Multipath-campaign parameters: run windowed MDA discovery toward
-/// every destination, `rounds` times, over the work-stealing pool. The
-/// same determinism guarantee as the side-by-side campaign holds: every
+/// every destination, `rounds` times, over the worker pool. The same
+/// determinism guarantee as the side-by-side campaign holds: every
 /// draw derives from `(seed, destination, round)`, so the
 /// [`crate::report::multipath_digest`] is byte-identical for any worker
 /// count.
@@ -913,8 +888,8 @@ impl Fold for MultipathBlock {
 }
 
 /// Run a multipath-discovery campaign over `net`: windowed MDA toward
-/// every destination, on the same seed-derived, work-stealing
-/// `(destination, round)` pool as [`run`].
+/// every destination, on the same seed-derived `(destination, round)`
+/// worker pool as [`run`].
 pub fn run_multipath(net: &SyntheticInternet, config: &MultipathConfig) -> MultipathResult {
     run_whole(net, config)
 }
@@ -1537,5 +1512,125 @@ mod tests {
         );
         let fl = result.comparison.cycle_pct(pt_anomaly::stats::FinalCycleCause::ForwardingLoop);
         assert!(fl > 30.0, "forwarding-loop share of cycles: {fl}");
+    }
+
+    #[test]
+    fn a_block_ending_at_the_last_unit_id_is_claimed_exactly_once() {
+        // Every exiting worker bumps the cursor once past the block's
+        // end. Counted in unit ids, that bump wraps to unit 0 here and
+        // the workers start over on the whole id space — so the block
+        // runs on a thread of its own and never finishing is the failure.
+        let net = generate(&InternetConfig::tiny(42));
+        let cfg = CampaignConfig { workers: 8, seed: 99, ..CampaignConfig::default() };
+        let block = (u32::MAX - 5)..u32::MAX;
+        let (done, result) = std::sync::mpsc::channel();
+        let units = block.clone();
+        let runner = std::thread::spawn(move || {
+            let out = run_block(&net, &cfg, units);
+            // The receiver is gone only if the wait below timed out.
+            let _ = done.send(out.virtual_secs.iter().map(|(unit, _)| *unit).collect::<Vec<_>>());
+        });
+        let mut folded = result
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("workers still claiming units past the block's end: the cursor wrapped");
+        runner.join().expect("block runner panicked");
+        folded.sort_unstable();
+        assert_eq!(folded, block.collect::<Vec<_>>());
+    }
+
+    /// In-place Fisher–Yates (the `rand` stand-in has no `SliceRandom`).
+    fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.gen_range(0..=i));
+        }
+    }
+
+    /// Every unit of `mode` run once under a seeded schedule: a shuffled
+    /// claim order cut into `k` workers' runs of random (possibly empty)
+    /// lengths, each driven through `run_worker` in turn — no threads —
+    /// and the folds absorbed in a shuffled order.
+    fn run_scheduled<M: CampaignMode>(
+        net: &SyntheticInternet,
+        mode: &M,
+        k: usize,
+        rng: &mut StdRng,
+    ) -> M::Result {
+        let mut order: Vec<UnitId> = (0..mode.n_units(net)).collect();
+        shuffle(&mut order, rng);
+        let mut cuts: Vec<usize> = (1..k).map(|_| rng.gen_range(0..=order.len())).collect();
+        cuts.extend([0, order.len()]);
+        cuts.sort_unstable();
+        let mut folds: Vec<M::Fold> = cuts
+            .windows(2)
+            .map(|cut| {
+                let mut run = order[cut[0]..cut[1]].iter().copied();
+                run_worker(|| run.next(), net, mode)
+            })
+            .collect();
+        shuffle(&mut folds, rng);
+        let mut merged = M::Fold::empty();
+        for fold in folds {
+            merged.absorb(fold);
+        }
+        mode.finalize(net, merged)
+    }
+
+    #[test]
+    fn any_claim_schedule_folds_to_the_serial_result() {
+        // The scheduler's only freedom is who claims which unit when,
+        // and in what order the workers' folds meet. Enumerate that
+        // freedom from a seed instead of hoping two threads find it.
+        let net = generate(&InternetConfig::tiny(42));
+        let panic_units = |units: [u32; 2]| InjectConfig {
+            panic_units: BTreeSet::from(units),
+            ..InjectConfig::none()
+        };
+        // Kept routes are the order-sensitive list; two quarantined
+        // units make the quarantine list one too.
+        let traces = CampaignConfig {
+            rounds: 2,
+            workers: 1,
+            seed: 99,
+            keep_routes: true,
+            inject: panic_units([5, 41]),
+            ..CampaignConfig::default()
+        };
+        let walks = MultipathConfig {
+            workers: 1,
+            seed: 7,
+            inject: panic_units([3, 17]),
+            ..Default::default()
+        };
+        let serial_traces = run(&net, &traces);
+        let serial_walks = run_multipath(&net, &walks);
+        assert_eq!(serial_traces.quarantined.len(), 2);
+        assert_eq!(serial_walks.quarantined.len(), 2);
+        let traces_digest = crate::report::report_digest(&serial_traces);
+        let walks_digest = crate::report::multipath_digest(&serial_walks);
+
+        for seed in 0..32u64 {
+            let k = [1, 2, 3, 7][seed as usize % 4];
+            let rng = &mut StdRng::seed_from_u64(seed);
+
+            let got = run_scheduled(&net, &traces, k, rng);
+            assert_eq!(
+                crate::report::report_digest(&got),
+                traces_digest,
+                "seed {seed}, {k} workers"
+            );
+            assert_eq!(got.routes, serial_traces.routes, "seed {seed}, {k} workers");
+            assert_eq!(
+                got.mean_virtual_secs.to_bits(),
+                serial_traces.mean_virtual_secs.to_bits(),
+                "seed {seed}, {k} workers"
+            );
+
+            let got = run_scheduled(&net, &walks, k, rng);
+            assert_eq!(
+                crate::report::multipath_digest(&got),
+                walks_digest,
+                "seed {seed}, {k} workers"
+            );
+        }
     }
 }

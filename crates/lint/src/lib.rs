@@ -39,9 +39,9 @@ pub struct Outcome {
 /// - `target/`, hidden dirs, and the lint's own known-bad fixtures are
 ///   skipped.
 /// - `support/` is skipped: those crates are offline stand-ins for
-///   crates.io dependencies (`rand`, `proptest`, `crossbeam-deque`)
-///   and sit outside the determinism boundary — swapping in the real
-///   crates must not change what the lint covers.
+///   crates.io dependencies (`rand`, `proptest`) and sit outside the
+///   determinism boundary — swapping in the real crates must not
+///   change what the lint covers.
 /// - `crates/bench/` — today only the benchmark, `ptbench`
 ///   (`crates/bench/src/bin/ptbench/`) — may time things (that is its
 ///   job) but still must not draw entropy or hide `unsafe`.

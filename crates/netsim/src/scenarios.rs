@@ -390,6 +390,7 @@ pub fn forwarding_loop_chain() -> (Scenario, NodeId, NodeId) {
 mod tests {
     use super::*;
     use crate::sim::Simulator;
+    use crate::time::SimTime;
     use pt_wire::ipv4::{protocol, Ipv4Header};
     use pt_wire::FlowPolicy;
     use pt_wire::{IcmpMessage, Packet, Transport, UdpDatagram};
@@ -400,10 +401,15 @@ mod tests {
         Packet::new(ip, Transport::Udp(UdpDatagram::new(40123, dst_port, vec![0; 8])))
     }
 
+    /// Everything delivered to `node` so far, oldest first.
+    fn drain(sim: &mut Simulator, node: NodeId) -> Vec<(SimTime, Packet)> {
+        std::iter::from_fn(|| sim.pop_delivery(node)).collect()
+    }
+
     fn responder(sc: &Scenario, sim: &mut Simulator, ttl: u8, dst_port: u16) -> Option<Ipv4Addr> {
         sim.inject(sc.source, probe(sc, ttl, dst_port));
         sim.run_to_quiescence();
-        sim.take_inbox(sc.source).pop().map(|(_, p)| p.ip.src)
+        drain(sim, sc.source).pop().map(|(_, p)| p.ip.src)
     }
 
     #[test]
@@ -488,7 +494,7 @@ mod tests {
         for ttl in 6..=9 {
             sim.inject(sc.source, probe(&sc, ttl, 33435));
             sim.run_to_quiescence();
-            let (_, p) = sim.take_inbox(sc.source).pop().unwrap();
+            let (_, p) = drain(&mut sim, sc.source).pop().unwrap();
             addrs.push(p.ip.src);
             resp_ttls.push(p.ip.ttl);
         }
@@ -528,10 +534,10 @@ mod tests {
         let mut sim = Simulator::new(sc.topology.clone(), 2);
         sim.inject(sc.source, probe(&sc, 6, 33435));
         sim.run_to_quiescence();
-        let (_, first) = sim.take_inbox(sc.source).pop().unwrap();
+        let (_, first) = drain(&mut sim, sc.source).pop().unwrap();
         sim.inject(sc.source, probe(&sc, 7, 33436));
         sim.run_to_quiescence();
-        let (_, second) = sim.take_inbox(sc.source).pop().unwrap();
+        let (_, second) = drain(&mut sim, sc.source).pop().unwrap();
         assert_eq!(first.ip.src, sc.a("U"));
         assert_eq!(second.ip.src, sc.a("U"), "the loop");
         assert!(matches!(first.transport, Transport::Icmp(IcmpMessage::TimeExceeded { .. })));
@@ -568,17 +574,17 @@ mod tests {
         let h6 = {
             sim.inject(sc.source, probe(&sc, 6, 33435));
             sim.run_to_quiescence();
-            sim.take_inbox(sc.source).pop().unwrap().1.ip.src
+            drain(&mut sim, sc.source).pop().unwrap().1.ip.src
         };
         let h8 = {
             sim.inject(sc.source, probe(&sc, 8, 33436));
             sim.run_to_quiescence();
-            sim.take_inbox(sc.source).pop().unwrap().1.ip.src
+            drain(&mut sim, sc.source).pop().unwrap().1.ip.src
         };
         let h7 = {
             sim.inject(sc.source, probe(&sc, 7, 33437));
             sim.run_to_quiescence();
-            sim.take_inbox(sc.source).pop().unwrap().1.ip.src
+            drain(&mut sim, sc.source).pop().unwrap().1.ip.src
         };
         assert_eq!(h6, sc.a("X"));
         assert_eq!(h7, sc.a("Y"));

@@ -364,37 +364,6 @@ impl Simulator {
         while self.step() {}
     }
 
-    /// Take everything delivered to `node` since the last call.
-    ///
-    /// Allocates a fresh `Vec` per call — convenient in tests, wrong on
-    /// hot paths. Library code should use [`Simulator::take_inbox_into`]
-    /// (recycled buffer) or [`Simulator::pop_delivery`] instead.
-    ///
-    /// Debug builds enforce the epoch discipline: a node whose slot
-    /// still trails the simulator epoch has not participated in this
-    /// epoch at all, so any deliveries the caller hoped to read were
-    /// drained by [`Simulator::reset`]. Panicking beats silently
-    /// handing back an empty lane.
-    #[doc(hidden)]
-    pub fn take_inbox(&mut self, node: NodeId) -> Vec<(SimTime, Packet)> {
-        debug_assert_eq!(
-            self.state.nodes[node.0].epoch, self.state.epoch,
-            "take_inbox({node:?}) on a node untouched since the last reset: \
-             pre-reset deliveries were drained (stale-epoch read)"
-        );
-        let mut out = Vec::new();
-        self.take_inbox_into(node, &mut out);
-        out
-    }
-
-    /// Drain everything delivered to `node` since the last call into
-    /// `out`, appending. The lane's deque is drained in place (its
-    /// allocation survives), so round loops that pass a recycled buffer
-    /// reallocate nothing.
-    pub fn take_inbox_into(&mut self, node: NodeId, out: &mut Vec<(SimTime, Packet)>) {
-        out.extend(self.state.inbox[node.0].drain(..));
-    }
-
     /// Pop the oldest delivery to `node`, if any.
     pub fn pop_delivery(&mut self, node: NodeId) -> Option<(SimTime, Packet)> {
         self.state.inbox[node.0].pop_front()
@@ -996,6 +965,11 @@ mod tests {
         topo.node(s).primary_addr()
     }
 
+    /// Everything delivered to `node` so far, oldest first.
+    fn drain(sim: &mut Simulator, node: NodeId) -> Vec<(SimTime, Packet)> {
+        std::iter::from_fn(|| sim.pop_delivery(node)).collect()
+    }
+
     #[test]
     fn ttl_expiry_generates_time_exceeded_with_probe_ttl_one() {
         let (topo, s, _d, dst) = chain();
@@ -1003,7 +977,7 @@ mod tests {
         let probe = udp_probe(src_addr(&topo, s), dst, 1, 33435);
         sim.inject(s, probe);
         sim.run_to_quiescence();
-        let deliveries = sim.take_inbox(s);
+        let deliveries = drain(&mut sim, s);
         assert_eq!(deliveries.len(), 1);
         let (_, resp) = &deliveries[0];
         // Response comes from r1's S-facing interface.
@@ -1025,7 +999,7 @@ mod tests {
         let probe = udp_probe(src_addr(&topo, s), dst, 30, 34567);
         sim.inject(s, probe);
         sim.run_to_quiescence();
-        let deliveries = sim.take_inbox(s);
+        let deliveries = drain(&mut sim, s);
         assert_eq!(deliveries.len(), 1);
         match &deliveries[0].1.transport {
             Transport::Icmp(IcmpMessage::DestUnreachable { code, quotation }) => {
@@ -1044,7 +1018,7 @@ mod tests {
         let probe = Packet::new(ip, Transport::Icmp(IcmpMessage::echo_probe_classic(77, 3)));
         sim.inject(s, probe);
         sim.run_to_quiescence();
-        let deliveries = sim.take_inbox(s);
+        let deliveries = drain(&mut sim, s);
         assert_eq!(deliveries.len(), 1);
         match &deliveries[0].1.transport {
             Transport::Icmp(IcmpMessage::EchoReply { identifier, seq, .. }) => {
@@ -1064,7 +1038,7 @@ mod tests {
         let probe = udp_probe(src_addr(&topo, s), dst, 2, 33435);
         sim.inject(s, probe);
         sim.run_to_quiescence();
-        let deliveries = sim.take_inbox(s);
+        let deliveries = drain(&mut sim, s);
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].1.ip.ttl, 254);
     }
@@ -1076,11 +1050,11 @@ mod tests {
         let t0 = sim.now();
         sim.inject(s, udp_probe(src_addr(&topo, s), dst, 1, 33435));
         sim.run_to_quiescence();
-        let rtt1 = sim.take_inbox(s)[0].0.since(t0);
+        let rtt1 = drain(&mut sim, s)[0].0.since(t0);
         let t1 = sim.now();
         sim.inject(s, udp_probe(src_addr(&topo, s), dst, 2, 33436));
         sim.run_to_quiescence();
-        let rtt2 = sim.take_inbox(s)[0].0.since(t1);
+        let rtt2 = drain(&mut sim, s)[0].0.since(t1);
         assert_eq!(rtt1, SimDuration::from_millis(2), "hop 1: 1ms out + 1ms back");
         assert_eq!(rtt2, SimDuration::from_millis(4), "hop 2: 2ms out + 2ms back");
     }
@@ -1093,7 +1067,7 @@ mod tests {
         for i in 0..3 {
             sim.inject(s, udp_probe(src_addr(&topo, s), dst, 1, 33435 + i));
             sim.run_to_quiescence();
-            ids.push(sim.take_inbox(s)[0].1.ip.identification);
+            ids.push(drain(&mut sim, s)[0].1.ip.identification);
         }
         assert_eq!(ids[1], ids[0].wrapping_add(1));
         assert_eq!(ids[2], ids[1].wrapping_add(1));
@@ -1117,12 +1091,12 @@ mod tests {
         let mut sim = Simulator::new(topo.clone(), 3);
         sim.inject(s, udp_probe(src_addr(&topo, s), dst, 1, 33435));
         sim.run_to_quiescence();
-        assert!(sim.take_inbox(s).is_empty(), "silent router must not answer");
+        assert!(drain(&mut sim, s).is_empty(), "silent router must not answer");
         assert_eq!(sim.stats().dropped_silent, 1);
         // But probes pass through it fine.
         sim.inject(s, udp_probe(src_addr(&topo, s), dst, 5, 33436));
         sim.run_to_quiescence();
-        assert_eq!(sim.take_inbox(s).len(), 1, "transit still works");
+        assert_eq!(drain(&mut sim, s).len(), 1, "transit still works");
     }
 
     #[test]
@@ -1149,7 +1123,7 @@ mod tests {
         // with probe TTL 0.
         sim.inject(s, udp_probe(src_addr(&topo, s), dst, 1, 33435));
         sim.run_to_quiescence();
-        let deliveries = sim.take_inbox(s);
+        let deliveries = drain(&mut sim, s);
         assert_eq!(deliveries.len(), 1);
         let a_id = topo.find("A").unwrap();
         assert_eq!(deliveries[0].1.ip.src, topo.node(a_id).ifaces[0].addr);
@@ -1163,7 +1137,7 @@ mod tests {
         // same responding interface — the Fig. 4 loop.
         sim.inject(s, udp_probe(src_addr(&topo, s), dst, 2, 33436));
         sim.run_to_quiescence();
-        let deliveries = sim.take_inbox(s);
+        let deliveries = drain(&mut sim, s);
         match &deliveries[0].1.transport {
             Transport::Icmp(IcmpMessage::TimeExceeded { quotation }) => {
                 assert_eq!(quotation.ip.ttl, 1);
@@ -1191,13 +1165,13 @@ mod tests {
         // TTL 1 expires normally: Time Exceeded.
         sim.inject(s, udp_probe(src, dst, 1, 33435));
         sim.run_to_quiescence();
-        let first = sim.take_inbox(s);
+        let first = drain(&mut sim, s);
         assert!(matches!(&first[0].1.transport, Transport::Icmp(IcmpMessage::TimeExceeded { .. })));
         // TTL 2 would be forwarded, but forwarding is broken: !H, same
         // address — the unreachability loop.
         sim.inject(s, udp_probe(src, dst, 2, 33436));
         sim.run_to_quiescence();
-        let second = sim.take_inbox(s);
+        let second = drain(&mut sim, s);
         match &second[0].1.transport {
             Transport::Icmp(IcmpMessage::DestUnreachable { code, .. }) => {
                 assert_eq!(*code, UnreachableCode::Host);
@@ -1228,7 +1202,7 @@ mod tests {
             for i in 0..20 {
                 sim.inject(s, udp_probe(src_addr(&topo, s), dst, 5, 34000 + i));
                 sim.run_to_quiescence();
-                got += sim.take_inbox(s).len();
+                got += drain(&mut sim, s).len();
             }
             (got, sim.stats().dropped_loss)
         };
@@ -1267,13 +1241,13 @@ mod tests {
         );
         sim.inject(s, udp_probe(src_addr(&topo, s), dst, 5, 33435));
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(9));
-        assert_eq!(sim.take_inbox(s).len(), 1, "before the change, reachable");
+        assert_eq!(drain(&mut sim, s).len(), 1, "before the change, reachable");
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(11));
         sim.inject(s, udp_probe(src_addr(&topo, s), dst, 5, 33436));
         sim.run_to_quiescence();
         // The probe dies at r for lack of a route (s_pfx route remains,
         // but dst no longer matches anything).
-        assert!(sim.take_inbox(s).is_empty());
+        assert!(drain(&mut sim, s).is_empty());
         assert!(sim.stats().dropped_no_route >= 1);
     }
 
@@ -1318,7 +1292,7 @@ mod tests {
         for _ in 0..8 {
             sim.inject(s, udp_probe(src, dst, 2, 33435));
             sim.run_to_quiescence();
-            addrs_same_flow.insert(sim.take_inbox(s)[0].1.ip.src);
+            addrs_same_flow.insert(drain(&mut sim, s)[0].1.ip.src);
         }
         assert_eq!(addrs_same_flow.len(), 1, "one flow, one path");
         // Varying ports across enough probes hits both routers.
@@ -1326,7 +1300,7 @@ mod tests {
         for i in 0..32 {
             sim.inject(s, udp_probe(src, dst, 2, 33435 + i));
             sim.run_to_quiescence();
-            addrs_varying.insert(sim.take_inbox(s)[0].1.ip.src);
+            addrs_varying.insert(drain(&mut sim, s)[0].1.ip.src);
         }
         assert_eq!(addrs_varying.len(), 2, "varying flows explore both paths");
     }
@@ -1362,7 +1336,7 @@ mod tests {
         for _ in 0..32 {
             sim.inject(s, udp_probe(src, dst, 2, 33435)); // identical flow
             sim.run_to_quiescence();
-            addrs.insert(sim.take_inbox(s)[0].1.ip.src);
+            addrs.insert(drain(&mut sim, s)[0].1.ip.src);
         }
         assert_eq!(addrs.len(), 2, "per-packet balancing ignores the flow");
     }
@@ -1397,14 +1371,14 @@ mod tests {
         // and gets rewritten to the public address.
         sim.inject(s, udp_probe(src, dst, 2, 33435));
         sim.run_to_quiescence();
-        let deliveries = sim.take_inbox(s);
+        let deliveries = drain(&mut sim, s);
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].1.ip.src, public, "SNAT applied");
         assert!(sim.stats().nat_rewrites >= 1);
         // Hop 1 (N itself) answers from its own address untouched.
         sim.inject(s, udp_probe(src, dst, 1, 33436));
         sim.run_to_quiescence();
-        assert_eq!(sim.take_inbox(s)[0].1.ip.src, public);
+        assert_eq!(drain(&mut sim, s)[0].1.ip.src, public);
     }
 
     #[test]
@@ -1428,13 +1402,11 @@ mod tests {
         let topo = Arc::new(b.build());
         let src = src_addr(&topo, s);
         let run = |sim: &mut Simulator| {
-            let mut got = Vec::new();
             for i in 0..12 {
                 sim.inject(s, udp_probe(src, dst, 5, 34000 + i));
                 sim.run_to_quiescence();
             }
-            sim.take_inbox_into(s, &mut got);
-            (got, sim.stats())
+            (drain(sim, s), sim.stats())
         };
         let mut fresh = Simulator::new(topo.clone(), 42);
         let expected = run(&mut fresh);
@@ -1460,7 +1432,7 @@ mod tests {
         // And the sim still works end to end after the reset.
         sim.inject(s, udp_probe(src_addr(&topo, s), dst, 30, 34567));
         sim.run_to_quiescence();
-        assert_eq!(sim.take_inbox(s).len(), 1);
+        assert_eq!(drain(&mut sim, s).len(), 1);
     }
 
     #[test]
@@ -1477,7 +1449,7 @@ mod tests {
         for i in 0..40 {
             sim.inject(s, udp_probe(src, dst, 30, 35000 + i));
             sim.run_to_quiescence();
-            sim.take_inbox(s);
+            drain(&mut sim, s);
         }
         assert_eq!(
             sim.arena_slots(),
@@ -1510,7 +1482,7 @@ mod tests {
         sim.inject(s, udp_probe(src, dst, 1, 33435));
         sim.inject(s, udp_probe(src, dst, 1, 33436));
         sim.run_to_quiescence();
-        assert_eq!(sim.take_inbox(s).len(), 1, "second ICMP rate-limited");
+        assert_eq!(drain(&mut sim, s).len(), 1, "second ICMP rate-limited");
         assert_eq!(sim.stats().dropped_rate_limited, 1);
     }
 
@@ -1550,7 +1522,7 @@ mod tests {
             sim.inject(s, udp_probe(src, dst, 1, 33435 + i));
         }
         sim.run_to_quiescence();
-        assert_eq!(sim.take_inbox(s).len(), 3, "burst admits exactly `burst` ICMPs");
+        assert_eq!(drain(&mut sim, s).len(), 3, "burst admits exactly `burst` ICMPs");
         assert_eq!(sim.stats().dropped_rate_limited, 2);
         // After one refill interval a single token is back: a retry at
         // lower rate resolves where the back-to-back probe starred.
@@ -1558,7 +1530,7 @@ mod tests {
         sim.inject(s, udp_probe(src, dst, 1, 33440));
         sim.inject(s, udp_probe(src, dst, 1, 33441));
         sim.run_to_quiescence();
-        assert_eq!(sim.take_inbox(s).len(), 1, "one minted token, one answer");
+        assert_eq!(drain(&mut sim, s).len(), 1, "one minted token, one answer");
     }
 
     #[test]
@@ -1578,7 +1550,7 @@ mod tests {
                 sim.inject(s, udp_probe(src, dst, 1, 34000 + i));
             }
             sim.run_to_quiescence();
-            (sim.take_inbox(s).len(), sim.stats().dropped_rate_limited)
+            (drain(sim, s).len(), sim.stats().dropped_rate_limited)
         };
         let mut fresh = Simulator::new(topo.clone(), 42);
         let expected = run(&mut fresh);
@@ -1596,17 +1568,17 @@ mod tests {
         // TTL 1 expires inside the "tunnel": no Time Exceeded, ever.
         sim.inject(s, udp_probe(src, dst, 1, 33435));
         sim.run_to_quiescence();
-        assert!(sim.take_inbox(s).is_empty(), "LSP interior sources no ICMP");
+        assert!(drain(&mut sim, s).is_empty(), "LSP interior sources no ICMP");
         assert_eq!(sim.stats().dropped_mpls_hidden, 1);
         // Transit is label-switched through just fine.
         sim.inject(s, udp_probe(src, dst, 5, 33436));
         sim.run_to_quiescence();
-        assert_eq!(sim.take_inbox(s).len(), 1, "transit unaffected");
+        assert_eq!(drain(&mut sim, s).len(), 1, "transit unaffected");
         // And unlike `silent`, a probe addressed *to* the router answers.
         let r_addr = topo.node(topo.find("r").unwrap()).ifaces[0].addr;
         sim.inject(s, udp_probe(src, r_addr, 5, 33437));
         sim.run_to_quiescence();
-        assert_eq!(sim.take_inbox(s).len(), 1, "direct probe still answered");
+        assert_eq!(drain(&mut sim, s).len(), 1, "direct probe still answered");
     }
 
     #[test]
@@ -1617,23 +1589,23 @@ mod tests {
         // UDP toward the destination dies at the firewall.
         sim.inject(s, udp_probe(src, dst, 5, 33435));
         sim.run_to_quiescence();
-        assert!(sim.take_inbox(s).is_empty(), "UDP transit filtered");
+        assert!(drain(&mut sim, s).is_empty(), "UDP transit filtered");
         assert_eq!(sim.stats().dropped_filtered, 1);
         // The firewall itself still answers expiring probes (TTL 1).
         sim.inject(s, udp_probe(src, dst, 1, 33436));
         sim.run_to_quiescence();
-        assert_eq!(sim.take_inbox(s).len(), 1, "expiry at the filter answers");
+        assert_eq!(drain(&mut sim, s).len(), 1, "expiry at the filter answers");
         // ICMP echo passes the filter and draws a reply.
         let ip = Ipv4Header::new(src, dst, protocol::ICMP, 30);
         sim.inject(s, Packet::new(ip, Transport::Icmp(IcmpMessage::echo_probe_classic(5, 1))));
         sim.run_to_quiescence();
-        assert_eq!(sim.take_inbox(s).len(), 1, "ICMP passes");
+        assert_eq!(drain(&mut sim, s).len(), 1, "ICMP passes");
         // TCP SYN passes and draws a SYN-ACK/RST.
         let ip = Ipv4Header::new(src, dst, protocol::TCP, 30);
         let syn = TcpSegment::syn_probe(33000, 80, 7);
         sim.inject(s, Packet::new(ip, Transport::Tcp(syn)));
         sim.run_to_quiescence();
-        assert_eq!(sim.take_inbox(s).len(), 1, "TCP passes");
+        assert_eq!(drain(&mut sim, s).len(), 1, "TCP passes");
     }
 
     #[test]
@@ -1656,22 +1628,8 @@ mod tests {
         let t0 = sim.now();
         sim.inject(s, udp_probe(src_addr(&topo, s), dst, 30, 34567));
         sim.run_to_quiescence();
-        let rtt = sim.take_inbox(s)[0].0.since(t0);
+        let rtt = drain(&mut sim, s)[0].0.since(t0);
         // 1 + 1 out, 9 + 1 back.
         assert_eq!(rtt, SimDuration::from_millis(12), "reverse path dominates the RTT");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "stale-epoch read")]
-    fn take_inbox_panics_on_a_stale_epoch_read() {
-        let (topo, s, _d, dst) = chain();
-        let mut sim = Simulator::new(topo.clone(), 1);
-        sim.inject(s, udp_probe(src_addr(&topo, s), dst, 1, 33435));
-        sim.run_to_quiescence();
-        // Reset drains the lane; reading it without re-touching the
-        // node is exactly the silent-empty bug the assert catches.
-        sim.reset(1);
-        let _ = sim.take_inbox(s);
     }
 }

@@ -4,12 +4,17 @@
 use proptest::prelude::*;
 use pt_netsim::addr::Ipv4Prefix;
 use pt_netsim::node::{BalancerKind, HostConfig, RouterConfig};
-use pt_netsim::time::SimDuration;
+use pt_netsim::time::{SimDuration, SimTime};
 use pt_netsim::{NodeId, SimTransport, Simulator, Topology, TopologyBuilder};
 use pt_wire::ipv4::{protocol, Ipv4Header};
 use pt_wire::{FlowPolicy, Packet, Transport, UdpDatagram};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+
+/// Everything delivered to `node` so far, oldest first.
+fn drain(sim: &mut Simulator, node: NodeId) -> Vec<(SimTime, Packet)> {
+    std::iter::from_fn(|| sim.pop_delivery(node)).collect()
+}
 
 /// A random linear chain with optional balanced middle and random loss.
 fn build_random(
@@ -121,7 +126,7 @@ proptest! {
                 sim.inject(s, probe(src, dst, ttl, 33_000 + u16::from(ttl)));
             }
             sim.run_to_quiescence();
-            sim.take_inbox(s)
+            drain(&mut sim, s)
                 .into_iter()
                 .map(|(t, p)| (t, p.emit()))
                 .collect::<Vec<_>>()
@@ -141,7 +146,7 @@ proptest! {
         for _ in 0..6 {
             sim.inject(s, probe(src, dst, 4, port));
             sim.run_to_quiescence();
-            for (_, p) in sim.take_inbox(s) {
+            for (_, p) in drain(&mut sim, s) {
                 responders.insert(p.ip.src);
             }
         }
@@ -160,7 +165,7 @@ proptest! {
         for i in 0..5u16 {
             sim.inject(s, probe(src, dst, 1, 33_435 + i));
             sim.run_to_quiescence();
-            for (_, p) in sim.take_inbox(s) {
+            for (_, p) in drain(&mut sim, s) {
                 ids.push(p.ip.identification);
             }
         }

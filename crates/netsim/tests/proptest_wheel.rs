@@ -200,7 +200,6 @@ fn run_digest(shift: Option<u32>) -> String {
         Some(pt_netsim::NextHop::Iface(1)),
     );
     let mut digest = String::new();
-    let mut inbox = Vec::new();
     for burst in 0..40u64 {
         for ttl in 1..=6u8 {
             let ip = Ipv4Header::new(src, dst, protocol::UDP, ttl);
@@ -210,15 +209,13 @@ fn run_digest(shift: Option<u32>) -> String {
         // Interleave partial draining with injection so the wheel's
         // cursor weaves through buckets while events are pending.
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(60 * (burst + 1)));
-        sim.take_inbox_into(s, &mut inbox);
-        for (at, p) in inbox.drain(..) {
+        while let Some((at, p)) = sim.pop_delivery(s) {
             writeln!(digest, "{} {} {} {}", at.nanos(), p.ip.src, p.ip.ttl, p.ip.identification)
                 .unwrap();
         }
     }
     sim.run_to_quiescence();
-    sim.take_inbox_into(s, &mut inbox);
-    for (at, p) in inbox.drain(..) {
+    while let Some((at, p)) = sim.pop_delivery(s) {
         writeln!(digest, "{} {} {} {}", at.nanos(), p.ip.src, p.ip.ttl, p.ip.identification)
             .unwrap();
     }
