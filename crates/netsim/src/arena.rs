@@ -1,13 +1,13 @@
 //! Slab storage for in-flight packets.
 //!
-//! The event queue used to move [`Packet`] by value: every heap
-//! sift-up/sift-down copied a ~100-byte enum (with its owned payload
-//! `Vec` pointer) around, and every response the simulator originated
-//! allocated fresh payload storage. The arena parks each in-flight
-//! packet in a slab slot and hands the event queue a 4-byte
-//! [`PacketRef`] instead, so the steady-state forwarding path moves
-//! indices, mutates TTL/src in place, and — together with the payload
-//! buffer pool — performs no per-event heap allocation:
+//! The event queue used to move [`Packet`] by value: every reordering
+//! copied a ~100-byte enum (with its owned payload `Vec` pointer)
+//! around, and every response the simulator originated allocated fresh
+//! payload storage. The arena parks each in-flight packet in a slab
+//! slot and hands the event queue a 4-byte [`PacketRef`] instead, so
+//! the steady-state forwarding path moves indices, mutates TTL/src in
+//! place, and — together with the payload buffer pool — performs no
+//! per-event heap allocation:
 //!
 //! * slots are recycled through a free list, so a simulator that keeps a
 //!   bounded number of packets in flight stops growing after warm-up;
@@ -15,6 +15,10 @@
 //!   reused by echo replies (and by anyone calling
 //!   [`PacketArena::grab_payload`]), closing the allocation loop that
 //!   `payload.clone()` used to reopen on every Echo exchange.
+//!
+//! The sorted deque the queue became in PR 20 shifts entries on insert,
+//! so the small event still pays: carrying the packet inside it measured
+//! 8–12 % slower on `survey` (`docs/PERFORMANCE.md`, PR 20).
 //!
 //! The arena is deliberately not generation-checked: refs are created
 //! and consumed only by the simulator's event loop, which owns every

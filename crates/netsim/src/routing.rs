@@ -5,7 +5,6 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 use crate::addr::Ipv4Prefix;
 use crate::node::BalancerKind;
@@ -396,64 +395,6 @@ impl<'a> NodeRouting<'a> {
     }
 }
 
-/// An owning base-plus-delta pair: [`RouteDelta`] behind a shared
-/// [`RoutingTable`], for callers outside the simulator (the simulator
-/// itself stores bare deltas and borrows bases from its topology, so
-/// constructing it performs no per-node `Arc` traffic at all).
-#[derive(Debug, Clone)]
-pub struct RouteOverlay {
-    base: Arc<RoutingTable>,
-    delta: RouteDelta,
-}
-
-impl RouteOverlay {
-    /// An overlay over `base` with no changes yet.
-    pub fn new(base: Arc<RoutingTable>) -> Self {
-        RouteOverlay { base, delta: RouteDelta::new() }
-    }
-
-    /// The shared base table.
-    pub fn base(&self) -> &Arc<RoutingTable> {
-        &self.base
-    }
-
-    /// The merged read-only view.
-    pub fn view(&self) -> NodeRouting<'_> {
-        NodeRouting::new(&self.base, &self.delta)
-    }
-
-    /// True when no route differs from the base.
-    pub fn is_pristine(&self) -> bool {
-        self.delta.is_pristine()
-    }
-
-    /// Install or replace the route for exactly `prefix`.
-    pub fn set(&mut self, prefix: Ipv4Prefix, next_hop: NextHop) {
-        self.delta.set(prefix, next_hop);
-    }
-
-    /// Remove the route for exactly `prefix` (a no-op if absent).
-    pub fn remove(&mut self, prefix: Ipv4Prefix) {
-        self.delta.remove(&self.base, prefix);
-    }
-
-    /// Longest-prefix-match lookup over the merged view.
-    pub fn lookup(&self, dst: Ipv4Addr) -> Option<&NextHop> {
-        self.view().lookup(dst)
-    }
-
-    /// Longest-prefix-match lookup over the merged view, also reporting
-    /// which prefix matched.
-    pub fn lookup_entry(&self, dst: Ipv4Addr) -> Option<(Ipv4Prefix, &NextHop)> {
-        self.view().lookup_entry(dst)
-    }
-
-    /// Materialize the merged view as a plain table.
-    pub fn flatten(&self) -> RoutingTable {
-        self.view().flatten()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,90 +510,94 @@ mod overlay_tests {
         Ipv4Prefix::new(Ipv4Addr::from(s), len)
     }
 
-    fn base() -> Arc<RoutingTable> {
+    fn base() -> RoutingTable {
         let mut t = RoutingTable::new();
         t.set(Ipv4Prefix::DEFAULT, NextHop::Iface(0));
         t.set(p([10, 0, 0, 0], 8), NextHop::Iface(1));
         t.set(Ipv4Prefix::host(Ipv4Addr::new(10, 9, 9, 9)), NextHop::Iface(9));
-        Arc::new(t)
+        t
+    }
+
+    /// What `SimState::forward` consults: the node's delta over the
+    /// topology's base table.
+    fn lookup<'a>(
+        base: &'a RoutingTable,
+        delta: &'a RouteDelta,
+        a: [u8; 4],
+    ) -> Option<&'a NextHop> {
+        NodeRouting::new(base, delta).lookup(Ipv4Addr::from(a))
     }
 
     #[test]
     fn pristine_overlay_mirrors_base() {
-        let o = RouteOverlay::new(base());
-        assert!(o.is_pristine());
-        assert_eq!(o.lookup(Ipv4Addr::new(10, 2, 3, 4)), Some(&NextHop::Iface(1)));
-        assert_eq!(o.lookup(Ipv4Addr::new(10, 9, 9, 9)), Some(&NextHop::Iface(9)));
-        assert_eq!(o.lookup(Ipv4Addr::new(192, 0, 2, 1)), Some(&NextHop::Iface(0)));
+        let (base, d) = (base(), RouteDelta::new());
+        assert!(d.is_pristine());
+        assert_eq!(lookup(&base, &d, [10, 2, 3, 4]), Some(&NextHop::Iface(1)));
+        assert_eq!(lookup(&base, &d, [10, 9, 9, 9]), Some(&NextHop::Iface(9)));
+        assert_eq!(lookup(&base, &d, [192, 0, 2, 1]), Some(&NextHop::Iface(0)));
     }
 
     #[test]
     fn delta_set_shadows_base() {
-        let mut o = RouteOverlay::new(base());
-        o.set(p([10, 0, 0, 0], 8), NextHop::Iface(4));
-        assert_eq!(o.lookup(Ipv4Addr::new(10, 2, 3, 4)), Some(&NextHop::Iface(4)));
+        let (base, mut d) = (base(), RouteDelta::new());
+        d.set(p([10, 0, 0, 0], 8), NextHop::Iface(4));
+        assert_eq!(lookup(&base, &d, [10, 2, 3, 4]), Some(&NextHop::Iface(4)));
         // More specific delta entry beats a shorter base entry.
-        o.set(p([10, 2, 0, 0], 16), NextHop::Iface(5));
-        assert_eq!(o.lookup(Ipv4Addr::new(10, 2, 3, 4)), Some(&NextHop::Iface(5)));
-        assert_eq!(o.lookup(Ipv4Addr::new(10, 3, 3, 4)), Some(&NextHop::Iface(4)));
+        d.set(p([10, 2, 0, 0], 16), NextHop::Iface(5));
+        assert_eq!(lookup(&base, &d, [10, 2, 3, 4]), Some(&NextHop::Iface(5)));
+        assert_eq!(lookup(&base, &d, [10, 3, 3, 4]), Some(&NextHop::Iface(4)));
     }
 
     #[test]
     fn tombstone_masks_base_and_falls_through() {
-        let mut o = RouteOverlay::new(base());
-        o.remove(p([10, 0, 0, 0], 8));
+        let (base, mut d) = (base(), RouteDelta::new());
+        d.remove(&base, p([10, 0, 0, 0], 8));
         // The /8 is gone; the default still matches.
-        assert_eq!(o.lookup(Ipv4Addr::new(10, 2, 3, 4)), Some(&NextHop::Iface(0)));
+        assert_eq!(lookup(&base, &d, [10, 2, 3, 4]), Some(&NextHop::Iface(0)));
         // Removing a base host route re-exposes shorter prefixes.
-        o.remove(Ipv4Prefix::host(Ipv4Addr::new(10, 9, 9, 9)));
-        assert_eq!(o.lookup(Ipv4Addr::new(10, 9, 9, 9)), Some(&NextHop::Iface(0)));
+        d.remove(&base, Ipv4Prefix::host(Ipv4Addr::new(10, 9, 9, 9)));
+        assert_eq!(lookup(&base, &d, [10, 9, 9, 9]), Some(&NextHop::Iface(0)));
     }
 
     #[test]
     fn set_then_remove_of_novel_route_leaves_no_delta() {
-        let mut o = RouteOverlay::new(base());
-        let dest = Ipv4Addr::new(172, 16, 0, 1);
-        o.set(Ipv4Prefix::host(dest), NextHop::Iface(3));
-        assert_eq!(o.lookup(dest), Some(&NextHop::Iface(3)));
-        o.remove(Ipv4Prefix::host(dest));
-        assert_eq!(o.lookup(dest), Some(&NextHop::Iface(0)));
-        assert!(o.is_pristine(), "novel set+remove must not grow the delta");
+        let (base, mut d) = (base(), RouteDelta::new());
+        let dest = [172, 16, 0, 1];
+        d.set(Ipv4Prefix::host(Ipv4Addr::from(dest)), NextHop::Iface(3));
+        assert_eq!(lookup(&base, &d, dest), Some(&NextHop::Iface(3)));
+        d.remove(&base, Ipv4Prefix::host(Ipv4Addr::from(dest)));
+        assert_eq!(lookup(&base, &d, dest), Some(&NextHop::Iface(0)));
+        assert!(d.is_pristine(), "novel set+remove must not grow the delta");
     }
 
     #[test]
     fn lookup_entry_reports_prefix_across_layers() {
-        let mut o = RouteOverlay::new(base());
+        let (base, mut d) = (base(), RouteDelta::new());
         let a = Ipv4Addr::new(10, 2, 3, 4);
-        assert_eq!(o.lookup_entry(a).unwrap().0, p([10, 0, 0, 0], 8));
-        o.set(p([10, 2, 0, 0], 16), NextHop::Iface(5));
-        assert_eq!(o.lookup_entry(a).unwrap().0, p([10, 2, 0, 0], 16));
-        assert_eq!(o.lookup_entry(Ipv4Addr::new(10, 9, 9, 9)).unwrap().0.len(), 32);
+        assert_eq!(NodeRouting::new(&base, &d).lookup_entry(a).unwrap().0, p([10, 0, 0, 0], 8));
+        d.set(p([10, 2, 0, 0], 16), NextHop::Iface(5));
+        let view = NodeRouting::new(&base, &d);
+        assert_eq!(view.lookup_entry(a).unwrap().0, p([10, 2, 0, 0], 16));
+        assert_eq!(view.lookup_entry(Ipv4Addr::new(10, 9, 9, 9)).unwrap().0.len(), 32);
     }
 
     #[test]
     fn flatten_matches_overlay_lookups() {
-        let mut o = RouteOverlay::new(base());
-        o.set(p([10, 2, 0, 0], 16), NextHop::Iface(5));
-        o.remove(p([10, 0, 0, 0], 8));
-        o.set(Ipv4Prefix::host(Ipv4Addr::new(192, 0, 2, 7)), NextHop::Blackhole);
-        let flat = o.flatten();
-        for addr in [
-            Ipv4Addr::new(10, 2, 3, 4),
-            Ipv4Addr::new(10, 3, 3, 4),
-            Ipv4Addr::new(10, 9, 9, 9),
-            Ipv4Addr::new(192, 0, 2, 7),
-            Ipv4Addr::new(192, 0, 2, 8),
-        ] {
-            assert_eq!(o.lookup(addr), flat.lookup(addr), "addr {addr}");
+        let (base, mut d) = (base(), RouteDelta::new());
+        d.set(p([10, 2, 0, 0], 16), NextHop::Iface(5));
+        d.remove(&base, p([10, 0, 0, 0], 8));
+        d.set(Ipv4Prefix::host(Ipv4Addr::new(192, 0, 2, 7)), NextHop::Blackhole);
+        let flat = NodeRouting::new(&base, &d).flatten();
+        for addr in [[10, 2, 3, 4], [10, 3, 3, 4], [10, 9, 9, 9], [192, 0, 2, 7], [192, 0, 2, 8]] {
+            assert_eq!(lookup(&base, &d, addr), flat.lookup(Ipv4Addr::from(addr)), "addr {addr:?}");
         }
     }
 
     #[test]
     fn overlay_does_not_touch_base() {
-        let shared = base();
-        let mut o = RouteOverlay::new(Arc::clone(&shared));
-        o.set(Ipv4Prefix::DEFAULT, NextHop::Blackhole);
-        o.remove(p([10, 0, 0, 0], 8));
+        let (shared, mut d) = (base(), RouteDelta::new());
+        d.set(Ipv4Prefix::DEFAULT, NextHop::Blackhole);
+        d.remove(&shared, p([10, 0, 0, 0], 8));
         assert_eq!(shared.lookup(Ipv4Addr::new(10, 2, 3, 4)), Some(&NextHop::Iface(1)));
         assert_eq!(shared.lookup(Ipv4Addr::new(192, 0, 2, 1)), Some(&NextHop::Iface(0)));
     }

@@ -4,10 +4,10 @@
 //! Event ordering is strictly `(time, sequence)` and all randomness comes
 //! from per-node `StdRng`s derived from the global seed, so a run is a
 //! pure function of `(topology, seed, injected packets, scheduled route
-//! changes)`. The schedule itself is a hierarchical timing wheel
-//! ([`crate::wheel::EventWheel`]): O(1) amortized schedule/pop with no
-//! per-event allocation, popping in exactly the `(time, sequence)` order
-//! a binary heap would.
+//! changes)`. The schedule itself is a deque kept sorted by that key
+//! ([`crate::wheel::EventWheel`]) — the tracers' windows never leave
+//! more than a dozen or so events pending — with no per-event
+//! allocation.
 //!
 //! In-flight packets are arena-resident ([`crate::arena::PacketArena`]):
 //! events and the forwarding hot path move 4-byte [`PacketRef`] handles,
@@ -80,7 +80,7 @@ enum EventKind {
     /// A packet arrives at `node`. `iface_in` is `None` for packets the
     /// node itself originates (injections and generated responses). The
     /// packet itself stays parked in the arena: the event (and every
-    /// heap sift it goes through) carries only the 4-byte handle.
+    /// queue insert that shifts it) carries only the 4-byte handle.
     Arrival { node: NodeId, iface_in: Option<usize>, packet: PacketRef },
     /// Install (`Some`) or remove (`None`) a route at `node` — the
     /// routing-dynamics hook.
@@ -159,9 +159,9 @@ pub struct Simulator {
 struct SimState {
     clock: SimTime,
     next_seq: u64,
-    /// Pending events, popped in exact `(time, seq)` order — a timing
-    /// wheel, so `schedule`/`step` are O(1) amortized with no per-event
-    /// allocation (see [`crate::wheel`]).
+    /// Pending events, popped in exact `(time, seq)` order — a sorted
+    /// deque a handful of entries long, so `schedule`/`step` touch a few
+    /// entries and allocate nothing per event (see [`crate::wheel`]).
     queue: EventWheel<EventKind>,
     nodes: Vec<NodeState>,
     /// Delivery lanes, one per node, indexed by `NodeId` — no hashing
@@ -236,9 +236,7 @@ impl Simulator {
     /// round)` campaign work unit.
     pub fn reset(&mut self, seed: u64) {
         let st = &mut self.state;
-        // clear() hands events back in arbitrary order — ordering is
-        // irrelevant when everything is being released — and keeps the
-        // wheel's slab and batch capacities warm.
+        // clear() keeps the queue's capacity warm.
         let arena = &mut st.arena;
         st.queue.clear(|kind| {
             if let EventKind::Arrival { packet, .. } = kind {
@@ -261,16 +259,6 @@ impl Simulator {
     /// The shared topology.
     pub fn topology(&self) -> &Arc<Topology> {
         &self.topo
-    }
-
-    /// Replace the event queue with one using `2^shift`-ns wheel
-    /// buckets. Bucket width is a pure performance knob — event order
-    /// (and therefore every digest) is identical for any value, which
-    /// `proptest_wheel.rs` pins. Only callable while no events are
-    /// pending (typically right after construction or a reset).
-    pub fn set_wheel_shift(&mut self, shift: u32) {
-        assert!(self.state.queue.is_empty(), "cannot resize wheel buckets with events pending");
-        self.state.queue = EventWheel::with_shift(shift);
     }
 
     /// Current virtual time.
@@ -327,7 +315,7 @@ impl Simulator {
     }
 
     /// Process the next event if it is scheduled at or before `t`,
-    /// advancing the clock to it — one wheel query decides both. Returns
+    /// advancing the clock to it — one queue query decides both. Returns
     /// `false`, leaving the clock alone, when nothing is due by `t`.
     pub fn step_due(&mut self, t: SimTime) -> bool {
         let st = &mut self.state;

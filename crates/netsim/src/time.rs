@@ -33,20 +33,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// The timing-wheel bucket tick of this instant for buckets of
-    /// `2^shift` nanoseconds (see [`crate::wheel::EventWheel`]).
-    #[inline]
-    pub fn wheel_tick(self, shift: u32) -> u64 {
-        self.0 >> shift
-    }
-
-    /// The first instant of wheel tick `tick` at bucket width
-    /// `2^shift` ns — the inverse of [`SimTime::wheel_tick`].
-    #[inline]
-    pub fn from_tick(tick: u64, shift: u32) -> SimTime {
-        SimTime(tick << shift)
-    }
 }
 
 impl SimDuration {

@@ -87,7 +87,7 @@ pub struct Node {
     pub ifaces: Vec<Interface>,
     /// Boot-time routing table, shared immutably with every simulator.
     /// Simulators never copy it: they layer a per-node
-    /// [`crate::routing::RouteOverlay`] delta on top, so constructing a
+    /// [`crate::routing::RouteDelta`] on top, so constructing a
     /// simulator is O(1) per node however many routes the node carries.
     pub routing: Arc<RoutingTable>,
 }

@@ -63,8 +63,8 @@ impl SimTransport {
     /// Returns the arrival time and packet, leaving the clock at the
     /// arrival; or `None` with the clock at `deadline` (probe timeout).
     /// With several probes outstanding, callers pass the *earliest* of
-    /// their deadlines and repeat — the wheel services every in-flight
-    /// probe timer in one pass per wait.
+    /// their deadlines and repeat — the event queue services every
+    /// in-flight probe timer in one pass per wait.
     pub fn recv_until(&mut self, deadline: SimTime) -> Option<(SimTime, Packet)> {
         loop {
             if let Some(delivery) = self.sim.pop_delivery(self.source) {

@@ -52,7 +52,7 @@ fn fastest_batch(stubs: usize) -> Duration {
         }
         start.elapsed()
     };
-    batch(&mut tx); // warm the arena, the wheel and the caches
+    batch(&mut tx); // warm the arena, the event queue and the caches
     (0..5).map(|_| batch(&mut tx)).min().expect("five batches")
 }
 

@@ -1,14 +1,15 @@
 //! Property tests pinning the optimized routing structures to a naive
 //! reference: the sorted-entry [`RoutingTable`] and the copy-on-write
-//! [`RouteOverlay`] must be lookup-equivalent to a plain linear
-//! filter-and-max longest-prefix-match table under arbitrary set/remove
-//! sequences, wherever the sequence is split between base and overlay.
+//! [`RouteDelta`] over it — read through [`NodeRouting`], the pair the
+//! simulator's forwarding path uses — must be lookup-equivalent to a
+//! plain linear filter-and-max longest-prefix-match table under
+//! arbitrary set/remove sequences, wherever the sequence is split
+//! between base and delta.
 
 use proptest::prelude::*;
 use pt_netsim::addr::Ipv4Prefix;
-use pt_netsim::routing::{NextHop, RouteOverlay, RoutingTable};
+use pt_netsim::routing::{NextHop, NodeRouting, RouteDelta, RoutingTable};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// The naive reference: unordered entries, lookup by filtering every
 /// entry and keeping the longest match — exactly the pre-optimization
@@ -117,8 +118,8 @@ proptest! {
         }
     }
 
-    /// Base-plus-overlay matches the reference for *every* split of the
-    /// op sequence into boot-time (base) and dynamic (overlay) halves.
+    /// Base-plus-delta matches the reference for *every* split of the
+    /// op sequence into boot-time (base) and dynamic (delta) halves.
     #[test]
     fn overlay_matches_naive_reference_at_any_split(
         ops in proptest::collection::vec(arb_op(), 0..40),
@@ -136,14 +137,15 @@ proptest! {
                 }
             }
         }
-        let mut overlay = RouteOverlay::new(Arc::new(base));
+        let mut delta = RouteDelta::new();
         for op in &ops[split..] {
             apply_naive(&mut naive, op);
             match &op.action {
-                Some(nh) => overlay.set(op.prefix, nh.clone()),
-                None => overlay.remove(op.prefix),
+                Some(nh) => delta.set(op.prefix, nh.clone()),
+                None => delta.remove(&base, op.prefix),
             }
         }
+        let overlay = NodeRouting::new(&base, &delta);
         for addr in probe_addrs(&ops) {
             prop_assert_eq!(
                 overlay.lookup(addr),
@@ -166,7 +168,7 @@ proptest! {
         }
     }
 
-    /// An overlay never leaks writes into its shared base.
+    /// A delta never leaks writes into its shared base.
     #[test]
     fn overlay_leaves_base_untouched(
         base_ops in proptest::collection::vec(arb_op(), 0..20),
@@ -181,12 +183,12 @@ proptest! {
                 }
             }
         }
-        let frozen = Arc::new(base.clone());
-        let mut overlay = RouteOverlay::new(Arc::clone(&frozen));
+        let frozen = base.clone();
+        let mut delta = RouteDelta::new();
         for op in &overlay_ops {
             match &op.action {
-                Some(nh) => overlay.set(op.prefix, nh.clone()),
-                None => overlay.remove(op.prefix),
+                Some(nh) => delta.set(op.prefix, nh.clone()),
+                None => delta.remove(&base, op.prefix),
             }
         }
         for addr in probe_addrs(&base_ops) {

@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod checksum;
-pub mod fields;
 pub mod flow;
 pub mod icmp;
 pub mod ipv4;
@@ -29,7 +28,6 @@ pub mod tcp;
 pub mod udp;
 
 pub use checksum::{internet_checksum, Checksum};
-pub use fields::{FieldRole, HeaderField, FIELD_MATRIX};
 pub use flow::{FlowKey, FlowPolicy};
 pub use icmp::{IcmpMessage, IcmpType, Quotation, UnreachableCode};
 pub use ipv4::Ipv4Header;
