@@ -5,7 +5,13 @@
 //! path, so these append digits straight to the output instead of going
 //! through `fmt::Display` (an `Ipv4Addr` formats through an
 //! intermediate buffer and the padding machinery). The bytes produced
-//! are exactly the ones `{}` / `{:016x}` would produce.
+//! are exactly the ones `{}` / `{:016x}` / `{:08x}` would produce.
+//!
+//! The bulk of a record — every set an accumulator holds — travels as
+//! *key lines*: `N` fields of eight lowercase hex digits, one space
+//! between fields, one key per line, keys ascending. Every such line of
+//! `N` fields is `9 N` bytes, which is what lets a writer size its
+//! buffer from counts alone.
 
 use std::net::Ipv4Addr;
 
@@ -35,10 +41,11 @@ pub fn push_hex64(out: &mut String, v: u64) {
     }
 }
 
-/// Append `addr` in dotted-quad form, as `{}` would.
+/// Append `addr` in dotted-quad form, as `{}` would — the form of the
+/// few addresses that travel outside key lines (a quarantined unit's, a
+/// kept route's, a multipath unit's).
 pub fn push_addr(out: &mut String, addr: Ipv4Addr) {
-    // Rendered on the stack and appended in one go: addresses are most
-    // of a checkpoint's bytes.
+    // Rendered on the stack and appended in one go.
     let mut text = [0u8; 15];
     let mut len = 0;
     for (i, octet) in addr.octets().into_iter().enumerate() {
@@ -58,6 +65,96 @@ pub fn push_addr(out: &mut String, addr: Ipv4Addr) {
         len += 1;
     }
     out.push_str(std::str::from_utf8(&text[..len]).expect("digits and dots are ASCII"));
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Bytes of one key-line field: eight hex digits and the space or
+/// newline after them.
+pub(crate) const KEY_FIELD_LEN: usize = 9;
+
+/// No key has more fields (a diamond's middle under its destination,
+/// head and tail).
+const MAX_KEY_FIELDS: usize = 4;
+
+/// Append one key line per key, in the order given.
+pub fn push_key_lines<const N: usize>(out: &mut String, keys: impl IntoIterator<Item = [u32; N]>) {
+    const { assert!(N >= 1 && N <= MAX_KEY_FIELDS) };
+    // Rendered on the stack and appended sixteen lines at a time: key
+    // lines are nearly all of a checkpoint's bytes. (No more than that,
+    // because a caller with one key to write pays for clearing it.)
+    let mut text = [0u8; 16 * MAX_KEY_FIELDS * KEY_FIELD_LEN];
+    let mut len = 0;
+    let flush = |out: &mut String, text: &[u8]| {
+        out.push_str(std::str::from_utf8(text).expect("hex digits and separators are ASCII"));
+    };
+    for key in keys {
+        if len + N * KEY_FIELD_LEN > text.len() {
+            flush(out, &text[..len]);
+            len = 0;
+        }
+        let line = &mut text[len..len + N * KEY_FIELD_LEN];
+        for (field, value) in line.chunks_exact_mut(KEY_FIELD_LEN).zip(key) {
+            for (digit, byte) in field.chunks_exact_mut(2).zip(value.to_be_bytes()) {
+                digit[0] = HEX_DIGITS[usize::from(byte >> 4)];
+                digit[1] = HEX_DIGITS[usize::from(byte & 0xf)];
+            }
+            field[KEY_FIELD_LEN - 1] = b' ';
+        }
+        line[N * KEY_FIELD_LEN - 1] = b'\n';
+        len += N * KEY_FIELD_LEN;
+    }
+    flush(out, &text[..len]);
+}
+
+/// Parse one key line — exactly what [`push_key_lines`] writes, less
+/// the newline.
+pub(crate) fn parse_key_line<const N: usize>(line: &str) -> Option<[u32; N]> {
+    let bytes = line.as_bytes();
+    if bytes.len() + 1 != N * KEY_FIELD_LEN {
+        return None;
+    }
+    let mut key = [0u32; N];
+    for (value, field) in key.iter_mut().zip(bytes.chunks(KEY_FIELD_LEN)) {
+        let (digits, separator) = field.split_at(KEY_FIELD_LEN - 1);
+        for &digit in digits {
+            let nibble = match digit {
+                b'0'..=b'9' => digit - b'0',
+                b'a'..=b'f' => digit - b'a' + 10,
+                _ => return None,
+            };
+            *value = *value << 4 | u32::from(nibble);
+        }
+        // The last field's separator is the newline `lines` took.
+        if !matches!(separator, [] | [b' ']) {
+            return None;
+        }
+    }
+    Some(key)
+}
+
+/// Read the `n` key lines of a section, each mapped through `item`.
+/// The keys must ascend strictly — the canonical order is part of the
+/// format, and it is what makes a set read back a set. `n` comes from
+/// the file, so it only pre-sizes up to a bound; a larger section grows
+/// as it parses.
+pub fn read_key_lines<'a, const N: usize, T>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    n: usize,
+    mut item: impl FnMut([u32; N]) -> T,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::with_capacity(n.min(1 << 12));
+    let mut last: Option<[u32; N]> = None;
+    for _ in 0..n {
+        let line = lines.next().ok_or("truncated key lines")?;
+        let key = parse_key_line::<N>(line).ok_or_else(|| format!("bad key line {line:?}"))?;
+        if last.is_some_and(|last| last >= key) {
+            return Err(format!("key line {line:?} out of order"));
+        }
+        last = Some(key);
+        out.push(item(key));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -80,5 +177,40 @@ mod tests {
             push_addr(&mut s, addr);
             assert_eq!(s, addr.to_string());
         }
+    }
+
+    #[test]
+    fn key_lines_round_trip_and_refuse_anything_else() {
+        // More keys than one stack buffer holds, so a flush splits them.
+        let mut keys: Vec<[u32; 3]> =
+            (0..200u32).map(|i| [i / 7, i.wrapping_mul(0x9e37_79b9), u32::MAX - i]).collect();
+        keys.sort_unstable();
+        let mut text = String::new();
+        push_key_lines(&mut text, keys.iter().copied());
+        assert_eq!(text.len(), keys.len() * 3 * KEY_FIELD_LEN);
+        let expect: String =
+            keys.iter().map(|[a, b, c]| format!("{a:08x} {b:08x} {c:08x}\n")).collect();
+        assert_eq!(text, expect);
+        let read = read_key_lines(&mut text.lines(), keys.len(), |key: [u32; 3]| key);
+        assert_eq!(read, Ok(keys));
+
+        let read = |text: &str, n| read_key_lines(&mut text.lines(), n, |key: [u32; 2]| key);
+        assert!(read("00000001 00000002\n00000001 00000003\n", 2).is_ok());
+        for (bad, why) in [
+            ("00000001 00000002\n", "truncated"),
+            ("00000001 00000003\n00000001 00000002\n", "out of order"),
+            ("00000001 00000002\n00000001 00000002\n", "out of order"),
+            ("00000001 00000002\n00000001  0000003\n", "bad key line"),
+            ("00000001 00000002\n00000001 0000000G\n", "bad key line"),
+            ("00000001 00000002\n00000001 0000000A\n", "bad key line"),
+            ("00000001 00000002\n00000001_00000003\n", "bad key line"),
+            ("00000001 00000002\n00000001 00000003 \n", "bad key line"),
+            ("00000001 00000002\n+0000001 00000003\n", "bad key line"),
+        ] {
+            let err = read(bad, 2).expect_err(bad);
+            assert!(err.contains(why), "{bad:?}: {err}");
+        }
+        // A hostile count allocates no more than its bound.
+        assert!(read("", usize::MAX).is_err());
     }
 }

@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 use pt_core::MeasuredRoute;
 
 /// Why a cycle appeared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CycleCause {
     /// Packets genuinely circulating: the measured route repeats a fixed
     /// sequence of addresses, and the repeated router's IP-ID stream

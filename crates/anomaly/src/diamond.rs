@@ -13,8 +13,6 @@ use std::net::Ipv4Addr;
 
 use pt_core::MeasuredRoute;
 
-use crate::codec::{push_addr, push_uint};
-
 /// A diamond: head, tail, and the interfaces seen between them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diamond {
@@ -35,6 +33,27 @@ impl Diamond {
     /// Its width `k`.
     pub fn width(&self) -> usize {
         self.middles.len()
+    }
+}
+
+/// Call `triple(h, r, t)` for every head, middle and tail `route` shows
+/// at three consecutive TTLs.
+pub(crate) fn for_each_triple(
+    route: &MeasuredRoute,
+    mut triple: impl FnMut(Ipv4Addr, Ipv4Addr, Ipv4Addr),
+) {
+    // Iterate the probes in place: materializing per-hop address
+    // vectors allocated ~10 Vecs per ingested route, squarely in
+    // the campaign's per-unit hot loop. Within-hop duplicates are
+    // harmless (the triple sets dedup).
+    for w in route.hops.windows(3) {
+        for h in w[0].probes.iter().filter_map(|p| p.addr) {
+            for r in w[1].probes.iter().filter_map(|p| p.addr) {
+                for t in w[2].probes.iter().filter_map(|p| p.addr) {
+                    triple(h, r, t);
+                }
+            }
+        }
     }
 }
 
@@ -60,32 +79,14 @@ impl DestinationGraph {
     /// over-inference that makes classic traceroute's diamonds.
     pub fn ingest(&mut self, route: &MeasuredRoute) {
         self.routes_ingested += 1;
-        // Iterate the probes in place: materializing per-hop address
-        // vectors allocated ~10 Vecs per ingested route, squarely in
-        // the campaign's per-unit hot loop. Within-hop duplicates are
-        // harmless (the triple sets dedup).
-        for w in route.hops.windows(3) {
-            for h in w[0].probes.iter().filter_map(|p| p.addr) {
-                for r in w[1].probes.iter().filter_map(|p| p.addr) {
-                    for t in w[2].probes.iter().filter_map(|p| p.addr) {
-                        self.triples.entry((h, t)).or_default().insert(r);
-                    }
-                }
-            }
-        }
+        for_each_triple(route, |h, r, t| {
+            self.triples.entry((h, t)).or_default().insert(r);
+        });
     }
 
     /// Number of routes ingested.
     pub fn routes(&self) -> usize {
         self.routes_ingested
-    }
-
-    /// Merge another graph over the same destination into this one.
-    pub fn absorb(&mut self, other: DestinationGraph) {
-        self.routes_ingested += other.routes_ingested;
-        for (key, mids) in other.triples {
-            self.triples.entry(key).or_default().extend(mids);
-        }
     }
 
     /// All diamonds: `(h, t)` pairs with at least two middles.
@@ -108,73 +109,6 @@ impl DestinationGraph {
     /// Whether a specific `(h, t)` pair forms a diamond.
     pub fn is_diamond(&self, head: Ipv4Addr, tail: Ipv4Addr) -> bool {
         self.triples.get(&(head, tail)).is_some_and(|m| m.len() >= 2)
-    }
-
-    /// Serialize this graph into the campaign checkpoint's line format:
-    /// a `graph` header carrying the ingest count and triple-key count,
-    /// then one `tri` line per `(head, tail)` key in sorted order, so
-    /// identical graph *contents* always produce identical bytes.
-    pub fn snapshot_write(&self, out: &mut String) {
-        let mut triples: Vec<_> = self.triples.iter().collect();
-        triples.sort_unstable_by_key(|(key, _)| **key);
-        out.push_str("graph ");
-        push_uint(out, self.routes_ingested as u64);
-        out.push(' ');
-        push_uint(out, triples.len() as u64);
-        out.push('\n');
-        for (key, mids) in triples {
-            out.push_str("tri ");
-            push_addr(out, key.0);
-            out.push(' ');
-            push_addr(out, key.1);
-            out.push(' ');
-            push_uint(out, mids.len() as u64);
-            for &m in mids {
-                out.push(' ');
-                push_addr(out, m);
-            }
-            out.push('\n');
-        }
-    }
-
-    /// Parse one graph back out of the checkpoint line stream — the
-    /// inverse of [`DestinationGraph::snapshot_write`].
-    pub fn snapshot_read<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
-    ) -> Result<DestinationGraph, String> {
-        let header = lines.next().ok_or("missing graph header")?;
-        let mut t = header.split_ascii_whitespace();
-        if t.next() != Some("graph") {
-            return Err(format!("expected graph header, got {header:?}"));
-        }
-        let routes_ingested: usize =
-            t.next().ok_or("graph: missing route count")?.parse().map_err(|e| format!("{e}"))?;
-        let n_keys: usize =
-            t.next().ok_or("graph: missing key count")?.parse().map_err(|e| format!("{e}"))?;
-        let mut g = DestinationGraph { triples: HashMap::default(), routes_ingested };
-        for _ in 0..n_keys {
-            let line = lines.next().ok_or("graph: truncated triple list")?;
-            let mut t = line.split_ascii_whitespace();
-            if t.next() != Some("tri") {
-                return Err(format!("expected tri line, got {line:?}"));
-            }
-            let head: Ipv4Addr =
-                t.next().ok_or("tri: missing head")?.parse().map_err(|e| format!("{e}"))?;
-            let tail: Ipv4Addr =
-                t.next().ok_or("tri: missing tail")?.parse().map_err(|e| format!("{e}"))?;
-            let n_mids: usize =
-                t.next().ok_or("tri: missing middle count")?.parse().map_err(|e| format!("{e}"))?;
-            let mids = g.triples.entry((head, tail)).or_default();
-            for _ in 0..n_mids {
-                let m: Ipv4Addr = t
-                    .next()
-                    .ok_or("tri: truncated middles")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                mids.insert(m);
-            }
-        }
-        Ok(g)
     }
 }
 

@@ -13,6 +13,7 @@
 pub mod codec;
 pub mod cycle;
 pub mod diamond;
+mod keyset;
 pub mod r#loop;
 pub mod stats;
 

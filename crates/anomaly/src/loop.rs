@@ -10,7 +10,7 @@ use std::net::Ipv4Addr;
 use pt_core::{MeasuredRoute, ProbeResult};
 
 /// Why a loop appeared, as §4.1.1 diagnoses it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LoopCause {
     /// The second response carries `!H`/`!N`: a router that could expire
     /// the TTL-1 probe but not forward the next one.

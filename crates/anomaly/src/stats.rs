@@ -2,24 +2,16 @@
 //! anomalies across rounds and tools, then difference classic against
 //! Paris to attribute causes the way the paper does.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use pt_core::{HaltReason, MeasuredRoute, StrategyId};
-use pt_netsim::routing::AddrHashBuilder;
 
-use crate::codec::{push_addr, push_uint};
+use crate::codec::{parse_key_line, push_key_lines, push_uint, read_key_lines, KEY_FIELD_LEN};
 use crate::cycle::{find_cycles, CycleCause};
-use crate::diamond::DestinationGraph;
+use crate::diamond::for_each_triple;
+use crate::keyset::{groups, Key, KeySet};
 use crate::r#loop::{find_loops, LoopCause};
-
-/// Accumulator maps run once per ingested route — the campaign hot
-/// loop — so they use the deterministic multiply-mix hasher instead of
-/// SipHash. Nothing downstream depends on iteration order (the digest
-/// pipeline is order-insensitive, which `tests/determinism.rs` pins
-/// across differing hash states).
-type FastMap<K, V> = HashMap<K, V, AddrHashBuilder>;
-type FastSet<T> = HashSet<T, AddrHashBuilder>;
 
 /// A loop or cycle signature: `(looping address, destination)` — §4's
 /// definition. Diamonds use `(destination, head, tail)` internally.
@@ -53,26 +45,40 @@ pub enum FinalCycleCause {
     Other,
 }
 
+/// The `[destination, head, tail]` of every diamond among `triples`:
+/// the groups with two or more middles, in order.
+fn diamonds(triples: &[Key<4>]) -> impl Iterator<Item = Key<3>> + '_ {
+    groups(triples, 3).filter(|middles| middles.len() >= 2).map(|m| [m[0][0], m[0][1], m[0][2]])
+}
+
+/// The signatures of `[address, destination, round]` keys.
+fn signatures(sig_rounds: &[Key<3>]) -> BTreeSet<Signature> {
+    groups(sig_rounds, 2).map(|rounds| (rounds[0][0].into(), rounds[0][1].into())).collect()
+}
+
 /// Accumulates one tool's observations across a whole campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignAccumulator {
     /// Which tool produced these routes.
     pub tool: StrategyId,
-    rounds_seen: BTreeSet<usize>,
+    rounds_seen: KeySet<1>,
     routes_total: u64,
     routes_with_loop: u64,
     routes_with_cycle: u64,
-    dests: FastSet<Ipv4Addr>,
-    dests_with_loop: FastSet<Ipv4Addr>,
-    dests_with_cycle: FastSet<Ipv4Addr>,
-    addrs_seen: FastSet<Ipv4Addr>,
-    addrs_in_loop: FastSet<Ipv4Addr>,
-    addrs_in_cycle: FastSet<Ipv4Addr>,
-    loop_sig_rounds: FastMap<Signature, BTreeSet<usize>>,
-    cycle_sig_rounds: FastMap<Signature, BTreeSet<usize>>,
-    loop_instances: FastMap<(Signature, LoopCause), u64>,
-    cycle_instances: FastMap<(Signature, CycleCause), u64>,
-    graphs: FastMap<Ipv4Addr, DestinationGraph>,
+    dests: KeySet<1>,
+    dests_with_loop: KeySet<1>,
+    dests_with_cycle: KeySet<1>,
+    addrs_seen: KeySet<1>,
+    addrs_in_loop: KeySet<1>,
+    addrs_in_cycle: KeySet<1>,
+    /// `[looping address, destination, round]`.
+    loop_sig_rounds: KeySet<3>,
+    cycle_sig_rounds: KeySet<3>,
+    loop_instances: BTreeMap<(Signature, LoopCause), u64>,
+    cycle_instances: BTreeMap<(Signature, CycleCause), u64>,
+    /// `[destination, head, tail, middle]`: every destination's route
+    /// graph in one set; a diamond is a group of two or more middles.
+    triples: KeySet<4>,
     probes_sent: u64,
     responses: u64,
     stars: u64,
@@ -81,26 +87,34 @@ pub struct CampaignAccumulator {
     degraded_routes: u64,
 }
 
+/// No instance line is longer: `in`, the longest cause tag, a `u64`
+/// and a two-field key line.
+const INSTANCE_LINE_MAX: usize = 3 + 18 + 21 + 2 * KEY_FIELD_LEN;
+
+/// The lines whose number does not grow with the campaign — header,
+/// counts, section headers, trailer — come to less than this.
+const FRAME_MAX: usize = 1024;
+
 impl CampaignAccumulator {
     /// Fresh accumulator for one tool.
     pub fn new(tool: StrategyId) -> Self {
         CampaignAccumulator {
             tool,
-            rounds_seen: BTreeSet::new(),
+            rounds_seen: KeySet::default(),
             routes_total: 0,
             routes_with_loop: 0,
             routes_with_cycle: 0,
-            dests: FastSet::default(),
-            dests_with_loop: FastSet::default(),
-            dests_with_cycle: FastSet::default(),
-            addrs_seen: FastSet::default(),
-            addrs_in_loop: FastSet::default(),
-            addrs_in_cycle: FastSet::default(),
-            loop_sig_rounds: FastMap::default(),
-            cycle_sig_rounds: FastMap::default(),
-            loop_instances: FastMap::default(),
-            cycle_instances: FastMap::default(),
-            graphs: FastMap::default(),
+            dests: KeySet::default(),
+            dests_with_loop: KeySet::default(),
+            dests_with_cycle: KeySet::default(),
+            addrs_seen: KeySet::default(),
+            addrs_in_loop: KeySet::default(),
+            addrs_in_cycle: KeySet::default(),
+            loop_sig_rounds: KeySet::default(),
+            cycle_sig_rounds: KeySet::default(),
+            loop_instances: BTreeMap::new(),
+            cycle_instances: BTreeMap::new(),
+            triples: KeySet::default(),
             probes_sent: 0,
             responses: 0,
             stars: 0,
@@ -110,17 +124,48 @@ impl CampaignAccumulator {
         }
     }
 
+    /// The one-field sets, named as their record sections are.
+    fn addr_sets(&self) -> [(&'static str, &KeySet<1>); 7] {
+        [
+            ("rounds", &self.rounds_seen),
+            ("dests", &self.dests),
+            ("dests_with_loop", &self.dests_with_loop),
+            ("dests_with_cycle", &self.dests_with_cycle),
+            ("addrs_seen", &self.addrs_seen),
+            ("addrs_in_loop", &self.addrs_in_loop),
+            ("addrs_in_cycle", &self.addrs_in_cycle),
+        ]
+    }
+
+    /// [`CampaignAccumulator::addr_sets`], mutably and in the same order.
+    fn addr_sets_mut(&mut self) -> [&mut KeySet<1>; 7] {
+        [
+            &mut self.rounds_seen,
+            &mut self.dests,
+            &mut self.dests_with_loop,
+            &mut self.dests_with_cycle,
+            &mut self.addrs_seen,
+            &mut self.addrs_in_loop,
+            &mut self.addrs_in_cycle,
+        ]
+    }
+
     /// Fold in one measured route observed during `round`.
+    ///
+    /// # Panics
+    /// Panics on a round past `u32::MAX` — campaign unit ids, which
+    /// bound the rounds, are 32-bit too.
     pub fn ingest(&mut self, round: usize, route: &MeasuredRoute) {
-        self.rounds_seen.insert(round);
+        let round = u32::try_from(round).expect("rounds fit the 32-bit unit id space");
+        self.rounds_seen.insert([round]);
         self.routes_total += 1;
-        let d = route.destination;
-        self.dests.insert(d);
+        let d = u32::from(route.destination);
+        self.dests.insert([d]);
         for hop in &route.hops {
             // Straight off the probes: `Hop::addrs` would allocate a
             // Vec per hop, and the set dedups anyway.
             for a in hop.probes.iter().filter_map(|p| p.addr) {
-                self.addrs_seen.insert(a);
+                self.addrs_seen.insert([a.into()]);
             }
         }
         self.probes_sent += route.probes_sent() as u64;
@@ -137,62 +182,52 @@ impl CampaignAccumulator {
         let loops = find_loops(route);
         if !loops.is_empty() {
             self.routes_with_loop += 1;
-            self.dests_with_loop.insert(d);
+            self.dests_with_loop.insert([d]);
         }
         for l in loops {
-            self.addrs_in_loop.insert(l.addr);
-            let sig = (l.addr, d);
-            self.loop_sig_rounds.entry(sig).or_default().insert(round);
-            *self.loop_instances.entry((sig, l.cause)).or_insert(0) += 1;
+            self.addrs_in_loop.insert([l.addr.into()]);
+            self.loop_sig_rounds.insert([l.addr.into(), d, round]);
+            *self.loop_instances.entry(((l.addr, route.destination), l.cause)).or_insert(0) += 1;
         }
 
         let cycles = find_cycles(route);
         if !cycles.is_empty() {
             self.routes_with_cycle += 1;
-            self.dests_with_cycle.insert(d);
+            self.dests_with_cycle.insert([d]);
         }
         for c in cycles {
-            self.addrs_in_cycle.insert(c.addr);
-            let sig = (c.addr, d);
-            self.cycle_sig_rounds.entry(sig).or_default().insert(round);
-            *self.cycle_instances.entry((sig, c.cause)).or_insert(0) += 1;
+            self.addrs_in_cycle.insert([c.addr.into()]);
+            self.cycle_sig_rounds.insert([c.addr.into(), d, round]);
+            *self.cycle_instances.entry(((c.addr, route.destination), c.cause)).or_insert(0) += 1;
         }
 
-        self.graphs.entry(d).or_default().ingest(route);
+        for_each_triple(route, |h, r, t| self.triples.insert([d, h.into(), t.into(), r.into()]));
     }
 
     /// Merge another accumulator (e.g. from a parallel shard) into this
-    /// one. Tool ids must match.
+    /// one, leaving every set of this one a single sorted run: what a
+    /// later merge or snapshot then reads without sorting or copying.
+    /// Tool ids must match.
     ///
     /// # Panics
     /// Panics when merging accumulators of different tools.
-    pub fn merge(&mut self, other: CampaignAccumulator) {
+    pub fn merge(&mut self, mut other: CampaignAccumulator) {
         assert_eq!(self.tool, other.tool, "cannot merge different tools");
-        self.rounds_seen.extend(other.rounds_seen);
-        self.routes_total += other.routes_total;
-        self.routes_with_loop += other.routes_with_loop;
-        self.routes_with_cycle += other.routes_with_cycle;
-        self.dests.extend(other.dests);
-        self.dests_with_loop.extend(other.dests_with_loop);
-        self.dests_with_cycle.extend(other.dests_with_cycle);
-        self.addrs_seen.extend(other.addrs_seen);
-        self.addrs_in_loop.extend(other.addrs_in_loop);
-        self.addrs_in_cycle.extend(other.addrs_in_cycle);
-        for (sig, rounds) in other.loop_sig_rounds {
-            self.loop_sig_rounds.entry(sig).or_default().extend(rounds);
+        for (mine, theirs) in self.addr_sets_mut().into_iter().zip(other.addr_sets_mut()) {
+            mine.absorb(std::mem::take(theirs));
         }
-        for (sig, rounds) in other.cycle_sig_rounds {
-            self.cycle_sig_rounds.entry(sig).or_default().extend(rounds);
-        }
+        self.loop_sig_rounds.absorb(other.loop_sig_rounds);
+        self.cycle_sig_rounds.absorb(other.cycle_sig_rounds);
+        self.triples.absorb(other.triples);
         for (k, n) in other.loop_instances {
             *self.loop_instances.entry(k).or_insert(0) += n;
         }
         for (k, n) in other.cycle_instances {
             *self.cycle_instances.entry(k).or_insert(0) += n;
         }
-        for (d, g) in other.graphs {
-            self.graphs.entry(d).or_default().absorb(g);
-        }
+        self.routes_total += other.routes_total;
+        self.routes_with_loop += other.routes_with_loop;
+        self.routes_with_cycle += other.routes_with_cycle;
         self.probes_sent += other.probes_sent;
         self.responses += other.responses;
         self.stars += other.stars;
@@ -201,28 +236,26 @@ impl CampaignAccumulator {
         self.degraded_routes += other.degraded_routes;
     }
 
-    /// Every responding address discovered across the campaign.
-    pub fn addresses_seen(&self) -> impl Iterator<Item = &Ipv4Addr> {
-        self.addrs_seen.iter()
+    /// Every responding address discovered across the campaign, in
+    /// address order.
+    pub fn addresses_seen(&self) -> Vec<Ipv4Addr> {
+        self.addrs_seen.keys().iter().map(|&[a]| Ipv4Addr::from(a)).collect()
     }
 
     /// Loop signatures observed (for differencing). Ordered so that
     /// every downstream iteration is deterministic by construction.
     pub fn loop_signatures(&self) -> BTreeSet<Signature> {
-        self.loop_sig_rounds.keys().copied().collect()
+        signatures(&self.loop_sig_rounds.keys())
     }
 
     /// Cycle signatures observed.
     pub fn cycle_signatures(&self) -> BTreeSet<Signature> {
-        self.cycle_sig_rounds.keys().copied().collect()
+        signatures(&self.cycle_sig_rounds.keys())
     }
 
     /// Diamond signatures per destination: `(destination, head, tail)`.
     pub fn diamond_signatures(&self) -> BTreeSet<(Ipv4Addr, Ipv4Addr, Ipv4Addr)> {
-        self.graphs
-            .iter()
-            .flat_map(|(d, g)| g.diamond_signatures().into_iter().map(move |(h, t)| (*d, h, t)))
-            .collect()
+        diamonds(&self.triples.keys()).map(|[d, h, t]| (d.into(), h.into(), t.into())).collect()
     }
 
     /// Total loop instances.
@@ -238,26 +271,31 @@ impl CampaignAccumulator {
     /// Summarize this tool's campaign.
     pub fn report(&self) -> ToolReport {
         let pct = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 * 100.0 };
-        let loop_sigs = self.loop_sig_rounds.len() as u64;
-        let loop_sigs_single_round =
-            self.loop_sig_rounds.values().filter(|r| r.len() == 1).count() as u64;
-        let cycle_sigs = self.cycle_sig_rounds.len() as u64;
-        let cycle_sigs_single_round =
-            self.cycle_sig_rounds.values().filter(|r| r.len() == 1).count() as u64;
+        // Signatures, and those among them seen in one round only.
+        let sig_counts = |sig_rounds: &[Key<3>]| {
+            groups(sig_rounds, 2).fold((0u64, 0u64), |(sigs, single), rounds| {
+                (sigs + 1, single + u64::from(rounds.len() == 1))
+            })
+        };
+        let (loop_sigs, loop_sigs_single_round) = sig_counts(&self.loop_sig_rounds.keys());
+        let (cycle_sigs, cycle_sigs_single_round) = sig_counts(&self.cycle_sig_rounds.keys());
         let cycle_sig_mean_rounds = if cycle_sigs == 0 {
             0.0
         } else {
-            self.cycle_sig_rounds.values().map(|r| r.len() as f64).sum::<f64>() / cycle_sigs as f64
+            self.cycle_sig_rounds.len() as f64 / cycle_sigs as f64
         };
-        let dests_with_diamond =
-            self.graphs.values().filter(|g| !g.diamonds().is_empty()).count() as u64;
-        let diamonds_total: u64 = self.graphs.values().map(|g| g.diamonds().len() as u64).sum();
+        // One destination per diamond, in order; then one per destination.
+        let mut dests_with_diamond: Vec<u32> =
+            diamonds(&self.triples.keys()).map(|[d, _, _]| d).collect();
+        let diamonds_total = dests_with_diamond.len() as u64;
+        dests_with_diamond.dedup();
+        let (dests, addrs) = (self.dests.len() as u64, self.addrs_seen.len() as u64);
         ToolReport {
             tool: self.tool,
             rounds: self.rounds_seen.len() as u64,
             routes_total: self.routes_total,
-            destinations: self.dests.len() as u64,
-            addresses_discovered: self.addrs_seen.len() as u64,
+            destinations: dests,
+            addresses_discovered: addrs,
             probes_sent: self.probes_sent,
             responses: self.responses,
             stars: self.stars,
@@ -265,31 +303,44 @@ impl CampaignAccumulator {
             degraded_routes: self.degraded_routes,
             pct_routes_reaching_destination: pct(self.reached, self.routes_total),
             pct_routes_with_loop: pct(self.routes_with_loop, self.routes_total),
-            pct_dests_with_loop: pct(self.dests_with_loop.len() as u64, self.dests.len() as u64),
-            pct_addrs_in_loop: pct(self.addrs_in_loop.len() as u64, self.addrs_seen.len() as u64),
+            pct_dests_with_loop: pct(self.dests_with_loop.len() as u64, dests),
+            pct_addrs_in_loop: pct(self.addrs_in_loop.len() as u64, addrs),
             loop_signatures: loop_sigs,
             pct_loop_sigs_single_round: pct(loop_sigs_single_round, loop_sigs),
             pct_routes_with_cycle: pct(self.routes_with_cycle, self.routes_total),
-            pct_dests_with_cycle: pct(self.dests_with_cycle.len() as u64, self.dests.len() as u64),
-            pct_addrs_in_cycle: pct(self.addrs_in_cycle.len() as u64, self.addrs_seen.len() as u64),
+            pct_dests_with_cycle: pct(self.dests_with_cycle.len() as u64, dests),
+            pct_addrs_in_cycle: pct(self.addrs_in_cycle.len() as u64, addrs),
             cycle_signatures: cycle_sigs,
             pct_cycle_sigs_single_round: pct(cycle_sigs_single_round, cycle_sigs),
             cycle_sig_mean_rounds,
             diamonds_total,
-            pct_dests_with_diamond: pct(dests_with_diamond, self.graphs.len() as u64),
+            pct_dests_with_diamond: pct(dests_with_diamond.len() as u64, dests),
         }
     }
 
+    /// At least the bytes [`CampaignAccumulator::snapshot_write`]
+    /// appends, and exactly that in the key lines that are nearly all
+    /// of them — so a record buffer allocated from this never regrows.
+    pub fn snapshot_len(&self) -> usize {
+        let addrs: usize = self.addr_sets().iter().map(|(_, set)| set.len()).sum();
+        let sig_rounds = self.loop_sig_rounds.len() + self.cycle_sig_rounds.len();
+        let instances = self.loop_instances.len() + self.cycle_instances.len();
+        FRAME_MAX
+            + (addrs + 3 * sig_rounds + 4 * self.triples.len()) * KEY_FIELD_LEN
+            + instances * INSTANCE_LINE_MAX
+    }
+
     /// Serialize this accumulator into the campaign checkpoint's line
-    /// format. Every set and map is emitted in sorted order, so two
-    /// accumulators with equal *contents* — however the campaign was
-    /// sharded across workers and merged — produce identical bytes.
+    /// format (the grammar is in `docs/ROBUSTNESS.md`). Every set and
+    /// map is emitted in sorted order, so two accumulators with equal
+    /// *contents* — however the campaign was sharded across workers and
+    /// merged — produce identical bytes; after a
+    /// [`CampaignAccumulator::merge`] that order is the one the sets
+    /// are held in, and writing sorts and copies nothing.
     pub fn snapshot_write(&self, out: &mut String) {
+        let start = out.len();
         out.push_str("acc ");
         out.push_str(self.tool.name());
-        out.push_str("\nrounds ");
-        push_uint(out, self.rounds_seen.len() as u64);
-        push_rounds(out, &self.rounds_seen);
         out.push_str("\ncounts");
         for count in [
             self.routes_total,
@@ -306,78 +357,16 @@ impl CampaignAccumulator {
             push_uint(out, count);
         }
         out.push('\n');
-        // Addresses sort as their big-endian integers, so sorting the
-        // integers is the same canonical order at a fraction of the
-        // comparisons' cost.
-        let mut addrs: Vec<u32> = Vec::new();
-        for (name, set) in [
-            ("dests", &self.dests),
-            ("dests_with_loop", &self.dests_with_loop),
-            ("dests_with_cycle", &self.dests_with_cycle),
-            ("addrs_seen", &self.addrs_seen),
-            ("addrs_in_loop", &self.addrs_in_loop),
-            ("addrs_in_cycle", &self.addrs_in_cycle),
-        ] {
-            addrs.clear();
-            addrs.extend(set.iter().map(|a| u32::from(*a)));
-            addrs.sort_unstable();
-            out.push_str("set ");
-            out.push_str(name);
-            out.push(' ');
-            push_uint(out, addrs.len() as u64);
-            for &a in &addrs {
-                out.push(' ');
-                push_addr(out, Ipv4Addr::from(a));
-            }
-            out.push('\n');
+        for (name, set) in self.addr_sets() {
+            push_key_section(out, name, set);
         }
-        for (name, map) in [("loop", &self.loop_sig_rounds), ("cycle", &self.cycle_sig_rounds)] {
-            let mut sigs: Vec<_> = map.iter().collect();
-            sigs.sort_unstable_by_key(|(sig, _)| **sig);
-            out.push_str("sig_rounds ");
-            out.push_str(name);
-            out.push(' ');
-            push_uint(out, sigs.len() as u64);
-            out.push('\n');
-            for (sig, rounds) in sigs {
-                out.push_str("sr ");
-                push_signature(out, *sig);
-                out.push(' ');
-                push_uint(out, rounds.len() as u64);
-                push_rounds(out, rounds);
-                out.push('\n');
-            }
-        }
-        let mut li: Vec<((Signature, LoopCause), u64)> =
-            self.loop_instances.iter().map(|(k, v)| (*k, *v)).collect();
-        li.sort_unstable_by_key(|((sig, cause), _)| (*sig, loop_cause_rank(*cause)));
-        out.push_str("instances loop ");
-        push_uint(out, li.len() as u64);
-        out.push('\n');
-        for ((sig, cause), n) in li {
-            push_instance(out, sig, loop_cause_tag(cause), n);
-        }
-        let mut ci: Vec<((Signature, CycleCause), u64)> =
-            self.cycle_instances.iter().map(|(k, v)| (*k, *v)).collect();
-        ci.sort_unstable_by_key(|((sig, cause), _)| (*sig, cycle_cause_rank(*cause)));
-        out.push_str("instances cycle ");
-        push_uint(out, ci.len() as u64);
-        out.push('\n');
-        for ((sig, cause), n) in ci {
-            push_instance(out, sig, cycle_cause_tag(cause), n);
-        }
-        let mut graphs: Vec<_> = self.graphs.iter().collect();
-        graphs.sort_unstable_by_key(|(dest, _)| **dest);
-        out.push_str("graphs ");
-        push_uint(out, graphs.len() as u64);
-        out.push('\n');
-        for (dest, graph) in graphs {
-            out.push_str("dest ");
-            push_addr(out, *dest);
-            out.push('\n');
-            graph.snapshot_write(out);
-        }
+        push_key_section(out, "loop_rounds", &self.loop_sig_rounds);
+        push_key_section(out, "cycle_rounds", &self.cycle_sig_rounds);
+        push_instances(out, "loop", &self.loop_instances, loop_cause_tag);
+        push_instances(out, "cycle", &self.cycle_instances, cycle_cause_tag);
+        push_key_section(out, "triples", &self.triples);
         out.push_str("end_acc\n");
+        debug_assert!(out.len() - start <= self.snapshot_len(), "snapshot_len is not a bound");
     }
 
     /// Parse one accumulator back out of the checkpoint line stream —
@@ -385,185 +374,140 @@ impl CampaignAccumulator {
     pub fn snapshot_read<'a>(
         lines: &mut impl Iterator<Item = &'a str>,
     ) -> Result<CampaignAccumulator, String> {
-        fn take<'b>(
-            lines: &mut impl Iterator<Item = &'b str>,
-            what: &str,
-        ) -> Result<&'b str, String> {
-            lines.next().ok_or_else(|| format!("snapshot truncated at {what}"))
-        }
-        fn tok<T: std::str::FromStr>(
-            t: &mut std::str::SplitAsciiWhitespace<'_>,
-            what: &str,
-        ) -> Result<T, String>
-        where
-            T::Err: std::fmt::Display,
-        {
-            t.next()
-                .ok_or_else(|| format!("missing {what}"))?
-                .parse()
-                .map_err(|e| format!("{what}: {e}"))
-        }
-        fn expect_tag(t: &mut std::str::SplitAsciiWhitespace<'_>, tag: &str) -> Result<(), String> {
-            match t.next() {
-                Some(got) if got == tag => Ok(()),
-                got => Err(format!("expected {tag:?}, got {got:?}")),
-            }
-        }
-
-        let mut t = take(lines, "acc header")?.split_ascii_whitespace();
-        expect_tag(&mut t, "acc")?;
+        let mut t = tagged(lines, "acc")?;
         let tool_name = t.next().ok_or("acc: missing tool")?;
         let tool = StrategyId::from_name(tool_name)
             .ok_or_else(|| format!("unknown tool {tool_name:?}"))?;
         let mut acc = CampaignAccumulator::new(tool);
 
-        let mut t = take(lines, "rounds")?.split_ascii_whitespace();
-        expect_tag(&mut t, "rounds")?;
-        let n: usize = tok(&mut t, "round count")?;
-        for _ in 0..n {
-            acc.rounds_seen.insert(tok(&mut t, "round")?);
-        }
-
-        let mut t = take(lines, "counts")?.split_ascii_whitespace();
-        expect_tag(&mut t, "counts")?;
-        acc.routes_total = tok(&mut t, "routes_total")?;
-        acc.routes_with_loop = tok(&mut t, "routes_with_loop")?;
-        acc.routes_with_cycle = tok(&mut t, "routes_with_cycle")?;
-        acc.probes_sent = tok(&mut t, "probes_sent")?;
-        acc.responses = tok(&mut t, "responses")?;
-        acc.stars = tok(&mut t, "stars")?;
-        acc.mid_route_stars = tok(&mut t, "mid_route_stars")?;
-        acc.reached = tok(&mut t, "reached")?;
-        acc.degraded_routes = tok(&mut t, "degraded_routes")?;
-
-        for name in [
-            "dests",
-            "dests_with_loop",
-            "dests_with_cycle",
-            "addrs_seen",
-            "addrs_in_loop",
-            "addrs_in_cycle",
+        let mut t = tagged(lines, "counts")?;
+        for count in [
+            &mut acc.routes_total,
+            &mut acc.routes_with_loop,
+            &mut acc.routes_with_cycle,
+            &mut acc.probes_sent,
+            &mut acc.responses,
+            &mut acc.stars,
+            &mut acc.mid_route_stars,
+            &mut acc.reached,
+            &mut acc.degraded_routes,
         ] {
-            let mut t = take(lines, name)?.split_ascii_whitespace();
-            expect_tag(&mut t, "set")?;
-            expect_tag(&mut t, name)?;
-            let n: usize = tok(&mut t, "set size")?;
-            let set = match name {
-                "dests" => &mut acc.dests,
-                "dests_with_loop" => &mut acc.dests_with_loop,
-                "dests_with_cycle" => &mut acc.dests_with_cycle,
-                "addrs_seen" => &mut acc.addrs_seen,
-                "addrs_in_loop" => &mut acc.addrs_in_loop,
-                _ => &mut acc.addrs_in_cycle,
-            };
-            for _ in 0..n {
-                set.insert(tok(&mut t, "set addr")?);
-            }
+            *count = tok(&mut t, "count")?;
         }
 
-        for name in ["loop", "cycle"] {
-            let mut t = take(lines, "sig_rounds")?.split_ascii_whitespace();
-            expect_tag(&mut t, "sig_rounds")?;
-            expect_tag(&mut t, name)?;
-            let n: usize = tok(&mut t, "signature count")?;
-            for _ in 0..n {
-                let mut t = take(lines, "sr")?.split_ascii_whitespace();
-                expect_tag(&mut t, "sr")?;
-                let sig: Signature = (tok(&mut t, "sig addr")?, tok(&mut t, "sig dest")?);
-                let k: usize = tok(&mut t, "round count")?;
-                let map = if name == "loop" {
-                    &mut acc.loop_sig_rounds
-                } else {
-                    &mut acc.cycle_sig_rounds
-                };
-                let rounds = map.entry(sig).or_default();
-                for _ in 0..k {
-                    rounds.insert(tok(&mut t, "round")?);
-                }
-            }
+        let names = acc.addr_sets().map(|(name, _)| name);
+        for (name, set) in names.into_iter().zip(acc.addr_sets_mut()) {
+            *set = read_key_section(lines, name)?;
         }
-
-        let mut t = take(lines, "instances loop")?.split_ascii_whitespace();
-        expect_tag(&mut t, "instances")?;
-        expect_tag(&mut t, "loop")?;
-        let n: usize = tok(&mut t, "instance count")?;
-        for _ in 0..n {
-            let mut t = take(lines, "in")?.split_ascii_whitespace();
-            expect_tag(&mut t, "in")?;
-            let sig: Signature = (tok(&mut t, "sig addr")?, tok(&mut t, "sig dest")?);
-            let cause = loop_cause_from_tag(t.next().ok_or("in: missing cause")?)?;
-            acc.loop_instances.insert((sig, cause), tok(&mut t, "instance total")?);
-        }
-        let mut t = take(lines, "instances cycle")?.split_ascii_whitespace();
-        expect_tag(&mut t, "instances")?;
-        expect_tag(&mut t, "cycle")?;
-        let n: usize = tok(&mut t, "instance count")?;
-        for _ in 0..n {
-            let mut t = take(lines, "in")?.split_ascii_whitespace();
-            expect_tag(&mut t, "in")?;
-            let sig: Signature = (tok(&mut t, "sig addr")?, tok(&mut t, "sig dest")?);
-            let cause = cycle_cause_from_tag(t.next().ok_or("in: missing cause")?)?;
-            acc.cycle_instances.insert((sig, cause), tok(&mut t, "instance total")?);
-        }
-
-        let mut t = take(lines, "graphs")?.split_ascii_whitespace();
-        expect_tag(&mut t, "graphs")?;
-        let n: usize = tok(&mut t, "graph count")?;
-        for _ in 0..n {
-            let mut t = take(lines, "dest")?.split_ascii_whitespace();
-            expect_tag(&mut t, "dest")?;
-            let d: Ipv4Addr = tok(&mut t, "graph dest")?;
-            acc.graphs.insert(d, DestinationGraph::snapshot_read(lines)?);
-        }
-        let mut t = take(lines, "end_acc")?.split_ascii_whitespace();
-        expect_tag(&mut t, "end_acc")?;
-        Ok(acc)
+        acc.loop_sig_rounds = read_key_section(lines, "loop_rounds")?;
+        acc.cycle_sig_rounds = read_key_section(lines, "cycle_rounds")?;
+        acc.loop_instances = read_instances(lines, "loop", loop_cause_from_tag)?;
+        acc.cycle_instances = read_instances(lines, "cycle", cycle_cause_from_tag)?;
+        acc.triples = read_key_section(lines, "triples")?;
+        tagged(lines, "end_acc").map(|_| acc)
     }
 }
 
-/// ` <round>` for every round of a set, in order.
-fn push_rounds(out: &mut String, rounds: &BTreeSet<usize>) {
-    for &r in rounds {
-        out.push(' ');
-        push_uint(out, r as u64);
+/// The next line, split into tokens, with its leading `tag` consumed.
+fn tagged<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    tag: &str,
+) -> Result<std::str::SplitAsciiWhitespace<'a>, String> {
+    let line = lines.next().ok_or_else(|| format!("snapshot truncated at {tag:?}"))?;
+    let mut t = line.split_ascii_whitespace();
+    match t.next() {
+        Some(got) if got == tag => Ok(t),
+        _ => Err(format!("expected {tag:?} line, got {line:?}")),
     }
 }
 
-/// `<looping address> <destination>`.
-fn push_signature(out: &mut String, sig: Signature) {
-    push_addr(out, sig.0);
-    out.push(' ');
-    push_addr(out, sig.1);
+fn tok<'a, T: std::str::FromStr>(
+    t: &mut impl Iterator<Item = &'a str>,
+    what: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    t.next().ok_or_else(|| format!("missing {what}"))?.parse().map_err(|e| format!("{what}: {e}"))
 }
 
-/// One `in <signature> <cause> <count>` line.
-fn push_instance(out: &mut String, sig: Signature, cause: &str, n: u64) {
-    out.push_str("in ");
-    push_signature(out, sig);
+/// `keys <name> <count>`, then the set's key lines.
+fn push_key_section<const N: usize>(out: &mut String, name: &str, set: &KeySet<N>) {
+    let keys = set.keys();
+    out.push_str("keys ");
+    out.push_str(name);
     out.push(' ');
-    out.push_str(cause);
-    out.push(' ');
-    push_uint(out, n);
+    push_uint(out, keys.len() as u64);
     out.push('\n');
+    push_key_lines(out, keys.iter().copied());
 }
 
-/// Stable sort rank for loop causes in snapshot output.
-fn loop_cause_rank(c: LoopCause) -> u8 {
-    match c {
-        LoopCause::Unreachability => 0,
-        LoopCause::ZeroTtlForwarding => 1,
-        LoopCause::AddressRewriting => 2,
-        LoopCause::Unexplained => 3,
+fn read_key_section<'a, const N: usize>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    name: &str,
+) -> Result<KeySet<N>, String> {
+    let mut t = tagged(lines, "keys")?;
+    if t.next() != Some(name) {
+        return Err(format!("expected the {name:?} keys"));
+    }
+    let n = tok(&mut t, "key count")?;
+    Ok(KeySet::from_run(read_key_lines(lines, n, |key| key)?))
+}
+
+/// `instances <name> <count>`, then one `in <cause> <total> <address>
+/// <destination>` line per entry, the signature as a key line.
+fn push_instances<C: Copy>(
+    out: &mut String,
+    name: &str,
+    instances: &BTreeMap<(Signature, C), u64>,
+    tag: fn(C) -> &'static str,
+) {
+    out.push_str("instances ");
+    out.push_str(name);
+    out.push(' ');
+    push_uint(out, instances.len() as u64);
+    out.push('\n');
+    for (&((addr, dest), cause), &n) in instances {
+        out.push_str("in ");
+        out.push_str(tag(cause));
+        out.push(' ');
+        push_uint(out, n);
+        out.push(' ');
+        push_key_lines(out, [[u32::from(addr), u32::from(dest)]]);
     }
 }
 
-/// Stable sort rank for cycle causes in snapshot output.
-fn cycle_cause_rank(c: CycleCause) -> u8 {
-    match c {
-        CycleCause::ForwardingLoop => 0,
-        CycleCause::Unreachability => 1,
-        CycleCause::Unexplained => 2,
+fn read_instances<'a, C: Ord>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    name: &str,
+    from_tag: fn(&str) -> Result<C, String>,
+) -> Result<BTreeMap<(Signature, C), u64>, String> {
+    let mut t = tagged(lines, "instances")?;
+    if t.next() != Some(name) {
+        return Err(format!("expected the {name:?} instances"));
     }
+    let n: usize = tok(&mut t, "instance count")?;
+    let mut instances = BTreeMap::new();
+    for _ in 0..n {
+        let line = lines.next().ok_or("snapshot truncated at an instance")?;
+        let mut f = line.splitn(4, ' ');
+        if f.next() != Some("in") {
+            return Err(format!("expected an instance, got {line:?}"));
+        }
+        let cause = from_tag(f.next().ok_or("in: missing cause")?)?;
+        let total = tok(&mut f, "instance total")?;
+        let [addr, dest] = f
+            .next()
+            .and_then(parse_key_line::<2>)
+            .ok_or_else(|| format!("in: bad signature in {line:?}"))?;
+        let key = ((addr.into(), dest.into()), cause);
+        // As with key lines, the canonical order is part of the format.
+        if instances.last_key_value().is_some_and(|(last, _)| *last >= key) {
+            return Err(format!("instance {line:?} out of order"));
+        }
+        instances.insert(key, total);
+    }
+    Ok(instances)
 }
 
 fn loop_cause_tag(c: LoopCause) -> &'static str {
@@ -733,20 +677,14 @@ pub fn compare(classic: &CampaignAccumulator, paris: &CampaignAccumulator) -> Co
     let loops_only_in_paris_pct =
         if loop_total == 0 { 0.0 } else { paris_only as f64 / loop_total as f64 * 100.0 };
 
-    let to_pct = |m: BTreeMap<FinalLoopCause, u64>, total: u64| {
-        m.into_iter()
-            .map(|(k, v)| (k, if total == 0 { 0.0 } else { v as f64 / total as f64 * 100.0 }))
-            .collect()
-    };
-    let to_pct_c = |m: BTreeMap<FinalCycleCause, u64>, total: u64| {
-        m.into_iter()
-            .map(|(k, v)| (k, if total == 0 { 0.0 } else { v as f64 / total as f64 * 100.0 }))
-            .collect()
-    };
+    fn to_pct<C: Ord>(counts: BTreeMap<C, u64>, total: u64) -> BTreeMap<C, f64> {
+        let pct = |n| if total == 0 { 0.0 } else { n as f64 / total as f64 * 100.0 };
+        counts.into_iter().map(|(cause, n)| (cause, pct(n))).collect()
+    }
 
     ComparisonReport {
         loop_causes: to_pct(loop_causes, loop_total),
-        cycle_causes: to_pct_c(cycle_causes, cycle_total),
+        cycle_causes: to_pct(cycle_causes, cycle_total),
         diamond_per_flow_pct,
         loops_only_in_paris_pct,
     }

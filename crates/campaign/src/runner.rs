@@ -215,7 +215,9 @@ pub(crate) type UnitId = u32;
 /// counters, sets, and per-key u64 maps), so producers can fold units
 /// in any order; everything order-sensitive (kept routes, virtual-time
 /// floats, quarantine records) is tagged with its unit id and re-ordered
-/// deterministically by [`CampaignMode::finalize`].
+/// deterministically by [`CampaignMode::finalize`]. Once absorbed into
+/// another, a fold holds its accumulators' sets and its virtual times
+/// in the order a checkpoint record writes them.
 pub(crate) struct BlockOutput {
     pub(crate) classic: CampaignAccumulator,
     pub(crate) paris: CampaignAccumulator,
@@ -237,6 +239,17 @@ pub(crate) trait Fold: Send {
     fn quarantine(&mut self, unit: QuarantinedUnit);
 }
 
+/// `into.extend(from)`, less the copy when `into` is empty: the first
+/// fold absorbed — a one-worker block's only one — is taken whole while
+/// the workers' simulators are still alive beside it.
+fn append<T>(into: &mut Vec<T>, from: Vec<T>) {
+    if into.is_empty() {
+        *into = from;
+    } else {
+        into.extend(from);
+    }
+}
+
 impl Fold for BlockOutput {
     fn empty() -> Self {
         BlockOutput {
@@ -251,9 +264,17 @@ impl Fold for BlockOutput {
     fn absorb(&mut self, other: BlockOutput) {
         self.classic.merge(other.classic);
         self.paris.merge(other.paris);
-        self.routes.extend(other.routes);
-        self.virtual_secs.extend(other.virtual_secs);
-        self.quarantined.extend(other.quarantined);
+        append(&mut self.routes, other.routes);
+        // Held in unit order, the order a record writes them in. A
+        // worker claims ascending units and blocks arrive in order, so
+        // past one block's interleaving the new times just follow the
+        // old: look at them only, not at the whole campaign's again.
+        let joint = self.virtual_secs.len().saturating_sub(1);
+        append(&mut self.virtual_secs, other.virtual_secs);
+        if !self.virtual_secs[joint..].windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            self.virtual_secs.sort_unstable_by_key(|(unit, _)| *unit);
+        }
+        append(&mut self.quarantined, other.quarantined);
     }
 
     fn quarantine(&mut self, unit: QuarantinedUnit) {
@@ -312,20 +333,33 @@ pub(crate) trait CampaignMode: Sync {
     fn finalize(&self, net: &SyntheticInternet, fold: Self::Fold) -> Self::Result;
 }
 
-/// One worker's warm state. After the first unit, every acquire hands
-/// back the same simulator (arena slots, payload buffers and event-queue
-/// capacity intact) reset for the next destination, and the scratch's
-/// hop records and probe registry recycle across every unit — so a
-/// worker's steady-state loop performs no heap allocation at all.
-struct WorkerState<S> {
+/// One worker's warm state, which outlives a block: a checkpointed
+/// campaign keeps one per worker from its first block to its last.
+/// After the first unit, every acquire hands back the same simulator
+/// (arena slots, payload buffers and event-queue capacity intact) reset
+/// for the next destination, and the scratch's hop records and probe
+/// registry recycle across every unit — so a worker's steady-state loop
+/// performs no heap allocation at all, and a block after the first
+/// builds no simulator.
+pub(crate) struct WorkerState<S> {
     pool: SimulatorPool,
     scratch: S,
 }
 
 impl<S: Default> WorkerState<S> {
+    /// A cold state: the simulator is built by the first unit run over
+    /// it, on the worker's own thread.
     fn new(net: &SyntheticInternet) -> Self {
         WorkerState { pool: SimulatorPool::new(net.topology.clone()), scratch: S::default() }
     }
+}
+
+/// The states [`run_block`] runs `mode` over, one per worker thread.
+pub(crate) fn worker_states<M: CampaignMode>(
+    net: &SyntheticInternet,
+    mode: &M,
+) -> Vec<WorkerState<M::Scratch>> {
+    (0..mode.workers().max(1)).map(|_| WorkerState::new(net)).collect()
 }
 
 /// Run a full side-by-side campaign over `net`.
@@ -336,25 +370,31 @@ pub fn run(net: &SyntheticInternet, config: &CampaignConfig) -> CampaignResult {
 /// A whole campaign as one block.
 fn run_whole<M: CampaignMode>(net: &SyntheticInternet, mode: &M) -> M::Result {
     let n_units = mode.n_units(net);
-    mode.finalize(net, run_block(net, mode, 0..n_units))
+    // The states are dropped with this statement: finalizing holds the
+    // fold, not the simulators beside it.
+    let fold = run_block(net, mode, 0..n_units, &mut worker_states(net, mode));
+    mode.finalize(net, fold)
 }
 
-/// Execute one contiguous block of units over the worker pool — the
-/// whole campaign for [`run`] / [`run_multipath`], one checkpoint block
-/// for the crash-safe engine in [`crate::snapshot`]. Results are
-/// independent of the block partitioning, and of which worker claims
-/// which unit, because every unit's draws derive from `(seed,
-/// destination, round)` alone and the fold is order-insensitive.
+/// Execute one contiguous block of units, one thread per state of
+/// `workers` — the whole campaign for [`run`] / [`run_multipath`], one
+/// checkpoint block for the crash-safe engine in [`crate::snapshot`],
+/// which passes the same states block after block. Results are
+/// independent of the block partitioning, of which worker claims which
+/// unit and of what the states ran before, because every unit's draws
+/// derive from `(seed, destination, round)` alone and the fold is
+/// order-insensitive.
 pub(crate) fn run_block<M: CampaignMode>(
     net: &SyntheticInternet,
     mode: &M,
     units: Range<UnitId>,
+    workers: &mut [WorkerState<M::Scratch>],
 ) -> M::Fold {
     let n_block = units.len();
     if n_block == 0 {
         return M::Fold::empty();
     }
-    let workers = mode.workers().min(n_block).max(1);
+    let n_workers = workers.len().min(n_block);
 
     // One shared cursor: a worker's next unit is the lowest unclaimed
     // one, so no worker idles while a unit is unclaimed and stragglers
@@ -371,8 +411,10 @@ pub(crate) fn run_block<M: CampaignMode>(
     };
 
     let outputs: Vec<M::Fold> = std::thread::scope(|scope| {
-        let handles: Vec<_> =
-            (0..workers).map(|_| scope.spawn(|| run_worker(claim, net, mode))).collect();
+        let handles: Vec<_> = workers[..n_workers]
+            .iter_mut()
+            .map(|state| scope.spawn(move || run_worker(claim, net, mode, state)))
+            .collect();
         // A worker thread only dies if the quarantine machinery itself
         // panicked (unit panics are caught inside `run_worker`).
         handles.into_iter().map(|h| h.join().expect("campaign worker died")).collect()
@@ -414,8 +456,8 @@ fn run_worker<M: CampaignMode>(
     mut claim: impl FnMut() -> Option<UnitId>,
     net: &SyntheticInternet,
     mode: &M,
+    state: &mut WorkerState<M::Scratch>,
 ) -> M::Fold {
-    let mut state = WorkerState::<M::Scratch>::new(net);
     let mut out = M::Fold::empty();
     while let Some(unit) = claim() {
         // Unit isolation: a panicking unit is quarantined, not fatal.
@@ -432,7 +474,7 @@ fn run_worker<M: CampaignMode>(
                 // with the dropped transport) and the scratch in
                 // arbitrary states; rebuild both so nothing poisoned
                 // leaks into later units.
-                state = WorkerState::new(net);
+                *state = WorkerState::new(net);
                 let (dest_idx, round, unit_stream) =
                     unit_coords(unit, net.dests.len(), mode.seed());
                 out.quarantine(QuarantinedUnit {
@@ -878,8 +920,8 @@ impl Fold for MultipathBlock {
     }
 
     fn absorb(&mut self, other: MultipathBlock) {
-        self.units.extend(other.units);
-        self.quarantined.extend(other.quarantined);
+        append(&mut self.units, other.units);
+        append(&mut self.quarantined, other.quarantined);
     }
 
     fn quarantine(&mut self, unit: QuarantinedUnit) {
@@ -1400,6 +1442,72 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_in_one_block_leaves_the_warm_workers_clean_for_the_next() {
+        use crate::snapshot::Checkpointed;
+        // 80 units as five 16-unit blocks over one set of workers, the
+        // way the checkpoint driver runs them. Unit 31 ends block 2.
+        let net = generate(&InternetConfig::tiny(42));
+        let cold = format!("{:?}", TraceScratch::default());
+        // The five blocks' folds, and whether the first worker's scratch
+        // was cold when block 2 returned.
+        let blocks = |workers: usize, panic_units: &[u32]| {
+            let cfg = CampaignConfig {
+                rounds: 2,
+                workers,
+                seed: 99,
+                inject: InjectConfig {
+                    panic_units: panic_units.iter().copied().collect(),
+                    runaway_units: BTreeSet::new(),
+                },
+                ..CampaignConfig::default()
+            };
+            let mut states = worker_states(&net, &cfg);
+            let mut cold_after_second = false;
+            let folds: Vec<BlockOutput> = (0..5u32)
+                .map(|block| {
+                    let fold = run_block(&net, &cfg, block * 16..(block + 1) * 16, &mut states);
+                    if block == 1 {
+                        cold_after_second = format!("{:?}", states[0].scratch) == cold;
+                    }
+                    fold
+                })
+                .collect();
+            (folds, cold_after_second)
+        };
+        let text = |fold: &BlockOutput| {
+            let mut text = String::new();
+            CampaignConfig::write_fold(fold, &mut text);
+            text
+        };
+        for workers in [1, 3] {
+            let (clean, clean_cold) = blocks(workers, &[]);
+            let (hit, hit_cold) = blocks(workers, &[31]);
+            // The poisoned unit is quarantined and nothing of it is kept…
+            assert_eq!(hit[1].quarantined.iter().map(|q| q.unit).collect::<Vec<_>>(), vec![31]);
+            assert_eq!(hit[1].paris.report().routes_total, 15);
+            assert_eq!(hit[1].classic.report().routes_total, 15);
+            let spared: Vec<_> = clean[1].virtual_secs.iter().filter(|v| v.0 != 31).collect();
+            assert_eq!(hit[1].virtual_secs.iter().collect::<Vec<_>>(), spared);
+            // …the state it unwound through was rebuilt (one worker
+            // claims the block's last unit last, so nothing has warmed
+            // the new state yet)…
+            assert!(!clean_cold, "a worker's state stays warm from block to block");
+            if workers == 1 {
+                assert!(hit_cold, "the panicking worker's state was not rebuilt");
+            }
+            // …and every other block, the three after it above all,
+            // holds exactly the units of a run in which nothing panicked.
+            for block in [0, 2, 3, 4] {
+                assert!(
+                    text(&hit[block]) == text(&clean[block]),
+                    "{workers} workers: block {} differs after the panic in block 2",
+                    block + 1
+                );
+            }
+        }
+    }
+
+    #[test]
     fn injected_runaway_unit_is_cut_by_the_watchdog_budget() {
         let net = generate(&InternetConfig::tiny(42));
         let config = |workers: usize, runaway: &[u32]| CampaignConfig {
@@ -1526,7 +1634,7 @@ mod tests {
         let (done, result) = std::sync::mpsc::channel();
         let units = block.clone();
         let runner = std::thread::spawn(move || {
-            let out = run_block(&net, &cfg, units);
+            let out = run_block(&net, &cfg, units, &mut worker_states(&net, &cfg));
             // The receiver is gone only if the wait below timed out.
             let _ = done.send(out.virtual_secs.iter().map(|(unit, _)| *unit).collect::<Vec<_>>());
         });
@@ -1547,7 +1655,8 @@ mod tests {
 
     /// Every unit of `mode` run once under a seeded schedule: a shuffled
     /// claim order cut into `k` workers' runs of random (possibly empty)
-    /// lengths, each driven through `run_worker` in turn — no threads —
+    /// lengths, each driven through `run_worker` in turn — no threads,
+    /// and one state, warm from whatever the runs before left in it —
     /// and the folds absorbed in a shuffled order.
     fn run_scheduled<M: CampaignMode>(
         net: &SyntheticInternet,
@@ -1560,11 +1669,12 @@ mod tests {
         let mut cuts: Vec<usize> = (1..k).map(|_| rng.gen_range(0..=order.len())).collect();
         cuts.extend([0, order.len()]);
         cuts.sort_unstable();
+        let state = &mut WorkerState::new(net);
         let mut folds: Vec<M::Fold> = cuts
             .windows(2)
             .map(|cut| {
                 let mut run = order[cut[0]..cut[1]].iter().copied();
-                run_worker(|| run.next(), net, mode)
+                run_worker(|| run.next(), net, mode, state)
             })
             .collect();
         shuffle(&mut folds, rng);

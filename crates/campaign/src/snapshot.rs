@@ -12,12 +12,12 @@
 //! **byte-identical** to an uninterrupted run's, for any worker count
 //! and any kill point (`tests/checkpoint_resume.rs` pins this).
 //!
-//! # The journal (`ptsnap v2`)
+//! # The journal (`ptsnap v3`)
 //!
 //! One file at [`CheckpointConfig::path`], a sequence of *records*:
 //!
 //! ```text
-//! ptsnap v2 <mode> <start> <end> <body bytes> <fingerprint>\n
+//! ptsnap v3 <mode> <start> <end> <body bytes> <fingerprint>\n
 //! <body: the fold of units start..end, canonical text>
 //! end <digest>\n
 //! ```
@@ -46,7 +46,13 @@
 //! workspace) and *canonical*: sets and maps serialize in sorted order,
 //! so equal fold contents produce equal bytes no matter how work was
 //! sharded. Floats travel as IEEE-754 bit patterns — a reload loses
-//! nothing.
+//! nothing. `docs/ROBUSTNESS.md` writes the body grammar out. Nearly
+//! all of a side-by-side body is *key lines* ([`pt_anomaly::codec`]):
+//! fields of eight hex digits — an address, a round, a unit id, half a
+//! float's bits — in ascending order, `9 N` bytes for a line of `N`
+//! fields. The folds hold their sets in that same order, so writing a
+//! record sorts and copies nothing, and its buffer is allocated once at
+//! [`Checkpointed::body_capacity`] bytes and never regrown.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -54,7 +60,7 @@ use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use pt_anomaly::codec::{push_addr, push_hex64, push_uint};
+use pt_anomaly::codec::{push_addr, push_hex64, push_key_lines, push_uint, read_key_lines};
 use pt_anomaly::CampaignAccumulator;
 use pt_core::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind, StrategyId, TraceConfig};
 use pt_mda::{BalancerClass, MdaConfig, MdaProtocol};
@@ -64,16 +70,16 @@ use pt_topogen::SyntheticInternet;
 use pt_wire::UnreachableCode;
 
 use crate::runner::{
-    run_block, BlockOutput, CampaignConfig, CampaignMode, CampaignResult, DynamicsConfig, Fold,
-    InjectConfig, MultipathBlock, MultipathConfig, MultipathResult, QuarantinedUnit, UnitDiscovery,
-    UnitId,
+    run_block, worker_states, BlockOutput, CampaignConfig, CampaignMode, CampaignResult,
+    DynamicsConfig, Fold, InjectConfig, MultipathBlock, MultipathConfig, MultipathResult,
+    QuarantinedUnit, UnitDiscovery, UnitId,
 };
 
 /// Magic prefix of every record header; bump the version when the
 /// format changes. A loader refuses journals whose version it does not
 /// speak — there is no silent cross-version reinterpretation.
 const MAGIC: &str = "ptsnap";
-const VERSION: &str = "v2";
+const VERSION: &str = "v3";
 
 /// `end <16 hex digits>\n`.
 const TRAILER_LEN: usize = 21;
@@ -287,6 +293,9 @@ fn section(out: &mut String, tag: &str, count: usize) {
     out.push('\n');
 }
 
+/// No section header line is longer: the longest tag and a `usize`.
+const SECTION_LINE_MAX: usize = 11 + 1 + 20 + 1;
+
 /// Escape a panic message so that it always fits one line: backslash,
 /// newline and carriage return are encoded.
 fn push_escaped_panic(out: &mut String, s: &str) {
@@ -320,6 +329,15 @@ fn unescape_panic(s: &str) -> String {
         }
     }
     out
+}
+
+/// At least the bytes [`write_quarantined`] appends: per unit a tag,
+/// three decimals, a dotted quad and a seed, and the panic text, which
+/// escaping at most doubles.
+fn quarantined_capacity(quarantined: &[QuarantinedUnit]) -> usize {
+    const FIELDS_MAX: usize = 1 + 11 + 21 + 21 + 16 + 17 + 1 + 1;
+    let lines: usize = quarantined.iter().map(|q| FIELDS_MAX + 2 * q.panic.len()).sum();
+    SECTION_LINE_MAX + lines
 }
 
 fn write_quarantined(out: &mut String, quarantined: &[QuarantinedUnit]) {
@@ -471,6 +489,26 @@ fn parse_probe(s: &str) -> Result<ProbeResult, String> {
     })
 }
 
+/// At least the bytes [`write_routes`] appends, from every field at its
+/// widest — kept routes are for debugging and small runs, and their
+/// fields are not fixed-width, so this is roomy rather than exact.
+fn routes_capacity(routes: &[(UnitId, StrategyId, usize, MeasuredRoute)]) -> usize {
+    // `route`, a unit, a round and a hop count, two tool names, two
+    // dotted quads, a TTL and a halt reason.
+    const ROUTE_LINE_MAX: usize = 5 + 11 + 21 + 21 + 2 * 17 + 2 * 16 + 4 + 10 + 1;
+    const HOP_LINE_MAX: usize = 3 + 4 + 21 + 1;
+    // A dotted quad, an RTT, a kind, two TTLs and an IP id.
+    const PROBE_MAX: usize = 1 + 15 + 1 + 20 + 1 + 5 + 1 + 3 + 1 + 3 + 1 + 5;
+    let lines: usize = routes
+        .iter()
+        .map(|(_, _, _, route)| {
+            let probes: usize = route.hops.iter().map(|hop| hop.probes.len()).sum();
+            ROUTE_LINE_MAX + route.hops.len() * HOP_LINE_MAX + probes * PROBE_MAX
+        })
+        .sum();
+    SECTION_LINE_MAX + lines
+}
+
 fn write_routes(out: &mut String, routes: &[(UnitId, StrategyId, usize, MeasuredRoute)]) {
     let mut order: Vec<usize> = (0..routes.len()).collect();
     // Canonical order: unit id, Paris before classic — the same order
@@ -553,16 +591,25 @@ fn read_routes<'a>(
 /// running it: a name for the record header, the fingerprint that ties
 /// a journal to one campaign, and the fold's canonical body codec (used
 /// alike for one block's record and for the folded `0..cursor` record).
+/// The codec takes folds as [`Fold::absorb`] leaves them — what
+/// [`run_block`] returns and what the driver merges blocks into.
 pub(crate) trait Checkpointed: CampaignMode {
     /// The mode word of the record header.
     const MODE: &'static str;
     /// Everything results-affecting about this campaign over `net`.
     fn fingerprint(&self, net: &SyntheticInternet) -> u64;
+    /// At least the bytes [`Checkpointed::write_fold`] appends for
+    /// `fold`, and close to them, from the fold's counts alone.
+    fn body_capacity(fold: &Self::Fold) -> usize;
     /// Append the canonical text of `fold` to `out`.
     fn write_fold(fold: &Self::Fold, out: &mut String);
     /// The inverse of [`Checkpointed::write_fold`].
     fn read_fold<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Self::Fold, String>;
 }
+
+/// One `virt` key line: the unit id and the two halves of its virtual
+/// seconds' bit pattern.
+const VIRT_LINE_LEN: usize = 3 * 9;
 
 impl Checkpointed for CampaignConfig {
     const MODE: &'static str = "side-by-side";
@@ -571,20 +618,29 @@ impl Checkpointed for CampaignConfig {
         campaign_fingerprint(net, self)
     }
 
+    fn body_capacity(fold: &BlockOutput) -> usize {
+        quarantined_capacity(&fold.quarantined)
+            + SECTION_LINE_MAX
+            + fold.virtual_secs.len() * VIRT_LINE_LEN
+            + fold.classic.snapshot_len()
+            + fold.paris.snapshot_len()
+            + routes_capacity(&fold.routes)
+    }
+
     /// Quarantined units, per-unit virtual times, both anomaly
     /// accumulators, and the kept routes.
     fn write_fold(fold: &BlockOutput, out: &mut String) {
         write_quarantined(out, &fold.quarantined);
-        let mut virt: Vec<(UnitId, f64)> = fold.virtual_secs.clone();
-        virt.sort_by_key(|(unit, _)| *unit);
-        section(out, "virt", virt.len());
-        for (unit, v) in virt {
-            out.push('v');
-            field(out, u64::from(unit));
-            out.push(' ');
-            push_hex64(out, v.to_bits());
-            out.push('\n');
-        }
+        debug_assert!(
+            fold.virtual_secs.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "a fold that was never absorbed: its virtual times are in claim order"
+        );
+        section(out, "virt", fold.virtual_secs.len());
+        let virt_keys = fold.virtual_secs.iter().map(|&(unit, v)| {
+            let bits = v.to_bits();
+            [unit, (bits >> 32) as u32, bits as u32]
+        });
+        push_key_lines(out, virt_keys);
         fold.classic.snapshot_write(out);
         fold.paris.snapshot_write(out);
         write_routes(out, &fold.routes);
@@ -593,12 +649,9 @@ impl Checkpointed for CampaignConfig {
     fn read_fold<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<BlockOutput, String> {
         let quarantined = read_quarantined(lines)?;
         let n_virt: usize = tok(&mut tagged(lines, "virt")?, "virt count")?;
-        let mut virtual_secs = announced(n_virt);
-        for _ in 0..n_virt {
-            let mut t = tagged(lines, "v")?;
-            let unit: u32 = tok(&mut t, "virt unit")?;
-            virtual_secs.push((unit, f64::from_bits(tok_hex_u64(&mut t, "virt bits")?)));
-        }
+        let virtual_secs = read_key_lines(lines, n_virt, |[unit, high, low]| {
+            (unit, f64::from_bits(u64::from(high) << 32 | u64::from(low)))
+        })?;
         let classic = CampaignAccumulator::snapshot_read(lines)?;
         let paris = CampaignAccumulator::snapshot_read(lines)?;
         let routes = read_routes(lines)?;
@@ -630,6 +683,18 @@ impl Checkpointed for MultipathConfig {
 
     fn fingerprint(&self, net: &SyntheticInternet) -> u64 {
         multipath_fingerprint(net, self)
+    }
+
+    fn body_capacity(fold: &MultipathBlock) -> usize {
+        // `u`, a dotted quad, a class, the virtual time's bits and
+        // thirteen decimals, every field at its widest. A multipath
+        // fold is one such line per unit — kilobytes beside a worker's
+        // simulator — so roomy costs nothing, where exact would need
+        // the writer's field list a second time.
+        const UNIT_LINE_MAX: usize = 256;
+        quarantined_capacity(&fold.quarantined)
+            + SECTION_LINE_MAX
+            + fold.units.len() * UNIT_LINE_MAX
     }
 
     /// Quarantined units and the per-unit discoveries.
@@ -840,6 +905,9 @@ fn replay<M: Checkpointed>(path: &Path, fingerprint: u64) -> io::Result<Replayed
             break;
         }
         body.clear();
+        // The length was just checked against the bytes the file has
+        // left; sized up front, the buffer is not grown by doubling.
+        body.reserve_exact(header.body_len as usize);
         reader.by_ref().take(header.body_len).read_to_end(&mut body)?;
         let mut trailer = [0u8; TRAILER_LEN];
         match reader.read_exact(&mut trailer) {
@@ -896,19 +964,16 @@ struct Record {
 }
 
 impl Record {
-    /// Encode `fold` as the record of `range`. `size_hint` pre-sizes
-    /// the body buffer; a low guess only costs regrowth.
-    fn encode<M: Checkpointed>(
-        fingerprint: u64,
-        range: Range<u32>,
-        fold: &M::Fold,
-        size_hint: u64,
-    ) -> Record {
-        let mut body = String::with_capacity(size_hint as usize);
+    /// Encode `fold` as the record of `range`, in a buffer allocated
+    /// once from the fold's counts.
+    fn encode<M: Checkpointed>(fingerprint: u64, range: Range<u32>, fold: &M::Fold) -> Record {
+        let capacity = M::body_capacity(fold) + TRAILER_LEN;
+        let mut body = String::with_capacity(capacity);
         M::write_fold(fold, &mut body);
         let header = header_line(M::MODE, fingerprint, &range, body.len());
         let digest = record_digest(header.as_bytes(), body.as_bytes());
         body.push_str(&trailer_line(digest));
+        debug_assert!(body.len() <= capacity, "body_capacity is not a bound: the buffer regrew");
         Record { header, body }
     }
 
@@ -941,10 +1006,14 @@ fn tmp_path(path: &Path) -> PathBuf {
 }
 
 /// The open journal: an append handle on [`CheckpointConfig::path`] plus
-/// the two byte counts the folding rule compares. Record buffers are
-/// not kept between checkpoints: a fold's is several blocks' worth, and
-/// even a block's would sit idle through the next block's probing,
-/// where the campaign's memory peaks.
+/// the two byte counts the folding rule compares. The workers'
+/// simulators stay alive through a checkpoint, so what a fold rewrite
+/// adds on top of them and the fold is the campaign's memory peak: it
+/// is one record buffer of exactly the record's size
+/// ([`Record::encode`]) and no sorted copy of anything, and the buffer
+/// is dropped once written rather than kept for the next checkpoint —
+/// it would sit idle through a block's probing, beside the block's own
+/// fold.
 struct Journal<'a, M> {
     path: &'a Path,
     fingerprint: u64,
@@ -953,8 +1022,6 @@ struct Journal<'a, M> {
     fold_bytes: u64,
     /// Bytes of block records appended after it.
     appended: u64,
-    /// Size of the last block record — the next one's size hint.
-    block_bytes: u64,
     stats: DriveStats,
     mode: std::marker::PhantomData<fn(&M)>,
 }
@@ -964,14 +1031,13 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
     /// replacing whatever is there, a previous campaign's journal or a
     /// stale temp file alike.
     fn create(path: &'a Path, fingerprint: u64) -> io::Result<Self> {
-        let record = Record::encode::<M>(fingerprint, 0..0, &M::Fold::empty(), 0);
+        let record = Record::encode::<M>(fingerprint, 0..0, &M::Fold::empty());
         Ok(Journal {
             path,
             fingerprint,
             file: record.install(path)?,
             fold_bytes: record.len(),
             appended: 0,
-            block_bytes: 0,
             stats: DriveStats { bytes_written: record.len(), units_run: 0 },
             mode: std::marker::PhantomData,
         })
@@ -999,7 +1065,6 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
             file,
             fold_bytes: replayed.fold_bytes,
             appended: replayed.good_len - replayed.fold_bytes,
-            block_bytes: 0,
             stats: DriveStats::default(),
             mode: std::marker::PhantomData,
         })
@@ -1007,9 +1072,8 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
 
     /// Checkpoint: append the record of the block just run.
     fn append(&mut self, block: Range<u32>, output: &M::Fold) -> io::Result<()> {
-        let record = Record::encode::<M>(self.fingerprint, block, output, self.block_bytes);
+        let record = Record::encode::<M>(self.fingerprint, block, output);
         record.write_to(&mut self.file)?;
-        self.block_bytes = record.len();
         self.appended += record.len();
         self.stats.bytes_written += record.len();
         Ok(())
@@ -1022,8 +1086,7 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
         if self.appended < self.fold_bytes {
             return Ok(());
         }
-        // A fold only grows, so the last one's size is a floor.
-        let record = Record::encode::<M>(self.fingerprint, 0..cursor, fold, self.fold_bytes);
+        let record = Record::encode::<M>(self.fingerprint, 0..cursor, fold);
         // The old handle points at the file the rename replaces.
         self.file = record.install(self.path)?;
         self.fold_bytes = record.len();
@@ -1058,9 +1121,11 @@ fn drive<M: Checkpointed>(
     };
     let every = ckpt.every_units.max(1);
     let mut checkpoints = 0usize;
+    // Warm from the first block on: a later block builds no simulator.
+    let mut workers = worker_states(net, mode);
     while cursor < n_units {
         let end = n_units.min(cursor.saturating_add(every));
-        let block = run_block(net, mode, cursor..end);
+        let block = run_block(net, mode, cursor..end, &mut workers);
         journal.stats.units_run += end - cursor;
         journal.append(cursor..end, &block)?;
         fold.absorb(block);
@@ -1150,7 +1215,7 @@ mod tests {
 
     /// The length of `fold` encoded as one record.
     fn record_len<M: Checkpointed>(fold: &M::Fold, range: Range<u32>) -> u64 {
-        Record::encode::<M>(0, range, fold, 0).len()
+        Record::encode::<M>(0, range, fold).len()
     }
 
     #[test]
@@ -1181,10 +1246,43 @@ mod tests {
         let mut journaled = String::new();
         CampaignConfig::write_fold(&replayed.fold, &mut journaled);
         let mut direct = String::new();
-        let whole = run_block(&net, &CampaignConfig { workers: 1, ..config }, 0..80);
+        let serial = CampaignConfig { workers: 1, ..config };
+        let whole = run_block(&net, &serial, 0..80, &mut worker_states(&net, &serial));
         CampaignConfig::write_fold(&whole, &mut direct);
         assert!(journaled == direct, "journal replay changed the fold's canonical bytes");
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn any_block_size_and_worker_count_folds_to_one_journal() {
+        let net = generate(&InternetConfig::tiny(42));
+        let config =
+            |workers| CampaignConfig { rounds: 2, workers, seed: 99, ..Default::default() };
+        let plain = report_digest(&run(&net, &config(1)));
+        let fingerprint = config(1).fingerprint(&net);
+        let mut folded: Vec<(String, Vec<u8>)> = Vec::new();
+        for workers in [1, 3] {
+            for every_units in [1, 7, 64, 80] {
+                let case = format!("{workers} workers, {every_units} units a block");
+                let path = tmp(&format!("warm-{workers}-{every_units}"));
+                let result =
+                    run_checkpointed(&net, &config(workers), &ckpt(&path, every_units, None))
+                        .unwrap()
+                        .expect("completes");
+                assert_eq!(report_digest(&result), plain, "{case}");
+                // A final fold: the journal as the one record `0..80`.
+                let replayed = replay::<CampaignConfig>(&path, fingerprint).unwrap();
+                assert_eq!(replayed.cursor, 80, "{case}");
+                let record = Record::encode::<CampaignConfig>(fingerprint, 0..80, &replayed.fold);
+                folded.push((case, [record.header, record.body].concat().into_bytes()));
+                let _ = fs::remove_file(&path);
+            }
+        }
+        // Warm workers, however many blocks they ran and in whatever
+        // state one block left them for the next, fold to the same bytes.
+        for (case, journal) in &folded[1..] {
+            assert!(*journal == folded[0].1, "{case}: folded journal differs from {}", folded[0].0);
+        }
     }
 
     #[test]
@@ -1345,7 +1443,12 @@ mod tests {
             assert_eq!(stats.units_run, 16);
             // The file holds at most two full folds and one block.
             let replayed = replay::<CampaignConfig>(&path, fingerprint).unwrap();
-            let block = run_block(net, &config, replayed.cursor - 16..replayed.cursor);
+            let block = run_block(
+                net,
+                &config,
+                replayed.cursor - 16..replayed.cursor,
+                &mut worker_states(net, &config),
+            );
             let bound = 2 * record_len::<CampaignConfig>(&replayed.fold, 0..replayed.cursor)
                 + record_len::<CampaignConfig>(&block, replayed.cursor - 16..replayed.cursor);
             assert!(
@@ -1419,9 +1522,11 @@ mod tests {
         let path = tmp("foreign");
         for (content, why) in [
             ("ptsnap v1 side-by-side\nfingerprint 0000000000000000\ncursor 0\n", "version"),
+            // The format before this one: a whole, well-formed header.
+            ("ptsnap v2 side-by-side 0 0 30 0000000000000000\n", "version"),
             ("", "start"),
             ("not a journal at all\n", "start"),
-            ("ptsnap v2 side-by-side 0 0", "start"),
+            ("ptsnap v3 side-by-side 0 0", "start"),
         ] {
             fs::write(&path, content).unwrap();
             let err = run_resumed(&net, &config, &ckpt(&path, 16, None)).unwrap_err();

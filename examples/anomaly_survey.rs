@@ -46,7 +46,7 @@ fn main() {
     println!("{}", render_report(&result));
 
     // §3's AS-level coverage, against the generator's ground-truth map.
-    let cov = pt_topogen::coverage(&net.as_map, result.classic.addresses_seen());
+    let cov = pt_topogen::coverage(&net.as_map, &result.classic.addresses_seen());
     println!(
         "\n## AS coverage (§3)\n\n- ASes traversed: {} of {} (paper: 1,122, ~5% of the Internet)\n- tier-1 ASes traversed: {} of {} (paper: all nine)\n- unmapped response addresses: {} (paper: 19 thousand invalid)",
         cov.ases_observed, cov.ases_total, cov.tier1s_observed, cov.tier1s_total, cov.unmapped_addresses

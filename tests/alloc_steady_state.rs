@@ -4,7 +4,8 @@
 //! **zero heap allocations**. This pins what the performance notes used
 //! to claim from bench eyeballing:
 //!
-//! * the timing wheel schedules/pops via recycled slab slots,
+//! * the event queue (a sorted deque) schedules and pops within the
+//!   capacity its first units grew,
 //! * in-flight packets live in the `PacketArena`,
 //! * probe payloads circulate through `Transport::grab_payload` /
 //!   `Transport::release`,
@@ -122,8 +123,8 @@ fn steady_state_trace_pair_allocates_nothing() {
         pool.release(tx.into_simulator());
     };
 
-    // Warm-up: fill the arena, the wheel slab, the payload pool, the
-    // scratch pools and every lane/queue capacity.
+    // Warm-up: fill the arena, the event queue's deque, the payload
+    // pool, the scratch pools and every lane/queue capacity.
     for seed in 0..5 {
         unit(&mut pool, &mut scratch, seed);
     }
