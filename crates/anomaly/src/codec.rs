@@ -43,7 +43,7 @@ pub fn push_hex64(out: &mut String, v: u64) {
 
 /// Append `addr` in dotted-quad form, as `{}` would — the form of the
 /// few addresses that travel outside key lines (a quarantined unit's, a
-/// kept route's, a multipath unit's).
+/// multipath unit's).
 pub fn push_addr(out: &mut String, addr: Ipv4Addr) {
     // Rendered on the stack and appended in one go.
     let mut text = [0u8; 15];

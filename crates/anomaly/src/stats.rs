@@ -258,6 +258,13 @@ impl CampaignAccumulator {
         diamonds(&self.triples.keys()).map(|[d, h, t]| (d.into(), h.into(), t.into())).collect()
     }
 
+    /// Destinations toward which some route held a loop that
+    /// [`find_loops`] diagnosed as `cause`.
+    pub fn loop_dests(&self, cause: LoopCause) -> BTreeSet<Ipv4Addr> {
+        let with_cause = self.loop_instances.keys().filter(|(_, c)| *c == cause);
+        with_cause.map(|((_, dest), _)| *dest).collect()
+    }
+
     /// Total loop instances.
     pub fn loop_instance_count(&self) -> u64 {
         self.loop_instances.values().sum()

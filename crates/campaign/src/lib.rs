@@ -28,7 +28,7 @@ pub use report::{
     multipath_digest, render_multipath_report, render_report, report_digest, PaperBaseline,
 };
 pub use runner::{
-    run, run_multipath, CampaignConfig, CampaignResult, DestMultipath, DynamicsConfig,
+    replay_unit, run, run_multipath, CampaignConfig, CampaignResult, DestMultipath, DynamicsConfig,
     InjectConfig, MultipathConfig, MultipathReport, MultipathResult, QuarantinedUnit,
     UnitDiscovery,
 };

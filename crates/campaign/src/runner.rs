@@ -9,10 +9,11 @@
 //! simulator's own node RNGs) derives from `splitmix64` mixes of
 //! `(campaign seed, destination index, round)`, never from the worker
 //! that happens to claim the unit; accumulator merging is
-//! order-insensitive and kept routes are re-sorted into unit order. The
-//! result: the campaign's entire [`ComparisonReport`] digest is
-//! byte-identical for any worker count, and `workers` is a pure
-//! performance knob (the property `tests/worker_invariance.rs` pins).
+//! order-insensitive and a unit's routes are folded at ingest, not kept
+//! ([`replay_unit`] measures any unit's pair again). The result: the
+//! campaign's entire [`ComparisonReport`] digest is byte-identical for
+//! any worker count, and `workers` is a pure performance knob (the
+//! property `tests/worker_invariance.rs` pins).
 
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -123,8 +124,9 @@ pub struct QuarantinedUnit {
     pub round: usize,
     /// The destination address the unit was probing.
     pub addr: Ipv4Addr,
-    /// The unit's derived seed stream — enough to replay the unit in
-    /// isolation.
+    /// The unit's derived seed stream. [`replay_unit`] re-derives it
+    /// from `(dest, round)` and runs the unit again in isolation, panic
+    /// included.
     pub seed: u64,
     /// The panic payload, when it was a string (the common case);
     /// `"opaque panic payload"` otherwise.
@@ -154,9 +156,6 @@ pub struct CampaignConfig {
     pub dynamics: DynamicsConfig,
     /// Campaign-level seed (ports, dynamics draws).
     pub seed: u64,
-    /// When set, keep every measured route (memory-heavy; for debugging
-    /// and small runs only).
-    pub keep_routes: bool,
     /// Deterministic fault injection (crash-safety testing).
     pub inject: InjectConfig,
 }
@@ -169,8 +168,6 @@ impl Default for CampaignConfig {
             trace: TraceConfig::paper(),
             dynamics: DynamicsConfig::default(),
             seed: 20061025, // the paper's publication date
-
-            keep_routes: false,
             inject: InjectConfig::none(),
         }
     }
@@ -189,9 +186,6 @@ pub struct CampaignResult {
     pub paris_report: ToolReport,
     /// The classic-vs-Paris attribution.
     pub comparison: ComparisonReport,
-    /// Kept routes (tool, round, route), when requested; sorted into
-    /// `(round, destination)` unit order regardless of worker count.
-    pub routes: Vec<(StrategyId, usize, MeasuredRoute)>,
     /// Mean virtual seconds of probing per destination (summed over all
     /// of a destination's rounds). Worker-count-independent, unlike the
     /// per-shard figure it replaces, and the number the windowed tracer
@@ -199,9 +193,9 @@ pub struct CampaignResult {
     pub mean_virtual_secs: f64,
     /// Units whose execution panicked, in unit order. Their partial
     /// results are fully discarded — nothing of a poisoned unit reaches
-    /// the accumulators, the kept routes, or the virtual-time sums —
-    /// so the healthy-unit digest is independent of *where* a panic
-    /// struck and of the worker count.
+    /// the accumulators or the virtual-time sums — so the healthy-unit
+    /// digest is independent of *where* a panic struck and of the worker
+    /// count.
     pub quarantined: Vec<QuarantinedUnit>,
 }
 
@@ -213,15 +207,14 @@ pub(crate) type UnitId = u32;
 /// or several workers' folds merged, or several *blocks* merged by the
 /// checkpoint engine. Accumulator merging is order-insensitive (integer
 /// counters, sets, and per-key u64 maps), so producers can fold units
-/// in any order; everything order-sensitive (kept routes, virtual-time
-/// floats, quarantine records) is tagged with its unit id and re-ordered
+/// in any order; everything order-sensitive (virtual-time floats,
+/// quarantine records) is tagged with its unit id and re-ordered
 /// deterministically by [`CampaignMode::finalize`]. Once absorbed into
 /// another, a fold holds its accumulators' sets and its virtual times
 /// in the order a checkpoint record writes them.
 pub(crate) struct BlockOutput {
     pub(crate) classic: CampaignAccumulator,
     pub(crate) paris: CampaignAccumulator,
-    pub(crate) routes: Vec<(UnitId, StrategyId, usize, MeasuredRoute)>,
     pub(crate) virtual_secs: Vec<(UnitId, f64)>,
     pub(crate) quarantined: Vec<QuarantinedUnit>,
 }
@@ -255,7 +248,6 @@ impl Fold for BlockOutput {
         BlockOutput {
             classic: CampaignAccumulator::new(StrategyId::ClassicUdp),
             paris: CampaignAccumulator::new(StrategyId::ParisUdp),
-            routes: Vec::new(),
             virtual_secs: Vec::new(),
             quarantined: Vec::new(),
         }
@@ -264,7 +256,6 @@ impl Fold for BlockOutput {
     fn absorb(&mut self, other: BlockOutput) {
         self.classic.merge(other.classic);
         self.paris.merge(other.paris);
-        append(&mut self.routes, other.routes);
         // Held in unit order, the order a record writes them in. A
         // worker claims ascending units and blocks arrive in order, so
         // past one block's interleaving the new times just follow the
@@ -365,6 +356,33 @@ pub(crate) fn worker_states<M: CampaignMode>(
 /// Run a full side-by-side campaign over `net`.
 pub fn run(net: &SyntheticInternet, config: &CampaignConfig) -> CampaignResult {
     run_whole(net, config)
+}
+
+/// Measure one `(destination, round)` unit of `config`'s campaign again,
+/// alone: its Paris route, then its classic one, exactly as [`run`]
+/// measured and folded them. A unit is a pure function of `(net, config,
+/// dest, round)`, so the campaign keeps no route; this is how to see
+/// one. The unit runs over a cold simulator and outside the quarantine
+/// machinery: a unit that panicked in the campaign panics here, with
+/// the text its [`QuarantinedUnit::panic`] recorded.
+///
+/// # Panics
+/// Panics when `dest` or `round` is outside the campaign.
+pub fn replay_unit(
+    net: &SyntheticInternet,
+    config: &CampaignConfig,
+    dest: usize,
+    round: usize,
+) -> (MeasuredRoute, MeasuredRoute) {
+    let n_dests = net.dests.len();
+    let unit = round * n_dests + dest;
+    assert!(
+        dest < n_dests && unit < config.n_units(net) as usize,
+        "no unit (dest {dest}, round {round}) in this campaign"
+    );
+    let mut state = WorkerState::<TraceScratch>::new(net);
+    let done = config.run_unit(unit as UnitId, net, &mut state.pool, &mut state.scratch);
+    (done.paris, done.classic)
 }
 
 /// A whole campaign as one block.
@@ -584,25 +602,18 @@ impl CampaignMode for CampaignConfig {
         let UnitTrace { round, paris, classic, virtual_secs } = done;
         out.paris.ingest(round, &paris);
         out.classic.ingest(round, &classic);
-        if self.keep_routes {
-            out.routes.push((unit, StrategyId::ParisUdp, round, paris));
-            out.routes.push((unit, StrategyId::ClassicUdp, round, classic));
-        } else {
-            scratch.recycle(paris);
-            scratch.recycle(classic);
-        }
+        scratch.recycle(paris);
+        scratch.recycle(classic);
         out.virtual_secs.push((unit, virtual_secs));
     }
 
     /// Re-sort by unit id, sum the virtual-time floats in that fixed
     /// order, and compute the reports.
     fn finalize(&self, net: &SyntheticInternet, out: BlockOutput) -> CampaignResult {
-        let BlockOutput { classic, paris, mut routes, mut virtual_secs, mut quarantined } = out;
+        let BlockOutput { classic, paris, mut virtual_secs, mut quarantined } = out;
         // Which worker (or checkpoint block) ran which unit is scheduling
-        // noise; re-ordering by unit id (Paris before classic within a
-        // unit) makes the kept-route list and the float summation below
-        // pure functions of the seed.
-        routes.sort_by_key(|(unit, tool, _, _)| (*unit, *tool != StrategyId::ParisUdp));
+        // noise; re-ordering by unit id makes the float summation below a
+        // pure function of the seed.
         virtual_secs.sort_by_key(|(unit, _)| *unit);
         quarantined.sort_by_key(|q| q.unit);
         let total_virtual: f64 = virtual_secs.iter().map(|(_, v)| v).sum();
@@ -616,10 +627,6 @@ impl CampaignMode for CampaignConfig {
             classic_report,
             paris_report,
             comparison,
-            routes: routes
-                .into_iter()
-                .map(|(_, tool, round, route)| (tool, round, route))
-                .collect(),
             mean_virtual_secs: total_virtual / net.dests.len().max(1) as f64,
             quarantined,
         }
@@ -1197,32 +1204,6 @@ mod tests {
     }
 
     #[test]
-    fn kept_routes_come_back_in_unit_order_for_any_worker_count() {
-        let net = generate(&InternetConfig::tiny(42));
-        let order = |workers: usize| {
-            let cfg = CampaignConfig {
-                rounds: 2,
-                workers,
-                seed: 99,
-                keep_routes: true,
-                ..CampaignConfig::default()
-            };
-            run(&net, &cfg)
-                .routes
-                .iter()
-                .map(|(tool, round, route)| (*tool, *round, route.destination))
-                .collect::<Vec<_>>()
-        };
-        let serial = order(1);
-        assert_eq!(serial.len(), 2 * 40 * 2, "two tools per destination per round");
-        // Round-major unit order, Paris before classic within a unit.
-        assert_eq!(serial[0].0, StrategyId::ParisUdp);
-        assert_eq!(serial[1].0, StrategyId::ClassicUdp);
-        assert_eq!(serial[0].2, serial[1].2, "pair traces the same destination");
-        assert_eq!(order(5), serial, "route order survives parallel claiming");
-    }
-
-    #[test]
     fn windowed_campaign_measures_sequential_routes_in_less_virtual_time() {
         // On a deterministic network (no link loss, no per-packet
         // balancing, no dynamics) the windowed tracer must measure the
@@ -1695,13 +1676,12 @@ mod tests {
             panic_units: BTreeSet::from(units),
             ..InjectConfig::none()
         };
-        // Kept routes are the order-sensitive list; two quarantined
-        // units make the quarantine list one too.
+        // The virtual-time floats are summed in unit order; two
+        // quarantined units make the quarantine list order-sensitive too.
         let traces = CampaignConfig {
             rounds: 2,
             workers: 1,
             seed: 99,
-            keep_routes: true,
             inject: panic_units([5, 41]),
             ..CampaignConfig::default()
         };
@@ -1728,7 +1708,6 @@ mod tests {
                 traces_digest,
                 "seed {seed}, {k} workers"
             );
-            assert_eq!(got.routes, serial_traces.routes, "seed {seed}, {k} workers");
             assert_eq!(
                 got.mean_virtual_secs.to_bits(),
                 serial_traces.mean_virtual_secs.to_bits(),

@@ -12,12 +12,12 @@
 //! **byte-identical** to an uninterrupted run's, for any worker count
 //! and any kill point (`tests/checkpoint_resume.rs` pins this).
 //!
-//! # The journal (`ptsnap v3`)
+//! # The journal (`ptsnap v4`)
 //!
 //! One file at [`CheckpointConfig::path`], a sequence of *records*:
 //!
 //! ```text
-//! ptsnap v3 <mode> <start> <end> <body bytes> <fingerprint>\n
+//! ptsnap v4 <mode> <start> <end> <body bytes> <fingerprint>\n
 //! <body: the fold of units start..end, canonical text>
 //! end <digest>\n
 //! ```
@@ -56,30 +56,27 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use pt_anomaly::codec::{push_addr, push_hex64, push_key_lines, push_uint, read_key_lines};
 use pt_anomaly::CampaignAccumulator;
-use pt_core::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind, StrategyId, TraceConfig};
+use pt_core::TraceConfig;
 use pt_mda::{BalancerClass, MdaConfig, MdaProtocol};
 use pt_netsim::splitmix64;
-use pt_netsim::time::SimDuration;
 use pt_topogen::SyntheticInternet;
-use pt_wire::UnreachableCode;
 
 use crate::runner::{
     run_block, worker_states, BlockOutput, CampaignConfig, CampaignMode, CampaignResult,
     DynamicsConfig, Fold, InjectConfig, MultipathBlock, MultipathConfig, MultipathResult,
-    QuarantinedUnit, UnitDiscovery, UnitId,
+    QuarantinedUnit, UnitDiscovery,
 };
 
 /// Magic prefix of every record header; bump the version when the
 /// format changes. A loader refuses journals whose version it does not
 /// speak — there is no silent cross-version reinterpretation.
 const MAGIC: &str = "ptsnap";
-const VERSION: &str = "v3";
+const VERSION: &str = "v4";
 
 /// `end <16 hex digits>\n`.
 const TRAILER_LEN: usize = 21;
@@ -146,7 +143,7 @@ fn mix_net(mut h: u64, net: &SyntheticInternet) -> u64 {
 /// legal and byte-identical. The configs are destructured exhaustively
 /// so that a new field fails to compile here until it is classified.
 fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64 {
-    let CampaignConfig { rounds, workers: _, trace, dynamics, seed, keep_routes, inject } = config;
+    let CampaignConfig { rounds, workers: _, trace, dynamics, seed, inject } = config;
     let TraceConfig {
         min_ttl,
         max_ttl,
@@ -181,7 +178,6 @@ fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64
         forwarding_loop_window.nanos(),
         balancer_flap_prob.to_bits(),
         balancer_flap_after.nanos(),
-        u64::from(*keep_routes),
     ] {
         h = mix(h, v);
     }
@@ -384,206 +380,6 @@ fn read_quarantined<'a>(
 }
 
 // ---------------------------------------------------------------------
-// Route (de)serialization — only present under `keep_routes`.
-// ---------------------------------------------------------------------
-
-fn push_kind(out: &mut String, kind: ResponseKind) {
-    out.push_str(match kind {
-        ResponseKind::TimeExceeded => "TE",
-        ResponseKind::EchoReply => "ER",
-        ResponseKind::TcpReply => "TR",
-        ResponseKind::Unreachable(UnreachableCode::Network) => "UN",
-        ResponseKind::Unreachable(UnreachableCode::Host) => "UH",
-        ResponseKind::Unreachable(UnreachableCode::Port) => "UP",
-        ResponseKind::Unreachable(UnreachableCode::Other(c)) => {
-            out.push_str("UO");
-            push_uint(out, u64::from(c));
-            return;
-        }
-    });
-}
-
-fn kind_parse(s: &str) -> Result<ResponseKind, String> {
-    Ok(match s {
-        "TE" => ResponseKind::TimeExceeded,
-        "ER" => ResponseKind::EchoReply,
-        "TR" => ResponseKind::TcpReply,
-        "UN" => ResponseKind::Unreachable(UnreachableCode::Network),
-        "UH" => ResponseKind::Unreachable(UnreachableCode::Host),
-        "UP" => ResponseKind::Unreachable(UnreachableCode::Port),
-        other => match other.strip_prefix("UO") {
-            Some(code) => ResponseKind::Unreachable(UnreachableCode::Other(
-                code.parse().map_err(|e| format!("bad unreachable code: {e}"))?,
-            )),
-            None => return Err(format!("unknown response kind {other:?}")),
-        },
-    })
-}
-
-fn halt_name(halt: HaltReason) -> &'static str {
-    match halt {
-        HaltReason::Terminal => "Terminal",
-        HaltReason::StarLimit => "StarLimit",
-        HaltReason::MaxTtl => "MaxTtl",
-        HaltReason::Budget => "Budget",
-    }
-}
-
-fn halt_parse(s: &str) -> Result<HaltReason, String> {
-    Ok(match s {
-        "Terminal" => HaltReason::Terminal,
-        "StarLimit" => HaltReason::StarLimit,
-        "MaxTtl" => HaltReason::MaxTtl,
-        "Budget" => HaltReason::Budget,
-        other => return Err(format!("unknown halt reason {other:?}")),
-    })
-}
-
-/// ` <addr>,<rtt>,<kind>,<probe ttl>,<response ttl>,<ip id>`, with `-`
-/// for an absent field.
-fn write_probe(out: &mut String, p: &ProbeResult) {
-    fn or_dash(out: &mut String, v: Option<u64>) {
-        match v {
-            Some(v) => push_uint(out, v),
-            None => out.push('-'),
-        }
-    }
-    out.push(' ');
-    match p.addr {
-        Some(a) => push_addr(out, a),
-        None => out.push('-'),
-    }
-    out.push(',');
-    or_dash(out, p.rtt.map(SimDuration::nanos));
-    out.push(',');
-    match p.kind {
-        Some(k) => push_kind(out, k),
-        None => out.push('-'),
-    }
-    for v in [p.probe_ttl.map(u64::from), p.response_ttl.map(u64::from), p.ip_id.map(u64::from)] {
-        out.push(',');
-        or_dash(out, v);
-    }
-}
-
-fn parse_probe(s: &str) -> Result<ProbeResult, String> {
-    /// The next comma-separated field, `None` for `-`.
-    fn opt<'a>(f: &mut std::str::Split<'a, char>, what: &str) -> Result<Option<&'a str>, String> {
-        let v = f.next().ok_or_else(|| format!("probe: missing {what}"))?;
-        Ok((v != "-").then_some(v))
-    }
-    fn num<T: std::str::FromStr>(v: Option<&str>, what: &str) -> Result<Option<T>, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        v.map(|v| v.parse().map_err(|e| format!("probe: bad {what}: {e}"))).transpose()
-    }
-    let mut f = s.split(',');
-    Ok(ProbeResult {
-        addr: num(opt(&mut f, "addr")?, "addr")?,
-        rtt: num(opt(&mut f, "rtt")?, "rtt")?.map(SimDuration::from_nanos),
-        kind: opt(&mut f, "kind")?.map(kind_parse).transpose()?,
-        probe_ttl: num(opt(&mut f, "probe_ttl")?, "probe_ttl")?,
-        response_ttl: num(opt(&mut f, "response_ttl")?, "response_ttl")?,
-        ip_id: num(opt(&mut f, "ip_id")?, "ip_id")?,
-    })
-}
-
-/// At least the bytes [`write_routes`] appends, from every field at its
-/// widest — kept routes are for debugging and small runs, and their
-/// fields are not fixed-width, so this is roomy rather than exact.
-fn routes_capacity(routes: &[(UnitId, StrategyId, usize, MeasuredRoute)]) -> usize {
-    // `route`, a unit, a round and a hop count, two tool names, two
-    // dotted quads, a TTL and a halt reason.
-    const ROUTE_LINE_MAX: usize = 5 + 11 + 21 + 21 + 2 * 17 + 2 * 16 + 4 + 10 + 1;
-    const HOP_LINE_MAX: usize = 3 + 4 + 21 + 1;
-    // A dotted quad, an RTT, a kind, two TTLs and an IP id.
-    const PROBE_MAX: usize = 1 + 15 + 1 + 20 + 1 + 5 + 1 + 3 + 1 + 3 + 1 + 5;
-    let lines: usize = routes
-        .iter()
-        .map(|(_, _, _, route)| {
-            let probes: usize = route.hops.iter().map(|hop| hop.probes.len()).sum();
-            ROUTE_LINE_MAX + route.hops.len() * HOP_LINE_MAX + probes * PROBE_MAX
-        })
-        .sum();
-    SECTION_LINE_MAX + lines
-}
-
-fn write_routes(out: &mut String, routes: &[(UnitId, StrategyId, usize, MeasuredRoute)]) {
-    let mut order: Vec<usize> = (0..routes.len()).collect();
-    // Canonical order: unit id, Paris before classic — the same order
-    // finalization imposes.
-    order.sort_by_key(|&i| (routes[i].0, routes[i].1 != StrategyId::ParisUdp));
-    section(out, "routes", routes.len());
-    for i in order {
-        let (unit, tool, round, route) = &routes[i];
-        out.push_str("route");
-        field(out, u64::from(*unit));
-        out.push(' ');
-        out.push_str(tool.name());
-        field(out, *round as u64);
-        out.push(' ');
-        out.push_str(route.strategy.name());
-        out.push(' ');
-        push_addr(out, route.source);
-        out.push(' ');
-        push_addr(out, route.destination);
-        field(out, u64::from(route.min_ttl));
-        out.push(' ');
-        out.push_str(halt_name(route.halt));
-        field(out, route.hops.len() as u64);
-        out.push('\n');
-        for hop in &route.hops {
-            out.push_str("hop");
-            field(out, u64::from(hop.ttl));
-            field(out, hop.probes.len() as u64);
-            for p in &hop.probes {
-                write_probe(out, p);
-            }
-            out.push('\n');
-        }
-    }
-}
-
-fn read_routes<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-) -> Result<Vec<(UnitId, StrategyId, usize, MeasuredRoute)>, String> {
-    let n: usize = tok(&mut tagged(lines, "routes")?, "route count")?;
-    let mut out = announced(n);
-    for _ in 0..n {
-        let mut t = tagged(lines, "route")?;
-        let unit: u32 = tok(&mut t, "unit")?;
-        let tool = StrategyId::from_name(word(&mut t, "tool")?).ok_or("route: unknown tool")?;
-        let round: usize = tok(&mut t, "round")?;
-        let strategy =
-            StrategyId::from_name(word(&mut t, "strategy")?).ok_or("route: unknown strategy")?;
-        let source: Ipv4Addr = tok(&mut t, "source")?;
-        let destination: Ipv4Addr = tok(&mut t, "destination")?;
-        let min_ttl: u8 = tok(&mut t, "min_ttl")?;
-        let halt = halt_parse(word(&mut t, "halt")?)?;
-        let n_hops: usize = tok(&mut t, "hop count")?;
-        let mut hops = announced(n_hops);
-        for _ in 0..n_hops {
-            let mut t = tagged(lines, "hop")?;
-            let ttl: u8 = tok(&mut t, "ttl")?;
-            let n_probes: usize = tok(&mut t, "probe count")?;
-            let mut probes = announced(n_probes);
-            for _ in 0..n_probes {
-                probes.push(parse_probe(word(&mut t, "probe")?)?);
-            }
-            hops.push(Hop { ttl, probes });
-        }
-        out.push((
-            unit,
-            tool,
-            round,
-            MeasuredRoute { strategy, source, destination, min_ttl, hops, halt },
-        ));
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------
 // The two modes' record bodies.
 // ---------------------------------------------------------------------
 
@@ -624,11 +420,10 @@ impl Checkpointed for CampaignConfig {
             + fold.virtual_secs.len() * VIRT_LINE_LEN
             + fold.classic.snapshot_len()
             + fold.paris.snapshot_len()
-            + routes_capacity(&fold.routes)
     }
 
-    /// Quarantined units, per-unit virtual times, both anomaly
-    /// accumulators, and the kept routes.
+    /// Quarantined units, per-unit virtual times and both anomaly
+    /// accumulators.
     fn write_fold(fold: &BlockOutput, out: &mut String) {
         write_quarantined(out, &fold.quarantined);
         debug_assert!(
@@ -643,7 +438,6 @@ impl Checkpointed for CampaignConfig {
         push_key_lines(out, virt_keys);
         fold.classic.snapshot_write(out);
         fold.paris.snapshot_write(out);
-        write_routes(out, &fold.routes);
     }
 
     fn read_fold<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<BlockOutput, String> {
@@ -654,8 +448,7 @@ impl Checkpointed for CampaignConfig {
         })?;
         let classic = CampaignAccumulator::snapshot_read(lines)?;
         let paris = CampaignAccumulator::snapshot_read(lines)?;
-        let routes = read_routes(lines)?;
-        Ok(BlockOutput { classic, paris, routes, virtual_secs, quarantined })
+        Ok(BlockOutput { classic, paris, virtual_secs, quarantined })
     }
 }
 
@@ -1193,6 +986,7 @@ mod tests {
     use super::*;
     use crate::report::{multipath_digest, report_digest};
     use crate::runner::{run, run_multipath};
+    use pt_netsim::time::SimDuration;
     use pt_topogen::{generate, InternetConfig};
 
     fn tmp(name: &str) -> PathBuf {
@@ -1221,13 +1015,7 @@ mod tests {
     #[test]
     fn checkpointed_run_matches_plain_run_and_snapshot_is_canonical() {
         let net = generate(&InternetConfig::tiny(42));
-        let config = CampaignConfig {
-            rounds: 2,
-            workers: 4,
-            seed: 99,
-            keep_routes: true,
-            ..CampaignConfig::default()
-        };
+        let config = CampaignConfig { rounds: 2, workers: 4, seed: 99, ..Default::default() };
         let plain = report_digest(&run(&net, &config));
         let path = tmp("canonical");
         let result =
@@ -1238,8 +1026,6 @@ mod tests {
         let replayed = replay::<CampaignConfig>(&path, fingerprint).unwrap();
         assert_eq!(replayed.cursor, 80);
         assert_eq!(replayed.good_len, file_len(&path));
-        // Kept routes survive the round trip exactly.
-        assert_eq!(replayed.fold.routes.len(), result.routes.len());
         // Canonical: the replayed fold — merged from a fold record and
         // block records, each parsed back from text — encodes to the
         // bytes an uninterrupted single block's fold encodes to.
@@ -1310,10 +1096,9 @@ mod tests {
     #[test]
     fn every_results_affecting_trace_field_is_fingerprinted() {
         type Flip = (&'static str, fn(&mut CampaignConfig));
-        let flips: [Flip; 19] = [
+        let flips: [Flip; 18] = [
             ("rounds", |c| c.rounds += 1),
             ("seed", |c| c.seed += 1),
-            ("keep_routes", |c| c.keep_routes = !c.keep_routes),
             ("trace.min_ttl", |c| c.trace.min_ttl += 1),
             ("trace.max_ttl", |c| c.trace.max_ttl -= 1),
             ("trace.probes_per_hop", |c| c.trace.probes_per_hop += 1),
@@ -1522,11 +1307,12 @@ mod tests {
         let path = tmp("foreign");
         for (content, why) in [
             ("ptsnap v1 side-by-side\nfingerprint 0000000000000000\ncursor 0\n", "version"),
-            // The format before this one: a whole, well-formed header.
+            // The formats before this one: whole, well-formed headers.
             ("ptsnap v2 side-by-side 0 0 30 0000000000000000\n", "version"),
+            ("ptsnap v3 side-by-side 0 0 30 0000000000000000\n", "version"),
             ("", "start"),
             ("not a journal at all\n", "start"),
-            ("ptsnap v3 side-by-side 0 0", "start"),
+            ("ptsnap v4 side-by-side 0 0", "start"),
         ] {
             fs::write(&path, content).unwrap();
             let err = run_resumed(&net, &config, &ckpt(&path, 16, None)).unwrap_err();

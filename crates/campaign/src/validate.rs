@@ -10,8 +10,7 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use pt_anomaly::r#loop::LoopCause;
-use pt_anomaly::{find_loops, CampaignAccumulator};
-use pt_core::{MeasuredRoute, StrategyId};
+use pt_anomaly::CampaignAccumulator;
 use pt_mda::BalancerClass;
 use pt_topogen::SyntheticInternet;
 
@@ -57,42 +56,24 @@ pub struct ValidationReport {
     pub rewriting: CauseScore,
     /// Unreachability detection.
     pub unreachability: CauseScore,
-    /// Per-flow-LB attribution (classic-minus-Paris differencing),
-    /// scored against destinations with an unequal-length per-flow
-    /// balancer (the only per-flow ones that can cause loops).
+    /// Per-flow-LB *loop* attribution (classic-minus-Paris
+    /// differencing), scored against destinations behind a per-flow
+    /// balancer whose branches differ in length by exactly one hop: the
+    /// only ones that can put the merge router on two consecutive hops.
+    /// A difference of two puts it on hops `t` and `t + 2` — a cycle.
     pub per_flow: CauseScore,
 }
 
-/// Score the per-route loop classifiers over a set of measured routes
-/// (typically a `keep_routes` campaign's classic routes).
+/// Score the per-route loop classifiers, as the classic campaign's
+/// accumulator folded their diagnoses, and the per-flow attribution.
 pub fn validate_causes(
     net: &SyntheticInternet,
-    routes: &[(StrategyId, usize, MeasuredRoute)],
     classic: &CampaignAccumulator,
     paris: &CampaignAccumulator,
 ) -> ValidationReport {
-    let mut flagged_zero_ttl: BTreeSet<Ipv4Addr> = BTreeSet::new();
-    let mut flagged_rewriting: BTreeSet<Ipv4Addr> = BTreeSet::new();
-    let mut flagged_unreach: BTreeSet<Ipv4Addr> = BTreeSet::new();
-    for (tool, _, route) in routes {
-        if *tool != StrategyId::ClassicUdp {
-            continue;
-        }
-        for l in find_loops(route) {
-            match l.cause {
-                LoopCause::ZeroTtlForwarding => {
-                    flagged_zero_ttl.insert(route.destination);
-                }
-                LoopCause::AddressRewriting => {
-                    flagged_rewriting.insert(route.destination);
-                }
-                LoopCause::Unreachability => {
-                    flagged_unreach.insert(route.destination);
-                }
-                LoopCause::Unexplained => {}
-            }
-        }
-    }
+    let flagged_zero_ttl = classic.loop_dests(LoopCause::ZeroTtlForwarding);
+    let flagged_rewriting = classic.loop_dests(LoopCause::AddressRewriting);
+    let flagged_unreach = classic.loop_dests(LoopCause::Unreachability);
     // Per-flow attribution: classic loop signature absent under Paris.
     let paris_sigs = paris.loop_signatures();
     let flagged_per_flow: BTreeSet<Ipv4Addr> = classic
@@ -128,7 +109,7 @@ pub fn validate_causes(
         zero_ttl: score(&flagged_zero_ttl, &|t| t.zero_ttl),
         rewriting: score(&flagged_rewriting, &|t| t.nat),
         unreachability: score(&flagged_unreach, &|t| t.broken),
-        per_flow: score(&flagged_per_flow, &|t| t.per_flow_lb && t.lb_delta >= 1),
+        per_flow: score(&flagged_per_flow, &|t| t.per_flow_lb && t.lb_delta == 1),
     }
 }
 
@@ -355,14 +336,15 @@ pub fn validate_fault_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run, CampaignConfig, DynamicsConfig};
+    use crate::runner::{replay_unit, run, CampaignConfig, DynamicsConfig};
+    use pt_anomaly::find_loops;
     use pt_topogen::{generate, InternetConfig};
+    use std::collections::BTreeMap;
 
-    #[test]
-    fn classifiers_score_well_on_a_deterministic_anomaly_mix() {
-        // A network with frequent deterministic anomaly sources.
-        let config = InternetConfig {
-            seed: 77,
+    /// A network with frequent deterministic anomaly sources.
+    fn anomaly_mix(seed: u64) -> InternetConfig {
+        InternetConfig {
+            seed,
             n_destinations: 120,
             per_flow_lb: 0.25,
             lb_equal_weight: 0.2,
@@ -375,18 +357,25 @@ mod tests {
             silent_router: 0.0,
             link_loss: 0.0,
             ..InternetConfig::default()
-        };
-        let net = generate(&config);
-        let cc = CampaignConfig {
+        }
+    }
+
+    fn six_quiet_rounds() -> CampaignConfig {
+        CampaignConfig {
             rounds: 6,
             workers: 4,
             dynamics: DynamicsConfig::none(),
-            keep_routes: true,
             seed: 3,
             ..Default::default()
-        };
+        }
+    }
+
+    #[test]
+    fn classifiers_score_well_on_a_deterministic_anomaly_mix() {
+        let net = generate(&anomaly_mix(77));
+        let cc = six_quiet_rounds();
         let result = run(&net, &cc);
-        let v = validate_causes(&net, &result.routes, &result.classic, &result.paris);
+        let v = validate_causes(&net, &result.classic, &result.paris);
         // Deterministic causes fire on every trace → recall should be
         // essentially perfect, precision high.
         assert!(v.zero_ttl.recall() > 0.9, "zero-TTL recall {:?}", v.zero_ttl);
@@ -398,6 +387,72 @@ mod tests {
         assert!(v.unreachability.recall() > 0.9, "unreachability {:?}", v.unreachability);
         // Per-flow attribution is stochastic but should be mostly right.
         assert!(v.per_flow.precision() > 0.7, "per-flow precision {:?}", v.per_flow);
+    }
+
+    #[test]
+    fn accumulator_derived_causes_equal_the_route_derived_ones() {
+        // The reference: `find_loops` over every classic route, the way
+        // `validate_causes` derived its three sets when campaigns kept
+        // their routes.
+        for seed in [77, 5] {
+            let net = generate(&anomaly_mix(seed));
+            let cc = six_quiet_rounds();
+            let mut from_routes: BTreeMap<LoopCause, BTreeSet<Ipv4Addr>> = BTreeMap::new();
+            for round in 0..cc.rounds {
+                for dest in 0..net.dests.len() {
+                    let (_, classic) = replay_unit(&net, &cc, dest, round);
+                    for l in find_loops(&classic) {
+                        from_routes.entry(l.cause).or_default().insert(classic.destination);
+                    }
+                }
+            }
+            let result = run(&net, &cc);
+            for cause in [
+                LoopCause::ZeroTtlForwarding,
+                LoopCause::AddressRewriting,
+                LoopCause::Unreachability,
+            ] {
+                let reference = from_routes.remove(&cause).unwrap_or_default();
+                assert!(!reference.is_empty(), "seed {seed}: the mix plants no {cause:?}");
+                assert_eq!(result.classic.loop_dests(cause), reference, "seed {seed}, {cause:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_branch_length_difference_of_two_yields_cycles_never_loops() {
+        // Per-flow balancers are the only anomaly source, and nothing is
+        // lost or rerouted: what classic reports is what the branch
+        // lengths alone do to it.
+        let classic_signatures = |lb_delta1_weight: f64| {
+            let net = generate(&InternetConfig {
+                seed: 7,
+                n_destinations: 120,
+                per_flow_lb: 0.6,
+                lb_equal_weight: 0.0,
+                lb_delta1_weight,
+                per_packet_lb: 0.0,
+                zero_ttl: 0.0,
+                broken: 0.0,
+                nat: 0.0,
+                firewalled_dest: 0.0,
+                silent_router: 0.0,
+                link_loss: 0.0,
+                ..InternetConfig::default()
+            });
+            let delta = if lb_delta1_weight == 0.0 { 2 } else { 1 };
+            assert!(net.dests.iter().all(|d| !d.truth.per_flow_lb || d.truth.lb_delta == delta));
+            let result = run(&net, &six_quiet_rounds());
+            (result.classic.loop_signatures().len(), result.classic.cycle_signatures().len())
+        };
+        // The merge router answers hops t and t + 2: a cycle, which is
+        // why `validate_causes` scores loop attribution against a
+        // difference of exactly one.
+        let (loops, cycles) = classic_signatures(0.0);
+        assert_eq!(loops, 0, "a difference of two put one address on consecutive hops");
+        assert!(cycles >= 1, "a difference of two must show as a cycle");
+        let (loops, _) = classic_signatures(1.0);
+        assert!(loops >= 1, "a difference of one must show as a loop");
     }
 
     #[test]

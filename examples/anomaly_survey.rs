@@ -39,7 +39,7 @@ fn main() {
     println!("running {rounds} rounds × {n_destinations} destinations × 2 tools (32 workers)...");
     // ptlint: allow(wall-clock): progress display only; never feeds a digest
     let started = std::time::Instant::now();
-    let config = CampaignConfig { rounds, workers: 32, keep_routes: true, ..Default::default() };
+    let config = CampaignConfig { rounds, workers: 32, ..Default::default() };
     let result = run(&net, &config);
     println!("  done in {:.1}s wall clock\n", started.elapsed().as_secs_f64());
 
@@ -70,7 +70,7 @@ fn main() {
         score.false_balancers
     );
 
-    let v = validate_causes(&net, &result.routes, &result.classic, &result.paris);
+    let v = validate_causes(&net, &result.classic, &result.paris);
     println!("\n## Classifier validation against generator ground truth\n");
     println!("| cause               | truth | flagged | hits | precision | recall |");
     println!("|---------------------|-------|---------|------|-----------|--------|");

@@ -23,10 +23,10 @@
 use std::path::PathBuf;
 
 use paris_traceroute_repro::campaign::{
-    multipath_digest, report_digest, run, run_checkpointed, run_multipath, run_resumed,
-    CampaignConfig, CampaignResult, CheckpointConfig, DynamicsConfig, MultipathConfig,
+    multipath_digest, replay_unit, report_digest, run, run_checkpointed, run_multipath,
+    run_resumed, CampaignConfig, CampaignResult, CheckpointConfig, DynamicsConfig, MultipathConfig,
 };
-use paris_traceroute_repro::core::TraceConfig;
+use paris_traceroute_repro::core::{MeasuredRoute, StrategyId, TraceConfig};
 use paris_traceroute_repro::topogen::{generate, InternetConfig};
 
 fn fnv1a64(text: &str) -> u64 {
@@ -76,12 +76,21 @@ fn campaign_digest_example() {
 
 #[test]
 fn campaign_digest_kept_routes() {
-    // The same campaign with every route kept: addresses, response
-    // kinds, RTTs and IP-IDs of all 240 traces, not just the report's
-    // aggregates.
+    // The same campaign's every route, replayed in round-major unit
+    // order with Paris before classic: addresses, response kinds, RTTs
+    // and IP-IDs of all 240 traces, not just the report's aggregates.
+    // The value was recorded from the routes a campaign used to keep.
     let net = generate(&InternetConfig::tiny(42));
-    let result = run(&net, &CampaignConfig { keep_routes: true, ..campaign_config() });
-    assert_golden("campaign_digest routes", &format!("{:?}", result.routes), 0x4251_d906_5243_a18c);
+    let config = campaign_config();
+    let mut routes: Vec<(StrategyId, usize, MeasuredRoute)> = Vec::new();
+    for round in 0..config.rounds {
+        for dest in 0..net.dests.len() {
+            let (paris, classic) = replay_unit(&net, &config, dest, round);
+            routes.push((StrategyId::ParisUdp, round, paris));
+            routes.push((StrategyId::ClassicUdp, round, classic));
+        }
+    }
+    assert_golden("campaign_digest routes", &format!("{routes:?}"), 0x4251_d906_5243_a18c);
 }
 
 #[test]
