@@ -13,7 +13,7 @@
 //! attribute here:
 //!
 //! * per-flow load balancers hashing real header bytes ([`pt_wire::FlowPolicy`]),
-//! * per-packet load balancers drawing from a seeded RNG,
+//! * per-packet load balancers, a seeded draw per packet and router,
 //! * routers that forward TTL-zero packets instead of expiring them,
 //! * routers whose forwarding is broken and answer Destination Unreachable,
 //! * NAT gateways that rewrite the source of everything leaving a stub,
@@ -25,9 +25,10 @@
 //! * asymmetric return paths (per-direction link delays skewing RTTs),
 //! * scheduled routing-table changes and transient forwarding loops.
 //!
-//! The simulator is fully deterministic given a seed: event ordering uses
-//! a (time, sequence) key and all randomness flows from `StdRng` instances
-//! derived from the topology seed.
+//! The simulator is fully deterministic given a seed: events pop in
+//! `(time, birth)` order, a packet keeping the stamp it got when it
+//! entered, and the random decisions (link loss, per-packet balancing)
+//! are hashes of `(seed, node, birth, TTL)` — see [`sim`].
 
 #![warn(missing_docs)]
 

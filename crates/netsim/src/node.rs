@@ -12,7 +12,8 @@ use crate::addr::Ipv4Prefix;
 pub enum BalancerKind {
     /// Hash the fields selected by the policy; equal keys, equal path.
     PerFlow(FlowPolicy),
-    /// Uniform random egress per packet, from the router's seeded RNG.
+    /// Uniform random egress per packet: a hash of the simulator seed,
+    /// the router, the packet's birth stamp and its TTL.
     PerPacket,
     /// Hash the destination address only — indistinguishable from classic
     /// routing to a measurement tool, per the paper.
@@ -33,6 +34,11 @@ impl NatConfig {
     /// Whether `addr` belongs to the NAT'd stub.
     pub fn is_inside(&self, addr: Ipv4Addr) -> bool {
         self.inside.iter().any(|p| p.contains(addr))
+    }
+
+    /// Whether the gateway stamps its public address over source `src`.
+    pub(crate) fn rewrites(&self, src: Ipv4Addr) -> bool {
+        src != self.public && self.is_inside(src)
     }
 }
 

@@ -1,31 +1,47 @@
 //! The discrete-event engine: packet forwarding, TTL expiry, ICMP
 //! generation, load balancing, NAT rewriting and routing dynamics.
 //!
-//! Event ordering is strictly `(time, sequence)` and all randomness comes
-//! from per-node `StdRng`s derived from the global seed, so a run is a
-//! pure function of `(topology, seed, injected packets, scheduled route
-//! changes)`. The schedule itself is a deque kept sorted by that key
-//! ([`crate::wheel::EventWheel`]) — the tracers' windows never leave
-//! more than a dozen or so events pending — with no per-event
-//! allocation.
+//! **Order and draws.** Events pop in `(time, birth)` order: a packet is
+//! stamped once, when it enters the simulator or a node originates it,
+//! and keeps that birth across every hop; a route change is stamped when
+//! scheduled. The two random decisions — link loss and per-packet
+//! balancing — are each one hash of `(seed, node, birth, TTL, purpose)`
+//! ([`draw`]), never a stream some node advances. So what a router does
+//! to a packet it only passes on depends on the packet and the routing
+//! tables, not on which other packets came by first.
+//!
+//! **Walks.** Those hops are therefore not run as events. Leaving a
+//! node, a packet *walks* ([`SimState::walk`]) across every router that
+//! would merely decrement its TTL and forward it, and one [`Arrival`] is
+//! scheduled where something else happens: expiry, delivery, a host, a
+//! filter, a fault, a NAT rewrite, a drop, or the instant of the next
+//! pending route change. The walk reads the packet and the tables and
+//! writes only the queue; the TTL it owes and the `forwarded` count are
+//! settled when that arrival pops, and a route change scheduled under a
+//! walk in progress cuts it back ([`Simulator::schedule_route_set`]).
+//!
+//! A run is a pure function of `(topology, seed, injected packets,
+//! scheduled route changes)` — and the same function whether walks are
+//! fused or cut after every hop, which the tests below check with a hop
+//! limit only they can set. The schedule is a deque kept sorted by the
+//! key ([`crate::wheel::EventWheel`]): each in-flight packet is one
+//! pending stateful arrival, a tracer's window a dozen or so, and no
+//! event allocates.
 //!
 //! In-flight packets are arena-resident ([`crate::arena::PacketArena`]):
-//! events and the forwarding hot path move 4-byte [`PacketRef`] handles,
-//! mutate TTL/NAT fields in place, and recycle both slots and payload
-//! buffers, so steady-state forwarding performs no per-event heap
+//! events move 4-byte [`PacketRef`] handles, stateful arrivals mutate
+//! TTL/NAT fields in place, and both slots and payload buffers are
+//! recycled, so steady-state forwarding performs no per-event heap
 //! allocation. Node state is *epoch-lazy*: [`Simulator::reset`] bumps an
-//! epoch instead of touching every node, and a node's RNG/IP-ID/routing
-//! delta are re-derived from the seed on first use after a reset. That
-//! makes reset O(in-flight + delivered), which is what lets the campaign
-//! runner afford a pristine simulator per `(destination, round)` work
-//! unit ([`SimulatorPool`]).
+//! epoch instead of touching every node, and a node's IP-ID counter,
+//! rate-limiter fill and routing delta are re-derived from the seed on
+//! first use after a reset. That makes reset O(in-flight + delivered),
+//! which is what lets the campaign runner afford a pristine simulator
+//! per `(destination, round)` work unit ([`SimulatorPool`]).
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use pt_wire::icmp::{IcmpMessage, Quotation};
 use pt_wire::ipv4::Ipv4Header;
@@ -37,13 +53,15 @@ use crate::arena::{PacketArena, PacketRef};
 use crate::node::{BalancerKind, HostConfig, NodeKind, RouterConfig};
 use crate::routing::{NextHop, NodeRouting, RouteDelta};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{NodeId, Topology};
+use crate::topology::{Endpoint, NodeId, Topology};
 use crate::wheel::EventWheel;
 
 /// Counters describing everything the simulator did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Packets forwarded router-to-router (per traversal).
+    /// Packets forwarded router-to-router (per traversal), counted when
+    /// the walk that made the traversals ends: at quiescence it is every
+    /// link crossed, mid-flight it trails by the walks in progress.
     pub forwarded: u64,
     /// ICMP Time Exceeded messages generated.
     pub time_exceeded_sent: u64,
@@ -77,14 +95,32 @@ pub struct SimStats {
 
 #[derive(Debug)]
 enum EventKind {
-    /// A packet arrives at `node`. `iface_in` is `None` for packets the
-    /// node itself originates (injections and generated responses). The
-    /// packet itself stays parked in the arena: the event (and every
-    /// queue insert that shifts it) carries only the 4-byte handle.
-    Arrival { node: NodeId, iface_in: Option<usize>, packet: PacketRef },
+    /// A packet reaches the next node that does more than pass it on.
+    Arrival(Arrival),
     /// Install (`Some`) or remove (`None`) a route at `node` — the
     /// routing-dynamics hook.
     RouteSet { node: NodeId, prefix: Ipv4Prefix, next_hop: Option<NextHop> },
+}
+
+/// A packet's next stateful arrival: where its walk ends, and what it
+/// takes to settle the walk (or walk it again). The packet itself stays
+/// parked in the arena, untouched since it left `from`: the event (and
+/// every queue insert that shifts it) carries only the 4-byte handle.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    node: NodeId,
+    /// `None` for a packet `node` itself injects.
+    iface_in: Option<usize>,
+    packet: PacketRef,
+    /// Routers the walk crossed without stopping — the TTL the packet
+    /// owes when it arrives.
+    transits: u8,
+    /// The node the walk left, and when: the last place the packet
+    /// changed any state, so the walk can be taken again from there.
+    from: (NodeId, SimTime),
+    /// When the packet reaches the last of those routers (`from`'s time
+    /// when there is none).
+    last_transit: SimTime,
 }
 
 #[derive(Debug, Clone)]
@@ -96,11 +132,6 @@ struct NodeState {
     /// The router's internal 16-bit counter stamped into the IP
     /// Identification of packets it originates.
     ip_id: u16,
-    /// Per-node RNG: per-packet balancing and loss draws.
-    rng: StdRng,
-    /// Stable salt mixed into per-flow/per-destination hashes so distinct
-    /// routers do not all pick the same egress index for the same flow.
-    salt: u64,
     /// Last time this node generated an ICMP (for rate limiting).
     last_icmp: Option<SimTime>,
     /// Token-bucket rate-limiter fill. `u32::MAX` is the untouched
@@ -127,14 +158,11 @@ impl NodeState {
     /// a pure function of `(seed, idx)`, so it does not matter *when*
     /// (or in what order) stale slots get re-derived.
     fn fresh(seed: u64, idx: usize, epoch: u64) -> NodeState {
-        let node_seed = splitmix64(seed ^ splitmix64(idx as u64 + 1));
         NodeState {
             // O(1) and allocation-free: the base table stays in the
             // topology, the delta starts empty.
             routing: RouteDelta::new(),
-            ip_id: (node_seed >> 32) as u16,
-            rng: StdRng::seed_from_u64(node_seed),
-            salt: splitmix64(node_seed ^ 0xabcd_ef01),
+            ip_id: (node_seed(seed, NodeId(idx)) >> 32) as u16,
             last_icmp: None,
             icmp_tokens: u32::MAX,
             icmp_tokens_at: SimTime::ZERO,
@@ -158,11 +186,19 @@ pub struct Simulator {
 #[derive(Debug)]
 struct SimState {
     clock: SimTime,
+    /// The next birth stamp ([`SimState::stamp`]).
     next_seq: u64,
-    /// Pending events, popped in exact `(time, seq)` order — a sorted
+    /// Pending events, popped in exact `(time, birth)` order — a sorted
     /// deque a handful of entries long, so `schedule`/`step` touch a few
     /// entries and allocate nothing per event (see [`crate::wheel`]).
     queue: EventWheel<EventKind>,
+    /// When the earliest pending `RouteSet` applies ([`NEVER`] if none
+    /// is pending). No walk crosses a router at or after it.
+    route_horizon: SimTime,
+    /// Links a walk may cross before it must schedule an arrival. The
+    /// tests' reference engine: at 1 every hop is an event again.
+    #[cfg(test)]
+    hop_limit: u32,
     nodes: Vec<NodeState>,
     /// Delivery lanes, one per node, indexed by `NodeId` — no hashing
     /// anywhere on the delivery or drain path.
@@ -183,6 +219,9 @@ struct SimState {
     epoch: u64,
 }
 
+/// Later than any event.
+const NEVER: SimTime = SimTime(u64::MAX);
+
 /// The splitmix64 finalizer: the one seed-chain hash every engine crate
 /// derives its per-node, per-unit and per-retry draws from. Digests
 /// depend on its exact output.
@@ -193,18 +232,45 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The root of everything node `node` derives from the simulator seed.
+fn node_seed(seed: u64, node: NodeId) -> u64 {
+    splitmix64(seed ^ splitmix64(node.0 as u64 + 1))
+}
+
+/// Stable salt mixed into `node`'s per-flow/per-destination hashes so
+/// distinct routers do not all pick the same egress index for the same
+/// flow. Derived where a balanced hop needs it, not stored.
+fn balancer_salt(seed: u64, node: NodeId) -> u64 {
+    splitmix64(node_seed(seed, node) ^ 0xabcd_ef01)
+}
+
+/// What a keyed draw decides; part of the key, so one packet's balancer
+/// draw and loss draw at one node are independent.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    Egress = 1,
+    Loss = 2,
+}
+
+/// The random word `node` draws for the packet born `birth` as it
+/// leaves with `ttl`: a pure function of the key. The TTL is there
+/// because a looping packet crosses a node more than once; the birth
+/// (not the packet's bytes) so a retried probe draws afresh.
+fn draw(seed: u64, node: NodeId, birth: u64, ttl: u8, purpose: Draw) -> u64 {
+    let packet = (birth << 16) | (u64::from(ttl) << 8) | purpose as u64;
+    splitmix64(node_seed(seed, node) ^ splitmix64(packet))
+}
+
 impl Simulator {
     /// Build a simulator over `topology`, deriving all randomness from
     /// `seed`.
     pub fn new(topology: Arc<Topology>, seed: u64) -> Self {
         // Node slots start stale (epoch 0 < 1) and derive themselves
         // from `seed` on first touch, so construction clones one cheap
-        // template per node instead of seeding every RNG up front.
+        // template per node instead of deriving every slot up front.
         let template = NodeState {
             routing: RouteDelta::new(),
             ip_id: 0,
-            rng: StdRng::seed_from_u64(0),
-            salt: 0,
             last_icmp: None,
             icmp_tokens: u32::MAX,
             icmp_tokens_at: SimTime::ZERO,
@@ -217,6 +283,9 @@ impl Simulator {
             clock: SimTime::ZERO,
             next_seq: 0,
             queue: EventWheel::new(),
+            route_horizon: NEVER,
+            #[cfg(test)]
+            hop_limit: u32::MAX,
             dirty_inboxes: Vec::new(),
             stats: SimStats::default(),
             scratch: Vec::new(),
@@ -239,10 +308,11 @@ impl Simulator {
         // clear() keeps the queue's capacity warm.
         let arena = &mut st.arena;
         st.queue.clear(|kind| {
-            if let EventKind::Arrival { packet, .. } = kind {
-                arena.release(packet);
+            if let EventKind::Arrival(arrival) = kind {
+                arena.release(arrival.packet);
             }
         });
+        st.route_horizon = NEVER;
         for node in st.dirty_inboxes.drain(..) {
             for (_, packet) in st.inbox[node.0].drain(..) {
                 st.arena.recycle_packet(packet);
@@ -271,11 +341,31 @@ impl Simulator {
         self.state.stats
     }
 
-    /// Inject a packet originated by `node` at the current time.
+    /// Inject a packet originated by `node` at the current time. A host
+    /// routes its own packet out at once — the packet's first event is
+    /// where its walk ends. A packet addressed to `node` itself, one a
+    /// router originates, and any packet injected at the instant of a
+    /// route change still pending are an arrival at `node`, now.
     pub fn inject(&mut self, node: NodeId, packet: Packet) {
         let st = &mut self.state;
+        let routed_out = self.topo.node(node).kind.as_host().is_some()
+            && self.topo.owner_of(packet.ip.dst) != Some(node)
+            && st.clock < st.route_horizon;
         let packet = st.arena.alloc(packet);
-        st.schedule(st.clock, EventKind::Arrival { node, iface_in: None, packet });
+        let birth = st.stamp();
+        if routed_out {
+            st.forward(&self.topo, node, packet, birth);
+        } else {
+            let origin = Arrival {
+                node,
+                iface_in: None,
+                packet,
+                transits: 0,
+                from: (node, st.clock),
+                last_transit: st.clock,
+            };
+            st.queue.schedule(st.clock, birth, EventKind::Arrival(origin));
+        }
     }
 
     /// Hand a packet that already left the simulator (a consumed inbox
@@ -298,6 +388,15 @@ impl Simulator {
 
     /// Install (`Some`) or remove (`None`) a route at `node` at time `at`
     /// — the hook for routing changes and transient forwarding loops.
+    ///
+    /// A walk already scheduled may have run ahead of this change: it
+    /// crosses a router at or after `at`. No route change has applied
+    /// since such a walk was taken — one pending then would have stopped
+    /// it short of `at`, which is not in the past — so the tables it
+    /// read are the tables now, and taking it again from where it
+    /// started gives the same hops, this time stopping at `at`. A walk
+    /// whose routers are all crossed before `at` stands as it is (and
+    /// must: the tables it read may have changed since).
     pub fn schedule_route_set(
         &mut self,
         at: SimTime,
@@ -305,13 +404,28 @@ impl Simulator {
         prefix: Ipv4Prefix,
         next_hop: Option<NextHop>,
     ) {
-        self.state.schedule(at, EventKind::RouteSet { node, prefix, next_hop });
+        let st = &mut self.state;
+        let stamp = st.stamp();
+        st.queue.schedule(at, stamp, EventKind::RouteSet { node, prefix, next_hop });
+        st.route_horizon = st.route_horizon.min(at);
+        let ran_ahead = |kind: &EventKind| match kind {
+            EventKind::Arrival(a) if a.transits > 0 && a.last_transit >= at => Some(*a),
+            _ => None,
+        };
+        // Once per pending event at most: taken again, a walk stops by `at`.
+        for _ in 0..st.queue.len() {
+            let Some((birth, arrival)) = st.queue.take_first(ran_ahead) else { break };
+            let (from, left_at) = arrival.from;
+            st.walk(&self.topo, from, left_at, arrival.packet, birth);
+        }
     }
 
-    /// Process a single event, advancing the clock to it. Returns `false`
-    /// when the queue is empty.
+    /// Process a single event — a packet's next stateful arrival or a
+    /// route change — advancing the clock to it: the clock does not stop
+    /// at the routers a packet merely crosses. Returns `false` when the
+    /// queue is empty.
     pub fn step(&mut self) -> bool {
-        self.step_due(SimTime(u64::MAX))
+        self.step_due(NEVER)
     }
 
     /// Process the next event if it is scheduled at or before `t`,
@@ -319,12 +433,17 @@ impl Simulator {
     /// `false`, leaving the clock alone, when nothing is due by `t`.
     pub fn step_due(&mut self, t: SimTime) -> bool {
         let st = &mut self.state;
-        let Some((time, _seq, kind)) = st.queue.pop_due(t) else { return false };
+        let Some((time, birth, kind)) = st.queue.pop_due(t) else { return false };
         debug_assert!(time >= st.clock, "event from the past");
         st.clock = time;
         match kind {
-            EventKind::Arrival { node, iface_in, packet } => {
-                st.process_arrival(&self.topo, node, iface_in, packet)
+            EventKind::Arrival(Arrival { node, iface_in, packet, transits, .. }) => {
+                // Settle the walk: one link into `node` (unless `node`
+                // injected the packet), one more and one TTL for every
+                // router crossed on the way.
+                st.stats.forwarded += u64::from(transits) + u64::from(iface_in.is_some());
+                st.arena.get_mut(packet).ip.ttl -= transits;
+                st.process_arrival(&self.topo, node, iface_in, packet, birth)
             }
             EventKind::RouteSet { node, prefix, next_hop } => {
                 st.freshen(node);
@@ -333,6 +452,11 @@ impl Simulator {
                     Some(nh) => routing.set(prefix, nh),
                     None => routing.remove(&self.topo.node(node).routing, prefix),
                 }
+                st.route_horizon = st
+                    .queue
+                    .iter()
+                    .find_map(|(at, kind)| matches!(kind, EventKind::RouteSet { .. }).then_some(at))
+                    .unwrap_or(NEVER);
             }
         }
         true
@@ -370,10 +494,7 @@ impl Simulator {
     /// the shared base table merged with this simulator's delta. A node
     /// not yet touched since the last reset shows a pristine delta.
     pub fn routing_of(&self, node: NodeId) -> NodeRouting<'_> {
-        let st = &self.state.nodes[node.0];
-        let delta =
-            if st.epoch == self.state.epoch { &st.routing } else { RouteDelta::pristine_ref() };
-        NodeRouting::new(&self.topo.node(node).routing, delta)
+        self.state.routing(&self.topo, node)
     }
 }
 
@@ -389,10 +510,12 @@ impl SimState {
         }
     }
 
-    fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
+    /// The next birth stamp: one per packet entering or originated in
+    /// the simulator, one per scheduled route change.
+    fn stamp(&mut self) -> u64 {
+        let stamp = self.next_seq;
         self.next_seq += 1;
-        self.queue.schedule(time, seq, kind);
+        stamp
     }
 
     // ------------------------------------------------------------------
@@ -408,6 +531,7 @@ impl SimState {
         node: NodeId,
         iface_in: Option<usize>,
         packet: PacketRef,
+        birth: u64,
     ) {
         // The builder's address index, not a scan of the node's
         // interfaces: core routers carry hundreds.
@@ -419,7 +543,7 @@ impl SimState {
             NodeKind::Host(_) => {
                 if iface_in.is_none() {
                     // Hosts route only their own packets (via gateway).
-                    self.forward(topo, node, packet);
+                    self.forward(topo, node, packet, birth);
                 } else {
                     // A host never forwards transit traffic.
                     self.stats.dropped_no_route += 1;
@@ -428,8 +552,7 @@ impl SimState {
             }
             NodeKind::Router(cfg) => {
                 if iface_in.is_some() {
-                    let ttl = self.arena.get(packet).ip.ttl;
-                    if ttl == 0 || (ttl == 1 && !cfg.zero_ttl_forwarding) {
+                    if expires_at(cfg, self.arena.get(packet).ip.ttl) {
                         if cfg.mpls_hidden {
                             // LSP interior: the expired packet vanishes
                             // inside the tunnel — no Time Exceeded.
@@ -460,7 +583,7 @@ impl SimState {
                     self.respond_unreachable(topo, node, iface_in, cfg, packet, code);
                     return;
                 }
-                self.forward(topo, node, packet);
+                self.forward(topo, node, packet, birth);
             }
         }
     }
@@ -779,89 +902,172 @@ impl SimState {
     /// packet's origin).
     fn originate(&mut self, topo: &Topology, node: NodeId, packet: Packet) {
         let packet = self.arena.alloc(packet);
-        self.forward(topo, node, packet);
+        let birth = self.stamp();
+        self.forward(topo, node, packet, birth);
     }
 
-    /// Route `packet` out of `node`: NAT rewrite, longest-prefix lookup,
-    /// balancer choice, then onto the egress link.
-    fn forward(&mut self, topo: &Topology, node: NodeId, packet: PacketRef) {
-        self.freshen(node);
+    /// Route `packet` out of `node`: NAT rewrite, then the walk.
+    fn forward(&mut self, topo: &Topology, node: NodeId, packet: PacketRef, birth: u64) {
         // NAT: rewrite the source of anything leaving the stub.
-        if let NodeKind::Router(cfg) = &topo.node(node).kind {
-            if let Some(nat) = &cfg.nat {
-                let p = self.arena.get_mut(packet);
-                if p.ip.src != nat.public && nat.is_inside(p.ip.src) {
-                    p.ip.src = nat.public;
-                    self.stats.nat_rewrites += 1;
-                }
+        if let NodeKind::Router(RouterConfig { nat: Some(nat), .. }) = &topo.node(node).kind {
+            let p = self.arena.get_mut(packet);
+            if nat.rewrites(p.ip.src) {
+                p.ip.src = nat.public;
+                self.stats.nat_rewrites += 1;
             }
         }
-        let dst = self.arena.get(packet).ip.dst;
-        // The next hop stays borrowed from the shared base table (or this
-        // simulator's delta) for the whole egress decision; balanced
-        // egress sets are indexed in place, never cloned (the RNG draw
-        // borrows a disjoint NodeState field, the packet a disjoint
-        // SimState field).
-        let base = &topo.node(node).routing;
-        let st = &mut self.nodes[node.0];
-        let Some(next_hop) = NodeRouting::new(base, &st.routing).lookup(dst) else {
-            self.stats.dropped_no_route += 1;
-            self.arena.release(packet);
-            return;
-        };
-        let egress = match next_hop {
-            NextHop::Iface(i) => *i,
-            NextHop::Blackhole => {
-                self.stats.dropped_blackhole += 1;
-                self.arena.release(packet);
-                return;
-            }
-            NextHop::Balanced { kind, egresses } => {
-                let n = egresses.len();
-                let idx = match kind {
-                    BalancerKind::PerFlow(policy) => {
-                        let key = policy.flow_key(self.arena.get(packet)).0;
-                        (splitmix64(key ^ st.salt) % n as u64) as usize
-                    }
-                    BalancerKind::PerPacket => st.rng.gen_range(0..n),
-                    BalancerKind::PerDestination => {
-                        let key = u64::from(u32::from(dst));
-                        (splitmix64(key ^ st.salt) % n as u64) as usize
-                    }
-                };
-                egresses[idx]
-            }
-        };
-        self.transmit(topo, node, egress, packet);
+        self.walk(topo, node, self.clock, packet, birth);
     }
 
-    fn transmit(&mut self, topo: &Topology, node: NodeId, iface_idx: usize, packet: PacketRef) {
-        let iface = topo.node(node).ifaces[iface_idx];
-        let Some(link_id) = iface.link else {
-            // Loopback/unattached interface: nowhere to go.
-            self.stats.dropped_no_route += 1;
-            self.arena.release(packet);
-            return;
-        };
-        let link = *topo.link(link_id);
-        if link.loss > 0.0 {
-            // forward() freshened this node before routing the packet
-            // here, so the slot cannot be stale.
-            debug_assert_eq!(self.nodes[node.0].epoch, self.epoch);
-            if self.nodes[node.0].rng.gen::<f64>() < link.loss {
-                self.stats.dropped_loss += 1;
+    /// Carry `packet`, which left `from` at `left_at`, to its next
+    /// stateful arrival and schedule that: across every router that
+    /// would only decrement the TTL and pass it on ([`SimState::transit`])
+    /// and that it reaches before the next pending route change. A
+    /// packet `from` itself cannot send on is dropped here and now; one
+    /// a later router cannot send on arrives there, to be dropped at its
+    /// own time. Nothing but the queue is written: the packet keeps the
+    /// TTL it left `from` with until the arrival pops.
+    fn walk(
+        &mut self,
+        topo: &Topology,
+        from: NodeId,
+        left_at: SimTime,
+        packet: PacketRef,
+        birth: u64,
+    ) {
+        let p = self.arena.get(packet);
+        let mut ttl = p.ip.ttl;
+        let (mut to, mut delay) = match self.egress(topo, from, p, birth, ttl) {
+            Ok(link) => link,
+            Err(why) => {
+                match why {
+                    Lost::NoRoute => self.stats.dropped_no_route += 1,
+                    Lost::Blackhole => self.stats.dropped_blackhole += 1,
+                    Lost::OnLink => self.stats.dropped_loss += 1,
+                }
                 self.arena.release(packet);
                 return;
             }
+        };
+        // The builder's address index, consulted once for the walk.
+        let owner = topo.owner_of(p.ip.dst);
+        let (mut at, mut last_transit, mut transits) = (left_at, left_at, 0u8);
+        loop {
+            at += delay;
+            let fused = at < self.route_horizon;
+            #[cfg(test)]
+            let fused = fused && u32::from(transits) + 1 < self.hop_limit;
+            if !fused || owner == Some(to.node) {
+                break;
+            }
+            let Some(next) = self.transit(topo, to.node, p, birth, ttl) else { break };
+            last_transit = at;
+            transits += 1;
+            ttl -= 1;
+            (to, delay) = next;
         }
-        let other = link.other_end(node);
-        self.stats.forwarded += 1;
-        let at = self.clock + link.delay_from(node);
-        self.schedule(
-            at,
-            EventKind::Arrival { node: other.node, iface_in: Some(other.iface), packet },
-        );
+        let arrival = Arrival {
+            node: to.node,
+            iface_in: Some(to.iface),
+            packet,
+            transits,
+            from: (from, left_at),
+            last_transit,
+        };
+        self.queue.schedule(at, birth, EventKind::Arrival(arrival));
     }
+
+    /// Where `packet`, arriving at `node` with `ttl`, goes next if `node`
+    /// does nothing to it but decrement the TTL and pass it on: a router
+    /// at which the packet does not expire, that neither filters it nor
+    /// is broken nor rewrites its source, and whose link takes it.
+    /// (`process_arrival` is what happens otherwise, and the caller has
+    /// ruled out `node` being the packet's destination.)
+    fn transit(
+        &self,
+        topo: &Topology,
+        node: NodeId,
+        packet: &Packet,
+        birth: u64,
+        ttl: u8,
+    ) -> Option<(Endpoint, SimDuration)> {
+        let NodeKind::Router(cfg) = &topo.node(node).kind else { return None };
+        let stops = expires_at(cfg, ttl)
+            || cfg.broken.is_some()
+            || (cfg.filter_udp && matches!(packet.transport, Transport::Udp(_)))
+            || cfg.nat.as_ref().is_some_and(|nat| nat.rewrites(packet.ip.src));
+        if stops {
+            return None;
+        }
+        self.egress(topo, node, packet, birth, ttl - 1).ok()
+    }
+
+    /// `node`'s live routing: the shared base table under this
+    /// simulator's delta, which is pristine for a slot not touched since
+    /// the last reset.
+    fn routing<'a>(&'a self, topo: &'a Topology, node: NodeId) -> NodeRouting<'a> {
+        let st = &self.nodes[node.0];
+        let delta = if st.epoch == self.epoch { &st.routing } else { RouteDelta::pristine_ref() };
+        NodeRouting::new(&topo.node(node).routing, delta)
+    }
+
+    /// Where `packet`, born `birth`, lands when it leaves `node` with
+    /// `ttl`: longest-prefix lookup, balancer choice, the link and its
+    /// loss. A function of the packet and the routing state: it writes
+    /// nothing, and the next hop stays borrowed from the shared base
+    /// table (or the delta) for the whole decision.
+    fn egress(
+        &self,
+        topo: &Topology,
+        node: NodeId,
+        packet: &Packet,
+        birth: u64,
+        ttl: u8,
+    ) -> Result<(Endpoint, SimDuration), Lost> {
+        let dst = packet.ip.dst;
+        let iface_idx = match self.routing(topo, node).lookup(dst).ok_or(Lost::NoRoute)? {
+            NextHop::Iface(i) => *i,
+            NextHop::Blackhole => return Err(Lost::Blackhole),
+            NextHop::Balanced { kind, egresses } => {
+                let salted = |key: u64| splitmix64(key ^ balancer_salt(self.seed, node));
+                let word = match kind {
+                    BalancerKind::PerFlow(policy) => salted(policy.flow_key(packet).0),
+                    BalancerKind::PerPacket => draw(self.seed, node, birth, ttl, Draw::Egress),
+                    BalancerKind::PerDestination => salted(u64::from(u32::from(dst))),
+                };
+                egresses[(word % egresses.len() as u64) as usize]
+            }
+        };
+        // Loopback/unattached interface: nowhere to go.
+        let link_id = topo.node(node).ifaces[iface_idx].link.ok_or(Lost::NoRoute)?;
+        let link = topo.link(link_id);
+        if link.loss > 0.0 {
+            // The top 53 bits as a uniform fraction in [0, 1).
+            let u =
+                (draw(self.seed, node, birth, ttl, Draw::Loss) >> 11) as f64 / (1u64 << 53) as f64;
+            if u < link.loss {
+                return Err(Lost::OnLink);
+            }
+        }
+        Ok((link.other_end(node), link.delay_from(node)))
+    }
+}
+
+/// Whether a packet reaching router `cfg` with `ttl` expires there: TTL
+/// 1 normally, 0 past a zero-TTL forwarder (which sends 1 on as 0).
+fn expires_at(cfg: &RouterConfig, ttl: u8) -> bool {
+    ttl == 0 || (ttl == 1 && !cfg.zero_ttl_forwarding)
+}
+
+/// Why a packet leaving a node reaches no neighbour.
+#[derive(Debug, Clone, Copy)]
+enum Lost {
+    /// No matching route, or an egress interface with no link.
+    NoRoute,
+    /// A blackhole route.
+    Blackhole,
+    /// Dropped by the link's loss.
+    OnLink,
 }
 
 /// A pool of reusable [`Simulator`]s over one shared topology.
@@ -1371,10 +1577,10 @@ mod tests {
 
     #[test]
     fn reset_matches_fresh_construction() {
-        // A lossy link plus a per-packet balancer would both do, but loss
-        // alone already makes per-node RNG state observable: if reset
-        // failed to rewind (or re-derive) anything, drop patterns and
-        // stats would diverge from a fresh simulator.
+        // Loss draws hang on the seed and on each packet's birth stamp,
+        // the answers on per-node IP-ID counters: if reset failed to
+        // rewind (or re-derive) any of them, drop patterns, deliveries
+        // and stats would diverge from a fresh simulator.
         let mut b = TopologyBuilder::new();
         let s = b.host("S", HostConfig::default());
         let r = b.router("r", RouterConfig::default());
@@ -1619,5 +1825,464 @@ mod tests {
         let rtt = drain(&mut sim, s)[0].0.since(t0);
         // 1 + 1 out, 9 + 1 back.
         assert_eq!(rtt, SimDuration::from_millis(12), "reverse path dominates the RTT");
+    }
+
+    // ------------------------------------------------------------------
+    // Keyed draws
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn loss_is_a_fair_draw_per_packet_whatever_order_packets_arrive_in() {
+        // Two sources, three hops and one hop from a router whose link
+        // to D loses one packet in ten. Packet `i` carries `i` as its
+        // destination port, so D's inbox says which ones got through.
+        let ms = SimDuration::from_millis(1);
+        let mut b = TopologyBuilder::new();
+        let far = b.host("far", HostConfig::default());
+        let near = b.host("near", HostConfig::default());
+        let a1 = b.router("a1", RouterConfig::default());
+        let a2 = b.router("a2", RouterConfig::default());
+        let r = b.router("r", RouterConfig::default());
+        let d = b.host("D", HostConfig { udp_responds: false, ..HostConfig::default() });
+        b.link(far, a1, ms, 0.0);
+        b.link(a1, a2, ms, 0.0);
+        b.link(a2, r, ms, 0.0);
+        b.link(near, r, ms, 0.0);
+        b.link(r, d, ms, 0.1);
+        b.default_via(far, a1);
+        b.default_via(a1, a2);
+        b.default_via(a2, r);
+        b.default_via(near, r);
+        b.default_via(r, d);
+        let dst = b.addr_of(d);
+        let topo = Arc::new(b.build());
+        const N: u16 = 20_000;
+        let lost = |all_at_once: bool| {
+            let mut sim = Simulator::new(topo.clone(), 2006);
+            for i in 0..N {
+                let from = if i % 2 == 0 { far } else { near };
+                sim.inject(from, udp_probe(src_addr(&topo, from), dst, 9, i));
+                if !all_at_once {
+                    sim.run_to_quiescence();
+                }
+            }
+            sim.run_to_quiescence();
+            let got: std::collections::BTreeSet<u16> = drain(&mut sim, d)
+                .iter()
+                .map(|(_, p)| match &p.transport {
+                    Transport::Udp(u) => u.dst_port,
+                    other => panic!("D got {other:?}"),
+                })
+                .collect();
+            assert_eq!(sim.stats().dropped_loss as usize, usize::from(N) - got.len());
+            (0..N).filter(|i| !got.contains(i)).collect::<Vec<u16>>()
+        };
+        // One at a time, packets reach `r` in the order they were born;
+        // all at once, every packet from `near` gets there first. A
+        // stream of draws advanced per arrival would lose different ones.
+        let in_birth_order = lost(false);
+        assert_eq!(
+            lost(true),
+            in_birth_order,
+            "a packet's loss must not depend on who arrived first"
+        );
+        // Binomial(20 000, 0.1): mean 2 000, standard deviation 42.4. Five
+        // of them either way is a band a fair draw leaves once in 1.7
+        // million seeds.
+        assert!(
+            (1788..=2212).contains(&in_birth_order.len()),
+            "{} of {N} lost on a 10 % link",
+            in_birth_order.len()
+        );
+    }
+
+    #[test]
+    fn a_looping_packet_draws_afresh_at_every_pass() {
+        // S — x ⇄ y: each sends D's traffic to the other, over a link
+        // that loses one packet in five. A draw keyed without the TTL
+        // would repeat at every lap: a packet would die on its first
+        // crossing in either direction or never.
+        let ms = SimDuration::from_millis(1);
+        let mut b = TopologyBuilder::new();
+        let s = b.host("S", HostConfig::default());
+        let x = b.router("x", RouterConfig::default());
+        let y = b.router("y", RouterConfig::default());
+        b.link(s, x, ms, 0.0);
+        b.link(x, y, ms, 0.2);
+        b.default_via(s, x);
+        b.default_via(x, y);
+        b.default_via(y, x);
+        let s_pfx = b.subnet_of(s);
+        b.route_via(x, s_pfx, s);
+        b.route_via(y, s_pfx, x);
+        let topo = Arc::new(b.build());
+        let mut sim = Simulator::new(topo.clone(), 5);
+        let nowhere = Ipv4Addr::new(203, 0, 113, 9);
+        let mut lost_after_a_lap = 0;
+        for i in 0..200 {
+            let before = sim.stats();
+            sim.inject(s, udp_probe(src_addr(&topo, s), nowhere, 40, 33435 + i));
+            sim.run_to_quiescence();
+            let crossed = sim.stats().forwarded - before.forwarded;
+            let lost = sim.stats().dropped_loss > before.dropped_loss;
+            // S→x, x→y, y→x survived: the next loss is at a router that
+            // let this packet through once already.
+            if lost && crossed >= 3 {
+                lost_after_a_lap += 1;
+            }
+            drain(&mut sim, s);
+        }
+        // 0.8 x 0.8 of them get that far, and 39 crossings at one in
+        // five lose nearly all of those.
+        assert!(lost_after_a_lap > 100, "only {lost_after_a_lap} of 200 were lost on a later lap");
+    }
+
+    // ------------------------------------------------------------------
+    // Fused walks against the per-hop engine
+    // ------------------------------------------------------------------
+
+    /// A simulator whose walks stop after `hop_limit` links: 1 is the
+    /// engine with one event per hop, `u32::MAX` the one that ships.
+    fn sim_cut_at(topo: &Arc<Topology>, seed: u64, hop_limit: u32) -> Simulator {
+        let mut sim = Simulator::new(topo.clone(), seed);
+        sim.state.hop_limit = hop_limit;
+        sim
+    }
+
+    const HOP_LIMITS: [u32; 4] = [1, 2, 3, u32::MAX];
+
+    #[test]
+    fn a_route_change_scheduled_under_a_walk_is_obeyed() {
+        // S — r1 … r5 — {a, b} — D; r5 sends D's traffic to a. A TTL-6
+        // probe leaves at 0 and would expire at a, 6 ms on. A change
+        // scheduled after it left, for 3 ms, turns r5 (reached at 5 ms)
+        // toward b: the Time Exceeded must come from b.
+        let ms = SimDuration::from_millis(1);
+        let mut b = TopologyBuilder::new();
+        let s = b.host("S", HostConfig::default());
+        let s_pfx = b.subnet_of(s);
+        let mut prev = s;
+        for i in 1..=5 {
+            let r = b.router(&format!("r{i}"), RouterConfig::default());
+            b.link(prev, r, ms, 0.0);
+            b.default_via(prev, r);
+            b.route_via(r, s_pfx, prev);
+            prev = r;
+        }
+        let r5 = prev;
+        let d = b.host("D", HostConfig::default());
+        let mut via = Vec::new();
+        for name in ["a", "b"] {
+            let r = b.router(name, RouterConfig::default());
+            b.link(r5, r, ms, 0.0);
+            b.link(r, d, ms, 0.0);
+            b.route_via(r, s_pfx, r5);
+            b.default_via(r, d);
+            via.push(r);
+        }
+        b.default_via(r5, via[0]);
+        b.default_via(d, via[0]);
+        let dst = b.addr_of(d);
+        let topo = Arc::new(b.build());
+        let toward_b = topo.iface_toward(r5, via[1]).unwrap();
+        let b_addr = topo.node(via[1]).ifaces[0].addr;
+        for limit in HOP_LIMITS {
+            let mut sim = sim_cut_at(&topo, 1, limit);
+            sim.inject(s, udp_probe(src_addr(&topo, s), dst, 6, 33435));
+            sim.schedule_route_set(
+                SimTime::ZERO + SimDuration::from_millis(3),
+                r5,
+                Ipv4Prefix::DEFAULT,
+                Some(NextHop::Iface(toward_b)),
+            );
+            sim.run_to_quiescence();
+            let got = drain(&mut sim, s);
+            assert_eq!(got.len(), 1, "hop limit {limit}");
+            assert_eq!(got[0].1.ip.src, b_addr, "hop limit {limit}: the probe took the old route");
+            assert_eq!(got[0].0, SimTime::ZERO + SimDuration::from_millis(12), "hop limit {limit}");
+        }
+    }
+
+    /// A splitmix64 stream: the script generator's dice.
+    struct Dice(u64);
+
+    impl Dice {
+        /// Uniform in `0..n`.
+        fn roll(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            splitmix64(self.0) % n
+        }
+
+        fn pick<T: Clone>(&mut self, from: &[T]) -> T {
+            from[self.roll(from.len() as u64) as usize].clone()
+        }
+    }
+
+    fn random_balancer(dice: &mut Dice) -> BalancerKind {
+        use pt_wire::FlowPolicy;
+        dice.pick(&[
+            BalancerKind::PerFlow(FlowPolicy::FiveTuple),
+            BalancerKind::PerFlow(FlowPolicy::FirstFourOctets),
+            BalancerKind::PerPacket,
+            BalancerKind::PerPacket,
+            BalancerKind::PerDestination,
+        ])
+    }
+
+    /// Healthy half the time, otherwise one of everything a router can
+    /// do to a packet besides passing it on.
+    fn random_router(dice: &mut Dice) -> RouterConfig {
+        use crate::node::IcmpRateLimit;
+        let base = RouterConfig::default();
+        match dice.roll(16) {
+            0 => RouterConfig::zero_ttl_forwarder(),
+            1 => RouterConfig::silent(),
+            2 => RouterConfig::mpls_interior(),
+            3 => RouterConfig::udp_filter(),
+            4 => RouterConfig::broken_forwarding(UnreachableCode::Host),
+            5 => RouterConfig::rate_limited(SimDuration::from_millis(5), 2),
+            6 => RouterConfig {
+                icmp_rate_limit: Some(IcmpRateLimit {
+                    interval: SimDuration::from_millis(2),
+                    burst: 1,
+                }),
+                icmp_min_interval: Some(SimDuration::from_millis(3)),
+                ..base
+            },
+            7 => base.with_fixed_responder(),
+            _ => base,
+        }
+    }
+
+    /// A link of mixed delay — zero included, so arrivals tie with each
+    /// other and with route changes — sometimes asymmetric, sometimes
+    /// lossy.
+    fn random_link(b: &mut TopologyBuilder, dice: &mut Dice, from: NodeId, to: NodeId) {
+        let delays = [0, 250, 1_000, 1_000, 1_000, 3_000].map(SimDuration::from_micros);
+        let out = dice.pick(&delays);
+        let back = if dice.roll(4) == 0 { dice.pick(&delays) } else { out };
+        b.link_asym(from, to, out, back, dice.pick(&[0.0, 0.0, 0.0005, 0.05, 0.3]));
+    }
+
+    /// A net to run a script on: where probes start, what they may be
+    /// addressed to, and the routers whose routes may change.
+    struct Net {
+        topo: Arc<Topology>,
+        source: NodeId,
+        targets: Vec<Ipv4Addr>,
+        routers: Vec<NodeId>,
+    }
+
+    impl Net {
+        fn of(sc: crate::scenarios::Scenario) -> Net {
+            let topo = sc.topology;
+            let routers: Vec<NodeId> = (0..topo.len())
+                .map(NodeId)
+                .filter(|&n| topo.node(n).kind.as_router().is_some())
+                .collect();
+            let targets = vec![
+                sc.destination,
+                sc.destination,
+                topo.node(routers[routers.len() / 2]).primary_addr(),
+                topo.node(sc.source).primary_addr(),
+                Ipv4Addr::new(203, 0, 113, 99),
+            ];
+            Net { topo, source: sc.source, targets, routers }
+        }
+
+        /// S, then two to six stages — each a router, every third one
+        /// the head of a diamond of two or three branches, one or two
+        /// routers long, that rejoin — then D. One router in three nets
+        /// is turned into a NAT gateway for everything behind it.
+        fn random(dice: &mut Dice) -> Net {
+            let mut b = TopologyBuilder::new();
+            let source = b.host("S", HostConfig::default());
+            let s_pfx = b.subnet_of(source);
+            let mut spine = Vec::new();
+            let mut prev = source;
+            for i in 0..2 + dice.roll(5) {
+                let head = b.router(&format!("r{i}"), random_router(dice));
+                random_link(&mut b, dice, prev, head);
+                b.default_via(prev, head);
+                b.route_via(head, s_pfx, prev);
+                spine.push(head);
+                prev = head;
+                if dice.roll(3) > 0 {
+                    continue;
+                }
+                let tail = b.router(&format!("m{i}"), random_router(dice));
+                let mut firsts = Vec::new();
+                for j in 0..2 + dice.roll(2) {
+                    let mut at = head;
+                    for k in 0..1 + dice.roll(2) {
+                        let x = b.router(&format!("x{i}.{j}.{k}"), random_router(dice));
+                        random_link(&mut b, dice, at, x);
+                        b.route_via(x, s_pfx, at);
+                        if at == head {
+                            firsts.push(x);
+                        } else {
+                            b.default_via(at, x);
+                        }
+                        at = x;
+                    }
+                    random_link(&mut b, dice, at, tail);
+                    b.default_via(at, tail);
+                    if j == 0 {
+                        b.route_via(tail, s_pfx, at);
+                    }
+                }
+                b.balanced_route(head, Ipv4Prefix::DEFAULT, random_balancer(dice), &firsts);
+                spine.push(tail);
+                prev = tail;
+            }
+            let host =
+                if dice.roll(4) == 0 { HostConfig::firewalled() } else { HostConfig::default() };
+            let d = b.host("D", host);
+            random_link(&mut b, dice, prev, d);
+            b.default_via(prev, d);
+            b.default_via(d, prev);
+            if dice.roll(3) == 0 {
+                let gateway = dice.pick(&spine);
+                let inside: Vec<Ipv4Prefix> = (gateway.0 + 1..b.node_count())
+                    .flat_map(|n| b.subnets_of(NodeId(n)).to_vec())
+                    .collect();
+                let public = b.iface_addr(gateway, 0);
+                b.set_router_config(gateway, RouterConfig::nat_gateway(public, inside));
+            }
+            let destination = b.addr_of(d);
+            Net::of(crate::scenarios::Scenario {
+                topology: Arc::new(b.build()),
+                source,
+                destination,
+                addr: std::collections::BTreeMap::new(),
+            })
+        }
+    }
+
+    /// What a script does next.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Inject(Packet),
+        RouteSet { after: SimDuration, node: NodeId, prefix: Ipv4Prefix, next_hop: Option<NextHop> },
+        RunFor(SimDuration),
+    }
+
+    /// One probe in the shape of any of the six strategies: UDP with
+    /// moving ports, UDP with fixed ports, ICMP echo classic and Paris,
+    /// TCP SYN with a moving and a fixed port pair.
+    fn random_probe(dice: &mut Dice, src: Ipv4Addr, dst: Ipv4Addr, nth: u16) -> Packet {
+        let ttl = dice.roll(41) as u8;
+        let transport = match dice.roll(6) {
+            0 => Transport::Udp(UdpDatagram::new(33_768, 33_435 + nth, vec![0; 8])),
+            1 => Transport::Udp(UdpDatagram::new(10_007, 20_011, nth.to_be_bytes().to_vec())),
+            2 => Transport::Icmp(IcmpMessage::echo_probe_classic(77, nth)),
+            3 => Transport::Icmp(IcmpMessage::echo_probe_paris(0x1234, nth)),
+            4 => Transport::Tcp(TcpSegment::syn_probe(30_000 + nth, 80, 7)),
+            _ => Transport::Tcp(TcpSegment::syn_probe(30_000, 80, u32::from(nth))),
+        };
+        Packet::new(Ipv4Header::new(src, dst, transport.protocol(), ttl), transport)
+    }
+
+    fn random_script(dice: &mut Dice, net: &Net) -> Vec<Op> {
+        let src = net.topo.node(net.source).primary_addr();
+        let quarter_ms = |n: u64| SimDuration::from_micros(250 * n);
+        (0..8 + dice.roll(40) as u16)
+            .map(|nth| match dice.roll(8) {
+                0 | 1 => Op::RunFor(quarter_ms(dice.roll(24))),
+                2 => {
+                    let node = dice.pick(&net.routers);
+                    let ifaces = net.topo.node(node).ifaces.len() as u64;
+                    let iface = |dice: &mut Dice| dice.roll(ifaces) as usize;
+                    let next_hop = match dice.roll(5) {
+                        0 => None,
+                        1 => Some(NextHop::Blackhole),
+                        2 => Some(NextHop::Balanced {
+                            kind: BalancerKind::PerPacket,
+                            egresses: vec![iface(dice), iface(dice)],
+                        }),
+                        _ => Some(NextHop::Iface(iface(dice))),
+                    };
+                    let prefix = dice.pick(&[
+                        Ipv4Prefix::DEFAULT,
+                        Ipv4Prefix::host(net.targets[0]),
+                        Ipv4Prefix::host(src),
+                    ]);
+                    Op::RouteSet { after: quarter_ms(dice.roll(32)), node, prefix, next_hop }
+                }
+                _ => {
+                    let dst = dice.pick(&net.targets);
+                    Op::Inject(random_probe(dice, src, dst, nth))
+                }
+            })
+            .collect()
+    }
+
+    /// Everything an observer outside the engine can see of a run: after
+    /// each `RunFor` and once more at quiescence, the clock, the packets
+    /// in flight, the counters (`forwarded` only at the end: mid-flight
+    /// it trails by the walks in progress) and every node's deliveries.
+    fn observe(net: &Net, seed: u64, script: &[Op], hop_limit: u32) -> Vec<String> {
+        let mut sim = sim_cut_at(&net.topo, seed, hop_limit);
+        let mut seen = Vec::new();
+        let mut look = |sim: &mut Simulator, quiescent: bool| {
+            let mut stats = sim.stats();
+            if !quiescent {
+                stats.forwarded = 0;
+            }
+            seen.push(format!("{:?} in flight {} {stats:?}", sim.now(), sim.in_flight()));
+            for node in (0..net.topo.len()).map(NodeId) {
+                for delivery in drain(sim, node) {
+                    seen.push(format!("{node:?} {delivery:?}"));
+                }
+            }
+        };
+        for op in script {
+            match op.clone() {
+                Op::Inject(packet) => sim.inject(net.source, packet),
+                Op::RouteSet { after, node, prefix, next_hop } => {
+                    sim.schedule_route_set(sim.now() + after, node, prefix, next_hop)
+                }
+                Op::RunFor(span) => {
+                    sim.run_until(sim.now() + span);
+                    look(&mut sim, false);
+                }
+            }
+        }
+        sim.run_to_quiescence();
+        look(&mut sim, true);
+        seen
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// Fused and per-hop execution are one function: on the paper's
+        /// figures and on random nets, with probes of every shape and
+        /// TTL, route changes landing under packets in flight and the
+        /// clock stopped at random instants, a walk cut after 1, 2 or 3
+        /// hops or never shows an observer the same run.
+        #[test]
+        fn a_walk_cut_anywhere_is_the_same_run(case in proptest::prelude::any::<u64>()) {
+            use crate::scenarios;
+            let mut dice = Dice(case);
+            let kind = random_balancer(&mut dice);
+            let net = match dice.roll(16) {
+                0 => Net::of(scenarios::fig1(kind)),
+                1 => Net::of(scenarios::fig3(kind)),
+                2 => Net::of(scenarios::fig4()),
+                3 => Net::of(scenarios::fig5()),
+                4 => Net::of(scenarios::fig6(kind)),
+                5 => Net::of(scenarios::unreachability_loop()),
+                6 => Net::of(scenarios::linear(1 + dice.roll(12) as usize)),
+                7 => Net::of(scenarios::forwarding_loop_chain().0),
+                _ => Net::random(&mut dice),
+            };
+            let script = random_script(&mut dice, &net);
+            let per_hop = observe(&net, case, &script, 1);
+            for limit in &HOP_LIMITS[1..] {
+                let fused = observe(&net, case, &script, *limit);
+                proptest::prop_assert_eq!(&fused, &per_hop, "hop limit {}: {:#?}", limit, script);
+            }
+        }
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! A [`Topology`] is immutable once built (see [`crate::builder`]); a
 //! simulator owns only small per-node runtime state (a copy-on-write
-//! routing delta, IP-ID counter, RNG) layered over it, so several
-//! simulators can share one topology across threads and spin up without
-//! copying any routing table.
+//! routing delta, IP-ID counter, rate-limiter fill) layered over it, so
+//! several simulators can share one topology across threads and spin up
+//! without copying any routing table.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;

@@ -1,8 +1,10 @@
 //! The simulator's event schedule: a deque kept sorted by `(time, seq)`.
 //!
 //! The tracers keep a handful of probes in flight per destination
-//! (window 3 for a trace, 8 for MDA) and every campaign unit runs on
-//! its own simulator, so the schedule never holds more than about 16
+//! (window 3 for a trace, 8 for MDA), every campaign unit runs on its
+//! own simulator, and a packet in flight is one pending event — its next
+//! *stateful* arrival, however many routers it crosses on the way
+//! ([`crate::sim`]) — so the schedule never holds more than about 16
 //! events (`docs/PERFORMANCE.md`, PR 20; `tests/queue_depth.rs` pins
 //! the traffic). At that size the cheapest exact priority queue is the
 //! obvious one: a [`VecDeque`] in ascending key order. `schedule` scans
@@ -50,8 +52,9 @@ impl<T> EventWheel<T> {
     }
 
     /// Schedule `payload` at `(time, seq)`. Keys must be unique (the
-    /// simulator's monotonic sequence number guarantees it); a key in
-    /// the past is allowed and pops before everything later.
+    /// simulator stamps each packet and each route change once, and a
+    /// packet has one pending event); a key in the past is allowed and
+    /// pops before everything later.
     pub fn schedule(&mut self, time: SimTime, seq: u64, payload: T) {
         let key = (time, seq);
         let later = self.events.iter().rev().take_while(|e| (e.0, e.1) > key).count();
@@ -72,6 +75,26 @@ impl<T> EventWheel<T> {
     /// before `by`.
     pub(crate) fn pop_due(&mut self, by: SimTime) -> Option<(SimTime, u64, T)> {
         self.events.pop_front_if(|e| e.0 <= by)
+    }
+
+    /// The pending events' times and payloads, in pop order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SimTime, &T)> {
+        self.events.iter().map(|e| (e.0, &e.2))
+    }
+
+    /// Remove the first pending event `pick` makes something of, and
+    /// return its `seq` with what `pick` made.
+    pub(crate) fn take_first<R>(
+        &mut self,
+        mut pick: impl FnMut(&T) -> Option<R>,
+    ) -> Option<(u64, R)> {
+        let (idx, seq, picked) = self
+            .events
+            .iter()
+            .enumerate()
+            .find_map(|(idx, e)| pick(&e.2).map(|picked| (idx, e.1, picked)))?;
+        self.events.remove(idx);
+        Some((seq, picked))
     }
 
     /// Remove every pending event, handing each payload to `visit`. The

@@ -36,10 +36,14 @@ fn main() {
         net.dests.iter().filter(|d| d.truth.firewalled).count(),
     );
 
-    println!("running {rounds} rounds × {n_destinations} destinations × 2 tools (32 workers)...");
+    // One worker per hardware thread: results do not depend on the count.
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    println!(
+        "running {rounds} rounds × {n_destinations} destinations × 2 tools ({workers} workers)..."
+    );
     // ptlint: allow(wall-clock): progress display only; never feeds a digest
     let started = std::time::Instant::now();
-    let config = CampaignConfig { rounds, workers: 32, ..Default::default() };
+    let config = CampaignConfig { rounds, workers, ..Default::default() };
     let result = run(&net, &config);
     println!("  done in {:.1}s wall clock\n", started.elapsed().as_secs_f64());
 
@@ -57,7 +61,7 @@ fn main() {
     println!("\nrunning multipath discovery over the same {n_destinations} destinations...");
     // ptlint: allow(wall-clock): progress display only; never feeds a digest
     let started = std::time::Instant::now();
-    let mp = run_multipath(&net, &MultipathConfig { workers: 32, ..Default::default() });
+    let mp = run_multipath(&net, &MultipathConfig { workers, ..Default::default() });
     println!("  done in {:.1}s wall clock\n", started.elapsed().as_secs_f64());
     println!("{}", render_multipath_report(&mp));
     let score = validate_multipath(&net, &mp);

@@ -5,9 +5,13 @@
 //! `tests/determinism.rs`, `worker_invariance.rs` and
 //! `checkpoint_resume.rs` compare a run with another run of the same
 //! build; none of them notices a change that moves *every* run the
-//! same way. These constants do. They were recorded at the parent of
-//! the PR that removed the batched probe paths (commit `7f59ae0`) and
-//! that PR left them unchanged.
+//! same way. These constants do. They were recorded once, by the PR
+//! that re-keyed the simulator's event order to `(time, birth)` and its
+//! loss and per-packet-balancer draws to `(seed, node, birth, TTL)` — a
+//! re-draw of every random outcome, so every value moved — from the
+//! engine that still ran one event per hop. Fusing transit hops into
+//! one event, in the same PR, left all of them as recorded
+//! (`docs/PERFORMANCE.md` lists the parent's values beside these).
 //!
 //! A PR that *means* to change results (a new default, a fixed bug in
 //! the simulator, a retuned timeout) updates the constants in the same
@@ -37,7 +41,7 @@ fn fnv1a64(text: &str) -> u64 {
 /// `examples/campaign_digest.rs`'s campaign — and, because where a
 /// campaign is cut and who resumes it leave no trace, the same campaign
 /// killed at a checkpoint and resumed.
-const CAMPAIGN: u64 = 0x10e4_beb5_6ad6_c112;
+const CAMPAIGN: u64 = 0xa73f_e0f3_405f_a821;
 
 /// `examples/campaign_digest.rs`'s configuration.
 fn campaign_config() -> CampaignConfig {
@@ -90,7 +94,7 @@ fn campaign_digest_kept_routes() {
             routes.push((StrategyId::ClassicUdp, round, classic));
         }
     }
-    assert_golden("campaign_digest routes", &format!("{routes:?}"), 0x4251_d906_5243_a18c);
+    assert_golden("campaign_digest routes", &format!("{routes:?}"), 0x0fa6_d021_1f94_ef66);
 }
 
 #[test]
@@ -102,7 +106,7 @@ fn campaign_with_default_dynamics_sequential() {
         ..campaign_config()
     };
     let result = run(&net, &config);
-    assert_golden("dynamics, window 1", &campaign_text(&result), 0x9f74_477b_e09f_b854);
+    assert_golden("dynamics, window 1", &campaign_text(&result), 0xc119_5d67_5e08_7b33);
 }
 
 #[test]
@@ -110,7 +114,7 @@ fn multipath_digest_example() {
     let net = generate(&InternetConfig::tiny(42));
     let config = MultipathConfig { rounds: 2, workers: 4, seed: 99, ..Default::default() };
     let result = run_multipath(&net, &config);
-    assert_golden("multipath_digest", &multipath_digest(&result), 0xaa4f_2d55_2019_accd);
+    assert_golden("multipath_digest", &multipath_digest(&result), 0xc5a6_ff75_8056_bfaa);
 }
 
 #[test]
@@ -119,7 +123,7 @@ fn adaptive_multipath_on_a_hostile_net() {
     let config =
         MultipathConfig { rounds: 2, workers: 4, seed: 99, adaptive: true, ..Default::default() };
     let result = run_multipath(&net, &config);
-    assert_golden("adaptive multipath, hostile", &multipath_digest(&result), 0x10b8_8c5f_bf23_7da2);
+    assert_golden("adaptive multipath, hostile", &multipath_digest(&result), 0xb784_ab68_d233_440d);
 }
 
 #[test]

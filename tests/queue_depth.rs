@@ -2,7 +2,8 @@
 //! tracers keep at most a window of probes outstanding, every probe is
 //! one packet in the network at a time, so a simulator serving one
 //! tracer holds a handful of packets — and, each packet being one
-//! pending arrival, a handful of events. `pt_netsim::wheel` is a sorted
+//! pending *stateful* arrival (the routers it only crosses are not
+//! events), a handful of events. `pt_netsim::wheel` is a sorted
 //! deque *because* of this (its insert is linear in the queue's depth);
 //! if a tracer change ever deepens the queue, this test fails before
 //! the benchmark has to find out.
