@@ -3,17 +3,15 @@
 //! Checkpoint records are mostly addresses and small integers, and the
 //! writers run once per checkpoint block on the campaign's critical
 //! path, so these append digits straight to the output instead of going
-//! through `fmt::Display` (an `Ipv4Addr` formats through an
-//! intermediate buffer and the padding machinery). The bytes produced
+//! through `fmt::Display` and its padding machinery. The bytes produced
 //! are exactly the ones `{}` / `{:016x}` / `{:08x}` would produce.
 //!
-//! The bulk of a record — every set an accumulator holds — travels as
-//! *key lines*: `N` fields of eight lowercase hex digits, one space
-//! between fields, one key per line, keys ascending. Every such line of
-//! `N` fields is `9 N` bytes, which is what lets a writer size its
-//! buffer from counts alone.
-
-use std::net::Ipv4Addr;
+//! The bulk of a record — every set an accumulator holds, every unit a
+//! multipath campaign discovered — travels as *key lines*: `N` fields
+//! of eight lowercase hex digits (an address is its big-endian
+//! integer), one space between fields, one key per line, keys
+//! ascending. Every such line of `N` fields is `9 N` bytes, which is
+//! what lets a writer size its buffer from counts alone.
 
 /// Append `v` in decimal, as `{}` would.
 pub fn push_uint(out: &mut String, mut v: u64) {
@@ -41,49 +39,30 @@ pub fn push_hex64(out: &mut String, v: u64) {
     }
 }
 
-/// Append `addr` in dotted-quad form, as `{}` would — the form of the
-/// few addresses that travel outside key lines (a quarantined unit's, a
-/// multipath unit's).
-pub fn push_addr(out: &mut String, addr: Ipv4Addr) {
-    // Rendered on the stack and appended in one go.
-    let mut text = [0u8; 15];
-    let mut len = 0;
-    for (i, octet) in addr.octets().into_iter().enumerate() {
-        if i > 0 {
-            text[len] = b'.';
-            len += 1;
-        }
-        if octet >= 100 {
-            text[len] = b'0' + octet / 100;
-            len += 1;
-        }
-        if octet >= 10 {
-            text[len] = b'0' + octet / 10 % 10;
-            len += 1;
-        }
-        text[len] = b'0' + octet % 10;
-        len += 1;
-    }
-    out.push_str(std::str::from_utf8(&text[..len]).expect("digits and dots are ASCII"));
-}
-
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 /// Bytes of one key-line field: eight hex digits and the space or
 /// newline after them.
 pub(crate) const KEY_FIELD_LEN: usize = 9;
 
-/// No key has more fields (a diamond's middle under its destination,
-/// head and tail).
-const MAX_KEY_FIELDS: usize = 4;
+/// No key has more fields (a multipath unit's discovery; the
+/// accumulators' widest is four, a diamond's middle under its
+/// destination, head and tail).
+const MAX_KEY_FIELDS: usize = 13;
+
+/// The stack buffer key lines are rendered in: sixteen of the
+/// accumulators' widest lines, four of the widest there is.
+const RENDER_LEN: usize = 16 * 4 * KEY_FIELD_LEN;
 
 /// Append one key line per key, in the order given.
 pub fn push_key_lines<const N: usize>(out: &mut String, keys: impl IntoIterator<Item = [u32; N]>) {
     const { assert!(N >= 1 && N <= MAX_KEY_FIELDS) };
-    // Rendered on the stack and appended sixteen lines at a time: key
-    // lines are nearly all of a checkpoint's bytes. (No more than that,
-    // because a caller with one key to write pays for clearing it.)
-    let mut text = [0u8; 16 * MAX_KEY_FIELDS * KEY_FIELD_LEN];
+    const { assert!(MAX_KEY_FIELDS * KEY_FIELD_LEN <= RENDER_LEN) };
+    // Rendered on the stack and appended a buffer at a time: key lines
+    // are nearly all of a checkpoint's bytes. (The buffer is no longer
+    // than that, because a caller with one key to write pays for
+    // clearing it.)
+    let mut text = [0u8; RENDER_LEN];
     let mut len = 0;
     let flush = |out: &mut String, text: &[u8]| {
         out.push_str(std::str::from_utf8(text).expect("hex digits and separators are ASCII"));
@@ -171,12 +150,6 @@ mod tests {
             push_hex64(&mut s, v);
             assert_eq!(s, format!("{v:016x}"));
         }
-        for addr in [[0, 0, 0, 0], [10, 0, 200, 9], [192, 168, 1, 100], [255, 255, 255, 255]] {
-            let addr = Ipv4Addr::from(addr);
-            let mut s = String::new();
-            push_addr(&mut s, addr);
-            assert_eq!(s, addr.to_string());
-        }
     }
 
     #[test]
@@ -210,6 +183,20 @@ mod tests {
             let err = read(bad, 2).expect_err(bad);
             assert!(err.contains(why), "{bad:?}: {err}");
         }
+        // The widest key there is — a multipath unit's — over more than
+        // one buffer.
+        let wide: Vec<[u32; 13]> = (0..9u32)
+            .map(|i| std::array::from_fn(|f| i << 28 | (f as u32).wrapping_mul(i)))
+            .collect();
+        let mut text = String::new();
+        push_key_lines(&mut text, wide.iter().copied());
+        assert_eq!(text.len(), wide.len() * 13 * KEY_FIELD_LEN);
+        let expect: String = wide
+            .iter()
+            .map(|key| key.map(|field| format!("{field:08x}")).join(" ") + "\n")
+            .collect();
+        assert_eq!(text, expect);
+        assert_eq!(read_key_lines(&mut text.lines(), 9, |key: [u32; 13]| key), Ok(wide));
         // A hostile count allocates no more than its bound.
         assert!(read("", usize::MAX).is_err());
     }

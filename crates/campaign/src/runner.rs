@@ -104,11 +104,6 @@ impl InjectConfig {
     pub fn none() -> Self {
         InjectConfig::default()
     }
-
-    /// Whether any injection is configured.
-    pub fn is_empty(&self) -> bool {
-        self.panic_units.is_empty() && self.runaway_units.is_empty()
-    }
 }
 
 /// One quarantined `(destination, round)` unit: the worker caught its
@@ -186,14 +181,14 @@ pub struct CampaignResult {
     pub paris_report: ToolReport,
     /// The classic-vs-Paris attribution.
     pub comparison: ComparisonReport,
-    /// Mean virtual seconds of probing per destination (summed over all
-    /// of a destination's rounds). Worker-count-independent, unlike the
-    /// per-shard figure it replaces, and the number the windowed tracer
+    /// Mean virtual seconds of probing per destination: every healthy
+    /// unit's clock at its end, summed as integer nanoseconds — so in
+    /// any order — and divided once. The number the windowed tracer
     /// divides by roughly `trace.window`.
     pub mean_virtual_secs: f64,
     /// Units whose execution panicked, in unit order. Their partial
     /// results are fully discarded — nothing of a poisoned unit reaches
-    /// the accumulators or the virtual-time sums — so the healthy-unit
+    /// the accumulators or the virtual-time total — so the healthy-unit
     /// digest is independent of *where* a panic struck and of the worker
     /// count.
     pub quarantined: Vec<QuarantinedUnit>,
@@ -203,81 +198,89 @@ pub struct CampaignResult {
 /// matches the old serial iteration (`for round { for dest }`).
 pub(crate) type UnitId = u32;
 
-/// What a block of units accumulated — one worker's claim-order fold,
-/// or several workers' folds merged, or several *blocks* merged by the
-/// checkpoint engine. Accumulator merging is order-insensitive (integer
-/// counters, sets, and per-key u64 maps), so producers can fold units
-/// in any order; everything order-sensitive (virtual-time floats,
-/// quarantine records) is tagged with its unit id and re-ordered
-/// deterministically by [`CampaignMode::finalize`]. Once absorbed into
-/// another, a fold holds its accumulators' sets and its virtual times
-/// in the order a checkpoint record writes them.
+/// What a block of side-by-side units measured. Accumulator merging is
+/// order-insensitive (integer counters, sets, and per-key u64 maps), so
+/// producers can fold units in any order.
 pub(crate) struct BlockOutput {
     pub(crate) classic: CampaignAccumulator,
     pub(crate) paris: CampaignAccumulator,
-    pub(crate) virtual_secs: Vec<(UnitId, f64)>,
-    pub(crate) quarantined: Vec<QuarantinedUnit>,
 }
 
-/// An order-insensitive fold of unit results: what one worker
-/// accumulates, what a block's workers merge into, and what the
-/// checkpoint engine merges blocks into.
-pub(crate) trait Fold: Send {
-    /// The fold of no units.
-    fn empty() -> Self;
-    /// Fold another fold in. Order-insensitive, like everything that
-    /// feeds it.
+/// An order-insensitive fold of unit results, from that of no units
+/// (its `Default`): what one worker accumulates, what a block's workers
+/// merge into, and what the checkpoint engine merges blocks into.
+pub(crate) trait Fold: Default + Send {
+    /// Fold another fold in, leaving this one in the order a checkpoint
+    /// record writes it.
     fn absorb(&mut self, other: Self);
-    /// Record a unit that panicked in place of its results.
-    fn quarantine(&mut self, unit: QuarantinedUnit);
 }
 
-/// `into.extend(from)`, less the copy when `into` is empty: the first
-/// fold absorbed — a one-worker block's only one — is taken whole while
-/// the workers' simulators are still alive beside it.
-fn append<T>(into: &mut Vec<T>, from: Vec<T>) {
-    if into.is_empty() {
-        *into = from;
-    } else {
-        into.extend(from);
+impl Default for BlockOutput {
+    fn default() -> Self {
+        BlockOutput {
+            classic: CampaignAccumulator::new(StrategyId::ClassicUdp),
+            paris: CampaignAccumulator::new(StrategyId::ParisUdp),
+        }
     }
 }
 
 impl Fold for BlockOutput {
-    fn empty() -> Self {
-        BlockOutput {
-            classic: CampaignAccumulator::new(StrategyId::ClassicUdp),
-            paris: CampaignAccumulator::new(StrategyId::ParisUdp),
-            virtual_secs: Vec::new(),
-            quarantined: Vec::new(),
-        }
-    }
-
     fn absorb(&mut self, other: BlockOutput) {
         self.classic.merge(other.classic);
         self.paris.merge(other.paris);
-        // Held in unit order, the order a record writes them in. A
-        // worker claims ascending units and blocks arrive in order, so
-        // past one block's interleaving the new times just follow the
-        // old: look at them only, not at the whole campaign's again.
-        let joint = self.virtual_secs.len().saturating_sub(1);
-        append(&mut self.virtual_secs, other.virtual_secs);
-        if !self.virtual_secs[joint..].windows(2).all(|pair| pair[0].0 < pair[1].0) {
-            self.virtual_secs.sort_unstable_by_key(|(unit, _)| *unit);
-        }
-        append(&mut self.quarantined, other.quarantined);
-    }
-
-    fn quarantine(&mut self, unit: QuarantinedUnit) {
-        self.quarantined.push(unit);
     }
 }
 
+/// A mode's fold, and beside it what every unit yields whatever the
+/// mode — its virtual time, or a quarantine record if it panicked —
+/// which the engine folds, journals and finalizes itself.
+#[derive(Default)]
+pub(crate) struct Folded<F> {
+    /// What the mode measured.
+    pub(crate) measured: F,
+    /// The healthy units' virtual times, summed. Each is a `u64` of
+    /// nanoseconds and there are at most `u32::MAX`, so the sum cannot
+    /// wrap; being of integers, it is the same in any order.
+    pub(crate) virtual_ns: u128,
+    /// The units that panicked, each with its panic's text.
+    pub(crate) quarantined: Vec<(UnitId, String)>,
+}
+
+impl<F: Fold> Fold for Folded<F> {
+    fn absorb(&mut self, other: Self) {
+        self.measured.absorb(other.measured);
+        self.virtual_ns += other.virtual_ns;
+        self.quarantined.extend(other.quarantined);
+        // Which worker or block met which panic is scheduling noise.
+        self.quarantined.sort_unstable_by_key(|q| q.0);
+    }
+}
+
+/// What the engine reads of a mode's configuration: the fields the two
+/// config types hold alike, and the salt that keeps the two modes'
+/// simulator seeds apart.
+pub(crate) struct Common<'a> {
+    pub(crate) rounds: usize,
+    pub(crate) workers: usize,
+    pub(crate) seed: u64,
+    pub(crate) inject: &'a InjectConfig,
+    pub(crate) sim_salt: u64,
+}
+
+/// A unit's coordinates: its id decoded, and the stream every draw it
+/// makes derives from.
+pub(crate) struct Coords {
+    pub(crate) unit: UnitId,
+    pub(crate) dest: usize,
+    pub(crate) round: usize,
+    pub(crate) stream: u64,
+}
+
 /// One campaign mode — side-by-side traces or multipath discovery — as
-/// the block engine and the checkpoint driver see it: how many units,
-/// how to run one over a worker's warm state, how to commit it to a
-/// fold, and how to turn the complete fold into the result. The two
-/// config types implement it, so a mode *is* its configuration.
+/// the block engine and the checkpoint driver see it: how to probe one
+/// unit over the simulator the engine opened for it, how to commit it
+/// to a fold, and how to turn the complete fold into the result. The
+/// two config types implement it, so a mode *is* its configuration.
 pub(crate) trait CampaignMode: Sync {
     /// Per-worker recycled buffers (hop records, probe registries).
     type Scratch: Default + Send;
@@ -290,38 +293,64 @@ pub(crate) trait CampaignMode: Sync {
     /// The finalized campaign result.
     type Result;
 
-    /// Worker threads per block.
-    fn workers(&self) -> usize;
-    /// The campaign seed every unit stream derives from.
-    fn seed(&self) -> u64;
-    /// Check the campaign-wide invariants and return the unit count.
-    fn n_units(&self, net: &SyntheticInternet) -> u32;
-    /// Run one `(destination, round)` unit over a pristine pooled
-    /// simulator, with every draw derived from `(seed, destination,
-    /// round)` so the claiming worker is irrelevant. Must not touch
-    /// shared state: the caller commits on success
-    /// ([`CampaignMode::ingest`]) or discards on panic.
+    /// Check the mode's own invariants and return what the engine
+    /// reads of its configuration.
+    fn common(&self) -> Common<'_>;
+    /// Probe the unit at `at` through `tx`, a pristine simulator the
+    /// engine opened for it, with every draw derived from `at.stream`
+    /// so the claiming worker is irrelevant. Must not touch shared
+    /// state: the caller commits on success ([`CampaignMode::ingest`])
+    /// or discards on panic.
     fn run_unit(
         &self,
-        unit: UnitId,
         net: &SyntheticInternet,
-        pool: &mut SimulatorPool,
+        tx: &mut SimTransport,
+        at: &Coords,
         scratch: &mut Self::Scratch,
     ) -> Self::Unit;
     /// Commit one completed unit to the fold — the only place a unit's
     /// measurements touch shared state.
     fn ingest(
         &self,
-        unit: UnitId,
+        at: &Coords,
         done: Self::Unit,
         scratch: &mut Self::Scratch,
         fold: &mut Self::Fold,
     );
-    /// Order-sensitive assembly of the final result from an (unordered)
-    /// fold of every unit. A pure function of the fold's contents — the
-    /// reason worker count, block partitioning, and kill/resume points
-    /// all leave the digest byte-identical.
-    fn finalize(&self, net: &SyntheticInternet, fold: Self::Fold) -> Self::Result;
+    /// Assemble the final result from the fold of every unit, the mean
+    /// virtual seconds per destination and the quarantined units in
+    /// unit order. A pure function of its arguments — the reason worker
+    /// count, block partitioning and kill points leave the digest as is.
+    fn finalize(
+        &self,
+        net: &SyntheticInternet,
+        fold: Self::Fold,
+        mean_virtual_secs: f64,
+        quarantined: Vec<QuarantinedUnit>,
+    ) -> Self::Result;
+}
+
+/// Check the invariants every campaign shares; return its unit count.
+pub(crate) fn n_units(net: &SyntheticInternet, common: &Common<'_>) -> u32 {
+    assert!(common.workers >= 1 && common.rounds >= 1);
+    u32::try_from(net.dests.len() * common.rounds).expect("campaign too large for u32 unit ids")
+}
+
+/// The result of a campaign's complete fold.
+pub(crate) fn finish<M: CampaignMode>(
+    net: &SyntheticInternet,
+    mode: &M,
+    fold: Folded<M::Fold>,
+) -> M::Result {
+    let n_dests = net.dests.len();
+    let mean_virtual_secs = fold.virtual_ns as f64 / 1e9 / n_dests.max(1) as f64;
+    let seed = mode.common().seed;
+    let quarantined = fold.quarantined.into_iter().map(|(unit, panic)| {
+        let at = unit_coords(unit, n_dests, seed);
+        let addr = net.dests[at.dest].addr;
+        QuarantinedUnit { unit, dest: at.dest, round: at.round, addr, seed: at.stream, panic }
+    });
+    mode.finalize(net, fold.measured, mean_virtual_secs, quarantined.collect())
 }
 
 /// One worker's warm state, which outlives a block: a checkpointed
@@ -350,7 +379,7 @@ pub(crate) fn worker_states<M: CampaignMode>(
     net: &SyntheticInternet,
     mode: &M,
 ) -> Vec<WorkerState<M::Scratch>> {
-    (0..mode.workers().max(1)).map(|_| WorkerState::new(net)).collect()
+    (0..mode.common().workers).map(|_| WorkerState::new(net)).collect()
 }
 
 /// Run a full side-by-side campaign over `net`.
@@ -375,23 +404,23 @@ pub fn replay_unit(
     round: usize,
 ) -> (MeasuredRoute, MeasuredRoute) {
     let n_dests = net.dests.len();
+    let common = config.common();
     let unit = round * n_dests + dest;
     assert!(
-        dest < n_dests && unit < config.n_units(net) as usize,
+        dest < n_dests && unit < n_units(net, &common) as usize,
         "no unit (dest {dest}, round {round}) in this campaign"
     );
-    let mut state = WorkerState::<TraceScratch>::new(net);
-    let done = config.run_unit(unit as UnitId, net, &mut state.pool, &mut state.scratch);
-    (done.paris, done.classic)
+    let at = unit_coords(unit as UnitId, n_dests, common.seed);
+    run_unit(net, config, &common, &at, &mut WorkerState::new(net)).0
 }
 
 /// A whole campaign as one block.
 fn run_whole<M: CampaignMode>(net: &SyntheticInternet, mode: &M) -> M::Result {
-    let n_units = mode.n_units(net);
+    let n_units = n_units(net, &mode.common());
     // The states are dropped with this statement: finalizing holds the
     // fold, not the simulators beside it.
     let fold = run_block(net, mode, 0..n_units, &mut worker_states(net, mode));
-    mode.finalize(net, fold)
+    finish(net, mode, fold)
 }
 
 /// Execute one contiguous block of units, one thread per state of
@@ -407,11 +436,8 @@ pub(crate) fn run_block<M: CampaignMode>(
     mode: &M,
     units: Range<UnitId>,
     workers: &mut [WorkerState<M::Scratch>],
-) -> M::Fold {
+) -> Folded<M::Fold> {
     let n_block = units.len();
-    if n_block == 0 {
-        return M::Fold::empty();
-    }
     let n_workers = workers.len().min(n_block);
 
     // One shared cursor: a worker's next unit is the lowest unclaimed
@@ -428,7 +454,7 @@ pub(crate) fn run_block<M: CampaignMode>(
         (offset < n_block).then(|| units.start + offset as UnitId)
     };
 
-    let outputs: Vec<M::Fold> = std::thread::scope(|scope| {
+    let outputs: Vec<Folded<M::Fold>> = std::thread::scope(|scope| {
         let handles: Vec<_> = workers[..n_workers]
             .iter_mut()
             .map(|state| scope.spawn(move || run_worker(claim, net, mode, state)))
@@ -438,22 +464,46 @@ pub(crate) fn run_block<M: CampaignMode>(
         handles.into_iter().map(|h| h.join().expect("campaign worker died")).collect()
     });
 
-    let mut merged = M::Fold::empty();
+    let mut merged = Folded::default();
     for out in outputs {
         merged.absorb(out);
     }
     merged
 }
 
-/// Decode a unit id into `(dest_idx, round)` and derive its RNG stream.
-/// The two independent mixes keep the campaign-level draws (ports,
-/// dynamics) and the simulator's node seeds decorrelated.
-fn unit_coords(unit: UnitId, n_dests: usize, seed: u64) -> (usize, usize, u64) {
-    let dest_idx = unit as usize % n_dests;
+/// Decode a unit id into its destination and round and derive its RNG
+/// stream. The two independent mixes keep the campaign-level draws
+/// (ports, dynamics) and the simulator's node seeds decorrelated.
+fn unit_coords(unit: UnitId, n_dests: usize, seed: u64) -> Coords {
+    let dest = unit as usize % n_dests;
     let round = unit as usize / n_dests;
-    let dest_stream = splitmix64(seed ^ splitmix64(dest_idx as u64 + 1));
-    let unit_stream = splitmix64(dest_stream ^ (round as u64 + 1));
-    (dest_idx, round, unit_stream)
+    let dest_stream = splitmix64(seed ^ splitmix64(dest as u64 + 1));
+    Coords { unit, dest, round, stream: splitmix64(dest_stream ^ (round as u64 + 1)) }
+}
+
+/// One unit, opened and closed the one way for both modes and for
+/// [`replay_unit`]: a pristine pooled simulator seeded from the unit's
+/// stream under the mode's salt, the injected runaway, the mode's
+/// probing. Yields its output and the clock's nanoseconds at its end.
+fn run_unit<M: CampaignMode>(
+    net: &SyntheticInternet,
+    mode: &M,
+    common: &Common<'_>,
+    at: &Coords,
+    state: &mut WorkerState<M::Scratch>,
+) -> (M::Unit, u64) {
+    let sim = state.pool.acquire(splitmix64(at.stream ^ common.sim_salt));
+    let mut tx = SimTransport::new(sim, net.source);
+    // Injected runaway: a permanent forwarding loop toward the
+    // destination, installed before probing starts and never lifted.
+    // Consumes no RNG draws, so healthy units are unaffected.
+    if common.inject.runaway_units.contains(&at.unit) {
+        install_runaway_loop(&mut tx, &net.dests[at.dest], &net.topology);
+    }
+    let done = mode.run_unit(net, &mut tx, at, &mut state.scratch);
+    let virtual_ns = tx.now().nanos();
+    state.pool.release(tx.into_simulator());
+    (done, virtual_ns)
 }
 
 /// Recover a human-readable message from a caught panic payload.
@@ -475,109 +525,73 @@ fn run_worker<M: CampaignMode>(
     net: &SyntheticInternet,
     mode: &M,
     state: &mut WorkerState<M::Scratch>,
-) -> M::Fold {
-    let mut out = M::Fold::empty();
+) -> Folded<M::Fold> {
+    let common = mode.common();
+    let mut out = Folded::<M::Fold>::default();
     while let Some(unit) = claim() {
+        let at = unit_coords(unit, net.dests.len(), common.seed);
         // Unit isolation: a panicking unit is quarantined, not fatal.
         // `run_unit` mutates nothing outside itself — its results only
         // reach the fold via `ingest` after it returns — so catching
         // the unwind discards *all* of the unit's work.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            mode.run_unit(unit, net, &mut state.pool, &mut state.scratch)
-        }));
-        match result {
-            Ok(done) => mode.ingest(unit, done, &mut state.scratch, &mut out),
+        match catch_unwind(AssertUnwindSafe(|| run_unit(net, mode, &common, &at, state))) {
+            Ok((done, virtual_ns)) => {
+                mode.ingest(&at, done, &mut state.scratch, &mut out.measured);
+                out.virtual_ns += u128::from(virtual_ns);
+            }
             Err(payload) => {
                 // The unwind may have left the pooled simulator (lost
                 // with the dropped transport) and the scratch in
                 // arbitrary states; rebuild both so nothing poisoned
                 // leaks into later units.
                 *state = WorkerState::new(net);
-                let (dest_idx, round, unit_stream) =
-                    unit_coords(unit, net.dests.len(), mode.seed());
-                out.quarantine(QuarantinedUnit {
-                    unit,
-                    dest: dest_idx,
-                    round,
-                    addr: net.dests[dest_idx].addr,
-                    seed: unit_stream,
-                    panic: panic_text(payload),
-                });
+                out.quarantined.push((unit, panic_text(payload)));
             }
         }
     }
     out
 }
 
-/// One side-by-side unit's raw output: the measured pair, not yet
-/// ingested.
-pub(crate) struct UnitTrace {
-    round: usize,
-    paris: MeasuredRoute,
-    classic: MeasuredRoute,
-    virtual_secs: f64,
-}
-
 impl CampaignMode for CampaignConfig {
     type Scratch = TraceScratch;
-    type Unit = UnitTrace;
+    /// The Paris route, then the classic one.
+    type Unit = (MeasuredRoute, MeasuredRoute);
     type Fold = BlockOutput;
     type Result = CampaignResult;
 
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn n_units(&self, net: &SyntheticInternet) -> u32 {
-        assert!(self.workers >= 1 && self.rounds >= 1);
-        let n_units = net.dests.len() * self.rounds;
-        assert!(u32::try_from(n_units).is_ok(), "campaign too large for u32 unit ids");
-        n_units as u32
+    fn common(&self) -> Common<'_> {
+        let CampaignConfig { rounds, workers, seed, ref inject, .. } = *self;
+        Common { rounds, workers, seed, inject, sim_salt: 0x5157_ea11 }
     }
 
     /// A Paris + classic trace pair.
     fn run_unit(
         &self,
-        unit: UnitId,
         net: &SyntheticInternet,
-        pool: &mut SimulatorPool,
+        tx: &mut SimTransport,
+        at: &Coords,
         scratch: &mut TraceScratch,
-    ) -> UnitTrace {
-        let (dest_idx, round, unit_stream) = unit_coords(unit, net.dests.len(), self.seed);
-        let dest = &net.dests[dest_idx];
-
-        let mut rng = StdRng::seed_from_u64(unit_stream);
-        let sim = pool.acquire(splitmix64(unit_stream ^ 0x5157_ea11));
-        let mut tx = SimTransport::new(sim, net.source);
-
-        // Injected runaway: a permanent forwarding loop toward the
-        // destination, installed before probing starts and never lifted.
-        // Consumes no RNG draws, so healthy units are unaffected.
-        if self.inject.runaway_units.contains(&unit) {
-            install_runaway_loop(&mut tx, dest, &net.topology);
-        }
+    ) -> (MeasuredRoute, MeasuredRoute) {
+        let dest = &net.dests[at.dest];
+        let mut rng = StdRng::seed_from_u64(at.stream);
 
         // Routing events are exogenous: draw independently before each
         // trace of the pair.
-        schedule_dynamics(&mut rng, &mut tx, dest, &net.topology, self);
+        schedule_dynamics(&mut rng, tx, dest, &net.topology, self);
 
         // Paris traceroute first (§3 order), fixed random five-tuple.
         let sp = rng.gen_range(10_000..=60_000);
         let dp = rng.gen_range(10_000..=60_000);
         let mut paris = ParisUdp::new(sp, dp);
-        let paris_route = trace_with(&mut tx, &mut paris, dest.addr, self.trace, scratch);
+        let paris_route = trace_with(tx, &mut paris, dest.addr, self.trace, scratch);
 
         // Injected panic: after the Paris trace, so the quarantine tests
         // prove a half-done unit's results are discarded wholesale.
-        if self.inject.panic_units.contains(&unit) {
-            panic!("injected fault: unit {unit} (dest {dest_idx}, round {round})");
+        if self.inject.panic_units.contains(&at.unit) {
+            panic!("injected fault: unit {} (dest {}, round {})", at.unit, at.dest, at.round);
         }
 
-        schedule_dynamics(&mut rng, &mut tx, dest, &net.topology, self);
+        schedule_dynamics(&mut rng, tx, dest, &net.topology, self);
 
         // Then classic traceroute. Each trace is a fresh process in the
         // study, so the PID — and with it the source port — is new every
@@ -585,39 +599,31 @@ impl CampaignMode for CampaignConfig {
         // across rounds.
         let pid = rng.gen::<u16>() & 0x7fff;
         let mut classic = ClassicUdp::new(pid);
-        let classic_route = trace_with(&mut tx, &mut classic, dest.addr, self.trace, scratch);
-
-        let virtual_secs = tx.now().as_secs_f64();
-        pool.release(tx.into_simulator());
-        UnitTrace { round, paris: paris_route, classic: classic_route, virtual_secs }
+        let classic_route = trace_with(tx, &mut classic, dest.addr, self.trace, scratch);
+        (paris_route, classic_route)
     }
 
     fn ingest(
         &self,
-        unit: UnitId,
-        done: UnitTrace,
+        at: &Coords,
+        (paris, classic): (MeasuredRoute, MeasuredRoute),
         scratch: &mut TraceScratch,
         out: &mut BlockOutput,
     ) {
-        let UnitTrace { round, paris, classic, virtual_secs } = done;
-        out.paris.ingest(round, &paris);
-        out.classic.ingest(round, &classic);
+        out.paris.ingest(at.round, &paris);
+        out.classic.ingest(at.round, &classic);
         scratch.recycle(paris);
         scratch.recycle(classic);
-        out.virtual_secs.push((unit, virtual_secs));
     }
 
-    /// Re-sort by unit id, sum the virtual-time floats in that fixed
-    /// order, and compute the reports.
-    fn finalize(&self, net: &SyntheticInternet, out: BlockOutput) -> CampaignResult {
-        let BlockOutput { classic, paris, mut virtual_secs, mut quarantined } = out;
-        // Which worker (or checkpoint block) ran which unit is scheduling
-        // noise; re-ordering by unit id makes the float summation below a
-        // pure function of the seed.
-        virtual_secs.sort_by_key(|(unit, _)| *unit);
-        quarantined.sort_by_key(|q| q.unit);
-        let total_virtual: f64 = virtual_secs.iter().map(|(_, v)| v).sum();
-
+    /// Compute the two reports and the comparison.
+    fn finalize(
+        &self,
+        _net: &SyntheticInternet,
+        BlockOutput { classic, paris }: BlockOutput,
+        mean_virtual_secs: f64,
+        quarantined: Vec<QuarantinedUnit>,
+    ) -> CampaignResult {
         let classic_report = classic.report();
         let paris_report = paris.report();
         let comparison = compare(&classic, &paris);
@@ -627,7 +633,7 @@ impl CampaignMode for CampaignConfig {
             classic_report,
             paris_report,
             comparison,
-            mean_virtual_secs: total_virtual / net.dests.len().max(1) as f64,
+            mean_virtual_secs,
             quarantined,
         }
     }
@@ -640,14 +646,12 @@ impl CampaignMode for CampaignConfig {
 /// Exceeded, so the trace burns its full probe allowance); only a
 /// watchdog budget or the max-TTL ceiling ends the trace.
 fn install_runaway_loop(tx: &mut SimTransport, dest: &DestInfo, topo: &pt_netsim::Topology) {
-    let pair = dest.chain.windows(2).find(|w| {
-        topo.iface_toward(w[0], w[1]).is_some() && topo.iface_toward(w[1], w[0]).is_some()
+    let pair = dest.chain.windows(2).find_map(|w| {
+        Some((w[0], w[1], topo.iface_toward(w[0], w[1])?, topo.iface_toward(w[1], w[0])?))
     });
-    let Some(&[x, y]) = pair else {
+    let Some((x, y, x_to_y, y_to_x)) = pair else {
         panic!("runaway injection: destination {} has no linked adjacent chain pair", dest.addr)
     };
-    let x_to_y = topo.iface_toward(x, y).expect("checked above");
-    let y_to_x = topo.iface_toward(y, x).expect("checked above");
     let dst_pfx = pt_netsim::Ipv4Prefix::host(dest.addr);
     let now = tx.now();
     let sim = tx.simulator_mut();
@@ -711,7 +715,7 @@ fn schedule_dynamics(
         // every flow rehashes to a (generally) different path mid-trace.
         // The rotated route must be reinstalled under the *prefix that
         // matched*: installing it under the default prefix would shadow a
-        // more specific original route for the rest of the shard.
+        // more specific original route.
         for &node in &dest.chain {
             let current = tx
                 .simulator()
@@ -893,8 +897,9 @@ pub struct MultipathResult {
     pub per_dest: Vec<DestMultipath>,
     /// Aggregate statistics over `per_dest`.
     pub report: MultipathReport,
-    /// Mean virtual probing seconds per destination (summed over its
-    /// rounds); the figure the windowed engine divides.
+    /// Mean virtual probing seconds per destination, computed as
+    /// [`CampaignResult::mean_virtual_secs`] is; the figure the windowed
+    /// engine divides.
     pub mean_virtual_secs: f64,
     /// Units whose execution panicked, in unit order — quarantined with
     /// all partial results discarded, exactly like the side-by-side
@@ -912,27 +917,23 @@ fn stronger_class(a: BalancerClass, b: BalancerClass) -> BalancerClass {
     }
 }
 
-/// One multipath unit's tagged output.
-pub(crate) type TaggedUnit = (UnitId, UnitDiscovery, f64);
-
-/// What a block of multipath units produced.
-pub(crate) struct MultipathBlock {
-    pub(crate) units: Vec<TaggedUnit>,
-    pub(crate) quarantined: Vec<QuarantinedUnit>,
-}
-
-impl Fold for MultipathBlock {
-    fn empty() -> Self {
-        MultipathBlock { units: Vec::new(), quarantined: Vec::new() }
-    }
-
-    fn absorb(&mut self, other: MultipathBlock) {
-        append(&mut self.units, other.units);
-        append(&mut self.quarantined, other.quarantined);
-    }
-
-    fn quarantine(&mut self, unit: QuarantinedUnit) {
-        self.quarantined.push(unit);
+/// What a block of multipath units found. Once absorbed, in `(round,
+/// destination)` order — which *is* unit order.
+impl Fold for Vec<UnitDiscovery> {
+    fn absorb(&mut self, other: Self) {
+        let joint = self.len().saturating_sub(1);
+        // The first fold absorbed — a one-worker block's only one — is
+        // taken whole, not copied beside the workers' simulators.
+        if self.is_empty() {
+            *self = other;
+        } else {
+            self.extend(other);
+        }
+        // A block's units follow the blocks' before it: past one block's
+        // interleaving, look at the new ones only.
+        if !self[joint..].is_sorted_by_key(|u| (u.round, u.dest)) {
+            self.sort_unstable_by_key(|u| (u.round, u.dest));
+        }
     }
 }
 
@@ -965,20 +966,12 @@ impl MultipathConfig {
 
 impl CampaignMode for MultipathConfig {
     type Scratch = MdaScratch;
-    type Unit = TaggedUnit;
-    type Fold = MultipathBlock;
+    type Unit = UnitDiscovery;
+    type Fold = Vec<UnitDiscovery>;
     type Result = MultipathResult;
 
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn n_units(&self, net: &SyntheticInternet) -> u32 {
-        assert!(self.workers >= 1 && self.rounds >= 1);
+    fn common(&self) -> Common<'_> {
+        let MultipathConfig { rounds, workers, seed, ref inject, .. } = *self;
         // Validated here, not deep inside a worker thread: the per-unit
         // port draw needs room for every flow id above a base in the
         // study's [10000, 60000] range, and one walk's probes must fit the
@@ -988,36 +981,22 @@ impl CampaignMode for MultipathConfig {
             "MultipathConfig: max_flows_per_hop must be in 1..=4096, got {}",
             self.mda.max_flows_per_hop
         );
-        let n_units = net.dests.len() * self.rounds;
-        assert!(u32::try_from(n_units).is_ok(), "campaign too large for u32 unit ids");
-        n_units as u32
+        Common { rounds, workers, seed, inject, sim_salt: 0x6d64_6121 }
     }
 
     /// A full MDA walk toward one destination.
     fn run_unit(
         &self,
-        unit: UnitId,
         net: &SyntheticInternet,
-        pool: &mut SimulatorPool,
+        tx: &mut SimTransport,
+        at: &Coords,
         scratch: &mut MdaScratch,
-    ) -> TaggedUnit {
-        let (dest_idx, round, unit_stream) = unit_coords(unit, net.dests.len(), self.seed);
-        let dest = &net.dests[dest_idx];
-
-        if self.inject.panic_units.contains(&unit) {
-            panic!("injected fault: unit {unit} (dest {dest_idx}, round {round})");
+    ) -> UnitDiscovery {
+        if self.inject.panic_units.contains(&at.unit) {
+            panic!("injected fault: unit {} (dest {}, round {})", at.unit, at.dest, at.round);
         }
-
-        let mut rng = StdRng::seed_from_u64(unit_stream);
-        let sim = pool.acquire(splitmix64(unit_stream ^ 0x6d64_6121));
-        let mut tx = SimTransport::new(sim, net.source);
-
-        // Injected runaway: a permanent forwarding loop mid-branch — the
-        // walk inches hop by hop to its TTL ceiling unless a watchdog
-        // budget cuts it off first. No RNG draws consumed.
-        if self.inject.runaway_units.contains(&unit) {
-            install_runaway_loop(&mut tx, dest, &net.topology);
-        }
+        let dest = &net.dests[at.dest];
+        let mut rng = StdRng::seed_from_u64(at.stream);
 
         // The study's port discipline: draw the flow family's base source
         // port and the destination port uniformly, leaving room above the
@@ -1030,16 +1009,16 @@ impl CampaignMode for MultipathConfig {
         // so retry schedules are reproducible and worker-count
         // independent.
         let adaptive = if self.adaptive {
-            Some(splitmix64(unit_stream ^ 0x6164_7074))
+            Some(splitmix64(at.stream ^ 0x6164_7074))
         } else {
             template.adaptive
         };
         let mda = MdaConfig { base_src_port, dst_port, adaptive, ..template };
-        let map = discover_with(&mut tx, dest.addr, &mda, scratch);
+        let map = discover_with(tx, dest.addr, &mda, scratch);
 
         let discovery = UnitDiscovery {
-            dest: dest_idx,
-            round,
+            dest: at.dest,
+            round: at.round,
             addr: dest.addr,
             width: map.max_width(),
             observed_width: map.max_observed_width(),
@@ -1054,106 +1033,90 @@ impl CampaignMode for MultipathConfig {
             degraded: map.degraded,
         };
         scratch.recycle(map);
-        let virtual_secs = tx.now().as_secs_f64();
-        pool.release(tx.into_simulator());
-        (unit, discovery, virtual_secs)
+        discovery
     }
 
     fn ingest(
         &self,
-        _unit: UnitId,
-        done: TaggedUnit,
+        _at: &Coords,
+        done: UnitDiscovery,
         _scratch: &mut MdaScratch,
-        out: &mut MultipathBlock,
+        out: &mut Vec<UnitDiscovery>,
     ) {
-        out.units.push(done);
+        out.push(done);
     }
 
-    fn finalize(&self, net: &SyntheticInternet, out: MultipathBlock) -> MultipathResult {
-        finalize_multipath(net, self, out)
-    }
-}
+    /// Merge rounds into the per-destination view; aggregate the report.
+    fn finalize(
+        &self,
+        net: &SyntheticInternet,
+        units: Vec<UnitDiscovery>,
+        mean_virtual_secs: f64,
+        quarantined: Vec<QuarantinedUnit>,
+    ) -> MultipathResult {
+        let n_dests = net.dests.len();
 
-/// Sort units round-major, merge rounds into the per-destination view,
-/// and aggregate the report.
-fn finalize_multipath(
-    net: &SyntheticInternet,
-    config: &MultipathConfig,
-    out: MultipathBlock,
-) -> MultipathResult {
-    let MultipathBlock { mut units, mut quarantined } = out;
-    let n_dests = net.dests.len();
-    units.sort_by_key(|(unit, _, _)| *unit);
-    quarantined.sort_by_key(|q| q.unit);
-    let total_virtual: f64 = units.iter().map(|(_, _, v)| v).sum();
-    let units: Vec<UnitDiscovery> = units.into_iter().map(|(_, u, _)| u).collect();
-
-    // Merge rounds into the per-destination view (units are sorted
-    // round-major, so iterating them folds rounds in round order).
-    let mut per_dest: Vec<DestMultipath> = net
-        .dests
-        .iter()
-        .enumerate()
-        .map(|(i, d)| DestMultipath {
-            dest: i,
-            addr: d.addr,
-            width: 0,
-            observed_width: 0,
-            delta: 0,
-            class: BalancerClass::NotBalanced,
-            probes: 0,
-            reached: false,
-            degraded: false,
-        })
-        .collect();
-    for u in &units {
-        let d = &mut per_dest[u.dest];
-        d.width = d.width.max(u.width);
-        d.observed_width = d.observed_width.max(u.observed_width);
-        d.delta = d.delta.max(u.delta);
-        d.class = stronger_class(d.class, u.class);
-        d.probes += u.probes;
-        d.reached |= u.reached;
-        d.degraded |= u.degraded;
-    }
-
-    let mut report = MultipathReport {
-        destinations: n_dests,
-        rounds: config.rounds,
-        balanced_dests: 0,
-        per_flow_dests: 0,
-        per_packet_dests: 0,
-        undetermined_dests: 0,
-        reached_dests: 0,
-        width_hist: [0; 3],
-        delta_hist: [0; 3],
-        mean_probes: 0.0,
-        degraded_units: units.iter().filter(|u| u.degraded).count(),
-    };
-    let mut probes_total = 0usize;
-    for d in &per_dest {
-        probes_total += d.probes;
-        report.reached_dests += usize::from(d.reached);
-        match d.class {
-            BalancerClass::NotBalanced => continue,
-            BalancerClass::PerFlow => report.per_flow_dests += 1,
-            BalancerClass::PerPacket => report.per_packet_dests += 1,
-            BalancerClass::Undetermined => report.undetermined_dests += 1,
+        // Units come round-major, so iterating them folds rounds in round
+        // order.
+        let mut per_dest: Vec<DestMultipath> = net
+            .dests
+            .iter()
+            .enumerate()
+            .map(|(i, d)| DestMultipath {
+                dest: i,
+                addr: d.addr,
+                width: 0,
+                observed_width: 0,
+                delta: 0,
+                class: BalancerClass::NotBalanced,
+                probes: 0,
+                reached: false,
+                degraded: false,
+            })
+            .collect();
+        for u in &units {
+            let d = &mut per_dest[u.dest];
+            d.width = d.width.max(u.width);
+            d.observed_width = d.observed_width.max(u.observed_width);
+            d.delta = d.delta.max(u.delta);
+            d.class = stronger_class(d.class, u.class);
+            d.probes += u.probes;
+            d.reached |= u.reached;
+            d.degraded |= u.degraded;
         }
-        report.balanced_dests += 1;
-        if d.width >= 2 {
-            report.width_hist[(d.width - 2).min(2)] += 1;
-        }
-        report.delta_hist[usize::from(d.delta).min(2)] += 1;
-    }
-    report.mean_probes = probes_total as f64 / n_dests.max(1) as f64;
 
-    MultipathResult {
-        units,
-        per_dest,
-        report,
-        mean_virtual_secs: total_virtual / n_dests.max(1) as f64,
-        quarantined,
+        let mut report = MultipathReport {
+            destinations: n_dests,
+            rounds: self.rounds,
+            balanced_dests: 0,
+            per_flow_dests: 0,
+            per_packet_dests: 0,
+            undetermined_dests: 0,
+            reached_dests: 0,
+            width_hist: [0; 3],
+            delta_hist: [0; 3],
+            mean_probes: 0.0,
+            degraded_units: units.iter().filter(|u| u.degraded).count(),
+        };
+        let mut probes_total = 0usize;
+        for d in &per_dest {
+            probes_total += d.probes;
+            report.reached_dests += usize::from(d.reached);
+            match d.class {
+                BalancerClass::NotBalanced => continue,
+                BalancerClass::PerFlow => report.per_flow_dests += 1,
+                BalancerClass::PerPacket => report.per_packet_dests += 1,
+                BalancerClass::Undetermined => report.undetermined_dests += 1,
+            }
+            report.balanced_dests += 1;
+            if d.width >= 2 {
+                report.width_hist[(d.width - 2).min(2)] += 1;
+            }
+            report.delta_hist[usize::from(d.delta).min(2)] += 1;
+        }
+        report.mean_probes = probes_total as f64 / n_dests.max(1) as f64;
+
+        MultipathResult { units, per_dest, report, mean_virtual_secs, quarantined }
     }
 }
 
@@ -1424,7 +1387,6 @@ mod tests {
 
     #[test]
     fn a_panic_in_one_block_leaves_the_warm_workers_clean_for_the_next() {
-        use crate::snapshot::Checkpointed;
         // 80 units as five 16-unit blocks over one set of workers, the
         // way the checkpoint driver runs them. Unit 31 ends block 2.
         let net = generate(&InternetConfig::tiny(42));
@@ -1444,7 +1406,7 @@ mod tests {
             };
             let mut states = worker_states(&net, &cfg);
             let mut cold_after_second = false;
-            let folds: Vec<BlockOutput> = (0..5u32)
+            let folds: Vec<Folded<BlockOutput>> = (0..5u32)
                 .map(|block| {
                     let fold = run_block(&net, &cfg, block * 16..(block + 1) * 16, &mut states);
                     if block == 1 {
@@ -1453,22 +1415,28 @@ mod tests {
                     fold
                 })
                 .collect();
-            (folds, cold_after_second)
+            (folds, states, cold_after_second)
         };
-        let text = |fold: &BlockOutput| {
+        // A fold as a record's bytes: quarantined, total and accumulators.
+        let text = |fold: &Folded<BlockOutput>| {
             let mut text = String::new();
-            CampaignConfig::write_fold(fold, &mut text);
+            crate::snapshot::write_body::<CampaignConfig>(fold, &mut text);
             text
         };
         for workers in [1, 3] {
-            let (clean, clean_cold) = blocks(workers, &[]);
-            let (hit, hit_cold) = blocks(workers, &[31]);
-            // The poisoned unit is quarantined and nothing of it is kept…
-            assert_eq!(hit[1].quarantined.iter().map(|q| q.unit).collect::<Vec<_>>(), vec![31]);
-            assert_eq!(hit[1].paris.report().routes_total, 15);
-            assert_eq!(hit[1].classic.report().routes_total, 15);
-            let spared: Vec<_> = clean[1].virtual_secs.iter().filter(|v| v.0 != 31).collect();
-            assert_eq!(hit[1].virtual_secs.iter().collect::<Vec<_>>(), spared);
+            let (clean, mut states, clean_cold) = blocks(workers, &[]);
+            let (hit, _, hit_cold) = blocks(workers, &[31]);
+            // The poisoned unit is quarantined and nothing of it is kept:
+            // neither a route nor its virtual time, which is what the
+            // clean run measures for unit 31 alone…
+            assert_eq!(hit[1].quarantined.iter().map(|q| q.0).collect::<Vec<_>>(), vec![31]);
+            assert_eq!(hit[1].measured.paris.report().routes_total, 15);
+            assert_eq!(hit[1].measured.classic.report().routes_total, 15);
+            let clean_config =
+                CampaignConfig { rounds: 2, workers, seed: 99, ..Default::default() };
+            let alone = run_block(&net, &clean_config, 31..32, &mut states);
+            assert!(alone.virtual_ns > 0);
+            assert_eq!(hit[1].virtual_ns, clean[1].virtual_ns - alone.virtual_ns);
             // …the state it unwound through was rebuilt (one worker
             // claims the block's last unit last, so nothing has warmed
             // the new state yet)…
@@ -1609,21 +1577,23 @@ mod tests {
         // end. Counted in unit ids, that bump wraps to unit 0 here and
         // the workers start over on the whole id space — so the block
         // runs on a thread of its own and never finishing is the failure.
+        // The cursor is the engine's; the multipath mode's fold names
+        // the units it holds.
         let net = generate(&InternetConfig::tiny(42));
-        let cfg = CampaignConfig { workers: 8, seed: 99, ..CampaignConfig::default() };
+        let cfg = MultipathConfig { workers: 8, seed: 99, ..Default::default() };
         let block = (u32::MAX - 5)..u32::MAX;
         let (done, result) = std::sync::mpsc::channel();
         let units = block.clone();
         let runner = std::thread::spawn(move || {
             let out = run_block(&net, &cfg, units, &mut worker_states(&net, &cfg));
+            let unit_of = |u: &UnitDiscovery| (u.round * net.dests.len() + u.dest) as UnitId;
             // The receiver is gone only if the wait below timed out.
-            let _ = done.send(out.virtual_secs.iter().map(|(unit, _)| *unit).collect::<Vec<_>>());
+            let _ = done.send(out.measured.iter().map(unit_of).collect::<Vec<_>>());
         });
-        let mut folded = result
+        let folded = result
             .recv_timeout(std::time::Duration::from_secs(30))
             .expect("workers still claiming units past the block's end: the cursor wrapped");
         runner.join().expect("block runner panicked");
-        folded.sort_unstable();
         assert_eq!(folded, block.collect::<Vec<_>>());
     }
 
@@ -1645,13 +1615,13 @@ mod tests {
         k: usize,
         rng: &mut StdRng,
     ) -> M::Result {
-        let mut order: Vec<UnitId> = (0..mode.n_units(net)).collect();
+        let mut order: Vec<UnitId> = (0..n_units(net, &mode.common())).collect();
         shuffle(&mut order, rng);
         let mut cuts: Vec<usize> = (1..k).map(|_| rng.gen_range(0..=order.len())).collect();
         cuts.extend([0, order.len()]);
         cuts.sort_unstable();
         let state = &mut WorkerState::new(net);
-        let mut folds: Vec<M::Fold> = cuts
+        let mut folds: Vec<Folded<M::Fold>> = cuts
             .windows(2)
             .map(|cut| {
                 let mut run = order[cut[0]..cut[1]].iter().copied();
@@ -1659,11 +1629,11 @@ mod tests {
             })
             .collect();
         shuffle(&mut folds, rng);
-        let mut merged = M::Fold::empty();
+        let mut merged = Folded::default();
         for fold in folds {
             merged.absorb(fold);
         }
-        mode.finalize(net, merged)
+        finish(net, mode, merged)
     }
 
     #[test]
@@ -1676,8 +1646,11 @@ mod tests {
             panic_units: BTreeSet::from(units),
             ..InjectConfig::none()
         };
-        // The virtual-time floats are summed in unit order; two
-        // quarantined units make the quarantine list order-sensitive too.
+        // Nothing a schedule can reorder reaches the result: the
+        // virtual-time total is a sum of integers, order-free by
+        // arithmetic; the multipath units and the quarantine list — two
+        // units each, so that they have an order — are put in unit order
+        // by the one sort the engine's `absorb` does.
         let traces = CampaignConfig {
             rounds: 2,
             workers: 1,
@@ -1718,6 +1691,11 @@ mod tests {
             assert_eq!(
                 crate::report::multipath_digest(&got),
                 walks_digest,
+                "seed {seed}, {k} workers"
+            );
+            assert_eq!(
+                got.mean_virtual_secs.to_bits(),
+                serial_walks.mean_virtual_secs.to_bits(),
                 "seed {seed}, {k} workers"
             );
         }

@@ -12,12 +12,12 @@
 //! **byte-identical** to an uninterrupted run's, for any worker count
 //! and any kill point (`tests/checkpoint_resume.rs` pins this).
 //!
-//! # The journal (`ptsnap v4`)
+//! # The journal (`ptsnap v5`)
 //!
 //! One file at [`CheckpointConfig::path`], a sequence of *records*:
 //!
 //! ```text
-//! ptsnap v4 <mode> <start> <end> <body bytes> <fingerprint>\n
+//! ptsnap v5 <mode> <start> <end> <body bytes> <fingerprint>\n
 //! <body: the fold of units start..end, canonical text>
 //! end <digest>\n
 //! ```
@@ -26,12 +26,14 @@
 //! its cost is the block's, not the campaign's so far. Records chain:
 //! the first starts at unit 0 and each next one starts where the last
 //! ended. The digest covers the header line and the body. Replay stops
-//! at the first record that does not chain, is cut short, or fails its
-//! digest — and since a unit is a pure function of `(seed, destination,
-//! round)`, whatever the damaged tail held is simply recomputed: damage
-//! costs work, never a different result. A header that parses but names
-//! another format version, mode or campaign fingerprint refuses the
-//! resume with `InvalidData` instead.
+//! at the first record that does not chain, is cut short, fails its
+//! digest, or whose body is not the fold of its own range — it names a
+//! unit outside `start..end`, or one twice, or holds more virtual time
+//! than its units can have run for. Since a unit is a pure function of
+//! `(seed, destination, round)`, whatever the damaged tail held is
+//! simply recomputed: damage costs work, never a different result. A
+//! header that parses but names another format version, mode or
+//! campaign fingerprint refuses the resume with `InvalidData` instead.
 //!
 //! To keep the file and the replay O(fold) rather than O(units), the
 //! driver *folds* the journal — rewrites it as the single record
@@ -45,11 +47,13 @@
 //! Bodies are line-oriented text, hand-rolled (no serde in this
 //! workspace) and *canonical*: sets and maps serialize in sorted order,
 //! so equal fold contents produce equal bytes no matter how work was
-//! sharded. Floats travel as IEEE-754 bit patterns — a reload loses
-//! nothing. `docs/ROBUSTNESS.md` writes the body grammar out. Nearly
-//! all of a side-by-side body is *key lines* ([`pt_anomaly::codec`]):
-//! fields of eight hex digits — an address, a round, a unit id, half a
-//! float's bits — in ascending order, `9 N` bytes for a line of `N`
+//! sharded, and no float is written: virtual time travels as one total
+//! of integer nanoseconds. `docs/ROBUSTNESS.md` writes the body grammar
+//! out. The driver writes what every unit yields alike — the
+//! quarantined units' ids and panic texts, the `virt` total — and the
+//! mode what it measured, nearly all of it *key lines*
+//! ([`pt_anomaly::codec`]): fields of eight hex digits — an address, a
+//! round, a count — in ascending order, `9 N` bytes for a line of `N`
 //! fields. The folds hold their sets in that same order, so writing a
 //! record sorts and copies nothing, and its buffer is allocated once at
 //! [`Checkpointed::body_capacity`] bytes and never regrown.
@@ -59,24 +63,25 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use pt_anomaly::codec::{push_addr, push_hex64, push_key_lines, push_uint, read_key_lines};
+use pt_anomaly::codec::{push_hex64, push_key_lines, push_uint, read_key_lines};
 use pt_anomaly::CampaignAccumulator;
 use pt_core::TraceConfig;
-use pt_mda::{BalancerClass, MdaConfig, MdaProtocol};
+use pt_mda::BalancerClass::{self, NotBalanced, PerFlow, PerPacket, Undetermined};
+use pt_mda::{MdaConfig, MdaProtocol};
 use pt_netsim::splitmix64;
 use pt_topogen::SyntheticInternet;
 
 use crate::runner::{
-    run_block, worker_states, BlockOutput, CampaignConfig, CampaignMode, CampaignResult,
-    DynamicsConfig, Fold, InjectConfig, MultipathBlock, MultipathConfig, MultipathResult,
-    QuarantinedUnit, UnitDiscovery,
+    finish, n_units, run_block, worker_states, BlockOutput, CampaignConfig, CampaignMode,
+    CampaignResult, DynamicsConfig, Fold, Folded, InjectConfig, MultipathConfig, MultipathResult,
+    UnitDiscovery, UnitId,
 };
 
 /// Magic prefix of every record header; bump the version when the
 /// format changes. A loader refuses journals whose version it does not
 /// speak — there is no silent cross-version reinterpretation.
 const MAGIC: &str = "ptsnap";
-const VERSION: &str = "v4";
+const VERSION: &str = "v5";
 
 /// `end <16 hex digits>\n`.
 const TRAILER_LEN: usize = 21;
@@ -266,31 +271,11 @@ where
     word(t, what)?.parse().map_err(|e| format!("bad {what}: {e}"))
 }
 
-fn tok_hex_u64<'a>(t: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<u64, String> {
-    u64::from_str_radix(word(t, what)?, 16).map_err(|e| format!("bad {what}: {e}"))
-}
-
-/// A vector for `n` announced items. The count comes from the file, so
-/// it only pre-sizes up to a bound; a larger section grows as it parses.
-fn announced<T>(n: usize) -> Vec<T> {
-    Vec::with_capacity(n.min(1 << 12))
-}
-
 /// ` <v>`: one more decimal field on the current line.
 fn field(out: &mut String, v: u64) {
     out.push(' ');
     push_uint(out, v);
 }
-
-/// `<tag> <count>\n`: the header line of a counted section.
-fn section(out: &mut String, tag: &str, count: usize) {
-    out.push_str(tag);
-    field(out, count as u64);
-    out.push('\n');
-}
-
-/// No section header line is longer: the longest tag and a `usize`.
-const SECTION_LINE_MAX: usize = 11 + 1 + 20 + 1;
 
 /// Escape a panic message so that it always fits one line: backslash,
 /// newline and carriage return are encoded.
@@ -327,68 +312,32 @@ fn unescape_panic(s: &str) -> String {
     out
 }
 
-/// At least the bytes [`write_quarantined`] appends: per unit a tag,
-/// three decimals, a dotted quad and a seed, and the panic text, which
-/// escaping at most doubles.
-fn quarantined_capacity(quarantined: &[QuarantinedUnit]) -> usize {
-    const FIELDS_MAX: usize = 1 + 11 + 21 + 21 + 16 + 17 + 1 + 1;
-    let lines: usize = quarantined.iter().map(|q| FIELDS_MAX + 2 * q.panic.len()).sum();
-    SECTION_LINE_MAX + lines
+/// At least the bytes [`write_body`] appends before the mode's part:
+/// `quarantined` and a count; per unit a tag, its id and the panic
+/// text, which escaping at most doubles; `virt` and a `u128`.
+fn preamble_capacity(quarantined: &[(UnitId, String)]) -> usize {
+    let lines: usize = quarantined.iter().map(|(_, panic)| 1 + 11 + 1 + 2 * panic.len() + 1).sum();
+    (11 + 1 + 20 + 1) + lines + (5 + 39 + 1)
 }
 
-fn write_quarantined(out: &mut String, quarantined: &[QuarantinedUnit]) {
-    let mut sorted: Vec<&QuarantinedUnit> = quarantined.iter().collect();
-    sorted.sort_by_key(|q| q.unit);
-    section(out, "quarantined", sorted.len());
-    for q in sorted {
-        out.push('q');
-        field(out, u64::from(q.unit));
-        field(out, q.dest as u64);
-        field(out, q.round as u64);
-        out.push(' ');
-        push_addr(out, q.addr);
-        out.push(' ');
-        push_hex64(out, q.seed);
-        out.push(' ');
-        push_escaped_panic(out, &q.panic);
-        out.push('\n');
-    }
-}
-
-fn read_quarantined<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-) -> Result<Vec<QuarantinedUnit>, String> {
-    let n: usize = tok(&mut tagged(lines, "quarantined")?, "quarantine count")?;
-    let mut out = announced(n);
-    for _ in 0..n {
-        let line = lines.next().ok_or("truncated at quarantine record")?;
-        // The panic text is the 7th field and may contain spaces.
-        let mut f = line.splitn(7, ' ');
-        if f.next() != Some("q") {
-            return Err(format!("expected q record, got {line:?}"));
-        }
-        out.push(QuarantinedUnit {
-            unit: tok(&mut f, "q unit")?,
-            dest: tok(&mut f, "q dest")?,
-            round: tok(&mut f, "q round")?,
-            addr: tok(&mut f, "q addr")?,
-            seed: tok_hex_u64(&mut f, "q seed")?,
-            panic: unescape_panic(word(&mut f, "q panic text")?),
-        });
-    }
-    Ok(out)
+/// What a record's header and the campaign say its body may hold: the
+/// units of `units`, each a round of one of `n_dests` destinations.
+pub(crate) struct Span {
+    pub(crate) units: Range<UnitId>,
+    pub(crate) n_dests: usize,
 }
 
 // ---------------------------------------------------------------------
-// The two modes' record bodies.
+// The record body: what the engine folds, then what the mode measured.
 // ---------------------------------------------------------------------
 
 /// What the checkpoint driver needs from a campaign mode on top of
 /// running it: a name for the record header, the fingerprint that ties
-/// a journal to one campaign, and the fold's canonical body codec (used
-/// alike for one block's record and for the folded `0..cursor` record).
-/// The codec takes folds as [`Fold::absorb`] leaves them — what
-/// [`run_block`] returns and what the driver merges blocks into.
+/// a journal to one campaign, and the canonical codec of what the mode
+/// measured (used alike for one block's record and for the folded
+/// `0..cursor` record). The codec takes folds as [`Fold::absorb`]
+/// leaves them — what [`run_block`] returns and what the driver merges
+/// blocks into.
 pub(crate) trait Checkpointed: CampaignMode {
     /// The mode word of the record header.
     const MODE: &'static str;
@@ -399,13 +348,70 @@ pub(crate) trait Checkpointed: CampaignMode {
     fn body_capacity(fold: &Self::Fold) -> usize;
     /// Append the canonical text of `fold` to `out`.
     fn write_fold(fold: &Self::Fold, out: &mut String);
-    /// The inverse of [`Checkpointed::write_fold`].
-    fn read_fold<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Self::Fold, String>;
+    /// The inverse of [`Checkpointed::write_fold`], for a record that
+    /// may hold `span` and whose fold is of `healthy` units — its
+    /// range's, less the quarantined.
+    fn read_fold<'a>(
+        lines: &mut impl Iterator<Item = &'a str>,
+        span: &Span,
+        healthy: usize,
+    ) -> Result<Self::Fold, String>;
 }
 
-/// One `virt` key line: the unit id and the two halves of its virtual
-/// seconds' bit pattern.
-const VIRT_LINE_LEN: usize = 3 * 9;
+/// A record's body: the quarantined units by id, each with its panic
+/// text; the virtual-time total; then the mode's part.
+pub(crate) fn write_body<M: Checkpointed>(fold: &Folded<M::Fold>, out: &mut String) {
+    out.push_str("quarantined");
+    field(out, fold.quarantined.len() as u64);
+    out.push('\n');
+    for (unit, panic) in &fold.quarantined {
+        out.push('q');
+        field(out, u64::from(*unit));
+        out.push(' ');
+        push_escaped_panic(out, panic);
+        out.push('\n');
+    }
+    out.push_str("virt ");
+    out.push_str(&fold.virtual_ns.to_string());
+    out.push('\n');
+    M::write_fold(&fold.measured, out);
+}
+
+/// The inverse of [`write_body`], checked against the record's own
+/// range: a body that is not the fold of `span.units` is damage.
+fn read_body<'a, M: Checkpointed>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    span: &Span,
+) -> Result<Folded<M::Fold>, String> {
+    let n: usize = tok(&mut tagged(lines, "quarantined")?, "quarantine count")?;
+    let mut quarantined: Vec<(UnitId, String)> = Vec::new();
+    for _ in 0..n {
+        let line = lines.next().ok_or("truncated at quarantine record")?;
+        // The panic text is the 3rd field and may contain spaces.
+        let mut f = line.splitn(3, ' ');
+        if f.next() != Some("q") {
+            return Err(format!("expected q record, got {line:?}"));
+        }
+        let unit = tok(&mut f, "q unit")?;
+        if !span.units.contains(&unit) || quarantined.last().is_some_and(|last| last.0 >= unit) {
+            return Err(format!("q record {line:?} outside {:?} or out of order", span.units));
+        }
+        quarantined.push((unit, unescape_panic(word(&mut f, "q panic text")?)));
+    }
+    let virtual_ns: u128 = tok(&mut tagged(lines, "virt")?, "virtual-time total")?;
+    // Ascending and inside the range, the quarantined are no more than
+    // the range. A unit's clock is a `u64`: a larger total is not a sum
+    // of this record's, and refusing it keeps every sum inside `u128`.
+    let healthy = span.units.len() - quarantined.len();
+    if virtual_ns > healthy as u128 * u128::from(u64::MAX) {
+        return Err(format!("virtual-time total {virtual_ns} is not {healthy} units'"));
+    }
+    let measured = M::read_fold(lines, span, healthy)?;
+    match lines.next() {
+        None => Ok(Folded { measured, virtual_ns, quarantined }),
+        Some(line) => Err(format!("{line:?} after the body's last line")),
+    }
+}
 
 impl Checkpointed for CampaignConfig {
     const MODE: &'static str = "side-by-side";
@@ -415,59 +421,83 @@ impl Checkpointed for CampaignConfig {
     }
 
     fn body_capacity(fold: &BlockOutput) -> usize {
-        quarantined_capacity(&fold.quarantined)
-            + SECTION_LINE_MAX
-            + fold.virtual_secs.len() * VIRT_LINE_LEN
-            + fold.classic.snapshot_len()
-            + fold.paris.snapshot_len()
+        fold.classic.snapshot_len() + fold.paris.snapshot_len()
     }
 
-    /// Quarantined units, per-unit virtual times and both anomaly
-    /// accumulators.
+    /// Both anomaly accumulators, which name no unit.
     fn write_fold(fold: &BlockOutput, out: &mut String) {
-        write_quarantined(out, &fold.quarantined);
-        debug_assert!(
-            fold.virtual_secs.windows(2).all(|pair| pair[0].0 < pair[1].0),
-            "a fold that was never absorbed: its virtual times are in claim order"
-        );
-        section(out, "virt", fold.virtual_secs.len());
-        let virt_keys = fold.virtual_secs.iter().map(|&(unit, v)| {
-            let bits = v.to_bits();
-            [unit, (bits >> 32) as u32, bits as u32]
-        });
-        push_key_lines(out, virt_keys);
         fold.classic.snapshot_write(out);
         fold.paris.snapshot_write(out);
     }
 
-    fn read_fold<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<BlockOutput, String> {
-        let quarantined = read_quarantined(lines)?;
-        let n_virt: usize = tok(&mut tagged(lines, "virt")?, "virt count")?;
-        let virtual_secs = read_key_lines(lines, n_virt, |[unit, high, low]| {
-            (unit, f64::from_bits(u64::from(high) << 32 | u64::from(low)))
-        })?;
+    fn read_fold<'a>(
+        lines: &mut impl Iterator<Item = &'a str>,
+        _span: &Span,
+        _healthy: usize,
+    ) -> Result<BlockOutput, String> {
         let classic = CampaignAccumulator::snapshot_read(lines)?;
         let paris = CampaignAccumulator::snapshot_read(lines)?;
-        Ok(BlockOutput { classic, paris, virtual_secs, quarantined })
+        Ok(BlockOutput { classic, paris })
     }
 }
 
-fn class_name(class: BalancerClass) -> &'static str {
-    match class {
-        BalancerClass::NotBalanced => "NotBalanced",
-        BalancerClass::PerFlow => "PerFlow",
-        BalancerClass::PerPacket => "PerPacket",
-        BalancerClass::Undetermined => "Undetermined",
-    }
+/// The balancer classes, at the numbers a `units` key line gives them.
+const CLASSES: [BalancerClass; 4] = [NotBalanced, PerFlow, PerPacket, Undetermined];
+
+/// A `units` key line: round, destination index, address, width,
+/// observed width, delta, class, hops, links, stars, unconverged hops,
+/// probes, and `reached` + 2 × `degraded` — led by `(round,
+/// destination)`, so that ascending keys are ascending units.
+const UNIT_FIELDS: usize = 13;
+
+fn unit_key(u: &UnitDiscovery) -> [u32; UNIT_FIELDS] {
+    let n = |count: usize| u32::try_from(count).expect("a walk's counts fit a key field");
+    let class = CLASSES.iter().position(|&c| c == u.class).expect("every class is numbered");
+    [
+        n(u.round),
+        n(u.dest),
+        u32::from(u.addr),
+        n(u.width),
+        n(u.observed_width),
+        u32::from(u.delta),
+        n(class),
+        n(u.hops),
+        n(u.links),
+        n(u.stars),
+        n(u.unconverged_hops),
+        n(u.probes),
+        u32::from(u.reached) | u32::from(u.degraded) << 1,
+    ]
 }
 
-fn class_parse(s: &str) -> Result<BalancerClass, String> {
-    Ok(match s {
-        "NotBalanced" => BalancerClass::NotBalanced,
-        "PerFlow" => BalancerClass::PerFlow,
-        "PerPacket" => BalancerClass::PerPacket,
-        "Undetermined" => BalancerClass::Undetermined,
-        other => return Err(format!("unknown balancer class {other:?}")),
+fn unit_of_key(key: [u32; UNIT_FIELDS], span: &Span) -> Result<UnitDiscovery, String> {
+    let [round, dest, addr, width, observed_width, delta, class, counts @ ..] = key;
+    let [hops, links, stars, unconverged_hops, probes, flags] = counts;
+    let n = |field: u32| field as usize;
+    // `u64` holds any round's first unit; `units` holds no id past `u32`.
+    let unit = u64::from(round) * span.n_dests as u64 + u64::from(dest);
+    let inside = UnitId::try_from(unit).is_ok_and(|unit| span.units.contains(&unit));
+    if n(dest) >= span.n_dests || !inside {
+        return Err(format!("unit (dest {dest}, round {round}) outside {:?}", span.units));
+    }
+    if flags > 3 {
+        return Err(format!("bad flags {flags}"));
+    }
+    Ok(UnitDiscovery {
+        dest: n(dest),
+        round: n(round),
+        addr: addr.into(),
+        width: n(width),
+        observed_width: n(observed_width),
+        delta: u8::try_from(delta).map_err(|_| format!("bad delta {delta}"))?,
+        class: *CLASSES.get(n(class)).ok_or_else(|| format!("unknown balancer class {class}"))?,
+        hops: n(hops),
+        links: n(links),
+        stars: n(stars),
+        unconverged_hops: n(unconverged_hops),
+        probes: n(probes),
+        reached: flags & 1 != 0,
+        degraded: flags & 2 != 0,
     })
 }
 
@@ -478,82 +508,23 @@ impl Checkpointed for MultipathConfig {
         multipath_fingerprint(net, self)
     }
 
-    fn body_capacity(fold: &MultipathBlock) -> usize {
-        // `u`, a dotted quad, a class, the virtual time's bits and
-        // thirteen decimals, every field at its widest. A multipath
-        // fold is one such line per unit — kilobytes beside a worker's
-        // simulator — so roomy costs nothing, where exact would need
-        // the writer's field list a second time.
-        const UNIT_LINE_MAX: usize = 256;
-        quarantined_capacity(&fold.quarantined)
-            + SECTION_LINE_MAX
-            + fold.units.len() * UNIT_LINE_MAX
+    fn body_capacity(fold: &Vec<UnitDiscovery>) -> usize {
+        fold.len() * UNIT_FIELDS * 9
     }
 
-    /// Quarantined units and the per-unit discoveries.
-    fn write_fold(fold: &MultipathBlock, out: &mut String) {
-        write_quarantined(out, &fold.quarantined);
-        let mut order: Vec<usize> = (0..fold.units.len()).collect();
-        order.sort_by_key(|&i| fold.units[i].0);
-        section(out, "units", order.len());
-        for i in order {
-            let (unit, u, virt) = &fold.units[i];
-            out.push('u');
-            field(out, u64::from(*unit));
-            field(out, u.dest as u64);
-            field(out, u.round as u64);
-            out.push(' ');
-            push_addr(out, u.addr);
-            field(out, u.width as u64);
-            field(out, u.observed_width as u64);
-            field(out, u64::from(u.delta));
-            out.push(' ');
-            out.push_str(class_name(u.class));
-            for v in [u.hops, u.links, u.stars, u.unconverged_hops, u.probes] {
-                field(out, v as u64);
-            }
-            field(out, u64::from(u.reached));
-            field(out, u64::from(u.degraded));
-            out.push(' ');
-            push_hex64(out, virt.to_bits());
-            out.push('\n');
-        }
+    /// The per-unit discoveries, one key line each and no count: a
+    /// record holds its range's healthy units, each once — the key
+    /// lines' strict ascent refuses a unit named twice — and no other.
+    fn write_fold(fold: &Vec<UnitDiscovery>, out: &mut String) {
+        push_key_lines(out, fold.iter().map(unit_key));
     }
 
-    fn read_fold<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<MultipathBlock, String> {
-        fn flag<'a>(t: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<bool, String> {
-            match word(t, what)? {
-                "0" => Ok(false),
-                "1" => Ok(true),
-                other => Err(format!("bad {what}: {other:?}")),
-            }
-        }
-        let quarantined = read_quarantined(lines)?;
-        let n_units: usize = tok(&mut tagged(lines, "units")?, "unit count")?;
-        let mut units = announced(n_units);
-        for _ in 0..n_units {
-            let mut t = tagged(lines, "u")?;
-            let unit: u32 = tok(&mut t, "unit")?;
-            let discovery = UnitDiscovery {
-                dest: tok(&mut t, "dest")?,
-                round: tok(&mut t, "round")?,
-                addr: tok(&mut t, "addr")?,
-                width: tok(&mut t, "width")?,
-                observed_width: tok(&mut t, "observed width")?,
-                delta: tok(&mut t, "delta")?,
-                class: class_parse(word(&mut t, "class")?)?,
-                hops: tok(&mut t, "hops")?,
-                links: tok(&mut t, "links")?,
-                stars: tok(&mut t, "stars")?,
-                unconverged_hops: tok(&mut t, "unconverged hops")?,
-                probes: tok(&mut t, "probes")?,
-                reached: flag(&mut t, "reached")?,
-                degraded: flag(&mut t, "degraded")?,
-            };
-            let virt = f64::from_bits(tok_hex_u64(&mut t, "virt bits")?);
-            units.push((unit, discovery, virt));
-        }
-        Ok(MultipathBlock { units, quarantined })
+    fn read_fold<'a>(
+        lines: &mut impl Iterator<Item = &'a str>,
+        span: &Span,
+        healthy: usize,
+    ) -> Result<Vec<UnitDiscovery>, String> {
+        read_key_lines(lines, healthy, |key| unit_of_key(key, span))?.into_iter().collect()
     }
 }
 
@@ -633,7 +604,8 @@ fn parse_header(line: &[u8], mode: &str, fingerprint: u64) -> io::Result<Option<
         let got_mode = word(&mut t, "mode")?;
         let range = tok(&mut t, "start")?..tok(&mut t, "end")?;
         let body_len = tok(&mut t, "body length")?;
-        let got_fingerprint = tok_hex_u64(&mut t, "fingerprint")?;
+        let got_fingerprint = u64::from_str_radix(word(&mut t, "fingerprint")?, 16)
+            .map_err(|e| format!("bad fingerprint: {e}"))?;
         match t.next() {
             None => Ok((got_mode, got_fingerprint, Header { range, body_len })),
             Some(extra) => Err(format!("trailing {extra:?}")),
@@ -664,20 +636,21 @@ struct Replayed<F> {
     good_len: u64,
     /// Length of the first record — the last fold's size.
     fold_bytes: u64,
-    /// Length of the file as found.
-    file_len: u64,
 }
 
 /// Stream the journal at `path` record by record, folding every record
 /// that chains and verifies, and stopping at the first that does not.
 /// Holds one record's body in memory at a time, and never allocates
 /// more for it than the file has bytes left.
-fn replay<M: Checkpointed>(path: &Path, fingerprint: u64) -> io::Result<Replayed<M::Fold>> {
+fn replay<M: Checkpointed>(
+    path: &Path,
+    fingerprint: u64,
+    n_dests: usize,
+) -> io::Result<Replayed<Folded<M::Fold>>> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
     let mut reader = BufReader::with_capacity(1 << 16, file);
-    let mut out =
-        Replayed { fold: M::Fold::empty(), cursor: 0, good_len: 0, fold_bytes: 0, file_len };
+    let mut out = Replayed { fold: Folded::default(), cursor: 0, good_len: 0, fold_bytes: 0 };
     let mut line = Vec::new();
     let mut body = Vec::new();
     loop {
@@ -714,11 +687,8 @@ fn replay<M: Checkpointed>(path: &Path, fingerprint: u64) -> io::Result<Replayed
             break;
         }
         let Ok(text) = std::str::from_utf8(&body) else { break };
-        let mut lines = text.lines();
-        let Ok(block) = M::read_fold(&mut lines) else { break };
-        if lines.next().is_some() {
-            break;
-        }
+        let span = Span { units: header.range.clone(), n_dests };
+        let Ok(block) = read_body::<M>(&mut text.lines(), &span) else { break };
         if first {
             // The first record is the bulk of the journal: keep it as
             // parsed instead of merging it into an empty fold, which
@@ -759,10 +729,15 @@ struct Record {
 impl Record {
     /// Encode `fold` as the record of `range`, in a buffer allocated
     /// once from the fold's counts.
-    fn encode<M: Checkpointed>(fingerprint: u64, range: Range<u32>, fold: &M::Fold) -> Record {
-        let capacity = M::body_capacity(fold) + TRAILER_LEN;
+    fn encode<M: Checkpointed>(
+        fingerprint: u64,
+        range: Range<u32>,
+        fold: &Folded<M::Fold>,
+    ) -> Record {
+        let capacity =
+            preamble_capacity(&fold.quarantined) + M::body_capacity(&fold.measured) + TRAILER_LEN;
         let mut body = String::with_capacity(capacity);
-        M::write_fold(fold, &mut body);
+        write_body::<M>(fold, &mut body);
         let header = header_line(M::MODE, fingerprint, &range, body.len());
         let digest = record_digest(header.as_bytes(), body.as_bytes());
         body.push_str(&trailer_line(digest));
@@ -824,7 +799,7 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
     /// replacing whatever is there, a previous campaign's journal or a
     /// stale temp file alike.
     fn create(path: &'a Path, fingerprint: u64) -> io::Result<Self> {
-        let record = Record::encode::<M>(fingerprint, 0..0, &M::Fold::empty());
+        let record = Record::encode::<M>(fingerprint, 0..0, &Folded::default());
         Ok(Journal {
             path,
             fingerprint,
@@ -838,7 +813,11 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
 
     /// Reopen the journal at `path` for appending after `replayed`,
     /// cutting off a damaged tail so the next record chains.
-    fn reopen(path: &'a Path, fingerprint: u64, replayed: &Replayed<M::Fold>) -> io::Result<Self> {
+    fn reopen(
+        path: &'a Path,
+        fingerprint: u64,
+        replayed: &Replayed<Folded<M::Fold>>,
+    ) -> io::Result<Self> {
         if replayed.good_len == 0 {
             // Even the first record was damaged: nothing to keep.
             return Journal::create(path, fingerprint);
@@ -849,9 +828,7 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
             _ => {}
         }
         let file = OpenOptions::new().append(true).open(path)?;
-        if replayed.good_len < replayed.file_len {
-            file.set_len(replayed.good_len)?;
-        }
+        file.set_len(replayed.good_len)?;
         Ok(Journal {
             path,
             fingerprint,
@@ -864,7 +841,7 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
     }
 
     /// Checkpoint: append the record of the block just run.
-    fn append(&mut self, block: Range<u32>, output: &M::Fold) -> io::Result<()> {
+    fn append(&mut self, block: Range<u32>, output: &Folded<M::Fold>) -> io::Result<()> {
         let record = Record::encode::<M>(self.fingerprint, block, output);
         record.write_to(&mut self.file)?;
         self.appended += record.len();
@@ -875,7 +852,7 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
     /// The folding rule: once as many bytes have been appended as the
     /// last fold took, rewrite the journal as the single record
     /// `0..cursor`. Amortised doubling — no knob.
-    fn fold_if_due(&mut self, cursor: u32, fold: &M::Fold) -> io::Result<()> {
+    fn fold_if_due(&mut self, cursor: u32, fold: &Folded<M::Fold>) -> io::Result<()> {
         if self.appended < self.fold_bytes {
             return Ok(());
         }
@@ -897,10 +874,10 @@ fn drive<M: Checkpointed>(
     ckpt: &CheckpointConfig,
     resume: bool,
 ) -> io::Result<(Option<M::Result>, DriveStats)> {
-    let n_units = mode.n_units(net);
+    let n_units = n_units(net, &mode.common());
     let fingerprint = mode.fingerprint(net);
     let (mut journal, mut fold, mut cursor) = if resume {
-        let replayed = replay::<M>(&ckpt.path, fingerprint)?;
+        let replayed = replay::<M>(&ckpt.path, fingerprint, net.dests.len())?;
         if replayed.cursor > n_units {
             return Err(invalid(format!(
                 "cursor {} exceeds the campaign's {n_units} units",
@@ -910,7 +887,7 @@ fn drive<M: Checkpointed>(
         let journal = Journal::<M>::reopen(&ckpt.path, fingerprint, &replayed)?;
         (journal, replayed.fold, replayed.cursor)
     } else {
-        (Journal::<M>::create(&ckpt.path, fingerprint)?, M::Fold::empty(), 0)
+        (Journal::<M>::create(&ckpt.path, fingerprint)?, Folded::default(), 0)
     };
     let every = ckpt.every_units.max(1);
     let mut checkpoints = 0usize;
@@ -930,7 +907,7 @@ fn drive<M: Checkpointed>(
             return Ok((None, journal.stats));
         }
     }
-    Ok((Some(mode.finalize(net, fold)), journal.stats))
+    Ok((Some(finish(net, mode, fold)), journal.stats))
 }
 
 /// Run a side-by-side campaign with periodic checkpoints — [`crate::run`]
@@ -1008,7 +985,7 @@ mod tests {
     }
 
     /// The length of `fold` encoded as one record.
-    fn record_len<M: Checkpointed>(fold: &M::Fold, range: Range<u32>) -> u64 {
+    fn record_len<M: Checkpointed>(fold: &Folded<M::Fold>, range: Range<u32>) -> u64 {
         Record::encode::<M>(0, range, fold).len()
     }
 
@@ -1023,18 +1000,18 @@ mod tests {
         assert_eq!(report_digest(&result), plain);
         // The journal replays to the whole campaign, cleanly.
         let fingerprint = config.fingerprint(&net);
-        let replayed = replay::<CampaignConfig>(&path, fingerprint).unwrap();
+        let replayed = replay::<CampaignConfig>(&path, fingerprint, 40).unwrap();
         assert_eq!(replayed.cursor, 80);
         assert_eq!(replayed.good_len, file_len(&path));
         // Canonical: the replayed fold — merged from a fold record and
         // block records, each parsed back from text — encodes to the
         // bytes an uninterrupted single block's fold encodes to.
         let mut journaled = String::new();
-        CampaignConfig::write_fold(&replayed.fold, &mut journaled);
+        write_body::<CampaignConfig>(&replayed.fold, &mut journaled);
         let mut direct = String::new();
         let serial = CampaignConfig { workers: 1, ..config };
         let whole = run_block(&net, &serial, 0..80, &mut worker_states(&net, &serial));
-        CampaignConfig::write_fold(&whole, &mut direct);
+        write_body::<CampaignConfig>(&whole, &mut direct);
         assert!(journaled == direct, "journal replay changed the fold's canonical bytes");
         let _ = fs::remove_file(&path);
     }
@@ -1057,7 +1034,7 @@ mod tests {
                         .expect("completes");
                 assert_eq!(report_digest(&result), plain, "{case}");
                 // A final fold: the journal as the one record `0..80`.
-                let replayed = replay::<CampaignConfig>(&path, fingerprint).unwrap();
+                let replayed = replay::<CampaignConfig>(&path, fingerprint, 40).unwrap();
                 assert_eq!(replayed.cursor, 80, "{case}");
                 let record = Record::encode::<CampaignConfig>(fingerprint, 0..80, &replayed.fold);
                 folded.push((case, [record.header, record.body].concat().into_bytes()));
@@ -1227,7 +1204,7 @@ mod tests {
             written += stats.bytes_written;
             assert_eq!(stats.units_run, 16);
             // The file holds at most two full folds and one block.
-            let replayed = replay::<CampaignConfig>(&path, fingerprint).unwrap();
+            let replayed = replay::<CampaignConfig>(&path, fingerprint, 40).unwrap();
             let block = run_block(
                 net,
                 &config,
@@ -1310,9 +1287,10 @@ mod tests {
             // The formats before this one: whole, well-formed headers.
             ("ptsnap v2 side-by-side 0 0 30 0000000000000000\n", "version"),
             ("ptsnap v3 side-by-side 0 0 30 0000000000000000\n", "version"),
+            ("ptsnap v4 side-by-side 0 0 30 0000000000000000\n", "version"),
             ("", "start"),
             ("not a journal at all\n", "start"),
-            ("ptsnap v4 side-by-side 0 0", "start"),
+            ("ptsnap v5 side-by-side 0 0", "start"),
         ] {
             fs::write(&path, content).unwrap();
             let err = run_resumed(&net, &config, &ckpt(&path, 16, None)).unwrap_err();
@@ -1339,5 +1317,144 @@ mod tests {
         }
         assert_ne!(digest64(0, &body[..999]), base);
         assert_ne!(digest64(1, &body), base);
+    }
+
+    /// `body` framed as the record of `range`, as [`Record::encode`]
+    /// frames what it wrote — for bodies no fold encodes to.
+    fn record_of<M: Checkpointed>(fingerprint: u64, range: Range<u32>, body: &str) -> Record {
+        let header = header_line(M::MODE, fingerprint, &range, body.len());
+        let digest = record_digest(header.as_bytes(), body.as_bytes());
+        Record { header, body: format!("{body}{}", trailer_line(digest)) }
+    }
+
+    #[test]
+    fn a_record_is_checked_against_its_own_range() {
+        // Every record here carries a valid digest and fingerprint: only
+        // reading the body against the header's range can tell that it
+        // is not the fold of that range. At the parent commit the first
+        // of them resumed into `per_dest[1_000_000]` and panicked.
+        let net = generate(&InternetConfig::tiny(42));
+        let config = MultipathConfig { rounds: 2, workers: 2, seed: 7, ..Default::default() };
+        let fingerprint = config.fingerprint(&net);
+        let plain = multipath_digest(&run_multipath(&net, &config));
+        let block =
+            |units: Range<u32>| run_block(&net, &config, units, &mut worker_states(&net, &config));
+        let quarantined = |unit: u32| (unit, "crafted".to_owned());
+        // A craft, and why reading the record of units 23..46 — which are
+        // destinations 23..40 of round 0 and 0..6 of round 1 — refuses it.
+        type Craft<'a> = (&'a dyn Fn(&mut Folded<Vec<UnitDiscovery>>), &'a str);
+        let crafts: [Craft; 8] = [
+            (&|f| f.measured[16].dest = 1_000_000, "unit (dest 1000000, round 0) outside"),
+            (&|f| f.measured[1] = f.measured[0], "out of order"),
+            (&|f| f.measured[22].dest = 6, "unit (dest 6, round 1) outside"),
+            (&|f| f.measured[22].round = 1 << 30, "round 1073741824) outside"),
+            (&|f| f.measured.truncate(22), "truncated key lines"),
+            (&|f| f.quarantined.push(quarantined(30)), "after the body's last line"),
+            (
+                &|f| {
+                    f.measured.pop();
+                    f.quarantined.push(quarantined(50));
+                },
+                "outside 23..46 or out of order",
+            ),
+            (
+                &|f| {
+                    f.measured.truncate(21);
+                    f.quarantined.extend([quarantined(44), quarantined(44)]);
+                },
+                "outside 23..46 or out of order",
+            ),
+        ];
+        let path = tmp("own-range");
+        let span = Span { units: 23..46, n_dests: 40 };
+        for (craft, why) in crafts {
+            let mut fold = block(23..46);
+            craft(&mut fold);
+            let mut body = String::new();
+            write_body::<MultipathConfig>(&fold, &mut body);
+            let refused = read_body::<MultipathConfig>(&mut body.lines(), &span).err();
+            assert!(refused.as_ref().is_some_and(|e| e.contains(why)), "{why}: {refused:?}");
+            // After a good record, and as the journal's only one.
+            for first in [false, true] {
+                let crafted = Record::encode::<MultipathConfig>(fingerprint, 23..46, &fold);
+                if first {
+                    // It does not chain from unit 0 either; the first
+                    // craft again, on the record of `0..23`, does.
+                    crafted.install(&path).unwrap();
+                } else {
+                    let good = Record::encode::<MultipathConfig>(fingerprint, 0..23, &block(0..23));
+                    crafted.write_to(&mut good.install(&path).unwrap()).unwrap();
+                }
+                let (result, stats) = drive(&net, &config, &ckpt(&path, 23, None), true)
+                    .unwrap_or_else(|e| panic!("{why}: {e}"));
+                assert_eq!(multipath_digest(&result.expect("completes")), plain, "{why}");
+                // The crafted record is damage: its units were run again.
+                assert_eq!(stats.units_run, if first { 80 } else { 57 }, "{why}");
+            }
+        }
+        // What panicked at the parent: the journal's one record, chained
+        // and sealed, naming a destination the net does not have.
+        let mut fold = block(0..23);
+        fold.measured[22].dest = 1_000_000;
+        Record::encode::<MultipathConfig>(fingerprint, 0..23, &fold).install(&path).unwrap();
+        let resumed = run_multipath_resumed(&net, &config, &ckpt(&path, 23, None)).unwrap();
+        assert_eq!(multipath_digest(&resumed.expect("completes")), plain);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_virtual_time_total_is_one_checked_line() {
+        let net = generate(&InternetConfig::tiny(42));
+        let config = CampaignConfig { rounds: 7, workers: 1, seed: 99, ..Default::default() };
+        let fingerprint = config.fingerprint(&net);
+        let plain = report_digest(&run(&net, &config));
+        let virt_lines = |body: &str| body.lines().filter(|l| l.starts_with("virt")).count();
+        // One line, whatever the unit count.
+        let mut sizes = Vec::new();
+        for units in [0..0, 0..1, 0..256] {
+            let fold = run_block(&net, &config, units.clone(), &mut worker_states(&net, &config));
+            assert!(fold.quarantined.is_empty());
+            let record = Record::encode::<CampaignConfig>(fingerprint, units.clone(), &fold);
+            assert_eq!(virt_lines(&record.body), 1, "{units:?}");
+            sizes.push(record.len());
+        }
+        // The record of this clean 256-unit block was 43 698 bytes when a
+        // `virt` section held 27 bytes a unit; it is 36 795 with the
+        // total: 256 × 27 fewer, less the nine digits by which this
+        // block's total (12 digits of nanoseconds) is longer than the
+        // section's count was ("256").
+        assert_eq!(sizes[2], 36_795);
+        assert_eq!(sizes[2] + 256 * 27 - 9, 43_698);
+
+        // A total that is not a decimal `u128`, or that is more than the
+        // record's units can have run for, makes the record damage.
+        let span = Span { units: 0..16, n_dests: 40 };
+        let fold = run_block(&net, &config, 0..16, &mut worker_states(&net, &config));
+        let mut body = String::new();
+        write_body::<CampaignConfig>(&fold, &mut body);
+        let total = format!("virt {}\n", fold.virtual_ns);
+        assert!(read_body::<CampaignConfig>(&mut body.lines(), &span).is_ok());
+        let path = tmp("virt");
+        for bad in [
+            "virt\n".to_owned(),
+            "virt 1.5\n".to_owned(),
+            "virt -1\n".to_owned(),
+            "virt 0x10\n".to_owned(),
+            format!("virt {:016x}\n", 1.5f64.to_bits()),
+            "virt 340282366920938463463374607431768211456\n".to_owned(), // 2^128
+            format!("virt {}\n", 16 * u128::from(u64::MAX) + 1),
+            format!("virt 16\n{total}"),
+        ] {
+            let crafted = body.replacen(&total, &bad, 1);
+            assert!(read_body::<CampaignConfig>(&mut crafted.lines(), &span).is_err(), "{bad:?}");
+            record_of::<CampaignConfig>(fingerprint, 0..16, &crafted).install(&path).unwrap();
+            let (result, stats) = drive(&net, &config, &ckpt(&path, 140, None), true).unwrap();
+            assert_eq!(report_digest(&result.expect("completes")), plain, "{bad:?}");
+            assert_eq!(stats.units_run, 280, "{bad:?}");
+        }
+        // The largest total sixteen units can have: read, not refused.
+        let most = body.replacen(&total, &format!("virt {}\n", 16 * u128::from(u64::MAX)), 1);
+        assert!(read_body::<CampaignConfig>(&mut most.lines(), &span).is_ok());
+        let _ = fs::remove_file(&path);
     }
 }
