@@ -15,15 +15,38 @@
 //! would merely decrement its TTL and forward it, and one [`Arrival`] is
 //! scheduled where something else happens: expiry, delivery, a host, a
 //! filter, a fault, a NAT rewrite, a drop, or the instant of the next
-//! pending route change. The walk reads the packet and the tables and
-//! writes only the queue; the TTL it owes and the `forwarded` count are
-//! settled when that arrival pops, and a route change scheduled under a
-//! walk in progress cuts it back ([`Simulator::schedule_route_set`]).
+//! pending route change. The walk reads the packet and the next-hop
+//! table and writes only the queue (and the table, on a miss); the TTL
+//! it owes and the `forwarded` count are settled when that arrival pops,
+//! and a route change scheduled under a walk in progress cuts it back
+//! ([`Simulator::schedule_route_set`]). A router crossed costs one table
+//! probe, a test of its class against the TTL (the packet itself only at
+//! a filter or NAT gateway) and, on a lossy link, one draw.
+//!
+//! **The next-hop table.** Everything a walk reads about a hop — the
+//! neighbour and the interface it lands on, the link's delay and loss,
+//! the leaving node's draw seed, and the neighbour's [`Class`]: whether
+//! it owns the destination, and if not, whether it passes packets on —
+//! is a function of `(routing tables, node, ip.dst)`, and every probe of
+//! a trace crosses the routers its predecessor crossed, answers included
+//! (§2.1). [`SimState::resolve`] finds it by the longest-prefix lookup
+//! and the address index when a unit first needs it and keeps it in a
+//! direct-mapped table of [`HOP_SLOTS`] entries keyed by `(node, dst)`,
+//! so a probe's hop and its answer's hop through one router are both
+//! resident; [`SimState::hop`] reads it there. An entry holds while its stamp is the simulator's, which
+//! [`Simulator::reset`] and every *applied* route change bump: a change
+//! scheduled but not applied already stops walks at its instant. The
+//! table is never swept. It stores single-interface routes and
+//! per-destination balancing (a function of `(seed, node, dst)`);
+//! per-flow and per-packet balancing, blackholes, missing routes and
+//! unattached interfaces are resolved every time. A lossy link's draw is
+//! the packet's own, taken after the entry is read.
 //!
 //! A run is a pure function of `(topology, seed, injected packets,
 //! scheduled route changes)` — and the same function whether walks are
-//! fused or cut after every hop, which the tests below check with a hop
-//! limit only they can set. The schedule is a deque kept sorted by the
+//! fused or cut after every hop and whether hops come from the table,
+//! which the tests below check with a hop limit and a table switch only
+//! they can set. The schedule is a deque kept sorted by the
 //! key ([`crate::wheel::EventWheel`]): each in-flight packet is one
 //! pending stateful arrival, a tracer's window a dozen or so, and no
 //! event allocates.
@@ -115,6 +138,8 @@ struct Arrival {
     /// Routers the walk crossed without stopping — the TTL the packet
     /// owes when it arrives.
     transits: u8,
+    /// Whether `node` owns the packet's destination (delivered there).
+    local: bool,
     /// The node the walk left, and when: the last place the packet
     /// changed any state, so the walk can be taken again from there.
     from: (NodeId, SimTime),
@@ -199,6 +224,19 @@ struct SimState {
     /// tests' reference engine: at 1 every hop is an event again.
     #[cfg(test)]
     hop_limit: u32,
+    /// The next-hop table ([`SimState::hop`]), direct-mapped on
+    /// `(node, dst)`.
+    hops: Box<[Hop; HOP_SLOTS]>,
+    /// The stamp an entry must carry to be read: bumped by
+    /// [`Simulator::reset`] and by every route change applied.
+    hop_stamp: u64,
+    /// `false` stores nothing in the table, so every hop is resolved
+    /// afresh: the tests' reference engine.
+    #[cfg(test)]
+    table: bool,
+    /// Longest-prefix lookups made: the tests' layer number.
+    #[cfg(test)]
+    lookups: u64,
     nodes: Vec<NodeState>,
     /// Delivery lanes, one per node, indexed by `NodeId` — no hashing
     /// anywhere on the delivery or drain path.
@@ -237,11 +275,12 @@ fn node_seed(seed: u64, node: NodeId) -> u64 {
     splitmix64(seed ^ splitmix64(node.0 as u64 + 1))
 }
 
-/// Stable salt mixed into `node`'s per-flow/per-destination hashes so
-/// distinct routers do not all pick the same egress index for the same
-/// flow. Derived where a balanced hop needs it, not stored.
-fn balancer_salt(seed: u64, node: NodeId) -> u64 {
-    splitmix64(node_seed(seed, node) ^ 0xabcd_ef01)
+/// Stable salt mixed into a node's per-flow/per-destination hashes, from
+/// its [`node_seed`], so distinct routers do not all pick the same
+/// egress index for the same flow. Derived where a balanced hop needs
+/// it, not stored.
+fn balancer_salt(node_seed: u64) -> u64 {
+    splitmix64(node_seed ^ 0xabcd_ef01)
 }
 
 /// What a keyed draw decides; part of the key, so one packet's balancer
@@ -252,13 +291,114 @@ enum Draw {
     Loss = 2,
 }
 
-/// The random word `node` draws for the packet born `birth` as it
-/// leaves with `ttl`: a pure function of the key. The TTL is there
-/// because a looping packet crosses a node more than once; the birth
-/// (not the packet's bytes) so a retried probe draws afresh.
-fn draw(seed: u64, node: NodeId, birth: u64, ttl: u8, purpose: Draw) -> u64 {
+/// The random word a node, whose [`node_seed`] is `node_seed`, draws for
+/// the packet born `birth` as it leaves with `ttl`: a pure function of
+/// the key. The TTL is there because a looping packet crosses a node
+/// more than once; the birth (not the packet's bytes) so a retried
+/// probe draws afresh.
+fn draw(node_seed: u64, birth: u64, ttl: u8, purpose: Draw) -> u64 {
     let packet = (birth << 16) | (u64::from(ttl) << 8) | purpose as u64;
-    splitmix64(node_seed(seed, node) ^ splitmix64(packet))
+    splitmix64(node_seed ^ splitmix64(packet))
+}
+
+/// Entries in the next-hop table (24 KiB of [`Hop`]s). A campaign unit
+/// stores at most 41 distinct `(node, dst)` pairs on any `ptbench`
+/// workload (p99 31–35, mean 22; `docs/PERFORMANCE.md`), so 512 slots
+/// hold a unit at under 8 % load, and collisions cost 0.9–2.0 % of hops
+/// a second lookup (1024 slots halve that at twice the memory; 256
+/// double it).
+const HOP_SLOTS: usize = 512;
+
+/// What the node at a hop's far end does with a packet addressed to
+/// the hop's destination — what decides whether a walk ends there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Class {
+    /// It owns the destination: the packet is delivered there.
+    Dest,
+    /// A host or a broken router: it passes nothing on.
+    #[default]
+    Stops,
+    /// A router that passes on what does not expire there (TTL > 1).
+    Plain,
+    /// A zero-TTL forwarder: passes TTL 1 on as 0 (TTL > 0).
+    ZeroTtl,
+    /// A UDP filter or a NAT gateway: whether it passes a packet on
+    /// depends on the packet, so the whole check is made each time.
+    Checks,
+}
+
+impl Class {
+    /// The class of `node` for packets addressed to `dst`. The builder's
+    /// address index, not a scan of the node's interfaces: core routers
+    /// carry hundreds.
+    fn of(topo: &Topology, node: NodeId, dst: Ipv4Addr) -> Class {
+        if topo.owner_of(dst) == Some(node) {
+            return Class::Dest;
+        }
+        match &topo.node(node).kind {
+            NodeKind::Host(_) => Class::Stops,
+            NodeKind::Router(cfg) if cfg.broken.is_some() => Class::Stops,
+            NodeKind::Router(cfg) if cfg.filter_udp || cfg.nat.is_some() => Class::Checks,
+            NodeKind::Router(cfg) if cfg.zero_ttl_forwarding => Class::ZeroTtl,
+            NodeKind::Router(_) => Class::Plain,
+        }
+    }
+}
+
+/// Where a packet leaving a node lands: what the walk reads of a hop.
+#[derive(Debug, Clone, Copy)]
+struct Next {
+    to: Endpoint,
+    delay: SimDuration,
+    class: Class,
+}
+
+impl Next {
+    /// Whether `packet`, reaching `self.to` with `ttl`, is only
+    /// decremented and passed on there: a router at which it does not
+    /// expire, that neither filters it nor is broken nor rewrites its
+    /// source. (`process_arrival` is what happens otherwise.)
+    fn passes(&self, topo: &Topology, arena: &PacketArena, packet: PacketRef, ttl: u8) -> bool {
+        match self.class {
+            Class::Dest | Class::Stops => false,
+            Class::Plain => ttl > 1,
+            Class::ZeroTtl => ttl > 0,
+            Class::Checks => match &topo.node(self.to.node).kind {
+                NodeKind::Router(cfg) => {
+                    let packet = arena.get(packet);
+                    !(expires_at(cfg, ttl)
+                        || (cfg.filter_udp && matches!(packet.transport, Transport::Udp(_)))
+                        || cfg.nat.as_ref().is_some_and(|nat| nat.rewrites(packet.ip.src)))
+                }
+                NodeKind::Host(_) => false,
+            },
+        }
+    }
+}
+
+/// A next-hop table entry: `node`'s hop toward `dst` under the tables of
+/// `stamp`, and what the leaving packet's loss draw needs, in 48 bytes:
+/// node ids and the interface index are narrowed, and a hop whose ids
+/// do not fit is resolved every time instead of stored. The default is
+/// vacant: stamps start at 1.
+#[derive(Debug, Clone, Copy, Default)]
+struct Hop {
+    stamp: u64,
+    /// `node`'s [`node_seed`].
+    seed: u64,
+    loss: f64,
+    delay: SimDuration,
+    node: u32,
+    dst: u32,
+    to: u32,
+    iface: u16,
+    class: Class,
+}
+
+/// `(node, dst)`'s slot: the top bits of a Fibonacci hash of the pair.
+fn hop_slot(node: NodeId, dst: Ipv4Addr) -> usize {
+    let key = ((node.0 as u64) << 32) | u64::from(u32::from(dst));
+    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - HOP_SLOTS.trailing_zeros())) as usize
 }
 
 impl Simulator {
@@ -286,6 +426,12 @@ impl Simulator {
             route_horizon: NEVER,
             #[cfg(test)]
             hop_limit: u32::MAX,
+            hops: Box::new([Hop::default(); HOP_SLOTS]),
+            hop_stamp: 1,
+            #[cfg(test)]
+            table: true,
+            #[cfg(test)]
+            lookups: 0,
             dirty_inboxes: Vec::new(),
             stats: SimStats::default(),
             scratch: Vec::new(),
@@ -324,6 +470,7 @@ impl Simulator {
         st.stats = SimStats::default();
         st.seed = seed;
         st.epoch += 1;
+        st.hop_stamp += 1;
     }
 
     /// The shared topology.
@@ -348,9 +495,9 @@ impl Simulator {
     /// route change still pending are an arrival at `node`, now.
     pub fn inject(&mut self, node: NodeId, packet: Packet) {
         let st = &mut self.state;
-        let routed_out = self.topo.node(node).kind.as_host().is_some()
-            && self.topo.owner_of(packet.ip.dst) != Some(node)
-            && st.clock < st.route_horizon;
+        let local = self.topo.owner_of(packet.ip.dst) == Some(node);
+        let routed_out =
+            self.topo.node(node).kind.as_host().is_some() && !local && st.clock < st.route_horizon;
         let packet = st.arena.alloc(packet);
         let birth = st.stamp();
         if routed_out {
@@ -361,6 +508,7 @@ impl Simulator {
                 iface_in: None,
                 packet,
                 transits: 0,
+                local,
                 from: (node, st.clock),
                 last_transit: st.clock,
             };
@@ -437,13 +585,17 @@ impl Simulator {
         debug_assert!(time >= st.clock, "event from the past");
         st.clock = time;
         match kind {
-            EventKind::Arrival(Arrival { node, iface_in, packet, transits, .. }) => {
+            EventKind::Arrival(Arrival { node, iface_in, packet, transits, local, .. }) => {
                 // Settle the walk: one link into `node` (unless `node`
                 // injected the packet), one more and one TTL for every
                 // router crossed on the way.
                 st.stats.forwarded += u64::from(transits) + u64::from(iface_in.is_some());
                 st.arena.get_mut(packet).ip.ttl -= transits;
-                st.process_arrival(&self.topo, node, iface_in, packet, birth)
+                if local {
+                    st.deliver_local(&self.topo, node, packet);
+                } else {
+                    st.process_arrival(&self.topo, node, iface_in, packet, birth);
+                }
             }
             EventKind::RouteSet { node, prefix, next_hop } => {
                 st.freshen(node);
@@ -452,6 +604,8 @@ impl Simulator {
                     Some(nh) => routing.set(prefix, nh),
                     None => routing.remove(&self.topo.node(node).routing, prefix),
                 }
+                // Every hop resolved so far read the tables before this.
+                st.hop_stamp += 1;
                 st.route_horizon = st
                     .queue
                     .iter()
@@ -522,9 +676,10 @@ impl SimState {
     // Packet processing
     // ------------------------------------------------------------------
 
-    /// Node config is *borrowed* from `topo` for the whole arrival — the
-    /// hot path clones no NodeKind/config, and the packet itself stays
-    /// parked in the arena.
+    /// A packet not addressed to `node` arrives there. Node config is
+    /// *borrowed* from `topo` for the whole arrival — the hot path clones
+    /// no NodeKind/config, and the packet itself stays parked in the
+    /// arena.
     fn process_arrival(
         &mut self,
         topo: &Topology,
@@ -533,12 +688,6 @@ impl SimState {
         packet: PacketRef,
         birth: u64,
     ) {
-        // The builder's address index, not a scan of the node's
-        // interfaces: core routers carry hundreds.
-        if topo.owner_of(self.arena.get(packet).ip.dst) == Some(node) {
-            self.deliver_local(topo, node, packet);
-            return;
-        }
         match &topo.node(node).kind {
             NodeKind::Host(_) => {
                 if iface_in.is_none() {
@@ -921,12 +1070,13 @@ impl SimState {
 
     /// Carry `packet`, which left `from` at `left_at`, to its next
     /// stateful arrival and schedule that: across every router that
-    /// would only decrement the TTL and pass it on ([`SimState::transit`])
+    /// would only decrement the TTL and pass it on ([`Next::passes`])
     /// and that it reaches before the next pending route change. A
     /// packet `from` itself cannot send on is dropped here and now; one
     /// a later router cannot send on arrives there, to be dropped at its
-    /// own time. Nothing but the queue is written: the packet keeps the
-    /// TTL it left `from` with until the arrival pops.
+    /// own time. Nothing but the queue (and the next-hop table) is
+    /// written: the packet keeps the TTL it left `from` with until the
+    /// arrival pops.
     fn walk(
         &mut self,
         topo: &Topology,
@@ -936,9 +1086,9 @@ impl SimState {
         birth: u64,
     ) {
         let p = self.arena.get(packet);
-        let mut ttl = p.ip.ttl;
-        let (mut to, mut delay) = match self.egress(topo, from, p, birth, ttl) {
-            Ok(link) => link,
+        let (dst, mut ttl) = (p.ip.dst, p.ip.ttl);
+        let mut next = match self.hop(topo, from, dst, packet, birth, ttl) {
+            Ok(next) => next,
             Err(why) => {
                 match why {
                     Lost::NoRoute => self.stats.dropped_no_route += 1,
@@ -949,57 +1099,33 @@ impl SimState {
                 return;
             }
         };
-        // The builder's address index, consulted once for the walk.
-        let owner = topo.owner_of(p.ip.dst);
         let (mut at, mut last_transit, mut transits) = (left_at, left_at, 0u8);
         loop {
-            at += delay;
+            at += next.delay;
             let fused = at < self.route_horizon;
             #[cfg(test)]
             let fused = fused && u32::from(transits) + 1 < self.hop_limit;
-            if !fused || owner == Some(to.node) {
+            if !fused || !next.passes(topo, &self.arena, packet, ttl) {
                 break;
             }
-            let Some(next) = self.transit(topo, to.node, p, birth, ttl) else { break };
+            let Ok(after) = self.hop(topo, next.to.node, dst, packet, birth, ttl - 1) else {
+                break;
+            };
             last_transit = at;
             transits += 1;
             ttl -= 1;
-            (to, delay) = next;
+            next = after;
         }
         let arrival = Arrival {
-            node: to.node,
-            iface_in: Some(to.iface),
+            node: next.to.node,
+            iface_in: Some(next.to.iface),
             packet,
             transits,
+            local: next.class == Class::Dest,
             from: (from, left_at),
             last_transit,
         };
         self.queue.schedule(at, birth, EventKind::Arrival(arrival));
-    }
-
-    /// Where `packet`, arriving at `node` with `ttl`, goes next if `node`
-    /// does nothing to it but decrement the TTL and pass it on: a router
-    /// at which the packet does not expire, that neither filters it nor
-    /// is broken nor rewrites its source, and whose link takes it.
-    /// (`process_arrival` is what happens otherwise, and the caller has
-    /// ruled out `node` being the packet's destination.)
-    fn transit(
-        &self,
-        topo: &Topology,
-        node: NodeId,
-        packet: &Packet,
-        birth: u64,
-        ttl: u8,
-    ) -> Option<(Endpoint, SimDuration)> {
-        let NodeKind::Router(cfg) = &topo.node(node).kind else { return None };
-        let stops = expires_at(cfg, ttl)
-            || cfg.broken.is_some()
-            || (cfg.filter_udp && matches!(packet.transport, Transport::Udp(_)))
-            || cfg.nat.as_ref().is_some_and(|nat| nat.rewrites(packet.ip.src));
-        if stops {
-            return None;
-        }
-        self.egress(topo, node, packet, birth, ttl - 1).ok()
     }
 
     /// `node`'s live routing: the shared base table under this
@@ -1011,45 +1137,101 @@ impl SimState {
         NodeRouting::new(&topo.node(node).routing, delta)
     }
 
-    /// Where `packet`, born `birth`, lands when it leaves `node` with
-    /// `ttl`: longest-prefix lookup, balancer choice, the link and its
-    /// loss. A function of the packet and the routing state: it writes
-    /// nothing, and the next hop stays borrowed from the shared base
-    /// table (or the delta) for the whole decision.
-    fn egress(
-        &self,
+    /// Where `packet` (addressed to `dst`, born `birth`) lands when it
+    /// leaves `node` with `ttl`: the next-hop table's entry for `(node,
+    /// dst)` when it holds one under the current stamp, else what
+    /// [`SimState::resolve`] finds; then the link's loss, drawn for this
+    /// packet. Always inlined into the walk, so a hop from the table
+    /// stays in registers: out of line, its result went through the
+    /// stack, and builds differing by one dead term read `mda_fanout`
+    /// 25–40 % apart (`docs/PERFORMANCE.md`, PR 25).
+    #[inline(always)]
+    fn hop(
+        &mut self,
         topo: &Topology,
         node: NodeId,
-        packet: &Packet,
+        dst: Ipv4Addr,
+        packet: PacketRef,
         birth: u64,
         ttl: u8,
-    ) -> Result<(Endpoint, SimDuration), Lost> {
-        let dst = packet.ip.dst;
-        let iface_idx = match self.routing(topo, node).lookup(dst).ok_or(Lost::NoRoute)? {
-            NextHop::Iface(i) => *i,
+    ) -> Result<Next, Lost> {
+        let held = &self.hops[hop_slot(node, dst)];
+        let (next, seed, loss) = if held.stamp == self.hop_stamp
+            && held.node as usize == node.0
+            && held.dst == u32::from(dst)
+        {
+            let to = Endpoint { node: NodeId(held.to as usize), iface: held.iface.into() };
+            (Next { to, delay: held.delay, class: held.class }, held.seed, held.loss)
+        } else {
+            self.resolve(topo, node, dst, packet, birth, ttl)?
+        };
+        // The top 53 bits as a uniform fraction in [0, 1).
+        if loss > 0.0
+            && ((draw(seed, birth, ttl, Draw::Loss) >> 11) as f64 / (1u64 << 53) as f64) < loss
+        {
+            return Err(Lost::OnLink);
+        }
+        Ok(next)
+    }
+
+    /// The hop [`SimState::hop`] did not find in the table: the
+    /// longest-prefix lookup, the balancer's choice, the link and the
+    /// class of its far end, with the leaving node's seed and the link's
+    /// loss; stored when they are a function of `(tables, node, dst)`
+    /// alone. Kept out of line, so the walk stays small.
+    #[inline(never)]
+    fn resolve(
+        &mut self,
+        topo: &Topology,
+        node: NodeId,
+        dst: Ipv4Addr,
+        packet: PacketRef,
+        birth: u64,
+        ttl: u8,
+    ) -> Result<(Next, u64, f64), Lost> {
+        #[cfg(test)]
+        {
+            self.lookups += 1;
+        }
+        let seed = node_seed(self.seed, node);
+        let routing = self.routing(topo, node);
+        let (iface, stored) = match routing.lookup(dst).ok_or(Lost::NoRoute)? {
+            NextHop::Iface(i) => (*i, true),
             NextHop::Blackhole => return Err(Lost::Blackhole),
             NextHop::Balanced { kind, egresses } => {
-                let salted = |key: u64| splitmix64(key ^ balancer_salt(self.seed, node));
-                let word = match kind {
-                    BalancerKind::PerFlow(policy) => salted(policy.flow_key(packet).0),
-                    BalancerKind::PerPacket => draw(self.seed, node, birth, ttl, Draw::Egress),
-                    BalancerKind::PerDestination => salted(u64::from(u32::from(dst))),
+                let salted = |key: u64| splitmix64(key ^ balancer_salt(seed));
+                let (word, stored) = match kind {
+                    BalancerKind::PerFlow(policy) => {
+                        (salted(policy.flow_key(self.arena.get(packet)).0), false)
+                    }
+                    BalancerKind::PerPacket => (draw(seed, birth, ttl, Draw::Egress), false),
+                    BalancerKind::PerDestination => (salted(u64::from(u32::from(dst))), true),
                 };
-                egresses[(word % egresses.len() as u64) as usize]
+                (egresses[(word % egresses.len() as u64) as usize], stored)
             }
         };
         // Loopback/unattached interface: nowhere to go.
-        let link_id = topo.node(node).ifaces[iface_idx].link.ok_or(Lost::NoRoute)?;
-        let link = topo.link(link_id);
-        if link.loss > 0.0 {
-            // The top 53 bits as a uniform fraction in [0, 1).
-            let u =
-                (draw(self.seed, node, birth, ttl, Draw::Loss) >> 11) as f64 / (1u64 << 53) as f64;
-            if u < link.loss {
-                return Err(Lost::OnLink);
-            }
+        let link = topo.link(topo.node(node).ifaces[iface].link.ok_or(Lost::NoRoute)?);
+        let to = link.other_end(node);
+        let next = Next { to, delay: link.delay_from(node), class: Class::of(topo, to.node, dst) };
+        #[cfg(test)]
+        let stored = stored && self.table;
+        let slot = hop_slot(node, dst);
+        let ids = (u32::try_from(node.0), u32::try_from(to.node.0), u16::try_from(to.iface));
+        if let (true, (Ok(node), Ok(to), Ok(iface))) = (stored, ids) {
+            self.hops[slot] = Hop {
+                stamp: self.hop_stamp,
+                seed,
+                loss: link.loss,
+                delay: next.delay,
+                node,
+                dst: dst.into(),
+                to,
+                iface,
+                class: next.class,
+            };
         }
-        Ok((link.other_end(node), link.delay_from(node)))
+        Ok((next, seed, link.loss))
     }
 }
 
@@ -1938,14 +2120,67 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
+    // The next-hop table
+    // ------------------------------------------------------------------
+
+    /// The probes a `TraceConfig::paper()` Paris UDP trace sends toward
+    /// `sc`'s destination — one flow, TTL 2 to 11, the last one past the
+    /// destination (`tests/event_count.rs` runs the trace itself) — one
+    /// at a time, with or without the next-hop table: the longest-prefix
+    /// lookups made and the links crossed.
+    fn paris_trace_lookups(sc: &crate::scenarios::Scenario, table: bool) -> (u64, u64) {
+        let mut sim = Simulator::new(sc.topology.clone(), 21);
+        sim.state.table = table;
+        let src = src_addr(&sc.topology, sc.source);
+        for ttl in 2..=11 {
+            let ip = Ipv4Header::new(src, sc.destination, protocol::UDP, ttl);
+            let udp = UdpDatagram::new(41_000, 52_000, vec![0; 2]);
+            sim.inject(sc.source, Packet::new(ip, Transport::Udp(udp)));
+            sim.run_to_quiescence();
+        }
+        (sim.state.lookups, sim.stats().forwarded)
+    }
+
+    /// The layer number, held exactly: a hop is looked up once per unit.
+    /// If a change makes the walk resolve every hop again, these counts
+    /// go back to one per link crossed before any wall clock notices.
+    #[test]
+    fn a_paris_trace_looks_each_hop_up_once() {
+        use crate::scenarios::fig1;
+        use pt_wire::FlowPolicy;
+        // Per-destination balancing at L is a function of (seed, L, dst)
+        // and is stored. The flow takes L → B → D → E. Probes leave S,
+        // r1–r5, L, B, D and E toward the destination: 10 pairs. Answers
+        // come from r2–r5, L, D (B is silent), E and the destination
+        // twice, and go back by E → C → A → L (C is silent) or D → B → L:
+        // r1–r5, L, A, B, C, D, E and the destination leave toward S, 12
+        // pairs. 22 lookups; the parent made one per link crossed, 121.
+        let per_destination = fig1(BalancerKind::PerDestination);
+        assert_eq!(paris_trace_lookups(&per_destination, true), (22, 121));
+        // Without the table (the proptest's reference) every link
+        // crossed is a lookup again.
+        assert_eq!(paris_trace_lookups(&per_destination, false), (121, 121));
+        // tests/event_count.rs's trace: per-flow balancing at L, the flow
+        // takes L → A → C → E, and the answers come back the same way: 10
+        // pairs out and 10 back. L's per-flow hop is resolved every time,
+        // so the 5 probes that leave it (TTL 7 to 11) look it up 5 times:
+        // 24 lookups, where the parent made 120.
+        let per_flow = fig1(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
+        assert_eq!(paris_trace_lookups(&per_flow, true), (24, 120));
+    }
+
+    // ------------------------------------------------------------------
     // Fused walks against the per-hop engine
     // ------------------------------------------------------------------
 
     /// A simulator whose walks stop after `hop_limit` links: 1 is the
-    /// engine with one event per hop, `u32::MAX` the one that ships.
+    /// reference, one event per hop and every hop resolved afresh by the
+    /// longest-prefix lookup and the address index, with no next-hop
+    /// table; `u32::MAX` is the engine that ships.
     fn sim_cut_at(topo: &Arc<Topology>, seed: u64, hop_limit: u32) -> Simulator {
         let mut sim = Simulator::new(topo.clone(), seed);
         sim.state.hop_limit = hop_limit;
+        sim.state.table = hop_limit > 1;
         sim
     }
 
@@ -2256,11 +2491,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
 
-        /// Fused and per-hop execution are one function: on the paper's
-        /// figures and on random nets, with probes of every shape and
-        /// TTL, route changes landing under packets in flight and the
-        /// clock stopped at random instants, a walk cut after 1, 2 or 3
-        /// hops or never shows an observer the same run.
+        /// Fused and per-hop execution, with and without the next-hop
+        /// table, are one function: on the paper's figures and on random
+        /// nets, with probes of every shape and TTL, route changes
+        /// landing under packets in flight and the clock stopped at
+        /// random instants, a walk cut after 2 or 3 hops or never shows
+        /// an observer the run the table-less per-hop engine shows.
         #[test]
         fn a_walk_cut_anywhere_is_the_same_run(case in proptest::prelude::any::<u64>()) {
             use crate::scenarios;

@@ -106,8 +106,9 @@ pub struct Topology {
     pub nodes: Vec<Node>,
     /// All links; `LinkId` indexes this vector.
     pub links: Vec<Link>,
-    /// Address → owning node: the simulator's per-arrival
-    /// local-delivery check. Written only by
+    /// Address → owning node: the simulator's local-delivery check,
+    /// consulted when a unit first resolves a hop (the next-hop table's
+    /// fill) and when a packet is injected. Written only by
     /// [`crate::builder::TopologyBuilder::build`], which asserts it
     /// duplicate-free, so it cannot disagree with `nodes`. Keyed with
     /// the deterministic [`AddrMap`] hasher so iteration never depends

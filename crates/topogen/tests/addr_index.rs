@@ -1,6 +1,8 @@
-//! `Topology::owner_of` is the simulator's per-arrival local-delivery
-//! check, so the index behind it must give the answer a scan of every
-//! node's interfaces gives — on every topology the repo can build.
+//! `Topology::owner_of` is the simulator's local-delivery check — made
+//! when a unit first resolves a hop (the next-hop table's fill) and when
+//! a packet is injected — so the index behind it must give the answer a
+//! scan of every node's interfaces gives, on every topology the repo can
+//! build.
 
 use std::net::Ipv4Addr;
 
