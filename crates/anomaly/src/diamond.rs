@@ -6,7 +6,7 @@
 //! arise with multiple probes per hop or repeated traces, so this module
 //! aggregates triples across routes into a [`DestinationGraph`].
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use pt_netsim::routing::AddrHashBuilder;
 use std::net::Ipv4Addr;
@@ -62,7 +62,8 @@ pub(crate) fn for_each_triple(
 /// multiple probes of a single classic traceroute.
 #[derive(Debug, Clone, Default)]
 pub struct DestinationGraph {
-    triples: HashMap<(Ipv4Addr, Ipv4Addr), BTreeSet<Ipv4Addr>, AddrHashBuilder>,
+    #[allow(clippy::disallowed_types, reason = "fixed hasher; `diamonds` sorts its output")]
+    triples: std::collections::HashMap<(Ipv4Addr, Ipv4Addr), BTreeSet<Ipv4Addr>, AddrHashBuilder>,
     routes_ingested: usize,
 }
 

@@ -3,7 +3,6 @@
 //! them.
 
 use std::borrow::Cow;
-use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use pt_netsim::routing::AddrHashBuilder;
@@ -36,14 +35,15 @@ impl<const N: usize> Hash for Hashed<N> {
 pub(crate) struct KeySet<const N: usize> {
     sorted: Vec<Key<N>>,
     /// Disjoint from `sorted`, so the two lengths add up.
-    fresh: HashSet<Hashed<N>, AddrHashBuilder>,
+    #[allow(clippy::disallowed_types, reason = "fixed hasher; `fresh_run` sorts its output")]
+    fresh: std::collections::HashSet<Hashed<N>, AddrHashBuilder>,
 }
 
 impl<const N: usize> KeySet<N> {
     /// The set of an ascending, duplicate-free run (a record's section,
     /// checked as it was read).
     pub(crate) fn from_run(sorted: Vec<Key<N>>) -> Self {
-        KeySet { sorted, fresh: HashSet::default() }
+        KeySet { sorted, fresh: Default::default() }
     }
 
     pub(crate) fn insert(&mut self, key: Key<N>) {
@@ -68,7 +68,7 @@ impl<const N: usize> KeySet<N> {
         if !self.fresh.is_empty() {
             let fresh = self.fresh_run();
             merge_runs(&mut self.sorted, fresh);
-            self.fresh = HashSet::default();
+            self.fresh = Default::default();
         }
     }
 

@@ -9,6 +9,7 @@
 //! diamonds caused by per-flow load balancing).
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 pub mod codec;
 pub mod cycle;

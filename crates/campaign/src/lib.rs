@@ -18,6 +18,7 @@
 //! generator's planted balancers by [`validate_multipath`].
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 pub mod report;
 pub mod runner;

@@ -709,7 +709,7 @@ fn replay<M: Checkpointed>(
 
 /// What one drive wrote and ran — read by the linear-bytes and
 /// idempotent-resume regression tests only.
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg_attr(not(test), allow(dead_code, reason = "only the regression tests read it"))]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DriveStats {
     /// Bytes written to the journal and its temp file: every appended

@@ -28,6 +28,7 @@
 //! to the anomaly classifiers in `pt-anomaly`.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 pub mod classic;
 pub mod paris;

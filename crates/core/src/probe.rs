@@ -196,7 +196,7 @@ mod tests {
             StrategyId::ParisTcp,
             StrategyId::TcpTraceroute,
         ];
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for id in all {
             assert!(names.insert(id.name()), "duplicate name {}", id.name());
         }

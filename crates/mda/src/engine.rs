@@ -221,7 +221,7 @@ fn tag_of(id: u16) -> u16 {
     0x8000 | (id & ID_SPACE)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one argument per probe field")]
 fn build_probe(
     config: &MdaConfig,
     proto: MdaProtocol,

@@ -24,6 +24,7 @@
 //!   hop's width.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 mod engine;
 mod map;

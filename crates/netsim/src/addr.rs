@@ -95,7 +95,7 @@ impl AddrAllocator {
 
     /// The next unique address in the current subnet, spilling into a new
     /// subnet after 254 hosts.
-    #[allow(clippy::should_implement_trait)]
+    #[allow(clippy::should_implement_trait, reason = "never exhausted, so no Iterator")]
     pub fn next(&mut self) -> Ipv4Addr {
         if self.next_host >= 255 {
             self.next_subnet();
@@ -137,7 +137,7 @@ mod tests {
     fn allocator_hands_out_unique_addresses() {
         let mut alloc = AddrAllocator::new(Ipv4Addr::new(10, 0, 0, 0));
         alloc.next_subnet();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..1000 {
             assert!(seen.insert(alloc.next()), "duplicate address");
         }

@@ -31,6 +31,7 @@
 //! are hashes of `(seed, node, birth, TTL)` — see [`sim`].
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 pub mod addr;
 pub mod arena;

@@ -2,7 +2,6 @@
 //! may be single interfaces or load-balanced interface sets, plus the
 //! copy-on-write overlay simulators layer over a shared base table.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 
@@ -69,7 +68,8 @@ impl Hasher for AddrHasher {
 pub type AddrHashBuilder = BuildHasherDefault<AddrHasher>;
 
 /// An address-keyed map hashed with the deterministic [`AddrHasher`].
-pub type AddrMap<V> = HashMap<Ipv4Addr, V, AddrHashBuilder>;
+#[allow(clippy::disallowed_types, reason = "the fixed hasher orders iteration by the keys alone")]
+pub type AddrMap<V> = std::collections::HashMap<Ipv4Addr, V, AddrHashBuilder>;
 
 /// Where a routing table sends a matching packet.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -433,8 +433,8 @@ mod tests {
         let mut sim = Simulator::new(sc.topology.clone(), 21);
         // Classic traceroute behaviour: a different destination port per
         // probe. Collect what each hop shows across many port choices.
-        let mut hop7 = std::collections::HashSet::new();
-        let mut hop8 = std::collections::HashSet::new();
+        let mut hop7 = std::collections::BTreeSet::new();
+        let mut hop8 = std::collections::BTreeSet::new();
         for i in 0..24 {
             if let Some(a) = responder(&sc, &mut sim, 7, 33435 + i) {
                 hop7.insert(a);
@@ -445,8 +445,8 @@ mod tests {
         }
         // A answers at hop 7 (B is silent); D answers at hop 8 (C is
         // silent): adjacency suggests the false link A0→D0.
-        assert_eq!(hop7, std::collections::HashSet::from([sc.a("A")]));
-        assert_eq!(hop8, std::collections::HashSet::from([sc.a("D")]));
+        assert_eq!(hop7, std::collections::BTreeSet::from([sc.a("A")]));
+        assert_eq!(hop8, std::collections::BTreeSet::from([sc.a("D")]));
     }
 
     #[test]
@@ -506,8 +506,8 @@ mod tests {
     fn fig6_probes_reach_dest_and_diamond_interfaces_exist() {
         let sc = fig6(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
         let mut sim = Simulator::new(sc.topology.clone(), 13);
-        let mut hop7 = std::collections::HashSet::new();
-        let mut hop8 = std::collections::HashSet::new();
+        let mut hop7 = std::collections::BTreeSet::new();
+        let mut hop8 = std::collections::BTreeSet::new();
         for i in 0..96 {
             if let Some(a) = responder(&sc, &mut sim, 7, 33435 + i) {
                 hop7.insert(a);
@@ -518,12 +518,12 @@ mod tests {
         }
         assert_eq!(
             hop7,
-            std::collections::HashSet::from([sc.a("A"), sc.a("B"), sc.a("C")]),
+            std::collections::BTreeSet::from([sc.a("A"), sc.a("B"), sc.a("C")]),
             "all three hop-7 interfaces discoverable"
         );
         assert_eq!(
             hop8,
-            std::collections::HashSet::from([sc.a("D"), sc.a("E")]),
+            std::collections::BTreeSet::from([sc.a("D"), sc.a("E")]),
             "both hop-8 interfaces discoverable"
         );
     }
@@ -600,7 +600,7 @@ mod tests {
             let a = responder(&sc, &mut sim, ttl, 33435 + u16::from(ttl));
             seen.push(a.expect("every hop answers"));
         }
-        let unique: std::collections::HashSet<_> = seen.iter().collect();
+        let unique: std::collections::BTreeSet<_> = seen.iter().collect();
         assert_eq!(unique.len(), seen.len(), "no repeats on a healthy chain");
         assert_eq!(seen[7], sc.destination, "hop 8 is the destination");
     }

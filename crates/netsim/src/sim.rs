@@ -1664,7 +1664,7 @@ mod tests {
         let mut sim = Simulator::new(topo.clone(), 7);
         let src = src_addr(&topo, s);
         // Same flow (same ports) at TTL 2 always hits the same router.
-        let mut addrs_same_flow = std::collections::HashSet::new();
+        let mut addrs_same_flow = std::collections::BTreeSet::new();
         for _ in 0..8 {
             sim.inject(s, udp_probe(src, dst, 2, 33435));
             sim.run_to_quiescence();
@@ -1672,7 +1672,7 @@ mod tests {
         }
         assert_eq!(addrs_same_flow.len(), 1, "one flow, one path");
         // Varying ports across enough probes hits both routers.
-        let mut addrs_varying = std::collections::HashSet::new();
+        let mut addrs_varying = std::collections::BTreeSet::new();
         for i in 0..32 {
             sim.inject(s, udp_probe(src, dst, 2, 33435 + i));
             sim.run_to_quiescence();
@@ -1708,7 +1708,7 @@ mod tests {
         let topo = Arc::new(b.build());
         let mut sim = Simulator::new(topo.clone(), 11);
         let src = src_addr(&topo, s);
-        let mut addrs = std::collections::HashSet::new();
+        let mut addrs = std::collections::BTreeSet::new();
         for _ in 0..32 {
             sim.inject(s, udp_probe(src, dst, 2, 33435)); // identical flow
             sim.run_to_quiescence();

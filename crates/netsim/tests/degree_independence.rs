@@ -2,8 +2,6 @@
 //! node has: the generator's core routers carry one per branch, hundreds
 //! on the survey net, and every probe crosses several of them.
 
-// The assertion is a same-run wall-clock ratio (ptlint-waived inline).
-#![allow(clippy::disallowed_methods)]
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,7 +38,7 @@ fn fastest_batch(stubs: usize) -> Duration {
     let src = tx.source_addr();
 
     let batch = |tx: &mut SimTransport| {
-        // ptlint: allow(wall-clock): the test asserts a same-run timing ratio; no simulated result reads it
+        #[allow(clippy::disallowed_methods, reason = "a same-run timing ratio; no result reads it")]
         let start = Instant::now();
         for i in 0..ROUND_TRIPS {
             let ip = Ipv4Header::new(src, dst, protocol::UDP, 30);

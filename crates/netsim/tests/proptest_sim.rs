@@ -142,7 +142,7 @@ proptest! {
         let mut sim = Simulator::new(topo.clone(), seed);
         let src = topo.node(s).primary_addr();
         // The balancer sits at hop 3; its next hops at hop 4.
-        let mut responders = std::collections::HashSet::new();
+        let mut responders = std::collections::BTreeSet::new();
         for _ in 0..6 {
             sim.inject(s, probe(src, dst, 4, port));
             sim.run_to_quiescence();

@@ -326,7 +326,7 @@ pub fn generate(config: &InternetConfig) -> SyntheticInternet {
 
 /// Build one destination branch hanging off `owner`. Returns the
 /// destination info and the branch head node (the owner's next hop).
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the generator's state, one call per branch")]
 fn build_branch(
     b: &mut TopologyBuilder,
     rng: &mut StdRng,
@@ -594,7 +594,7 @@ mod tests {
     fn every_destination_has_a_unique_address() {
         let net = generate(&InternetConfig::tiny(3));
         let list = net.destination_list();
-        let set: std::collections::HashSet<_> = list.iter().collect();
+        let set: std::collections::BTreeSet<_> = list.iter().collect();
         assert_eq!(set.len(), list.len());
         assert_eq!(list.len(), 40);
     }
@@ -754,7 +754,7 @@ mod tests {
         // One tier-1 per core router.
         assert_eq!(net.as_map.tier1s().len(), net.config.n_core);
         // Distinct stubs have distinct AS numbers.
-        let stub_asns: std::collections::HashSet<_> =
+        let stub_asns: std::collections::BTreeSet<_> =
             net.dests.iter().map(|d| net.as_map.lookup(d.addr).unwrap()).collect();
         assert_eq!(stub_asns.len(), net.dests.len());
     }

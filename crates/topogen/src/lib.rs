@@ -15,6 +15,7 @@
 //! approximate on the real Internet.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 pub mod aslabel;
 pub mod internet;

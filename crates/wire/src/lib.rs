@@ -18,6 +18,7 @@
 //! `emit` / `parse` methods, explicit checksums, and no I/O.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 pub mod checksum;
 pub mod flow;

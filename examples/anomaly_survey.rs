@@ -9,8 +9,6 @@
 //! cargo run --release --example anomaly_survey -- 2000 40 # dests rounds
 //! ```
 
-// Display-only wall-clock progress timers (ptlint-waived inline).
-#![allow(clippy::disallowed_methods)]
 use pt_campaign::{
     render_multipath_report, render_report, run, run_multipath, validate_causes,
     validate_multipath, CampaignConfig, MultipathConfig,
@@ -41,7 +39,7 @@ fn main() {
     println!(
         "running {rounds} rounds × {n_destinations} destinations × 2 tools ({workers} workers)..."
     );
-    // ptlint: allow(wall-clock): progress display only; never feeds a digest
+    #[allow(clippy::disallowed_methods, reason = "progress display only; never feeds a digest")]
     let started = std::time::Instant::now();
     let config = CampaignConfig { rounds, workers, ..Default::default() };
     let result = run(&net, &config);
@@ -59,7 +57,7 @@ fn main() {
     // The §6 future work at the same scale: multipath discovery toward
     // every destination, printed next to the anomaly stats above.
     println!("\nrunning multipath discovery over the same {n_destinations} destinations...");
-    // ptlint: allow(wall-clock): progress display only; never feeds a digest
+    #[allow(clippy::disallowed_methods, reason = "progress display only; never feeds a digest")]
     let started = std::time::Instant::now();
     let mp = run_multipath(&net, &MultipathConfig { workers, ..Default::default() });
     println!("  done in {:.1}s wall clock\n", started.elapsed().as_secs_f64());

@@ -1,5 +1,6 @@
 //! Umbrella crate re-exporting the Paris traceroute reproduction workspace.
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 pub use pt_anomaly as anomaly;
 pub use pt_campaign as campaign;

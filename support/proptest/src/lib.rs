@@ -137,7 +137,7 @@ pub mod strategy {
                 type Value = ($($name::Value,)+);
 
                 fn sample(&self, rng: &mut TestRng) -> Self::Value {
-                    #[allow(non_snake_case)]
+                    #[allow(non_snake_case, reason = "the bindings reuse the type parameters' names")]
                     let ($($name,)+) = self;
                     ($($name.sample(rng),)+)
                 }
@@ -306,7 +306,7 @@ macro_rules! __proptest_impl {
         $(
             $(#[$meta])*
             fn $name() {
-                #[allow(unused_imports)]
+                #[allow(unused_imports, reason = "a body without strategies leaves the trait unused")]
                 use $crate::strategy::Strategy as _;
                 let __config: $crate::test_runner::Config = $cfg;
                 let __base = $crate::seed_for(concat!(module_path!(), "::", stringify!($name)));

@@ -111,7 +111,7 @@ proptest! {
             prop_assert!(find_cycles(&r).is_empty());
             // All addresses distinct.
             let addrs: Vec<_> = r.addresses().into_iter().flatten().collect();
-            let set: std::collections::HashSet<_> = addrs.iter().collect();
+            let set: std::collections::BTreeSet<_> = addrs.iter().collect();
             prop_assert_eq!(set.len(), addrs.len());
         }
     }
