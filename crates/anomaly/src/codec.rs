@@ -12,6 +12,9 @@
 //! integer), one space between fields, one key per line, keys
 //! ascending. Every such line of `N` fields is `9 N` bytes, which is
 //! what lets a writer size its buffer from counts alone.
+//!
+//! Every other line starts with a tag word and carries space-separated
+//! tokens; [`tagged`], [`word`] and [`tok`] take such a line apart.
 
 /// Append `v` in decimal, as `{}` would.
 pub fn push_uint(out: &mut String, mut v: u64) {
@@ -84,6 +87,36 @@ pub fn push_key_lines<const N: usize>(out: &mut String, keys: impl IntoIterator<
         len += N * KEY_FIELD_LEN;
     }
     flush(out, &text[..len]);
+}
+
+/// The next line, split into tokens, with its leading `tag` consumed.
+pub fn tagged<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    tag: &str,
+) -> Result<std::str::SplitAsciiWhitespace<'a>, String> {
+    let line = lines.next().ok_or_else(|| format!("truncated at {tag:?} line"))?;
+    let mut t = line.split_ascii_whitespace();
+    if t.next() == Some(tag) {
+        Ok(t)
+    } else {
+        Err(format!("expected {tag:?} line, got {line:?}"))
+    }
+}
+
+/// The next token of a line, `what` naming it if it is missing.
+pub fn word<'a>(t: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str, String> {
+    t.next().ok_or_else(|| format!("missing {what}"))
+}
+
+/// The next token of a line, parsed.
+pub fn tok<'a, T: std::str::FromStr>(
+    t: &mut impl Iterator<Item = &'a str>,
+    what: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    word(t, what)?.parse().map_err(|e| format!("bad {what}: {e}"))
 }
 
 /// Parse one key line — exactly what [`push_key_lines`] writes, less

@@ -7,7 +7,9 @@ use std::net::Ipv4Addr;
 
 use pt_core::{HaltReason, MeasuredRoute, StrategyId};
 
-use crate::codec::{parse_key_line, push_key_lines, push_uint, read_key_lines, KEY_FIELD_LEN};
+use crate::codec::{
+    parse_key_line, push_key_lines, push_uint, read_key_lines, tagged, tok, KEY_FIELD_LEN,
+};
 use crate::cycle::{find_cycles, CycleCause};
 use crate::diamond::for_each_triple;
 use crate::keyset::{groups, Key, KeySet};
@@ -413,29 +415,6 @@ impl CampaignAccumulator {
         acc.triples = read_key_section(lines, "triples")?;
         tagged(lines, "end_acc").map(|_| acc)
     }
-}
-
-/// The next line, split into tokens, with its leading `tag` consumed.
-fn tagged<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    tag: &str,
-) -> Result<std::str::SplitAsciiWhitespace<'a>, String> {
-    let line = lines.next().ok_or_else(|| format!("snapshot truncated at {tag:?}"))?;
-    let mut t = line.split_ascii_whitespace();
-    match t.next() {
-        Some(got) if got == tag => Ok(t),
-        _ => Err(format!("expected {tag:?} line, got {line:?}")),
-    }
-}
-
-fn tok<'a, T: std::str::FromStr>(
-    t: &mut impl Iterator<Item = &'a str>,
-    what: &str,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    t.next().ok_or_else(|| format!("missing {what}"))?.parse().map_err(|e| format!("{what}: {e}"))
 }
 
 /// `keys <name> <count>`, then the set's key lines.

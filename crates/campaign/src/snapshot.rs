@@ -63,7 +63,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use pt_anomaly::codec::{push_hex64, push_key_lines, push_uint, read_key_lines};
+use pt_anomaly::codec::{push_hex64, push_key_lines, push_uint, read_key_lines, tagged, tok, word};
 use pt_anomaly::CampaignAccumulator;
 use pt_core::TraceConfig;
 use pt_mda::BalancerClass::{self, NotBalanced, PerFlow, PerPacket, Undetermined};
@@ -242,34 +242,6 @@ fn multipath_fingerprint(net: &SyntheticInternet, config: &MultipathConfig) -> u
 // ---------------------------------------------------------------------
 // Shared line-format helpers.
 // ---------------------------------------------------------------------
-
-/// The next line, split into tokens, with its leading `tag` consumed.
-fn tagged<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    tag: &str,
-) -> Result<std::str::SplitAsciiWhitespace<'a>, String> {
-    let line = lines.next().ok_or_else(|| format!("truncated at {tag:?} line"))?;
-    let mut t = line.split_ascii_whitespace();
-    if t.next() == Some(tag) {
-        Ok(t)
-    } else {
-        Err(format!("expected {tag:?} line, got {line:?}"))
-    }
-}
-
-fn word<'a>(t: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str, String> {
-    t.next().ok_or_else(|| format!("missing {what}"))
-}
-
-fn tok<'a, T: std::str::FromStr>(
-    t: &mut impl Iterator<Item = &'a str>,
-    what: &str,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    word(t, what)?.parse().map_err(|e| format!("bad {what}: {e}"))
-}
 
 /// ` <v>`: one more decimal field on the current line.
 fn field(out: &mut String, v: u64) {

@@ -49,12 +49,15 @@
 
 use std::net::Ipv4Addr;
 
-use pt_core::{prefix_u16, prefix_u32, quotation_for, ProbeWindow, Transport};
+use pt_core::{
+    prefix_u16, prefix_u32, quotation_for, ParisTcp, ParisUdp, ProbeStrategy, ProbeWindow,
+    Transport,
+};
 use pt_netsim::splitmix64;
 use pt_netsim::time::{SimDuration, SimTime};
-use pt_wire::ipv4::{protocol, Ipv4Header};
-use pt_wire::tcp::{flags as tcp_flags, TcpSegment};
-use pt_wire::{IcmpMessage, Packet, Transport as Wire, UdpDatagram};
+use pt_wire::ipv4::protocol;
+use pt_wire::tcp::flags as tcp_flags;
+use pt_wire::{IcmpMessage, Packet, Transport as Wire};
 
 use crate::map::{BalancerClass, DagLink, HopInterfaces, MultipathMap};
 use crate::rule::RuleTable;
@@ -210,57 +213,14 @@ impl MdaConfig {
     }
 }
 
-/// Probe ids live in the 15 low bits of the pinned checksum; one walk
+/// Probe ids live in the 15 low bits of the probe's identifier; one walk
 /// never issues more than this many probes (enforced as a launch gate),
 /// so an id is never live twice and responses cannot mis-attribute.
 const ID_SPACE: u16 = 0x7fff;
 
-/// The per-probe identifier rides in the pinned UDP checksum; the high
-/// bit marks "one of ours" and keeps the pinned value nonzero.
-fn tag_of(id: u16) -> u16 {
-    0x8000 | (id & ID_SPACE)
-}
-
-#[allow(clippy::too_many_arguments, reason = "one argument per probe field")]
-fn build_probe(
-    config: &MdaConfig,
-    proto: MdaProtocol,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    ttl: u8,
-    flow: u16,
-    id: u16,
-    mut payload: Vec<u8>,
-) -> Packet {
-    match proto {
-        MdaProtocol::Udp => {
-            let mut ip = Ipv4Header::new(src, dst, protocol::UDP, ttl);
-            ip.total_length = (pt_wire::ipv4::HEADER_LEN + pt_wire::udp::HEADER_LEN + 2) as u16;
-            let udp = UdpDatagram::with_pinned_checksum_in(
-                config.base_src_port.wrapping_add(flow),
-                config.dst_port,
-                tag_of(id),
-                2,
-                &ip,
-                payload,
-            );
-            Packet::new(ip, Wire::Udp(udp))
-        }
-        MdaProtocol::Tcp => {
-            let ip = Ipv4Header::new(src, dst, protocol::TCP, ttl);
-            let mut seg = TcpSegment::syn_probe(
-                config.base_src_port.wrapping_add(flow),
-                TCP_FALLBACK_PORT,
-                u32::from(tag_of(id)),
-            );
-            // SYN probes carry no data; the buffer rides along
-            // (cleared) so its allocation rejoins the pool.
-            payload.clear();
-            seg.payload = payload;
-            Packet::new(ip, Wire::Tcp(seg))
-        }
-    }
-}
+/// The high bit of a probe's identifier: it marks "one of ours" and
+/// keeps a pinned UDP checksum nonzero. Probe `id` carries `TAG + id`.
+const TAG: u16 = 0x8000;
 
 /// Recover the probe id a response answers, if it answers one of this
 /// walk's probes at all — under the probe protocol currently in force.
@@ -291,7 +251,7 @@ fn match_response(
                 return None;
             }
             let tag = tag as u16;
-            return (tag & 0x8000 != 0).then_some(tag & ID_SPACE);
+            return (tag & TAG != 0).then_some(tag & ID_SPACE);
         }
     }
     let q = quotation_for(dst, response)?;
@@ -323,7 +283,7 @@ fn match_response(
             seq as u16
         }
     };
-    (tag & 0x8000 != 0).then_some(tag & ID_SPACE)
+    (tag & TAG != 0).then_some(tag & ID_SPACE)
 }
 
 /// Flow budget for a hop with no interface yet: the adaptive walk's
@@ -873,13 +833,27 @@ pub fn discover_with<T: Transport>(
             }
             st.probes_sent += 1;
             total_probes += 1;
-            let ttl = st.ttl;
+            // A Paris probe whose flow id is its source port and whose
+            // identifier — the pinned UDP checksum or the TCP Sequence
+            // Number — carries the probe id.
+            let (ttl, id) = (st.ttl, u64::from(next_id));
+            let src_port = config.base_src_port.wrapping_add(flow);
             let payload = transport.grab_payload();
-            let packet =
-                build_probe(config, proto, source, destination, ttl, flow, next_id, payload);
+            let packet = match proto {
+                MdaProtocol::Udp => {
+                    let dst_port = config.dst_port;
+                    let mut udp = ParisUdp { src_port, dst_port, payload_len: 2, base_tag: TAG };
+                    udp.build_probe_with(source, destination, ttl, id, payload)
+                }
+                MdaProtocol::Tcp => {
+                    let base_seq = u32::from(TAG);
+                    let mut tcp = ParisTcp { src_port, dst_port: TCP_FALLBACK_PORT, base_seq };
+                    tcp.build_probe_with(source, destination, ttl, id, payload)
+                }
+            };
             let sent = transport.now();
             let probe = Probe { hop: hop_idx, kind };
-            scratch.window.launch(u64::from(next_id), sent, config.timeout, probe);
+            scratch.window.launch(id, sent, config.timeout, probe);
             next_id = next_id.wrapping_add(1) & ID_SPACE;
             transport.send(packet);
         }

@@ -44,12 +44,13 @@ impl NatConfig {
 
 /// Token-bucket ICMP rate limiting — the dominant modern cause of
 /// mid-route stars. The bucket holds up to `burst` tokens, refills one
-/// token every `interval`, and each originated ICMP spends one token;
-/// an empty bucket suppresses the ICMP. Unlike the legacy
-/// `icmp_min_interval` knob (a degenerate `burst == 1` bucket), a burst
-/// lets the first few back-to-back probes through before the limiter
-/// bites — exactly the "resolves on retry at a lower rate" signature
-/// adaptive tracers exploit.
+/// token every `interval`, and each ICMP error the router sources (Time
+/// Exceeded, or a broken router's Destination Unreachable) spends one
+/// token; an empty bucket suppresses the ICMP. `burst == 1` is a plain
+/// minimum interval between ICMPs; a larger burst lets the first few
+/// back-to-back probes through before the limiter bites — exactly the
+/// "resolves on retry at a lower rate" signature adaptive tracers
+/// exploit.
 ///
 /// All arithmetic is integer nanoseconds, so the limiter is a pure
 /// function of probe arrival times and stays deterministic under the
@@ -95,11 +96,8 @@ pub struct RouterConfig {
     pub silent: bool,
     /// Rewrite the source address of packets leaving a NAT'd stub.
     pub nat: Option<NatConfig>,
-    /// ICMP rate limiting: suppress an ICMP if one was generated within
-    /// this interval (mid-route stars on real routers).
-    pub icmp_min_interval: Option<crate::time::SimDuration>,
-    /// Token-bucket ICMP rate limiting (rate *and* burst). Composes
-    /// with `icmp_min_interval`: an ICMP must pass both to leave.
+    /// Token-bucket ICMP rate limiting (rate *and* burst): mid-route
+    /// stars on real routers.
     pub icmp_rate_limit: Option<IcmpRateLimit>,
     /// MPLS-tunnel interior: label-switch transit traffic (decrement
     /// TTL and forward as usual) but never source Time Exceeded —
@@ -122,7 +120,6 @@ impl Default for RouterConfig {
             broken: None,
             silent: false,
             nat: None,
-            icmp_min_interval: None,
             icmp_rate_limit: None,
             mpls_hidden: false,
             filter_udp: false,
@@ -132,11 +129,6 @@ impl Default for RouterConfig {
 }
 
 impl RouterConfig {
-    /// A healthy default router.
-    pub fn healthy() -> Self {
-        Self::default()
-    }
-
     /// A router that forwards TTL-zero packets (Fig. 4's `F`).
     pub fn zero_ttl_forwarder() -> Self {
         RouterConfig { zero_ttl_forwarding: true, ..Self::default() }

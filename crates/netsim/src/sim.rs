@@ -14,14 +14,17 @@
 //! node, a packet *walks* ([`SimState::walk`]) across every router that
 //! would merely decrement its TTL and forward it, and one [`Arrival`] is
 //! scheduled where something else happens: expiry, delivery, a host, a
-//! filter, a fault, a NAT rewrite, a drop, or the instant of the next
-//! pending route change. The walk reads the packet and the next-hop
-//! table and writes only the queue (and the table, on a miss); the TTL
-//! it owes and the `forwarded` count are settled when that arrival pops,
-//! and a route change scheduled under a walk in progress cuts it back
-//! ([`Simulator::schedule_route_set`]). A router crossed costs one table
-//! probe, a test of its class against the TTL (the packet itself only at
-//! a filter or NAT gateway) and, on a lossy link, one draw.
+//! router whose treatment depends on the packet (a UDP filter, a NAT
+//! gateway) or that passes nothing on (a broken router), a drop, or the
+//! instant of the next pending route change. So what a router does to a
+//! packet is decided in one place, [`SimState::process_arrival`]. The
+//! walk reads the next-hop table and writes only the queue (and the
+//! table, on a miss); the TTL it owes and the `forwarded` count are
+//! settled when that arrival pops, and a route change scheduled under a
+//! walk in progress cuts it back ([`Simulator::schedule_route_set`]). A
+//! router crossed costs one table probe, a test of its class against the
+//! TTL and, on a lossy link, one draw: outside a per-flow balancer's
+//! hash, the walk never reads the packet beyond its destination and TTL.
 //!
 //! **The next-hop table.** Everything a walk reads about a hop — the
 //! neighbour and the interface it lands on, the link's delay and loss,
@@ -73,10 +76,10 @@ use pt_wire::{Packet, Transport, UnreachableCode};
 
 use crate::addr::Ipv4Prefix;
 use crate::arena::{PacketArena, PacketRef};
-use crate::node::{BalancerKind, HostConfig, NodeKind, RouterConfig};
+use crate::node::{BalancerKind, NodeKind, ResponderAddr, RouterConfig};
 use crate::routing::{NextHop, NodeRouting, RouteDelta};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{Endpoint, NodeId, Topology};
+use crate::topology::{Endpoint, Node, NodeId, Topology};
 use crate::wheel::EventWheel;
 
 /// Counters describing everything the simulator did.
@@ -157,8 +160,6 @@ struct NodeState {
     /// The router's internal 16-bit counter stamped into the IP
     /// Identification of packets it originates.
     ip_id: u16,
-    /// Last time this node generated an ICMP (for rate limiting).
-    last_icmp: Option<SimTime>,
     /// Token-bucket rate-limiter fill. `u32::MAX` is the untouched
     /// sentinel (the bucket starts full on first use); the capacity
     /// lives in the router's immutable config, so the slot stays a
@@ -188,7 +189,6 @@ impl NodeState {
             // topology, the delta starts empty.
             routing: RouteDelta::new(),
             ip_id: (node_seed(seed, NodeId(idx)) >> 32) as u16,
-            last_icmp: None,
             icmp_tokens: u32::MAX,
             icmp_tokens_at: SimTime::ZERO,
             inbox_dirty: false,
@@ -315,16 +315,15 @@ const HOP_SLOTS: usize = 512;
 enum Class {
     /// It owns the destination: the packet is delivered there.
     Dest,
-    /// A host or a broken router: it passes nothing on.
+    /// A host, or a router that passes nothing on (a broken one) or
+    /// whose treatment depends on the packet (a UDP filter, a NAT
+    /// gateway): [`SimState::process_arrival`] decides what happens.
     #[default]
     Stops,
     /// A router that passes on what does not expire there (TTL > 1).
     Plain,
     /// A zero-TTL forwarder: passes TTL 1 on as 0 (TTL > 0).
     ZeroTtl,
-    /// A UDP filter or a NAT gateway: whether it passes a packet on
-    /// depends on the packet, so the whole check is made each time.
-    Checks,
 }
 
 impl Class {
@@ -335,12 +334,13 @@ impl Class {
         if topo.owner_of(dst) == Some(node) {
             return Class::Dest;
         }
-        match &topo.node(node).kind {
-            NodeKind::Host(_) => Class::Stops,
-            NodeKind::Router(cfg) if cfg.broken.is_some() => Class::Stops,
-            NodeKind::Router(cfg) if cfg.filter_udp || cfg.nat.is_some() => Class::Checks,
-            NodeKind::Router(cfg) if cfg.zero_ttl_forwarding => Class::ZeroTtl,
-            NodeKind::Router(_) => Class::Plain,
+        let NodeKind::Router(cfg) = &topo.node(node).kind else { return Class::Stops };
+        if cfg.broken.is_some() || cfg.filter_udp || cfg.nat.is_some() {
+            Class::Stops
+        } else if cfg.zero_ttl_forwarding {
+            Class::ZeroTtl
+        } else {
+            Class::Plain
         }
     }
 }
@@ -354,24 +354,15 @@ struct Next {
 }
 
 impl Next {
-    /// Whether `packet`, reaching `self.to` with `ttl`, is only
-    /// decremented and passed on there: a router at which it does not
-    /// expire, that neither filters it nor is broken nor rewrites its
-    /// source. (`process_arrival` is what happens otherwise.)
-    fn passes(&self, topo: &Topology, arena: &PacketArena, packet: PacketRef, ttl: u8) -> bool {
+    /// Whether a packet reaching `self.to` with `ttl` is only
+    /// decremented and passed on there: a plain or zero-TTL-forwarding
+    /// router at which it does not expire. (`process_arrival` is what
+    /// happens otherwise.)
+    fn passes(&self, ttl: u8) -> bool {
         match self.class {
             Class::Dest | Class::Stops => false,
             Class::Plain => ttl > 1,
             Class::ZeroTtl => ttl > 0,
-            Class::Checks => match &topo.node(self.to.node).kind {
-                NodeKind::Router(cfg) => {
-                    let packet = arena.get(packet);
-                    !(expires_at(cfg, ttl)
-                        || (cfg.filter_udp && matches!(packet.transport, Transport::Udp(_)))
-                        || cfg.nat.as_ref().is_some_and(|nat| nat.rewrites(packet.ip.src)))
-                }
-                NodeKind::Host(_) => false,
-            },
         }
     }
 }
@@ -407,18 +398,9 @@ impl Simulator {
     pub fn new(topology: Arc<Topology>, seed: u64) -> Self {
         // Node slots start stale (epoch 0 < 1) and derive themselves
         // from `seed` on first touch, so construction clones one cheap
-        // template per node instead of deriving every slot up front.
-        let template = NodeState {
-            routing: RouteDelta::new(),
-            ip_id: 0,
-            last_icmp: None,
-            icmp_tokens: u32::MAX,
-            icmp_tokens_at: SimTime::ZERO,
-            inbox_dirty: false,
-            epoch: 0,
-        };
+        // slot per node instead of deriving every slot up front.
         let state = SimState {
-            nodes: vec![template; topology.nodes.len()],
+            nodes: vec![NodeState::fresh(seed, 0, 0); topology.nodes.len()],
             inbox: (0..topology.nodes.len()).map(|_| VecDeque::new()).collect(),
             clock: SimTime::ZERO,
             next_seq: 0,
@@ -701,7 +683,8 @@ impl SimState {
             }
             NodeKind::Router(cfg) => {
                 if iface_in.is_some() {
-                    if expires_at(cfg, self.arena.get(packet).ip.ttl) {
+                    let ttl = self.arena.get(packet).ip.ttl;
+                    if ttl == 0 || (ttl == 1 && !cfg.zero_ttl_forwarding) {
                         if cfg.mpls_hidden {
                             // LSP interior: the expired packet vanishes
                             // inside the tunnel — no Time Exceeded.
@@ -711,7 +694,7 @@ impl SimState {
                         }
                         // Expired: quote the packet exactly as received —
                         // probe TTL 1 normally, 0 past a zero-TTL forwarder.
-                        self.expire(topo, node, iface_in, cfg, packet);
+                        self.icmp_error(topo, node, iface_in, cfg, packet, IcmpKind::TimeExceeded);
                         return;
                     }
                     // Normal decrement; the Fig. 4 misconfiguration sends
@@ -729,7 +712,8 @@ impl SimState {
                     }
                 }
                 if let Some(code) = cfg.broken {
-                    self.respond_unreachable(topo, node, iface_in, cfg, packet, code);
+                    let unreachable = IcmpKind::Unreachable(code);
+                    self.icmp_error(topo, node, iface_in, cfg, packet, unreachable);
                     return;
                 }
                 self.forward(topo, node, packet, birth);
@@ -740,11 +724,7 @@ impl SimState {
     fn deliver_local(&mut self, topo: &Topology, node: NodeId, packet: PacketRef) {
         self.stats.delivered += 1;
         let packet = self.arena.take(packet);
-        let probed_addr = packet.ip.dst;
-        let response = match &topo.node(node).kind {
-            NodeKind::Host(h) => self.host_response(node, h, probed_addr, &packet),
-            NodeKind::Router(r) => self.router_local_response(node, r, probed_addr, &packet),
-        };
+        let response = self.local_response(node, &topo.node(node).kind, &packet);
         self.freshen(node);
         let st = &mut self.nodes[node.0];
         if !st.inbox_dirty {
@@ -757,136 +737,73 @@ impl SimState {
         }
     }
 
-    fn host_response(
-        &mut self,
-        node: NodeId,
-        cfg: &HostConfig,
-        probed_addr: Ipv4Addr,
-        packet: &Packet,
-    ) -> Option<Packet> {
-        match &packet.transport {
-            Transport::Udp(_) => {
-                if !cfg.udp_responds {
-                    self.stats.dropped_host_mute += 1;
-                    return None;
-                }
-                self.stats.dest_unreachable_sent += 1;
-                Some(self.icmp_response(
-                    node,
-                    probed_addr,
-                    cfg.initial_ttl,
-                    packet,
-                    IcmpKind::Unreachable(UnreachableCode::Port),
-                ))
+    /// `node`'s answer to `packet`, which is addressed to it, from the
+    /// probed address: a Port Unreachable to UDP, an Echo Reply to an
+    /// Echo Request, and to a SYN a SYN-ACK from an open port or an RST
+    /// from a closed one. A router's ports are all closed, and a silent
+    /// router answers nothing at all. A host answers what its config
+    /// lets through and counts what it refuses.
+    fn local_response(&mut self, node: NodeId, kind: &NodeKind, packet: &Packet) -> Option<Packet> {
+        let (udp, ping, open_ports, rst) = match kind {
+            NodeKind::Router(cfg) if cfg.silent => {
+                self.stats.dropped_silent += 1;
+                return None;
             }
-            Transport::Icmp(IcmpMessage::EchoRequest { identifier, seq, payload }) => {
-                if !cfg.pingable {
-                    self.stats.dropped_host_mute += 1;
-                    return None;
-                }
+            NodeKind::Router(_) => (true, true, &[][..], true),
+            NodeKind::Host(h) => {
+                (h.udp_responds, h.pingable, h.open_tcp_ports.as_slice(), h.tcp_responds)
+            }
+        };
+        let (probed, ttl) = (packet.ip.dst, kind.icmp_initial_ttl());
+        let answer = match &packet.transport {
+            // Echo replies, errors, non-SYN TCP: consumed silently.
+            Transport::Icmp(msg) if !matches!(msg, IcmpMessage::EchoRequest { .. }) => return None,
+            Transport::Tcp(seg) if seg.control & tcp_flags::SYN == 0 => return None,
+            Transport::Udp(_) if udp => {
+                let port = IcmpKind::Unreachable(UnreachableCode::Port);
+                return Some(self.icmp_response(node, probed, ttl, packet, port));
+            }
+            Transport::Icmp(IcmpMessage::EchoRequest { identifier, seq, payload }) if ping => {
                 self.stats.echo_replies_sent += 1;
                 // Echo the payload through a pooled buffer: once the
                 // pool is warm the reply path allocates nothing.
                 let mut echoed = self.arena.grab_payload();
                 echoed.extend_from_slice(payload);
-                let reply =
-                    IcmpMessage::EchoReply { identifier: *identifier, seq: *seq, payload: echoed };
-                Some(self.build_response(
-                    node,
-                    probed_addr,
-                    packet.ip.src,
-                    cfg.initial_ttl,
-                    Transport::Icmp(reply),
-                ))
+                let (identifier, seq) = (*identifier, *seq);
+                Transport::Icmp(IcmpMessage::EchoReply { identifier, seq, payload: echoed })
             }
-            Transport::Tcp(seg) if seg.control & tcp_flags::SYN != 0 => {
-                let open = cfg.open_tcp_ports.contains(&seg.dst_port);
-                if !open && !cfg.tcp_responds {
-                    self.stats.dropped_host_mute += 1;
-                    return None;
-                }
+            Transport::Tcp(seg) if rst || open_ports.contains(&seg.dst_port) => {
                 self.stats.tcp_responses_sent += 1;
                 let mut resp = TcpSegment::syn_probe(seg.dst_port, seg.src_port, 0);
                 resp.ack = seg.seq.wrapping_add(1);
-                resp.control = if open {
+                resp.control = if open_ports.contains(&seg.dst_port) {
                     tcp_flags::SYN | tcp_flags::ACK
                 } else {
                     tcp_flags::RST | tcp_flags::ACK
                 };
-                Some(self.build_response(
-                    node,
-                    probed_addr,
-                    packet.ip.src,
-                    cfg.initial_ttl,
-                    Transport::Tcp(resp),
-                ))
+                Transport::Tcp(resp)
             }
-            // Echo replies, errors, non-SYN TCP: consumed silently.
-            _ => None,
-        }
+            // What a host's config keeps it from answering.
+            _ => {
+                self.stats.dropped_host_mute += 1;
+                return None;
+            }
+        };
+        Some(self.build_response(node, probed, packet.ip.src, ttl, answer))
     }
 
-    fn router_local_response(
-        &mut self,
-        node: NodeId,
-        cfg: &RouterConfig,
-        probed_addr: Ipv4Addr,
-        packet: &Packet,
-    ) -> Option<Packet> {
-        if cfg.silent {
-            self.stats.dropped_silent += 1;
-            return None;
-        }
-        match &packet.transport {
-            Transport::Udp(_) => {
-                self.stats.dest_unreachable_sent += 1;
-                Some(self.icmp_response(
-                    node,
-                    probed_addr,
-                    cfg.icmp_initial_ttl,
-                    packet,
-                    IcmpKind::Unreachable(UnreachableCode::Port),
-                ))
-            }
-            Transport::Icmp(IcmpMessage::EchoRequest { identifier, seq, payload }) => {
-                self.stats.echo_replies_sent += 1;
-                // Same pooled-buffer echo as the host path.
-                let mut echoed = self.arena.grab_payload();
-                echoed.extend_from_slice(payload);
-                let reply =
-                    IcmpMessage::EchoReply { identifier: *identifier, seq: *seq, payload: echoed };
-                Some(self.build_response(
-                    node,
-                    probed_addr,
-                    packet.ip.src,
-                    cfg.icmp_initial_ttl,
-                    Transport::Icmp(reply),
-                ))
-            }
-            Transport::Tcp(seg) if seg.control & tcp_flags::SYN != 0 => {
-                self.stats.tcp_responses_sent += 1;
-                let mut resp = TcpSegment::syn_probe(seg.dst_port, seg.src_port, 0);
-                resp.ack = seg.seq.wrapping_add(1);
-                resp.control = tcp_flags::RST | tcp_flags::ACK;
-                Some(self.build_response(
-                    node,
-                    probed_addr,
-                    packet.ip.src,
-                    cfg.icmp_initial_ttl,
-                    Transport::Tcp(resp),
-                ))
-            }
-            _ => None,
-        }
-    }
-
-    fn expire(
+    /// Answer `packet`, which router `node` (config `cfg`) does not pass
+    /// on, with the ICMP error `kind` — unless the router is silent or
+    /// its rate limiter holds no token. The error quotes the packet as
+    /// received and comes from [`SimState::responding_addr`].
+    fn icmp_error(
         &mut self,
         topo: &Topology,
         node: NodeId,
         iface_in: Option<usize>,
         cfg: &RouterConfig,
         packet: PacketRef,
+        kind: IcmpKind,
     ) {
         if cfg.silent {
             self.stats.dropped_silent += 1;
@@ -898,116 +815,62 @@ impl SimState {
             self.arena.release(packet);
             return;
         }
-        // The probe is consumed here: move it out, quote it, then hand
+        // The packet is consumed here: move it out, quote it, then hand
         // its payload buffer back to the pool.
         let packet = self.arena.take(packet);
-        let src_addr = Self::responding_addr(topo, node, iface_in);
-        self.stats.time_exceeded_sent += 1;
-        let resp = self.icmp_response(
-            node,
-            src_addr,
-            cfg.icmp_initial_ttl,
-            &packet,
-            IcmpKind::TimeExceeded,
-        );
+        let src = Self::responding_addr(topo.node(node), cfg, iface_in);
+        let resp = self.icmp_response(node, src, cfg.icmp_initial_ttl, &packet, kind);
         self.arena.recycle_packet(packet);
         self.originate(topo, node, resp);
     }
 
-    fn respond_unreachable(
-        &mut self,
-        topo: &Topology,
-        node: NodeId,
-        iface_in: Option<usize>,
-        cfg: &RouterConfig,
-        packet: PacketRef,
-        code: UnreachableCode,
-    ) {
-        if cfg.silent {
-            self.stats.dropped_silent += 1;
-            self.arena.release(packet);
-            return;
-        }
-        if self.rate_limited(node, cfg) {
-            self.stats.dropped_rate_limited += 1;
-            self.arena.release(packet);
-            return;
-        }
-        let packet = self.arena.take(packet);
-        let src_addr = Self::responding_addr(topo, node, iface_in);
-        self.stats.dest_unreachable_sent += 1;
-        let resp = self.icmp_response(
-            node,
-            src_addr,
-            cfg.icmp_initial_ttl,
-            &packet,
-            IcmpKind::Unreachable(code),
-        );
-        self.arena.recycle_packet(packet);
-        self.originate(topo, node, resp);
-    }
-
+    /// Whether router `cfg`'s token bucket holds no ICMP for `node` now;
+    /// if it holds one, the ICMP spends it.
     fn rate_limited(&mut self, node: NodeId, cfg: &RouterConfig) -> bool {
-        if cfg.icmp_min_interval.is_none() && cfg.icmp_rate_limit.is_none() {
-            return false;
-        }
+        let Some(tb) = cfg.icmp_rate_limit else { return false };
         self.freshen(node);
         let state = &mut self.nodes[node.0];
-        if let Some(min) = cfg.icmp_min_interval {
-            if let Some(last) = state.last_icmp {
-                if self.clock.since(last) < min {
-                    return true;
+        if state.icmp_tokens == u32::MAX {
+            // First touch after (re-)derivation: the bucket starts
+            // full. The sentinel keeps `NodeState::fresh` a pure
+            // function of `(seed, idx)` without knowing `burst`.
+            state.icmp_tokens = tb.burst;
+            state.icmp_tokens_at = self.clock;
+        } else {
+            let interval = tb.interval.nanos().max(1);
+            let minted = self.clock.since(state.icmp_tokens_at).nanos() / interval;
+            if minted > 0 {
+                let fill = u64::from(state.icmp_tokens).saturating_add(minted);
+                if fill >= u64::from(tb.burst) {
+                    state.icmp_tokens = tb.burst;
+                    // A full bucket stops accruing credit.
+                    state.icmp_tokens_at = self.clock;
+                } else {
+                    state.icmp_tokens = fill as u32;
+                    // Advance by whole tokens only, so fractional
+                    // refill credit carries to the next ICMP.
+                    state.icmp_tokens_at += SimDuration::from_nanos(minted * interval);
                 }
             }
         }
-        if let Some(tb) = cfg.icmp_rate_limit {
-            if state.icmp_tokens == u32::MAX {
-                // First touch after (re-)derivation: the bucket starts
-                // full. The sentinel keeps `NodeState::fresh` a pure
-                // function of `(seed, idx)` without knowing `burst`.
-                state.icmp_tokens = tb.burst;
-                state.icmp_tokens_at = self.clock;
-            } else {
-                let interval = tb.interval.nanos().max(1);
-                let minted = self.clock.since(state.icmp_tokens_at).nanos() / interval;
-                if minted > 0 {
-                    let fill = u64::from(state.icmp_tokens).saturating_add(minted);
-                    if fill >= u64::from(tb.burst) {
-                        state.icmp_tokens = tb.burst;
-                        // A full bucket stops accruing credit.
-                        state.icmp_tokens_at = self.clock;
-                    } else {
-                        state.icmp_tokens = fill as u32;
-                        // Advance by whole tokens only, so fractional
-                        // refill credit carries to the next ICMP.
-                        state.icmp_tokens_at += SimDuration::from_nanos(minted * interval);
-                    }
-                }
-            }
-            if state.icmp_tokens == 0 {
-                return true;
-            }
-            state.icmp_tokens -= 1;
+        if state.icmp_tokens == 0 {
+            return true;
         }
-        state.last_icmp = Some(self.clock);
+        state.icmp_tokens -= 1;
         false
     }
 
-    /// The address a router answers from: by default the interface the
-    /// offending packet arrived on (the address classic traceroute
+    /// The address router `cfg` answers from: by default the interface
+    /// the offending packet arrived on (the address classic traceroute
     /// reports), or the primary address for fixed-responder routers.
-    fn responding_addr(topo: &Topology, node: NodeId, iface_in: Option<usize>) -> Ipv4Addr {
-        let n = topo.node(node);
-        let fixed = matches!(
-            n.kind.as_router().map(|r| r.responder),
-            Some(crate::node::ResponderAddr::Fixed)
-        );
+    fn responding_addr(node: &Node, cfg: &RouterConfig, iface_in: Option<usize>) -> Ipv4Addr {
         match iface_in {
-            Some(i) if !fixed => n.ifaces[i].addr,
-            _ => n.primary_addr(),
+            Some(i) if cfg.responder == ResponderAddr::IncomingIface => node.ifaces[i].addr,
+            _ => node.primary_addr(),
         }
     }
 
+    /// An ICMP error of `kind` quoting `offending`, counted as sent.
     fn icmp_response(
         &mut self,
         node: NodeId,
@@ -1025,8 +888,14 @@ impl SimState {
         let quotation = Quotation::from_probe(offending.ip, &scratch);
         self.scratch = scratch;
         let msg = match kind {
-            IcmpKind::TimeExceeded => IcmpMessage::TimeExceeded { quotation },
-            IcmpKind::Unreachable(code) => IcmpMessage::DestUnreachable { code, quotation },
+            IcmpKind::TimeExceeded => {
+                self.stats.time_exceeded_sent += 1;
+                IcmpMessage::TimeExceeded { quotation }
+            }
+            IcmpKind::Unreachable(code) => {
+                self.stats.dest_unreachable_sent += 1;
+                IcmpMessage::DestUnreachable { code, quotation }
+            }
         };
         self.build_response(node, src, offending.ip.src, initial_ttl, Transport::Icmp(msg))
     }
@@ -1105,7 +974,7 @@ impl SimState {
             let fused = at < self.route_horizon;
             #[cfg(test)]
             let fused = fused && u32::from(transits) + 1 < self.hop_limit;
-            if !fused || !next.passes(topo, &self.arena, packet, ttl) {
+            if !fused || !next.passes(ttl) {
                 break;
             }
             let Ok(after) = self.hop(topo, next.to.node, dst, packet, birth, ttl - 1) else {
@@ -1233,12 +1102,6 @@ impl SimState {
         }
         Ok((next, seed, link.loss))
     }
-}
-
-/// Whether a packet reaching router `cfg` with `ttl` expires there: TTL
-/// 1 normally, 0 past a zero-TTL forwarder (which sends 1 on as 0).
-fn expires_at(cfg: &RouterConfig, ttl: u8) -> bool {
-    ttl == 0 || (ttl == 1 && !cfg.zero_ttl_forwarding)
 }
 
 /// Why a packet leaving a node reaches no neighbour.
@@ -1838,11 +1701,7 @@ mod tests {
     fn icmp_rate_limit_suppresses_back_to_back_probes() {
         let mut b = TopologyBuilder::new();
         let s = b.host("S", HostConfig::default());
-        let cfg = RouterConfig {
-            icmp_min_interval: Some(SimDuration::from_millis(100)),
-            ..RouterConfig::default()
-        };
-        let r = b.router("r", cfg);
+        let r = b.router("r", RouterConfig::rate_limited(SimDuration::from_millis(100), 1));
         let d = b.host("D", HostConfig::default());
         b.link(s, r, SimDuration::from_millis(1), 0.0);
         b.link(r, d, SimDuration::from_millis(1), 0.0);
@@ -2007,6 +1866,248 @@ mod tests {
         let rtt = drain(&mut sim, s)[0].0.since(t0);
         // 1 + 1 out, 9 + 1 back.
         assert_eq!(rtt, SimDuration::from_millis(12), "reverse path dominates the RTT");
+    }
+
+    // ------------------------------------------------------------------
+    // What a node answers
+    // ------------------------------------------------------------------
+
+    /// An answer's kind, as its recipient reads it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum AnswerKind {
+        TimeExceeded,
+        Unreachable(UnreachableCode),
+        EchoReply,
+        SynAck,
+        Rst,
+    }
+
+    impl AnswerKind {
+        fn of(packet: &Packet) -> AnswerKind {
+            const SYN_ACK: u8 = tcp_flags::SYN | tcp_flags::ACK;
+            const RST_ACK: u8 = tcp_flags::RST | tcp_flags::ACK;
+            match &packet.transport {
+                Transport::Icmp(IcmpMessage::TimeExceeded { .. }) => AnswerKind::TimeExceeded,
+                Transport::Icmp(IcmpMessage::DestUnreachable { code, .. }) => {
+                    AnswerKind::Unreachable(*code)
+                }
+                Transport::Icmp(IcmpMessage::EchoReply { .. }) => AnswerKind::EchoReply,
+                Transport::Tcp(seg) if seg.control == SYN_ACK => AnswerKind::SynAck,
+                Transport::Tcp(seg) if seg.control == RST_ACK => AnswerKind::Rst,
+                other => panic!("not an answer: {other:?}"),
+            }
+        }
+
+        /// The counter an answer of this kind is counted in.
+        fn counter(self, stats: &mut SimStats) -> &mut u64 {
+            match self {
+                AnswerKind::TimeExceeded => &mut stats.time_exceeded_sent,
+                AnswerKind::Unreachable(_) => &mut stats.dest_unreachable_sent,
+                AnswerKind::EchoReply => &mut stats.echo_replies_sent,
+                AnswerKind::SynAck | AnswerKind::Rst => &mut stats.tcp_responses_sent,
+            }
+        }
+    }
+
+    /// Which of the answering node's addresses an answer comes from.
+    #[derive(Debug, Clone, Copy)]
+    enum Src {
+        /// The address the probe was sent to.
+        Probed,
+        /// The interface the probe arrived on.
+        Incoming,
+        /// The node's first interface.
+        Primary,
+    }
+
+    /// Why a probe drew no answer: the counter that records it.
+    #[derive(Debug, Clone, Copy)]
+    enum Why {
+        Silent,
+        HostMute,
+        RateLimited,
+        MplsHidden,
+        NoRoute,
+    }
+
+    impl Why {
+        fn counter(self, stats: &mut SimStats) -> &mut u64 {
+            match self {
+                Why::Silent => &mut stats.dropped_silent,
+                Why::HostMute => &mut stats.dropped_host_mute,
+                Why::RateLimited => &mut stats.dropped_rate_limited,
+                Why::MplsHidden => &mut stats.dropped_mpls_hidden,
+                Why::NoRoute => &mut stats.dropped_no_route,
+            }
+        }
+    }
+
+    /// What one probe draws from the node under test.
+    #[derive(Debug, Clone, Copy)]
+    enum Got {
+        /// An answer: its kind, where it comes from and its IP TTL.
+        Answer(AnswerKind, Src, u8),
+        /// No answer, counted as this.
+        Dropped(Why),
+        /// Delivered and consumed: no answer and no counter.
+        Consumed,
+    }
+
+    /// The probes of the answer table: five addressed to the node under
+    /// test, two that pass through it toward the destination.
+    #[derive(Debug, Clone, Copy)]
+    enum Probe {
+        Udp,
+        Echo,
+        SynOpen,
+        SynClosed,
+        EchoReply,
+        /// TTL 1: it expires at the node.
+        Expiring,
+        /// TTL 5, at the node made a broken (`!H`) router.
+        AtBroken,
+    }
+
+    impl Probe {
+        fn addressed(self) -> bool {
+            !matches!(self, Probe::Expiring | Probe::AtBroken)
+        }
+
+        fn packet(self, src: Ipv4Addr, node: Ipv4Addr, far: Ipv4Addr) -> Packet {
+            let icmp = |msg| {
+                Packet::new(Ipv4Header::new(src, node, protocol::ICMP, 30), Transport::Icmp(msg))
+            };
+            let syn = |port| {
+                let ip = Ipv4Header::new(src, node, protocol::TCP, 30);
+                Packet::new(ip, Transport::Tcp(TcpSegment::syn_probe(33_000, port, 7)))
+            };
+            match self {
+                Probe::Udp => udp_probe(src, node, 30, 33_435),
+                Probe::Echo => icmp(IcmpMessage::echo_probe_classic(77, 3)),
+                Probe::SynOpen => syn(80),
+                Probe::SynClosed => syn(81),
+                Probe::EchoReply => {
+                    icmp(IcmpMessage::EchoReply { identifier: 77, seq: 3, payload: vec![0; 4] })
+                }
+                Probe::Expiring => udp_probe(src, far, 1, 33_435),
+                Probe::AtBroken => udp_probe(src, far, 5, 33_435),
+            }
+        }
+    }
+
+    /// Every answer a node gives, pinned one case at a time: each kind
+    /// of node against each probe, on S — X — D with X under test. A
+    /// case injects its probe once per expected outcome, back to back,
+    /// so the rate-limited router's second probe is the one limited.
+    /// X's primary address faces D, the probe arrives on the S-facing
+    /// interface, and addressed probes go to a loopback: the three
+    /// sources an answer can come from are three addresses.
+    #[test]
+    fn every_node_kind_answers_every_probe_as_tabled() {
+        use AnswerKind::{EchoReply, Rst, SynAck, TimeExceeded, Unreachable};
+        use Got::{Answer, Consumed, Dropped};
+        use Src::{Incoming, Primary, Probed};
+        let kinds = [
+            NodeKind::Host(HostConfig::default()),
+            NodeKind::Host(HostConfig::firewalled()),
+            NodeKind::Router(RouterConfig::default()),
+            NodeKind::Router(RouterConfig::silent()),
+            NodeKind::Router(RouterConfig::default().with_fixed_responder()),
+            NodeKind::Router(RouterConfig::mpls_interior()),
+            NodeKind::Router(RouterConfig::rate_limited(SimDuration::from_millis(100), 1)),
+        ];
+        let host = |reply| Answer(reply, Probed, 64);
+        let router = |reply| Answer(reply, Probed, 255);
+        let port = Unreachable(UnreachableCode::Port);
+        let bang_h = Unreachable(UnreachableCode::Host);
+        let no_route = Dropped(Why::NoRoute);
+        let silent = Dropped(Why::Silent);
+        let mute = Dropped(Why::HostMute);
+        let limited = Dropped(Why::RateLimited);
+        // Columns in the order of `kinds`.
+        #[rustfmt::skip]
+        let table: [(Probe, [&[Got]; 7]); 7] = [
+            (Probe::Udp, [&[host(port)], &[mute], &[router(port)], &[silent],
+                &[router(port)], &[router(port)], &[router(port), router(port)]]),
+            (Probe::Echo, [&[host(EchoReply)], &[host(EchoReply)], &[router(EchoReply)], &[silent],
+                &[router(EchoReply)], &[router(EchoReply)], &[router(EchoReply), router(EchoReply)]]),
+            (Probe::SynOpen, [&[host(SynAck)], &[mute], &[router(Rst)], &[silent],
+                &[router(Rst)], &[router(Rst)], &[router(Rst), router(Rst)]]),
+            (Probe::SynClosed, [&[host(Rst)], &[mute], &[router(Rst)], &[silent],
+                &[router(Rst)], &[router(Rst)], &[router(Rst), router(Rst)]]),
+            (Probe::EchoReply, [&[Consumed], &[Consumed], &[Consumed], &[silent],
+                &[Consumed], &[Consumed], &[Consumed, Consumed]]),
+            (Probe::Expiring, [&[no_route], &[no_route], &[Answer(TimeExceeded, Incoming, 255)],
+                &[silent], &[Answer(TimeExceeded, Primary, 255)], &[Dropped(Why::MplsHidden)],
+                &[Answer(TimeExceeded, Incoming, 255), limited]]),
+            (Probe::AtBroken, [&[no_route], &[no_route], &[Answer(bang_h, Incoming, 255)],
+                &[silent], &[Answer(bang_h, Primary, 255)], &[Answer(bang_h, Incoming, 255)],
+                &[Answer(bang_h, Incoming, 255), limited]]),
+        ];
+        let loopback = Ipv4Addr::new(192, 0, 2, 77);
+        for (probe, row) in table {
+            for (kind, outcomes) in kinds.iter().zip(row) {
+                let mut b = TopologyBuilder::new();
+                // Firewalled, so a SYN-ACK draws no answer back from S.
+                let s = b.host("S", HostConfig::firewalled());
+                let x = match kind {
+                    NodeKind::Host(cfg) => b.host("X", cfg.clone()),
+                    NodeKind::Router(cfg) => match probe {
+                        Probe::AtBroken => b.router(
+                            "X",
+                            RouterConfig { broken: Some(UnreachableCode::Host), ..cfg.clone() },
+                        ),
+                        _ => b.router("X", cfg.clone()),
+                    },
+                };
+                let d = b.host("D", HostConfig::default());
+                b.link(x, d, SimDuration::from_millis(1), 0.0);
+                b.link(s, x, SimDuration::from_millis(1), 0.0);
+                b.loopback(x, loopback);
+                b.default_via(s, x);
+                b.default_via(x, d);
+                b.default_via(d, x);
+                let s_pfx = b.subnet_of(s);
+                b.route_via(x, s_pfx, s);
+                let (far, primary, incoming) =
+                    (b.addr_of(d), b.iface_addr(x, 0), b.iface_addr(x, 1));
+                let topo = Arc::new(b.build());
+                let mut sim = Simulator::new(topo.clone(), 3);
+                for _ in outcomes {
+                    sim.inject(s, probe.packet(src_addr(&topo, s), loopback, far));
+                }
+                sim.run_to_quiescence();
+                let got: Vec<(AnswerKind, Ipv4Addr, u8)> = drain(&mut sim, s)
+                    .iter()
+                    .map(|(_, answer)| (AnswerKind::of(answer), answer.ip.src, answer.ip.ttl))
+                    .collect();
+                let mut want = Vec::new();
+                let mut stats = SimStats::default();
+                for outcome in outcomes {
+                    stats.forwarded += 1;
+                    stats.delivered += u64::from(probe.addressed());
+                    match *outcome {
+                        Answer(reply, from, ttl) => {
+                            let from = match from {
+                                Probed => loopback,
+                                Incoming => incoming,
+                                Primary => primary,
+                            };
+                            want.push((reply, from, ttl));
+                            *reply.counter(&mut stats) += 1;
+                            stats.forwarded += 1;
+                            stats.delivered += 1;
+                            stats.dropped_host_mute += u64::from(reply == SynAck);
+                        }
+                        Dropped(why) => *why.counter(&mut stats) += 1,
+                        Consumed => {}
+                    }
+                }
+                let case = format!("{probe:?} at {kind:?}");
+                assert_eq!(got, want, "{case}");
+                assert_eq!(sim.stats(), stats, "{case}");
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2267,7 +2368,6 @@ mod tests {
     /// Healthy half the time, otherwise one of everything a router can
     /// do to a packet besides passing it on.
     fn random_router(dice: &mut Dice) -> RouterConfig {
-        use crate::node::IcmpRateLimit;
         let base = RouterConfig::default();
         match dice.roll(16) {
             0 => RouterConfig::zero_ttl_forwarder(),
@@ -2276,14 +2376,7 @@ mod tests {
             3 => RouterConfig::udp_filter(),
             4 => RouterConfig::broken_forwarding(UnreachableCode::Host),
             5 => RouterConfig::rate_limited(SimDuration::from_millis(5), 2),
-            6 => RouterConfig {
-                icmp_rate_limit: Some(IcmpRateLimit {
-                    interval: SimDuration::from_millis(2),
-                    burst: 1,
-                }),
-                icmp_min_interval: Some(SimDuration::from_millis(3)),
-                ..base
-            },
+            6 => RouterConfig::rate_limited(SimDuration::from_millis(3), 1),
             7 => base.with_fixed_responder(),
             _ => base,
         }
