@@ -757,9 +757,10 @@ pub struct MultipathConfig {
     /// performance knob: results are bit-identical for any value.
     pub workers: usize,
     /// Per-destination MDA parameters. The flow family's base source
-    /// port and destination port are drawn per unit from the campaign
-    /// seed (the study's [10000, 60000] discipline) and override the
-    /// ports set here.
+    /// port and destination port (the study's [10000, 60000]
+    /// discipline) and, under [`MultipathConfig::adaptive`], the jitter
+    /// seed are drawn per unit from the campaign seed and override what
+    /// is set here.
     pub mda: MdaConfig,
     /// Run every unit with the adaptive probing policies
     /// ([`MdaConfig::adaptive`]): backoff retries and pacing against
@@ -825,9 +826,9 @@ pub struct UnitDiscovery {
     pub probes: usize,
     /// The destination itself answered.
     pub reached: bool,
-    /// A watchdog budget ([`MdaConfig::probe_budget`] /
-    /// [`MdaConfig::time_budget`]) cut the walk short: the DAG is a
-    /// valid but incomplete prefix, and widths are lower bounds.
+    /// The watchdog budget ([`MdaConfig::probe_budget`]) cut the walk
+    /// short: the DAG is a valid but incomplete prefix, and widths are
+    /// lower bounds.
     pub degraded: bool,
 }
 
@@ -944,26 +945,6 @@ pub fn run_multipath(net: &SyntheticInternet, config: &MultipathConfig) -> Multi
     run_whole(net, config)
 }
 
-impl MultipathConfig {
-    /// The walk parameters every unit of this campaign shares: `mda` as
-    /// configured, with the adaptive preset's probing policies layered
-    /// over its statistical knobs when `adaptive` is set. Units only
-    /// draw the ports (and, adaptively, the jitter seed) on top — so
-    /// this is also exactly what a checkpoint's fingerprint must cover.
-    pub(crate) fn walk_template(&self) -> MdaConfig {
-        if !self.adaptive {
-            return self.mda;
-        }
-        let policy = MdaConfig::adaptive(0);
-        MdaConfig {
-            flow_retries: policy.flow_retries,
-            max_consecutive_stars: policy.max_consecutive_stars,
-            adaptive: policy.adaptive,
-            ..self.mda
-        }
-    }
-}
-
 impl CampaignMode for MultipathConfig {
     type Scratch = MdaScratch;
     type Unit = UnitDiscovery;
@@ -1001,19 +982,14 @@ impl CampaignMode for MultipathConfig {
         // The study's port discipline: draw the flow family's base source
         // port and the destination port uniformly, leaving room above the
         // base for every flow id.
-        let template = self.walk_template();
-        let max_flows = template.max_flows_per_hop as u16;
+        let max_flows = self.mda.max_flows_per_hop as u16;
         let base_src_port = rng.gen_range(10_000..=60_000u16.saturating_sub(max_flows));
         let dst_port = rng.gen_range(10_000..=60_000);
         // The adaptive policies' jitter seed comes from the unit stream,
         // so retry schedules are reproducible and worker-count
         // independent.
-        let adaptive = if self.adaptive {
-            Some(splitmix64(at.stream ^ 0x6164_7074))
-        } else {
-            template.adaptive
-        };
-        let mda = MdaConfig { base_src_port, dst_port, adaptive, ..template };
+        let adaptive = self.adaptive.then(|| splitmix64(at.stream ^ 0x6164_7074));
+        let mda = MdaConfig { base_src_port, dst_port, adaptive, ..self.mda };
         let map = discover_with(tx, dest.addr, &mda, scratch);
 
         let discovery = UnitDiscovery {

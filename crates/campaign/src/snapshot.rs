@@ -67,7 +67,7 @@ use pt_anomaly::codec::{push_hex64, push_key_lines, push_uint, read_key_lines, t
 use pt_anomaly::CampaignAccumulator;
 use pt_core::TraceConfig;
 use pt_mda::BalancerClass::{self, NotBalanced, PerFlow, PerPacket, Undetermined};
-use pt_mda::{MdaConfig, MdaProtocol};
+use pt_mda::MdaConfig;
 use pt_netsim::splitmix64;
 use pt_topogen::SyntheticInternet;
 
@@ -149,16 +149,7 @@ fn mix_net(mut h: u64, net: &SyntheticInternet) -> u64 {
 /// so that a new field fails to compile here until it is classified.
 fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64 {
     let CampaignConfig { rounds, workers: _, trace, dynamics, seed, inject } = config;
-    let TraceConfig {
-        min_ttl,
-        max_ttl,
-        probes_per_hop,
-        timeout,
-        max_consecutive_stars,
-        window,
-        probe_budget,
-        time_budget,
-    } = *trace;
+    let TraceConfig { min_ttl, probes_per_hop, window, probe_budget } = *trace;
     let DynamicsConfig {
         forwarding_loop_prob,
         forwarding_loop_delay,
@@ -171,13 +162,9 @@ fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64
     h = mix_net(h, net);
     for v in [
         u64::from(min_ttl),
-        u64::from(max_ttl),
         u64::from(probes_per_hop),
-        timeout.nanos(),
-        u64::from(max_consecutive_stars),
         u64::from(window),
         u64::from(probe_budget),
-        time_budget.nanos(),
         forwarding_loop_prob.to_bits(),
         forwarding_loop_delay.nanos(),
         forwarding_loop_window.nanos(),
@@ -189,49 +176,28 @@ fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64
     mix_inject(h, inject)
 }
 
-/// The multipath counterpart of [`campaign_fingerprint`]. It hashes the
-/// walk template the units actually read
-/// ([`MultipathConfig::walk_template`]): under `adaptive` the preset
-/// overrides the probing-policy fields of `mda`, so those do not count;
-/// the ports are drawn per unit and never count.
+/// The multipath counterpart of [`campaign_fingerprint`]. The ports
+/// and the adaptive jitter seed are drawn per unit, so what `mda` holds
+/// of them never counts.
 fn multipath_fingerprint(net: &SyntheticInternet, config: &MultipathConfig) -> u64 {
-    let MultipathConfig { rounds, workers: _, mda: _, adaptive, seed, inject } = config;
+    let MultipathConfig { rounds, workers: _, mda, adaptive, seed, inject } = config;
     let MdaConfig {
         alpha,
         max_flows_per_hop,
-        max_ttl,
-        timeout,
-        max_consecutive_stars,
         window,
-        flow_retries,
-        classify_repeats,
         base_src_port: _,
         dst_port: _,
-        protocol,
-        adaptive: policies,
+        adaptive: _,
         probe_budget,
-        time_budget,
-    } = config.walk_template();
+    } = *mda;
     let mut h = mix(0x6d64_6121, *seed); // "mda!"
     h = mix(h, *rounds as u64);
     h = mix_net(h, net);
     for v in [
         alpha.to_bits(),
         max_flows_per_hop as u64,
-        u64::from(max_ttl),
-        timeout.nanos(),
-        u64::from(max_consecutive_stars),
         u64::from(window),
-        u64::from(flow_retries),
-        u64::from(classify_repeats),
-        match protocol {
-            MdaProtocol::Udp => 0,
-            MdaProtocol::Tcp => 1,
-        },
-        u64::from(policies.is_some()),
-        policies.unwrap_or(0),
-        probe_budget as u64,
-        time_budget.nanos(),
+        u64::from(probe_budget),
         u64::from(*adaptive),
     ] {
         h = mix(h, v);
@@ -1045,17 +1011,13 @@ mod tests {
     #[test]
     fn every_results_affecting_trace_field_is_fingerprinted() {
         type Flip = (&'static str, fn(&mut CampaignConfig));
-        let flips: [Flip; 18] = [
+        let flips: [Flip; 14] = [
             ("rounds", |c| c.rounds += 1),
             ("seed", |c| c.seed += 1),
             ("trace.min_ttl", |c| c.trace.min_ttl += 1),
-            ("trace.max_ttl", |c| c.trace.max_ttl -= 1),
             ("trace.probes_per_hop", |c| c.trace.probes_per_hop += 1),
-            ("trace.timeout", |c| c.trace.timeout = SimDuration::from_millis(500)),
-            ("trace.max_consecutive_stars", |c| c.trace.max_consecutive_stars -= 1),
             ("trace.window", |c| c.trace.window += 1),
             ("trace.probe_budget", |c| c.trace.probe_budget += 1),
-            ("trace.time_budget", |c| c.trace.time_budget = SimDuration::from_secs(9)),
             ("dynamics.forwarding_loop_prob", |c| c.dynamics.forwarding_loop_prob *= 2.0),
             ("dynamics.forwarding_loop_delay", |c| {
                 c.dynamics.forwarding_loop_delay = SimDuration::from_millis(1)
@@ -1095,33 +1057,22 @@ mod tests {
     fn every_results_affecting_mda_field_is_fingerprinted() {
         type Flip = (&'static str, fn(&mut MultipathConfig));
         // Read by every walk.
-        let always: [Flip; 13] = [
+        let always: [Flip; 8] = [
             ("rounds", |c| c.rounds += 1),
             ("seed", |c| c.seed += 1),
             ("adaptive", |c| c.adaptive = !c.adaptive),
             ("inject.panic_units", |c| c.inject.panic_units.extend([3])),
             ("mda.alpha", |c| c.mda.alpha = 0.05),
             ("mda.max_flows_per_hop", |c| c.mda.max_flows_per_hop += 1),
-            ("mda.max_ttl", |c| c.mda.max_ttl -= 1),
-            ("mda.timeout", |c| c.mda.timeout = SimDuration::from_millis(500)),
             ("mda.window", |c| c.mda.window += 1),
-            ("mda.classify_repeats", |c| c.mda.classify_repeats += 1),
-            ("mda.protocol", |c| c.mda.protocol = MdaProtocol::Tcp),
             ("mda.probe_budget", |c| c.mda.probe_budget += 1),
-            ("mda.time_budget", |c| c.mda.time_budget = SimDuration::from_secs(9)),
-        ];
-        // The probing policies: read from `mda` by a fixed-rate walk,
-        // overridden by the preset under `adaptive`.
-        let policies: [Flip; 3] = [
-            ("mda.max_consecutive_stars", |c| c.mda.max_consecutive_stars += 1),
-            ("mda.flow_retries", |c| c.mda.flow_retries += 1),
-            ("mda.adaptive", |c| c.mda.adaptive = Some(1)),
         ];
         // Drawn per unit; what the config holds is never read.
-        let never: [Flip; 3] = [
+        let never: [Flip; 4] = [
             ("workers", |c| c.workers += 1),
             ("mda.base_src_port", |c| c.mda.base_src_port += 1),
             ("mda.dst_port", |c| c.mda.dst_port += 1),
+            ("mda.adaptive", |c| c.mda.adaptive = Some(1)),
         ];
         let net = generate(&InternetConfig::tiny(42));
         let path = tmp("flip-mda");
@@ -1139,12 +1090,8 @@ mod tests {
             for (field, flip) in always {
                 assert_eq!(resumed_kind(flip), Err(io::ErrorKind::InvalidData), "{field}");
             }
-            for (field, flip) in policies {
-                let expect = if adaptive { Ok(()) } else { Err(io::ErrorKind::InvalidData) };
-                assert_eq!(resumed_kind(flip), expect, "{field}, adaptive = {adaptive}");
-            }
             for (field, flip) in never {
-                assert_eq!(resumed_kind(flip), Ok(()), "{field}");
+                assert_eq!(resumed_kind(flip), Ok(()), "{field}, adaptive = {adaptive}");
             }
         }
         let _ = fs::remove_file(&path);

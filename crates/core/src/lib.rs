@@ -47,5 +47,8 @@ pub use probe::{prefix_u16, prefix_u32, quotation_for, ProbeSpec, ProbeStrategy,
 pub use render::{render, RenderOptions};
 pub use route::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind};
 pub use tcptrace::TcpTraceroute;
-pub use tracer::{trace, trace_with, TraceConfig, TraceScratch, Transport};
+pub use tracer::{
+    trace, trace_with, TraceConfig, TraceScratch, Transport, MAX_CONSECUTIVE_STARS, MAX_TTL,
+    PROBE_TIMEOUT,
+};
 pub use window::{ProbeWindow, Reply};

@@ -130,13 +130,13 @@ pub enum HaltReason {
     Terminal,
     /// Too many consecutive fully-star hops (8 in the study).
     StarLimit,
-    /// The 39-hop ceiling.
+    /// The 39-hop ceiling ([`crate::tracer::MAX_TTL`]).
     MaxTtl,
-    /// A watchdog budget ([`crate::tracer::TraceConfig::probe_budget`]
-    /// or [`crate::tracer::TraceConfig::time_budget`]) tripped before
-    /// the trace halted on its own. The route is a valid prefix of what
-    /// an unbudgeted trace would have measured, but it is *degraded*:
-    /// consumers must not read its tail as the end of the path.
+    /// The watchdog budget ([`crate::tracer::TraceConfig::probe_budget`])
+    /// tripped before the trace halted on its own. The route is a valid
+    /// prefix of what an unbudgeted trace would have measured, but it
+    /// is *degraded*: consumers must not read its tail as the end of
+    /// the path.
     Budget,
 }
 

@@ -2,11 +2,12 @@
 //!
 //! Reproduces the study's probing discipline (§3): one probe per hop
 //! (configurable to classic traceroute's three), up to two seconds'
-//! wait per probe, immediate halt on any Destination Unreachable or
-//! terminal reply, a ceiling of 39 hops, and abandonment after eight
-//! consecutive unanswered hops (exactly eight: the hop that brings the
-//! consecutive-star count to [`TraceConfig::max_consecutive_stars`] is
-//! the last one probed).
+//! wait per probe ([`PROBE_TIMEOUT`]), immediate halt on any
+//! Destination Unreachable or terminal reply, a ceiling of 39 hops
+//! ([`MAX_TTL`]), and abandonment after eight consecutive unanswered
+//! hops (exactly eight: the hop that brings the consecutive-star count
+//! to [`MAX_CONSECUTIVE_STARS`] is the last one probed). The three are
+//! constants: the study fixes them, and no caller varies them.
 //!
 //! # Windowed probing
 //!
@@ -129,21 +130,25 @@ impl Transport for SimTransport {
     }
 }
 
+/// Last TTL probed, by the tracer and the MDA walk alike ("no trace
+/// extends further than 39 hops", §3).
+pub const MAX_TTL: u8 = 39;
+
+/// How long either engine waits for a probe's answer (2 s in the study).
+pub const PROBE_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
+/// A trace is abandoned after this many consecutive all-star hops (8 in
+/// the study): the hop that brings the count to this value is the last
+/// one probed.
+pub const MAX_CONSECUTIVE_STARS: u8 = 8;
+
 /// Traceroute parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// First TTL probed. The study uses 2 to skip the university network.
     pub min_ttl: u8,
-    /// Last TTL probed ("no trace extends further than 39 hops", §3).
-    pub max_ttl: u8,
     /// Probes per hop: 1 in the study, 3 in classic traceroute defaults.
     pub probes_per_hop: u8,
-    /// Per-probe response timeout (2 s in the study).
-    pub timeout: SimDuration,
-    /// Abandon after this many consecutive all-star hops (8 in the
-    /// study): the hop that brings the count to this value is the last
-    /// one probed.
-    pub max_consecutive_stars: u8,
     /// Probes kept in flight at once. `1` is the study's strictly
     /// sequential per-process discipline (send, wait, time out, next);
     /// the default `3` pipelines the TTL ladder — the virtual-time
@@ -155,38 +160,23 @@ pub struct TraceConfig {
     /// unlimited). When it trips, the send gate closes, in-flight
     /// probes drain normally, and the route halts with
     /// [`HaltReason::Budget`] unless an organic halt (terminal reply,
-    /// star limit) lands first while draining.
+    /// star limit) lands first while draining. Each probe waits at most
+    /// [`PROBE_TIMEOUT`], so the budget bounds the trace's virtual time
+    /// too, and deterministically: the same trace degrades at the same
+    /// probe on every run and every worker count.
     pub probe_budget: u32,
-    /// Watchdog: ceiling on the virtual time one trace may consume
-    /// ([`SimDuration::ZERO`] = unlimited), measured from the trace's
-    /// first transport observation. Checked before each send, so the
-    /// trace never launches a probe past the ceiling; same wind-down
-    /// and [`HaltReason::Budget`] semantics as
-    /// [`TraceConfig::probe_budget`]. Virtual time makes the cut
-    /// deterministic: the same trace degrades at the same probe on
-    /// every run and every worker count.
-    pub time_budget: SimDuration,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            min_ttl: 1,
-            max_ttl: 39,
-            probes_per_hop: 1,
-            timeout: SimDuration::from_secs(2),
-            max_consecutive_stars: 8,
-            window: 3,
-            probe_budget: 0,
-            time_budget: SimDuration::ZERO,
-        }
+        TraceConfig { min_ttl: 1, probes_per_hop: 1, window: 3, probe_budget: 0 }
     }
 }
 
 impl TraceConfig {
     /// Exactly the study's parameters (§3), including `min_ttl = 2`.
-    /// Keeps the windowed default; combine with
-    /// [`TraceConfig::sequential`] for the per-process discipline.
+    /// Keeps the windowed default; set `window: 1` for the per-process
+    /// discipline.
     pub fn paper() -> Self {
         TraceConfig { min_ttl: 2, ..Self::default() }
     }
@@ -195,14 +185,6 @@ impl TraceConfig {
     /// makes diamonds visible within a single trace.
     pub fn three_probes() -> Self {
         TraceConfig { probes_per_hop: 3, ..Self::default() }
-    }
-
-    /// This configuration with `window = 1`: the strictly sequential
-    /// send→wait→timeout loop (byte-identical to the pre-windowed
-    /// driver at one probe per hop; see the module docs for the
-    /// terminal-hop caveat under `probes_per_hop > 1`).
-    pub fn sequential(self) -> Self {
-        TraceConfig { window: 1, ..self }
     }
 }
 
@@ -346,17 +328,14 @@ pub fn trace_with<T: Transport>(
     let mut consecutive_stars: u8 = 0;
     let mut halt = HaltReason::MaxTtl;
 
-    // Watchdog budgets: the virtual-time cutoff is anchored at the
-    // trace's start, and `budget_hit` remembers that a ceiling closed
+    // The watchdog: `budget_hit` remembers that the probe budget closed
     // the send gate so the halt reason can say so after wind-down.
-    let time_cutoff =
-        (config.time_budget.nanos() > 0).then(|| transport.now() + config.time_budget);
     let mut budget_hit = false;
 
     // Send cursor: probes launch in strict (TTL, slot) order.
     let mut next_ttl = config.min_ttl;
     let mut next_slot: usize = 0;
-    let mut sent_done = config.min_ttl > config.max_ttl;
+    let mut sent_done = config.min_ttl > MAX_TTL;
     // First hop index not yet finalized; halting is decided here only.
     let mut frontier: usize = 0;
     // Lowest hop with a terminal response recorded so far. Probes are
@@ -377,7 +356,7 @@ pub fn trace_with<T: Transport>(
             }
             if hops[frontier].all_stars() {
                 consecutive_stars += 1;
-                if consecutive_stars >= config.max_consecutive_stars {
+                if consecutive_stars >= MAX_CONSECUTIVE_STARS {
                     halt = HaltReason::StarLimit;
                     scratch.truncate_hops(&mut hops, frontier + 1);
                     break 'drive;
@@ -393,9 +372,7 @@ pub fn trace_with<T: Transport>(
         //    gets its full probe complement — classic traceroute sends
         //    all three probes at the terminal TTL).
         while !sent_done && scratch.window.in_flight() < window {
-            if (config.probe_budget != 0 && probe_idx >= u64::from(config.probe_budget))
-                || time_cutoff.is_some_and(|cutoff| transport.now() >= cutoff)
-            {
+            if config.probe_budget != 0 && probe_idx >= u64::from(config.probe_budget) {
                 // Watchdog tripped: close the send gate for good and
                 // let the probes already in flight drain. A hop cut
                 // mid-complement keeps only the slots actually probed,
@@ -425,13 +402,13 @@ pub fn trace_with<T: Transport>(
                 let packet = strategy.build_probe_with(source, destination, next_ttl, idx, payload);
                 let sent = transport.now();
                 let slot = ProbeSlot { hop: hop_index, slot: next_slot };
-                scratch.window.launch(idx, sent, config.timeout, slot);
+                scratch.window.launch(idx, sent, PROBE_TIMEOUT, slot);
                 transport.send(packet);
                 next_slot += 1;
             }
             if next_slot >= pph {
                 next_slot = 0;
-                if next_ttl >= config.max_ttl {
+                if next_ttl >= MAX_TTL {
                     sent_done = true;
                 } else {
                     next_ttl += 1;
@@ -691,7 +668,8 @@ mod tests {
         let (tx, dst) = blackhole();
         let mut tx = CountingTransport { inner: tx, sent: 0 };
         let mut strat = ParisUdp::new(41000, 52000);
-        let route = trace(&mut tx, &mut strat, dst, TraceConfig::default().sequential());
+        let sequential = TraceConfig { window: 1, ..TraceConfig::default() };
+        let route = trace(&mut tx, &mut strat, dst, sequential);
         assert_eq!(route.halt, HaltReason::StarLimit);
         assert_eq!(route.stars(), 8, "exactly the study's limit, not limit + 1");
         assert_eq!(tx.sent, 1 + 8, "one answered hop + 8 star probes actually sent");
@@ -783,29 +761,12 @@ mod tests {
         // wants to speculate past them, the gate blocks that, and the
         // terminal reply lands while draining — an organic halt, so the
         // route is not marked degraded and matches the unbudgeted one.
-        let config = TraceConfig {
-            probe_budget: 7,
-            time_budget: SimDuration::from_secs(600),
-            ..TraceConfig::default()
-        };
+        let config = TraceConfig { probe_budget: 7, ..TraceConfig::default() };
         let mut tx = transport(&sc, 1);
         let mut strat = ParisUdp::new(41000, 52000);
         let budgeted = trace(&mut tx, &mut strat, sc.destination, config);
         assert_eq!(budgeted, plain);
         assert!(!budgeted.degraded());
-    }
-
-    #[test]
-    fn time_budget_cuts_a_blackhole_trace_before_the_star_limit() {
-        // The blackhole tail burns a 2 s timeout per star; a 3 s budget
-        // stops the trace well before the 8-star abandonment.
-        let (mut tx, dst) = blackhole();
-        let mut strat = ParisUdp::new(41000, 52000);
-        let config =
-            TraceConfig { time_budget: SimDuration::from_secs(3), ..TraceConfig::default() };
-        let route = trace(&mut tx, &mut strat, dst, config);
-        assert_eq!(route.halt, HaltReason::Budget, "{route:?}");
-        assert!(route.stars() < 8, "cut short of the star limit: {route:?}");
     }
 
     #[test]
@@ -974,7 +935,8 @@ mod tests {
         };
         let mut tx = ScriptedTransport::new(src, plan);
         let mut strat = ParisUdp::new(41000, 52000);
-        let route = trace(&mut tx, &mut strat, dst, TraceConfig::default().sequential());
+        let route =
+            trace(&mut tx, &mut strat, dst, TraceConfig { window: 1, ..Default::default() });
         assert_eq!(route.halt, HaltReason::Terminal);
         assert_eq!(route.hops.len(), 5);
         assert_eq!(

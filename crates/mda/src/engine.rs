@@ -38,10 +38,11 @@
 //!
 //! # Non-responses
 //!
-//! A flow whose probe times out is retried up to
-//! [`MdaConfig::flow_retries`] times before being committed as a
-//! *star*. Stars are first-class: they are counted per hop, they do
-//! not feed the stopping rule's "nothing new" streak (a non-answer is
+//! A flow whose probe times out is retried — [`FLOW_RETRIES`] times, or
+//! up to [`ADAPTIVE_FLOW_RETRIES`] at a hop of an adaptive walk that
+//! has answered — before being committed as a *star*. Stars are
+//! first-class: they are counted per hop, they do not feed the
+//! stopping rule's "nothing new" streak (a non-answer is
 //! not evidence that the seen set is complete), and any star in the
 //! committed prefix marks the hop as *not converged* — a silent router
 //! inside a balanced hop is visible as non-convergence instead of
@@ -51,7 +52,7 @@ use std::net::Ipv4Addr;
 
 use pt_core::{
     prefix_u16, prefix_u32, quotation_for, ParisTcp, ParisUdp, ProbeStrategy, ProbeWindow,
-    Transport,
+    Transport, MAX_TTL, PROBE_TIMEOUT,
 };
 use pt_netsim::splitmix64;
 use pt_netsim::time::{SimDuration, SimTime};
@@ -62,11 +63,11 @@ use pt_wire::{IcmpMessage, Packet, Transport as Wire};
 use crate::map::{BalancerClass, DagLink, HopInterfaces, MultipathMap};
 use crate::rule::RuleTable;
 
-/// Probe protocol for a walk. UDP is the paper's default; TCP is the
+/// Probe protocol for a walk. Every walk starts on UDP; TCP is the
 /// fallback the adaptive walk switches to mid-trace when a run of
 /// all-star hops suggests a UDP filter on the path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MdaProtocol {
+enum MdaProtocol {
     /// UDP datagrams to high ports: flow id in the source port, probe
     /// id in the pinned checksum (the Paris encoding).
     Udp,
@@ -80,12 +81,26 @@ pub enum MdaProtocol {
 /// the one port filtering middleboxes most reliably pass.
 const TCP_FALLBACK_PORT: u16 = 80;
 
-/// Dead-hop retry clamp for the adaptive walk: a hop that has never
-/// answered gets this many retries per flow (matching the classic
-/// default) instead of the full adaptive budget — backoff chains are
-/// for routers that demonstrably respond (rate limiting), not for
-/// black holes.
-const DEAD_FLOW_RETRIES: u8 = 2;
+/// Times a silent flow is re-probed before it is committed as a star
+/// (loss robustness; a genuinely silent interface still stars after
+/// every retry). It is also the adaptive walk's clamp at a hop that has
+/// never answered: backoff chains are for routers that demonstrably
+/// respond (rate limiting), not for black holes.
+const FLOW_RETRIES: u8 = 2;
+
+/// The adaptive walk's retry budget per flow at a hop that has answered.
+const ADAPTIVE_FLOW_RETRIES: u8 = 5;
+
+/// Consecutive all-star hops after which the fixed-rate walk gives up.
+pub(crate) const STAR_LIMIT: u8 = 3;
+
+/// The adaptive walk's longer star run, so that MPLS interiors that hide
+/// several hops do not truncate the walk.
+const ADAPTIVE_STAR_LIMIT: u8 = 5;
+
+/// Size of the fixed-flow re-probe batch that classifies a balanced
+/// hop as per-flow vs per-packet.
+const CLASSIFY_REPEATS: usize = 8;
 
 /// Base delay before the adaptive walk re-probes a timed-out flow at a
 /// hop that has already answered (rate-limit evidence). Doubles per
@@ -109,9 +124,9 @@ const DEAD_HOP_FLOWS: usize = 4;
 
 /// Consecutive all-star hops right after answering hops that make the
 /// adaptive walk fall back from UDP to TCP (a UDP filter, not a dead
-/// path). Below both presets' `max_consecutive_stars`, or abandonment
-/// would win.
+/// path).
 const FALLBACK_AFTER_STARS: u8 = 2;
+const _: () = assert!(FALLBACK_AFTER_STARS < ADAPTIVE_STAR_LIMIT, "abandonment would win");
 
 /// MDA parameters.
 #[derive(Debug, Clone, Copy)]
@@ -121,49 +136,31 @@ pub struct MdaConfig {
     pub alpha: f64,
     /// Hard cap on flows tried per hop.
     pub max_flows_per_hop: usize,
-    /// Maximum TTL to walk.
-    pub max_ttl: u8,
-    /// Per-probe timeout.
-    pub timeout: SimDuration,
-    /// Give up after this many consecutive all-star hops.
-    pub max_consecutive_stars: u8,
     /// Probes kept in flight at once. `1` reproduces the strictly
     /// sequential send→wait→timeout walk; wider windows overlap probes
     /// within and across hops and cut virtual probing time while
     /// discovering the identical DAG on deterministic networks.
     pub window: u8,
-    /// Times a silent flow is re-probed before it is committed as a
-    /// star (loss robustness; a genuinely silent interface still stars
-    /// after every retry).
-    pub flow_retries: u8,
-    /// Size of the fixed-flow re-probe batch that classifies a
-    /// converged balanced hop as per-flow vs per-packet.
-    pub classify_repeats: u8,
     /// Source port of flow 0; flow `f` probes from `base_src_port + f`.
     pub base_src_port: u16,
     /// Fixed destination port (the five-tuple's other half).
     pub dst_port: u16,
-    /// Protocol the walk starts with.
-    pub protocol: MdaProtocol,
     /// `Some(jitter seed)` arms the hostile-network probing policies
-    /// ([`MdaConfig::adaptive`]): backoff retries with jitter drawn from
-    /// the seed, per-hop pacing, a thriftier dead-hop flow budget and
-    /// the mid-walk UDP → TCP fallback. `None` is the fixed-rate walk.
-    /// Derive the seed from the unit seed so campaigns stay
-    /// reproducible for any worker count.
+    /// ([`MdaConfig::adaptive`]): a deeper retry budget, backoff retries
+    /// with jitter drawn from the seed, per-hop pacing, a thriftier
+    /// dead-hop flow budget, a longer star run and the mid-walk UDP →
+    /// TCP fallback. `None` is the fixed-rate walk. Derive the seed
+    /// from the unit seed so campaigns stay reproducible for any worker
+    /// count.
     pub adaptive: Option<u64>,
     /// Watchdog: hard ceiling on probes one walk may send (`0` =
     /// unlimited; the 15-bit id space still caps every walk). When it
     /// trips with enumeration still wanting probes, the walk winds
     /// down and the resulting map is marked
-    /// [`MultipathMap::degraded`].
-    pub probe_budget: usize,
-    /// Watchdog: ceiling on the virtual time one walk may consume
-    /// ([`SimDuration::ZERO`] = unlimited), measured from the walk's
-    /// start. Same wind-down and degradation semantics as
-    /// [`MdaConfig::probe_budget`]; virtual time makes the cut
-    /// deterministic for any worker count.
-    pub time_budget: SimDuration,
+    /// [`MultipathMap::degraded`]. Each probe waits at most
+    /// [`PROBE_TIMEOUT`] plus one capped backoff or pacing gate, so the
+    /// budget bounds the walk's virtual time too.
+    pub probe_budget: u32,
 }
 
 impl Default for MdaConfig {
@@ -171,44 +168,43 @@ impl Default for MdaConfig {
         MdaConfig {
             alpha: 0.05,
             max_flows_per_hop: 64,
-            max_ttl: 39,
-            timeout: SimDuration::from_secs(2),
-            max_consecutive_stars: 3,
             window: 8,
-            flow_retries: 2,
-            classify_repeats: 8,
             base_src_port: 40_000,
             dst_port: 33_435,
-            protocol: MdaProtocol::Udp,
             adaptive: None,
             probe_budget: 0,
-            time_budget: SimDuration::ZERO,
         }
     }
 }
 
 impl MdaConfig {
-    /// This configuration with `window = 1`: the strictly sequential
-    /// walk (one probe in flight, hop by hop).
-    pub fn sequential(self) -> Self {
-        MdaConfig { window: 1, ..self }
-    }
-
     /// The hostile-network preset: a deeper retry budget with
     /// exponential backoff and seeded jitter at hops that answer then
     /// go silent (token-bucket rate limiters), per-hop probe pacing
     /// that widens to ride out the refill interval, a longer star run
-    /// before abandonment (so MPLS interiors that hide several hops do
-    /// not truncate the walk), and a mid-walk UDP → TCP fallback for
+    /// before abandonment, and a mid-walk UDP → TCP fallback for
     /// filtered paths. On fault-free paths none of these engage and
     /// the walk behaves like the default configuration plus a deeper
-    /// (but clamped — see the dead-hop retry clamp) retry budget.
+    /// (but clamped at hops that never answered) retry budget.
     pub fn adaptive(jitter_seed: u64) -> Self {
-        MdaConfig {
-            flow_retries: 5,
-            max_consecutive_stars: 5,
-            adaptive: Some(jitter_seed),
-            ..MdaConfig::default()
+        MdaConfig { adaptive: Some(jitter_seed), ..MdaConfig::default() }
+    }
+
+    /// Times a silent flow is re-probed before it is committed as a star.
+    fn flow_retries(&self) -> u8 {
+        if self.adaptive.is_some() {
+            ADAPTIVE_FLOW_RETRIES
+        } else {
+            FLOW_RETRIES
+        }
+    }
+
+    /// Consecutive all-star hops that end the walk.
+    fn star_limit(&self) -> u8 {
+        if self.adaptive.is_some() {
+            ADAPTIVE_STAR_LIMIT
+        } else {
+            STAR_LIMIT
         }
     }
 }
@@ -474,7 +470,7 @@ impl HopState {
             }
         }
         if self.enum_done && self.classify_target == 0 && self.interfaces.len() >= 2 {
-            self.classify_target = usize::from(config.classify_repeats);
+            self.classify_target = CLASSIFY_REPEATS;
         }
     }
 
@@ -559,9 +555,9 @@ fn expire(
             };
         }
     }
-    let spent = config.flow_retries.saturating_sub(retries_left);
+    let spent = config.flow_retries().saturating_sub(retries_left);
     let exhausted =
-        retries_left == 0 || (config.adaptive.is_some() && !lively && spent >= DEAD_FLOW_RETRIES);
+        retries_left == 0 || (config.adaptive.is_some() && !lively && spent >= FLOW_RETRIES);
     st.slots[fi] = if exhausted {
         Slot::Star
     } else {
@@ -691,20 +687,16 @@ pub fn discover_with<T: Transport>(
     let mut consecutive_stars = 0u8;
     let mut next_id: u16 = 0;
     let mut total_probes = 0usize;
-    let mut proto = config.protocol;
+    let mut proto = MdaProtocol::Udp;
     let kept: usize;
 
-    // Watchdog budgets: the probe gate folds the configured ceiling
-    // into the id-space cap; the time cutoff is anchored at the walk's
-    // start. `budget_hit` records that a closed gate cut off launches
-    // the walk still wanted, which marks the resulting map degraded.
-    let start = transport.now();
-    let probe_gate = if config.probe_budget == 0 {
-        usize::from(ID_SPACE)
-    } else {
-        config.probe_budget.min(usize::from(ID_SPACE))
+    // The watchdog: the probe gate folds the configured ceiling into
+    // the id-space cap. `budget_hit` records that a closed gate cut off
+    // launches the walk still wanted, which marks the map degraded.
+    let probe_gate = match config.probe_budget {
+        0 => usize::from(ID_SPACE),
+        budget => usize::from(ID_SPACE).min(budget as usize),
     };
-    let time_cutoff = (config.time_budget.nanos() > 0).then(|| start + config.time_budget);
     let mut budget_hit = false;
 
     'drive: loop {
@@ -738,7 +730,7 @@ pub fn discover_with<T: Transport>(
                     proto = MdaProtocol::Tcp;
                     continue 'drive;
                 }
-                if consecutive_stars >= config.max_consecutive_stars {
+                if consecutive_stars >= config.star_limit() {
                     kept = frontier + 1;
                     break 'drive;
                 }
@@ -758,8 +750,8 @@ pub fn discover_with<T: Transport>(
         let now = transport.now();
         let mut wake: Option<SimTime> = None;
         while scratch.window.in_flight() < window {
-            if total_probes >= probe_gate || time_cutoff.is_some_and(|cutoff| now >= cutoff) {
-                // A watchdog (or the id space) closed the launch gate.
+            if total_probes >= probe_gate {
+                // The watchdog (or the id space) closed the launch gate.
                 // Leaving `wake` unset lets the walk wind down: once
                 // the window drains, nothing reopens it. The map is
                 // degraded only if enumeration still wanted probes —
@@ -793,7 +785,7 @@ pub fn discover_with<T: Transport>(
                 }
                 Launch::NewFlow { hop } => {
                     let flow = scratch.states[hop].slots.len() as u16;
-                    (hop, flow, config.flow_retries, ProbeKind::Enumerate { flow })
+                    (hop, flow, config.flow_retries(), ProbeKind::Enumerate { flow })
                 }
                 Launch::Classify { hop } => {
                     // Re-probe with the first flow that answered — a
@@ -853,7 +845,7 @@ pub fn discover_with<T: Transport>(
             };
             let sent = transport.now();
             let probe = Probe { hop: hop_idx, kind };
-            scratch.window.launch(id, sent, config.timeout, probe);
+            scratch.window.launch(id, sent, PROBE_TIMEOUT, probe);
             next_id = next_id.wrapping_add(1) & ID_SPACE;
             transport.send(packet);
         }
@@ -1013,7 +1005,7 @@ fn next_launch(
         }
         terminal_known |= st.enum_done && st.terminal_complete();
     }
-    if !terminal_known && states.len() < usize::from(config.max_ttl) {
+    if !terminal_known && states.len() < usize::from(MAX_TTL) {
         return (Some(Launch::OpenHop), wake);
     }
     (None, wake)

@@ -30,7 +30,7 @@ mod engine;
 mod map;
 mod rule;
 
-pub use engine::{discover, discover_with, MdaConfig, MdaProtocol, MdaScratch};
+pub use engine::{discover, discover_with, MdaConfig, MdaScratch};
 pub use map::{BalancerClass, DagLink, HopInterfaces, MultipathMap};
 pub use rule::{probes_to_rule_out, probes_to_rule_out_lossy};
 
@@ -236,7 +236,8 @@ mod tests {
         let sc = scenarios::fig6(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
         let walk = |budget: usize| {
             let mut tx = transport(&sc, 5);
-            let config = MdaConfig { probe_budget: budget, ..MdaConfig::default() };
+            let probe_budget = u32::try_from(budget).expect("a small budget");
+            let config = MdaConfig { probe_budget, ..MdaConfig::default() };
             discover(&mut tx, sc.destination, &config)
         };
         let full = walk(0);
@@ -258,38 +259,19 @@ mod tests {
     }
 
     #[test]
-    fn time_budget_degrades_a_walk() {
-        let sc = scenarios::fig6(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
-        let mut tx = transport(&sc, 5);
-        let config = MdaConfig {
-            time_budget: SimDuration::from_millis(40),
-            ..MdaConfig::default().sequential()
-        };
-        let map = discover(&mut tx, sc.destination, &config);
-        assert!(map.degraded, "a 40 ms ceiling cannot cover the whole sequential walk");
-        let full = discover(&mut transport(&sc, 5), sc.destination, &MdaConfig::default());
-        assert!(map.hops.len() <= full.hops.len());
-    }
-
-    #[test]
     fn late_answers_are_strays_and_the_walk_ends_at_the_star_limit() {
-        // S -(100 ms)- r - D against a 50 ms timeout: every reply lands
-        // after its probe expired, while that flow's retry (a new id) or
-        // a later flow is in flight. An expired probe has left the
-        // window, so the late reply credits nothing — in particular not
-        // the retry now occupying its flow's slot.
-        let (topo, s, dst) = chain(100, pt_netsim::HostConfig::default());
+        // S -(2.5 s)- r - D against the fixed 2 s timeout: every reply
+        // lands after its probe expired, while that flow's retry (a new
+        // id) or a later flow is in flight. An expired probe has left
+        // the window, so the late reply credits nothing — in particular
+        // not the retry now occupying its flow's slot.
+        let (topo, s, dst) = chain(2_500, pt_netsim::HostConfig::default());
         let walk = |window: u8| {
             let mut tx = SimTransport::new(Simulator::new(topo.clone(), 1), s);
-            let cfg = MdaConfig {
-                timeout: SimDuration::from_millis(50),
-                flow_retries: 1,
-                window,
-                ..MdaConfig::default()
-            };
+            let cfg = MdaConfig { window, ..MdaConfig::default() };
             let map = discover(&mut tx, dst, &cfg);
             assert!(!map.reached, "window {window}");
-            assert_eq!(map.hops.len(), usize::from(cfg.max_consecutive_stars), "window {window}");
+            assert_eq!(map.hops.len(), usize::from(engine::STAR_LIMIT), "window {window}");
             for h in &map.hops {
                 assert!(h.interfaces.is_empty() && h.stars > 0 && !h.converged, "window {window}");
             }
@@ -303,17 +285,11 @@ mod tests {
         let (topo, s, dst) = chain(1, pt_netsim::HostConfig::firewalled());
         for window in [1u8, 8] {
             let mut tx = SimTransport::new(Simulator::new(topo.clone(), 1), s);
-            let cfg =
-                MdaConfig { timeout: SimDuration::from_millis(50), window, ..MdaConfig::default() };
-            let map = discover(&mut tx, dst, &cfg);
+            let map = discover(&mut tx, dst, &MdaConfig { window, ..MdaConfig::default() });
             assert!(!map.reached, "window {window}");
-            // One answered hop (r) + exactly max_consecutive_stars
-            // all-star hops, then abandonment.
-            assert_eq!(
-                map.hops.len(),
-                1 + usize::from(cfg.max_consecutive_stars),
-                "window {window}"
-            );
+            // One answered hop (r) + exactly the star limit's all-star
+            // hops, then abandonment.
+            assert_eq!(map.hops.len(), 1 + usize::from(engine::STAR_LIMIT), "window {window}");
             assert!(map.hops[1..].iter().all(|h| h.all_stars() && !h.converged));
         }
     }

@@ -108,7 +108,7 @@ fn steady_state_trace_pair_allocates_nothing() {
         let config = if seed.is_multiple_of(2) {
             TraceConfig::paper()
         } else {
-            TraceConfig::paper().sequential()
+            TraceConfig { window: 1, ..TraceConfig::paper() }
         };
         let sim = pool.acquire(seed);
         let mut tx = SimTransport::new(sim, sc.source);
@@ -159,7 +159,7 @@ fn steady_state_trace_pair_allocates_nothing() {
         // percent of (hop, seed) combinations by design, and this test
         // asserts the full diamond on every seed.
         let base = MdaConfig { alpha: 0.01, ..MdaConfig::default() };
-        let config = if seed.is_multiple_of(2) { base } else { base.sequential() };
+        let config = if seed.is_multiple_of(2) { base } else { MdaConfig { window: 1, ..base } };
         let sim = pool.acquire(seed);
         let mut tx = SimTransport::new(sim, sc6.source);
         let map = discover_with(&mut tx, sc6.destination, &config, scratch);
