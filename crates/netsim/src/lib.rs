@@ -49,7 +49,7 @@ pub use addr::Ipv4Prefix;
 pub use arena::{PacketArena, PacketRef};
 pub use builder::TopologyBuilder;
 pub use node::{BalancerKind, HostConfig, IcmpRateLimit, NatConfig, NodeKind, RouterConfig};
-pub use routing::{NextHop, NodeRouting, RouteDelta, RoutingTable};
+pub use routing::{NextHop, RoutingTable};
 pub use sim::{splitmix64, SimStats, Simulator, SimulatorPool};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkId, NodeId, Topology};

@@ -1,6 +1,5 @@
 //! Forwarding state: longest-prefix-match routing tables whose next hops
-//! may be single interfaces or load-balanced interface sets, plus the
-//! copy-on-write overlay simulators layer over a shared base table.
+//! may be single interfaces or load-balanced interface sets.
 
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
@@ -162,19 +161,6 @@ impl RoutingTable {
         self.entries.iter().find(|(p, _)| p.contains(dst)).map(|(p, nh)| (*p, nh))
     }
 
-    /// The route installed for exactly `prefix`, if any (no LPM).
-    pub fn exact(&self, prefix: Ipv4Prefix) -> Option<&NextHop> {
-        if prefix.len() == 32 {
-            return self.host_routes.get(&prefix.network());
-        }
-        self.entries.iter().find(|(p, _)| *p == prefix).map(|(_, nh)| nh)
-    }
-
-    /// The host route for `dst`, if one is installed.
-    pub fn host_route(&self, dst: Ipv4Addr) -> Option<&NextHop> {
-        self.host_routes.get(&dst)
-    }
-
     /// Non-host entries, sorted by descending prefix length.
     pub fn entries(&self) -> &[(Ipv4Prefix, NextHop)] {
         &self.entries
@@ -188,210 +174,6 @@ impl RoutingTable {
     /// True when the table has no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty() && self.host_routes.is_empty()
-    }
-}
-
-/// A node's copy-on-write routing changes, layered over a base
-/// [`RoutingTable`] it does not own.
-///
-/// Simulators used to deep-copy every node's table at construction —
-/// O(nodes × destinations) on the synthetic Internet, where each core
-/// router carries one host route per destination. The delta makes
-/// construction O(nodes) and allocation-free: a pristine delta is a
-/// single null pointer, and only routes actually changed by routing
-/// dynamics ([`crate::sim::Simulator::schedule_route_set`]) occupy
-/// per-simulator memory. A `None` value is a tombstone masking a base
-/// route.
-#[derive(Debug, Clone, Default)]
-pub struct RouteDelta {
-    /// Boxed so a pristine delta (the overwhelmingly common case — one
-    /// word, no allocation) keeps per-node state small and construction
-    /// cheap.
-    changes: Option<Box<DeltaChanges>>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct DeltaChanges {
-    /// Non-host delta entries, sorted by descending prefix length.
-    entries: Vec<(Ipv4Prefix, Option<NextHop>)>,
-    /// Host-route delta entries.
-    hosts: AddrMap<Option<NextHop>>,
-}
-
-impl RouteDelta {
-    /// A delta with no changes.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A shared pristine delta, for borrow-only views over state that
-    /// has no changes to show (the simulator's epoch-lazy node slots
-    /// that have not been touched since a reset).
-    pub fn pristine_ref() -> &'static RouteDelta {
-        static PRISTINE: RouteDelta = RouteDelta { changes: None };
-        &PRISTINE
-    }
-
-    /// True when no route differs from the base.
-    pub fn is_pristine(&self) -> bool {
-        self.changes.as_ref().is_none_or(|c| c.entries.is_empty() && c.hosts.is_empty())
-    }
-
-    /// Number of changed routes (diagnostics).
-    pub fn len(&self) -> usize {
-        self.changes.as_ref().map_or(0, |c| c.entries.len() + c.hosts.len())
-    }
-
-    /// True when the delta records no changes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Install or replace the route for exactly `prefix`.
-    pub fn set(&mut self, prefix: Ipv4Prefix, next_hop: NextHop) {
-        let c = self.changes.get_or_insert_default();
-        if prefix.len() == 32 {
-            c.hosts.insert(prefix.network(), Some(next_hop));
-            return;
-        }
-        if let Some(slot) = c.entries.iter_mut().find(|(p, _)| *p == prefix) {
-            slot.1 = Some(next_hop);
-        } else {
-            let at = c.entries.partition_point(|(p, _)| p.len() >= prefix.len());
-            c.entries.insert(at, (prefix, Some(next_hop)));
-        }
-    }
-
-    /// Remove the route for exactly `prefix` (a no-op if absent). When
-    /// `base` carries the prefix a tombstone masks it; otherwise the
-    /// delta entry is dropped so the delta stays minimal under the
-    /// set-then-remove pattern routing dynamics produce.
-    pub fn remove(&mut self, base: &RoutingTable, prefix: Ipv4Prefix) {
-        let masks_base = base.exact(prefix).is_some();
-        let Some(c) = self.changes.as_deref_mut() else {
-            if masks_base {
-                let c = self.changes.get_or_insert_default();
-                if prefix.len() == 32 {
-                    c.hosts.insert(prefix.network(), None);
-                } else {
-                    c.entries.push((prefix, None));
-                }
-            }
-            return;
-        };
-        if prefix.len() == 32 {
-            let addr = prefix.network();
-            if masks_base {
-                c.hosts.insert(addr, None);
-            } else {
-                c.hosts.remove(&addr);
-            }
-            return;
-        }
-        match c.entries.iter().position(|(p, _)| *p == prefix) {
-            Some(idx) if !masks_base => {
-                c.entries.remove(idx);
-            }
-            Some(idx) => c.entries[idx].1 = None,
-            None if masks_base => {
-                let at = c.entries.partition_point(|(p, _)| p.len() >= prefix.len());
-                c.entries.insert(at, (prefix, None));
-            }
-            None => {}
-        }
-    }
-}
-
-/// The merged, read-only view of a base table plus one node's delta —
-/// what the simulator's forwarding path consults. Borrow-only: building
-/// one costs two pointer copies.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeRouting<'a> {
-    base: &'a RoutingTable,
-    delta: &'a RouteDelta,
-}
-
-impl<'a> NodeRouting<'a> {
-    /// View `delta` over `base`.
-    pub fn new(base: &'a RoutingTable, delta: &'a RouteDelta) -> Self {
-        NodeRouting { base, delta }
-    }
-
-    /// The underlying base table.
-    pub fn base(&self) -> &'a RoutingTable {
-        self.base
-    }
-
-    /// Longest-prefix-match lookup over the merged view.
-    pub fn lookup(&self, dst: Ipv4Addr) -> Option<&'a NextHop> {
-        // Fast path: pristine delta means the base answer is the answer.
-        match self.delta.changes.as_deref() {
-            None => self.base.lookup(dst),
-            Some(_) => self.lookup_entry(dst).map(|(_, nh)| nh),
-        }
-    }
-
-    /// Longest-prefix-match lookup over the merged view, also reporting
-    /// which prefix matched.
-    pub fn lookup_entry(&self, dst: Ipv4Addr) -> Option<(Ipv4Prefix, &'a NextHop)> {
-        let Some(c) = self.delta.changes.as_deref() else {
-            return self.base.lookup_entry(dst);
-        };
-        // Host routes: a delta entry (set *or* tombstone) overrides the
-        // base; a tombstone falls through to the prefix entries.
-        match c.hosts.get(&dst) {
-            Some(Some(nh)) => return Some((Ipv4Prefix::host(dst), nh)),
-            Some(None) => {}
-            None => {
-                if let Some(nh) = self.base.host_route(dst) {
-                    return Some((Ipv4Prefix::host(dst), nh));
-                }
-            }
-        }
-        // Best live delta entry (skipping tombstones; they only mask the
-        // base, shorter delta prefixes below them may still match).
-        let from_delta = c
-            .entries
-            .iter()
-            .filter(|(p, _)| p.contains(dst))
-            .find_map(|(p, nh)| nh.as_ref().map(|nh| (*p, nh)));
-        // Best base entry not overridden or tombstoned by the delta.
-        let from_base = self
-            .base
-            .entries()
-            .iter()
-            .find(|(p, _)| p.contains(dst) && !c.entries.iter().any(|(q, _)| q == p))
-            .map(|(p, nh)| (*p, nh));
-        match (from_delta, from_base) {
-            (Some(d), Some(b)) => Some(if d.0.len() >= b.0.len() { d } else { b }),
-            (d, b) => d.or(b),
-        }
-    }
-
-    /// Materialize the merged view as a plain table (tests, diagnostics —
-    /// never on the forwarding path).
-    pub fn flatten(&self) -> RoutingTable {
-        let mut out = self.base.clone();
-        if let Some(c) = self.delta.changes.as_deref() {
-            for (prefix, change) in &c.entries {
-                match change {
-                    Some(nh) => out.set(*prefix, nh.clone()),
-                    None => {
-                        out.remove(*prefix);
-                    }
-                }
-            }
-            for (addr, change) in &c.hosts {
-                let prefix = Ipv4Prefix::host(*addr);
-                match change {
-                    Some(nh) => out.set(prefix, nh.clone()),
-                    None => {
-                        out.remove(prefix);
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -504,7 +286,16 @@ mod host_route_tests {
 
 #[cfg(test)]
 mod overlay_tests {
+    //! Route changes a simulator applies over a node's shared table, read
+    //! back through [`Simulator::routing_of`].
+
     use super::*;
+    use crate::builder::TopologyBuilder;
+    use crate::node::RouterConfig;
+    use crate::sim::Simulator;
+    use crate::time::SimTime;
+    use crate::topology::{NodeId, Topology};
+    use std::sync::Arc;
 
     fn p(s: [u8; 4], len: u8) -> Ipv4Prefix {
         Ipv4Prefix::new(Ipv4Addr::from(s), len)
@@ -518,87 +309,85 @@ mod overlay_tests {
         t
     }
 
-    /// What `SimState::forward` consults: the node's delta over the
-    /// topology's base table.
-    fn lookup<'a>(
-        base: &'a RoutingTable,
-        delta: &'a RouteDelta,
-        a: [u8; 4],
-    ) -> Option<&'a NextHop> {
-        NodeRouting::new(base, delta).lookup(Ipv4Addr::from(a))
+    /// A simulator over one router `r` that boots with [`base`].
+    fn sim() -> (Simulator, Arc<Topology>, NodeId) {
+        let mut b = TopologyBuilder::new();
+        let r = b.router("r", RouterConfig::default());
+        let mut topo = b.build();
+        topo.nodes[r.0].routing = Arc::new(base());
+        let topo = Arc::new(topo);
+        (Simulator::new(topo.clone(), 1), topo, r)
+    }
+
+    /// Apply one route change at `r` the way routing dynamics do.
+    fn change(sim: &mut Simulator, r: NodeId, prefix: Ipv4Prefix, next_hop: Option<NextHop>) {
+        sim.schedule_route_set(SimTime::ZERO, r, prefix, next_hop);
+        sim.run_to_quiescence();
+    }
+
+    fn lookup(sim: &Simulator, r: NodeId, a: [u8; 4]) -> Option<&NextHop> {
+        sim.routing_of(r).lookup(Ipv4Addr::from(a))
     }
 
     #[test]
     fn pristine_overlay_mirrors_base() {
-        let (base, d) = (base(), RouteDelta::new());
-        assert!(d.is_pristine());
-        assert_eq!(lookup(&base, &d, [10, 2, 3, 4]), Some(&NextHop::Iface(1)));
-        assert_eq!(lookup(&base, &d, [10, 9, 9, 9]), Some(&NextHop::Iface(9)));
-        assert_eq!(lookup(&base, &d, [192, 0, 2, 1]), Some(&NextHop::Iface(0)));
+        let (sim, topo, r) = sim();
+        assert!(std::ptr::eq(sim.routing_of(r), &*topo.node(r).routing), "no copy before a change");
+        assert_eq!(lookup(&sim, r, [10, 2, 3, 4]), Some(&NextHop::Iface(1)));
+        assert_eq!(lookup(&sim, r, [10, 9, 9, 9]), Some(&NextHop::Iface(9)));
+        assert_eq!(lookup(&sim, r, [192, 0, 2, 1]), Some(&NextHop::Iface(0)));
     }
 
     #[test]
     fn delta_set_shadows_base() {
-        let (base, mut d) = (base(), RouteDelta::new());
-        d.set(p([10, 0, 0, 0], 8), NextHop::Iface(4));
-        assert_eq!(lookup(&base, &d, [10, 2, 3, 4]), Some(&NextHop::Iface(4)));
-        // More specific delta entry beats a shorter base entry.
-        d.set(p([10, 2, 0, 0], 16), NextHop::Iface(5));
-        assert_eq!(lookup(&base, &d, [10, 2, 3, 4]), Some(&NextHop::Iface(5)));
-        assert_eq!(lookup(&base, &d, [10, 3, 3, 4]), Some(&NextHop::Iface(4)));
+        let (mut sim, _, r) = sim();
+        change(&mut sim, r, p([10, 0, 0, 0], 8), Some(NextHop::Iface(4)));
+        assert_eq!(lookup(&sim, r, [10, 2, 3, 4]), Some(&NextHop::Iface(4)));
+        // A more specific change beats a shorter base entry.
+        change(&mut sim, r, p([10, 2, 0, 0], 16), Some(NextHop::Iface(5)));
+        assert_eq!(lookup(&sim, r, [10, 2, 3, 4]), Some(&NextHop::Iface(5)));
+        assert_eq!(lookup(&sim, r, [10, 3, 3, 4]), Some(&NextHop::Iface(4)));
     }
 
     #[test]
     fn tombstone_masks_base_and_falls_through() {
-        let (base, mut d) = (base(), RouteDelta::new());
-        d.remove(&base, p([10, 0, 0, 0], 8));
+        let (mut sim, _, r) = sim();
+        change(&mut sim, r, p([10, 0, 0, 0], 8), None);
         // The /8 is gone; the default still matches.
-        assert_eq!(lookup(&base, &d, [10, 2, 3, 4]), Some(&NextHop::Iface(0)));
+        assert_eq!(lookup(&sim, r, [10, 2, 3, 4]), Some(&NextHop::Iface(0)));
         // Removing a base host route re-exposes shorter prefixes.
-        d.remove(&base, Ipv4Prefix::host(Ipv4Addr::new(10, 9, 9, 9)));
-        assert_eq!(lookup(&base, &d, [10, 9, 9, 9]), Some(&NextHop::Iface(0)));
+        change(&mut sim, r, Ipv4Prefix::host(Ipv4Addr::new(10, 9, 9, 9)), None);
+        assert_eq!(lookup(&sim, r, [10, 9, 9, 9]), Some(&NextHop::Iface(0)));
     }
 
     #[test]
     fn set_then_remove_of_novel_route_leaves_no_delta() {
-        let (base, mut d) = (base(), RouteDelta::new());
-        let dest = [172, 16, 0, 1];
-        d.set(Ipv4Prefix::host(Ipv4Addr::from(dest)), NextHop::Iface(3));
-        assert_eq!(lookup(&base, &d, dest), Some(&NextHop::Iface(3)));
-        d.remove(&base, Ipv4Prefix::host(Ipv4Addr::from(dest)));
-        assert_eq!(lookup(&base, &d, dest), Some(&NextHop::Iface(0)));
-        assert!(d.is_pristine(), "novel set+remove must not grow the delta");
+        let (mut sim, _, r) = sim();
+        let dest = Ipv4Prefix::host(Ipv4Addr::new(172, 16, 0, 1));
+        change(&mut sim, r, dest, Some(NextHop::Iface(3)));
+        assert_eq!(lookup(&sim, r, [172, 16, 0, 1]), Some(&NextHop::Iface(3)));
+        change(&mut sim, r, dest, None);
+        assert_eq!(sim.routing_of(r), &base(), "novel set+remove must leave the base routes");
     }
 
     #[test]
     fn lookup_entry_reports_prefix_across_layers() {
-        let (base, mut d) = (base(), RouteDelta::new());
+        let (mut sim, _, r) = sim();
         let a = Ipv4Addr::new(10, 2, 3, 4);
-        assert_eq!(NodeRouting::new(&base, &d).lookup_entry(a).unwrap().0, p([10, 0, 0, 0], 8));
-        d.set(p([10, 2, 0, 0], 16), NextHop::Iface(5));
-        let view = NodeRouting::new(&base, &d);
-        assert_eq!(view.lookup_entry(a).unwrap().0, p([10, 2, 0, 0], 16));
-        assert_eq!(view.lookup_entry(Ipv4Addr::new(10, 9, 9, 9)).unwrap().0.len(), 32);
-    }
-
-    #[test]
-    fn flatten_matches_overlay_lookups() {
-        let (base, mut d) = (base(), RouteDelta::new());
-        d.set(p([10, 2, 0, 0], 16), NextHop::Iface(5));
-        d.remove(&base, p([10, 0, 0, 0], 8));
-        d.set(Ipv4Prefix::host(Ipv4Addr::new(192, 0, 2, 7)), NextHop::Blackhole);
-        let flat = NodeRouting::new(&base, &d).flatten();
-        for addr in [[10, 2, 3, 4], [10, 3, 3, 4], [10, 9, 9, 9], [192, 0, 2, 7], [192, 0, 2, 8]] {
-            assert_eq!(lookup(&base, &d, addr), flat.lookup(Ipv4Addr::from(addr)), "addr {addr:?}");
-        }
+        assert_eq!(sim.routing_of(r).lookup_entry(a).unwrap().0, p([10, 0, 0, 0], 8));
+        change(&mut sim, r, p([10, 2, 0, 0], 16), Some(NextHop::Iface(5)));
+        let table = sim.routing_of(r);
+        assert_eq!(table.lookup_entry(a).unwrap().0, p([10, 2, 0, 0], 16));
+        assert_eq!(table.lookup_entry(Ipv4Addr::new(10, 9, 9, 9)).unwrap().0.len(), 32);
     }
 
     #[test]
     fn overlay_does_not_touch_base() {
-        let (shared, mut d) = (base(), RouteDelta::new());
-        d.set(Ipv4Prefix::DEFAULT, NextHop::Blackhole);
-        d.remove(&shared, p([10, 0, 0, 0], 8));
-        assert_eq!(shared.lookup(Ipv4Addr::new(10, 2, 3, 4)), Some(&NextHop::Iface(1)));
-        assert_eq!(shared.lookup(Ipv4Addr::new(192, 0, 2, 1)), Some(&NextHop::Iface(0)));
+        let (mut sim, topo, r) = sim();
+        change(&mut sim, r, Ipv4Prefix::DEFAULT, Some(NextHop::Blackhole));
+        change(&mut sim, r, p([10, 0, 0, 0], 8), None);
+        assert_eq!(&*topo.node(r).routing, &base());
+        sim.reset(1);
+        assert_eq!(sim.routing_of(r), &base(), "reset reads the shared table again");
     }
 }

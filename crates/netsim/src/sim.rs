@@ -60,7 +60,7 @@
 //! recycled, so steady-state forwarding performs no per-event heap
 //! allocation. Node state is *epoch-lazy*: [`Simulator::reset`] bumps an
 //! epoch instead of touching every node, and a node's IP-ID counter,
-//! rate-limiter fill and routing delta are re-derived from the seed on
+//! rate-limiter fill and routing table are re-derived from the seed on
 //! first use after a reset. That makes reset O(in-flight + delivered),
 //! which is what lets the campaign runner afford a pristine simulator
 //! per `(destination, round)` work unit ([`SimulatorPool`]).
@@ -77,7 +77,7 @@ use pt_wire::{Packet, Transport, UnreachableCode};
 use crate::addr::Ipv4Prefix;
 use crate::arena::{PacketArena, PacketRef};
 use crate::node::{BalancerKind, NodeKind, ResponderAddr, RouterConfig};
-use crate::routing::{NextHop, NodeRouting, RouteDelta};
+use crate::routing::{NextHop, RoutingTable};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{Endpoint, Node, NodeId, Topology};
 use crate::wheel::EventWheel;
@@ -153,10 +153,11 @@ struct Arrival {
 
 #[derive(Debug, Clone)]
 struct NodeState {
-    /// Copy-on-write routing changes over the topology's shared base
-    /// table (borrowed at lookup time, never copied). A pristine delta
-    /// is one null word; only routes changed by dynamics occupy memory.
-    routing: RouteDelta,
+    /// This simulator's copy of the node's table, taken at the first route
+    /// change here since the last reset; `None` (one null word) reads the
+    /// topology's. Changes hit only `DestInfo::chain` routers (≤ 2 routes
+    /// each, pinned in pt-topogen) and figure nodes, so a copy is cheap.
+    routing: Option<Box<RoutingTable>>,
     /// The router's internal 16-bit counter stamped into the IP
     /// Identification of packets it originates.
     ip_id: u16,
@@ -185,9 +186,8 @@ impl NodeState {
     /// (or in what order) stale slots get re-derived.
     fn fresh(seed: u64, idx: usize, epoch: u64) -> NodeState {
         NodeState {
-            // O(1) and allocation-free: the base table stays in the
-            // topology, the delta starts empty.
-            routing: RouteDelta::new(),
+            // O(1) and allocation-free: the table stays in the topology.
+            routing: None,
             ip_id: (node_seed(seed, NodeId(idx)) >> 32) as u16,
             icmp_tokens: u32::MAX,
             icmp_tokens_at: SimTime::ZERO,
@@ -581,10 +581,12 @@ impl Simulator {
             }
             EventKind::RouteSet { node, prefix, next_hop } => {
                 st.freshen(node);
-                let routing = &mut st.nodes[node.0].routing;
+                let base = &self.topo.node(node).routing;
+                let own =
+                    st.nodes[node.0].routing.get_or_insert_with(|| Box::new((**base).clone()));
                 match next_hop {
-                    Some(nh) => routing.set(prefix, nh),
-                    None => routing.remove(&self.topo.node(node).routing, prefix),
+                    Some(nh) => own.set(prefix, nh),
+                    None => _ = own.remove(prefix),
                 }
                 // Every hop resolved so far read the tables before this.
                 st.hop_stamp += 1;
@@ -626,10 +628,10 @@ impl Simulator {
         self.state.arena.grab_payload()
     }
 
-    /// Read `node`'s live routing state (tests and dynamics helpers):
-    /// the shared base table merged with this simulator's delta. A node
-    /// not yet touched since the last reset shows a pristine delta.
-    pub fn routing_of(&self, node: NodeId) -> NodeRouting<'_> {
+    /// Read `node`'s live routing table (tests and dynamics helpers):
+    /// this simulator's copy once a route change has been applied there
+    /// since the last reset, else the topology's shared table.
+    pub fn routing_of(&self, node: NodeId) -> &RoutingTable {
         self.state.routing(&self.topo, node)
     }
 }
@@ -997,13 +999,13 @@ impl SimState {
         self.queue.schedule(at, birth, EventKind::Arrival(arrival));
     }
 
-    /// `node`'s live routing: the shared base table under this
-    /// simulator's delta, which is pristine for a slot not touched since
-    /// the last reset.
-    fn routing<'a>(&'a self, topo: &'a Topology, node: NodeId) -> NodeRouting<'a> {
+    /// `node`'s live routing table: see [`Simulator::routing_of`].
+    fn routing<'a>(&'a self, topo: &'a Topology, node: NodeId) -> &'a RoutingTable {
         let st = &self.nodes[node.0];
-        let delta = if st.epoch == self.epoch { &st.routing } else { RouteDelta::pristine_ref() };
-        NodeRouting::new(&topo.node(node).routing, delta)
+        match &st.routing {
+            Some(own) if st.epoch == self.epoch => own,
+            _ => &topo.node(node).routing,
+        }
     }
 
     /// Where `packet` (addressed to `dst`, born `birth`) lands when it

@@ -86,9 +86,9 @@ pub struct Node {
     /// Interfaces, indexed by position.
     pub ifaces: Vec<Interface>,
     /// Boot-time routing table, shared immutably with every simulator.
-    /// Simulators never copy it: they layer a per-node
-    /// [`crate::routing::RouteDelta`] on top, so constructing a
-    /// simulator is O(1) per node however many routes the node carries.
+    /// A simulator copies it only at the first route change applied at
+    /// this node, so constructing a simulator is O(1) per node however
+    /// many routes the node carries.
     pub routing: Arc<RoutingTable>,
 }
 

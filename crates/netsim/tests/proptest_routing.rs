@@ -1,15 +1,17 @@
-//! Property tests pinning the optimized routing structures to a naive
-//! reference: the sorted-entry [`RoutingTable`] and the copy-on-write
-//! [`RouteDelta`] over it — read through [`NodeRouting`], the pair the
-//! simulator's forwarding path uses — must be lookup-equivalent to a
-//! plain linear filter-and-max longest-prefix-match table under
-//! arbitrary set/remove sequences, wherever the sequence is split
-//! between base and delta.
+//! Property tests pinning routing to a naive reference: the sorted-entry
+//! [`RoutingTable`], and a node's routes in a [`Simulator`] after route
+//! changes applied through [`Simulator::schedule_route_set`], must be
+//! lookup-equivalent to a plain linear filter-and-max longest-prefix-match
+//! table under arbitrary set/remove sequences, wherever the sequence is
+//! split between the topology's boot-time table and the changes.
+
+use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use pt_netsim::addr::Ipv4Prefix;
-use pt_netsim::routing::{NextHop, NodeRouting, RouteDelta, RoutingTable};
-use std::net::Ipv4Addr;
+use pt_netsim::routing::{NextHop, RoutingTable};
+use pt_netsim::{RouterConfig, SimTime, Simulator, TopologyBuilder};
 
 /// The naive reference: unordered entries, lookup by filtering every
 /// entry and keeping the longest match — exactly the pre-optimization
@@ -62,7 +64,7 @@ fn next_hop_from(tag: u8) -> NextHop {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     // A small address pool makes prefixes overlap and collide often —
-    // the interesting cases for shadowing, tombstones and LPM ties.
+    // the interesting cases for shadowing, removals and LPM ties.
     (any::<u8>(), 0u8..=32, 0u8..=255, any::<bool>()).prop_map(|(addr_low, len, tag, remove)| {
         let addr = Ipv4Addr::new(10, addr_low % 4, addr_low % 8, addr_low);
         let prefix = Ipv4Prefix::new(addr, len);
@@ -118,8 +120,9 @@ proptest! {
         }
     }
 
-    /// Base-plus-delta matches the reference for *every* split of the
-    /// op sequence into boot-time (base) and dynamic (delta) halves.
+    /// A node's routes after route changes match the reference for
+    /// *every* split of the op sequence into boot-time (the topology's
+    /// table) and dynamic (`schedule_route_set`) halves.
     #[test]
     fn overlay_matches_naive_reference_at_any_split(
         ops in proptest::collection::vec(arb_op(), 0..40),
@@ -137,38 +140,32 @@ proptest! {
                 }
             }
         }
-        let mut delta = RouteDelta::new();
+        let mut b = TopologyBuilder::new();
+        let r = b.router("r", RouterConfig::default());
+        let mut topo = b.build();
+        topo.nodes[r.0].routing = Arc::new(base.clone());
+        let topo = Arc::new(topo);
+        let mut sim = Simulator::new(topo, 1);
         for op in &ops[split..] {
             apply_naive(&mut naive, op);
-            match &op.action {
-                Some(nh) => delta.set(op.prefix, nh.clone()),
-                None => delta.remove(&base, op.prefix),
-            }
+            sim.schedule_route_set(SimTime::ZERO, r, op.prefix, op.action.clone());
         }
-        let overlay = NodeRouting::new(&base, &delta);
+        sim.run_to_quiescence();
+        let table = sim.routing_of(r);
         for addr in probe_addrs(&ops) {
-            prop_assert_eq!(
-                overlay.lookup(addr),
-                naive.lookup(addr),
-                "addr {} (split {})",
-                addr,
-                split
-            );
+            prop_assert_eq!(table.lookup(addr), naive.lookup(addr), "addr {} (split {})", addr, split);
             // lookup_entry must agree with lookup and report a prefix
             // that actually contains the address.
-            if let Some((prefix, nh)) = overlay.lookup_entry(addr) {
+            if let Some((prefix, nh)) = table.lookup_entry(addr) {
                 prop_assert!(prefix.contains(addr));
-                prop_assert_eq!(Some(nh), overlay.lookup(addr));
+                prop_assert_eq!(Some(nh), table.lookup(addr));
             }
-        }
-        // The flattened overlay is the same table the reference built.
-        let flat = overlay.flatten();
-        for addr in probe_addrs(&ops) {
-            prop_assert_eq!(flat.lookup(addr), naive.lookup(addr), "flattened, addr {}", addr);
         }
     }
 
-    /// A delta never leaks writes into its shared base.
+    /// Route changes never leak into the topology's shared table: it
+    /// still answers every lookup as before, another simulator over the
+    /// same topology reads only it, and so does this one after a reset.
     #[test]
     fn overlay_leaves_base_untouched(
         base_ops in proptest::collection::vec(arb_op(), 0..20),
@@ -183,16 +180,23 @@ proptest! {
                 }
             }
         }
-        let frozen = base.clone();
-        let mut delta = RouteDelta::new();
+        let mut b = TopologyBuilder::new();
+        let r = b.router("r", RouterConfig::default());
+        let mut topo = b.build();
+        topo.nodes[r.0].routing = Arc::new(base.clone());
+        let topo = Arc::new(topo);
+        let mut sim = Simulator::new(topo.clone(), 1);
+        let twin = Simulator::new(topo.clone(), 1);
         for op in &overlay_ops {
-            match &op.action {
-                Some(nh) => delta.set(op.prefix, nh.clone()),
-                None => delta.remove(&base, op.prefix),
-            }
+            sim.schedule_route_set(SimTime::ZERO, r, op.prefix, op.action.clone());
         }
-        for addr in probe_addrs(&base_ops) {
-            prop_assert_eq!(frozen.lookup(addr), base.lookup(addr));
+        sim.run_to_quiescence();
+        let shared = &topo.nodes[r.0].routing;
+        for addr in probe_addrs(&base_ops).into_iter().chain(probe_addrs(&overlay_ops)) {
+            prop_assert_eq!(shared.lookup(addr), base.lookup(addr), "addr {}", addr);
         }
+        prop_assert_eq!(twin.routing_of(r), &base);
+        sim.reset(1);
+        prop_assert_eq!(sim.routing_of(r), &base);
     }
 }

@@ -1,4 +1,4 @@
-//! RFC 1071 Internet checksum, with incremental-update helpers.
+//! RFC 1071 Internet checksum, with one's-complement word arithmetic.
 //!
 //! Everything that distinguishes Paris traceroute from its predecessors
 //! ultimately reduces to checksum arithmetic: Paris needs to *choose* the
@@ -109,12 +109,6 @@ pub fn ones_sub(a: u16, b: u16) -> u16 {
     ones_add(a, !b)
 }
 
-/// Incrementally update a checksum after a 16-bit field changed from
-/// `old` to `new` (RFC 1624, eqn. 3): `HC' = ~(~HC + ~m + m')`.
-pub fn update(checksum: u16, old: u16, new: u16) -> u16 {
-    !ones_add(ones_add(!checksum, !old), new)
-}
-
 /// Solve for the 16-bit payload word that makes a packet whose checksum
 /// field has been *pinned* actually verify.
 ///
@@ -169,17 +163,6 @@ mod tests {
         assert_eq!(ones_add(0xffff, 0x0001), 0x0001);
         assert_eq!(ones_add(0x8000, 0x8000), 0x0001);
         assert_eq!(ones_add(0x1234, 0x0000), 0x1234);
-    }
-
-    #[test]
-    fn incremental_update_matches_recompute() {
-        let mut data = vec![0x45u8, 0x00, 0x00, 0x54, 0xbe, 0xef, 0x40, 0x00, 0x40, 0x11];
-        let before = internet_checksum(&data);
-        // Change the word at offset 4 from 0xbeef to 0x1234.
-        let updated = update(before, 0xbeef, 0x1234);
-        data[4] = 0x12;
-        data[5] = 0x34;
-        assert_eq!(internet_checksum(&data), updated);
     }
 
     #[test]
