@@ -273,10 +273,10 @@ pub fn render_multipath_report(result: &MultipathResult) -> String {
 }
 
 /// A canonical digest of a multipath campaign's results: every per-unit
-/// discovery in unit order, the merged per-destination view, and the
-/// aggregate report. Two runs produced identical results iff their
-/// digests are byte-identical — the worker-invariance test for the
-/// multipath mode diffs this string.
+/// discovery in `(round, destination)` order, the merged per-destination
+/// view, and the aggregate report. Two runs produced identical results
+/// iff their digests are byte-identical — the worker-invariance test
+/// for the multipath mode diffs this string.
 pub fn multipath_digest(result: &MultipathResult) -> String {
     use std::fmt::Write;
     let mut out = String::new();

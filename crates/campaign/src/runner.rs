@@ -3,8 +3,11 @@
 //!
 //! Execution is decomposed into `(destination, round)` work units — one
 //! Paris + one classic trace over a pristine per-unit simulator — that
-//! `workers` threads claim one at a time from a shared cursor, the way
-//! the study's 32 probing processes worked down one destination list.
+//! `workers` threads claim from a shared cursor, the way the study's 32
+//! probing processes worked down one destination list. A worker claims
+//! a destination's rounds together and runs them back to back, so the
+//! routers, routes and accumulator buckets one round touched are still
+//! warm for the next.
 //! Every random draw a unit makes (probe ports, dynamics, the
 //! simulator's own node RNGs) derives from `splitmix64` mixes of
 //! `(campaign seed, destination index, round)`, never from the worker
@@ -85,7 +88,8 @@ impl DynamicsConfig {
 /// Deterministic fault injection for the campaign engines' own
 /// crash-safety machinery: force specific `(destination, round)` units
 /// to panic or to run away, so quarantine and watchdog paths can be
-/// exercised end to end without hoping for a real bug.
+/// exercised end to end without hoping for a real bug. Units are named
+/// by id, `dest × rounds + round`.
 #[derive(Debug, Clone, Default)]
 pub struct InjectConfig {
     /// Units that panic mid-unit (after their Paris trace, before any
@@ -111,7 +115,7 @@ impl InjectConfig {
 /// and scratch, and recorded this instead of dying.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedUnit {
-    /// The unit id (round-major).
+    /// The unit id: `dest × rounds + round`.
     pub unit: u32,
     /// Destination index into [`SyntheticInternet::dests`].
     pub dest: usize,
@@ -194,8 +198,10 @@ pub struct CampaignResult {
     pub quarantined: Vec<QuarantinedUnit>,
 }
 
-/// A `(destination, round)` work unit, encoded round-major so unit order
-/// matches the old serial iteration (`for round { for dest }`).
+/// A `(destination, round)` work unit, encoded destination-major as
+/// `dest × rounds + round` ([`unit_coords`] decodes it): a destination's
+/// rounds are consecutive ids, so a contiguous block of ids holds whole
+/// destinations but for its two ends.
 pub(crate) type UnitId = u32;
 
 /// What a block of side-by-side units measured. Accumulator merging is
@@ -344,9 +350,9 @@ pub(crate) fn finish<M: CampaignMode>(
 ) -> M::Result {
     let n_dests = net.dests.len();
     let mean_virtual_secs = fold.virtual_ns as f64 / 1e9 / n_dests.max(1) as f64;
-    let seed = mode.common().seed;
+    let common = mode.common();
     let quarantined = fold.quarantined.into_iter().map(|(unit, panic)| {
-        let at = unit_coords(unit, n_dests, seed);
+        let at = unit_coords(unit, n_dests, &common);
         let addr = net.dests[at.dest].addr;
         QuarantinedUnit { unit, dest: at.dest, round: at.round, addr, seed: at.stream, panic }
     });
@@ -405,12 +411,12 @@ pub fn replay_unit(
 ) -> (MeasuredRoute, MeasuredRoute) {
     let n_dests = net.dests.len();
     let common = config.common();
-    let unit = round * n_dests + dest;
+    let unit = dest * common.rounds + round;
     assert!(
-        dest < n_dests && unit < n_units(net, &common) as usize,
+        round < common.rounds && unit < n_units(net, &common) as usize,
         "no unit (dest {dest}, round {round}) in this campaign"
     );
-    let at = unit_coords(unit as UnitId, n_dests, common.seed);
+    let at = unit_coords(unit as UnitId, n_dests, &common);
     run_unit(net, config, &common, &at, &mut WorkerState::new(net)).0
 }
 
@@ -437,27 +443,40 @@ pub(crate) fn run_block<M: CampaignMode>(
     units: Range<UnitId>,
     workers: &mut [WorkerState<M::Scratch>],
 ) -> Folded<M::Fold> {
-    let n_block = units.len();
-    let n_workers = workers.len().min(n_block);
+    let n_workers = workers.len().min(units.len());
 
-    // One shared cursor: a worker's next unit is the lowest unclaimed
-    // one, so no worker idles while a unit is unclaimed and stragglers
-    // (expensive destinations, dynamics-heavy units) never serialize
-    // the tail behind one queue. The cursor counts *offsets* into the
-    // block in a `usize`: every exiting worker bumps it once past the
-    // end, which a `UnitId` cursor would wrap back to unit 0 on a block
-    // ending near `u32::MAX`. `Relaxed` suffices — the counter publishes
-    // no data, and the scope's joins order the folds.
-    let cursor = AtomicUsize::new(0);
-    let claim = || {
-        let offset = cursor.fetch_add(1, Ordering::Relaxed);
-        (offset < n_block).then(|| units.start + offset as UnitId)
+    // One shared cursor over the block's *runs*: a run is one
+    // destination's rounds in the block, and a worker claims the lowest
+    // unclaimed run whole, then runs its units back to back — so the
+    // simulator's next-hop table and the accumulators' buckets that one
+    // round filled serve the next — and no worker idles while a run is
+    // unclaimed. Run bounds are `u64`: the run holding a block's last
+    // id may end past `u32::MAX`, and every exiting worker bumps the
+    // cursor once past the last run. `Relaxed` suffices — the counter
+    // publishes no data, and the scope's joins order the folds.
+    let rounds = mode.common().rounds as u64;
+    let (start, end) = (u64::from(units.start), u64::from(units.end));
+    let first = start - start % rounds;
+    let cursor = &AtomicUsize::new(0);
+    let claimer = || {
+        let mut run = 0..0;
+        move || {
+            if run.is_empty() {
+                let lo = first + cursor.fetch_add(1, Ordering::Relaxed) as u64 * rounds;
+                run = lo.max(start)..(lo + rounds).min(end);
+            }
+            // The run's ids are inside the block, so they fit a `UnitId`.
+            run.next().map(|unit| unit as UnitId)
+        }
     };
 
     let outputs: Vec<Folded<M::Fold>> = std::thread::scope(|scope| {
         let handles: Vec<_> = workers[..n_workers]
             .iter_mut()
-            .map(|state| scope.spawn(move || run_worker(claim, net, mode, state)))
+            .map(|state| {
+                let claim = claimer();
+                scope.spawn(move || run_worker(claim, net, mode, state))
+            })
             .collect();
         // A worker thread only dies if the quarantine machinery itself
         // panicked (unit panics are caught inside `run_worker`).
@@ -471,13 +490,17 @@ pub(crate) fn run_block<M: CampaignMode>(
     merged
 }
 
-/// Decode a unit id into its destination and round and derive its RNG
-/// stream. The two independent mixes keep the campaign-level draws
-/// (ports, dynamics) and the simulator's node seeds decorrelated.
-fn unit_coords(unit: UnitId, n_dests: usize, seed: u64) -> Coords {
-    let dest = unit as usize % n_dests;
-    let round = unit as usize / n_dests;
-    let dest_stream = splitmix64(seed ^ splitmix64(dest as u64 + 1));
+/// Decode a unit id, `dest × rounds + round`, into its destination and
+/// round — the one place that does — and derive its RNG stream. The two
+/// independent mixes keep the campaign-level draws (ports, dynamics)
+/// and the simulator's node seeds decorrelated. An id past the
+/// campaign's last decodes as a round of a later pass over the
+/// destinations, so every id names some destination's unit.
+fn unit_coords(unit: UnitId, n_dests: usize, common: &Common<'_>) -> Coords {
+    let (rounds, per_pass) = (common.rounds, n_dests * common.rounds);
+    let (pass, id) = (unit as usize / per_pass, unit as usize % per_pass);
+    let (dest, round) = (id / rounds, pass * rounds + id % rounds);
+    let dest_stream = splitmix64(common.seed ^ splitmix64(dest as u64 + 1));
     Coords { unit, dest, round, stream: splitmix64(dest_stream ^ (round as u64 + 1)) }
 }
 
@@ -529,7 +552,7 @@ fn run_worker<M: CampaignMode>(
     let common = mode.common();
     let mut out = Folded::<M::Fold>::default();
     while let Some(unit) = claim() {
-        let at = unit_coords(unit, net.dests.len(), common.seed);
+        let at = unit_coords(unit, net.dests.len(), &common);
         // Unit isolation: a panicking unit is quarantined, not fatal.
         // `run_unit` mutates nothing outside itself — its results only
         // reach the fold via `ingest` after it returns — so catching
@@ -891,8 +914,8 @@ pub struct MultipathReport {
 /// Multipath campaign output.
 #[derive(Debug, Clone)]
 pub struct MultipathResult {
-    /// Raw per-unit discoveries, in round-major unit order regardless
-    /// of worker count.
+    /// Raw per-unit discoveries in `(round, destination)` order,
+    /// regardless of worker count.
     pub units: Vec<UnitDiscovery>,
     /// Per-destination merged view, in destination order.
     pub per_dest: Vec<DestMultipath>,
@@ -918,8 +941,8 @@ fn stronger_class(a: BalancerClass, b: BalancerClass) -> BalancerClass {
     }
 }
 
-/// What a block of multipath units found. Once absorbed, in `(round,
-/// destination)` order — which *is* unit order.
+/// What a block of multipath units found. Once absorbed, in
+/// `(destination, round)` order — which *is* unit order.
 impl Fold for Vec<UnitDiscovery> {
     fn absorb(&mut self, other: Self) {
         let joint = self.len().saturating_sub(1);
@@ -932,8 +955,8 @@ impl Fold for Vec<UnitDiscovery> {
         }
         // A block's units follow the blocks' before it: past one block's
         // interleaving, look at the new ones only.
-        if !self[joint..].is_sorted_by_key(|u| (u.round, u.dest)) {
-            self.sort_unstable_by_key(|u| (u.round, u.dest));
+        if !self[joint..].is_sorted_by_key(|u| (u.dest, u.round)) {
+            self.sort_unstable_by_key(|u| (u.dest, u.round));
         }
     }
 }
@@ -1026,14 +1049,14 @@ impl CampaignMode for MultipathConfig {
     fn finalize(
         &self,
         net: &SyntheticInternet,
-        units: Vec<UnitDiscovery>,
+        mut units: Vec<UnitDiscovery>,
         mean_virtual_secs: f64,
         quarantined: Vec<QuarantinedUnit>,
     ) -> MultipathResult {
         let n_dests = net.dests.len();
-
-        // Units come round-major, so iterating them folds rounds in round
-        // order.
+        // The fold is in unit order; the result lists a round's units
+        // together. Merging a destination's rounds is order-free.
+        units.sort_unstable_by_key(|u| (u.round, u.dest));
         let mut per_dest: Vec<DestMultipath> = net
             .dests
             .iter()
@@ -1341,11 +1364,11 @@ mod tests {
                 vec![5, 41],
                 "workers = {workers}"
             );
-            assert_eq!(result.quarantined[0].dest, 5);
-            assert_eq!(result.quarantined[0].round, 0);
-            assert_eq!(result.quarantined[1].dest, 1);
+            assert_eq!(result.quarantined[0].dest, 2);
+            assert_eq!(result.quarantined[0].round, 1);
+            assert_eq!(result.quarantined[1].dest, 20);
             assert_eq!(result.quarantined[1].round, 1);
-            assert_eq!(result.quarantined[0].addr, net.dests[5].addr);
+            assert_eq!(result.quarantined[0].addr, net.dests[2].addr);
             assert!(result.quarantined[0].panic.contains("injected fault: unit 5"));
             // The poisoned units' routes are fully discarded: 80 units
             // minus 2 quarantined, two tools each.
@@ -1496,11 +1519,11 @@ mod tests {
             // The quarantined unit contributes nothing.
             assert_eq!(result.units.len(), 79, "workers = {workers}");
             // The runaway walk is budget-degraded, not endless.
-            let runaway = result.units.iter().find(|u| u.dest == 9 && u.round == 0).unwrap();
+            let runaway = result.units.iter().find(|u| u.dest == 4 && u.round == 1).unwrap();
             assert!(runaway.degraded, "workers = {workers}");
             assert!(runaway.probes <= 240, "workers = {workers}");
             assert_eq!(result.report.degraded_units, 1, "workers = {workers}");
-            assert!(result.per_dest[9].degraded);
+            assert!(result.per_dest[4].degraded);
             crate::report::multipath_digest(&result)
         };
         let baseline = digest(1);

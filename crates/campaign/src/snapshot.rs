@@ -12,15 +12,19 @@
 //! **byte-identical** to an uninterrupted run's, for any worker count
 //! and any kill point (`tests/checkpoint_resume.rs` pins this).
 //!
-//! # The journal (`ptsnap v5`)
+//! # The journal (`ptsnap v6`)
 //!
 //! One file at [`CheckpointConfig::path`], a sequence of *records*:
 //!
 //! ```text
-//! ptsnap v5 <mode> <start> <end> <body bytes> <fingerprint>\n
+//! ptsnap v6 <mode> <start> <end> <body bytes> <fingerprint>\n
 //! <body: the fold of units start..end, canonical text>
 //! end <digest>\n
 //! ```
+//!
+//! Unit ids are destination-major, `dest × rounds + round`, so a
+//! record's `start..end` holds whole destinations but for its two ends
+//! (a `v5` journal named round-major ids, and is refused).
 //!
 //! A checkpoint appends one record holding only the block just run, so
 //! its cost is the block's, not the campaign's so far. Records chain:
@@ -81,7 +85,7 @@ use crate::runner::{
 /// format changes. A loader refuses journals whose version it does not
 /// speak — there is no silent cross-version reinterpretation.
 const MAGIC: &str = "ptsnap";
-const VERSION: &str = "v5";
+const VERSION: &str = "v6";
 
 /// `end <16 hex digits>\n`.
 const TRAILER_LEN: usize = 21;
@@ -259,10 +263,12 @@ fn preamble_capacity(quarantined: &[(UnitId, String)]) -> usize {
 }
 
 /// What a record's header and the campaign say its body may hold: the
-/// units of `units`, each a round of one of `n_dests` destinations.
+/// units of `units`, each one of `rounds` rounds of one of `n_dests`
+/// destinations.
 pub(crate) struct Span {
     pub(crate) units: Range<UnitId>,
     pub(crate) n_dests: usize,
+    pub(crate) rounds: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -382,18 +388,18 @@ impl Checkpointed for CampaignConfig {
 /// The balancer classes, at the numbers a `units` key line gives them.
 const CLASSES: [BalancerClass; 4] = [NotBalanced, PerFlow, PerPacket, Undetermined];
 
-/// A `units` key line: round, destination index, address, width,
+/// A `units` key line: destination index, round, address, width,
 /// observed width, delta, class, hops, links, stars, unconverged hops,
-/// probes, and `reached` + 2 × `degraded` — led by `(round,
-/// destination)`, so that ascending keys are ascending units.
+/// probes, and `reached` + 2 × `degraded` — led by `(destination,
+/// round)`, so that ascending keys are ascending units.
 const UNIT_FIELDS: usize = 13;
 
 fn unit_key(u: &UnitDiscovery) -> [u32; UNIT_FIELDS] {
     let n = |count: usize| u32::try_from(count).expect("a walk's counts fit a key field");
     let class = CLASSES.iter().position(|&c| c == u.class).expect("every class is numbered");
     [
-        n(u.round),
         n(u.dest),
+        n(u.round),
         u32::from(u.addr),
         n(u.width),
         n(u.observed_width),
@@ -409,13 +415,14 @@ fn unit_key(u: &UnitDiscovery) -> [u32; UNIT_FIELDS] {
 }
 
 fn unit_of_key(key: [u32; UNIT_FIELDS], span: &Span) -> Result<UnitDiscovery, String> {
-    let [round, dest, addr, width, observed_width, delta, class, counts @ ..] = key;
+    let [dest, round, addr, width, observed_width, delta, class, counts @ ..] = key;
     let [hops, links, stars, unconverged_hops, probes, flags] = counts;
     let n = |field: u32| field as usize;
-    // `u64` holds any round's first unit; `units` holds no id past `u32`.
-    let unit = u64::from(round) * span.n_dests as u64 + u64::from(dest);
+    // `u64` holds any destination's first unit; `units` holds no id past
+    // `u32`.
+    let unit = u64::from(dest) * span.rounds as u64 + u64::from(round);
     let inside = UnitId::try_from(unit).is_ok_and(|unit| span.units.contains(&unit));
-    if n(dest) >= span.n_dests || !inside {
+    if n(dest) >= span.n_dests || n(round) >= span.rounds || !inside {
         return Err(format!("unit (dest {dest}, round {round}) outside {:?}", span.units));
     }
     if flags > 3 {
@@ -583,7 +590,7 @@ struct Replayed<F> {
 fn replay<M: Checkpointed>(
     path: &Path,
     fingerprint: u64,
-    n_dests: usize,
+    (n_dests, rounds): (usize, usize),
 ) -> io::Result<Replayed<Folded<M::Fold>>> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
@@ -625,7 +632,7 @@ fn replay<M: Checkpointed>(
             break;
         }
         let Ok(text) = std::str::from_utf8(&body) else { break };
-        let span = Span { units: header.range.clone(), n_dests };
+        let span = Span { units: header.range.clone(), n_dests, rounds };
         let Ok(block) = read_body::<M>(&mut text.lines(), &span) else { break };
         if first {
             // The first record is the bulk of the journal: keep it as
@@ -815,7 +822,8 @@ fn drive<M: Checkpointed>(
     let n_units = n_units(net, &mode.common());
     let fingerprint = mode.fingerprint(net);
     let (mut journal, mut fold, mut cursor) = if resume {
-        let replayed = replay::<M>(&ckpt.path, fingerprint, net.dests.len())?;
+        let shape = (net.dests.len(), mode.common().rounds);
+        let replayed = replay::<M>(&ckpt.path, fingerprint, shape)?;
         if replayed.cursor > n_units {
             return Err(invalid(format!(
                 "cursor {} exceeds the campaign's {n_units} units",
@@ -938,7 +946,7 @@ mod tests {
         assert_eq!(report_digest(&result), plain);
         // The journal replays to the whole campaign, cleanly.
         let fingerprint = config.fingerprint(&net);
-        let replayed = replay::<CampaignConfig>(&path, fingerprint, 40).unwrap();
+        let replayed = replay::<CampaignConfig>(&path, fingerprint, (40, 2)).unwrap();
         assert_eq!(replayed.cursor, 80);
         assert_eq!(replayed.good_len, file_len(&path));
         // Canonical: the replayed fold — merged from a fold record and
@@ -972,7 +980,7 @@ mod tests {
                         .expect("completes");
                 assert_eq!(report_digest(&result), plain, "{case}");
                 // A final fold: the journal as the one record `0..80`.
-                let replayed = replay::<CampaignConfig>(&path, fingerprint, 40).unwrap();
+                let replayed = replay::<CampaignConfig>(&path, fingerprint, (40, 2)).unwrap();
                 assert_eq!(replayed.cursor, 80, "{case}");
                 let record = Record::encode::<CampaignConfig>(fingerprint, 0..80, &replayed.fold);
                 folded.push((case, [record.header, record.body].concat().into_bytes()));
@@ -1123,7 +1131,7 @@ mod tests {
             written += stats.bytes_written;
             assert_eq!(stats.units_run, 16);
             // The file holds at most two full folds and one block.
-            let replayed = replay::<CampaignConfig>(&path, fingerprint, 40).unwrap();
+            let replayed = replay::<CampaignConfig>(&path, fingerprint, (40, rounds)).unwrap();
             let block = run_block(
                 net,
                 &config,
@@ -1207,9 +1215,11 @@ mod tests {
             ("ptsnap v2 side-by-side 0 0 30 0000000000000000\n", "version"),
             ("ptsnap v3 side-by-side 0 0 30 0000000000000000\n", "version"),
             ("ptsnap v4 side-by-side 0 0 30 0000000000000000\n", "version"),
+            // Round-major unit ids: resuming one would fold the wrong units.
+            ("ptsnap v5 side-by-side 0 0 30 0000000000000000\n", "version"),
             ("", "start"),
             ("not a journal at all\n", "start"),
-            ("ptsnap v5 side-by-side 0 0", "start"),
+            ("ptsnap v6 side-by-side 0 0", "start"),
         ] {
             fs::write(&path, content).unwrap();
             let err = run_resumed(&net, &config, &ckpt(&path, 16, None)).unwrap_err();
@@ -1260,12 +1270,13 @@ mod tests {
             |units: Range<u32>| run_block(&net, &config, units, &mut worker_states(&net, &config));
         let quarantined = |unit: u32| (unit, "crafted".to_owned());
         // A craft, and why reading the record of units 23..46 — which are
-        // destinations 23..40 of round 0 and 0..6 of round 1 — refuses it.
+        // destination 11's round 1 and both rounds of destinations 12..23 —
+        // refuses it.
         type Craft<'a> = (&'a dyn Fn(&mut Folded<Vec<UnitDiscovery>>), &'a str);
         let crafts: [Craft; 8] = [
-            (&|f| f.measured[16].dest = 1_000_000, "unit (dest 1000000, round 0) outside"),
+            (&|f| f.measured[22].dest = 1_000_000, "unit (dest 1000000, round 1) outside"),
             (&|f| f.measured[1] = f.measured[0], "out of order"),
-            (&|f| f.measured[22].dest = 6, "unit (dest 6, round 1) outside"),
+            (&|f| f.measured[0].round = 0, "unit (dest 11, round 0) outside"),
             (&|f| f.measured[22].round = 1 << 30, "round 1073741824) outside"),
             (&|f| f.measured.truncate(22), "truncated key lines"),
             (&|f| f.quarantined.push(quarantined(30)), "after the body's last line"),
@@ -1285,7 +1296,7 @@ mod tests {
             ),
         ];
         let path = tmp("own-range");
-        let span = Span { units: 23..46, n_dests: 40 };
+        let span = Span { units: 23..46, n_dests: 40, rounds: 2 };
         for (craft, why) in crafts {
             let mut fold = block(23..46);
             craft(&mut fold);
@@ -1337,17 +1348,19 @@ mod tests {
             assert_eq!(virt_lines(&record.body), 1, "{units:?}");
             sizes.push(record.len());
         }
-        // The record of this clean 256-unit block was 43 698 bytes when a
-        // `virt` section held 27 bytes a unit; it is 36 795 with the
-        // total: 256 × 27 fewer, less the nine digits by which this
-        // block's total (12 digits of nanoseconds) is longer than the
-        // section's count was ("256").
-        assert_eq!(sizes[2], 36_795);
-        assert_eq!(sizes[2] + 256 * 27 - 9, 43_698);
+        // Under round-major ids — six rounds of all 40 destinations and
+        // 16 of a seventh — the record of this clean 256-unit block was
+        // 43 698 bytes when a `virt` section held 27 bytes a unit, and
+        // 36 795 with the total: 256 × 27 fewer, less the nine digits by
+        // which the total (12 digits of nanoseconds) is longer than the
+        // section's count was ("256"). Destination-major, the block is
+        // seven rounds of 36 destinations and four of a 37th: fewer
+        // destinations, so fewer keys.
+        assert_eq!(sizes[2], 33_341);
 
         // A total that is not a decimal `u128`, or that is more than the
         // record's units can have run for, makes the record damage.
-        let span = Span { units: 0..16, n_dests: 40 };
+        let span = Span { units: 0..16, n_dests: 40, rounds: 7 };
         let fold = run_block(&net, &config, 0..16, &mut worker_states(&net, &config));
         let mut body = String::new();
         write_body::<CampaignConfig>(&fold, &mut body);

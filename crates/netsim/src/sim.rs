@@ -28,22 +28,25 @@
 //!
 //! **The next-hop table.** Everything a walk reads about a hop — the
 //! neighbour and the interface it lands on, the link's delay and loss,
-//! the leaving node's draw seed, and the neighbour's [`Class`]: whether
-//! it owns the destination, and if not, whether it passes packets on —
-//! is a function of `(routing tables, node, ip.dst)`, and every probe of
-//! a trace crosses the routers its predecessor crossed, answers included
-//! (§2.1). [`SimState::resolve`] finds it by the longest-prefix lookup
-//! and the address index when a unit first needs it and keeps it in a
+//! and the neighbour's [`Class`]: whether it owns the destination, and
+//! if not, whether it passes packets on — is a function of `(routing
+//! tables, node, ip.dst)`, and every probe of a trace crosses the
+//! routers its predecessor crossed, answers included (§2.1).
+//! [`SimState::resolve`] finds it by the longest-prefix lookup and the
+//! address index when a hop is first needed and keeps it in a
 //! direct-mapped table of [`HOP_SLOTS`] entries keyed by `(node, dst)`,
 //! so a probe's hop and its answer's hop through one router are both
-//! resident; [`SimState::hop`] reads it there. An entry holds while its stamp is the simulator's, which
-//! [`Simulator::reset`] and every *applied* route change bump: a change
-//! scheduled but not applied already stops walks at its instant. The
+//! resident; [`SimState::hop`] reads it there. An entry holds while its
+//! stamp is the simulator's, which every *applied* route change bumps,
+//! and so does the [`Simulator::reset`] that reverts one: a change
+//! scheduled but not applied already stops walks at its instant. So a
+//! destination's next round finds the hops the last one resolved. The
 //! table is never swept. It stores single-interface routes and
-//! per-destination balancing (a function of `(seed, node, dst)`);
-//! per-flow and per-packet balancing, blackholes, missing routes and
-//! unattached interfaces are resolved every time. A lossy link's draw is
-//! the packet's own, taken after the entry is read.
+//! per-destination balancing, which is a function of `(seed, node, dst)`
+//! and so is read only in its seed's epoch; per-flow and per-packet
+//! balancing, blackholes, missing routes and unattached interfaces are
+//! resolved every time. A lossy link's draw is the packet's own, taken
+//! after the entry is read, from the leaving node's seed.
 //!
 //! A run is a pure function of `(topology, seed, injected packets,
 //! scheduled route changes)` — and the same function whether walks are
@@ -227,9 +230,11 @@ struct SimState {
     /// The next-hop table ([`SimState::hop`]), direct-mapped on
     /// `(node, dst)`.
     hops: Box<[Hop; HOP_SLOTS]>,
-    /// The stamp an entry must carry to be read: bumped by
-    /// [`Simulator::reset`] and by every route change applied.
+    /// The stamp an entry must carry to be read: bumped by every route
+    /// change applied, and by the [`Simulator::reset`] that reverts one.
     hop_stamp: u64,
+    /// Whether a route change was applied since the last reset.
+    routes_changed: bool,
     /// `false` stores nothing in the table, so every hop is resolved
     /// afresh: the tests' reference engine.
     #[cfg(test)]
@@ -303,10 +308,11 @@ fn draw(node_seed: u64, birth: u64, ttl: u8, purpose: Draw) -> u64 {
 
 /// Entries in the next-hop table (24 KiB of [`Hop`]s). A campaign unit
 /// stores at most 41 distinct `(node, dst)` pairs on any `ptbench`
-/// workload (p99 31–35, mean 22; `docs/PERFORMANCE.md`), so 512 slots
-/// hold a unit at under 8 % load, and collisions cost 0.9–2.0 % of hops
+/// workload (p99 31–35, mean 22; `docs/PERFORMANCE.md`), and its
+/// destination's next rounds read the same ones, so 512 slots hold a
+/// destination at under 8 % load, and collisions cost 0.9–2.0 % of hops
 /// a second lookup (1024 slots halve that at twice the memory; 256
-/// double it).
+/// double it). Earlier destinations' entries stay until overwritten.
 const HOP_SLOTS: usize = 512;
 
 /// What the node at a hop's far end does with a packet addressed to
@@ -368,15 +374,16 @@ impl Next {
 }
 
 /// A next-hop table entry: `node`'s hop toward `dst` under the tables of
-/// `stamp`, and what the leaving packet's loss draw needs, in 48 bytes:
-/// node ids and the interface index are narrowed, and a hop whose ids
-/// do not fit is resolved every time instead of stored. The default is
-/// vacant: stamps start at 1.
+/// `stamp`, and the link's loss, in 48 bytes: node ids and the interface
+/// index are narrowed, and a hop whose ids do not fit is resolved every
+/// time instead of stored. The default is vacant: stamps start at 1.
 #[derive(Debug, Clone, Copy, Default)]
 struct Hop {
     stamp: u64,
-    /// `node`'s [`node_seed`].
-    seed: u64,
+    /// The epoch whose seed a per-destination balancer picked the egress
+    /// under, the only epoch that reads the entry; 0 for a hop the seed
+    /// does not decide, which every epoch reads.
+    epoch: u64,
     loss: f64,
     delay: SimDuration,
     node: u32,
@@ -410,6 +417,7 @@ impl Simulator {
             hop_limit: u32::MAX,
             hops: Box::new([Hop::default(); HOP_SLOTS]),
             hop_stamp: 1,
+            routes_changed: false,
             #[cfg(test)]
             table: true,
             #[cfg(test)]
@@ -430,7 +438,8 @@ impl Simulator {
     /// deques and the ICMP scratch buffer all survive. Node state is
     /// epoch-lazy, so the cost is O(in-flight + undelivered packets),
     /// *not* O(nodes) — cheap enough to call once per `(destination,
-    /// round)` campaign work unit.
+    /// round)` campaign work unit. The next-hop table survives too, which
+    /// no run can tell (the module docs say why).
     pub fn reset(&mut self, seed: u64) {
         let st = &mut self.state;
         // clear() keeps the queue's capacity warm.
@@ -452,7 +461,10 @@ impl Simulator {
         st.stats = SimStats::default();
         st.seed = seed;
         st.epoch += 1;
-        st.hop_stamp += 1;
+        // Entries made since a route change read tables this reverts.
+        if std::mem::take(&mut st.routes_changed) {
+            st.hop_stamp += 1;
+        }
     }
 
     /// The shared topology.
@@ -590,6 +602,7 @@ impl Simulator {
                 }
                 // Every hop resolved so far read the tables before this.
                 st.hop_stamp += 1;
+                st.routes_changed = true;
                 st.route_horizon = st
                     .queue
                     .iter()
@@ -1027,19 +1040,21 @@ impl SimState {
         ttl: u8,
     ) -> Result<Next, Lost> {
         let held = &self.hops[hop_slot(node, dst)];
-        let (next, seed, loss) = if held.stamp == self.hop_stamp
+        let (next, loss) = if held.stamp == self.hop_stamp
             && held.node as usize == node.0
             && held.dst == u32::from(dst)
+            && (held.epoch == 0 || held.epoch == self.epoch)
         {
             let to = Endpoint { node: NodeId(held.to as usize), iface: held.iface.into() };
-            (Next { to, delay: held.delay, class: held.class }, held.seed, held.loss)
+            (Next { to, delay: held.delay, class: held.class }, held.loss)
         } else {
             self.resolve(topo, node, dst, packet, birth, ttl)?
         };
-        // The top 53 bits as a uniform fraction in [0, 1).
-        if loss > 0.0
-            && ((draw(seed, birth, ttl, Draw::Loss) >> 11) as f64 / (1u64 << 53) as f64) < loss
-        {
+        // The top 53 bits as a uniform fraction in [0, 1). The leaving
+        // node's seed is derived only for a lossy link.
+        let uniform =
+            |seed: u64| (draw(seed, birth, ttl, Draw::Loss) >> 11) as f64 / (1u64 << 53) as f64;
+        if loss > 0.0 && uniform(node_seed(self.seed, node)) < loss {
             return Err(Lost::OnLink);
         }
         Ok(next)
@@ -1047,9 +1062,10 @@ impl SimState {
 
     /// The hop [`SimState::hop`] did not find in the table: the
     /// longest-prefix lookup, the balancer's choice, the link and the
-    /// class of its far end, with the leaving node's seed and the link's
-    /// loss; stored when they are a function of `(tables, node, dst)`
-    /// alone. Kept out of line, so the walk stays small.
+    /// class of its far end, with the link's loss; stored when they are a
+    /// function of `(tables, node, dst)` alone, or of the epoch's seed
+    /// too for a per-destination balancer. Kept out of line, so the walk
+    /// stays small.
     #[inline(never)]
     fn resolve(
         &mut self,
@@ -1059,24 +1075,27 @@ impl SimState {
         packet: PacketRef,
         birth: u64,
         ttl: u8,
-    ) -> Result<(Next, u64, f64), Lost> {
+    ) -> Result<(Next, f64), Lost> {
         #[cfg(test)]
         {
             self.lookups += 1;
         }
         let seed = node_seed(self.seed, node);
         let routing = self.routing(topo, node);
+        // `Some(epoch)`: the entry is stored, for that epoch (0: any).
         let (iface, stored) = match routing.lookup(dst).ok_or(Lost::NoRoute)? {
-            NextHop::Iface(i) => (*i, true),
+            NextHop::Iface(i) => (*i, Some(0)),
             NextHop::Blackhole => return Err(Lost::Blackhole),
             NextHop::Balanced { kind, egresses } => {
                 let salted = |key: u64| splitmix64(key ^ balancer_salt(seed));
                 let (word, stored) = match kind {
                     BalancerKind::PerFlow(policy) => {
-                        (salted(policy.flow_key(self.arena.get(packet)).0), false)
+                        (salted(policy.flow_key(self.arena.get(packet)).0), None)
                     }
-                    BalancerKind::PerPacket => (draw(seed, birth, ttl, Draw::Egress), false),
-                    BalancerKind::PerDestination => (salted(u64::from(u32::from(dst))), true),
+                    BalancerKind::PerPacket => (draw(seed, birth, ttl, Draw::Egress), None),
+                    BalancerKind::PerDestination => {
+                        (salted(u64::from(u32::from(dst))), Some(self.epoch))
+                    }
                 };
                 (egresses[(word % egresses.len() as u64) as usize], stored)
             }
@@ -1086,13 +1105,13 @@ impl SimState {
         let to = link.other_end(node);
         let next = Next { to, delay: link.delay_from(node), class: Class::of(topo, to.node, dst) };
         #[cfg(test)]
-        let stored = stored && self.table;
+        let stored = stored.filter(|_| self.table);
         let slot = hop_slot(node, dst);
         let ids = (u32::try_from(node.0), u32::try_from(to.node.0), u16::try_from(to.iface));
-        if let (true, (Ok(node), Ok(to), Ok(iface))) = (stored, ids) {
+        if let (Some(epoch), (Ok(node), Ok(to), Ok(iface))) = (stored, ids) {
             self.hops[slot] = Hop {
                 stamp: self.hop_stamp,
-                seed,
+                epoch,
                 loss: link.loss,
                 delay: next.delay,
                 node,
@@ -1102,7 +1121,7 @@ impl SimState {
                 class: next.class,
             };
         }
-        Ok((next, seed, link.loss))
+        Ok((next, link.loss))
     }
 }
 
@@ -2229,11 +2248,10 @@ mod tests {
     /// The probes a `TraceConfig::paper()` Paris UDP trace sends toward
     /// `sc`'s destination — one flow, TTL 2 to 11, the last one past the
     /// destination (`tests/event_count.rs` runs the trace itself) — one
-    /// at a time, with or without the next-hop table: the longest-prefix
-    /// lookups made and the links crossed.
-    fn paris_trace_lookups(sc: &crate::scenarios::Scenario, table: bool) -> (u64, u64) {
-        let mut sim = Simulator::new(sc.topology.clone(), 21);
-        sim.state.table = table;
+    /// at a time, over `sim`: the longest-prefix lookups made and the
+    /// links crossed.
+    fn paris_trace(sim: &mut Simulator, sc: &crate::scenarios::Scenario) -> (u64, u64) {
+        let (lookups, forwarded) = (sim.state.lookups, sim.stats().forwarded);
         let src = src_addr(&sc.topology, sc.source);
         for ttl in 2..=11 {
             let ip = Ipv4Header::new(src, sc.destination, protocol::UDP, ttl);
@@ -2241,10 +2259,19 @@ mod tests {
             sim.inject(sc.source, Packet::new(ip, Transport::Udp(udp)));
             sim.run_to_quiescence();
         }
-        (sim.state.lookups, sim.stats().forwarded)
+        (sim.state.lookups - lookups, sim.stats().forwarded - forwarded)
     }
 
-    /// The layer number, held exactly: a hop is looked up once per unit.
+    /// [`paris_trace`] over a fresh simulator, with or without the
+    /// next-hop table.
+    fn paris_trace_lookups(sc: &crate::scenarios::Scenario, table: bool) -> (u64, u64) {
+        let mut sim = Simulator::new(sc.topology.clone(), 21);
+        sim.state.table = table;
+        paris_trace(&mut sim, sc)
+    }
+
+    /// The layer number, held exactly: a hop is looked up once per unit,
+    /// and a hop the seed does not decide not again after a reset.
     /// If a change makes the walk resolve every hop again, these counts
     /// go back to one per link crossed before any wall clock notices.
     #[test]
@@ -2270,6 +2297,20 @@ mod tests {
         // 24 lookups, where the parent made 120.
         let per_flow = fig1(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
         assert_eq!(paris_trace_lookups(&per_flow, true), (24, 120));
+        // The same trace again, after a reset under another seed: the
+        // table outlived the reset, so no hop it stored is looked up
+        // again. Under per-flow balancing only L's hop is, for the 5
+        // probes that leave it, where a reset that emptied the table
+        // made the trace look up all 24 again. L's per-destination hop
+        // is stored for one epoch, its seed's: looked up once, where it
+        // was 22 again. (Seed 5 maps the flow, and the destination, to
+        // the egress seed 21 does, so the trace crosses the same links.)
+        for (sc, again) in [(&per_flow, (5, 120)), (&per_destination, (1, 121))] {
+            let mut sim = Simulator::new(sc.topology.clone(), 21);
+            paris_trace(&mut sim, sc);
+            sim.reset(5);
+            assert_eq!(paris_trace(&mut sim, sc), again);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2552,7 +2593,11 @@ mod tests {
     /// in flight, the counters (`forwarded` only at the end: mid-flight
     /// it trails by the walks in progress) and every node's deliveries.
     fn observe(net: &Net, seed: u64, script: &[Op], hop_limit: u32) -> Vec<String> {
-        let mut sim = sim_cut_at(&net.topo, seed, hop_limit);
+        observe_on(&mut sim_cut_at(&net.topo, seed, hop_limit), net, script)
+    }
+
+    /// [`observe`] over a given simulator, left quiescent.
+    fn observe_on(sim: &mut Simulator, net: &Net, script: &[Op]) -> Vec<String> {
         let mut seen = Vec::new();
         let mut look = |sim: &mut Simulator, quiescent: bool| {
             let mut stats = sim.stats();
@@ -2574,13 +2619,95 @@ mod tests {
                 }
                 Op::RunFor(span) => {
                     sim.run_until(sim.now() + span);
-                    look(&mut sim, false);
+                    look(sim, false);
                 }
             }
         }
         sim.run_to_quiescence();
-        look(&mut sim, true);
+        look(sim, true);
         seen
+    }
+
+    /// The next-hop table outlives a reset, and no run can tell. A
+    /// simulator that ran two other seeds' units — the first applies a
+    /// route change, and both cross a per-destination balancer and a
+    /// lossy link — then is reset shows an observer exactly what a fresh
+    /// one shows, on a trace and a random script after it. Each of
+    /// these fails it: a reset that keeps the stamp after an applied
+    /// change, a per-destination entry read in any epoch, and an entry
+    /// that stores the leaving node's seed for the loss draw.
+    #[test]
+    fn a_kept_table_is_invisible_after_reset() {
+        // S — r1 ~ L ⇉ {a, b} — r2 — D: r1–L loses three packets in ten,
+        // L balances per destination, and answers return by a.
+        let ms = SimDuration::from_millis(1);
+        let mut b = TopologyBuilder::new();
+        let s = b.host("S", HostConfig::default());
+        let s_pfx = b.subnet_of(s);
+        let r1 = b.router("r1", RouterConfig::default());
+        let l = b.router("L", RouterConfig::default());
+        let r2 = b.router("r2", RouterConfig::default());
+        let d = b.host("D", HostConfig::default());
+        b.link(s, r1, ms, 0.0);
+        b.link(r1, l, ms, 0.3);
+        b.default_via(s, r1);
+        b.default_via(r1, l);
+        b.route_via(r1, s_pfx, s);
+        b.route_via(l, s_pfx, r1);
+        let mut via = Vec::new();
+        for name in ["a", "b"] {
+            let x = b.router(name, RouterConfig::default());
+            b.link(l, x, ms, 0.0);
+            b.link(x, r2, ms, 0.0);
+            b.default_via(x, r2);
+            b.route_via(x, s_pfx, l);
+            via.push(x);
+        }
+        b.balanced_route(l, Ipv4Prefix::DEFAULT, BalancerKind::PerDestination, &via);
+        b.route_via(r2, s_pfx, via[0]);
+        b.link(r2, d, ms, 0.0);
+        b.default_via(r2, d);
+        b.default_via(d, r2);
+        let dst = b.addr_of(d);
+        let topo = Arc::new(b.build());
+        let to_b = topo.iface_toward(l, via[1]).unwrap();
+        let net = Net::of(crate::scenarios::Scenario {
+            topology: topo,
+            source: s,
+            destination: dst,
+            addr: std::collections::BTreeMap::new(),
+        });
+        let src = src_addr(&net.topo, s);
+        let trace = |port: u16| -> Vec<Op> {
+            let probe = |ttl: u8| Op::Inject(udp_probe(src, dst, ttl, port + u16::from(ttl)));
+            (1..=7).flat_map(|ttl| [probe(ttl), Op::RunFor(SimDuration::from_millis(20))]).collect()
+        };
+        // Two milliseconds in, L sends D's traffic to b whatever its seed.
+        let to_b_at_2ms = Op::RouteSet {
+            after: SimDuration::from_millis(2),
+            node: l,
+            prefix: Ipv4Prefix::host(dst),
+            next_hop: Some(NextHop::Iface(to_b)),
+        };
+        let changed: Vec<Op> = std::iter::once(to_b_at_2ms).chain(trace(33_000)).collect();
+        let (mut kept_lookups, mut fresh_lookups) = (0, 0);
+        for case in 0..16u64 {
+            let mut script = trace(34_000);
+            script.extend(random_script(&mut Dice(case), &net));
+            let mut fresh = Simulator::new(net.topo.clone(), case);
+            let expected = observe_on(&mut fresh, &net, &script);
+            let mut kept = Simulator::new(net.topo.clone(), 1_000 + case);
+            observe_on(&mut kept, &net, &changed);
+            kept.reset(2_000 + case);
+            observe_on(&mut kept, &net, &trace(33_500));
+            kept.reset(case);
+            let before = kept.state.lookups;
+            assert_eq!(observe_on(&mut kept, &net, &script), expected, "case {case}");
+            kept_lookups += kept.state.lookups - before;
+            fresh_lookups += fresh.state.lookups;
+        }
+        // Not vacuous: the kept table served hops the fresh one resolved.
+        assert!(kept_lookups < fresh_lookups, "{kept_lookups} lookups, fresh {fresh_lookups}");
     }
 
     proptest::proptest! {

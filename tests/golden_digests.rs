@@ -87,9 +87,10 @@ fn campaign_digest_example() {
 
 #[test]
 fn campaign_digest_kept_routes() {
-    // The same campaign's every route, replayed in round-major unit
-    // order with Paris before classic: addresses, response kinds, RTTs
-    // and IP-IDs of all 240 traces, not just the report's aggregates.
+    // The same campaign's every route, replayed round by round, each
+    // round in destination order, with Paris before classic: addresses,
+    // response kinds, RTTs and IP-IDs of all 240 traces, not just the
+    // report's aggregates.
     // The value was recorded from the routes a campaign used to keep.
     let net = generate(&InternetConfig::tiny(42));
     let config = campaign_config();

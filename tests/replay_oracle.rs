@@ -98,14 +98,14 @@ fn a_quarantined_unit_replays_to_the_panic_it_recorded() {
     let [quarantined] = result.quarantined.as_slice() else {
         panic!("one unit was poisoned, {} quarantined", result.quarantined.len())
     };
-    assert_eq!((quarantined.dest, quarantined.round), (5, 1));
+    assert_eq!((quarantined.dest, quarantined.round), (15, 0));
     let payload = catch_unwind(AssertUnwindSafe(|| {
         replay_unit(&net, &config, quarantined.dest, quarantined.round)
     }))
     .expect_err("the replayed unit must panic as the campaign's did");
     assert_eq!(payload.downcast_ref::<String>(), Some(&quarantined.panic));
     // Its neighbours replay to routes.
-    let (paris, classic) = replay_unit(&net, &config, 6, 1);
-    assert_eq!(paris.destination, net.dests[6].addr);
-    assert_eq!(classic.destination, net.dests[6].addr);
+    let (paris, classic) = replay_unit(&net, &config, 15, 1);
+    assert_eq!(paris.destination, net.dests[15].addr);
+    assert_eq!(classic.destination, net.dests[15].addr);
 }
