@@ -53,12 +53,14 @@ pub struct DynamicsConfig {
     /// How long a transient forwarding loop lasts.
     pub forwarding_loop_window: SimDuration,
     /// Per-trace probability that a load balancer's egress mapping flips
-    /// mid-trace (→ routing-change loops; the source of the paper's
-    /// 0.25% Paris-only loops).
+    /// mid-trace, [`BALANCER_FLAP_AFTER`] after it starts (→ routing-change
+    /// loops; the source of the paper's 0.25% Paris-only loops).
     pub balancer_flap_prob: f64,
-    /// Delay from trace start to the flap.
-    pub balancer_flap_after: SimDuration,
 }
+
+/// Delay from trace start to a balancer flap: late enough that a
+/// windowed trace is past the access network and probing the branch.
+const BALANCER_FLAP_AFTER: SimDuration = SimDuration::from_millis(80);
 
 impl Default for DynamicsConfig {
     fn default() -> Self {
@@ -67,7 +69,6 @@ impl Default for DynamicsConfig {
             forwarding_loop_delay: SimDuration::from_millis(30),
             forwarding_loop_window: SimDuration::from_millis(500),
             balancer_flap_prob: 0.008,
-            balancer_flap_after: SimDuration::from_millis(80),
         }
     }
 }
@@ -80,7 +81,6 @@ impl DynamicsConfig {
             forwarding_loop_delay: SimDuration::ZERO,
             forwarding_loop_window: SimDuration::ZERO,
             balancer_flap_prob: 0.0,
-            balancer_flap_after: SimDuration::ZERO,
         }
     }
 }
@@ -144,12 +144,9 @@ pub struct CampaignConfig {
     /// Per-trace parameters; defaults to the paper's, with the windowed
     /// tracer's default `window` (3 probes in flight per trace — the
     /// virtual-time analogue of the paper's 32 parallel processes).
-    /// Setting `trace.window = 1` reproduces the strictly sequential
-    /// per-probe discipline, and with it the pre-windowed campaign
-    /// digest byte for byte — provided [`CampaignConfig::dynamics`] is
-    /// disabled or pinned to explicit values, since the *default*
-    /// dynamics timings were retuned to windowed pacing in the same
-    /// change (see [`DynamicsConfig::default`]).
+    /// `trace.window = 1` is the strictly sequential per-probe
+    /// discipline; the default dynamics timings are tuned to windowed
+    /// pacing (see [`DynamicsConfig::forwarding_loop_delay`]).
     pub trace: TraceConfig,
     /// Routing dynamics.
     pub dynamics: DynamicsConfig,
@@ -747,7 +744,7 @@ fn schedule_dynamics(
                 .map(|(prefix, nh)| (prefix, nh.clone()));
             if let Some((prefix, NextHop::Balanced { kind, mut egresses })) = current {
                 egresses.rotate_left(1);
-                let at = now + dyn_cfg.balancer_flap_after;
+                let at = now + BALANCER_FLAP_AFTER;
                 tx.simulator_mut().schedule_route_set(
                     at,
                     node,
@@ -1545,8 +1542,6 @@ mod tests {
             firewalled_dest: 0.0,
             silent_router: 0.0,
             link_loss: 0.0,
-            branch_len_min: 3,
-            branch_len_max: 5,
             ..InternetConfig::default()
         };
         let net = generate(&config);
@@ -1559,7 +1554,6 @@ mod tests {
             forwarding_loop_delay: SimDuration::from_millis(5),
             forwarding_loop_window: SimDuration::from_secs(3),
             balancer_flap_prob: 0.0,
-            balancer_flap_after: SimDuration::ZERO,
         };
         let result = run(&net, &cc);
         assert!(

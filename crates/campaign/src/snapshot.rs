@@ -73,7 +73,7 @@ use pt_core::TraceConfig;
 use pt_mda::BalancerClass::{self, NotBalanced, PerFlow, PerPacket, Undetermined};
 use pt_mda::MdaConfig;
 use pt_netsim::splitmix64;
-use pt_topogen::SyntheticInternet;
+use pt_topogen::{InternetConfig, SyntheticInternet};
 
 use crate::runner::{
     finish, n_units, run_block, worker_states, BlockOutput, CampaignConfig, CampaignMode,
@@ -141,9 +141,51 @@ fn mix_inject(mut h: u64, inject: &InjectConfig) -> u64 {
     h
 }
 
+/// The network, as the config that generated it: every field, so two
+/// nets that differ anywhere — not only in size or first address —
+/// fingerprint apart.
 fn mix_net(mut h: u64, net: &SyntheticInternet) -> u64 {
-    h = mix(h, net.dests.len() as u64);
-    mix(h, u64::from(net.dests.first().map_or(0, |d| u32::from(d.addr))))
+    let InternetConfig {
+        seed,
+        n_destinations,
+        n_core,
+        per_flow_lb,
+        per_packet_lb,
+        lb_equal_weight,
+        lb_delta1_weight,
+        zero_ttl,
+        broken,
+        nat,
+        silent_router,
+        firewalled_dest,
+        link_loss,
+        rate_limited_router,
+        mpls_tunnel,
+        udp_filter,
+        asym_return,
+    } = net.config;
+    for v in [
+        seed,
+        n_destinations as u64,
+        n_core as u64,
+        per_flow_lb.to_bits(),
+        per_packet_lb.to_bits(),
+        lb_equal_weight.to_bits(),
+        lb_delta1_weight.to_bits(),
+        zero_ttl.to_bits(),
+        broken.to_bits(),
+        nat.to_bits(),
+        silent_router.to_bits(),
+        firewalled_dest.to_bits(),
+        link_loss.to_bits(),
+        rate_limited_router.to_bits(),
+        mpls_tunnel.to_bits(),
+        udp_filter.to_bits(),
+        asym_return.to_bits(),
+    ] {
+        h = mix(h, v);
+    }
+    h
 }
 
 /// Everything that changes a side-by-side campaign's results, folded
@@ -159,7 +201,6 @@ fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64
         forwarding_loop_delay,
         forwarding_loop_window,
         balancer_flap_prob,
-        balancer_flap_after,
     } = *dynamics;
     let mut h = mix(0x7369_6465, *seed); // "side"
     h = mix(h, *rounds as u64);
@@ -173,7 +214,6 @@ fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64
         forwarding_loop_delay.nanos(),
         forwarding_loop_window.nanos(),
         balancer_flap_prob.to_bits(),
-        balancer_flap_after.nanos(),
     ] {
         h = mix(h, v);
     }
@@ -1017,9 +1057,35 @@ mod tests {
     }
 
     #[test]
+    fn a_journal_is_refused_over_another_network() {
+        // Both differ from `tiny(42)` in what the network is, not in its
+        // size or its first address.
+        let base = InternetConfig::tiny(42);
+        let others = [
+            ("lb_equal_weight", InternetConfig { lb_equal_weight: 0.7, ..base.clone() }),
+            ("link_loss", InternetConfig { link_loss: 0.01, ..base.clone() }),
+        ];
+        let net = generate(&base);
+        let path = tmp("other-net");
+        let ckpt = ckpt(&path, 20, Some(1));
+        let side = CampaignConfig { rounds: 2, workers: 2, seed: 99, ..Default::default() };
+        let multi = MultipathConfig { workers: 2, seed: 7, ..Default::default() };
+        for (field, config) in others {
+            let other = generate(&config);
+            assert!(run_checkpointed(&net, &side, &ckpt).unwrap().is_none());
+            let err = run_resumed(&other, &side, &ckpt).expect_err(field);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "side-by-side, {field}: {err}");
+            assert!(run_multipath_checkpointed(&net, &multi, &ckpt).unwrap().is_none());
+            let err = run_multipath_resumed(&other, &multi, &ckpt).expect_err(field);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "multipath, {field}: {err}");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
     fn every_results_affecting_trace_field_is_fingerprinted() {
         type Flip = (&'static str, fn(&mut CampaignConfig));
-        let flips: [Flip; 14] = [
+        let flips: [Flip; 13] = [
             ("rounds", |c| c.rounds += 1),
             ("seed", |c| c.seed += 1),
             ("trace.min_ttl", |c| c.trace.min_ttl += 1),
@@ -1034,9 +1100,6 @@ mod tests {
                 c.dynamics.forwarding_loop_window = SimDuration::from_millis(1)
             }),
             ("dynamics.balancer_flap_prob", |c| c.dynamics.balancer_flap_prob *= 2.0),
-            ("dynamics.balancer_flap_after", |c| {
-                c.dynamics.balancer_flap_after = SimDuration::from_millis(1)
-            }),
             ("inject.panic_units", |c| c.inject.panic_units.extend([3])),
             ("inject.runaway_units", |c| c.inject.runaway_units.extend([3])),
             ("inject: panic vs runaway", |c| {

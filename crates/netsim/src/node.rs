@@ -78,13 +78,17 @@ pub enum ResponderAddr {
     Fixed,
 }
 
+/// Initial TTL of the ICMP a router originates. Most routers use 255;
+/// the paper's response-TTL heuristics rely on it being constant per
+/// router.
+pub(crate) const ROUTER_ICMP_TTL: u8 = 255;
+
+/// Initial TTL of the packets a host originates.
+const HOST_TTL: u8 = 64;
+
 /// Router behaviour knobs. Defaults model a healthy router.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterConfig {
-    /// Initial TTL of ICMP messages this router originates. Most routers
-    /// use 255; the paper's response-TTL heuristics rely on it being
-    /// constant per router.
-    pub icmp_initial_ttl: u8,
     /// The Fig. 4 misconfiguration: forward packets whose TTL has reached
     /// zero instead of discarding them.
     pub zero_ttl_forwarding: bool,
@@ -115,7 +119,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            icmp_initial_ttl: 255,
             zero_ttl_forwarding: false,
             broken: None,
             silent: false,
@@ -174,12 +177,11 @@ impl RouterConfig {
     }
 }
 
-/// Host behaviour knobs.
+/// Host behaviour knobs. Every host answers ICMP Echo Requests: the
+/// study only targets pingable destinations, to avoid inflating anomaly
+/// counts (§3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostConfig {
-    /// Replies to ICMP Echo Requests. The study only targets pingable
-    /// destinations, to avoid inflating anomaly counts (§3).
-    pub pingable: bool,
     /// Sends ICMP Port Unreachable for UDP to a closed port — the normal
     /// end-of-trace signal. A firewalled host stays mute (trailing stars).
     pub udp_responds: bool,
@@ -188,19 +190,11 @@ pub struct HostConfig {
     pub open_tcp_ports: Vec<u16>,
     /// Whether closed TCP ports send RST at all.
     pub tcp_responds: bool,
-    /// Initial TTL for packets this host originates.
-    pub initial_ttl: u8,
 }
 
 impl Default for HostConfig {
     fn default() -> Self {
-        HostConfig {
-            pingable: true,
-            udp_responds: true,
-            open_tcp_ports: vec![80],
-            tcp_responds: true,
-            initial_ttl: 64,
-        }
+        HostConfig { udp_responds: true, open_tcp_ports: vec![80], tcp_responds: true }
     }
 }
 
@@ -214,13 +208,7 @@ impl HostConfig {
     /// A host behind a strict firewall: pingable (it made the destination
     /// list) but mute to UDP and TCP probes — produces trailing stars.
     pub fn firewalled() -> Self {
-        HostConfig {
-            pingable: true,
-            udp_responds: false,
-            open_tcp_ports: Vec::new(),
-            tcp_responds: false,
-            initial_ttl: 64,
-        }
+        HostConfig { udp_responds: false, open_tcp_ports: Vec::new(), tcp_responds: false }
     }
 }
 
@@ -253,8 +241,8 @@ impl NodeKind {
     /// Initial TTL for ICMP this node originates.
     pub fn icmp_initial_ttl(&self) -> u8 {
         match self {
-            NodeKind::Router(r) => r.icmp_initial_ttl,
-            NodeKind::Host(h) => h.initial_ttl,
+            NodeKind::Router(_) => ROUTER_ICMP_TTL,
+            NodeKind::Host(_) => HOST_TTL,
         }
     }
 }
@@ -266,7 +254,6 @@ mod tests {
     #[test]
     fn default_router_is_healthy() {
         let r = RouterConfig::default();
-        assert_eq!(r.icmp_initial_ttl, 255);
         assert!(!r.zero_ttl_forwarding);
         assert!(r.broken.is_none());
         assert!(!r.silent);
@@ -306,7 +293,6 @@ mod tests {
     #[test]
     fn firewalled_host_is_pingable_but_mute() {
         let h = HostConfig::firewalled();
-        assert!(h.pingable);
         assert!(!h.udp_responds);
         assert!(!h.tcp_responds);
         assert!(h.open_tcp_ports.is_empty());

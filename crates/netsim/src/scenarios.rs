@@ -246,10 +246,7 @@ pub fn fig5() -> Scenario {
         s.b.subnet_of(dest),
         s.b.subnet_of(n), // N's inner interface also hides
     ];
-    let mut nat_cfg = RouterConfig::nat_gateway(public, inside);
-    // Keep N answering from its public face.
-    nat_cfg.icmp_initial_ttl = 255;
-    s.b.set_router_config(n, nat_cfg);
+    s.b.set_router_config(n, RouterConfig::nat_gateway(public, inside));
     s.b.default_via(s.last, n);
     s.b.default_via(n, a);
     s.b.default_via(a, bb);

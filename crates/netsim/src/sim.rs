@@ -79,7 +79,7 @@ use pt_wire::{Packet, Transport, UnreachableCode};
 
 use crate::addr::Ipv4Prefix;
 use crate::arena::{PacketArena, PacketRef};
-use crate::node::{BalancerKind, NodeKind, ResponderAddr, RouterConfig};
+use crate::node::{BalancerKind, NodeKind, ResponderAddr, RouterConfig, ROUTER_ICMP_TTL};
 use crate::routing::{NextHop, RoutingTable};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{Endpoint, Node, NodeId, Topology};
@@ -759,15 +759,13 @@ impl SimState {
     /// router answers nothing at all. A host answers what its config
     /// lets through and counts what it refuses.
     fn local_response(&mut self, node: NodeId, kind: &NodeKind, packet: &Packet) -> Option<Packet> {
-        let (udp, ping, open_ports, rst) = match kind {
+        let (udp, open_ports, rst) = match kind {
             NodeKind::Router(cfg) if cfg.silent => {
                 self.stats.dropped_silent += 1;
                 return None;
             }
-            NodeKind::Router(_) => (true, true, &[][..], true),
-            NodeKind::Host(h) => {
-                (h.udp_responds, h.pingable, h.open_tcp_ports.as_slice(), h.tcp_responds)
-            }
+            NodeKind::Router(_) => (true, &[][..], true),
+            NodeKind::Host(h) => (h.udp_responds, h.open_tcp_ports.as_slice(), h.tcp_responds),
         };
         let (probed, ttl) = (packet.ip.dst, kind.icmp_initial_ttl());
         let answer = match &packet.transport {
@@ -778,7 +776,7 @@ impl SimState {
                 let port = IcmpKind::Unreachable(UnreachableCode::Port);
                 return Some(self.icmp_response(node, probed, ttl, packet, port));
             }
-            Transport::Icmp(IcmpMessage::EchoRequest { identifier, seq, payload }) if ping => {
+            Transport::Icmp(IcmpMessage::EchoRequest { identifier, seq, payload }) => {
                 self.stats.echo_replies_sent += 1;
                 // Echo the payload through a pooled buffer: once the
                 // pool is warm the reply path allocates nothing.
@@ -834,7 +832,7 @@ impl SimState {
         // its payload buffer back to the pool.
         let packet = self.arena.take(packet);
         let src = Self::responding_addr(topo.node(node), cfg, iface_in);
-        let resp = self.icmp_response(node, src, cfg.icmp_initial_ttl, &packet, kind);
+        let resp = self.icmp_response(node, src, ROUTER_ICMP_TTL, &packet, kind);
         self.arena.recycle_packet(packet);
         self.originate(topo, node, resp);
     }

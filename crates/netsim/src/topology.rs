@@ -2,10 +2,11 @@
 //! delay and loss, and initial routing tables.
 //!
 //! A [`Topology`] is immutable once built (see [`crate::builder`]); a
-//! simulator owns only small per-node runtime state (a copy-on-write
-//! routing delta, IP-ID counter, rate-limiter fill) layered over it, so
-//! several simulators can share one topology across threads and spin up
-//! without copying any routing table.
+//! simulator owns only small per-node runtime state (IP-ID counter,
+//! rate-limiter fill, and a copy of the node's routing table once a
+//! route change lands there) layered over it, so several simulators can
+//! share one topology across threads and spin up without copying any
+//! routing table.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;

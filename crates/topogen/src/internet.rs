@@ -13,7 +13,9 @@
 //! forwarder, a broken-forwarding router, a NAT'd stub, and silent
 //! routers. All randomness derives from [`InternetConfig::seed`].
 
+use std::fmt::Display;
 use std::net::Ipv4Addr;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -28,6 +30,31 @@ use pt_wire::{FlowPolicy, UnreachableCode};
 
 use crate::aslabel::{AsMap, AsTier, Asn};
 
+/// One-way delay of every generated link. §4's anomalies come from hop
+/// counts, not round-trip times, so one value serves every link.
+const LINK_DELAY: SimDuration = SimDuration::from_millis(1);
+
+/// Extra return delay on a branch planted asymmetric: RTTs skew, hop counts stay.
+const ASYM_EXTRA_DELAY: SimDuration = SimDuration::from_millis(5);
+
+/// Plain transit routers per branch, before any feature is spliced in.
+const BRANCH_LEN: RangeInclusive<usize> = 2..=5;
+
+/// Given a balancer, the probability it spreads over three paths, not two.
+const LB_THREE_WAY: f64 = 0.25;
+
+/// What per-flow balancers hash: the five-tuple, whose ports classic
+/// traceroute varies and Paris traceroute holds constant (§2).
+const FLOW_POLICY: FlowPolicy = FlowPolicy::FiveTuple;
+
+// A planted ICMP rate limiter mints one token every 5 s into a bucket of
+// one: the first probe of a burst is answered, the rest draw stars.
+const RATE_LIMIT_INTERVAL: SimDuration = SimDuration::from_secs(5);
+const RATE_LIMIT_BURST: u32 = 1;
+
+/// Interior (hidden) routers per planted MPLS tunnel.
+const MPLS_RUN_LEN: usize = 3;
+
 /// Knobs for the synthetic Internet. Defaults are calibrated so a classic
 /// traceroute campaign reproduces the *shape* of the paper's §4 numbers.
 #[derive(Debug, Clone)]
@@ -38,11 +65,6 @@ pub struct InternetConfig {
     pub n_destinations: usize,
     /// Core (tier-1-like) routers, fully meshed. At least 2.
     pub n_core: usize,
-    /// Transit routers per branch before feature insertion: uniform in
-    /// `branch_len_min..=branch_len_max`.
-    pub branch_len_min: usize,
-    /// Upper bound of the plain chain length.
-    pub branch_len_max: usize,
     /// Probability a destination's branch contains a load balancer that
     /// hashes flows (the dominant anomaly source).
     pub per_flow_lb: f64,
@@ -54,8 +76,6 @@ pub struct InternetConfig {
     /// Given a balancer, probability of a length difference of exactly 1
     /// (loops). The remainder gets a difference of 2 (cycles).
     pub lb_delta1_weight: f64,
-    /// Probability the balancer spreads over 3 paths instead of 2.
-    pub lb_three_way: f64,
     /// Probability a branch contains a zero-TTL forwarder (Fig. 4).
     pub zero_ttl: f64,
     /// Probability the branch ends in a broken-forwarding router (`!H`).
@@ -68,31 +88,20 @@ pub struct InternetConfig {
     pub firewalled_dest: f64,
     /// Per-traversal packet loss on branch links (mid-route stars).
     pub link_loss: f64,
-    /// One-way link delay.
-    pub link_delay: SimDuration,
-    /// Flow-hash policy installed on per-flow balancers.
-    pub flow_policy: FlowPolicy,
     /// Probability each chain router rate-limits the ICMP it sources
-    /// (token bucket; the dominant modern star cause). New hostile
-    /// knobs consume RNG draws only when non-zero, so fault-free
-    /// configs generate byte-identical networks to older seeds.
+    /// (token bucket; the dominant modern star cause). This and the
+    /// three hostile knobs below consume RNG draws only when non-zero,
+    /// so fault-free configs generate byte-identical networks to older
+    /// seeds.
     pub rate_limited_router: f64,
-    /// Planted limiter: time to mint one token (1 / rate).
-    pub rate_limit_interval: SimDuration,
-    /// Planted limiter: bucket capacity (back-to-back ICMP budget).
-    pub rate_limit_burst: u32,
     /// Probability a branch routes through an MPLS tunnel whose
     /// interior routers decrement TTL without sourcing Time Exceeded.
     pub mpls_tunnel: f64,
-    /// Interior (hidden) routers per planted tunnel.
-    pub mpls_run_len: usize,
     /// Probability a branch carries a firewall that silently drops UDP
     /// transit while passing TCP and ICMP.
     pub udp_filter: f64,
     /// Probability a branch's links get a skewed (slower) return path.
     pub asym_return: f64,
-    /// Extra return-direction delay on planted asymmetric branches.
-    pub asym_extra_delay: SimDuration,
 }
 
 impl Default for InternetConfig {
@@ -101,29 +110,20 @@ impl Default for InternetConfig {
             seed: 2006,
             n_destinations: 500,
             n_core: 6,
-            branch_len_min: 2,
-            branch_len_max: 5,
             per_flow_lb: 0.65,
             per_packet_lb: 0.03,
             lb_equal_weight: 0.62,
             lb_delta1_weight: 0.24,
-            lb_three_way: 0.25,
             zero_ttl: 0.0025,
             broken: 0.0012,
             nat: 0.0015,
             silent_router: 0.02,
             firewalled_dest: 0.05,
             link_loss: 0.0005,
-            link_delay: SimDuration::from_millis(1),
-            flow_policy: FlowPolicy::FiveTuple,
             rate_limited_router: 0.0,
-            rate_limit_interval: SimDuration::from_secs(5),
-            rate_limit_burst: 1,
             mpls_tunnel: 0.0,
-            mpls_run_len: 3,
             udp_filter: 0.0,
             asym_return: 0.0,
-            asym_extra_delay: SimDuration::from_millis(5),
         }
     }
 }
@@ -193,9 +193,9 @@ impl DestTruth {
         self.has_balancer().then_some((self.lb_width, self.lb_delta, self.per_packet_lb))
     }
 
-    /// Whether any of the PR-6 hostile faults (rate limiter, MPLS
-    /// hiding, UDP filter, asymmetric return) was planted here — the
-    /// population the adaptive walker must recover.
+    /// Whether any hostile fault (rate limiter, MPLS hiding, UDP filter,
+    /// asymmetric return) was planted here — the population the adaptive
+    /// walker must recover.
     pub fn any_hostile_fault(&self) -> bool {
         self.rate_limited_routers > 0 || self.mpls_hops > 0 || self.udp_filtered || self.asym_return
     }
@@ -231,13 +231,6 @@ pub struct SyntheticInternet {
     pub config: InternetConfig,
 }
 
-impl SyntheticInternet {
-    /// All destination addresses (the study's "destination list").
-    pub fn destination_list(&self) -> Vec<Ipv4Addr> {
-        self.dests.iter().map(|d| d.addr).collect()
-    }
-}
-
 /// Generate a synthetic Internet from `config`.
 ///
 /// # Panics
@@ -248,14 +241,13 @@ pub fn generate(config: &InternetConfig) -> SyntheticInternet {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut b = TopologyBuilder::new();
     let mut as_map = AsMap::new();
-    let delay = config.link_delay;
 
     // --- Access network: S — a1 — a2 (the hops min_ttl=2 skips). ---
     let source = b.host("S", HostConfig::default());
     let a1 = b.router("a1", RouterConfig::default().with_fixed_responder());
     let a2 = b.router("a2", RouterConfig::default().with_fixed_responder());
-    b.link(source, a1, delay, 0.0);
-    b.link(a1, a2, delay, 0.0);
+    b.link(source, a1, LINK_DELAY, 0.0);
+    b.link(a1, a2, LINK_DELAY, 0.0);
     let s_prefix = b.subnet_of(source);
     b.default_via(source, a1);
     b.default_via(a1, a2);
@@ -270,10 +262,10 @@ pub fn generate(config: &InternetConfig) -> SyntheticInternet {
     let core: Vec<NodeId> = (0..config.n_core)
         .map(|i| b.router(&format!("core{i}"), RouterConfig::default().with_fixed_responder()))
         .collect();
-    b.link(a2, core[0], delay, 0.0);
+    b.link(a2, core[0], LINK_DELAY, 0.0);
     for i in 0..core.len() {
         for j in i + 1..core.len() {
-            b.link(core[i], core[j], delay, 0.0);
+            b.link(core[i], core[j], LINK_DELAY, 0.0);
         }
     }
     b.default_via(a2, core[0]);
@@ -294,11 +286,23 @@ pub fn generate(config: &InternetConfig) -> SyntheticInternet {
     for di in 0..config.n_destinations {
         let owner = core[rng.gen_range(0..core.len())];
         let first_node = b.node_count();
-        let (info, head) = build_branch(&mut b, &mut rng, config, di, owner, s_prefix, delay);
+        let branch = Branch {
+            b: &mut b,
+            rng: &mut rng,
+            config,
+            di,
+            owner,
+            s_prefix,
+            back: LINK_DELAY,
+            prev: owner,
+            truth: DestTruth::default(),
+            chain: Vec::new(),
+        };
+        let info = branch.build();
         // Every node the branch created belongs to this stub AS.
         let stub_asn = Asn(1000 + di as u32);
         for node_idx in first_node..b.node_count() {
-            for pfx in b.subnets_of(pt_netsim::topology::NodeId(node_idx)) {
+            for pfx in b.subnets_of(NodeId(node_idx)) {
                 as_map.insert(*pfx, stub_asn, AsTier::Stub);
             }
         }
@@ -306,11 +310,7 @@ pub fn generate(config: &InternetConfig) -> SyntheticInternet {
         // owner; the owner hands off to the branch head.
         let dest_route = Ipv4Prefix::host(info.addr);
         for &c in &core {
-            if c == owner {
-                b.route_via(c, dest_route, head);
-            } else {
-                b.route_via(c, dest_route, owner);
-            }
+            b.route_via(c, dest_route, if c == owner { info.chain[0] } else { owner });
         }
         dests.push(info);
     }
@@ -324,246 +324,222 @@ pub fn generate(config: &InternetConfig) -> SyntheticInternet {
     }
 }
 
-/// Build one destination branch hanging off `owner`. Returns the
-/// destination info and the branch head node (the owner's next hop).
-#[allow(clippy::too_many_arguments, reason = "the generator's state, one call per branch")]
-fn build_branch(
-    b: &mut TopologyBuilder,
-    rng: &mut StdRng,
-    config: &InternetConfig,
+/// One destination's branch while it is built: the generator's state,
+/// the router the next splice hangs behind, and what was planted so far.
+struct Branch<'a> {
+    b: &'a mut TopologyBuilder,
+    rng: &'a mut StdRng,
+    config: &'a InternetConfig,
     di: usize,
+    /// The core router the branch hangs off; it reaches the branch by a
+    /// host route, not a default.
     owner: NodeId,
     s_prefix: Ipv4Prefix,
-    delay: SimDuration,
-) -> (DestInfo, NodeId) {
-    let mut truth = DestTruth::default();
-    let mut chain: Vec<NodeId> = Vec::new();
-    let loss = config.link_loss;
+    /// Return-direction delay of every link on the branch.
+    back: SimDuration,
+    prev: NodeId,
+    truth: DestTruth,
+    chain: Vec<NodeId>,
+}
 
-    // Per-branch asymmetric return path: every link on the branch gets
-    // extra reverse-direction delay, skewing RTTs without touching hop
-    // counts. Drawn only when the knob is on, so fault-free configs
-    // spend no RNG state and generate byte-identical networks.
-    if config.asym_return > 0.0 && rng.gen_bool(config.asym_return) {
-        truth.asym_return = true;
+impl Branch<'_> {
+    /// `true` with probability `p`, drawing nothing when `p == 0`: the
+    /// hostile knobs are off by default, and this is why fault-free
+    /// configs generate byte-identical networks to older seeds.
+    fn roll(&mut self, p: f64) -> bool {
+        p > 0.0 && self.rng.gen_bool(p)
     }
-    let back = if truth.asym_return {
-        SimDuration::from_nanos(delay.nanos() + config.asym_extra_delay.nanos())
-    } else {
-        delay
-    };
 
-    // A branch router, possibly silent, possibly ICMP-rate-limited
-    // (the latter drawn here so `truth` keeps count).
-    fn plant_router(
-        b: &mut TopologyBuilder,
-        rng: &mut StdRng,
-        config: &InternetConfig,
-        truth: &mut DestTruth,
-        name: String,
-        silent: bool,
-    ) -> NodeId {
+    /// A branch router named `d<di>-<part>`: silent, or else perhaps
+    /// ICMP-rate-limited (drawn here so `truth` keeps count).
+    fn router(&mut self, part: impl Display, silent: bool) -> NodeId {
         let cfg = if silent {
+            self.truth.silent_routers += 1;
             RouterConfig::silent()
-        } else if config.rate_limited_router > 0.0 && rng.gen_bool(config.rate_limited_router) {
-            truth.rate_limited_routers += 1;
-            RouterConfig::rate_limited(config.rate_limit_interval, config.rate_limit_burst)
-                .with_fixed_responder()
+        } else if self.roll(self.config.rate_limited_router) {
+            self.truth.rate_limited_routers += 1;
+            RouterConfig::rate_limited(RATE_LIMIT_INTERVAL, RATE_LIMIT_BURST).with_fixed_responder()
         } else {
             RouterConfig::default().with_fixed_responder()
         };
-        b.router(&name, cfg)
+        self.router_with(part, cfg)
     }
 
-    // Plain chain part.
-    let chain_len = rng.gen_range(config.branch_len_min..=config.branch_len_max);
-    let mut prev = owner;
-    for i in 0..chain_len {
-        let silent = rng.gen_bool(config.silent_router);
-        if silent {
-            truth.silent_routers += 1;
-        }
-        let r = plant_router(b, rng, config, &mut truth, format!("d{di}-t{i}"), silent);
-        b.link_asym(prev, r, delay, back, loss);
-        b.route_via(r, s_prefix, prev);
-        if prev != owner {
-            b.default_via(prev, r);
-        }
-        chain.push(r);
-        prev = r;
+    /// A branch node named `d<di>-<part>` with its own behaviour.
+    fn router_with(&mut self, part: impl Display, cfg: RouterConfig) -> NodeId {
+        self.b.router(&format!("d{}-{part}", self.di), cfg)
     }
-    let head = chain[0];
 
-    // Optional MPLS tunnel: a run of interior routers that decrement
-    // TTL without sourcing Time Exceeded. Spliced *before* the diamond
-    // so a walker that abandons inside the tunnel never sees what lies
-    // beyond — the recovery the adaptive walker must make.
-    if config.mpls_tunnel > 0.0 && rng.gen_bool(config.mpls_tunnel) {
-        truth.mpls_hops = config.mpls_run_len as u8;
-        for s in 0..config.mpls_run_len {
-            let r = b.router(&format!("d{di}-m{s}"), RouterConfig::mpls_interior());
-            b.link_asym(prev, r, delay, back, loss);
-            b.route_via(r, s_prefix, prev);
-            if prev != owner {
-                b.default_via(prev, r);
+    /// Link `r` behind `from`; `r` routes the source back through it.
+    fn link(&mut self, from: NodeId, r: NodeId) {
+        self.b.link_asym(from, r, LINK_DELAY, self.back, self.config.link_loss);
+        self.b.route_via(r, self.s_prefix, from);
+    }
+
+    /// Append `r` to the chain: linked behind the last router, which
+    /// forwards to it by default.
+    fn splice(&mut self, r: NodeId) {
+        self.link(self.prev, r);
+        if self.prev != self.owner {
+            self.b.default_via(self.prev, r);
+        }
+        self.chain.push(r);
+        self.prev = r;
+    }
+
+    /// Build the branch in path order and hang its destination off the
+    /// end.
+    fn build(mut self) -> DestInfo {
+        let config = self.config;
+        // Per-branch asymmetric return path: every link on the branch
+        // gets extra reverse-direction delay, skewing RTTs without
+        // touching hop counts.
+        if self.roll(config.asym_return) {
+            self.truth.asym_return = true;
+            self.back = LINK_DELAY + ASYM_EXTRA_DELAY;
+        }
+
+        // Plain chain part.
+        for i in 0..self.rng.gen_range(BRANCH_LEN) {
+            let silent = self.rng.gen_bool(config.silent_router);
+            let r = self.router(format_args!("t{i}"), silent);
+            self.splice(r);
+        }
+
+        // Optional MPLS tunnel: a run of interior routers that decrement
+        // TTL without sourcing Time Exceeded. Spliced *before* the diamond
+        // so a walker that abandons inside the tunnel never sees what lies
+        // beyond — the recovery the adaptive walker must make.
+        if self.roll(config.mpls_tunnel) {
+            self.truth.mpls_hops = MPLS_RUN_LEN as u8;
+            for s in 0..MPLS_RUN_LEN {
+                let r = self.router_with(format_args!("m{s}"), RouterConfig::mpls_interior());
+                self.splice(r);
             }
-            chain.push(r);
-            prev = r;
         }
+
+        // Optional UDP-dropping firewall, also ahead of the diamond: a
+        // UDP-only walker dies here with trailing stars; TCP/ICMP pass.
+        if self.roll(config.udp_filter) {
+            self.truth.udp_filtered = true;
+            let f = self.router_with("W", RouterConfig::udp_filter().with_fixed_responder());
+            self.splice(f);
+        }
+
+        // Optional load-balanced diamond.
+        let lb_roll: f64 = self.rng.gen();
+        let lb_kind = if lb_roll < config.per_flow_lb {
+            self.truth.per_flow_lb = true;
+            Some(BalancerKind::PerFlow(FLOW_POLICY))
+        } else if lb_roll < config.per_flow_lb + config.per_packet_lb {
+            self.truth.per_packet_lb = true;
+            Some(BalancerKind::PerPacket)
+        } else {
+            None
+        };
+        if let Some(kind) = lb_kind {
+            self.diamond(kind);
+        }
+
+        // Optional zero-TTL forwarder followed by a normal router (so the
+        // "loop" address exists downstream).
+        if self.rng.gen_bool(config.zero_ttl) {
+            self.truth.zero_ttl = true;
+            let f = self.router_with("F", RouterConfig::zero_ttl_forwarder());
+            self.splice(f);
+            let after = self.router("Fa", false);
+            self.splice(after);
+        }
+
+        // Optional broken-forwarding router: the trace never passes it.
+        if self.rng.gen_bool(config.broken) {
+            self.truth.broken = true;
+            let u = self.router_with("U", RouterConfig::broken_forwarding(UnreachableCode::Host));
+            self.splice(u);
+        }
+
+        // Destination, possibly behind a NAT stub.
+        self.truth.firewalled = self.rng.gen_bool(config.firewalled_dest);
+        let host_cfg =
+            if self.truth.firewalled { HostConfig::firewalled() } else { HostConfig::responsive() };
+        let dest = self.b.host(&format!("dest{}", self.di), host_cfg);
+        self.truth.nat = self.rng.gen_bool(config.nat);
+        let last = if self.truth.nat { self.nat_stub(dest) } else { self.prev };
+        self.b.link_asym(last, dest, LINK_DELAY, self.back, config.link_loss);
+        self.b.default_via(last, dest);
+        self.b.default_via(dest, last);
+
+        let addr = self.b.addr_of(dest);
+        DestInfo { addr, host: dest, truth: self.truth, chain: self.chain }
     }
 
-    // Optional UDP-dropping firewall, also ahead of the diamond: a
-    // UDP-only walker dies here with trailing stars; TCP/ICMP pass.
-    if config.udp_filter > 0.0 && rng.gen_bool(config.udp_filter) {
-        truth.udp_filtered = true;
-        let f = b.router(&format!("d{di}-W"), RouterConfig::udp_filter().with_fixed_responder());
-        b.link_asym(prev, f, delay, back, loss);
-        b.route_via(f, s_prefix, prev);
-        if prev != owner {
-            b.default_via(prev, f);
-        }
-        chain.push(f);
-        prev = f;
-    }
-
-    // Optional load-balanced diamond.
-    let lb_roll: f64 = rng.gen();
-    let lb_kind = if lb_roll < config.per_flow_lb {
-        truth.per_flow_lb = true;
-        Some(BalancerKind::PerFlow(config.flow_policy))
-    } else if lb_roll < config.per_flow_lb + config.per_packet_lb {
-        truth.per_packet_lb = true;
-        Some(BalancerKind::PerPacket)
-    } else {
-        None
-    };
-    if let Some(kind) = lb_kind {
-        let shape: f64 = rng.gen();
-        let delta: usize = if shape < config.lb_equal_weight {
+    /// A balancer `L` spreading over parallel paths that rejoin at a
+    /// merge router `M`. The first path has one router, the second
+    /// `1 + delta`, a third (if drawn) one.
+    fn diamond(&mut self, kind: BalancerKind) {
+        let shape: f64 = self.rng.gen();
+        let delta: usize = if shape < self.config.lb_equal_weight {
             0
-        } else if shape < config.lb_equal_weight + config.lb_delta1_weight {
+        } else if shape < self.config.lb_equal_weight + self.config.lb_delta1_weight {
             1
         } else {
             2
         };
-        truth.lb_delta = delta as u8;
-        let width = if rng.gen_bool(config.lb_three_way) { 3 } else { 2 };
-        truth.lb_width = width as u8;
-        // L balances over `width` parallel paths; the first path has one
-        // router, the others one or (first alternate) 1 + delta.
-        let l = plant_router(b, rng, config, &mut truth, format!("d{di}-L"), false);
-        b.link_asym(prev, l, delay, back, loss);
-        b.route_via(l, s_prefix, prev);
-        if prev != owner {
-            b.default_via(prev, l);
-        }
-        chain.push(l);
-        let merge = plant_router(b, rng, config, &mut truth, format!("d{di}-M"), false);
+        self.truth.lb_delta = delta as u8;
+        let width = if self.rng.gen_bool(LB_THREE_WAY) { 3 } else { 2 };
+        self.truth.lb_width = width as u8;
+        let l = self.router("L", false);
+        self.splice(l);
+        let merge = self.router("M", false);
         let mut heads = Vec::new();
         for w in 0..width {
             let len = if w == 1 { 1 + delta } else { 1 };
             let mut p = l;
             for s in 0..len {
-                let r = plant_router(b, rng, config, &mut truth, format!("d{di}-b{w}x{s}"), false);
-                b.link_asym(p, r, delay, back, loss);
-                b.route_via(r, s_prefix, p);
-                if p != l {
-                    b.default_via(p, r);
-                }
+                let r = self.router(format_args!("b{w}x{s}"), false);
+                self.link(p, r);
                 if p == l {
                     heads.push(r);
+                } else {
+                    self.b.default_via(p, r);
                 }
                 p = r;
             }
-            b.link_asym(p, merge, delay, back, loss);
-            b.default_via(p, merge);
+            // The merge router routes the source back over the first path.
             if w == 0 {
-                b.route_via(merge, s_prefix, p);
+                self.link(p, merge);
+            } else {
+                self.b.link_asym(p, merge, LINK_DELAY, self.back, self.config.link_loss);
             }
+            self.b.default_via(p, merge);
         }
-        b.balanced_route(l, Ipv4Prefix::DEFAULT, kind, &heads);
-        chain.push(merge);
-        prev = merge;
+        self.b.balanced_route(l, Ipv4Prefix::DEFAULT, kind, &heads);
+        self.chain.push(merge);
+        self.prev = merge;
     }
 
-    // Optional zero-TTL forwarder followed by a normal router (so the
-    // "loop" address exists downstream).
-    if rng.gen_bool(config.zero_ttl) {
-        truth.zero_ttl = true;
-        let f = b.router(&format!("d{di}-F"), RouterConfig::zero_ttl_forwarder());
-        b.link_asym(prev, f, delay, back, loss);
-        b.route_via(f, s_prefix, prev);
-        if prev != owner {
-            b.default_via(prev, f);
-        }
-        chain.push(f);
-        prev = f;
-        let after = plant_router(b, rng, config, &mut truth, format!("d{di}-Fa"), false);
-        b.link_asym(prev, after, delay, back, loss);
-        b.route_via(after, s_prefix, prev);
-        b.default_via(prev, after);
-        chain.push(after);
-        prev = after;
-    }
-
-    // Optional broken-forwarding router: the trace never passes it.
-    if rng.gen_bool(config.broken) {
-        truth.broken = true;
-        let u =
-            b.router(&format!("d{di}-U"), RouterConfig::broken_forwarding(UnreachableCode::Host));
-        b.link_asym(prev, u, delay, back, loss);
-        b.route_via(u, s_prefix, prev);
-        if prev != owner {
-            b.default_via(prev, u);
-        }
-        chain.push(u);
-        prev = u;
-    }
-
-    // Destination, possibly behind a NAT stub.
-    let host_cfg = if rng.gen_bool(config.firewalled_dest) {
-        truth.firewalled = true;
-        HostConfig::firewalled()
-    } else {
-        HostConfig::responsive()
-    };
-    let dest = b.host(&format!("dest{di}"), host_cfg);
-    if rng.gen_bool(config.nat) {
-        truth.nat = true;
-        let n = b.router(&format!("d{di}-N"), RouterConfig::default());
-        b.link_asym(prev, n, delay, back, loss);
-        b.route_via(n, s_prefix, prev);
-        if prev != owner {
-            b.default_via(prev, n);
-        }
-        chain.push(n);
-        let inner_count = rng.gen_range(1..=3);
-        let mut inner_prefixes = vec![b.subnet_of(dest)];
+    /// A NAT gateway `N` in front of one to three inner routers and
+    /// `dest`, rewriting everything that leaves the stub to its public
+    /// (upstream) address. Returns the router `dest` hangs off.
+    fn nat_stub(&mut self, dest: NodeId) -> NodeId {
+        let n = self.router_with("N", RouterConfig::default());
+        self.splice(n);
+        let inner_count = self.rng.gen_range(1..=3);
+        let mut inner_prefixes = vec![self.b.subnet_of(dest)];
         let mut p = n;
         for s in 0..inner_count {
-            let r = plant_router(b, rng, config, &mut truth, format!("d{di}-n{s}"), false);
-            inner_prefixes.push(b.subnet_of(r));
-            b.link_asym(p, r, delay, back, loss);
-            b.route_via(r, s_prefix, p);
-            b.default_via(p, r);
+            let r = self.router(format_args!("n{s}"), false);
+            inner_prefixes.push(self.b.subnet_of(r));
+            self.link(p, r);
+            self.b.default_via(p, r);
             p = r;
         }
-        b.link_asym(p, dest, delay, back, loss);
-        b.default_via(p, dest);
-        b.default_via(dest, p);
         // N's public face is its upstream interface.
-        let public = b.iface_addr(n, 0);
-        let mut cfg = RouterConfig::nat_gateway(public, inner_prefixes);
-        cfg.responder = pt_netsim::node::ResponderAddr::Fixed;
-        b.set_router_config(n, cfg);
-    } else {
-        b.link_asym(prev, dest, delay, back, loss);
-        b.default_via(prev, dest);
-        b.default_via(dest, prev);
+        let public = self.b.iface_addr(n, 0);
+        let cfg = RouterConfig::nat_gateway(public, inner_prefixes).with_fixed_responder();
+        self.b.set_router_config(n, cfg);
+        p
     }
-
-    let addr = b.addr_of(dest);
-    (DestInfo { addr, host: dest, truth, chain }, head)
 }
 
 #[cfg(test)]
@@ -575,7 +551,8 @@ mod tests {
         let a = generate(&InternetConfig::tiny(7));
         let b = generate(&InternetConfig::tiny(7));
         assert_eq!(a.topology.len(), b.topology.len());
-        assert_eq!(a.destination_list(), b.destination_list());
+        let addrs = |net: &SyntheticInternet| net.dests.iter().map(|d| d.addr).collect::<Vec<_>>();
+        assert_eq!(addrs(&a), addrs(&b));
         let ta: Vec<_> = a.dests.iter().map(|d| d.truth).collect();
         let tb: Vec<_> = b.dests.iter().map(|d| d.truth).collect();
         assert_eq!(ta, tb);
@@ -593,7 +570,7 @@ mod tests {
     #[test]
     fn every_destination_has_a_unique_address() {
         let net = generate(&InternetConfig::tiny(3));
-        let list = net.destination_list();
+        let list: Vec<_> = net.dests.iter().map(|d| d.addr).collect();
         let set: std::collections::BTreeSet<_> = list.iter().collect();
         assert_eq!(set.len(), list.len());
         assert_eq!(list.len(), 40);
