@@ -201,11 +201,6 @@ impl MeasuredRoute {
         let last_responding = self.hops.iter().rposition(|h| !h.all_stars()).unwrap_or(0);
         self.hops[..last_responding].iter().flat_map(|h| &h.probes).filter(|p| p.is_star()).count()
     }
-
-    /// The hop index (not TTL) where the destination answered, if any.
-    pub fn destination_hop(&self) -> Option<usize> {
-        self.hops.iter().position(|h| h.probes.iter().any(|p| p.addr == Some(self.destination)))
-    }
 }
 
 #[cfg(test)]
@@ -269,7 +264,6 @@ mod tests {
         term.kind = Some(ResponseKind::Unreachable(UnreachableCode::Port));
         let r = route(vec![Hop { ttl: 1, probes: vec![term] }]);
         assert!(r.reached_destination());
-        assert_eq!(r.destination_hop(), Some(0));
         // A Time Exceeded from the destination address does not count.
         let r2 = route(vec![Hop { ttl: 1, probes: vec![reply(99)] }]);
         assert!(!r2.reached_destination());

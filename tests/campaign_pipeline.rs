@@ -1,5 +1,6 @@
 //! Integration tests for the full campaign pipeline: topology generation
-//! → sharded side-by-side probing → anomaly accumulation → attribution.
+//! → side-by-side probing on the worker pool → anomaly accumulation →
+//! attribution.
 
 use paris_traceroute_repro::campaign::{run, validate_causes, CampaignConfig, DynamicsConfig};
 use paris_traceroute_repro::topogen::{generate, InternetConfig};
@@ -7,20 +8,6 @@ use pt_anomaly::stats::{FinalCycleCause, FinalLoopCause};
 
 fn small_net(seed: u64) -> pt_topogen::SyntheticInternet {
     generate(&InternetConfig { seed, n_destinations: 150, ..InternetConfig::default() })
-}
-
-#[test]
-fn worker_count_does_not_change_totals() {
-    // Workers claim (destination, round) units; total routes and
-    // destinations are invariant to who claims what.
-    let net = small_net(44);
-    for workers in [1, 3, 8] {
-        let result =
-            run(&net, &CampaignConfig { rounds: 2, workers, seed: 9, ..CampaignConfig::default() });
-        assert_eq!(result.classic_report.routes_total, 300, "workers = {workers}");
-        assert_eq!(result.classic_report.destinations, 150);
-        assert_eq!(result.paris_report.routes_total, 300);
-    }
 }
 
 #[test]

@@ -18,11 +18,8 @@ use paris_traceroute_repro::campaign::{
     run_multipath_checkpointed, run_multipath_resumed, run_resumed, CampaignConfig,
     CheckpointConfig, MultipathConfig,
 };
-use paris_traceroute_repro::topogen::{generate, InternetConfig, SyntheticInternet};
 
-fn net() -> SyntheticInternet {
-    generate(&InternetConfig::tiny(42))
-}
+use crate::tiny42;
 
 fn tmp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -42,14 +39,14 @@ fn campaign_config(workers: usize) -> CampaignConfig {
 
 #[test]
 fn side_by_side_resume_is_byte_identical_at_every_kill_point() {
-    let net = net();
+    let net = tiny42();
     // 40 dests × 2 rounds = 80 units; 17-unit blocks put checkpoints at
     // awkward, non-divisor boundaries (17, 34, 51, 68, 80).
     const EVERY: u32 = 17;
     const CHECKPOINTS: usize = 5;
     for workers in [1usize, 4, 8] {
         let config = campaign_config(workers);
-        let uninterrupted = report_digest(&run(&net, &config));
+        let uninterrupted = report_digest(&run(net, &config));
         for kill_after in 1..CHECKPOINTS {
             let path = tmp_path(&format!("side-w{workers}-k{kill_after}"));
             let ckpt = CheckpointConfig {
@@ -57,7 +54,7 @@ fn side_by_side_resume_is_byte_identical_at_every_kill_point() {
                 every_units: EVERY,
                 stop_after_checkpoints: Some(kill_after),
             };
-            let early = run_checkpointed(&net, &config, &ckpt)
+            let early = run_checkpointed(net, &config, &ckpt)
                 .expect("checkpointed run writes its snapshot");
             assert!(early.is_none(), "killed after checkpoint {kill_after}");
             // Resume under a *different* worker count than died: the
@@ -65,7 +62,7 @@ fn side_by_side_resume_is_byte_identical_at_every_kill_point() {
             let resumed_workers = [1usize, 4, 8][kill_after % 3];
             let resume_config = CampaignConfig { workers: resumed_workers, ..config.clone() };
             let resume_ckpt = CheckpointConfig { stop_after_checkpoints: None, ..ckpt };
-            let result = run_resumed(&net, &resume_config, &resume_ckpt)
+            let result = run_resumed(net, &resume_config, &resume_ckpt)
                 .expect("snapshot loads")
                 .expect("resumed run completes");
             assert_eq!(
@@ -82,7 +79,7 @@ fn side_by_side_resume_is_byte_identical_at_every_kill_point() {
 
 #[test]
 fn multipath_resume_is_byte_identical_at_every_kill_point() {
-    let net = net();
+    let net = tiny42();
     const EVERY: u32 = 23;
     const CHECKPOINTS: usize = 4; // ceil(80 / 23)
     for workers in [1usize, 4, 8] {
@@ -90,7 +87,7 @@ fn multipath_resume_is_byte_identical_at_every_kill_point() {
         config.mda.probe_budget = 240;
         config.inject.panic_units.insert(3);
         config.inject.runaway_units.insert(9);
-        let uninterrupted = multipath_digest(&run_multipath(&net, &config));
+        let uninterrupted = multipath_digest(&run_multipath(net, &config));
         for kill_after in 1..CHECKPOINTS {
             let path = tmp_path(&format!("mda-w{workers}-k{kill_after}"));
             let ckpt = CheckpointConfig {
@@ -98,13 +95,13 @@ fn multipath_resume_is_byte_identical_at_every_kill_point() {
                 every_units: EVERY,
                 stop_after_checkpoints: Some(kill_after),
             };
-            let early = run_multipath_checkpointed(&net, &config, &ckpt)
+            let early = run_multipath_checkpointed(net, &config, &ckpt)
                 .expect("checkpointed run writes its snapshot");
             assert!(early.is_none(), "killed after checkpoint {kill_after}");
             let resumed_workers = [8usize, 1, 4][kill_after % 3];
             let resume_config = MultipathConfig { workers: resumed_workers, ..config.clone() };
             let resume_ckpt = CheckpointConfig { stop_after_checkpoints: None, ..ckpt };
-            let result = run_multipath_resumed(&net, &resume_config, &resume_ckpt)
+            let result = run_multipath_resumed(net, &resume_config, &resume_ckpt)
                 .expect("snapshot loads")
                 .expect("resumed run completes");
             assert_eq!(
@@ -121,15 +118,15 @@ fn multipath_resume_is_byte_identical_at_every_kill_point() {
 
 #[test]
 fn resuming_a_completed_snapshot_reproduces_the_result_without_rework() {
-    let net = net();
+    let net = tiny42();
     let config = campaign_config(4);
     let path = tmp_path("completed");
     let ckpt =
         CheckpointConfig { path: path.clone(), every_units: 40, stop_after_checkpoints: None };
-    let first = run_checkpointed(&net, &config, &ckpt).unwrap().expect("completes");
+    let first = run_checkpointed(net, &config, &ckpt).unwrap().expect("completes");
     // The final snapshot holds the whole fold: resuming it re-runs
     // nothing and finalizes straight to the same digest.
-    let again = run_resumed(&net, &config, &ckpt).unwrap().expect("finalizes from disk");
+    let again = run_resumed(net, &config, &ckpt).unwrap().expect("finalizes from disk");
     assert_eq!(report_digest(&again), report_digest(&first));
     let _ = std::fs::remove_file(&path);
 }

@@ -2,8 +2,8 @@
 //! values, so "byte-identical to the parent commit" is a test and not
 //! a by-hand diff of `examples/campaign_digest` output.
 //!
-//! `tests/determinism.rs`, `worker_invariance.rs` and
-//! `checkpoint_resume.rs` compare a run with another run of the same
+//! `worker_invariance.rs`, `checkpoint_resume.rs` and
+//! `replay_oracle.rs` compare a run with another run of the same
 //! build; none of them notices a change that moves *every* run the
 //! same way. These constants do. They were recorded once, by the PR
 //! that re-keyed the simulator's event order to `(time, birth)` and its
@@ -19,6 +19,10 @@
 //! 5, 3 and 1 ulp — the float sum had drifted from the exact mean —
 //! and every other line of every digest text stayed as it was
 //! (`docs/PERFORMANCE.md` puts the bit patterns side by side).
+//!
+//! The hash covers the whole digest text, so these constants also hold
+//! that a fixed seed runs to the same digest every time and that the
+//! digest prints every report field.
 //!
 //! A PR that *means* to change results (a new default, a fixed bug in
 //! the simulator, a retuned timeout) updates the constants in the same
@@ -39,6 +43,8 @@ use paris_traceroute_repro::campaign::{
 };
 use paris_traceroute_repro::core::{MeasuredRoute, StrategyId, TraceConfig};
 use paris_traceroute_repro::topogen::{generate, InternetConfig};
+
+use crate::tiny42;
 
 fn fnv1a64(text: &str) -> u64 {
     text.bytes()
@@ -80,8 +86,8 @@ fn assert_golden(what: &str, text: &str, golden: u64) {
 
 #[test]
 fn campaign_digest_example() {
-    let net = generate(&InternetConfig::tiny(42));
-    let result = run(&net, &campaign_config());
+    let net = tiny42();
+    let result = run(net, &campaign_config());
     assert_golden("campaign_digest", &campaign_text(&result), CAMPAIGN);
 }
 
@@ -92,12 +98,12 @@ fn campaign_digest_kept_routes() {
     // response kinds, RTTs and IP-IDs of all 240 traces, not just the
     // report's aggregates.
     // The value was recorded from the routes a campaign used to keep.
-    let net = generate(&InternetConfig::tiny(42));
+    let net = tiny42();
     let config = campaign_config();
     let mut routes: Vec<(StrategyId, usize, MeasuredRoute)> = Vec::new();
     for round in 0..config.rounds {
         for dest in 0..net.dests.len() {
-            let (paris, classic) = replay_unit(&net, &config, dest, round);
+            let (paris, classic) = replay_unit(net, &config, dest, round);
             routes.push((StrategyId::ParisUdp, round, paris));
             routes.push((StrategyId::ClassicUdp, round, classic));
         }
@@ -107,21 +113,21 @@ fn campaign_digest_kept_routes() {
 
 #[test]
 fn campaign_with_default_dynamics_sequential() {
-    let net = generate(&InternetConfig::tiny(42));
+    let net = tiny42();
     let config = CampaignConfig {
         dynamics: DynamicsConfig::default(),
         trace: TraceConfig { window: 1, ..TraceConfig::paper() },
         ..campaign_config()
     };
-    let result = run(&net, &config);
+    let result = run(net, &config);
     assert_golden("dynamics, window 1", &campaign_text(&result), 0xc108_6367_5dfa_1232);
 }
 
 #[test]
 fn multipath_digest_example() {
-    let net = generate(&InternetConfig::tiny(42));
+    let net = tiny42();
     let config = MultipathConfig { rounds: 2, workers: 4, seed: 99, ..Default::default() };
-    let result = run_multipath(&net, &config);
+    let result = run_multipath(net, &config);
     assert_golden("multipath_digest", &multipath_digest(&result), 0x8698_0293_e306_dabc);
 }
 
@@ -136,17 +142,17 @@ fn adaptive_multipath_on_a_hostile_net() {
 
 #[test]
 fn campaign_killed_and_resumed() {
-    let net = generate(&InternetConfig::tiny(42));
+    let net = tiny42();
     let config = campaign_config();
     let mut path: PathBuf = std::env::temp_dir();
     path.push(format!("pt-golden-{}.snap", std::process::id()));
     // 120 units, a checkpoint every 32, killed after the second.
     let ckpt =
         CheckpointConfig { path: path.clone(), every_units: 32, stop_after_checkpoints: Some(2) };
-    let early = run_checkpointed(&net, &config, &ckpt).expect("journal is writable");
+    let early = run_checkpointed(net, &config, &ckpt).expect("journal is writable");
     assert!(early.is_none(), "killed after the second checkpoint");
     let resume = CheckpointConfig { stop_after_checkpoints: None, ..ckpt };
-    let result = run_resumed(&net, &CampaignConfig { workers: 1, ..config }, &resume)
+    let result = run_resumed(net, &CampaignConfig { workers: 1, ..config }, &resume)
         .expect("journal loads")
         .expect("resumed run completes");
     let _ = std::fs::remove_file(&path);

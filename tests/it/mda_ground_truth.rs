@@ -14,6 +14,8 @@ use paris_traceroute_repro::campaign::{run_multipath, validate_multipath, Multip
 use paris_traceroute_repro::mda::BalancerClass;
 use paris_traceroute_repro::topogen::{generate, InternetConfig};
 
+use crate::tiny42;
+
 const SEEDS: [u64; 3] = [42, 7, 2006];
 
 #[test]
@@ -55,9 +57,9 @@ fn mda_classification_matches_planted_kind_per_destination() {
     // Classification alone (ignoring width/delta) should be essentially
     // perfect on discovered balancers: a per-flow balancer pins the
     // fixed-flow batch, a per-packet one scatters it.
-    let net = generate(&InternetConfig::tiny(42));
+    let net = tiny42();
     let result =
-        run_multipath(&net, &MultipathConfig { workers: 4, seed: 42, ..Default::default() });
+        run_multipath(net, &MultipathConfig { workers: 4, seed: 42, ..Default::default() });
     for d in &result.per_dest {
         let truth = &net.dests[d.dest].truth;
         if d.class == BalancerClass::NotBalanced || !truth.has_balancer() {

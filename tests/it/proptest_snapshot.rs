@@ -24,12 +24,8 @@ use paris_traceroute_repro::campaign::{
     run_multipath_checkpointed, run_multipath_resumed, run_resumed, CampaignConfig,
     CheckpointConfig, MultipathConfig,
 };
-use paris_traceroute_repro::topogen::{generate, InternetConfig, SyntheticInternet};
 
-fn net() -> &'static SyntheticInternet {
-    static NET: OnceLock<SyntheticInternet> = OnceLock::new();
-    NET.get_or_init(|| generate(&InternetConfig::tiny(42)))
-}
+use crate::tiny42 as net;
 
 fn tmp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();

@@ -12,7 +12,9 @@ use paris_traceroute_repro::campaign::{
     CheckpointConfig,
 };
 use paris_traceroute_repro::core::StrategyId;
-use paris_traceroute_repro::topogen::{generate, InternetConfig, SyntheticInternet};
+use paris_traceroute_repro::topogen::SyntheticInternet;
+
+use crate::tiny42;
 
 fn config(workers: usize) -> CampaignConfig {
     // Default dynamics: forwarding loops and balancer flaps are drawn
@@ -62,27 +64,22 @@ fn assert_same(
 
 #[test]
 fn replayed_units_fold_to_the_pools_result() {
-    let net = generate(&InternetConfig::tiny(42));
-    let oracle = replayed(&net, &config(1));
+    let net = tiny42();
+    let oracle = replayed(net, &config(1));
     assert!(oracle.0.loop_instance_count() > 0, "tiny(42) must show anomalies");
     for workers in [1, 5] {
-        assert_same(&run(&net, &config(workers)), &oracle, &format!("{workers} workers"));
+        assert_same(&run(net, &config(workers)), &oracle, &format!("{workers} workers"));
     }
-}
-
-#[test]
-fn replayed_units_fold_to_a_killed_and_resumed_runs_result() {
-    let net = generate(&InternetConfig::tiny(42));
-    let oracle = replayed(&net, &config(1));
+    // And a run killed at a checkpoint and resumed by another pool.
     let mut path: PathBuf = std::env::temp_dir();
     path.push(format!("pt-replay-oracle-{}.snap", std::process::id()));
     // 120 units, a checkpoint every 32, killed after the second.
     let ckpt =
         CheckpointConfig { path: path.clone(), every_units: 32, stop_after_checkpoints: Some(2) };
-    let early = run_checkpointed(&net, &config(5), &ckpt).expect("journal is writable");
+    let early = run_checkpointed(net, &config(5), &ckpt).expect("journal is writable");
     assert!(early.is_none(), "killed after the second checkpoint");
     let resume = CheckpointConfig { stop_after_checkpoints: None, ..ckpt };
-    let result = run_resumed(&net, &config(1), &resume)
+    let result = run_resumed(net, &config(1), &resume)
         .expect("journal loads")
         .expect("resumed run completes");
     let _ = std::fs::remove_file(&path);
@@ -91,21 +88,21 @@ fn replayed_units_fold_to_a_killed_and_resumed_runs_result() {
 
 #[test]
 fn a_quarantined_unit_replays_to_the_panic_it_recorded() {
-    let net = generate(&InternetConfig::tiny(42));
+    let net = tiny42();
     let mut config = config(5);
     config.inject.panic_units.insert(45);
-    let result = run(&net, &config);
+    let result = run(net, &config);
     let [quarantined] = result.quarantined.as_slice() else {
         panic!("one unit was poisoned, {} quarantined", result.quarantined.len())
     };
     assert_eq!((quarantined.dest, quarantined.round), (15, 0));
     let payload = catch_unwind(AssertUnwindSafe(|| {
-        replay_unit(&net, &config, quarantined.dest, quarantined.round)
+        replay_unit(net, &config, quarantined.dest, quarantined.round)
     }))
     .expect_err("the replayed unit must panic as the campaign's did");
     assert_eq!(payload.downcast_ref::<String>(), Some(&quarantined.panic));
     // Its neighbours replay to routes.
-    let (paris, classic) = replay_unit(&net, &config, 15, 1);
+    let (paris, classic) = replay_unit(net, &config, 15, 1);
     assert_eq!(paris.destination, net.dests[15].addr);
     assert_eq!(classic.destination, net.dests[15].addr);
 }

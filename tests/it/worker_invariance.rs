@@ -9,30 +9,39 @@ use paris_traceroute_repro::campaign::{
     multipath_digest, report_digest, run, run_multipath, CampaignConfig, CampaignResult,
     DynamicsConfig, MultipathConfig,
 };
-use paris_traceroute_repro::topogen::{generate, InternetConfig, SyntheticInternet};
+use paris_traceroute_repro::topogen::{generate, InternetConfig};
 
-fn net() -> SyntheticInternet {
-    generate(&InternetConfig::tiny(42))
-}
+use crate::tiny42;
 
-fn campaign(net: &SyntheticInternet, workers: usize, dynamics: DynamicsConfig) -> CampaignResult {
+fn campaign(workers: usize, dynamics: DynamicsConfig) -> CampaignResult {
     let config =
         CampaignConfig { rounds: 3, workers, seed: 99, dynamics, ..CampaignConfig::default() };
-    run(net, &config)
+    run(tiny42(), &config)
 }
 
 #[test]
 fn digest_is_byte_identical_for_workers_1_4_8() {
-    let net = net();
-    let baseline = campaign(&net, 1, DynamicsConfig::default());
+    // The digest prints every report field. Virtual time is summed as
+    // integer nanoseconds, so the mean's bit pattern must hold too.
+    let baseline = campaign(1, DynamicsConfig::default());
     let baseline_digest = report_digest(&baseline);
+    let dests = tiny42().dests.len();
+    assert_eq!(baseline.classic_report.routes_total, dests as u64 * 3, "a route per unit and tool");
+    assert_eq!(baseline.paris_report.routes_total, dests as u64 * 3);
+    assert_eq!(baseline.classic_report.destinations, dests as u64);
+    assert!(baseline.mean_virtual_secs > 0.0);
     for workers in [4, 8] {
-        let result = campaign(&net, workers, DynamicsConfig::default());
+        let result = campaign(workers, DynamicsConfig::default());
         assert_eq!(result.comparison, baseline.comparison, "workers = {workers}");
         assert_eq!(
             report_digest(&result),
             baseline_digest,
             "digest must not depend on worker count (workers = {workers})"
+        );
+        assert_eq!(
+            result.mean_virtual_secs.to_bits(),
+            baseline.mean_virtual_secs.to_bits(),
+            "workers = {workers}"
         );
     }
 }
@@ -43,10 +52,9 @@ fn digest_is_byte_identical_for_workers_1_4_8_without_dynamics() {
     // fails while the dynamic variant passes, the per-unit *simulator*
     // seeds leak worker identity; if both fail, the campaign-level
     // draws (ports, dynamics) do.
-    let net = net();
-    let baseline = report_digest(&campaign(&net, 1, DynamicsConfig::none()));
+    let baseline = report_digest(&campaign(1, DynamicsConfig::none()));
     for workers in [4, 8] {
-        let digest = report_digest(&campaign(&net, workers, DynamicsConfig::none()));
+        let digest = report_digest(&campaign(workers, DynamicsConfig::none()));
         assert_eq!(digest, baseline, "workers = {workers}");
     }
 }
@@ -59,10 +67,9 @@ fn multipath_digest_is_byte_identical_for_workers_1_4_8() {
     // order, so the full multipath digest — per-unit discoveries,
     // per-destination merge, aggregates, and the virtual-time float —
     // is byte-identical for any worker count.
-    let net = net();
     let campaign = |workers: usize| {
         let config = MultipathConfig { rounds: 2, workers, seed: 99, ..Default::default() };
-        run_multipath(&net, &config)
+        run_multipath(tiny42(), &config)
     };
     let baseline = campaign(1);
     let baseline_digest = multipath_digest(&baseline);
@@ -110,18 +117,5 @@ fn adaptive_multipath_digest_is_worker_invariant_under_faults() {
             baseline.mean_virtual_secs.to_bits(),
             "workers = {workers}"
         );
-    }
-}
-
-#[test]
-fn mean_virtual_secs_is_worker_count_independent() {
-    // Float summation order is pinned by sorting per-unit times into
-    // unit order before reducing, so even the f64 is bit-identical.
-    let net = net();
-    let baseline = campaign(&net, 1, DynamicsConfig::default()).mean_virtual_secs;
-    assert!(baseline > 0.0);
-    for workers in [4, 8] {
-        let got = campaign(&net, workers, DynamicsConfig::default()).mean_virtual_secs;
-        assert_eq!(got.to_bits(), baseline.to_bits(), "workers = {workers}");
     }
 }
