@@ -79,17 +79,25 @@ fn ip_id_stream_coherent(route: &MeasuredRoute, first: usize, second: usize) -> 
 
 /// Equal spacing across three or more occurrences of one address is also
 /// periodicity evidence — it covers the route's trailing, cut-off period.
-fn equally_spaced(positions: &[usize]) -> bool {
-    positions.len() >= 3 && {
-        let p = positions[1] - positions[0];
-        positions.windows(2).all(|w| w[1] - w[0] == p)
+fn equally_spaced(mut positions: impl Iterator<Item = usize>) -> bool {
+    let (Some(first), Some(mut last)) = (positions.next(), positions.next()) else {
+        return false;
+    };
+    let p = last - first;
+    let mut count = 2;
+    for next in positions {
+        if next - last != p {
+            return false;
+        }
+        (last, count) = (next, count + 1);
     }
+    count >= 3
 }
 
 fn classify(
     route: &MeasuredRoute,
     addrs: &[Option<Ipv4Addr>],
-    occurrences: &[usize],
+    addr: Ipv4Addr,
     first: usize,
     second: usize,
 ) -> CycleCause {
@@ -97,6 +105,7 @@ fn classify(
         return CycleCause::Unreachability;
     }
     let p = second - first;
+    let occurrences = (0..addrs.len()).filter(|&j| addrs[j] == Some(addr));
     let periodic = is_periodic(addrs, first, p) || equally_spaced(occurrences);
     if periodic && ip_id_stream_coherent(route, first, second) {
         return CycleCause::ForwardingLoop;
@@ -108,29 +117,39 @@ fn classify(
 /// separated from the previous occurrence by at least one distinct
 /// address yields one instance.
 pub fn find_cycles(route: &MeasuredRoute) -> Vec<CycleInstance> {
-    let addrs = route.addresses();
+    let mut out = Vec::new();
+    route.with_addresses(|addrs| for_each_cycle(route, addrs, |c| out.push(c)));
+    out
+}
+
+/// Call `found` with every cycle [`find_cycles`] would return, in the
+/// same order — by reappearance, each hop reappearing at most once —
+/// allocating nothing. `addrs` is `route`'s address view
+/// ([`MeasuredRoute::with_addresses`]), which [`crate::for_each_loop`]
+/// can share.
+pub fn for_each_cycle(
+    route: &MeasuredRoute,
+    addrs: &[Option<Ipv4Addr>],
+    mut found: impl FnMut(CycleInstance),
+) {
+    debug_assert_eq!(addrs.len(), route.hops.len(), "not this route's address view");
     // Routes are at most ~40 hops, and cycles are rare (a few percent
     // of routes): backward scans over the address slice beat building
-    // an occurrence map per route, and the full occurrence list is only
-    // materialized on the rare hit path.
-    let mut out = Vec::new();
+    // an occurrence map per route.
     for (i, slot) in addrs.iter().enumerate() {
         let Some(a) = *slot else { continue };
         let Some(prev) = (0..i).rev().find(|&j| addrs[j] == Some(a)) else { continue };
         // Cyclic only if some *distinct address* sits strictly between.
         let separated = addrs[prev + 1..i].iter().any(|x| matches!(x, Some(b) if *b != a));
         if separated {
-            let occ: Vec<usize> = (0..addrs.len()).filter(|&j| addrs[j] == Some(a)).collect();
-            out.push(CycleInstance {
+            found(CycleInstance {
                 first: prev,
                 second: i,
                 addr: a,
-                cause: classify(route, &addrs, &occ, prev, i),
+                cause: classify(route, addrs, a, prev, i),
             });
         }
     }
-    out.sort_by_key(|c| (c.second, c.first));
-    out
 }
 
 #[cfg(test)]

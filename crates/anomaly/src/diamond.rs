@@ -37,8 +37,8 @@ impl Diamond {
 }
 
 /// Call `triple(h, r, t)` for every head, middle and tail `route` shows
-/// at three consecutive TTLs.
-pub(crate) fn for_each_triple(
+/// at three consecutive TTLs, allocating nothing.
+pub fn for_each_triple(
     route: &MeasuredRoute,
     mut triple: impl FnMut(Ipv4Addr, Ipv4Addr, Ipv4Addr),
 ) {

@@ -18,7 +18,7 @@ mod keyset;
 pub mod r#loop;
 pub mod stats;
 
-pub use cycle::{find_cycles, CycleCause, CycleInstance};
-pub use diamond::{DestinationGraph, Diamond};
-pub use r#loop::{find_loops, LoopCause, LoopInstance};
+pub use cycle::{find_cycles, for_each_cycle, CycleCause, CycleInstance};
+pub use diamond::{for_each_triple, DestinationGraph, Diamond};
+pub use r#loop::{find_loops, for_each_loop, LoopCause, LoopInstance};
 pub use stats::{compare, CampaignAccumulator, ComparisonReport, Signature, ToolReport};

@@ -63,10 +63,13 @@ fn classify(route: &MeasuredRoute, start: usize, len: usize) -> LoopCause {
     }
     // Address rewriting: one address, responses from measurably different
     // distances (response TTL strictly decreasing along the loop is the
-    // paper's Fig. 5 signal — each "hop" is a router one deeper).
-    let resp_ttls: Vec<u8> =
-        (start..start + len).filter_map(|i| first_probe(route, i).response_ttl).collect();
-    if resp_ttls.len() == len && resp_ttls.windows(2).all(|w| w[0] > w[1]) {
+    // paper's Fig. 5 signal — each "hop" is a router one deeper). Every
+    // hop of a loop (len ≥ 2) is in some pair, so every one must answer
+    // with a response TTL.
+    let resp_ttl = |i| first_probe(route, i).response_ttl;
+    if (start + 1..start + len)
+        .all(|i| matches!((resp_ttl(i - 1), resp_ttl(i)), (Some(a), Some(b)) if a > b))
+    {
         return LoopCause::AddressRewriting;
     }
     LoopCause::Unexplained
@@ -75,8 +78,21 @@ fn classify(route: &MeasuredRoute, start: usize, len: usize) -> LoopCause {
 /// Find every loop in a measured route (consecutive runs collapse into a
 /// single instance).
 pub fn find_loops(route: &MeasuredRoute) -> Vec<LoopInstance> {
-    let addrs = route.addresses();
     let mut out = Vec::new();
+    route.with_addresses(|addrs| for_each_loop(route, addrs, |l| out.push(l)));
+    out
+}
+
+/// Call `found` with every loop [`find_loops`] would return, in the same
+/// order, allocating nothing. `addrs` is `route`'s address view
+/// ([`MeasuredRoute::with_addresses`]), which [`crate::for_each_cycle`]
+/// can share.
+pub fn for_each_loop(
+    route: &MeasuredRoute,
+    addrs: &[Option<Ipv4Addr>],
+    mut found: impl FnMut(LoopInstance),
+) {
+    debug_assert_eq!(addrs.len(), route.hops.len(), "not this route's address view");
     let mut i = 0;
     while i < addrs.len() {
         let Some(addr) = addrs[i] else {
@@ -91,7 +107,7 @@ pub fn find_loops(route: &MeasuredRoute) -> Vec<LoopInstance> {
         if len >= 2 {
             // Trailing stars don't stop a loop from being "at the end".
             let at_route_end = addrs[j..].iter().all(Option::is_none);
-            out.push(LoopInstance {
+            found(LoopInstance {
                 start: i,
                 len,
                 addr,
@@ -101,7 +117,6 @@ pub fn find_loops(route: &MeasuredRoute) -> Vec<LoopInstance> {
         }
         i = j;
     }
-    out
 }
 
 #[cfg(test)]

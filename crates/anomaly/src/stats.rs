@@ -10,10 +10,10 @@ use pt_core::{HaltReason, MeasuredRoute, StrategyId};
 use crate::codec::{
     parse_key_line, push_key_lines, push_uint, read_key_lines, tagged, tok, KEY_FIELD_LEN,
 };
-use crate::cycle::{find_cycles, CycleCause};
+use crate::cycle::{for_each_cycle, CycleCause};
 use crate::diamond::for_each_triple;
 use crate::keyset::{groups, Key, KeySet};
-use crate::r#loop::{find_loops, LoopCause};
+use crate::r#loop::{for_each_loop, LoopCause};
 
 /// A loop or cycle signature: `(looping address, destination)` — §4's
 /// definition. Diamonds use `(destination, head, tail)` internally.
@@ -181,27 +181,33 @@ impl CampaignAccumulator {
             self.degraded_routes += 1;
         }
 
-        let loops = find_loops(route);
-        if !loops.is_empty() {
-            self.routes_with_loop += 1;
-            self.dests_with_loop.insert([d]);
-        }
-        for l in loops {
-            self.addrs_in_loop.insert([l.addr.into()]);
-            self.loop_sig_rounds.insert([l.addr.into(), d, round]);
-            *self.loop_instances.entry(((l.addr, route.destination), l.cause)).or_insert(0) += 1;
-        }
-
-        let cycles = find_cycles(route);
-        if !cycles.is_empty() {
-            self.routes_with_cycle += 1;
-            self.dests_with_cycle.insert([d]);
-        }
-        for c in cycles {
-            self.addrs_in_cycle.insert([c.addr.into()]);
-            self.cycle_sig_rounds.insert([c.addr.into(), d, round]);
-            *self.cycle_instances.entry(((c.addr, route.destination), c.cause)).or_insert(0) += 1;
-        }
+        // One address view, on the stack, for both detectors.
+        route.with_addresses(|addrs| {
+            let mut looped = false;
+            for_each_loop(route, addrs, |l| {
+                looped = true;
+                self.addrs_in_loop.insert([l.addr.into()]);
+                self.loop_sig_rounds.insert([l.addr.into(), d, round]);
+                let key = ((l.addr, route.destination), l.cause);
+                *self.loop_instances.entry(key).or_insert(0) += 1;
+            });
+            if looped {
+                self.routes_with_loop += 1;
+                self.dests_with_loop.insert([d]);
+            }
+            let mut cycled = false;
+            for_each_cycle(route, addrs, |c| {
+                cycled = true;
+                self.addrs_in_cycle.insert([c.addr.into()]);
+                self.cycle_sig_rounds.insert([c.addr.into(), d, round]);
+                let key = ((c.addr, route.destination), c.cause);
+                *self.cycle_instances.entry(key).or_insert(0) += 1;
+            });
+            if cycled {
+                self.routes_with_cycle += 1;
+                self.dests_with_cycle.insert([d]);
+            }
+        });
 
         for_each_triple(route, |h, r, t| self.triples.insert([d, h.into(), t.into(), r.into()]));
     }
@@ -261,7 +267,7 @@ impl CampaignAccumulator {
     }
 
     /// Destinations toward which some route held a loop that
-    /// [`find_loops`] diagnosed as `cause`.
+    /// [`crate::find_loops`] diagnosed as `cause`.
     pub fn loop_dests(&self, cause: LoopCause) -> BTreeSet<Ipv4Addr> {
         let with_cause = self.loop_instances.keys().filter(|(_, c)| *c == cause);
         with_cause.map(|((_, dest), _)| *dest).collect()

@@ -16,7 +16,7 @@
 //! ([`replay_unit`] measures any unit's pair again). The result: the
 //! campaign's entire [`ComparisonReport`] digest is byte-identical for
 //! any worker count, and `workers` is a pure performance knob (the
-//! property `tests/worker_invariance.rs` pins).
+//! property `tests/it/worker_invariance.rs` pins).
 
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -216,6 +216,9 @@ pub(crate) trait Fold: Default + Send {
     /// Fold another fold in, leaving this one in the order a checkpoint
     /// record writes it.
     fn absorb(&mut self, other: Self);
+    /// Make room for `units` more units, once, where the fold keeps
+    /// something per unit.
+    fn reserve(&mut self, _units: usize) {}
 }
 
 impl Default for BlockOutput {
@@ -467,12 +470,14 @@ pub(crate) fn run_block<M: CampaignMode>(
         }
     };
 
+    // Each worker's fold reserves a fair share of the block's units.
+    let share = units.len().div_ceil(n_workers.max(1));
     let outputs: Vec<Folded<M::Fold>> = std::thread::scope(|scope| {
         let handles: Vec<_> = workers[..n_workers]
             .iter_mut()
             .map(|state| {
                 let claim = claimer();
-                scope.spawn(move || run_worker(claim, net, mode, state))
+                scope.spawn(move || run_worker(claim, share, net, mode, state))
             })
             .collect();
         // A worker thread only dies if the quarantine machinery itself
@@ -539,15 +544,19 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// One worker: fold every unit `claim` hands out, until it hands out
 /// none. `claim` is the scheduler's whole freedom — production passes
-/// [`run_block`]'s shared cursor; a test substitutes any schedule.
+/// [`run_block`]'s shared cursor; a test substitutes any schedule. The
+/// fold reserves room for the `expected` units up front rather than
+/// growing unit by unit.
 fn run_worker<M: CampaignMode>(
     mut claim: impl FnMut() -> Option<UnitId>,
+    expected: usize,
     net: &SyntheticInternet,
     mode: &M,
     state: &mut WorkerState<M::Scratch>,
 ) -> Folded<M::Fold> {
     let common = mode.common();
     let mut out = Folded::<M::Fold>::default();
+    out.measured.reserve(expected);
     while let Some(unit) = claim() {
         let at = unit_coords(unit, net.dests.len(), &common);
         // Unit isolation: a panicking unit is quarantined, not fatal.
@@ -694,19 +703,16 @@ fn schedule_dynamics(
         && dest.chain.len() >= 2
         && rng.gen_bool(dyn_cfg.forwarding_loop_prob)
     {
-        // Pick an adjacent, actually-linked pair along the chain. The RNG
-        // is only consulted when a candidate exists: drawing on an empty
+        // Pick an adjacent, actually-linked pair along the chain: count
+        // the candidates, then draw one's index. The RNG is only
+        // consulted when a candidate exists: drawing on an empty
         // candidate list would silently shift every later draw and make
         // the campaign's randomness depend on topology quirks.
-        let candidates: Vec<(pt_netsim::NodeId, pt_netsim::NodeId)> = dest
-            .chain
-            .windows(2)
-            .filter(|w| topo.iface_toward(w[0], w[1]).is_some())
-            .map(|w| (w[0], w[1]))
-            .collect();
-        if let Some(&(x, y)) =
-            (!candidates.is_empty()).then(|| &candidates[rng.gen_range(0..candidates.len())])
-        {
+        let mut candidates =
+            dest.chain.windows(2).filter(|w| topo.iface_toward(w[0], w[1]).is_some());
+        let n = candidates.clone().count();
+        if let Some(w) = (n > 0).then(|| rng.gen_range(0..n)).and_then(|k| candidates.nth(k)) {
+            let (x, y) = (w[0], w[1]);
             let dst_pfx = pt_netsim::Ipv4Prefix::host(dest.addr);
             // The candidate filter proved x→y is linked; y→x holding too
             // is a topology invariant (links are bidirectional). If either
@@ -941,6 +947,10 @@ fn stronger_class(a: BalancerClass, b: BalancerClass) -> BalancerClass {
 /// What a block of multipath units found. Once absorbed, in
 /// `(destination, round)` order — which *is* unit order.
 impl Fold for Vec<UnitDiscovery> {
+    fn reserve(&mut self, units: usize) {
+        Vec::reserve(self, units);
+    }
+
     fn absorb(&mut self, other: Self) {
         let joint = self.len().saturating_sub(1);
         // The first fold absorbed — a one-worker block's only one — is
@@ -1618,7 +1628,7 @@ mod tests {
             .windows(2)
             .map(|cut| {
                 let mut run = order[cut[0]..cut[1]].iter().copied();
-                run_worker(|| run.next(), net, mode, state)
+                run_worker(|| run.next(), cut[1] - cut[0], net, mode, state)
             })
             .collect();
         shuffle(&mut folds, rng);

@@ -10,7 +10,7 @@
 //! destination, round)` alone, the resumed run produces the exact units
 //! the dead run would have, and the final report digest is
 //! **byte-identical** to an uninterrupted run's, for any worker count
-//! and any kill point (`tests/checkpoint_resume.rs` pins this).
+//! and any kill point (`tests/it/checkpoint_resume.rs` pins this).
 //!
 //! # The journal (`ptsnap v6`)
 //!

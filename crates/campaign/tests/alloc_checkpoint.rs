@@ -1,26 +1,42 @@
-//! Counting-allocator regression harness for the checkpoint driver's
-//! warm workers: a checkpointed campaign may request what the plain run
-//! requests plus a small multiple of the journal it writes — the record
-//! buffers, the per-block folds and their merges — but not a fresh
-//! simulator per worker per block, which is what every block paid when
-//! `run_block` built its workers' state itself.
+//! Counting-allocator regression harness for the campaign engine at
+//! scale. Two properties, one `#[test]`:
+//!
+//! * the checkpoint driver's warm workers: a checkpointed campaign may
+//!   request what the plain run requests plus a small multiple of the
+//!   journal it writes — the record buffers, the per-block folds and
+//!   their merges — but not a fresh simulator per worker per block,
+//!   which is what every block paid when `run_block` built its workers'
+//!   state itself;
+//! * no allocation per unit or per destination: `run` and
+//!   `run_multipath` over a net with four times the destinations make
+//!   at most a logarithmic number of allocation calls more.
 //!
 //! The file contains exactly one `#[test]`: the counting allocator is
 //! installed process-wide (`#[global_allocator]` is a program-level
 //! choice), and the campaign's worker threads allocate too, so the
-//! tally is process-wide as well and nothing else may run beside it.
+//! tallies are process-wide as well and nothing else may run beside
+//! them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use pt_campaign::{run, run_checkpointed, CampaignConfig, CheckpointConfig};
-use pt_topogen::{generate, InternetConfig};
+use pt_campaign::{
+    run, run_checkpointed, run_multipath, CampaignConfig, CheckpointConfig, MultipathConfig,
+};
+use pt_topogen::{generate, InternetConfig, SyntheticInternet};
 
-/// `System`, tallying the bytes every allocation entry point requests.
+/// `System`, tallying every allocation entry point's calls and the
+/// bytes they request.
 struct CountingAllocator;
 
-// A statistic: nothing is published through it, so `Relaxed`.
+// Statistics: nothing is published through them, so `Relaxed`.
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+fn tally(bytes: usize) {
+    REQUESTED.fetch_add(bytes as u64, Relaxed);
+    CALLS.fetch_add(1, Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the tally never touches the
@@ -28,13 +44,13 @@ static REQUESTED: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: the caller's layout obligations pass straight to `System`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Relaxed);
+        tally(layout.size());
         System.alloc(layout)
     }
 
     // SAFETY: as `alloc`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Relaxed);
+        tally(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -47,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: `ptr`/`layout` as for `dealloc`; `System` validates the
     // new size against the layout's alignment.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size as u64, Relaxed);
+        tally(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -62,9 +78,17 @@ fn requested_by<T>(work: impl FnOnce() -> T) -> (u64, T) {
     (REQUESTED.load(Relaxed) - before, out)
 }
 
+/// Allocation calls made while `work` runs.
+fn calls_by(work: impl FnOnce()) -> u64 {
+    let before = CALLS.load(Relaxed);
+    work();
+    CALLS.load(Relaxed) - before
+}
+
 #[test]
 fn checkpointing_every_four_units_builds_no_simulator_per_block() {
-    let net = generate(&InternetConfig::tiny(42));
+    let tiny = InternetConfig::tiny(42);
+    let net = generate(&tiny);
     let config = CampaignConfig { rounds: 4, workers: 2, seed: 99, ..Default::default() };
     let mut path = std::env::temp_dir();
     path.push(format!("pt-alloc-checkpoint-{}.snap", std::process::id()));
@@ -92,4 +116,34 @@ fn checkpointing_every_four_units_builds_no_simulator_per_block() {
          {} finished journals of {journal} bytes over",
         (checkpointed - plain) / journal
     );
+
+    // Four times the destinations, and so the units. What may grow is
+    // warm-up: each buffer that grows by doubling — the accumulators'
+    // sets and maps, the multipath fold, the event queue, the pools and
+    // lanes — may double a couple more times, and the larger net's
+    // costliest unit may outgrow the smaller's, so the payload pool and
+    // the MDA hop states reach further. That is 128 calls per doubling
+    // of the destinations; measured, 92 side by side and 133 in
+    // multipath. A cost per destination or per unit is 480 more units'
+    // worth: a fresh delivery lane per destination host and an address
+    // vector per route made it 2 310 calls side by side, and a capped
+    // payload pool 1 134 in multipath. One worker, so that which worker
+    // warms what is not the scheduler's choice.
+    let large = generate(&InternetConfig { n_destinations: 4 * net.dests.len(), ..tiny });
+    let slack = 128 * u64::from(4u32.ilog2());
+    let pair = CampaignConfig { workers: 1, ..config };
+    let multipath = MultipathConfig { rounds: 4, workers: 1, seed: 99, ..Default::default() };
+    let calls = |net: &SyntheticInternet| {
+        let side_by_side = calls_by(|| _ = run(net, &pair));
+        [("run", side_by_side), ("run_multipath", calls_by(|| _ = run_multipath(net, &multipath)))]
+    };
+    for ((mode, small_calls), (_, large_calls)) in calls(&net).into_iter().zip(calls(&large)) {
+        assert!(
+            large_calls <= small_calls + slack,
+            "{mode}: {} destinations made {small_calls} allocation calls, {} made {large_calls}: \
+             over the {slack} that growing by doubling allows",
+            net.dests.len(),
+            large.dests.len()
+        );
+    }
 }

@@ -14,7 +14,12 @@
 //! * payload `Vec`s harvested from consumed packets are pooled and
 //!   reused by echo replies (and by anyone calling
 //!   [`PacketArena::grab_payload`]), closing the allocation loop that
-//!   `payload.clone()` used to reopen on every Echo exchange.
+//!   `payload.clone()` used to reopen on every Echo exchange. The pool
+//!   keeps every buffer it is handed. While payloads come from the pool
+//!   (the probe builders take theirs through `Transport::grab_payload`)
+//!   a fresh buffer is made only when the pool is empty, so the pool
+//!   never holds more than were out at once: one unit's probes, which a
+//!   simulator reset hands back together.
 //!
 //! The sorted deque the queue became in PR 20 shifts entries on insert,
 //! so the small event still pays: carrying the packet inside it measured
@@ -37,11 +42,6 @@ impl PacketRef {
         self.0 as usize
     }
 }
-
-/// Payload buffers the pool retains; beyond this, freed buffers are
-/// simply dropped (probe payloads are tiny, so the cap only bounds
-/// pathological fan-out).
-const PAYLOAD_POOL_CAP: usize = 64;
 
 /// A slab of in-flight packets with a free list and a payload-buffer
 /// recycling pool. See the module docs for why.
@@ -125,10 +125,10 @@ impl PacketArena {
         self.recycle_payload(payload);
     }
 
-    /// Return a payload buffer to the pool (dropped when the pool is
-    /// full or the buffer never allocated).
+    /// Return a payload buffer to the pool (dropped when it never
+    /// allocated).
     pub fn recycle_payload(&mut self, buf: Vec<u8>) {
-        if buf.capacity() > 0 && self.payloads.len() < PAYLOAD_POOL_CAP {
+        if buf.capacity() > 0 {
             self.payloads.push(buf);
         }
     }

@@ -244,11 +244,16 @@ struct SimState {
     lookups: u64,
     nodes: Vec<NodeState>,
     /// Delivery lanes, one per node, indexed by `NodeId` — no hashing
-    /// anywhere on the delivery or drain path.
+    /// anywhere on the delivery or drain path. Only a node that received
+    /// something since the last reset holds an allocated lane.
     inbox: Vec<VecDeque<(SimTime, Packet)>>,
     /// Nodes whose lane went non-empty since the last reset, so reset
     /// drains O(touched) lanes instead of sweeping every node.
     dirty_inboxes: Vec<NodeId>,
+    /// The lanes reset drained, capacity kept, for the next nodes that
+    /// receive something: a campaign's every destination host gets a
+    /// lane, and a fresh one per destination would allocate per unit.
+    spare_lanes: Vec<VecDeque<(SimTime, Packet)>>,
     stats: SimStats,
     /// Recycled buffer for quoting offending packets into ICMP, so the
     /// response path performs no per-packet allocation.
@@ -423,6 +428,7 @@ impl Simulator {
             #[cfg(test)]
             lookups: 0,
             dirty_inboxes: Vec::new(),
+            spare_lanes: Vec::new(),
             stats: SimStats::default(),
             scratch: Vec::new(),
             arena: PacketArena::new(),
@@ -435,7 +441,8 @@ impl Simulator {
     /// Rewind to the state `Simulator::new(topology, seed)` would
     /// produce, while keeping every allocation warm: the event queue's
     /// capacity, the arena's slots and payload-buffer pool, the inbox
-    /// deques and the ICMP scratch buffer all survive. Node state is
+    /// lanes (as spares for whichever nodes receive next) and the ICMP
+    /// scratch buffer all survive. Node state is
     /// epoch-lazy, so the cost is O(in-flight + undelivered packets),
     /// *not* O(nodes) — cheap enough to call once per `(destination,
     /// round)` campaign work unit. The next-hop table survives too, which
@@ -450,10 +457,17 @@ impl Simulator {
             }
         });
         st.route_horizon = NEVER;
-        for node in st.dirty_inboxes.drain(..) {
-            for (_, packet) in st.inbox[node.0].drain(..) {
+        // Spares go back last-dirtied first, so they come out in the
+        // order the nodes first received: a node that receives first in
+        // every unit, the probing source, gets its own lane back, and
+        // its deliveries cycle through the small ring they need rather
+        // than a destination's.
+        for node in st.dirty_inboxes.drain(..).rev() {
+            let mut lane = std::mem::take(&mut st.inbox[node.0]);
+            for (_, packet) in lane.drain(..) {
                 st.arena.recycle_packet(packet);
             }
+            st.spare_lanes.push(lane);
         }
         debug_assert!(st.arena.is_empty(), "in-flight packet leaked across reset");
         st.clock = SimTime::ZERO;
@@ -745,6 +759,9 @@ impl SimState {
         if !st.inbox_dirty {
             st.inbox_dirty = true;
             self.dirty_inboxes.push(node);
+            // Reset took every lane it drained, so this one holds
+            // nothing: a spare's capacity serves instead.
+            self.inbox[node.0] = self.spare_lanes.pop().unwrap_or_default();
         }
         self.inbox[node.0].push_back((self.clock, packet));
         if let Some(resp) = response {
@@ -1139,7 +1156,7 @@ enum Lost {
 /// [`SimulatorPool::acquire`] hands out a simulator reset to the given
 /// seed — behaviorally identical to `Simulator::new(topology, seed)`,
 /// but with its event queue, arena slots, payload buffers and inbox
-/// deques already warm when a previously released simulator was
+/// lanes already warm when a previously released simulator was
 /// available. Campaign workers keep one pool each, so per-destination
 /// trace tasks pay no construction or steady-state allocation cost
 /// after their first work unit.
@@ -2245,7 +2262,7 @@ mod tests {
 
     /// The probes a `TraceConfig::paper()` Paris UDP trace sends toward
     /// `sc`'s destination — one flow, TTL 2 to 11, the last one past the
-    /// destination (`tests/event_count.rs` runs the trace itself) — one
+    /// destination (`tests/it/event_count.rs` runs the trace itself) — one
     /// at a time, over `sim`: the longest-prefix lookups made and the
     /// links crossed.
     fn paris_trace(sim: &mut Simulator, sc: &crate::scenarios::Scenario) -> (u64, u64) {
@@ -2288,7 +2305,7 @@ mod tests {
         // Without the table (the proptest's reference) every link
         // crossed is a lookup again.
         assert_eq!(paris_trace_lookups(&per_destination, false), (121, 121));
-        // tests/event_count.rs's trace: per-flow balancing at L, the flow
+        // tests/it/event_count.rs's trace: per-flow balancing at L, the flow
         // takes L → A → C → E, and the answers come back the same way: 10
         // pairs out and 10 back. L's per-flow hop is resolved every time,
         // so the 5 probes that leave it (TTL 7 to 11) look it up 5 times:

@@ -5,7 +5,7 @@
 //! own simulator, and a packet in flight is one pending event — its next
 //! *stateful* arrival, however many routers it crosses on the way
 //! ([`crate::sim`]) — so the schedule never holds more than about 16
-//! events (`docs/PERFORMANCE.md`, PR 20; `tests/queue_depth.rs` pins
+//! events (`docs/PERFORMANCE.md`; `tests/it/queue_depth.rs` pins
 //! the traffic). At that size the cheapest exact priority queue is the
 //! obvious one: a [`VecDeque`] in ascending key order. `schedule` scans
 //! back from the tail — a new event is almost always among the latest —

@@ -1,18 +1,21 @@
 //! Counting-allocator regression harness: after warm-up, a full
 //! campaign-style work unit — acquire a pooled simulator, run a Paris +
 //! classic trace pair (probe construction included), release — performs
-//! **zero heap allocations**. This pins what the performance notes used
-//! to claim from bench eyeballing:
+//! **zero heap allocations**, whichever destination it probes. This
+//! pins what the performance notes used to claim from bench eyeballing:
 //!
 //! * the event queue (a sorted deque) schedules and pops within the
 //!   capacity its first units grew,
 //! * in-flight packets live in the `PacketArena`,
 //! * probe payloads circulate through `Transport::grab_payload` /
-//!   `Transport::release`,
+//!   `Transport::release`, and the probes a destination host kept
+//!   rejoin the payload pool at `Simulator::reset`,
 //! * per-trace bookkeeping (hop records, probe registry, per-hop
 //!   progress counters) recycles through `TraceScratch`,
-//! * inbox lanes and the ICMP scratch buffer keep their capacity across
-//!   `Simulator::reset`,
+//! * `Simulator::reset` keeps the delivery lanes it drains as spares
+//!   for whichever nodes receive next, and the ICMP scratch buffer,
+//! * the accumulator's loop, cycle and triple analyses read one stack
+//!   address view of each route,
 //! * and all of the above hold in both tracer modes: the strictly
 //!   sequential `window = 1` discipline and the windowed default, whose
 //!   speculative probes and truncated hops must recycle too.
@@ -27,9 +30,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use paris_traceroute_repro::anomaly::{for_each_cycle, for_each_loop, for_each_triple};
 use paris_traceroute_repro::core::{trace_with, ClassicUdp, ParisUdp, TraceConfig, TraceScratch};
 use paris_traceroute_repro::mda::{discover_with, MdaConfig, MdaScratch};
 use paris_traceroute_repro::netsim::{scenarios, SimTransport, SimulatorPool};
+use paris_traceroute_repro::topogen::{generate, InternetConfig};
 
 /// `System`, but counting every allocation entry point. Deallocations
 /// are free and uncounted: the property under test is "no allocator
@@ -182,5 +187,60 @@ fn steady_state_trace_pair_allocates_nothing() {
         during, 0,
         "steady-state MDA hop enumeration must be allocation-free, saw {during} allocations \
          over 10 discovery walks (flow-varied probe construction included)"
+    );
+
+    // The same property at campaign scale: units toward the distinct
+    // destinations of a generated net, each a trace pair plus the §4
+    // analyses the accumulator runs on both routes. Every destination
+    // host takes a recycled delivery lane, the probes parked there come
+    // back to the payload pool at reset, and loop and cycle detection
+    // share a stack address view. The warm-up makes two passes over
+    // every destination, so each pool has grown to the net's costliest
+    // unit (a silent host's star run parks eight probes) and each pooled
+    // payload buffer has served a classic probe, whose payload outgrows
+    // a Paris one's; the measured pass probes every destination again,
+    // through other flows.
+    let net = generate(&InternetConfig::tiny(42));
+    let mut pool = SimulatorPool::new(net.topology.clone());
+    let mut scratch = TraceScratch::new();
+    let mut anomalies = 0usize;
+    let mut net_unit = |pool: &mut SimulatorPool, scratch: &mut TraceScratch, seed: u16| {
+        let config = if seed.is_multiple_of(2) {
+            TraceConfig::paper()
+        } else {
+            TraceConfig { window: 1, ..TraceConfig::paper() }
+        };
+        let addr = net.dests[usize::from(seed) % net.dests.len()].addr;
+        let mut tx = SimTransport::new(pool.acquire(u64::from(seed)), net.source);
+        let mut paris = ParisUdp::new(41_000 + seed, 52_000);
+        let paris_route = trace_with(&mut tx, &mut paris, addr, config, scratch);
+        let mut classic = ClassicUdp::new(seed);
+        let classic_route = trace_with(&mut tx, &mut classic, addr, config, scratch);
+        pool.release(tx.into_simulator());
+        for route in [paris_route, classic_route] {
+            route.with_addresses(|addrs| {
+                for_each_loop(&route, addrs, |_| anomalies += 1);
+                for_each_cycle(&route, addrs, |_| anomalies += 1);
+            });
+            for_each_triple(&route, |_, _, _| anomalies += 1);
+            scratch.recycle(route);
+        }
+    };
+
+    let dests = net.dests.len() as u16;
+    for seed in 0..2 * dests {
+        net_unit(&mut pool, &mut scratch, seed);
+    }
+    let before = allocations();
+    for seed in 2 * dests..3 * dests {
+        net_unit(&mut pool, &mut scratch, seed);
+    }
+    let during = allocations() - before;
+
+    assert!(anomalies > 0, "the analyses must have had something to find");
+    assert_eq!(
+        during, 0,
+        "trace pairs and their loop, cycle and triple analyses toward {dests} distinct \
+         destinations must be allocation-free, saw {during} allocations"
     );
 }
