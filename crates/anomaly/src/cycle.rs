@@ -64,8 +64,8 @@ fn is_periodic(addrs: &[Option<Ipv4Addr>], start: usize, p: usize) -> bool {
 }
 
 fn ip_id_stream_coherent(route: &MeasuredRoute, first: usize, second: usize) -> bool {
-    let a = route.hops[first].probes[0].ip_id;
-    let b = route.hops[second].probes[0].ip_id;
+    let a = route.hops[first].probe.ip_id;
+    let b = route.hops[second].probe.ip_id;
     match (a, b) {
         (Some(a), Some(b)) => {
             // One router's counter, probed twice a few packets apart:
@@ -101,7 +101,7 @@ fn classify(
     first: usize,
     second: usize,
 ) -> CycleCause {
-    if route.hops[second].probes[0].kind.and_then(|k| k.unreachable_flag()).is_some() {
+    if route.hops[second].probe.kind.and_then(|k| k.unreachable_flag()).is_some() {
         return CycleCause::Unreachability;
     }
     let p = second - first;
@@ -186,7 +186,7 @@ mod tests {
             hops: probes
                 .into_iter()
                 .enumerate()
-                .map(|(i, p)| Hop { ttl: (i + 1) as u8, probes: vec![p] })
+                .map(|(i, p)| Hop { ttl: (i + 1) as u8, probe: p })
                 .collect(),
             halt: HaltReason::MaxTtl,
         }

@@ -2,9 +2,10 @@
 //! interfaces appear between one head and one tail.
 //!
 //! A diamond's signature is a pair `(h, t)` such that routes of the form
-//! `..., h, ri, t, ...` exist for `k ≥ 2` distinct `ri`. Diamonds only
-//! arise with multiple probes per hop or repeated traces, so this module
-//! aggregates triples across routes into a [`DestinationGraph`].
+//! `..., h, ri, t, ...` exist for `k ≥ 2` distinct `ri`. One trace shows
+//! one address per TTL, so diamonds only arise across repeated traces
+//! toward one destination: this module aggregates triples across routes
+//! into a [`DestinationGraph`].
 
 use std::collections::BTreeSet;
 
@@ -42,24 +43,15 @@ pub fn for_each_triple(
     route: &MeasuredRoute,
     mut triple: impl FnMut(Ipv4Addr, Ipv4Addr, Ipv4Addr),
 ) {
-    // Iterate the probes in place: materializing per-hop address
-    // vectors allocated ~10 Vecs per ingested route, squarely in
-    // the campaign's per-unit hot loop. Within-hop duplicates are
-    // harmless (the triple sets dedup).
     for w in route.hops.windows(3) {
-        for h in w[0].probes.iter().filter_map(|p| p.addr) {
-            for r in w[1].probes.iter().filter_map(|p| p.addr) {
-                for t in w[2].probes.iter().filter_map(|p| p.addr) {
-                    triple(h, r, t);
-                }
-            }
+        if let (Some(h), Some(r), Some(t)) = (w[0].probe.addr, w[1].probe.addr, w[2].probe.addr) {
+            triple(h, r, t);
         }
     }
 }
 
 /// Accumulates `(h, r, t)` triples from every route toward one
-/// destination — built from a whole measurement campaign or from the
-/// multiple probes of a single classic traceroute.
+/// destination, over the repeated traces of a measurement campaign.
 #[derive(Debug, Clone, Default)]
 pub struct DestinationGraph {
     #[allow(clippy::disallowed_types, reason = "fixed hasher; `diamonds` sorts its output")]
@@ -74,10 +66,6 @@ impl DestinationGraph {
     }
 
     /// Add one measured route's consecutive `(h, r, t)` triples.
-    ///
-    /// With multiple probes per hop, all per-hop address combinations
-    /// observed at consecutive TTLs are considered adjacent — exactly the
-    /// over-inference that makes classic traceroute's diamonds.
     pub fn ingest(&mut self, route: &MeasuredRoute) {
         self.routes_ingested += 1;
         for_each_triple(route, |h, r, t| {
@@ -134,7 +122,7 @@ mod tests {
         }
     }
 
-    fn route_of(hops: Vec<Vec<u8>>) -> MeasuredRoute {
+    fn route_of(hops: Vec<u8>) -> MeasuredRoute {
         MeasuredRoute {
             strategy: StrategyId::ClassicUdp,
             source: addr(1),
@@ -143,10 +131,7 @@ mod tests {
             hops: hops
                 .into_iter()
                 .enumerate()
-                .map(|(i, probes)| Hop {
-                    ttl: (i + 1) as u8,
-                    probes: probes.into_iter().map(probe).collect(),
-                })
+                .map(|(i, x)| Hop { ttl: (i + 1) as u8, probe: probe(x) })
                 .collect(),
             halt: HaltReason::MaxTtl,
         }
@@ -155,8 +140,8 @@ mod tests {
     #[test]
     fn two_routes_make_a_diamond() {
         let mut g = DestinationGraph::new();
-        g.ingest(&route_of(vec![vec![5], vec![6], vec![8]]));
-        g.ingest(&route_of(vec![vec![5], vec![7], vec![8]]));
+        g.ingest(&route_of(vec![5, 6, 8]));
+        g.ingest(&route_of(vec![5, 7, 8]));
         let diamonds = g.diamonds();
         assert_eq!(diamonds.len(), 1);
         assert_eq!(diamonds[0].signature(), (addr(5), addr(8)));
@@ -167,19 +152,10 @@ mod tests {
     #[test]
     fn single_middle_is_not_a_diamond() {
         let mut g = DestinationGraph::new();
-        g.ingest(&route_of(vec![vec![5], vec![6], vec![8]]));
-        g.ingest(&route_of(vec![vec![5], vec![6], vec![8]]));
+        g.ingest(&route_of(vec![5, 6, 8]));
+        g.ingest(&route_of(vec![5, 6, 8]));
         assert!(g.diamonds().is_empty());
         assert!(!g.is_diamond(addr(5), addr(8)));
-    }
-
-    #[test]
-    fn multi_probe_hops_cross_product() {
-        // One classic trace, three probes per hop: hop answers {6,7} then
-        // {8}, head {5} — the (5, 8) diamond appears within one route.
-        let mut g = DestinationGraph::new();
-        g.ingest(&route_of(vec![vec![5, 5, 5], vec![6, 7, 6], vec![8, 8, 8]]));
-        assert!(g.is_diamond(addr(5), addr(8)));
     }
 
     #[test]
@@ -189,7 +165,7 @@ mod tests {
         let (l, a, b, c, d, e, g_) = (10, 11, 12, 13, 14, 15, 16);
         let mut g = DestinationGraph::new();
         for (m1, m2) in [(a, d), (a, e), (b, d), (b, e), (c, d)] {
-            g.ingest(&route_of(vec![vec![l], vec![m1], vec![m2], vec![g_]]));
+            g.ingest(&route_of(vec![l, m1, m2, g_]));
         }
         let sigs = g.diamond_signatures();
         let expect: BTreeSet<_> =
@@ -203,8 +179,8 @@ mod tests {
     #[test]
     fn stars_produce_no_triples() {
         let mut g = DestinationGraph::new();
-        let mut r = route_of(vec![vec![5], vec![6], vec![8]]);
-        r.hops[1].probes[0] = ProbeResult::STAR;
+        let mut r = route_of(vec![5, 6, 8]);
+        r.hops[1].probe = ProbeResult::STAR;
         g.ingest(&r);
         assert!(g.diamonds().is_empty());
         assert_eq!(g.routes(), 1);

@@ -7,7 +7,7 @@
 
 use std::net::Ipv4Addr;
 
-use pt_core::{MeasuredRoute, ProbeResult};
+use pt_core::MeasuredRoute;
 
 /// Why a loop appeared, as §4.1.1 diagnoses it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,16 +44,12 @@ pub struct LoopInstance {
     pub at_route_end: bool,
 }
 
-fn first_probe(route: &MeasuredRoute, hop: usize) -> &ProbeResult {
-    &route.hops[hop].probes[0]
-}
-
 fn classify(route: &MeasuredRoute, start: usize, len: usize) -> LoopCause {
-    let first = first_probe(route, start);
-    let second = first_probe(route, start + 1);
+    let first = &route.hops[start].probe;
+    let second = &route.hops[start + 1].probe;
     // Unreachability: the follow-up answer is !H/!N.
     if (start + 1..start + len)
-        .any(|i| first_probe(route, i).kind.and_then(|k| k.unreachable_flag()).is_some())
+        .any(|i| route.hops[i].probe.kind.and_then(|k| k.unreachable_flag()).is_some())
     {
         return LoopCause::Unreachability;
     }
@@ -66,7 +62,7 @@ fn classify(route: &MeasuredRoute, start: usize, len: usize) -> LoopCause {
     // paper's Fig. 5 signal — each "hop" is a router one deeper). Every
     // hop of a loop (len ≥ 2) is in some pair, so every one must answer
     // with a response TTL.
-    let resp_ttl = |i| first_probe(route, i).response_ttl;
+    let resp_ttl = |i: usize| route.hops[i].probe.response_ttl;
     if (start + 1..start + len)
         .all(|i| matches!((resp_ttl(i - 1), resp_ttl(i)), (Some(a), Some(b)) if a > b))
     {
@@ -122,7 +118,7 @@ pub fn for_each_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pt_core::{HaltReason, Hop, ResponseKind, StrategyId};
+    use pt_core::{HaltReason, Hop, ProbeResult, ResponseKind, StrategyId};
     use pt_netsim::time::SimDuration;
     use pt_wire::UnreachableCode;
 
@@ -153,7 +149,7 @@ mod tests {
             hops: probes
                 .into_iter()
                 .enumerate()
-                .map(|(i, p)| Hop { ttl: (i + 1) as u8, probes: vec![p] })
+                .map(|(i, p)| Hop { ttl: (i + 1) as u8, probe: p })
                 .collect(),
             halt: HaltReason::MaxTtl,
         }

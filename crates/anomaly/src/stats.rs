@@ -163,12 +163,8 @@ impl CampaignAccumulator {
         self.routes_total += 1;
         let d = u32::from(route.destination);
         self.dests.insert([d]);
-        for hop in &route.hops {
-            // Straight off the probes: `Hop::addrs` would allocate a
-            // Vec per hop, and the set dedups anyway.
-            for a in hop.probes.iter().filter_map(|p| p.addr) {
-                self.addrs_seen.insert([a.into()]);
-            }
+        for a in route.hops.iter().filter_map(|h| h.probe.addr) {
+            self.addrs_seen.insert([a.into()]);
         }
         self.probes_sent += route.probes_sent() as u64;
         self.stars += route.stars() as u64;
@@ -727,7 +723,7 @@ mod tests {
             hops: hops
                 .into_iter()
                 .enumerate()
-                .map(|(i, p)| Hop { ttl: (i + 1) as u8, probes: vec![probe(p)] })
+                .map(|(i, p)| Hop { ttl: (i + 1) as u8, probe: probe(p) })
                 .collect(),
             halt: HaltReason::MaxTtl,
         }
@@ -785,7 +781,7 @@ mod tests {
         let mut classic = CampaignAccumulator::new(StrategyId::ClassicUdp);
         let paris = CampaignAccumulator::new(StrategyId::ParisUdp);
         let mut r = route(StrategyId::ClassicUdp, 100, vec![Some(2), Some(3), Some(3)]);
-        r.hops[1].probes[0].probe_ttl = Some(0);
+        r.hops[1].probe.probe_ttl = Some(0);
         classic.ingest(0, &r);
         let cmp = compare(&classic, &paris);
         assert!((cmp.loop_pct(FinalLoopCause::ZeroTtlForwarding) - 100.0).abs() < 1e-9);
@@ -839,7 +835,7 @@ mod tests {
         acc.ingest(1, &route(StrategyId::ClassicUdp, 101, vec![Some(5), Some(7), Some(8)]));
         acc.ingest(2, &route(StrategyId::ClassicUdp, 102, vec![Some(2), Some(9), Some(2)]));
         let mut zero = route(StrategyId::ClassicUdp, 103, vec![Some(2), Some(3), Some(3)]);
-        zero.hops[1].probes[0].probe_ttl = Some(0);
+        zero.hops[1].probe.probe_ttl = Some(0);
         acc.ingest(2, &zero);
         let mut degraded = route(StrategyId::ClassicUdp, 104, vec![Some(2), Some(3)]);
         degraded.halt = HaltReason::Budget;

@@ -91,8 +91,7 @@ impl Model {
         self.rounds.insert(round);
         self.routes_total += 1;
         self.dests.insert(d);
-        self.addrs_seen
-            .extend(route.hops.iter().flat_map(|h| h.probes.iter()).filter_map(|p| p.addr));
+        self.addrs_seen.extend(route.hops.iter().filter_map(|h| h.probe.addr));
         self.probes_sent += route.probes_sent() as u64;
         self.stars += route.stars() as u64;
         self.mid_route_stars += route.mid_route_stars() as u64;
@@ -119,13 +118,9 @@ impl Model {
             *self.cycle_instances.entry(((c.addr, d), c.cause)).or_insert(0) += 1;
         }
         for w in route.hops.windows(3) {
-            let addrs = |hop: &Hop| hop.probes.iter().filter_map(|p| p.addr).collect::<Vec<_>>();
-            for h in addrs(&w[0]) {
-                for r in addrs(&w[1]) {
-                    for t in addrs(&w[2]) {
-                        self.middles.entry((d, h, t)).or_default().insert(r);
-                    }
-                }
+            if let [Some(h), Some(r), Some(t)] = [w[0].probe.addr, w[1].probe.addr, w[2].probe.addr]
+            {
+                self.middles.entry((d, h, t)).or_default().insert(r);
             }
         }
         self.graphs.entry(d).or_default().ingest(route);
@@ -255,7 +250,7 @@ type RawProbe = Option<(u8, u8)>;
 
 /// One generated route: destination, round, hops, whether a budget cut
 /// it, and the part it is ingested into.
-type RawRoute = (u8, usize, Vec<Vec<RawProbe>>, bool, usize);
+type RawRoute = (u8, usize, Vec<RawProbe>, bool, usize);
 
 fn probe(raw: RawProbe, destination: Ipv4Addr) -> ProbeResult {
     let Some((x, flavour)) = raw else { return ProbeResult::STAR };
@@ -285,10 +280,7 @@ fn route(tool: StrategyId, raw: &RawRoute) -> MeasuredRoute {
         hops: hops
             .iter()
             .enumerate()
-            .map(|(i, probes)| Hop {
-                ttl: (i + 1) as u8,
-                probes: probes.iter().map(|p| probe(*p, destination)).collect(),
-            })
+            .map(|(i, p)| Hop { ttl: (i + 1) as u8, probe: probe(*p, destination) })
             .collect(),
         halt: if *degraded { HaltReason::Budget } else { HaltReason::MaxTtl },
     }
@@ -296,7 +288,7 @@ fn route(tool: StrategyId, raw: &RawRoute) -> MeasuredRoute {
 
 fn arb_routes() -> impl Strategy<Value = Vec<RawRoute>> {
     let probe = proptest::option::weighted(0.85, (2u8..9, 0u8..8));
-    let hops = proptest::collection::vec(proptest::collection::vec(probe, 1..4), 0..9);
+    let hops = proptest::collection::vec(probe, 0..9);
     proptest::collection::vec((0u8..3, 0usize..4, hops, any::<bool>(), 0usize..4), 0..14)
 }
 

@@ -35,7 +35,7 @@ fn route_of(hops: &[Option<u8>]) -> MeasuredRoute {
         hops: hops
             .iter()
             .enumerate()
-            .map(|(i, p)| Hop { ttl: (i + 1) as u8, probes: vec![probe(*p)] })
+            .map(|(i, p)| Hop { ttl: (i + 1) as u8, probe: probe(*p) })
             .collect(),
         halt: HaltReason::MaxTtl,
     }

@@ -195,7 +195,7 @@ fn mix_net(mut h: u64, net: &SyntheticInternet) -> u64 {
 /// so that a new field fails to compile here until it is classified.
 fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64 {
     let CampaignConfig { rounds, workers: _, trace, dynamics, seed, inject } = config;
-    let TraceConfig { min_ttl, probes_per_hop, window, probe_budget } = *trace;
+    let TraceConfig { min_ttl, window, probe_budget } = *trace;
     let DynamicsConfig {
         forwarding_loop_prob,
         forwarding_loop_delay,
@@ -207,7 +207,6 @@ fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64
     h = mix_net(h, net);
     for v in [
         u64::from(min_ttl),
-        u64::from(probes_per_hop),
         u64::from(window),
         u64::from(probe_budget),
         forwarding_loop_prob.to_bits(),
@@ -1085,11 +1084,10 @@ mod tests {
     #[test]
     fn every_results_affecting_trace_field_is_fingerprinted() {
         type Flip = (&'static str, fn(&mut CampaignConfig));
-        let flips: [Flip; 13] = [
+        let flips: [Flip; 12] = [
             ("rounds", |c| c.rounds += 1),
             ("seed", |c| c.seed += 1),
             ("trace.min_ttl", |c| c.trace.min_ttl += 1),
-            ("trace.probes_per_hop", |c| c.trace.probes_per_hop += 1),
             ("trace.window", |c| c.trace.window += 1),
             ("trace.probe_budget", |c| c.trace.probe_budget += 1),
             ("dynamics.forwarding_loop_prob", |c| c.dynamics.forwarding_loop_prob *= 2.0),

@@ -12,10 +12,10 @@
 //! | [`TcpTraceroute`] | IP Identification | constant (Toren's tool) |
 //!
 //! plus the sans-IO [`trace`] driver that turns a strategy and a
-//! [`Transport`] into a [`MeasuredRoute`]: one probe per hop by default
-//! (as in the paper's study, §3), 2-second timeouts, halting on
-//! Destination Unreachable, at 39 hops, or after exactly eight
-//! consecutive stars. The driver keeps up to [`TraceConfig::window`]
+//! [`Transport`] into a [`MeasuredRoute`]: one probe per hop, as in the
+//! paper's study (§3), so a [`Hop`] holds one [`ProbeResult`]; 2-second
+//! timeouts; halting on Destination Unreachable, at 39 hops, or after
+//! exactly eight consecutive stars. The driver keeps up to [`TraceConfig::window`]
 //! probes in flight at once (`tracer` module docs) — the virtual-time
 //! analogue of the paper's 32 parallel tracing processes — and
 //! `window = 1` reproduces the strictly sequential discipline exactly.
@@ -44,7 +44,7 @@ pub mod window;
 pub use classic::{ClassicIcmp, ClassicUdp};
 pub use paris::{ParisIcmp, ParisTcp, ParisUdp};
 pub use probe::{prefix_u16, prefix_u32, quotation_for, ProbeSpec, ProbeStrategy, StrategyId};
-pub use render::{render, RenderOptions};
+pub use render::render;
 pub use route::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind};
 pub use tcptrace::TcpTraceroute;
 pub use tracer::{

@@ -57,12 +57,6 @@ impl StrategyId {
             _ => return None,
         })
     }
-
-    /// Whether the tool keeps the flow identifier constant across probes
-    /// of one trace (the paper's criterion).
-    pub fn keeps_flow_constant(self) -> bool {
-        !matches!(self, StrategyId::ClassicUdp | StrategyId::ClassicIcmp)
-    }
 }
 
 impl core::fmt::Display for StrategyId {
@@ -186,6 +180,12 @@ mod tests {
         ]
     }
 
+    /// Whether the tool keeps the flow identifier constant across probes
+    /// of one trace (the paper's criterion).
+    fn keeps_flow_constant(id: StrategyId) -> bool {
+        !matches!(id, StrategyId::ClassicUdp | StrategyId::ClassicIcmp)
+    }
+
     #[test]
     fn ids_have_names_and_flow_constancy() {
         let all = [
@@ -200,12 +200,12 @@ mod tests {
         for id in all {
             assert!(names.insert(id.name()), "duplicate name {}", id.name());
         }
-        assert!(!StrategyId::ClassicUdp.keeps_flow_constant());
-        assert!(!StrategyId::ClassicIcmp.keeps_flow_constant());
-        assert!(StrategyId::ParisUdp.keeps_flow_constant());
-        assert!(StrategyId::ParisIcmp.keeps_flow_constant());
-        assert!(StrategyId::ParisTcp.keeps_flow_constant());
-        assert!(StrategyId::TcpTraceroute.keeps_flow_constant());
+        assert!(!keeps_flow_constant(StrategyId::ClassicUdp));
+        assert!(!keeps_flow_constant(StrategyId::ClassicIcmp));
+        assert!(keeps_flow_constant(StrategyId::ParisUdp));
+        assert!(keeps_flow_constant(StrategyId::ParisIcmp));
+        assert!(keeps_flow_constant(StrategyId::ParisTcp));
+        assert!(keeps_flow_constant(StrategyId::TcpTraceroute));
         // Fig. 2, measured on built probes: under every policy that
         // hashes a header field a tool's probes share one flow key
         // exactly when the tool is declared flow-constant. A balancer
@@ -219,7 +219,7 @@ mod tests {
                 .collect();
             for policy in FlowPolicy::ALL {
                 let constant = probes.iter().all(|p| policy.same_flow(&probes[0], p));
-                let expected = id.keeps_flow_constant() || policy == FlowPolicy::DestinationOnly;
+                let expected = keeps_flow_constant(id) || policy == FlowPolicy::DestinationOnly;
                 assert_eq!(constant, expected, "{id} under {policy:?}");
             }
         }

@@ -1,26 +1,12 @@
 //! Classic traceroute-style text rendering of measured routes, flags
-//! (`!H`, `!N`) included — what a user of the tool actually sees.
+//! (`!H`, `!N`) and the Paris side information included — what a user
+//! of the tool actually sees.
 
 use core::fmt::Write;
 
 use pt_wire::UnreachableCode;
 
 use crate::route::{MeasuredRoute, ProbeResult, ResponseKind};
-
-/// Options for rendering a measured route.
-#[derive(Debug, Clone, Copy)]
-pub struct RenderOptions {
-    /// Print RTTs (on by default, like the real tool).
-    pub rtt: bool,
-    /// Print the Paris side information (probe TTL, response TTL, IP ID).
-    pub side_info: bool,
-}
-
-impl Default for RenderOptions {
-    fn default() -> Self {
-        RenderOptions { rtt: true, side_info: false }
-    }
-}
 
 fn flag_of(p: &ProbeResult) -> &'static str {
     match p.kind {
@@ -30,34 +16,10 @@ fn flag_of(p: &ProbeResult) -> &'static str {
     }
 }
 
-/// Render one probe result like traceroute does: `address  time ms` with
-/// repeated-address elision handled by the caller.
-fn render_probe(out: &mut String, p: &ProbeResult, opts: RenderOptions) {
-    match p.addr {
-        None => out.push_str("  *"),
-        Some(a) => {
-            let _ = write!(out, "  {a}");
-            if opts.rtt {
-                if let Some(rtt) = p.rtt {
-                    let _ = write!(out, "  {:.3} ms", rtt.as_millis_f64());
-                }
-            }
-            out.push_str(flag_of(p));
-            if opts.side_info {
-                let _ = write!(
-                    out,
-                    "  [pttl {} rttl {} ipid {}]",
-                    p.probe_ttl.map_or("-".into(), |v| v.to_string()),
-                    p.response_ttl.map_or("-".into(), |v| v.to_string()),
-                    p.ip_id.map_or("-".into(), |v| v.to_string()),
-                );
-            }
-        }
-    }
-}
-
-/// Render a whole measured route in traceroute's output format.
-pub fn render(route: &MeasuredRoute, opts: RenderOptions) -> String {
+/// Render a whole measured route in traceroute's output format, one line
+/// per hop: `address  time ms`, the unreachable flag, and the probe TTL,
+/// response TTL and IP ID Paris traceroute adds (§2.2).
+pub fn render(route: &MeasuredRoute) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -67,21 +29,24 @@ pub fn render(route: &MeasuredRoute, opts: RenderOptions) -> String {
         route.hops.last().map_or(0, |h| h.ttl)
     );
     for hop in &route.hops {
+        let p = &hop.probe;
         let _ = write!(out, "{:>3} ", hop.ttl);
-        let mut last_addr = None;
-        for p in &hop.probes {
-            // Elide a repeated address within the hop, as traceroute does
-            // for its three probes.
-            if p.addr.is_some() && p.addr == last_addr {
-                if opts.rtt {
-                    if let Some(rtt) = p.rtt {
-                        let _ = write!(out, "  {:.3} ms", rtt.as_millis_f64());
-                    }
+        match p.addr {
+            None => out.push_str("  *"),
+            Some(a) => {
+                let _ = write!(out, "  {a}");
+                if let Some(rtt) = p.rtt {
+                    let _ = write!(out, "  {:.3} ms", rtt.as_millis_f64());
                 }
-            } else {
-                render_probe(&mut out, p, opts);
+                out.push_str(flag_of(p));
+                let _ = write!(
+                    out,
+                    "  [pttl {} rttl {} ipid {}]",
+                    p.probe_ttl.map_or("-".into(), |v| v.to_string()),
+                    p.response_ttl.map_or("-".into(), |v| v.to_string()),
+                    p.ip_id.map_or("-".into(), |v| v.to_string()),
+                );
             }
-            last_addr = p.addr;
         }
         out.push('\n');
     }
@@ -128,10 +93,10 @@ mod tests {
     #[test]
     fn renders_hops_stars_and_rtt() {
         let r = route(vec![
-            Hop { ttl: 1, probes: vec![probe(Some(2), ResponseKind::TimeExceeded)] },
-            Hop { ttl: 2, probes: vec![ProbeResult::STAR] },
+            Hop { ttl: 1, probe: probe(Some(2), ResponseKind::TimeExceeded) },
+            Hop { ttl: 2, probe: ProbeResult::STAR },
         ]);
-        let text = render(&r, RenderOptions::default());
+        let text = render(&r);
         assert!(text.contains("paris-udp to 10.0.0.200"));
         assert!(text.contains("  1   10.0.0.2  12.345 ms"));
         assert!(text.contains("  2   *"));
@@ -141,44 +106,22 @@ mod tests {
     fn renders_unreachable_flags() {
         let r = route(vec![Hop {
             ttl: 1,
-            probes: vec![probe(Some(3), ResponseKind::Unreachable(pt_wire::UnreachableCode::Host))],
+            probe: probe(Some(3), ResponseKind::Unreachable(pt_wire::UnreachableCode::Host)),
         }]);
-        let text = render(&r, RenderOptions::default());
+        let text = render(&r);
         assert!(text.contains("!H"), "{text}");
         let r = route(vec![Hop {
             ttl: 1,
-            probes: vec![probe(
-                Some(3),
-                ResponseKind::Unreachable(pt_wire::UnreachableCode::Network),
-            )],
+            probe: probe(Some(3), ResponseKind::Unreachable(pt_wire::UnreachableCode::Network)),
         }]);
-        assert!(render(&r, RenderOptions::default()).contains("!N"));
-    }
-
-    #[test]
-    fn elides_repeated_addresses_within_a_hop() {
-        let r = route(vec![Hop {
-            ttl: 4,
-            probes: vec![
-                probe(Some(9), ResponseKind::TimeExceeded),
-                probe(Some(9), ResponseKind::TimeExceeded),
-                probe(Some(8), ResponseKind::TimeExceeded),
-            ],
-        }]);
-        let text = render(&r, RenderOptions::default());
-        let hop_line = text.lines().nth(1).unwrap();
-        assert_eq!(hop_line.matches("10.0.0.9").count(), 1, "{hop_line}");
-        assert_eq!(hop_line.matches("10.0.0.8").count(), 1);
-        assert_eq!(hop_line.matches("ms").count(), 3, "RTTs always shown");
+        assert!(render(&r).contains("!N"));
     }
 
     #[test]
     fn side_info_mode_prints_paris_extras() {
-        let r =
-            route(vec![Hop { ttl: 1, probes: vec![probe(Some(2), ResponseKind::TimeExceeded)] }]);
-        let text = render(&r, RenderOptions { rtt: false, side_info: true });
-        assert!(text.contains("[pttl 1 rttl 250 ipid 77]"), "{text}");
-        assert!(!text.contains("ms"));
+        let r = route(vec![Hop { ttl: 1, probe: probe(Some(2), ResponseKind::TimeExceeded) }]);
+        let text = render(&r);
+        assert!(text.contains("  1   10.0.0.2  12.345 ms  [pttl 1 rttl 250 ipid 77]"), "{text}");
     }
 
     #[test]
@@ -192,7 +135,7 @@ mod tests {
         );
         let mut s = ParisUdp::new(40_000, 50_000);
         let r = trace(&mut tx, &mut s, sc.destination, TraceConfig::default());
-        let text = render(&r, RenderOptions::default());
+        let text = render(&r);
         assert_eq!(text.lines().count(), 1 + r.hops.len());
         assert!(text.contains(&sc.destination.to_string()));
     }

@@ -3,10 +3,12 @@
 //!
 //! §4 defines a measured route as the tuple `R = (r0, ..., rℓ)` where
 //! `r0` is the source address and `ri` is the address answering at TTL
-//! `i`, or a star. [`MeasuredRoute::addresses`] yields exactly that view
-//! and [`MeasuredRoute::with_addresses`] lends it without allocating;
-//! the richer per-probe records keep the Paris side information (probe
-//! TTL, response TTL, IP ID, unreachable flags) the classifiers need.
+//! `i`, or a star. The study sends one probe per hop (§3), so a [`Hop`]
+//! is one TTL and its one [`ProbeResult`]. [`MeasuredRoute::addresses`]
+//! yields the `ri` view and [`MeasuredRoute::with_addresses`] lends it
+//! without allocating; the probe records keep the Paris side information
+//! (probe TTL, response TTL, IP ID, unreachable flags) the classifiers
+//! need.
 
 use std::net::Ipv4Addr;
 
@@ -87,44 +89,13 @@ impl ProbeResult {
     }
 }
 
-/// All probes sent at one TTL.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The probe sent at one TTL.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     /// The TTL probed.
     pub ttl: u8,
-    /// One entry per probe (the study sends one probe per hop; classic
-    /// traceroute defaults to three).
-    pub probes: Vec<ProbeResult>,
-}
-
-impl Hop {
-    /// The address reported for the hop in the `(r1, ..., rℓ)` view: the
-    /// first responding probe, if any.
-    pub fn first_addr(&self) -> Option<Ipv4Addr> {
-        self.probes.iter().find_map(|p| p.addr)
-    }
-
-    /// All distinct responding addresses at this hop.
-    ///
-    /// Allocates a `Vec` per call — diagnostics and tests only. Hot
-    /// loops (the campaign accumulators, diamond ingest) iterate
-    /// `probes` in place instead; don't reintroduce this there.
-    pub fn addrs(&self) -> Vec<Ipv4Addr> {
-        let mut out: Vec<Ipv4Addr> = Vec::new();
-        for p in &self.probes {
-            if let Some(a) = p.addr {
-                if !out.contains(&a) {
-                    out.push(a);
-                }
-            }
-        }
-        out
-    }
-
-    /// Whether every probe at this hop timed out.
-    pub fn all_stars(&self) -> bool {
-        self.probes.iter().all(ProbeResult::is_star)
-    }
+    /// Its outcome; `probe.addr` is the hop's `ri`.
+    pub probe: ProbeResult,
 }
 
 /// Why a trace stopped.
@@ -163,10 +134,10 @@ pub struct MeasuredRoute {
 }
 
 impl MeasuredRoute {
-    /// §4's measured-route view: `ri` per probed TTL (first probe's
+    /// §4's measured-route view: `ri` per probed TTL (the probe's
     /// address or star), excluding `r0`.
     pub fn addresses(&self) -> Vec<Option<Ipv4Addr>> {
-        self.hops.iter().map(Hop::first_addr).collect()
+        self.hops.iter().map(|h| h.probe.addr).collect()
     }
 
     /// Call `f` with [`MeasuredRoute::addresses`], held on the stack: a
@@ -179,7 +150,7 @@ impl MeasuredRoute {
         }
         let mut view = [None; TRACED_HOPS_MAX];
         for (slot, hop) in view.iter_mut().zip(&self.hops) {
-            *slot = hop.first_addr();
+            *slot = hop.probe.addr;
         }
         f(&view[..self.hops.len()])
     }
@@ -192,7 +163,7 @@ impl MeasuredRoute {
 
     /// Whether the destination itself answered.
     pub fn reached_destination(&self) -> bool {
-        self.hops.iter().flat_map(|h| &h.probes).any(|p| {
+        self.hops.iter().map(|h| &h.probe).any(|p| {
             p.addr == Some(self.destination)
                 && matches!(
                     p.kind,
@@ -205,21 +176,21 @@ impl MeasuredRoute {
         })
     }
 
-    /// Total probes sent.
+    /// Total probes sent: one per hop.
     pub fn probes_sent(&self) -> usize {
-        self.hops.iter().map(|h| h.probes.len()).sum()
+        self.hops.len()
     }
 
     /// Total stars observed.
     pub fn stars(&self) -> usize {
-        self.hops.iter().flat_map(|h| &h.probes).filter(|p| p.is_star()).count()
+        self.hops.iter().filter(|h| h.probe.is_star()).count()
     }
 
     /// Stars that appear *before* the last responding hop — the §3
     /// "stars in the midst of responses" statistic.
     pub fn mid_route_stars(&self) -> usize {
-        let last_responding = self.hops.iter().rposition(|h| !h.all_stars()).unwrap_or(0);
-        self.hops[..last_responding].iter().flat_map(|h| &h.probes).filter(|p| p.is_star()).count()
+        let last_responding = self.hops.iter().rposition(|h| !h.probe.is_star()).unwrap_or(0);
+        self.hops[..last_responding].iter().filter(|h| h.probe.is_star()).count()
     }
 }
 
@@ -256,26 +227,26 @@ mod tests {
     #[test]
     fn addresses_view_uses_first_responding_probe() {
         let hops = vec![
-            Hop { ttl: 1, probes: vec![reply(2)] },
-            Hop { ttl: 2, probes: vec![ProbeResult::STAR, reply(3)] },
-            Hop { ttl: 3, probes: vec![ProbeResult::STAR] },
+            Hop { ttl: 1, probe: reply(2) },
+            Hop { ttl: 2, probe: reply(3) },
+            Hop { ttl: 3, probe: ProbeResult::STAR },
         ];
         let r = route(hops);
         assert_eq!(r.addresses(), vec![Some(addr(2)), Some(addr(3)), None]);
         r.with_addresses(|view| assert_eq!(view, r.addresses()));
         // Past the stack's room the view is the collected one.
-        let long = route((0..100).map(|ttl| Hop { ttl, probes: vec![reply(ttl)] }).collect());
+        let long = route((0..100).map(|ttl| Hop { ttl, probe: reply(ttl) }).collect());
         long.with_addresses(|view| assert_eq!(view, long.addresses()));
     }
 
     #[test]
     fn star_accounting_distinguishes_mid_route_from_trailing() {
         let hops = vec![
-            Hop { ttl: 1, probes: vec![reply(2)] },
-            Hop { ttl: 2, probes: vec![ProbeResult::STAR] },
-            Hop { ttl: 3, probes: vec![reply(4)] },
-            Hop { ttl: 4, probes: vec![ProbeResult::STAR] },
-            Hop { ttl: 5, probes: vec![ProbeResult::STAR] },
+            Hop { ttl: 1, probe: reply(2) },
+            Hop { ttl: 2, probe: ProbeResult::STAR },
+            Hop { ttl: 3, probe: reply(4) },
+            Hop { ttl: 4, probe: ProbeResult::STAR },
+            Hop { ttl: 5, probe: ProbeResult::STAR },
         ];
         let r = route(hops);
         assert_eq!(r.stars(), 3);
@@ -286,10 +257,10 @@ mod tests {
     fn reached_destination_requires_terminal_kind() {
         let mut term = reply(99);
         term.kind = Some(ResponseKind::Unreachable(UnreachableCode::Port));
-        let r = route(vec![Hop { ttl: 1, probes: vec![term] }]);
+        let r = route(vec![Hop { ttl: 1, probe: term }]);
         assert!(r.reached_destination());
         // A Time Exceeded from the destination address does not count.
-        let r2 = route(vec![Hop { ttl: 1, probes: vec![reply(99)] }]);
+        let r2 = route(vec![Hop { ttl: 1, probe: reply(99) }]);
         assert!(!r2.reached_destination());
     }
 
@@ -304,13 +275,5 @@ mod tests {
         );
         assert_eq!(ResponseKind::Unreachable(UnreachableCode::Port).unreachable_flag(), None);
         assert_eq!(ResponseKind::TimeExceeded.unreachable_flag(), None);
-    }
-
-    #[test]
-    fn hop_addrs_dedup_preserving_order() {
-        let h = Hop { ttl: 3, probes: vec![reply(5), reply(6), reply(5)] };
-        assert_eq!(h.addrs(), vec![addr(5), addr(6)]);
-        assert!(!h.all_stars());
-        assert!(Hop { ttl: 1, probes: vec![ProbeResult::STAR] }.all_stars());
     }
 }

@@ -1,20 +1,20 @@
 //! The sans-IO traceroute driver.
 //!
-//! Reproduces the study's probing discipline (§3): one probe per hop
-//! (configurable to classic traceroute's three), up to two seconds'
-//! wait per probe ([`PROBE_TIMEOUT`]), immediate halt on any
-//! Destination Unreachable or terminal reply, a ceiling of 39 hops
-//! ([`MAX_TTL`]), and abandonment after eight consecutive unanswered
-//! hops (exactly eight: the hop that brings the consecutive-star count
-//! to [`MAX_CONSECUTIVE_STARS`] is the last one probed). The three are
-//! constants: the study fixes them, and no caller varies them.
+//! Reproduces the study's probing discipline (§3): one probe per hop,
+//! up to two seconds' wait per probe ([`PROBE_TIMEOUT`]), immediate halt
+//! on any Destination Unreachable or terminal reply, a ceiling of 39
+//! hops ([`MAX_TTL`]), and abandonment after eight consecutive
+//! unanswered hops (exactly eight: the hop that brings the
+//! consecutive-star count to [`MAX_CONSECUTIVE_STARS`] is the last one
+//! probed). All four are fixed: the study fixes them, and no caller
+//! varies them.
 //!
 //! # Windowed probing
 //!
 //! [`trace_with`] keeps up to [`TraceConfig::window`] probes
 //! outstanding at once — the virtual-time analogue of the paper's 32
 //! parallel tracing processes, applied inside one trace. Probes are
-//! *launched* in strict `(TTL, slot)` order but *retired* by the
+//! *launched* in strict TTL order but *retired* by the
 //! response/deadline that actually resolves them, through the
 //! [`ProbeWindow`] this driver shares with `pt-mda` (the registry, the
 //! wait and the attribution by probe id are documented there), so
@@ -29,18 +29,13 @@
 //! trace takes: roughly ×`window` less).
 //!
 //! `window = 1` reproduces the strictly sequential send→wait→timeout
-//! discipline: same probes at the same virtual times, same route —
-//! byte-for-byte at `probes_per_hop = 1` (the study's setting, pinned
-//! by digest comparison against the pre-windowed driver). With more
-//! probes per hop one *deliberate* divergence remains at every window:
-//! the hop a terminal reply lands in now receives its full probe
-//! complement (classic traceroute behavior) instead of abandoning its
-//! remaining slots as phantom stars.
+//! discipline: same probes at the same virtual times, same route
+//! (pinned by digest comparison against the pre-windowed driver).
 //!
 //! The driver is allocation-free in steady state: probe payloads come
 //! from the transport's recycling pool ([`Transport::grab_payload`]),
 //! and the per-trace bookkeeping (hop records, the probe window,
-//! per-hop progress counters) lives in a caller-held
+//! per-hop resolved flags) lives in a caller-held
 //! [`TraceScratch`] that [`trace_with`] reuses and
 //! [`TraceScratch::recycle`] refills from finished routes. [`trace`]
 //! remains the convenience form that allocates fresh scratch per call.
@@ -147,8 +142,6 @@ pub const MAX_CONSECUTIVE_STARS: u8 = 8;
 pub struct TraceConfig {
     /// First TTL probed. The study uses 2 to skip the university network.
     pub min_ttl: u8,
-    /// Probes per hop: 1 in the study, 3 in classic traceroute defaults.
-    pub probes_per_hop: u8,
     /// Probes kept in flight at once. `1` is the study's strictly
     /// sequential per-process discipline (send, wait, time out, next);
     /// the default `3` pipelines the TTL ladder — the virtual-time
@@ -169,7 +162,7 @@ pub struct TraceConfig {
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig { min_ttl: 1, probes_per_hop: 1, window: 3, probe_budget: 0 }
+        TraceConfig { min_ttl: 1, window: 3, probe_budget: 0 }
     }
 }
 
@@ -179,12 +172,6 @@ impl TraceConfig {
     /// discipline.
     pub fn paper() -> Self {
         TraceConfig { min_ttl: 2, ..Self::default() }
-    }
-
-    /// Classic traceroute's three-probes-per-hop default — the mode that
-    /// makes diamonds visible within a single trace.
-    pub fn three_probes() -> Self {
-        TraceConfig { probes_per_hop: 3, ..Self::default() }
     }
 }
 
@@ -203,37 +190,20 @@ fn classify(resp: &Packet) -> (ResponseKind, Option<u8>) {
     }
 }
 
-/// Where a probe's result goes: `hops[hop].probes[slot]`.
-#[derive(Debug, Clone, Copy)]
-struct ProbeSlot {
-    hop: usize,
-    slot: usize,
-}
-
-/// Per-hop probe vectors the scratch retains; sized for a caller that
-/// holds a full-length *pair* of routes alive before recycling both at
-/// once (the campaign's crash-isolated work unit does exactly that), so
-/// the cap only guards against a caller recycling routes it never
-/// traces.
-const SCRATCH_HOP_POOL_CAP: usize = 96;
-
 /// Reusable per-trace bookkeeping: the probe window, the per-hop
-/// progress counters, and pools of hop/probe vectors harvested from
-/// finished routes. A worker that keeps one `TraceScratch` across
-/// its traces — recycling each consumed [`MeasuredRoute`] back into it
-/// — runs [`trace_with`] with zero steady-state heap allocation (the
+/// resolved flags, and a pool of hop vectors harvested from finished
+/// routes. A worker that keeps one `TraceScratch` across its traces —
+/// recycling each consumed [`MeasuredRoute`] back into it — runs
+/// [`trace_with`] with zero steady-state heap allocation (the
 /// counting-allocator regression test pins this end to end, in both
 /// sequential and windowed modes).
 #[derive(Debug, Default)]
 pub struct TraceScratch {
-    /// Outstanding probes by index.
-    window: ProbeWindow<ProbeSlot>,
-    /// Resolved-probe counters (answered or expired), parallel to the
-    /// route's hop list; a hop finalizes — in TTL order — once its
-    /// counter reaches the hop's probe complement.
-    hop_resolved: Vec<u8>,
-    /// Recycled `Hop::probes` vectors.
-    probe_vecs: Vec<Vec<ProbeResult>>,
+    /// Outstanding probes, each tagged with its hop's index.
+    window: ProbeWindow<usize>,
+    /// Whether each hop's probe is resolved (answered or expired),
+    /// parallel to the route's hop list; hops finalize in TTL order.
+    resolved: Vec<bool>,
     /// Recycled `MeasuredRoute::hops` vectors.
     hop_vecs: Vec<Vec<Hop>>,
 }
@@ -244,17 +214,11 @@ impl TraceScratch {
         Self::default()
     }
 
-    /// Harvest a finished route's vectors for reuse by later traces.
+    /// Harvest a finished route's hop vector for reuse by later traces.
     /// Call this instead of dropping routes you have finished reading.
     pub fn recycle(&mut self, route: MeasuredRoute) {
-        let mut hops = route.hops;
-        for hop in hops.drain(..) {
-            if self.probe_vecs.len() < SCRATCH_HOP_POOL_CAP {
-                self.probe_vecs.push(hop.probes);
-            }
-        }
         if self.hop_vecs.len() < 4 {
-            self.hop_vecs.push(hops);
+            self.hop_vecs.push(route.hops);
         }
     }
 
@@ -263,33 +227,6 @@ impl TraceScratch {
         hops.clear();
         hops
     }
-
-    fn take_probes(&mut self, n: usize) -> Vec<ProbeResult> {
-        let mut probes = self.probe_vecs.pop().unwrap_or_default();
-        probes.clear();
-        probes.resize(n, ProbeResult::STAR);
-        probes
-    }
-
-    /// Drop speculative hops past `keep`, returning their probe vectors
-    /// to the pool.
-    fn truncate_hops(&mut self, hops: &mut Vec<Hop>, keep: usize) {
-        while hops.len() > keep {
-            let hop = hops.pop().expect("len > keep");
-            if self.probe_vecs.len() < SCRATCH_HOP_POOL_CAP {
-                self.probe_vecs.push(hop.probes);
-            }
-        }
-    }
-}
-
-/// Hop `i` exists and every probe of its own complement is resolved
-/// (answered or expired). The complement is the hop's, not
-/// `probes_per_hop`: a budget cut truncates the hop being filled to
-/// the slots actually probed, and a terminal reply among them still
-/// wins the halt.
-fn hop_complete(hops: &[Hop], resolved: &[u8], i: usize) -> bool {
-    i < hops.len() && usize::from(resolved[i]) == hops[i].probes.len()
 }
 
 /// Run one traceroute toward `destination` with the given strategy,
@@ -320,11 +257,9 @@ pub fn trace_with<T: Transport>(
     let source = transport.source_addr();
     let mut hops: Vec<Hop> = scratch.take_hops();
     scratch.window.clear();
-    scratch.hop_resolved.clear();
+    scratch.resolved.clear();
     let window = usize::from(config.window).max(1);
-    let pph = usize::from(config.probes_per_hop);
 
-    let mut probe_idx: u64 = 0;
     let mut consecutive_stars: u8 = 0;
     let mut halt = HaltReason::MaxTtl;
 
@@ -332,10 +267,6 @@ pub fn trace_with<T: Transport>(
     // the send gate so the halt reason can say so after wind-down.
     let mut budget_hit = false;
 
-    // Send cursor: probes launch in strict (TTL, slot) order.
-    let mut next_ttl = config.min_ttl;
-    let mut next_slot: usize = 0;
-    let mut sent_done = config.min_ttl > MAX_TTL;
     // First hop index not yet finalized; halting is decided here only.
     let mut frontier: usize = 0;
     // Lowest hop with a terminal response recorded so far. Probes are
@@ -344,21 +275,21 @@ pub fn trace_with<T: Transport>(
     let mut terminal_hop: Option<usize> = None;
 
     'drive: loop {
-        // 1. Finalize complete hops in TTL order. Everything the route
+        // 1. Finalize resolved hops in TTL order. Everything the route
         //    reports — the halt reason, which hops exist, the star
         //    count — is decided here, so out-of-order responses and
         //    speculative probes cannot change the measured route.
-        while hop_complete(&hops, &scratch.hop_resolved, frontier) {
+        while frontier < hops.len() && scratch.resolved[frontier] {
             if terminal_hop.is_some_and(|h| h <= frontier) {
                 halt = HaltReason::Terminal;
-                scratch.truncate_hops(&mut hops, frontier + 1);
+                hops.truncate(frontier + 1);
                 break 'drive;
             }
-            if hops[frontier].all_stars() {
+            if hops[frontier].probe.is_star() {
                 consecutive_stars += 1;
                 if consecutive_stars >= MAX_CONSECUTIVE_STARS {
                     halt = HaltReason::StarLimit;
-                    scratch.truncate_hops(&mut hops, frontier + 1);
+                    hops.truncate(frontier + 1);
                     break 'drive;
                 }
             } else {
@@ -367,74 +298,37 @@ pub fn trace_with<T: Transport>(
             frontier += 1;
         }
 
-        // 2. Top up the probe window, never opening a hop past a
-        //    terminal reply (a hop the terminal reply belongs to still
-        //    gets its full probe complement — classic traceroute sends
-        //    all three probes at the terminal TTL).
-        while !sent_done && scratch.window.in_flight() < window {
-            if config.probe_budget != 0 && probe_idx >= u64::from(config.probe_budget) {
-                // Watchdog tripped: close the send gate for good and
-                // let the probes already in flight drain. A hop cut
-                // mid-complement keeps only the slots actually probed,
-                // so star and probe accounting stay honest.
+        // 2. Top up the probe window, one probe per hop in TTL order,
+        //    never opening a hop past a terminal reply. A probe's id is
+        //    its hop's index.
+        while scratch.window.in_flight() < window {
+            let hop = hops.len();
+            let idx = hop as u64;
+            let ttl = usize::from(config.min_ttl) + hop;
+            if ttl > usize::from(MAX_TTL) {
+                break;
+            }
+            if config.probe_budget != 0 && idx >= u64::from(config.probe_budget) {
+                // Watchdog tripped: close the send gate and let the
+                // probes already in flight drain.
                 budget_hit = true;
-                sent_done = true;
-                if next_slot != 0 {
-                    if let Some(hop) = hops.last_mut() {
-                        hop.probes.truncate(next_slot);
-                    }
-                }
                 break;
             }
-            let hop_index = if next_slot == 0 { hops.len() } else { hops.len() - 1 };
-            if terminal_hop.is_some_and(|h| hop_index > h) {
+            if terminal_hop.is_some_and(|h| hop > h) {
                 break;
             }
-            if next_slot == 0 {
-                let probes = scratch.take_probes(pph);
-                hops.push(Hop { ttl: next_ttl, probes });
-                scratch.hop_resolved.push(0);
-            }
-            if pph > 0 {
-                let idx = probe_idx;
-                probe_idx += 1;
-                let payload = transport.grab_payload();
-                let packet = strategy.build_probe_with(source, destination, next_ttl, idx, payload);
-                let sent = transport.now();
-                let slot = ProbeSlot { hop: hop_index, slot: next_slot };
-                scratch.window.launch(idx, sent, PROBE_TIMEOUT, slot);
-                transport.send(packet);
-                next_slot += 1;
-            }
-            if next_slot >= pph {
-                next_slot = 0;
-                if next_ttl >= MAX_TTL {
-                    sent_done = true;
-                } else {
-                    next_ttl += 1;
-                }
-            }
+            let ttl = ttl as u8; // at most MAX_TTL
+            hops.push(Hop { ttl, probe: ProbeResult::STAR });
+            scratch.resolved.push(false);
+            let payload = transport.grab_payload();
+            let packet = strategy.build_probe_with(source, destination, ttl, idx, payload);
+            scratch.window.launch(idx, transport.now(), PROBE_TIMEOUT, hop);
+            transport.send(packet);
         }
 
         if scratch.window.in_flight() == 0 {
-            if sent_done {
-                // Hops pushed by this iteration's send phase may already
-                // be complete (probes_per_hop = 0 resolves a hop the
-                // moment it opens): give finalization another pass
-                // before concluding MaxTtl, so the star limit still
-                // halts empty-hop traces.
-                if hop_complete(&hops, &scratch.hop_resolved, frontier) {
-                    continue 'drive;
-                }
-                break; // every hop finalized without a halt: MaxTtl
-            }
-            // Nothing in flight and the send gate is closed: a terminal
-            // reply arrived for a hop the cursor had already passed
-            // (possible only with probes_per_hop > 1 and a late reply).
-            debug_assert!(terminal_hop.is_some(), "send stalled without a terminal reply");
-            halt = HaltReason::Terminal;
-            let keep = (frontier + 1).min(hops.len());
-            scratch.truncate_hops(&mut hops, keep);
+            // Every hop finalized without a halt, and the send gate is
+            // closed: MaxTtl, or the budget.
             break;
         }
 
@@ -445,19 +339,17 @@ pub fn trace_with<T: Transport>(
             transport,
             None,
             |resp| strategy.match_response(destination, resp),
-            |probe, _| {
-                scratch.hop_resolved[probe.hop] += 1;
+            |hop, _| {
+                scratch.resolved[hop] = true;
                 true
             },
         ) else {
             continue; // stray, duplicate or expiry: look again
         };
-        let (o, resp) = (reply.probe, reply.packet);
-        if !reply.late {
-            scratch.hop_resolved[o.hop] += 1;
-        }
+        let (hop, resp) = (reply.probe, reply.packet);
+        scratch.resolved[hop] = true;
         let (kind, probe_ttl) = classify(&resp);
-        hops[o.hop].probes[o.slot] = ProbeResult {
+        hops[hop].probe = ProbeResult {
             addr: Some(resp.ip.src),
             rtt: Some(reply.at.since(reply.sent)),
             kind: Some(kind),
@@ -465,8 +357,8 @@ pub fn trace_with<T: Transport>(
             response_ttl: Some(resp.ip.ttl),
             ip_id: Some(resp.ip.identification),
         };
-        if kind.terminates() && terminal_hop.is_none_or(|h| o.hop < h) {
-            terminal_hop = Some(o.hop);
+        if kind.terminates() && terminal_hop.is_none_or(|h| hop < h) {
+            terminal_hop = Some(hop);
         }
         transport.release(resp);
     }
@@ -515,12 +407,12 @@ mod tests {
         assert_eq!(addrs[6], Some(sc.destination));
         // Every mid-path response is a normal probe-TTL-1 Time Exceeded.
         for hop in &route.hops[..6] {
-            assert_eq!(hop.probes[0].kind, Some(ResponseKind::TimeExceeded));
-            assert_eq!(hop.probes[0].probe_ttl, Some(1));
+            assert_eq!(hop.probe.kind, Some(ResponseKind::TimeExceeded));
+            assert_eq!(hop.probe.probe_ttl, Some(1));
         }
         // The terminal hop is Port Unreachable.
         assert_eq!(
-            route.hops[6].probes[0].kind,
+            route.hops[6].probe.kind,
             Some(ResponseKind::Unreachable(UnreachableCode::Port))
         );
     }
@@ -587,7 +479,7 @@ mod tests {
         assert_eq!(route.halt, HaltReason::Terminal);
         let last = route.hops.last().unwrap();
         assert_eq!(
-            last.probes[0].kind.unwrap().unreachable_flag(),
+            last.probe.kind.unwrap().unreachable_flag(),
             Some(UnreachableCode::Host),
             "!H flag"
         );
@@ -685,24 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_probes_per_hop_still_hits_the_star_limit() {
-        // A degenerate config nobody should use, but it must keep the
-        // old driver's semantics: a hop with no probes is vacuously
-        // all-star, so the trace abandons at the star limit instead of
-        // spinning out 39 empty hops to MaxTtl.
-        let sc = scenarios::linear(3);
-        for window in [1u8, 3] {
-            let mut tx = transport(&sc, 1);
-            let mut strat = ParisUdp::new(41000, 52000);
-            let config = TraceConfig { probes_per_hop: 0, window, ..TraceConfig::default() };
-            let route = trace(&mut tx, &mut strat, sc.destination, config);
-            assert_eq!(route.halt, HaltReason::StarLimit, "window {window}");
-            assert_eq!(route.hops.len(), 8, "window {window}: exactly the star limit");
-            assert!(route.hops.iter().all(|h| h.probes.is_empty()), "window {window}");
-        }
-    }
-
-    #[test]
     fn probe_budget_degrades_a_long_trace_deterministically() {
         let sc = scenarios::linear(6);
         let config = TraceConfig { probe_budget: 3, ..TraceConfig::default() };
@@ -723,28 +597,27 @@ mod tests {
 
     #[test]
     fn budget_cut_inside_the_terminal_hop_still_halts_terminal() {
-        // linear(3) at three probes per hop wants 12 probes; slots 10-12
-        // are the destination's. A cut after slot 10 or 11 truncates the
-        // terminal hop to the slots probed, and the terminal reply among
-        // them is an organic halt, not a degraded trace.
+        // linear(3) wants 4 probes; the 4th is the destination's. A
+        // budget that ends exactly there still halts Terminal: the
+        // terminal reply is an organic halt, not a degraded trace, even
+        // when it lands while the closed gate drains the window.
         let sc = scenarios::linear(3);
         for window in [1u8, 3] {
             for (probe_budget, halt, hops) in [
-                (9, HaltReason::Budget, 3),
-                (10, HaltReason::Terminal, 4),
-                (11, HaltReason::Terminal, 4),
-                (12, HaltReason::Terminal, 4),
+                (3, HaltReason::Budget, 3),
+                (4, HaltReason::Terminal, 4),
+                (5, HaltReason::Terminal, 4),
             ] {
                 let mut tx = transport(&sc, 1);
                 let mut strat = ParisUdp::new(41000, 52000);
-                let config = TraceConfig { probe_budget, window, ..TraceConfig::three_probes() };
+                let config = TraceConfig { probe_budget, window, ..TraceConfig::default() };
                 let route = trace(&mut tx, &mut strat, sc.destination, config);
                 let case = format!("budget {probe_budget}, window {window}");
                 assert_eq!(route.halt, halt, "{case}");
                 assert_eq!(route.hops.len(), hops, "{case}");
                 assert_eq!(route.degraded(), halt == HaltReason::Budget, "{case}");
                 assert_eq!(route.reached_destination(), halt == HaltReason::Terminal, "{case}");
-                assert_eq!(route.probes_sent(), probe_budget as usize, "{case}");
+                assert_eq!(route.probes_sent(), hops, "{case}");
             }
         }
     }
@@ -781,50 +654,12 @@ mod tests {
     }
 
     #[test]
-    fn three_probe_config_records_three_results_per_hop() {
-        let sc = scenarios::linear(3);
-        let mut tx = transport(&sc, 1);
-        let mut strat = ClassicUdp::new(7);
-        let route = trace(&mut tx, &mut strat, sc.destination, TraceConfig::three_probes());
-        for hop in &route.hops[..route.hops.len() - 1] {
-            assert_eq!(hop.probes.len(), 3);
-            assert!(hop.probes.iter().all(|p| !p.is_star()));
-        }
-    }
-
-    #[test]
-    fn terminal_hop_gets_its_full_probe_complement() {
-        // Classic traceroute sends all three probes at the terminal TTL;
-        // the driver must not leave the later slots as phantom stars
-        // (indistinguishable from loss in the anomaly stats).
-        for window in [1u8, 3] {
-            let sc = scenarios::linear(3);
-            let mut tx = transport(&sc, 1);
-            let mut strat = ClassicUdp::new(7);
-            let config = TraceConfig { window, ..TraceConfig::three_probes() };
-            let route = trace(&mut tx, &mut strat, sc.destination, config);
-            assert_eq!(route.halt, HaltReason::Terminal);
-            let last = route.hops.last().unwrap();
-            assert_eq!(last.probes.len(), 3);
-            assert!(
-                last.probes.iter().all(|p| !p.is_star()),
-                "window {window}: terminal hop slots must all be probed, got {:?}",
-                last.probes
-            );
-            assert!(
-                last.probes.iter().all(|p| p.kind.is_some_and(|k| k.terminates())),
-                "window {window}: every terminal-hop probe reaches the destination"
-            );
-        }
-    }
-
-    #[test]
     fn rtt_increases_along_the_path() {
         let sc = scenarios::linear(5);
         let mut tx = transport(&sc, 1);
         let mut strat = ParisUdp::new(41000, 52000);
         let route = trace(&mut tx, &mut strat, sc.destination, TraceConfig::default());
-        let rtts: Vec<_> = route.hops.iter().map(|h| h.probes[0].rtt.unwrap()).collect();
+        let rtts: Vec<_> = route.hops.iter().map(|h| h.probe.rtt.unwrap()).collect();
         for w in rtts.windows(2) {
             assert!(w[0] < w[1], "RTT must grow with distance: {rtts:?}");
         }
@@ -841,8 +676,8 @@ mod tests {
         assert_eq!(a[6], Some(sc.a("A")));
         assert_eq!(a[7], Some(sc.a("A")));
         // ...but the probe TTLs distinguish the cause: 0 then 1.
-        assert_eq!(route.hops[6].probes[0].probe_ttl, Some(0));
-        assert_eq!(route.hops[7].probes[0].probe_ttl, Some(1));
+        assert_eq!(route.hops[6].probe.probe_ttl, Some(0));
+        assert_eq!(route.hops[7].probe.probe_ttl, Some(1));
     }
 
     #[test]
@@ -856,7 +691,7 @@ mod tests {
         for (i, addr) in a.iter().enumerate().take(9).skip(5) {
             assert_eq!(*addr, Some(sc.a("N")), "hop {}", i + 1);
         }
-        let ttls: Vec<_> = (5..=8).map(|i| route.hops[i].probes[0].response_ttl.unwrap()).collect();
+        let ttls: Vec<_> = (5..=8).map(|i| route.hops[i].probe.response_ttl.unwrap()).collect();
         assert_eq!(ttls, vec![250, 249, 248, 247], "the paper's Fig. 5 numbers");
     }
 
@@ -900,11 +735,11 @@ mod tests {
         let route = trace(&mut tx, &mut strat, dst, TraceConfig::default());
         assert_eq!(route.halt, HaltReason::Terminal);
         assert_eq!(route.hops.len(), 3);
-        assert_eq!(route.hops[0].probes[0].addr, Some(hop_addr(1)));
-        assert_eq!(route.hops[1].probes[0].addr, Some(hop_addr(2)));
-        assert_eq!(route.hops[2].probes[0].addr, Some(dst));
+        assert_eq!(route.hops[0].probe.addr, Some(hop_addr(1)));
+        assert_eq!(route.hops[1].probe.addr, Some(hop_addr(2)));
+        assert_eq!(route.hops[2].probe.addr, Some(dst));
         assert_eq!(
-            route.hops[0].probes[0].rtt,
+            route.hops[0].probe.rtt,
             Some(SimDuration::from_millis(900)),
             "RTT measured against the probe's own send time"
         );
@@ -940,18 +775,18 @@ mod tests {
         assert_eq!(route.halt, HaltReason::Terminal);
         assert_eq!(route.hops.len(), 5);
         assert_eq!(
-            route.hops[1].probes[0].addr,
+            route.hops[1].probe.addr,
             Some(hop_addr(2)),
             "late reply must still fill its own hop record"
         );
-        assert_eq!(route.hops[1].probes[0].rtt, Some(SimDuration::from_millis(2050)));
+        assert_eq!(route.hops[1].probe.rtt, Some(SimDuration::from_millis(2050)));
     }
 
     #[test]
     fn duplicate_responses_are_ignored() {
         // Each hop answers twice; the second copy finds no registry
         // entry (the first consumed it) and must not clobber anything —
-        // in particular not a *different* probe's slot.
+        // in particular not a *different* probe's hop.
         let src = Ipv4Addr::new(10, 0, 0, 1);
         let dst = Ipv4Addr::new(192, 0, 2, 9);
         let plan = |probe: &Packet, now: SimTime| {
@@ -981,7 +816,7 @@ mod tests {
             assert_eq!(route.halt, HaltReason::Terminal, "window {window}");
             assert_eq!(route.hops.len(), 3, "window {window}");
             for (i, hop) in route.hops[..2].iter().enumerate() {
-                assert_eq!(hop.probes[0].addr, Some(hop_addr(i as u8 + 1)), "window {window}");
+                assert_eq!(hop.probe.addr, Some(hop_addr(i as u8 + 1)), "window {window}");
             }
         }
     }

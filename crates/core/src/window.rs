@@ -47,7 +47,7 @@ pub struct Reply<P> {
 }
 
 /// The outstanding-probe registry. `P` is whatever the engine needs to
-/// find a probe's place in its own records (`{hop, slot}` for the
+/// find a probe's place in its own records (the hop index for the
 /// tracer, `{hop, kind}` for MDA). A linear scan: an engine keeps a
 /// window's worth of live entries plus a handful of expired stragglers.
 #[derive(Debug)]

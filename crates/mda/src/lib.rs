@@ -290,7 +290,7 @@ mod tests {
             // One answered hop (r) + exactly the star limit's all-star
             // hops, then abandonment.
             assert_eq!(map.hops.len(), 1 + usize::from(engine::STAR_LIMIT), "window {window}");
-            assert!(map.hops[1..].iter().all(|h| h.all_stars() && !h.converged));
+            assert!(map.hops[1..].iter().all(|h| h.interfaces.is_empty() && !h.converged));
         }
     }
 }

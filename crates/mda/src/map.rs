@@ -56,11 +56,6 @@ impl HopInterfaces {
     pub fn width(&self) -> usize {
         self.interfaces.len()
     }
-
-    /// No interface answered at this hop at all.
-    pub fn all_stars(&self) -> bool {
-        self.interfaces.is_empty()
-    }
 }
 
 /// A directed interface-level link: the flow that saw `from` at

@@ -32,7 +32,7 @@ pub struct NatConfig {
 
 impl NatConfig {
     /// Whether `addr` belongs to the NAT'd stub.
-    pub fn is_inside(&self, addr: Ipv4Addr) -> bool {
+    fn is_inside(&self, addr: Ipv4Addr) -> bool {
         self.inside.iter().any(|p| p.contains(addr))
     }
 

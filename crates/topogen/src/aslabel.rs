@@ -61,7 +61,7 @@ impl AsMap {
     }
 
     /// Number of registered ASes.
-    pub fn as_count(&self) -> usize {
+    fn as_count(&self) -> usize {
         self.tiers.len()
     }
 

@@ -70,7 +70,7 @@ impl UnreachableCode {
     }
 
     /// From wire value.
-    pub fn from_wire(c: u8) -> Self {
+    fn from_wire(c: u8) -> Self {
         match c {
             0 => UnreachableCode::Network,
             1 => UnreachableCode::Host,
@@ -191,7 +191,7 @@ impl IcmpMessage {
     }
 
     /// Message type.
-    pub fn icmp_type(&self) -> IcmpType {
+    fn icmp_type(&self) -> IcmpType {
         match self {
             IcmpMessage::EchoRequest { .. } => IcmpType::EchoRequest,
             IcmpMessage::EchoReply { .. } => IcmpType::EchoReply,

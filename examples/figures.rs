@@ -107,8 +107,8 @@ fn fig4() -> Reproduced {
             l.start + 1,
             l.start + l.len,
             l.cause,
-            r.hops[l.start].probes[0].probe_ttl,
-            r.hops[l.start + 1].probes[0].probe_ttl,
+            r.hops[l.start].probe.probe_ttl,
+            r.hops[l.start + 1].probe.probe_ttl,
         );
     }
     ensure(
@@ -128,7 +128,7 @@ fn fig5() -> Reproduced {
     let r = trace(&mut tx, &mut paris, sc.destination, TraceConfig::default());
     println!("  hops 6..10: {}", show_range(&r.addresses(), 5, 10));
     let ttls: Vec<u8> =
-        r.hops.iter().skip(5).take(4).filter_map(|h| h.probes[0].response_ttl).collect();
+        r.hops.iter().skip(5).take(4).filter_map(|h| h.probe.response_ttl).collect();
     print!("  response TTLs at hops 6..9:");
     for ttl in &ttls {
         print!(" {ttl}");

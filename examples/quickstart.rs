@@ -5,42 +5,10 @@
 //! cargo run --example quickstart
 //! ```
 
-use pt_core::{trace, ClassicUdp, MeasuredRoute, ParisUdp, TraceConfig};
+use pt_core::{render, trace, ClassicUdp, ParisUdp, TraceConfig};
 use pt_netsim::node::BalancerKind;
 use pt_netsim::{scenarios, SimTransport, Simulator};
 use pt_wire::FlowPolicy;
-
-fn print_route(label: &str, route: &MeasuredRoute) {
-    println!("{label} → {} ({:?})", route.destination, route.halt);
-    for hop in &route.hops {
-        let p = &hop.probes[0];
-        match p.addr {
-            Some(a) => {
-                let rtt = p.rtt.map(|r| format!("{:.3} ms", r.as_millis_f64())).unwrap_or_default();
-                let flag = p
-                    .kind
-                    .and_then(|k| k.unreachable_flag())
-                    .map(|c| match c {
-                        pt_wire::UnreachableCode::Host => " !H",
-                        pt_wire::UnreachableCode::Network => " !N",
-                        _ => "",
-                    })
-                    .unwrap_or("");
-                println!(
-                    "  {:>2}  {:<15} {:>10}  probe-ttl={:?} resp-ttl={:?} ipid={:?}{flag}",
-                    hop.ttl,
-                    a.to_string(),
-                    rtt,
-                    p.probe_ttl,
-                    p.response_ttl,
-                    p.ip_id
-                );
-            }
-            None => println!("  {:>2}  *", hop.ttl),
-        }
-    }
-    println!();
-}
 
 fn main() {
     // The paper's Fig. 1 network: a per-flow load balancer at hop 6
@@ -64,11 +32,16 @@ fn main() {
             a[6] == Some(sc.a("A")) && a[7] == Some(sc.a("D"))
         })
         .expect("some flow assignment shows the false link");
-    print_route("classic traceroute (Destination Port varies per probe)", &classic_route);
+    println!("classic traceroute (Destination Port varies per probe), {:?}", classic_route.halt);
+    println!("{}", render(&classic_route));
 
     let mut paris = ParisUdp::new(41_000, 53_000);
     let paris_route = trace(&mut tx, &mut paris, sc.destination, TraceConfig::default());
-    print_route("paris traceroute   (five-tuple fixed, Checksum identifies probes)", &paris_route);
+    println!(
+        "paris traceroute (five-tuple fixed, Checksum identifies probes), {:?}",
+        paris_route.halt
+    );
+    println!("{}", render(&paris_route));
 
     // The falsifiable claim of the paper, in two lines:
     let c = classic_route.addresses();

@@ -137,7 +137,7 @@ fn fig4_zero_ttl_loop_is_found_and_classified() {
     let l = &loops[0];
     assert_eq!(l.addr, sc.a("A"));
     assert_eq!(l.cause, LoopCause::ZeroTtlForwarding);
-    assert_eq!(r.hops[l.start].probes[0].probe_ttl, Some(0));
+    assert_eq!(r.hops[l.start].probe.probe_ttl, Some(0));
     assert!(!r.addresses().contains(&Some(sc.a("F"))), "F answered: {:?}", r.addresses());
 }
 
@@ -149,7 +149,7 @@ fn fig5_nat_loop_is_found_and_classified() {
     let mut tx = tx_for(&sc, 5);
     let mut s = ParisUdp::new(41_000, 52_000);
     let r = trace(&mut tx, &mut s, sc.destination, TraceConfig::default());
-    let ttls: Vec<_> = r.hops[5..9].iter().map(|h| h.probes[0].response_ttl).collect();
+    let ttls: Vec<_> = r.hops[5..9].iter().map(|h| h.probe.response_ttl).collect();
     assert_eq!(ttls, [Some(250), Some(249), Some(248), Some(247)]);
     let loops = find_loops(&r);
     assert_eq!(loops.len(), 1, "{loops:?}");

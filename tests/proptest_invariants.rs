@@ -29,10 +29,9 @@ proptest! {
             // Hop TTLs are consecutive from min_ttl.
             for (k, hop) in r.hops.iter().enumerate() {
                 prop_assert_eq!(hop.ttl as usize, r.min_ttl as usize + k);
-                prop_assert_eq!(hop.probes.len(), 1);
             }
             // Responses carry metadata; stars carry none.
-            for p in r.hops.iter().flat_map(|h| &h.probes) {
+            for p in r.hops.iter().map(|h| &h.probe) {
                 if p.addr.is_some() {
                     prop_assert!(p.rtt.is_some());
                     prop_assert!(p.kind.is_some());
