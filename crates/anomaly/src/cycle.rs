@@ -9,7 +9,7 @@
 
 use std::net::Ipv4Addr;
 
-use pt_core::MeasuredRoute;
+use pt_core::{Hop, MeasuredRoute};
 
 /// Why a cycle appeared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,18 +44,18 @@ pub struct CycleInstance {
 /// (stars match nothing). The repetition may *end* before the route does —
 /// transient forwarding loops revert mid-trace when routing converges —
 /// so a mismatch after a full repeated period does not disqualify.
-fn is_periodic(addrs: &[Option<Ipv4Addr>], start: usize, p: usize) -> bool {
-    if p == 0 || start + 2 * p > addrs.len() {
+fn is_periodic(hops: &[Hop], start: usize, p: usize) -> bool {
+    if p == 0 || start + 2 * p > hops.len() {
         return false;
     }
     let mut compared = 0;
     for o in 0.. {
         let i = start + o;
         let j = start + o + p;
-        if j >= addrs.len() {
+        if j >= hops.len() {
             break;
         }
-        match (addrs[i], addrs[j]) {
+        match (hops[i].probe.addr, hops[j].probe.addr) {
             (Some(a), Some(b)) if a == b => compared += 1,
             _ => break,
         }
@@ -94,19 +94,14 @@ fn equally_spaced(mut positions: impl Iterator<Item = usize>) -> bool {
     count >= 3
 }
 
-fn classify(
-    route: &MeasuredRoute,
-    addrs: &[Option<Ipv4Addr>],
-    addr: Ipv4Addr,
-    first: usize,
-    second: usize,
-) -> CycleCause {
-    if route.hops[second].probe.kind.and_then(|k| k.unreachable_flag()).is_some() {
+fn classify(route: &MeasuredRoute, addr: Ipv4Addr, first: usize, second: usize) -> CycleCause {
+    let hops = &route.hops;
+    if hops[second].probe.kind.and_then(|k| k.unreachable_flag()).is_some() {
         return CycleCause::Unreachability;
     }
     let p = second - first;
-    let occurrences = (0..addrs.len()).filter(|&j| addrs[j] == Some(addr));
-    let periodic = is_periodic(addrs, first, p) || equally_spaced(occurrences);
+    let occurrences = (0..hops.len()).filter(|&j| hops[j].probe.addr == Some(addr));
+    let periodic = is_periodic(hops, first, p) || equally_spaced(occurrences);
     if periodic && ip_id_stream_coherent(route, first, second) {
         return CycleCause::ForwardingLoop;
     }
@@ -118,35 +113,29 @@ fn classify(
 /// address yields one instance.
 pub fn find_cycles(route: &MeasuredRoute) -> Vec<CycleInstance> {
     let mut out = Vec::new();
-    route.with_addresses(|addrs| for_each_cycle(route, addrs, |c| out.push(c)));
+    for_each_cycle(route, |c| out.push(c));
     out
 }
 
 /// Call `found` with every cycle [`find_cycles`] would return, in the
 /// same order — by reappearance, each hop reappearing at most once —
-/// allocating nothing. `addrs` is `route`'s address view
-/// ([`MeasuredRoute::with_addresses`]), which [`crate::for_each_loop`]
-/// can share.
-pub fn for_each_cycle(
-    route: &MeasuredRoute,
-    addrs: &[Option<Ipv4Addr>],
-    mut found: impl FnMut(CycleInstance),
-) {
-    debug_assert_eq!(addrs.len(), route.hops.len(), "not this route's address view");
+/// allocating nothing: each hop's `probe.addr` is its `ri`.
+pub fn for_each_cycle(route: &MeasuredRoute, mut found: impl FnMut(CycleInstance)) {
+    let hops = &route.hops;
     // Routes are at most ~40 hops, and cycles are rare (a few percent
-    // of routes): backward scans over the address slice beat building
-    // an occurrence map per route.
-    for (i, slot) in addrs.iter().enumerate() {
-        let Some(a) = *slot else { continue };
-        let Some(prev) = (0..i).rev().find(|&j| addrs[j] == Some(a)) else { continue };
+    // of routes): backward scans over the hops beat building an
+    // occurrence map per route.
+    for (i, hop) in hops.iter().enumerate() {
+        let Some(a) = hop.probe.addr else { continue };
+        let Some(prev) = (0..i).rev().find(|&j| hops[j].probe.addr == Some(a)) else { continue };
         // Cyclic only if some *distinct address* sits strictly between.
-        let separated = addrs[prev + 1..i].iter().any(|x| matches!(x, Some(b) if *b != a));
+        let separated = hops[prev + 1..i].iter().any(|h| matches!(h.probe.addr, Some(b) if b != a));
         if separated {
             found(CycleInstance {
                 first: prev,
                 second: i,
                 addr: a,
-                cause: classify(route, addrs, a, prev, i),
+                cause: classify(route, a, prev, i),
             });
         }
     }

@@ -75,34 +75,28 @@ fn classify(route: &MeasuredRoute, start: usize, len: usize) -> LoopCause {
 /// single instance).
 pub fn find_loops(route: &MeasuredRoute) -> Vec<LoopInstance> {
     let mut out = Vec::new();
-    route.with_addresses(|addrs| for_each_loop(route, addrs, |l| out.push(l)));
+    for_each_loop(route, |l| out.push(l));
     out
 }
 
 /// Call `found` with every loop [`find_loops`] would return, in the same
-/// order, allocating nothing. `addrs` is `route`'s address view
-/// ([`MeasuredRoute::with_addresses`]), which [`crate::for_each_cycle`]
-/// can share.
-pub fn for_each_loop(
-    route: &MeasuredRoute,
-    addrs: &[Option<Ipv4Addr>],
-    mut found: impl FnMut(LoopInstance),
-) {
-    debug_assert_eq!(addrs.len(), route.hops.len(), "not this route's address view");
+/// order, allocating nothing: each hop's `probe.addr` is its `ri`.
+pub fn for_each_loop(route: &MeasuredRoute, mut found: impl FnMut(LoopInstance)) {
+    let hops = &route.hops;
     let mut i = 0;
-    while i < addrs.len() {
-        let Some(addr) = addrs[i] else {
+    while i < hops.len() {
+        let Some(addr) = hops[i].probe.addr else {
             i += 1;
             continue;
         };
         let mut j = i + 1;
-        while j < addrs.len() && addrs[j] == Some(addr) {
+        while j < hops.len() && hops[j].probe.addr == Some(addr) {
             j += 1;
         }
         let len = j - i;
         if len >= 2 {
             // Trailing stars don't stop a loop from being "at the end".
-            let at_route_end = addrs[j..].iter().all(Option::is_none);
+            let at_route_end = hops[j..].iter().all(|h| h.probe.is_star());
             found(LoopInstance {
                 start: i,
                 len,

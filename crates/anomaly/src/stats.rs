@@ -177,33 +177,30 @@ impl CampaignAccumulator {
             self.degraded_routes += 1;
         }
 
-        // One address view, on the stack, for both detectors.
-        route.with_addresses(|addrs| {
-            let mut looped = false;
-            for_each_loop(route, addrs, |l| {
-                looped = true;
-                self.addrs_in_loop.insert([l.addr.into()]);
-                self.loop_sig_rounds.insert([l.addr.into(), d, round]);
-                let key = ((l.addr, route.destination), l.cause);
-                *self.loop_instances.entry(key).or_insert(0) += 1;
-            });
-            if looped {
-                self.routes_with_loop += 1;
-                self.dests_with_loop.insert([d]);
-            }
-            let mut cycled = false;
-            for_each_cycle(route, addrs, |c| {
-                cycled = true;
-                self.addrs_in_cycle.insert([c.addr.into()]);
-                self.cycle_sig_rounds.insert([c.addr.into(), d, round]);
-                let key = ((c.addr, route.destination), c.cause);
-                *self.cycle_instances.entry(key).or_insert(0) += 1;
-            });
-            if cycled {
-                self.routes_with_cycle += 1;
-                self.dests_with_cycle.insert([d]);
-            }
+        let mut looped = false;
+        for_each_loop(route, |l| {
+            looped = true;
+            self.addrs_in_loop.insert([l.addr.into()]);
+            self.loop_sig_rounds.insert([l.addr.into(), d, round]);
+            let key = ((l.addr, route.destination), l.cause);
+            *self.loop_instances.entry(key).or_insert(0) += 1;
         });
+        if looped {
+            self.routes_with_loop += 1;
+            self.dests_with_loop.insert([d]);
+        }
+        let mut cycled = false;
+        for_each_cycle(route, |c| {
+            cycled = true;
+            self.addrs_in_cycle.insert([c.addr.into()]);
+            self.cycle_sig_rounds.insert([c.addr.into(), d, round]);
+            let key = ((c.addr, route.destination), c.cause);
+            *self.cycle_instances.entry(key).or_insert(0) += 1;
+        });
+        if cycled {
+            self.routes_with_cycle += 1;
+            self.dests_with_cycle.insert([d]);
+        }
 
         for_each_triple(route, |h, r, t| self.triples.insert([d, h.into(), t.into(), r.into()]));
     }

@@ -20,7 +20,9 @@
 //! analogue of the paper's 32 parallel tracing processes — and
 //! `window = 1` reproduces the strictly sequential discipline exactly.
 //! Crediting each reply to the probe that caused it is [`ProbeWindow`]'s
-//! job, shared with `pt-mda`'s multipath walk.
+//! job, shared with `pt-mda`'s multipath walk, which sends [`ParisUdp`] /
+//! [`ParisTcp`] probes from one source port per flow and credits their
+//! replies through [`ParisUdp::match_flows`] / [`ParisTcp::match_flows`].
 //!
 //! The driver also records the three pieces of side information Paris
 //! traceroute adds (§2.2): the **probe TTL** (from the quoted IP header),
@@ -43,7 +45,7 @@ pub mod window;
 
 pub use classic::{ClassicIcmp, ClassicUdp};
 pub use paris::{ParisIcmp, ParisTcp, ParisUdp};
-pub use probe::{prefix_u16, prefix_u32, quotation_for, ProbeSpec, ProbeStrategy, StrategyId};
+pub use probe::{ProbeSpec, ProbeStrategy, StrategyId};
 pub use render::render;
 pub use route::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind};
 pub use tcptrace::TcpTraceroute;

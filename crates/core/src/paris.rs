@@ -48,6 +48,24 @@ impl ParisUdp {
     fn untag(&self, checksum: u16) -> u64 {
         u64::from(checksum.wrapping_sub(self.base_tag))
     }
+
+    /// [`ProbeStrategy::match_response`] for a family of `flows` traces
+    /// that differ only in source port, `src_port .. src_port + flows`
+    /// (the MDA's flow ids): the probe index a reply answers, whichever
+    /// member of the family sent it.
+    pub fn match_flows(&self, dst: Ipv4Addr, response: &Packet, flows: u16) -> Option<u64> {
+        let q = quotation_for(dst, response)?;
+        if q.ip.protocol != protocol::UDP {
+            return None;
+        }
+        if prefix_u16(&q.transport_prefix, 0).wrapping_sub(self.src_port) >= flows
+            || prefix_u16(&q.transport_prefix, 2) != self.dst_port
+        {
+            return None;
+        }
+        // The identifier rides in the quoted Checksum field (octets 6–7).
+        Some(self.untag(prefix_u16(&q.transport_prefix, 6)))
+    }
 }
 
 impl ProbeStrategy for ParisUdp {
@@ -78,17 +96,7 @@ impl ProbeStrategy for ParisUdp {
     }
 
     fn match_response(&self, dst: Ipv4Addr, response: &Packet) -> Option<u64> {
-        let q = quotation_for(dst, response)?;
-        if q.ip.protocol != protocol::UDP {
-            return None;
-        }
-        if prefix_u16(&q.transport_prefix, 0) != self.src_port
-            || prefix_u16(&q.transport_prefix, 2) != self.dst_port
-        {
-            return None;
-        }
-        // The identifier rides in the quoted Checksum field (octets 6–7).
-        Some(self.untag(prefix_u16(&q.transport_prefix, 6)))
+        self.match_flows(dst, response, 1)
     }
 }
 
@@ -167,6 +175,36 @@ impl ParisTcp {
     pub fn new(src_port: u16) -> Self {
         ParisTcp { src_port, dst_port: 80, base_seq: 0x0100_0000 }
     }
+
+    /// [`ProbeStrategy::match_response`] for a family of `flows` traces
+    /// that differ only in source port, `src_port .. src_port + flows`
+    /// (the MDA's flow ids): the probe index a reply answers, whichever
+    /// member of the family sent it.
+    pub fn match_flows(&self, dst: Ipv4Addr, response: &Packet, flows: u16) -> Option<u64> {
+        // Terminal response: SYN-ACK or RST from the destination, whose
+        // Acknowledgment Number is our Sequence + 1.
+        if let Wire::Tcp(seg) = &response.transport {
+            if response.ip.src == dst
+                && seg.src_port == self.dst_port
+                && seg.dst_port.wrapping_sub(self.src_port) < flows
+                && seg.control & (tcp_flags::SYN | tcp_flags::RST) != 0
+            {
+                return Some(u64::from(seg.ack.wrapping_sub(1).wrapping_sub(self.base_seq)));
+            }
+            return None;
+        }
+        let q = quotation_for(dst, response)?;
+        if q.ip.protocol != protocol::TCP {
+            return None;
+        }
+        if prefix_u16(&q.transport_prefix, 0).wrapping_sub(self.src_port) >= flows
+            || prefix_u16(&q.transport_prefix, 2) != self.dst_port
+        {
+            return None;
+        }
+        // Sequence Number sits in quoted octets 4–7.
+        Some(u64::from(prefix_u32(&q.transport_prefix, 4).wrapping_sub(self.base_seq)))
+    }
 }
 
 impl ProbeStrategy for ParisTcp {
@@ -196,29 +234,7 @@ impl ProbeStrategy for ParisTcp {
     }
 
     fn match_response(&self, dst: Ipv4Addr, response: &Packet) -> Option<u64> {
-        // Terminal response: SYN-ACK or RST from the destination, whose
-        // Acknowledgment Number is our Sequence + 1.
-        if let Wire::Tcp(seg) = &response.transport {
-            if response.ip.src == dst
-                && seg.src_port == self.dst_port
-                && seg.dst_port == self.src_port
-                && seg.control & (tcp_flags::SYN | tcp_flags::RST) != 0
-            {
-                return Some(u64::from(seg.ack.wrapping_sub(1).wrapping_sub(self.base_seq)));
-            }
-            return None;
-        }
-        let q = quotation_for(dst, response)?;
-        if q.ip.protocol != protocol::TCP {
-            return None;
-        }
-        if prefix_u16(&q.transport_prefix, 0) != self.src_port
-            || prefix_u16(&q.transport_prefix, 2) != self.dst_port
-        {
-            return None;
-        }
-        // Sequence Number sits in quoted octets 4–7.
-        Some(u64::from(prefix_u32(&q.transport_prefix, 4).wrapping_sub(self.base_seq)))
+        self.match_flows(dst, response, 1)
     }
 }
 
@@ -247,16 +263,31 @@ mod tests {
         )
     }
 
+    /// The destination's own answer to `probe`: a Port Unreachable to a
+    /// UDP probe, a SYN-ACK (Acknowledgment = Sequence + 1) to a SYN.
+    fn terminal_for(probe: &Packet) -> Packet {
+        let Wire::Tcp(syn) = &probe.transport else {
+            return port_unreachable_for(probe, probe.ip.dst);
+        };
+        let mut synack = TcpSegment::syn_probe(syn.dst_port, syn.src_port, 0);
+        synack.ack = syn.seq.wrapping_add(1);
+        synack.control = tcp_flags::SYN | tcp_flags::ACK;
+        let ip = Ipv4Header::new(probe.ip.dst, probe.ip.src, protocol::TCP, 60);
+        Packet::new(ip, Wire::Tcp(synack))
+    }
+
     #[test]
     fn paris_udp_round_trips_probe_identity() {
         let (src, dst) = addrs();
         let mut s = ParisUdp::new(41000, 52000);
         for idx in [0u64, 1, 5, 39] {
             let probe = s.build_probe(src, dst, 5, idx);
-            let resp = time_exceeded_for(&probe, Ipv4Addr::new(10, 9, 9, 9));
-            assert_eq!(s.match_response(dst, &resp), Some(idx));
-            let terminal = port_unreachable_for(&probe, dst);
-            assert_eq!(s.match_response(dst, &terminal), Some(idx));
+            for resp in
+                [time_exceeded_for(&probe, Ipv4Addr::new(10, 9, 9, 9)), terminal_for(&probe)]
+            {
+                assert_eq!(s.match_response(dst, &resp), Some(idx));
+                assert_eq!(s.match_flows(dst, &resp, 1), Some(idx), "a family of one");
+            }
         }
     }
 
@@ -340,22 +371,45 @@ mod tests {
     fn paris_tcp_round_trips_probe_identity() {
         let (src, dst) = addrs();
         let mut s = ParisTcp::new(55555);
-        for idx in [0u64, 1, 38] {
+        for idx in [0u64, 1, 7, 38] {
             let probe = s.build_probe(src, dst, 5, idx);
-            let resp = time_exceeded_for(&probe, Ipv4Addr::new(10, 9, 9, 9));
-            assert_eq!(s.match_response(dst, &resp), Some(idx));
+            // Mid-path quotation, then the destination's SYN-ACK.
+            for resp in
+                [time_exceeded_for(&probe, Ipv4Addr::new(10, 9, 9, 9)), terminal_for(&probe)]
+            {
+                assert_eq!(s.match_response(dst, &resp), Some(idx));
+                assert_eq!(s.match_flows(dst, &resp, 1), Some(idx), "a family of one");
+            }
         }
-        // Terminal SYN-ACK from the destination.
-        let probe = s.build_probe(src, dst, 30, 7);
-        let seq = match &probe.transport {
-            Wire::Tcp(t) => t.seq,
-            other => panic!("wrong transport {other:?}"),
-        };
-        let mut synack = TcpSegment::syn_probe(80, 55555, 0);
-        synack.ack = seq.wrapping_add(1);
-        synack.control = tcp_flags::SYN | tcp_flags::ACK;
-        let reply = Packet::new(Ipv4Header::new(dst, src, protocol::TCP, 60), Wire::Tcp(synack));
-        assert_eq!(s.match_response(dst, &reply), Some(7));
+    }
+
+    #[test]
+    fn match_flows_credits_exactly_the_flow_family() {
+        // The MDA's flows are one strategy's traces from consecutive
+        // source ports. A family of 16 credits the quoted and terminal
+        // replies of its first and last member, refuses the ports on
+        // either side of it, and refuses every reply to the other
+        // protocol: that is what releases stragglers as strays after
+        // the MDA's UDP -> TCP fallback.
+        let (src, dst) = addrs();
+        let (udp, tcp) = (ParisUdp::new(41000, 52000), ParisTcp::new(41000));
+        for (port, member) in [(40999, false), (41000, true), (41015, true), (41016, false)] {
+            let probes = [
+                ParisUdp { src_port: port, ..udp }.build_probe(src, dst, 5, 9),
+                ParisTcp { src_port: port, ..tcp }.build_probe(src, dst, 5, 9),
+            ];
+            for (i, probe) in probes.iter().enumerate() {
+                for resp in
+                    [time_exceeded_for(probe, Ipv4Addr::new(10, 9, 9, 9)), terminal_for(probe)]
+                {
+                    let credited =
+                        [udp.match_flows(dst, &resp, 16), tcp.match_flows(dst, &resp, 16)];
+                    let mut expected = [None, None];
+                    expected[i] = member.then_some(9);
+                    assert_eq!(credited, expected, "[udp, tcp] crediting probe {i} from {port}");
+                }
+            }
+        }
     }
 
     #[test]

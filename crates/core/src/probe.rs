@@ -140,11 +140,11 @@ pub trait ProbeStrategy {
 /// Pull the quotation out of an ICMP error response, if the response is
 /// one and the quoted packet was ours (same destination).
 ///
-/// Shared probe-attribution helper: every strategy in this crate — and
-/// external probing engines such as `pt-mda`'s multipath walker — uses
-/// this to recover the header fields of the probe a Time Exceeded /
-/// Destination Unreachable is answering.
-pub fn quotation_for(dst: Ipv4Addr, response: &Packet) -> Option<&Quotation> {
+/// Every strategy in this crate uses this to recover the header fields
+/// of the probe a Time Exceeded / Destination Unreachable is answering;
+/// engines outside it (`pt-mda`'s multipath walk) credit replies through
+/// the strategies, so the quotation layout is known here alone.
+pub(crate) fn quotation_for(dst: Ipv4Addr, response: &Packet) -> Option<&Quotation> {
     let q = match &response.transport {
         Wire::Icmp(IcmpMessage::TimeExceeded { quotation }) => quotation,
         Wire::Icmp(IcmpMessage::DestUnreachable { quotation, .. }) => quotation,
@@ -154,12 +154,12 @@ pub fn quotation_for(dst: Ipv4Addr, response: &Packet) -> Option<&Quotation> {
 }
 
 /// Read a big-endian u16 out of a quoted transport prefix.
-pub fn prefix_u16(prefix: &[u8; 8], offset: usize) -> u16 {
+pub(crate) fn prefix_u16(prefix: &[u8; 8], offset: usize) -> u16 {
     u16::from_be_bytes([prefix[offset], prefix[offset + 1]])
 }
 
 /// Read a big-endian u32 out of a quoted transport prefix.
-pub fn prefix_u32(prefix: &[u8; 8], offset: usize) -> u32 {
+pub(crate) fn prefix_u32(prefix: &[u8; 8], offset: usize) -> u32 {
     u32::from_be_bytes([prefix[offset], prefix[offset + 1], prefix[offset + 2], prefix[offset + 3]])
 }
 

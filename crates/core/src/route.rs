@@ -4,11 +4,10 @@
 //! §4 defines a measured route as the tuple `R = (r0, ..., rℓ)` where
 //! `r0` is the source address and `ri` is the address answering at TTL
 //! `i`, or a star. The study sends one probe per hop (§3), so a [`Hop`]
-//! is one TTL and its one [`ProbeResult`]. [`MeasuredRoute::addresses`]
-//! yields the `ri` view and [`MeasuredRoute::with_addresses`] lends it
-//! without allocating; the probe records keep the Paris side information
-//! (probe TTL, response TTL, IP ID, unreachable flags) the classifiers
-//! need.
+//! is one TTL and its one [`ProbeResult`]: `hops[i].probe.addr` is `ri`,
+//! so the route is its own address view, and [`MeasuredRoute::addresses`]
+//! collects it. The probe records keep the Paris side information (probe
+//! TTL, response TTL, IP ID, unreachable flags) the classifiers need.
 
 use std::net::Ipv4Addr;
 
@@ -16,10 +15,6 @@ use pt_netsim::time::SimDuration;
 use pt_wire::UnreachableCode;
 
 use crate::probe::StrategyId;
-use crate::tracer::MAX_TTL;
-
-/// Hops a traced route can hold: one per TTL from 0 to [`MAX_TTL`].
-const TRACED_HOPS_MAX: usize = MAX_TTL as usize + 1;
 
 /// What kind of response a probe drew.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,21 +135,6 @@ impl MeasuredRoute {
         self.hops.iter().map(|h| h.probe.addr).collect()
     }
 
-    /// Call `f` with [`MeasuredRoute::addresses`], held on the stack: a
-    /// traced route has at most one hop per TTL up to [`MAX_TTL`], so
-    /// only a longer, hand-built route collects a `Vec`. One view can
-    /// serve every analysis of the route.
-    pub fn with_addresses<R>(&self, f: impl FnOnce(&[Option<Ipv4Addr>]) -> R) -> R {
-        if self.hops.len() > TRACED_HOPS_MAX {
-            return f(&self.addresses());
-        }
-        let mut view = [None; TRACED_HOPS_MAX];
-        for (slot, hop) in view.iter_mut().zip(&self.hops) {
-            *slot = hop.probe.addr;
-        }
-        f(&view[..self.hops.len()])
-    }
-
     /// Whether a watchdog budget cut this trace short
     /// ([`HaltReason::Budget`]).
     pub fn degraded(&self) -> bool {
@@ -233,10 +213,6 @@ mod tests {
         ];
         let r = route(hops);
         assert_eq!(r.addresses(), vec![Some(addr(2)), Some(addr(3)), None]);
-        r.with_addresses(|view| assert_eq!(view, r.addresses()));
-        // Past the stack's room the view is the collected one.
-        let long = route((0..100).map(|ttl| Hop { ttl, probe: reply(ttl) }).collect());
-        long.with_addresses(|view| assert_eq!(view, long.addresses()));
     }
 
     #[test]

@@ -12,6 +12,15 @@
 //! [`crate::MultipathMap::discovered_delta`] convergence signal) —
 //! rather than flat per-hop sets.
 //!
+//! # Probes
+//!
+//! A walk's probes are `pt-core`'s Paris probes: flow `f` is the
+//! [`ParisUdp`] trace (after the adaptive walk's fallback, the
+//! [`ParisTcp`] trace) from source port `base_src_port + f`, and the
+//! probe id rides in the strategy's per-probe identifier. The same
+//! strategy's `match_flows` credits each reply to its probe, so only
+//! `pt-core` knows where a probe's identity sits in a reply.
+//!
 //! # Windowing
 //!
 //! Up to [`MdaConfig::window`] probes stay in flight at once, in the
@@ -50,14 +59,9 @@
 
 use std::net::Ipv4Addr;
 
-use pt_core::{
-    prefix_u16, prefix_u32, quotation_for, ParisTcp, ParisUdp, ProbeStrategy, ProbeWindow,
-    Transport, MAX_TTL, PROBE_TIMEOUT,
-};
+use pt_core::{ParisTcp, ParisUdp, ProbeStrategy, ProbeWindow, Transport, MAX_TTL, PROBE_TIMEOUT};
 use pt_netsim::splitmix64;
 use pt_netsim::time::{SimDuration, SimTime};
-use pt_wire::ipv4::protocol;
-use pt_wire::tcp::flags as tcp_flags;
 use pt_wire::{IcmpMessage, Packet, Transport as Wire};
 
 use crate::map::{BalancerClass, DagLink, HopInterfaces, MultipathMap};
@@ -65,21 +69,19 @@ use crate::rule::RuleTable;
 
 /// Probe protocol for a walk. Every walk starts on UDP; TCP is the
 /// fallback the adaptive walk switches to mid-trace when a run of
-/// all-star hops suggests a UDP filter on the path.
+/// all-star hops suggests a UDP filter on the path. Either way flow `f`
+/// is the Paris strategy's trace from source port `base_src_port + f`,
+/// and that strategy's `match_flows` credits the replies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MdaProtocol {
-    /// UDP datagrams to high ports: flow id in the source port, probe
-    /// id in the pinned checksum (the Paris encoding).
+    /// [`ParisUdp`]: datagrams to `MdaConfig::dst_port`, probe id in the
+    /// pinned checksum.
     Udp,
-    /// TCP SYNs to the HTTP port (as tcptraceroute sends, to look like
-    /// web traffic): flow id in the source port, probe id in the
-    /// Sequence Number.
+    /// [`ParisTcp`]: SYNs to the HTTP port (as tcptraceroute sends, the
+    /// one port filtering middleboxes most reliably pass), probe id in
+    /// the Sequence Number.
     Tcp,
 }
-
-/// Destination port of TCP fallback probes — the well-known HTTP port,
-/// the one port filtering middleboxes most reliably pass.
-const TCP_FALLBACK_PORT: u16 = 80;
 
 /// Times a silent flow is re-probed before it is committed as a star
 /// (loss robustness; a genuinely silent interface still stars after
@@ -209,78 +211,11 @@ impl MdaConfig {
     }
 }
 
-/// Probe ids live in the 15 low bits of the probe's identifier; one walk
-/// never issues more than this many probes (enforced as a launch gate),
-/// so an id is never live twice and responses cannot mis-attribute.
+/// Probe ids stay below this bound: one walk never issues more than
+/// this many probes (enforced as a launch gate), so an id is never live
+/// twice and responses cannot mis-attribute, and [`ParisUdp`]'s checksum
+/// tag `0x8000 + id` never wraps to zero.
 const ID_SPACE: u16 = 0x7fff;
-
-/// The high bit of a probe's identifier: it marks "one of ours" and
-/// keeps a pinned UDP checksum nonzero. Probe `id` carries `TAG + id`.
-const TAG: u16 = 0x8000;
-
-/// Recover the probe id a response answers, if it answers one of this
-/// walk's probes at all — under the probe protocol currently in force.
-/// UDP: mid-path ICMP errors and the terminal Port Unreachable, all
-/// quoting the probe's UDP header. TCP: quoted SYNs mid-path, plus the
-/// destination's own SYN-ACK/RST whose Acknowledgment is our Sequence
-/// plus one. After a mid-walk protocol switch, straggler responses to
-/// the abandoned protocol fail here and are released as strays.
-fn match_response(
-    config: &MdaConfig,
-    proto: MdaProtocol,
-    dst: Ipv4Addr,
-    response: &Packet,
-) -> Option<u16> {
-    if proto == MdaProtocol::Tcp && response.ip.src == dst {
-        if let Wire::Tcp(seg) = &response.transport {
-            if seg.src_port != TCP_FALLBACK_PORT
-                || seg.control & (tcp_flags::SYN | tcp_flags::RST) == 0
-            {
-                return None;
-            }
-            let flow = seg.dst_port.wrapping_sub(config.base_src_port);
-            if usize::from(flow) >= config.max_flows_per_hop {
-                return None;
-            }
-            let tag = seg.ack.wrapping_sub(1);
-            if tag > u32::from(u16::MAX) {
-                return None;
-            }
-            let tag = tag as u16;
-            return (tag & TAG != 0).then_some(tag & ID_SPACE);
-        }
-    }
-    let q = quotation_for(dst, response)?;
-    let (quoted_proto, expected_dst_port) = match proto {
-        MdaProtocol::Udp => (protocol::UDP, config.dst_port),
-        MdaProtocol::Tcp => (protocol::TCP, TCP_FALLBACK_PORT),
-    };
-    if q.ip.protocol != quoted_proto {
-        return None;
-    }
-    if prefix_u16(&q.transport_prefix, 2) != expected_dst_port {
-        return None;
-    }
-    let sp = prefix_u16(&q.transport_prefix, 0);
-    let flow = sp.wrapping_sub(config.base_src_port);
-    if usize::from(flow) >= config.max_flows_per_hop {
-        return None;
-    }
-    let tag = match proto {
-        // The pinned checksum sits in quoted octets 6–7.
-        MdaProtocol::Udp => prefix_u16(&q.transport_prefix, 6),
-        // The Sequence Number sits in quoted octets 4–7; ours never
-        // exceed sixteen bits.
-        MdaProtocol::Tcp => {
-            let seq = prefix_u32(&q.transport_prefix, 4);
-            if seq > u32::from(u16::MAX) {
-                return None;
-            }
-            seq as u16
-        }
-    };
-    (tag & TAG != 0).then_some(tag & ID_SPACE)
-}
 
 /// Flow budget for a hop with no interface yet: the adaptive walk's
 /// dead-hop budget, or the stopping rule's own scale.
@@ -679,6 +614,10 @@ pub fn discover_with<T: Transport>(
     );
     let source = transport.source_addr();
     let window = usize::from(config.window).max(1);
+    // Flow `f` is the strategy's trace from `base_src_port + f`.
+    let udp = ParisUdp::new(config.base_src_port, config.dst_port);
+    let tcp = ParisTcp::new(config.base_src_port);
+    let flows = config.max_flows_per_hop as u16;
     scratch.rule.reset(config.alpha);
     scratch.window.clear();
 
@@ -825,24 +764,15 @@ pub fn discover_with<T: Transport>(
             }
             st.probes_sent += 1;
             total_probes += 1;
-            // A Paris probe whose flow id is its source port and whose
-            // identifier — the pinned UDP checksum or the TCP Sequence
-            // Number — carries the probe id.
             let (ttl, id) = (st.ttl, u64::from(next_id));
-            let src_port = config.base_src_port.wrapping_add(flow);
-            let payload = transport.grab_payload();
-            let packet = match proto {
-                MdaProtocol::Udp => {
-                    let dst_port = config.dst_port;
-                    let mut udp = ParisUdp { src_port, dst_port, payload_len: 2, base_tag: TAG };
-                    udp.build_probe_with(source, destination, ttl, id, payload)
-                }
-                MdaProtocol::Tcp => {
-                    let base_seq = u32::from(TAG);
-                    let mut tcp = ParisTcp { src_port, dst_port: TCP_FALLBACK_PORT, base_seq };
-                    tcp.build_probe_with(source, destination, ttl, id, payload)
-                }
+            let src_port = config.base_src_port + flow;
+            let (mut u, mut t) = (ParisUdp { src_port, ..udp }, ParisTcp { src_port, ..tcp });
+            let strategy: &mut dyn ProbeStrategy = match proto {
+                MdaProtocol::Udp => &mut u,
+                MdaProtocol::Tcp => &mut t,
             };
+            let payload = transport.grab_payload();
+            let packet = strategy.build_probe_with(source, destination, ttl, id, payload);
             let sent = transport.now();
             let probe = Probe { hop: hop_idx, kind };
             scratch.window.launch(id, sent, PROBE_TIMEOUT, probe);
@@ -866,7 +796,10 @@ pub fn discover_with<T: Transport>(
         let Some(reply) = scratch.window.settle(
             transport,
             wake,
-            |resp| match_response(config, proto, destination, resp).map(u64::from),
+            |resp| match proto {
+                MdaProtocol::Udp => udp.match_flows(destination, resp, flows),
+                MdaProtocol::Tcp => tcp.match_flows(destination, resp, flows),
+            },
             |probe, now| {
                 let st = &mut scratch.states[probe.hop];
                 expire(st, probe.kind, now, &mut scratch.rule, config);

@@ -173,28 +173,81 @@ mod tests {
     fn windowed_walk_discovers_the_sequential_dag() {
         // On deterministic scenarios the probing window is a pure
         // virtual-time knob: the discovered DAG must be byte-identical
-        // at every width.
-        let scenarios: Vec<(&str, scenarios::Scenario)> = vec![
+        // at every width, for the fixed-rate and the adaptive walk.
+        // Reply order is what a window could get wrong, so fig6's and
+        // fig3's balanced regions (every link between two named
+        // routers) are walked under every assignment of a delay from
+        // `DELAYS` to each of their links, both directions alike: each
+        // assignment realises a different order of the branches'
+        // replies. fig1 and linear(6) keep their delays.
+        const DELAYS: [SimDuration; 2] = [SimDuration::from_millis(1), SimDuration::from_millis(2)];
+        let mut cases: Vec<(String, scenarios::Scenario)> = Vec::new();
+        for (name, sc) in [
             ("fig6", scenarios::fig6(BalancerKind::PerFlow(FlowPolicy::FiveTuple))),
             ("fig3", scenarios::fig3(BalancerKind::PerFlow(FlowPolicy::FiveTuple))),
-            ("fig1", scenarios::fig1(BalancerKind::PerFlow(FlowPolicy::FiveTuple))),
-            ("linear", scenarios::linear(6)),
-        ];
-        for (name, sc) in &scenarios {
-            let walk = |window: u8| {
-                let mut tx = transport(sc, 77);
-                let config = MdaConfig { window, ..MdaConfig::default() };
-                discover(&mut tx, sc.destination, &config).dag_digest()
+        ] {
+            let topo = &sc.topology;
+            let named = |e: &pt_netsim::topology::Endpoint| {
+                sc.addr.contains_key(topo.node(e.node).name.as_str())
             };
-            let sequential = walk(1);
-            for window in [2, 4, 8, 32] {
-                assert_eq!(
-                    walk(window),
-                    sequential,
-                    "{name}: window {window} changed the discovered DAG"
-                );
+            let inside: Vec<usize> = (0..topo.links.len())
+                .filter(|&i| topo.links[i].endpoints.iter().all(named))
+                .collect();
+            for assignment in 0..DELAYS.len().pow(inside.len() as u32) {
+                let mut t = pt_netsim::Topology::clone(topo);
+                let mut digits = assignment;
+                for &i in &inside {
+                    let delay = DELAYS[digits % DELAYS.len()];
+                    digits /= DELAYS.len();
+                    t.links[i].delay = delay;
+                    t.links[i].delay_back = delay;
+                }
+                let topology = std::sync::Arc::new(t);
+                cases.push((
+                    format!("{name} #{assignment}"),
+                    scenarios::Scenario { topology, ..sc.clone() },
+                ));
             }
         }
+        cases.push(("fig1".into(), scenarios::fig1(BalancerKind::PerFlow(FlowPolicy::FiveTuple))));
+        cases.push(("linear".into(), scenarios::linear(6)));
+        // Walks the cases it is given; returns how many walks it made.
+        let check = |cases: &[(String, scenarios::Scenario)]| {
+            let mut walks = 0usize;
+            for (name, sc) in cases {
+                // One simulator and one scratch per case, reset per walk.
+                let (mut tx, mut scratch) = (transport(sc, 77), MdaScratch::new());
+                for base in [MdaConfig::default(), MdaConfig::adaptive(77)] {
+                    let mut walk = |window: u8| {
+                        walks += 1;
+                        tx.simulator_mut().reset(77);
+                        let config = MdaConfig { window, ..base };
+                        let map = discover_with(&mut tx, sc.destination, &config, &mut scratch);
+                        let digest = map.dag_digest();
+                        scratch.recycle(map);
+                        digest
+                    };
+                    let sequential = walk(1);
+                    for window in [2, 4, 8, 32] {
+                        assert_eq!(
+                            walk(window),
+                            sequential,
+                            "{name}: window {window} changed the discovered DAG (adaptive: {})",
+                            base.adaptive.is_some()
+                        );
+                    }
+                }
+            }
+            walks
+        };
+        let walks = std::thread::scope(|s| {
+            let (first, second) = cases.split_at(cases.len() / 2);
+            let other = s.spawn(|| check(second));
+            check(first) + other.join().expect("the second half's walks agree")
+        });
+        // (2^10 fig6 + 2^5 fig3 assignments + fig1 + linear) x 2 walk
+        // kinds x 5 windows, half on each of two threads.
+        assert_eq!(walks, 10_580, "the reply orders explored moved");
     }
 
     #[test]

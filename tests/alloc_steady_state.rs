@@ -218,10 +218,8 @@ fn steady_state_trace_pair_allocates_nothing() {
         let classic_route = trace_with(&mut tx, &mut classic, addr, config, scratch);
         pool.release(tx.into_simulator());
         for route in [paris_route, classic_route] {
-            route.with_addresses(|addrs| {
-                for_each_loop(&route, addrs, |_| anomalies += 1);
-                for_each_cycle(&route, addrs, |_| anomalies += 1);
-            });
+            for_each_loop(&route, |_| anomalies += 1);
+            for_each_cycle(&route, |_| anomalies += 1);
             for_each_triple(&route, |_, _, _| anomalies += 1);
             scratch.recycle(route);
         }
