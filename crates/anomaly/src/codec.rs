@@ -49,12 +49,12 @@ const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 pub(crate) const KEY_FIELD_LEN: usize = 9;
 
 /// No key has more fields (a multipath unit's discovery; the
-/// accumulators' widest is four, a diamond's middle under its
-/// destination, head and tail).
+/// accumulators' widest is five, a loop or cycle instance's total
+/// under its signature and cause).
 const MAX_KEY_FIELDS: usize = 13;
 
 /// The stack buffer key lines are rendered in: sixteen of the
-/// accumulators' widest lines, four of the widest there is.
+/// accumulators' four-field `triples` lines, four of the widest there is.
 const RENDER_LEN: usize = 16 * 4 * KEY_FIELD_LEN;
 
 /// Append one key line per key, in the order given.
@@ -121,7 +121,7 @@ where
 
 /// Parse one key line — exactly what [`push_key_lines`] writes, less
 /// the newline.
-pub(crate) fn parse_key_line<const N: usize>(line: &str) -> Option<[u32; N]> {
+fn parse_key_line<const N: usize>(line: &str) -> Option<[u32; N]> {
     let bytes = line.as_bytes();
     if bytes.len() + 1 != N * KEY_FIELD_LEN {
         return None;

@@ -7,9 +7,7 @@ use std::net::Ipv4Addr;
 
 use pt_core::{HaltReason, MeasuredRoute, StrategyId};
 
-use crate::codec::{
-    parse_key_line, push_key_lines, push_uint, read_key_lines, tagged, tok, KEY_FIELD_LEN,
-};
+use crate::codec::{push_key_lines, push_uint, read_key_lines, tagged, tok, KEY_FIELD_LEN};
 use crate::cycle::{for_each_cycle, CycleCause};
 use crate::diamond::for_each_triple;
 use crate::keyset::{groups, Key, KeySet};
@@ -18,6 +16,19 @@ use crate::r#loop::{for_each_loop, LoopCause};
 /// A loop or cycle signature: `(looping address, destination)` — §4's
 /// definition. Diamonds use `(destination, head, tail)` internally.
 pub type Signature = (Ipv4Addr, Ipv4Addr);
+
+/// The loop causes, at the numbers an instance key gives them: their
+/// declaration order, which is also their `Ord`.
+const LOOP_CAUSES: [LoopCause; 4] = [
+    LoopCause::Unreachability,
+    LoopCause::ZeroTtlForwarding,
+    LoopCause::AddressRewriting,
+    LoopCause::Unexplained,
+];
+
+/// The cycle causes, numbered as [`LOOP_CAUSES`] numbers the loop causes.
+const CYCLE_CAUSES: [CycleCause; 3] =
+    [CycleCause::ForwardingLoop, CycleCause::Unreachability, CycleCause::Unexplained];
 
 /// The paper's final attribution of a classic-traceroute loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,22 +69,24 @@ fn signatures(sig_rounds: &[Key<3>]) -> BTreeSet<Signature> {
     groups(sig_rounds, 2).map(|rounds| (rounds[0][0].into(), rounds[0][1].into())).collect()
 }
 
-/// Accumulates one tool's observations across a whole campaign.
+/// Accumulates one tool's observations across a whole campaign. Each
+/// fact is held once: what a report needs beyond these fields it
+/// derives from them.
 #[derive(Debug, Clone)]
 pub struct CampaignAccumulator {
     /// Which tool produced these routes.
     pub tool: StrategyId,
     rounds_seen: KeySet<1>,
     routes_total: u64,
+    /// Routes with at least one loop (or cycle). Not a function of the
+    /// signature keys: one `(destination, round)` may hold several
+    /// routes.
     routes_with_loop: u64,
     routes_with_cycle: u64,
     dests: KeySet<1>,
-    dests_with_loop: KeySet<1>,
-    dests_with_cycle: KeySet<1>,
     addrs_seen: KeySet<1>,
-    addrs_in_loop: KeySet<1>,
-    addrs_in_cycle: KeySet<1>,
-    /// `[looping address, destination, round]`.
+    /// `[looping address, destination, round]`: a signature's rounds,
+    /// and, projected, the addresses and destinations that showed one.
     loop_sig_rounds: KeySet<3>,
     cycle_sig_rounds: KeySet<3>,
     loop_instances: BTreeMap<(Signature, LoopCause), u64>,
@@ -81,17 +94,13 @@ pub struct CampaignAccumulator {
     /// `[destination, head, tail, middle]`: every destination's route
     /// graph in one set; a diamond is a group of two or more middles.
     triples: KeySet<4>,
+    /// Responses are the probes sent less the stars.
     probes_sent: u64,
-    responses: u64,
     stars: u64,
     mid_route_stars: u64,
     reached: u64,
     degraded_routes: u64,
 }
-
-/// No instance line is longer: `in`, the longest cause tag, a `u64`
-/// and a two-field key line.
-const INSTANCE_LINE_MAX: usize = 3 + 18 + 21 + 2 * KEY_FIELD_LEN;
 
 /// The lines whose number does not grow with the campaign — header,
 /// counts, section headers, trailer — come to less than this.
@@ -107,18 +116,13 @@ impl CampaignAccumulator {
             routes_with_loop: 0,
             routes_with_cycle: 0,
             dests: KeySet::default(),
-            dests_with_loop: KeySet::default(),
-            dests_with_cycle: KeySet::default(),
             addrs_seen: KeySet::default(),
-            addrs_in_loop: KeySet::default(),
-            addrs_in_cycle: KeySet::default(),
             loop_sig_rounds: KeySet::default(),
             cycle_sig_rounds: KeySet::default(),
             loop_instances: BTreeMap::new(),
             cycle_instances: BTreeMap::new(),
             triples: KeySet::default(),
             probes_sent: 0,
-            responses: 0,
             stars: 0,
             mid_route_stars: 0,
             reached: 0,
@@ -127,29 +131,13 @@ impl CampaignAccumulator {
     }
 
     /// The one-field sets, named as their record sections are.
-    fn addr_sets(&self) -> [(&'static str, &KeySet<1>); 7] {
-        [
-            ("rounds", &self.rounds_seen),
-            ("dests", &self.dests),
-            ("dests_with_loop", &self.dests_with_loop),
-            ("dests_with_cycle", &self.dests_with_cycle),
-            ("addrs_seen", &self.addrs_seen),
-            ("addrs_in_loop", &self.addrs_in_loop),
-            ("addrs_in_cycle", &self.addrs_in_cycle),
-        ]
+    fn addr_sets(&self) -> [(&'static str, &KeySet<1>); 3] {
+        [("rounds", &self.rounds_seen), ("dests", &self.dests), ("addrs_seen", &self.addrs_seen)]
     }
 
     /// [`CampaignAccumulator::addr_sets`], mutably and in the same order.
-    fn addr_sets_mut(&mut self) -> [&mut KeySet<1>; 7] {
-        [
-            &mut self.rounds_seen,
-            &mut self.dests,
-            &mut self.dests_with_loop,
-            &mut self.dests_with_cycle,
-            &mut self.addrs_seen,
-            &mut self.addrs_in_loop,
-            &mut self.addrs_in_cycle,
-        ]
+    fn addr_sets_mut(&mut self) -> [&mut KeySet<1>; 3] {
+        [&mut self.rounds_seen, &mut self.dests, &mut self.addrs_seen]
     }
 
     /// Fold in one measured route observed during `round`.
@@ -169,38 +157,25 @@ impl CampaignAccumulator {
         self.probes_sent += route.probes_sent() as u64;
         self.stars += route.stars() as u64;
         self.mid_route_stars += route.mid_route_stars() as u64;
-        self.responses += (route.probes_sent() - route.stars()) as u64;
-        if route.reached_destination() {
-            self.reached += 1;
-        }
-        if route.halt == HaltReason::Budget {
-            self.degraded_routes += 1;
-        }
+        self.reached += u64::from(route.reached_destination());
+        self.degraded_routes += u64::from(route.halt == HaltReason::Budget);
 
         let mut looped = false;
         for_each_loop(route, |l| {
             looped = true;
-            self.addrs_in_loop.insert([l.addr.into()]);
             self.loop_sig_rounds.insert([l.addr.into(), d, round]);
             let key = ((l.addr, route.destination), l.cause);
             *self.loop_instances.entry(key).or_insert(0) += 1;
         });
-        if looped {
-            self.routes_with_loop += 1;
-            self.dests_with_loop.insert([d]);
-        }
+        self.routes_with_loop += u64::from(looped);
         let mut cycled = false;
         for_each_cycle(route, |c| {
             cycled = true;
-            self.addrs_in_cycle.insert([c.addr.into()]);
             self.cycle_sig_rounds.insert([c.addr.into(), d, round]);
             let key = ((c.addr, route.destination), c.cause);
             *self.cycle_instances.entry(key).or_insert(0) += 1;
         });
-        if cycled {
-            self.routes_with_cycle += 1;
-            self.dests_with_cycle.insert([d]);
-        }
+        self.routes_with_cycle += u64::from(cycled);
 
         for_each_triple(route, |h, r, t| self.triples.insert([d, h.into(), t.into(), r.into()]));
     }
@@ -230,7 +205,6 @@ impl CampaignAccumulator {
         self.routes_with_loop += other.routes_with_loop;
         self.routes_with_cycle += other.routes_with_cycle;
         self.probes_sent += other.probes_sent;
-        self.responses += other.responses;
         self.stars += other.stars;
         self.mid_route_stars += other.mid_route_stars;
         self.reached += other.reached;
@@ -279,14 +253,23 @@ impl CampaignAccumulator {
     /// Summarize this tool's campaign.
     pub fn report(&self) -> ToolReport {
         let pct = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 * 100.0 };
-        // Signatures, and those among them seen in one round only.
-        let sig_counts = |sig_rounds: &[Key<3>]| {
-            groups(sig_rounds, 2).fold((0u64, 0u64), |(sigs, single), rounds| {
-                (sigs + 1, single + u64::from(rounds.len() == 1))
-            })
+        // From `[address, destination, round]` keys: the signatures, those
+        // seen in one round only, and the addresses and destinations the
+        // signatures name.
+        let tally = |sig_rounds: &[Key<3>]| {
+            let (sigs, single) = groups(sig_rounds, 2)
+                .fold((0u64, 0u64), |(sigs, single), rounds| {
+                    (sigs + 1, single + u64::from(rounds.len() == 1))
+                });
+            let mut dests: Vec<u32> = sig_rounds.iter().map(|key| key[1]).collect();
+            dests.sort_unstable();
+            dests.dedup();
+            (sigs, single, groups(sig_rounds, 1).count() as u64, dests.len() as u64)
         };
-        let (loop_sigs, loop_sigs_single_round) = sig_counts(&self.loop_sig_rounds.keys());
-        let (cycle_sigs, cycle_sigs_single_round) = sig_counts(&self.cycle_sig_rounds.keys());
+        let (loop_sigs, loop_sigs_single_round, addrs_in_loop, dests_with_loop) =
+            tally(&self.loop_sig_rounds.keys());
+        let (cycle_sigs, cycle_sigs_single_round, addrs_in_cycle, dests_with_cycle) =
+            tally(&self.cycle_sig_rounds.keys());
         let cycle_sig_mean_rounds = if cycle_sigs == 0 {
             0.0
         } else {
@@ -305,19 +288,19 @@ impl CampaignAccumulator {
             destinations: dests,
             addresses_discovered: addrs,
             probes_sent: self.probes_sent,
-            responses: self.responses,
+            responses: self.probes_sent - self.stars,
             stars: self.stars,
             mid_route_stars: self.mid_route_stars,
             degraded_routes: self.degraded_routes,
             pct_routes_reaching_destination: pct(self.reached, self.routes_total),
             pct_routes_with_loop: pct(self.routes_with_loop, self.routes_total),
-            pct_dests_with_loop: pct(self.dests_with_loop.len() as u64, dests),
-            pct_addrs_in_loop: pct(self.addrs_in_loop.len() as u64, addrs),
+            pct_dests_with_loop: pct(dests_with_loop, dests),
+            pct_addrs_in_loop: pct(addrs_in_loop, addrs),
             loop_signatures: loop_sigs,
             pct_loop_sigs_single_round: pct(loop_sigs_single_round, loop_sigs),
             pct_routes_with_cycle: pct(self.routes_with_cycle, self.routes_total),
-            pct_dests_with_cycle: pct(self.dests_with_cycle.len() as u64, dests),
-            pct_addrs_in_cycle: pct(self.addrs_in_cycle.len() as u64, addrs),
+            pct_dests_with_cycle: pct(dests_with_cycle, dests),
+            pct_addrs_in_cycle: pct(addrs_in_cycle, addrs),
             cycle_signatures: cycle_sigs,
             pct_cycle_sigs_single_round: pct(cycle_sigs_single_round, cycle_sigs),
             cycle_sig_mean_rounds,
@@ -334,8 +317,7 @@ impl CampaignAccumulator {
         let sig_rounds = self.loop_sig_rounds.len() + self.cycle_sig_rounds.len();
         let instances = self.loop_instances.len() + self.cycle_instances.len();
         FRAME_MAX
-            + (addrs + 3 * sig_rounds + 4 * self.triples.len()) * KEY_FIELD_LEN
-            + instances * INSTANCE_LINE_MAX
+            + (addrs + 3 * sig_rounds + 5 * instances + 4 * self.triples.len()) * KEY_FIELD_LEN
     }
 
     /// Serialize this accumulator into the campaign checkpoint's line
@@ -355,7 +337,6 @@ impl CampaignAccumulator {
             self.routes_with_loop,
             self.routes_with_cycle,
             self.probes_sent,
-            self.responses,
             self.stars,
             self.mid_route_stars,
             self.reached,
@@ -366,13 +347,13 @@ impl CampaignAccumulator {
         }
         out.push('\n');
         for (name, set) in self.addr_sets() {
-            push_key_section(out, name, set);
+            push_key_set(out, name, set);
         }
-        push_key_section(out, "loop_rounds", &self.loop_sig_rounds);
-        push_key_section(out, "cycle_rounds", &self.cycle_sig_rounds);
-        push_instances(out, "loop", &self.loop_instances, loop_cause_tag);
-        push_instances(out, "cycle", &self.cycle_instances, cycle_cause_tag);
-        push_key_section(out, "triples", &self.triples);
+        push_key_set(out, "loop_rounds", &self.loop_sig_rounds);
+        push_key_set(out, "cycle_rounds", &self.cycle_sig_rounds);
+        push_instances(out, "loop_instances", &self.loop_instances, &LOOP_CAUSES);
+        push_instances(out, "cycle_instances", &self.cycle_instances, &CYCLE_CAUSES);
+        push_key_set(out, "triples", &self.triples);
         out.push_str("end_acc\n");
         debug_assert!(out.len() - start <= self.snapshot_len(), "snapshot_len is not a bound");
     }
@@ -394,7 +375,6 @@ impl CampaignAccumulator {
             &mut acc.routes_with_loop,
             &mut acc.routes_with_cycle,
             &mut acc.probes_sent,
-            &mut acc.responses,
             &mut acc.stars,
             &mut acc.mid_route_stars,
             &mut acc.reached,
@@ -402,133 +382,98 @@ impl CampaignAccumulator {
         ] {
             *count = tok(&mut t, "count")?;
         }
+        if acc.stars > acc.probes_sent {
+            return Err(format!("{} stars of {} probes", acc.stars, acc.probes_sent));
+        }
 
         let names = acc.addr_sets().map(|(name, _)| name);
         for (name, set) in names.into_iter().zip(acc.addr_sets_mut()) {
-            *set = read_key_section(lines, name)?;
+            *set = read_key_set(lines, name)?;
         }
-        acc.loop_sig_rounds = read_key_section(lines, "loop_rounds")?;
-        acc.cycle_sig_rounds = read_key_section(lines, "cycle_rounds")?;
-        acc.loop_instances = read_instances(lines, "loop", loop_cause_from_tag)?;
-        acc.cycle_instances = read_instances(lines, "cycle", cycle_cause_from_tag)?;
-        acc.triples = read_key_section(lines, "triples")?;
+        acc.loop_sig_rounds = read_key_set(lines, "loop_rounds")?;
+        acc.cycle_sig_rounds = read_key_set(lines, "cycle_rounds")?;
+        acc.loop_instances = read_instances(lines, "loop_instances", &LOOP_CAUSES)?;
+        acc.cycle_instances = read_instances(lines, "cycle_instances", &CYCLE_CAUSES)?;
+        acc.triples = read_key_set(lines, "triples")?;
         tagged(lines, "end_acc").map(|_| acc)
     }
 }
 
-/// `keys <name> <count>`, then the set's key lines.
-fn push_key_section<const N: usize>(out: &mut String, name: &str, set: &KeySet<N>) {
-    let keys = set.keys();
+/// `keys <name> <n>`, then the section's `n` key lines.
+fn push_key_section<const N: usize>(
+    out: &mut String,
+    name: &str,
+    n: usize,
+    keys: impl IntoIterator<Item = Key<N>>,
+) {
     out.push_str("keys ");
     out.push_str(name);
     out.push(' ');
-    push_uint(out, keys.len() as u64);
+    push_uint(out, n as u64);
     out.push('\n');
-    push_key_lines(out, keys.iter().copied());
+    push_key_lines(out, keys);
 }
 
-fn read_key_section<'a, const N: usize>(
+fn push_key_set<const N: usize>(out: &mut String, name: &str, set: &KeySet<N>) {
+    let keys = set.keys();
+    push_key_section(out, name, keys.len(), keys.iter().copied());
+}
+
+/// The key lines of the section [`push_key_section`] wrote as `name`,
+/// each mapped through `item`.
+fn read_key_section<'a, const N: usize, T>(
     lines: &mut impl Iterator<Item = &'a str>,
     name: &str,
-) -> Result<KeySet<N>, String> {
+    item: impl FnMut(Key<N>) -> T,
+) -> Result<Vec<T>, String> {
     let mut t = tagged(lines, "keys")?;
     if t.next() != Some(name) {
         return Err(format!("expected the {name:?} keys"));
     }
     let n = tok(&mut t, "key count")?;
-    Ok(KeySet::from_run(read_key_lines(lines, n, |key| key)?))
+    read_key_lines(lines, n, item)
 }
 
-/// `instances <name> <count>`, then one `in <cause> <total> <address>
-/// <destination>` line per entry, the signature as a key line.
-fn push_instances<C: Copy>(
+fn read_key_set<'a, const N: usize>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    name: &str,
+) -> Result<KeySet<N>, String> {
+    read_key_section(lines, name, |key| key).map(KeySet::from_run)
+}
+
+/// One key per `(signature, cause)`: looping address, destination, the
+/// cause's index in `causes`, and the total's high and low 32 bits.
+fn push_instances<C: Copy + PartialEq>(
     out: &mut String,
     name: &str,
     instances: &BTreeMap<(Signature, C), u64>,
-    tag: fn(C) -> &'static str,
+    causes: &[C],
 ) {
-    out.push_str("instances ");
-    out.push_str(name);
-    out.push(' ');
-    push_uint(out, instances.len() as u64);
-    out.push('\n');
-    for (&((addr, dest), cause), &n) in instances {
-        out.push_str("in ");
-        out.push_str(tag(cause));
-        out.push(' ');
-        push_uint(out, n);
-        out.push(' ');
-        push_key_lines(out, [[u32::from(addr), u32::from(dest)]]);
-    }
+    let keys = instances.iter().map(|(&((addr, dest), cause), &total)| {
+        let cause = causes.iter().position(|&c| c == cause).expect("every cause is numbered");
+        [addr.into(), dest.into(), cause as u32, (total >> 32) as u32, total as u32]
+    });
+    push_key_section(out, name, instances.len(), keys);
 }
 
-fn read_instances<'a, C: Ord>(
+fn read_instances<'a, C: Copy + Ord>(
     lines: &mut impl Iterator<Item = &'a str>,
     name: &str,
-    from_tag: fn(&str) -> Result<C, String>,
+    causes: &[C],
 ) -> Result<BTreeMap<(Signature, C), u64>, String> {
-    let mut t = tagged(lines, "instances")?;
-    if t.next() != Some(name) {
-        return Err(format!("expected the {name:?} instances"));
-    }
-    let n: usize = tok(&mut t, "instance count")?;
-    let mut instances = BTreeMap::new();
-    for _ in 0..n {
-        let line = lines.next().ok_or("snapshot truncated at an instance")?;
-        let mut f = line.splitn(4, ' ');
-        if f.next() != Some("in") {
-            return Err(format!("expected an instance, got {line:?}"));
-        }
-        let cause = from_tag(f.next().ok_or("in: missing cause")?)?;
-        let total = tok(&mut f, "instance total")?;
-        let [addr, dest] = f
-            .next()
-            .and_then(parse_key_line::<2>)
-            .ok_or_else(|| format!("in: bad signature in {line:?}"))?;
-        let key = ((addr.into(), dest.into()), cause);
-        // As with key lines, the canonical order is part of the format.
-        if instances.last_key_value().is_some_and(|(last, _)| *last >= key) {
-            return Err(format!("instance {line:?} out of order"));
-        }
-        instances.insert(key, total);
+    let entries = read_key_section(lines, name, |[addr, dest, cause, high, low]: Key<5>| {
+        let cause =
+            causes.get(cause as usize).ok_or_else(|| format!("{name}: unknown cause {cause}"))?;
+        let signature = (Ipv4Addr::from(addr), Ipv4Addr::from(dest));
+        Ok(((signature, *cause), u64::from(high) << 32 | u64::from(low)))
+    })?;
+    let n = entries.len();
+    let instances: BTreeMap<_, _> = entries.into_iter().collect::<Result<_, String>>()?;
+    // The keys ascend, so a repeat is a signature and cause named twice.
+    if instances.len() < n {
+        return Err(format!("{name}: a signature and cause named twice"));
     }
     Ok(instances)
-}
-
-fn loop_cause_tag(c: LoopCause) -> &'static str {
-    match c {
-        LoopCause::Unreachability => "Unreachability",
-        LoopCause::ZeroTtlForwarding => "ZeroTtlForwarding",
-        LoopCause::AddressRewriting => "AddressRewriting",
-        LoopCause::Unexplained => "Unexplained",
-    }
-}
-
-fn cycle_cause_tag(c: CycleCause) -> &'static str {
-    match c {
-        CycleCause::ForwardingLoop => "ForwardingLoop",
-        CycleCause::Unreachability => "Unreachability",
-        CycleCause::Unexplained => "Unexplained",
-    }
-}
-
-fn loop_cause_from_tag(s: &str) -> Result<LoopCause, String> {
-    Ok(match s {
-        "Unreachability" => LoopCause::Unreachability,
-        "ZeroTtlForwarding" => LoopCause::ZeroTtlForwarding,
-        "AddressRewriting" => LoopCause::AddressRewriting,
-        "Unexplained" => LoopCause::Unexplained,
-        _ => return Err(format!("unknown loop cause {s:?}")),
-    })
-}
-
-fn cycle_cause_from_tag(s: &str) -> Result<CycleCause, String> {
-    Ok(match s {
-        "ForwardingLoop" => CycleCause::ForwardingLoop,
-        "Unreachability" => CycleCause::Unreachability,
-        "Unexplained" => CycleCause::Unexplained,
-        _ => return Err(format!("unknown cycle cause {s:?}")),
-    })
 }
 
 /// One tool's campaign summary — the §3/§4 numbers.
@@ -869,6 +814,44 @@ mod tests {
         let mut merged = String::new();
         shard_a.snapshot_write(&mut merged);
         assert_eq!(merged, bytes, "sharding must not leak into snapshot bytes");
+    }
+
+    #[test]
+    fn instance_keys_round_trip_and_bad_records_are_refused() {
+        let mut acc = CampaignAccumulator::new(StrategyId::ClassicUdp);
+        acc.ingest(0, &route(StrategyId::ClassicUdp, 100, vec![Some(2), Some(3), Some(3)]));
+        acc.ingest(0, &route(StrategyId::ClassicUdp, 101, vec![Some(2), Some(9), Some(2)]));
+        // A total past `u32::MAX` travels as two fields.
+        let big = ((addr(7), addr(101)), LoopCause::ZeroTtlForwarding);
+        acc.loop_instances.insert(big, u64::from(u32::MAX) + 5);
+        let mut text = String::new();
+        acc.snapshot_write(&mut text);
+        let unexplained_loop = "0a000003 0a000064 00000003 00000000 00000001\n";
+        let big_line = "0a000007 0a000065 00000001 00000001 00000004\n";
+        let unexplained_cycle = "0a000002 0a000065 00000002 00000000 00000001\n";
+        let read = CampaignAccumulator::snapshot_read(&mut text.lines()).expect("parses back");
+        assert_eq!(read.loop_instances, acc.loop_instances);
+        assert_eq!(read.loop_instance_count(), u64::from(u32::MAX) + 6);
+
+        // Each line replaced is one the record holds.
+        for (from, to, why) in [
+            // Past the end of each cause table; 3 is a loop cause.
+            (unexplained_loop, "0a000003 0a000064 00000004 00000000 00000001\n", "unknown cause 4"),
+            (
+                unexplained_cycle,
+                "0a000002 0a000065 00000003 00000000 00000001\n",
+                "unknown cause 3",
+            ),
+            // One signature and cause twice, the totals ascending.
+            (big_line, "0a000003 0a000064 00000003 00000000 00000002\n", "named twice"),
+            // The responses, probes less stars, would be negative.
+            ("counts 2 1 1 6 0 ", "counts 2 1 1 6 7 ", "7 stars of 6 probes"),
+        ] {
+            assert!(text.contains(from), "{from:?} in {text}");
+            let bad = text.replace(from, to);
+            let err = CampaignAccumulator::snapshot_read(&mut bad.lines()).expect_err(to);
+            assert!(err.contains(why), "{to:?}: {err}");
+        }
     }
 
     #[test]

@@ -12,19 +12,20 @@
 //! **byte-identical** to an uninterrupted run's, for any worker count
 //! and any kill point (`tests/it/checkpoint_resume.rs` pins this).
 //!
-//! # The journal (`ptsnap v6`)
+//! # The journal (`ptsnap v7`)
 //!
 //! One file at [`CheckpointConfig::path`], a sequence of *records*:
 //!
 //! ```text
-//! ptsnap v6 <mode> <start> <end> <body bytes> <fingerprint>\n
+//! ptsnap v7 <mode> <start> <end> <body bytes> <fingerprint>\n
 //! <body: the fold of units start..end, canonical text>
 //! end <digest>\n
 //! ```
 //!
 //! Unit ids are destination-major, `dest × rounds + round`, so a
 //! record's `start..end` holds whole destinations but for its two ends
-//! (a `v5` journal named round-major ids, and is refused).
+//! (a `v5` journal named round-major ids, and is refused; so is a `v6`
+//! one, whose accumulator records this reader does not speak).
 //!
 //! A checkpoint appends one record holding only the block just run, so
 //! its cost is the block's, not the campaign's so far. Records chain:
@@ -85,7 +86,7 @@ use crate::runner::{
 /// format changes. A loader refuses journals whose version it does not
 /// speak — there is no silent cross-version reinterpretation.
 const MAGIC: &str = "ptsnap";
-const VERSION: &str = "v6";
+const VERSION: &str = "v7";
 
 /// `end <16 hex digits>\n`.
 const TRAILER_LEN: usize = 21;
@@ -1278,9 +1279,11 @@ mod tests {
             ("ptsnap v4 side-by-side 0 0 30 0000000000000000\n", "version"),
             // Round-major unit ids: resuming one would fold the wrong units.
             ("ptsnap v5 side-by-side 0 0 30 0000000000000000\n", "version"),
+            // Accumulators with derived sets and a second line grammar.
+            ("ptsnap v6 side-by-side 0 0 30 0000000000000000\n", "version"),
             ("", "start"),
             ("not a journal at all\n", "start"),
-            ("ptsnap v6 side-by-side 0 0", "start"),
+            ("ptsnap v7 side-by-side 0 0", "start"),
         ] {
             fs::write(&path, content).unwrap();
             let err = run_resumed(&net, &config, &ckpt(&path, 16, None)).unwrap_err();
@@ -1416,8 +1419,11 @@ mod tests {
         // which the total (12 digits of nanoseconds) is longer than the
         // section's count was ("256"). Destination-major, the block is
         // seven rounds of 36 destinations and four of a 37th: fewer
-        // destinations, so fewer keys.
-        assert_eq!(sizes[2], 33_341);
+        // destinations, so fewer keys: 33 341 bytes. Then the four
+        // derived address and destination sets (234 bytes here) and the
+        // `responses` count (10) left the accumulators, and their
+        // instances became 5-field keys (50 more).
+        assert_eq!(sizes[2], 33_147);
 
         // A total that is not a decimal `u128`, or that is more than the
         // record's units can have run for, makes the record damage.

@@ -3,13 +3,65 @@
 
 use proptest::prelude::*;
 
-use paris_traceroute_repro::anomaly::{find_cycles, find_loops};
-use paris_traceroute_repro::core::{trace, ClassicUdp, ParisUdp, TraceConfig};
+use paris_traceroute_repro::anomaly::{find_cycles, find_loops, CampaignAccumulator};
+use paris_traceroute_repro::core::{trace, ClassicUdp, ParisUdp, StrategyId, TraceConfig};
 use paris_traceroute_repro::netsim::{SimTransport, Simulator};
 use paris_traceroute_repro::topogen::{generate, InternetConfig};
 
 fn tiny_net_config(seed: u64) -> InternetConfig {
     InternetConfig { seed, n_destinations: 12, n_core: 3, ..InternetConfig::default() }
+}
+
+/// Rounds each destination of [`per_flow_rounds`] is traced for.
+const ROUNDS: usize = 3;
+
+/// The net of generator seed `seed` whose only anomaly source is
+/// per-flow balancing, every destination traced for [`ROUNDS`] rounds
+/// on one simulator, folded per tool: `[classic, paris]`. Paris keeps
+/// one five-tuple per destination across the rounds; classic takes a
+/// fresh PID each round, as a new traceroute process would.
+fn per_flow_rounds(seed: u64) -> [CampaignAccumulator; 2] {
+    let config = InternetConfig {
+        seed,
+        n_destinations: 12,
+        n_core: 3,
+        per_flow_lb: 0.8,
+        per_packet_lb: 0.0,
+        zero_ttl: 0.0,
+        broken: 0.0,
+        nat: 0.0,
+        silent_router: 0.0,
+        firewalled_dest: 0.0,
+        link_loss: 0.0,
+        ..InternetConfig::default()
+    };
+    let net = generate(&config);
+    let mut tx = SimTransport::new(Simulator::new(net.topology.clone(), 3), net.source);
+    let mut classic = CampaignAccumulator::new(StrategyId::ClassicUdp);
+    let mut paris = CampaignAccumulator::new(StrategyId::ParisUdp);
+    for round in 0..ROUNDS {
+        for (i, d) in net.dests.iter().enumerate() {
+            let mut s = ClassicUdp::new((round * net.dests.len() + i) as u16);
+            classic.ingest(round, &trace(&mut tx, &mut s, d.addr, TraceConfig::default()));
+            let mut s = ParisUdp::new(40_000 + i as u16, 50_000);
+            paris.ingest(round, &trace(&mut tx, &mut s, d.addr, TraceConfig::default()));
+        }
+    }
+    [classic, paris]
+}
+
+/// [`per_flow_rounds`]'s nets give classic traceroute loops and
+/// diamonds, so the property that Paris shows none is not vacuous.
+#[test]
+fn classic_shows_loops_and_diamonds_on_per_flow_nets() {
+    let (mut loops, mut cycles, mut diamonds) = (0, 0, 0);
+    for seed in 0..8 {
+        let [classic, _] = per_flow_rounds(seed);
+        loops += classic.loop_instance_count();
+        cycles += classic.cycle_instance_count();
+        diamonds += classic.report().diamonds_total;
+    }
+    assert!(loops > 0 && diamonds > 0, "{loops} loops, {cycles} cycles, {diamonds} diamonds");
 }
 
 proptest! {
@@ -116,34 +168,20 @@ proptest! {
     }
 
     /// The Paris invariant under arbitrary per-flow networks: a Paris
-    /// UDP trace never shows a loop unless a non-flow anomaly source
-    /// (zero-TTL, NAT, broken router, per-packet LB) is on the branch.
+    /// UDP trace never shows a loop or a cycle unless a non-flow anomaly
+    /// source (zero-TTL, NAT, broken router, per-packet LB) is on the
+    /// branch, and rounds that keep its five-tuple find no diamond.
     #[test]
     fn paris_loops_only_with_non_flow_causes(seed in 0u64..4000) {
-        let config = InternetConfig {
-            seed,
-            n_destinations: 12,
-            n_core: 3,
-            per_flow_lb: 0.8,
-            per_packet_lb: 0.0,
-            zero_ttl: 0.0,
-            broken: 0.0,
-            nat: 0.0,
-            silent_router: 0.0,
-            firewalled_dest: 0.0,
-            link_loss: 0.0,
-            ..InternetConfig::default()
-        };
-        let net = generate(&config);
-        let mut tx = SimTransport::new(Simulator::new(net.topology.clone(), 3), net.source);
-        for (i, d) in net.dests.iter().enumerate() {
-            let mut s = ParisUdp::new(40_000 + i as u16, 50_000);
-            let r = trace(&mut tx, &mut s, d.addr, TraceConfig::default());
-            prop_assert!(
-                find_loops(&r).is_empty(),
-                "paris loop with only per-flow LB on branch: {:?}",
-                r.addresses()
-            );
-        }
+        let [_, paris] = per_flow_rounds(seed);
+        let report = paris.report();
+        prop_assert_eq!(report.routes_total, (12 * ROUNDS) as u64);
+        prop_assert!(
+            report.pct_routes_with_loop == 0.0 && report.pct_routes_with_cycle == 0.0,
+            "paris loops {:?}, cycles {:?} with only per-flow LB on branch",
+            paris.loop_signatures(),
+            paris.cycle_signatures()
+        );
+        prop_assert!(report.diamonds_total == 0, "paris diamonds {:?}", paris.diamond_signatures());
     }
 }
