@@ -26,7 +26,7 @@ pub mod snapshot;
 pub mod validate;
 
 pub use report::{
-    multipath_digest, render_multipath_report, render_report, report_digest, PaperBaseline,
+    multipath_digest, render_multipath_report, render_report, report_digest, Published, PUBLISHED,
 };
 pub use runner::{
     replay_unit, run, run_multipath, CampaignConfig, CampaignResult, DestMultipath, DynamicsConfig,
@@ -38,6 +38,6 @@ pub use snapshot::{
     CheckpointConfig,
 };
 pub use validate::{
-    attribute_fault_anomalies, validate_causes, validate_fault_recovery, validate_multipath,
-    FaultAttribution, FaultRecoveryScore, MultipathScore, ValidationReport,
+    validate_causes, validate_fault_recovery, validate_multipath, FaultRecoveryScore,
+    MultipathScore, ValidationReport,
 };

@@ -1,80 +1,67 @@
 //! Paper-vs-measured reporting: the §3/§4 reference values and a renderer
 //! that prints them side by side with a campaign's results.
 
-use pt_anomaly::stats::{FinalCycleCause, FinalLoopCause};
+use pt_anomaly::stats::{FinalCycleCause as C, FinalLoopCause as L};
 
 use crate::runner::{CampaignResult, MultipathResult};
 
-/// Every quantitative claim of the paper's study, as published.
+/// One quantitative claim of the paper's study, as published, beside
+/// the reader that measures it on a campaign.
 #[derive(Debug, Clone, Copy)]
-pub struct PaperBaseline {
-    /// §4.1.2: routes containing at least one loop.
-    pub pct_routes_with_loop: f64,
-    /// §4.1.2: destinations with a loop on some route.
-    pub pct_dests_with_loop: f64,
-    /// §4.1.2: discovered addresses in a loop at least once.
-    pub pct_addrs_in_loop: f64,
-    /// §4.1.2: loop signatures seen in exactly one round.
-    pub pct_loop_sigs_single_round: f64,
-    /// §4.1.2: loops attributed to per-flow load balancing.
-    pub loop_per_flow: f64,
-    /// §4.1.2: zero-TTL forwarding share.
-    pub loop_zero_ttl: f64,
-    /// §4.1.2: unreachability share.
-    pub loop_unreachability: f64,
-    /// §4.1.2: address rewriting share.
-    pub loop_rewriting: f64,
-    /// §4.1.2: suspected per-packet residue.
-    pub loop_per_packet: f64,
-    /// §4.1.2: loops seen only by Paris.
-    pub loops_only_paris: f64,
-    /// §4.2.2: routes containing a cycle.
-    pub pct_routes_with_cycle: f64,
-    /// §4.2.2: destinations with a cycle.
-    pub pct_dests_with_cycle: f64,
-    /// §4.2.2: addresses in a cycle.
-    pub pct_addrs_in_cycle: f64,
-    /// §4.2.2: cycle signatures in exactly one round.
-    pub pct_cycle_sigs_single_round: f64,
-    /// §4.2.2: mean rounds per cycle signature.
-    pub cycle_sig_mean_rounds: f64,
-    /// §4.2.2: per-flow share of cycles.
-    pub cycle_per_flow: f64,
-    /// §4.2.2: forwarding-loop share.
-    pub cycle_forwarding_loop: f64,
-    /// §4.2.2: unreachability share.
-    pub cycle_unreachability: f64,
-    /// §4.3.2: destinations showing a diamond.
-    pub pct_dests_with_diamond: f64,
-    /// §4.3.2: per-flow share of diamonds.
-    pub diamond_per_flow: f64,
+pub struct Published {
+    /// The report's row label; each family's first row names its section.
+    pub label: &'static str,
+    /// The published value: a percentage, except where the label says.
+    pub paper: f64,
+    /// The same quantity, read off a campaign's result.
+    pub measured: fn(&CampaignResult) -> f64,
 }
 
-impl PaperBaseline {
-    /// The published values.
-    pub const PUBLISHED: PaperBaseline = PaperBaseline {
-        pct_routes_with_loop: 5.3,
-        pct_dests_with_loop: 18.0,
-        pct_addrs_in_loop: 6.3,
-        pct_loop_sigs_single_round: 18.0,
-        loop_per_flow: 87.0,
-        loop_zero_ttl: 6.9,
-        loop_unreachability: 1.2,
-        loop_rewriting: 2.8,
-        loop_per_packet: 2.5,
-        loops_only_paris: 0.25,
-        pct_routes_with_cycle: 0.84,
-        pct_dests_with_cycle: 11.0,
-        pct_addrs_in_cycle: 3.6,
-        pct_cycle_sigs_single_round: 30.0,
-        cycle_sig_mean_rounds: 6.8,
-        cycle_per_flow: 78.0,
-        cycle_forwarding_loop: 20.0,
-        cycle_unreachability: 1.2,
-        pct_dests_with_diamond: 79.0,
-        diamond_per_flow: 64.0,
-    };
+const fn published(
+    label: &'static str,
+    paper: f64,
+    measured: fn(&CampaignResult) -> f64,
+) -> Published {
+    Published { label, paper, measured }
 }
+
+/// Every quantitative claim of §4, in report order.
+pub const PUBLISHED: [Published; 20] = [
+    published("routes with a loop (§4.1.2)", 5.3, |r| r.classic_report.pct_routes_with_loop),
+    published("destinations with a loop", 18.0, |r| r.classic_report.pct_dests_with_loop),
+    published("addresses in a loop", 6.3, |r| r.classic_report.pct_addrs_in_loop),
+    published("loop signatures seen in one round only", 18.0, |r| {
+        r.classic_report.pct_loop_sigs_single_round
+    }),
+    published("loops: per-flow load balancing", 87.0, |r| {
+        r.comparison.loop_pct(L::PerFlowLoadBalancing)
+    }),
+    published("loops: zero-TTL forwarding", 6.9, |r| r.comparison.loop_pct(L::ZeroTtlForwarding)),
+    published("loops: unreachability", 1.2, |r| r.comparison.loop_pct(L::Unreachability)),
+    published("loops: address rewriting", 2.8, |r| r.comparison.loop_pct(L::AddressRewriting)),
+    published("loops: per-packet (suspected)", 2.5, |r| {
+        r.comparison.loop_pct(L::PerPacketSuspected)
+    }),
+    published("loops seen only by Paris", 0.25, |r| r.comparison.loops_only_in_paris_pct),
+    published("routes with a cycle (§4.2.2)", 0.84, |r| r.classic_report.pct_routes_with_cycle),
+    published("destinations with a cycle", 11.0, |r| r.classic_report.pct_dests_with_cycle),
+    published("addresses in a cycle", 3.6, |r| r.classic_report.pct_addrs_in_cycle),
+    published("cycle signatures seen in one round only", 30.0, |r| {
+        r.classic_report.pct_cycle_sigs_single_round
+    }),
+    published("mean rounds per cycle signature (rounds)", 6.8, |r| {
+        r.classic_report.cycle_sig_mean_rounds
+    }),
+    published("cycles: per-flow load balancing", 78.0, |r| {
+        r.comparison.cycle_pct(C::PerFlowLoadBalancing)
+    }),
+    published("cycles: forwarding loops", 20.0, |r| r.comparison.cycle_pct(C::ForwardingLoop)),
+    published("cycles: unreachability", 1.2, |r| r.comparison.cycle_pct(C::Unreachability)),
+    published("destinations with a diamond (§4.3.2)", 79.0, |r| {
+        r.classic_report.pct_dests_with_diamond
+    }),
+    published("diamonds: per-flow load balancing", 64.0, |r| r.comparison.diamond_per_flow_pct),
+];
 
 fn row(out: &mut String, label: &str, paper: f64, measured: f64) {
     use std::fmt::Write;
@@ -83,92 +70,14 @@ fn row(out: &mut String, label: &str, paper: f64, measured: f64) {
 
 /// Render a paper-vs-measured table for a campaign run.
 pub fn render_report(result: &CampaignResult) -> String {
-    let p = PaperBaseline::PUBLISHED;
     let c = &result.classic_report;
-    let cmp = &result.comparison;
     let mut out = String::new();
     out.push_str("## Classic traceroute anomalies: paper vs measured (%)\n\n");
     out.push_str("| metric                                         |    paper | measured |\n");
     out.push_str("|------------------------------------------------|----------|----------|\n");
-    row(&mut out, "routes with a loop (§4.1.2)", p.pct_routes_with_loop, c.pct_routes_with_loop);
-    row(&mut out, "destinations with a loop", p.pct_dests_with_loop, c.pct_dests_with_loop);
-    row(&mut out, "addresses in a loop", p.pct_addrs_in_loop, c.pct_addrs_in_loop);
-    row(
-        &mut out,
-        "loop signatures seen in one round only",
-        p.pct_loop_sigs_single_round,
-        c.pct_loop_sigs_single_round,
-    );
-    row(
-        &mut out,
-        "loops: per-flow load balancing",
-        p.loop_per_flow,
-        cmp.loop_pct(FinalLoopCause::PerFlowLoadBalancing),
-    );
-    row(
-        &mut out,
-        "loops: zero-TTL forwarding",
-        p.loop_zero_ttl,
-        cmp.loop_pct(FinalLoopCause::ZeroTtlForwarding),
-    );
-    row(
-        &mut out,
-        "loops: unreachability",
-        p.loop_unreachability,
-        cmp.loop_pct(FinalLoopCause::Unreachability),
-    );
-    row(
-        &mut out,
-        "loops: address rewriting",
-        p.loop_rewriting,
-        cmp.loop_pct(FinalLoopCause::AddressRewriting),
-    );
-    row(
-        &mut out,
-        "loops: per-packet (suspected)",
-        p.loop_per_packet,
-        cmp.loop_pct(FinalLoopCause::PerPacketSuspected),
-    );
-    row(&mut out, "loops seen only by Paris", p.loops_only_paris, cmp.loops_only_in_paris_pct);
-    row(&mut out, "routes with a cycle (§4.2.2)", p.pct_routes_with_cycle, c.pct_routes_with_cycle);
-    row(&mut out, "destinations with a cycle", p.pct_dests_with_cycle, c.pct_dests_with_cycle);
-    row(&mut out, "addresses in a cycle", p.pct_addrs_in_cycle, c.pct_addrs_in_cycle);
-    row(
-        &mut out,
-        "cycle signatures seen in one round only",
-        p.pct_cycle_sigs_single_round,
-        c.pct_cycle_sigs_single_round,
-    );
-    row(
-        &mut out,
-        "cycles: per-flow load balancing",
-        p.cycle_per_flow,
-        cmp.cycle_pct(FinalCycleCause::PerFlowLoadBalancing),
-    );
-    row(
-        &mut out,
-        "cycles: forwarding loops",
-        p.cycle_forwarding_loop,
-        cmp.cycle_pct(FinalCycleCause::ForwardingLoop),
-    );
-    row(
-        &mut out,
-        "cycles: unreachability",
-        p.cycle_unreachability,
-        cmp.cycle_pct(FinalCycleCause::Unreachability),
-    );
-    row(
-        &mut out,
-        "destinations with a diamond (§4.3.2)",
-        p.pct_dests_with_diamond,
-        c.pct_dests_with_diamond,
-    );
-    row(
-        &mut out,
-        "diamonds: per-flow load balancing",
-        p.diamond_per_flow,
-        cmp.diamond_per_flow_pct,
-    );
+    for p in &PUBLISHED {
+        row(&mut out, p.label, p.paper, (p.measured)(result));
+    }
     out.push_str("\n## Scale (§3)\n\n");
     use std::fmt::Write;
     let _ = writeln!(
@@ -351,6 +260,12 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in report:\n{text}");
         }
+        // One row per published value, each label printed once.
+        for p in &PUBLISHED {
+            assert_eq!(text.matches(p.label).count(), 1, "{:?} in report:\n{text}", p.label);
+        }
+        let rows = text.lines().filter(|l| l.starts_with("| ") && !l.starts_with("| metric"));
+        assert_eq!(rows.count(), PUBLISHED.len(), "table rows in report:\n{text}");
     }
 
     #[test]
@@ -374,14 +289,12 @@ mod tests {
 
     #[test]
     fn baseline_loop_shares_sum_to_about_100() {
-        let p = PaperBaseline::PUBLISHED;
-        let sum = p.loop_per_flow
-            + p.loop_zero_ttl
-            + p.loop_unreachability
-            + p.loop_rewriting
-            + p.loop_per_packet;
+        let share = |family: &str| -> f64 {
+            PUBLISHED.iter().filter(|p| p.label.starts_with(family)).map(|p| p.paper).sum()
+        };
+        let sum = share("loops: ");
         assert!((sum - 100.0).abs() < 1.0, "published shares sum to {sum}");
-        let cycles = p.cycle_per_flow + p.cycle_forwarding_loop + p.cycle_unreachability + 1.1;
+        let cycles = share("cycles: ") + 1.1;
         assert!((cycles - 100.0).abs() < 1.0, "published cycle shares sum to {cycles}");
     }
 }

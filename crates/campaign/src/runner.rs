@@ -33,8 +33,8 @@ use pt_core::{
 };
 use pt_mda::{discover_with, BalancerClass, MdaConfig, MdaScratch};
 use pt_netsim::routing::NextHop;
-use pt_netsim::time::SimDuration;
-use pt_netsim::{splitmix64, SimTransport, SimulatorPool};
+use pt_netsim::time::{SimDuration, SimTime};
+use pt_netsim::{splitmix64, NodeId, SimTransport, SimulatorPool};
 use pt_topogen::{DestInfo, SyntheticInternet};
 
 /// Routing-dynamics knobs: the §4 causes that are *events*, not topology.
@@ -675,17 +675,39 @@ impl CampaignMode for CampaignConfig {
 /// Exceeded, so the trace burns its full probe allowance); only a
 /// watchdog budget or the max-TTL ceiling ends the trace.
 fn install_runaway_loop(tx: &mut SimTransport, dest: &DestInfo, topo: &pt_netsim::Topology) {
-    let pair = dest.chain.windows(2).find_map(|w| {
-        Some((w[0], w[1], topo.iface_toward(w[0], w[1])?, topo.iface_toward(w[1], w[0])?))
-    });
-    let Some((x, y, x_to_y, y_to_x)) = pair else {
+    let Some(w) = dest.chain.windows(2).find(|w| topo.iface_toward(w[0], w[1]).is_some()) else {
         panic!("runaway injection: destination {} has no linked adjacent chain pair", dest.addr)
     };
-    let dst_pfx = pt_netsim::Ipv4Prefix::host(dest.addr);
     let now = tx.now();
+    schedule_two_router_loop(tx, topo, (w[0], w[1]), dest.addr, now, None);
+}
+
+/// Point the linked chain routers `x` and `y` at each other for `dest`
+/// from `start` on, a two-router forwarding loop, and with an `end`
+/// remove both routes again then. The caller proved x→y is linked; y→x
+/// holding too is a topology invariant (links are bidirectional). If
+/// either breaks, the panic names the pair: the quarantine layer
+/// catches it and reports it instead of killing the worker.
+fn schedule_two_router_loop(
+    tx: &mut SimTransport,
+    topo: &pt_netsim::Topology,
+    (x, y): (NodeId, NodeId),
+    dest: Ipv4Addr,
+    start: SimTime,
+    end: Option<SimTime>,
+) {
+    let dst_pfx = pt_netsim::Ipv4Prefix::host(dest);
     let sim = tx.simulator_mut();
-    sim.schedule_route_set(now, x, dst_pfx, Some(NextHop::Iface(x_to_y)));
-    sim.schedule_route_set(now, y, dst_pfx, Some(NextHop::Iface(y_to_x)));
+    for (from, to) in [(x, y), (y, x)] {
+        let iface = topo.iface_toward(from, to).unwrap_or_else(|| {
+            panic!("forwarding loop: no interface from {from:?} toward {to:?} (dest {dest})")
+        });
+        sim.schedule_route_set(start, from, dst_pfx, Some(NextHop::Iface(iface)));
+    }
+    if let Some(end) = end {
+        sim.schedule_route_set(end, x, dst_pfx, None);
+        sim.schedule_route_set(end, y, dst_pfx, None);
+    }
 }
 
 /// Maybe schedule a transient forwarding loop or a balancer flap covering
@@ -712,25 +734,9 @@ fn schedule_dynamics(
             dest.chain.windows(2).filter(|w| topo.iface_toward(w[0], w[1]).is_some());
         let n = candidates.clone().count();
         if let Some(w) = (n > 0).then(|| rng.gen_range(0..n)).and_then(|k| candidates.nth(k)) {
-            let (x, y) = (w[0], w[1]);
-            let dst_pfx = pt_netsim::Ipv4Prefix::host(dest.addr);
-            // The candidate filter proved x→y is linked; y→x holding too
-            // is a topology invariant (links are bidirectional). If either
-            // breaks, name the pair — the quarantine layer catches this
-            // panic and reports it instead of killing the worker.
-            let x_to_y = topo.iface_toward(x, y).unwrap_or_else(|| {
-                panic!("dynamics: no interface from {x:?} toward {y:?} (dest {})", dest.addr)
-            });
-            let y_to_x = topo.iface_toward(y, x).unwrap_or_else(|| {
-                panic!("dynamics: no interface from {y:?} toward {x:?} (dest {})", dest.addr)
-            });
-            let sim = tx.simulator_mut();
             let start = now + dyn_cfg.forwarding_loop_delay;
-            sim.schedule_route_set(start, x, dst_pfx, Some(NextHop::Iface(x_to_y)));
-            sim.schedule_route_set(start, y, dst_pfx, Some(NextHop::Iface(y_to_x)));
             let end = start + dyn_cfg.forwarding_loop_window;
-            sim.schedule_route_set(end, x, dst_pfx, None);
-            sim.schedule_route_set(end, y, dst_pfx, None);
+            schedule_two_router_loop(tx, topo, (w[0], w[1]), dest.addr, start, Some(end));
         }
     }
     if dyn_cfg.balancer_flap_prob > 0.0
@@ -934,16 +940,6 @@ pub struct MultipathResult {
     pub quarantined: Vec<QuarantinedUnit>,
 }
 
-fn stronger_class(a: BalancerClass, b: BalancerClass) -> BalancerClass {
-    use BalancerClass::*;
-    match (a, b) {
-        (PerPacket, _) | (_, PerPacket) => PerPacket,
-        (PerFlow, _) | (_, PerFlow) => PerFlow,
-        (Undetermined, _) | (_, Undetermined) => Undetermined,
-        _ => NotBalanced,
-    }
-}
-
 /// What a block of multipath units found. Once absorbed, in
 /// `(destination, round)` order — which *is* unit order.
 impl Fold for Vec<UnitDiscovery> {
@@ -1085,7 +1081,7 @@ impl CampaignMode for MultipathConfig {
             d.width = d.width.max(u.width);
             d.observed_width = d.observed_width.max(u.observed_width);
             d.delta = d.delta.max(u.delta);
-            d.class = stronger_class(d.class, u.class);
+            d.class = d.class.max(u.class);
             d.probes += u.probes;
             d.reached |= u.reached;
             d.degraded |= u.degraded;

@@ -172,16 +172,13 @@ pub fn validate_multipath(net: &SyntheticInternet, result: &MultipathResult) -> 
                     score.false_balancers += 1;
                 }
             }
-            Some((width, delta, per_packet)) => {
+            Some(planted) => {
                 score.balancer_dests += 1;
                 if d.class == BalancerClass::NotBalanced {
                     continue;
                 }
                 score.discovered += 1;
-                let width_ok = d.width == usize::from(width);
-                let delta_ok = d.delta == delta;
-                let class_ok = d.class
-                    == if per_packet { BalancerClass::PerPacket } else { BalancerClass::PerFlow };
+                let [width_ok, delta_ok, class_ok] = balancer_match(d, planted);
                 score.width_correct += usize::from(width_ok);
                 score.delta_correct += usize::from(delta_ok);
                 score.class_correct += usize::from(class_ok);
@@ -190,6 +187,14 @@ pub fn validate_multipath(net: &SyntheticInternet, result: &MultipathResult) -> 
         }
     }
     score
+}
+
+/// How a destination's merged discovery compares with its planted
+/// balancer `(width, delta, per_packet)`: whether the confident width,
+/// the branch-length delta and the per-flow/per-packet class each match.
+fn balancer_match(d: &DestMultipath, (width, delta, per_packet): (u8, u8, bool)) -> [bool; 3] {
+    let class = if per_packet { BalancerClass::PerPacket } else { BalancerClass::PerFlow };
+    [d.width == usize::from(width), d.delta == delta, d.class == class]
 }
 
 /// Whether one destination's merged discovery matches its planted
@@ -203,62 +208,7 @@ fn dest_matches_truth(truth: &pt_topogen::DestTruth, d: &DestMultipath) -> bool 
     }
     match truth.balancer() {
         None => d.class == BalancerClass::NotBalanced,
-        Some((width, delta, per_packet)) => {
-            d.width == usize::from(width)
-                && d.delta == delta
-                && d.class
-                    == if per_packet { BalancerClass::PerPacket } else { BalancerClass::PerFlow }
-        }
-    }
-}
-
-/// Loop/cycle anomaly signatures partitioned by whether they coincide
-/// with a destination the generator gave a hostile fault — the
-/// rate-limiters, MPLS tunnels, UDP filters and asymmetric returns of
-/// the fault-injection engine corrupt measurements in ways that mimic
-/// genuine routing anomalies, and an analyst reading the campaign
-/// report needs the two populations separated before drawing §4-style
-/// conclusions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultAttribution {
-    /// Loop signatures `(looping address, destination)` at destinations
-    /// with at least one planted hostile fault
-    /// ([`pt_topogen::DestTruth::any_hostile_fault`]) — likely
-    /// fault-induced rather than genuine routing anomalies.
-    pub fault_induced: Vec<(Ipv4Addr, Ipv4Addr)>,
-    /// Loop signatures at destinations without any hostile fault.
-    pub organic: Vec<(Ipv4Addr, Ipv4Addr)>,
-    /// Destinations carrying a hostile fault that produced no loop
-    /// signature at all (faults that degraded quietly).
-    pub silent_fault_dests: usize,
-}
-
-/// Partition a campaign accumulator's loop signatures by hostile-fault
-/// coincidence (typically the classic accumulator, which sees the
-/// anomalies Paris suppresses). Signatures come back sorted for stable
-/// reporting.
-pub fn attribute_fault_anomalies(
-    net: &SyntheticInternet,
-    classic: &CampaignAccumulator,
-) -> FaultAttribution {
-    let hostile: BTreeSet<Ipv4Addr> =
-        net.dests.iter().filter(|d| d.truth.any_hostile_fault()).map(|d| d.addr).collect();
-    let mut fault_induced = Vec::new();
-    let mut organic = Vec::new();
-    for sig in classic.loop_signatures() {
-        if hostile.contains(&sig.1) {
-            fault_induced.push(sig);
-        } else {
-            organic.push(sig);
-        }
-    }
-    fault_induced.sort();
-    organic.sort();
-    let looped: BTreeSet<Ipv4Addr> = fault_induced.iter().map(|&(_, dest)| dest).collect();
-    FaultAttribution {
-        silent_fault_dests: hostile.difference(&looped).count(),
-        fault_induced,
-        organic,
+        Some(planted) => balancer_match(d, planted) == [true; 3],
     }
 }
 
@@ -460,34 +410,5 @@ mod tests {
         let s = CauseScore { truth_positives: 0, flagged: 0, hits: 0 };
         assert_eq!(s.precision(), 1.0);
         assert_eq!(s.recall(), 1.0);
-    }
-
-    #[test]
-    fn fault_attribution_partitions_by_hostile_truth() {
-        let net = generate(&InternetConfig::hostile(11));
-        let hostile: std::collections::BTreeSet<_> =
-            net.dests.iter().filter(|d| d.truth.any_hostile_fault()).map(|d| d.addr).collect();
-        assert!(!hostile.is_empty(), "hostile preset plants faults");
-        let cc = CampaignConfig { rounds: 3, workers: 4, seed: 5, ..Default::default() };
-        let result = run(&net, &cc);
-        let attr = attribute_fault_anomalies(&net, &result.classic);
-        // The partition is exact: every signature lands on exactly one
-        // side, decided by the destination's planted truth.
-        let total = result.classic.loop_signatures().len();
-        assert_eq!(attr.fault_induced.len() + attr.organic.len(), total);
-        for (_, dest) in &attr.fault_induced {
-            assert!(hostile.contains(dest));
-        }
-        for (_, dest) in &attr.organic {
-            assert!(!hostile.contains(dest));
-        }
-        // Silent faults + looping faults cover the hostile population.
-        let looping: std::collections::BTreeSet<_> =
-            attr.fault_induced.iter().map(|&(_, d)| d).collect();
-        assert_eq!(attr.silent_fault_dests, hostile.len() - looping.len());
-        // Sorted output for stable reporting.
-        let mut sorted = attr.fault_induced.clone();
-        sorted.sort();
-        assert_eq!(sorted, attr.fault_induced);
     }
 }

@@ -170,6 +170,38 @@ mod tests {
     }
 
     #[test]
+    fn classification_keeps_the_strongest_hop_class() {
+        use std::net::Ipv4Addr;
+        use BalancerClass::*;
+        let classify = |classes: &[BalancerClass]| {
+            let hops = (1..).zip(classes).map(|(ttl, &class)| HopInterfaces {
+                ttl,
+                interfaces: vec![Ipv4Addr::new(10, 0, ttl, 1), Ipv4Addr::new(10, 0, ttl, 2)],
+                flows: Vec::new(),
+                probes_sent: 0,
+                stars: 0,
+                converged: true,
+                class,
+            });
+            let destination = Ipv4Addr::new(10, 9, 9, 9);
+            let hops = hops.collect();
+            MultipathMap {
+                destination,
+                hops,
+                links: Vec::new(),
+                total_probes: 0,
+                reached: true,
+                degraded: false,
+            }
+            .classification()
+        };
+        assert_eq!(classify(&[]), NotBalanced);
+        assert_eq!(classify(&[Undetermined]), Undetermined);
+        assert_eq!(classify(&[Undetermined, PerFlow, Undetermined]), PerFlow);
+        assert_eq!(classify(&[PerFlow, PerPacket, Undetermined]), PerPacket);
+    }
+
+    #[test]
     fn windowed_walk_discovers_the_sequential_dag() {
         // On deterministic scenarios the probing window is a pure
         // virtual-time knob: the discovered DAG must be byte-identical

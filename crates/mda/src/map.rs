@@ -5,18 +5,20 @@
 
 use std::net::Ipv4Addr;
 
-/// How a balanced hop spreads traffic.
+/// How a balanced hop spreads traffic. The variants are declared in
+/// order of dominance, so the derived `Ord` is the merge rule: the
+/// `max` of two classifications keeps the stronger evidence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BalancerClass {
     /// Fewer than two interfaces answered at the hop — nothing to
     /// classify.
     NotBalanced,
+    /// The fixed-flow re-probe batch did not get enough answers to tell.
+    Undetermined,
     /// One flow id always lands on one interface.
     PerFlow,
     /// Even a fixed flow id scatters across interfaces.
     PerPacket,
-    /// The fixed-flow re-probe batch did not get enough answers to tell.
-    Undetermined,
 }
 
 /// One hop's enumeration result.
@@ -121,20 +123,7 @@ impl MultipathMap {
     /// then per-flow, then undetermined; `NotBalanced` when no hop shows
     /// two interfaces.
     pub fn classification(&self) -> BalancerClass {
-        let mut class = BalancerClass::NotBalanced;
-        for hop in self.balanced_hops() {
-            match hop.class {
-                BalancerClass::PerPacket => return BalancerClass::PerPacket,
-                BalancerClass::PerFlow => class = BalancerClass::PerFlow,
-                BalancerClass::Undetermined => {
-                    if class == BalancerClass::NotBalanced {
-                        class = BalancerClass::Undetermined;
-                    }
-                }
-                BalancerClass::NotBalanced => {}
-            }
-        }
-        class
+        self.balanced_hops().map(|h| h.class).max().unwrap_or(BalancerClass::NotBalanced)
     }
 
     /// Downstream interfaces linked from `(from_ttl, from)`.
