@@ -85,7 +85,7 @@ pub fn render_report(result: &CampaignResult) -> String {
         "- rounds: {} (paper: 556)\n- destinations: {} (paper: 5,000)\n\
          - routes measured (classic): {}\n- responses (classic): {} (paper: ~90 M total)\n\
          - mid-route stars (classic): {} (paper: 2.6 M)\n\
-         - Paris: {} routes with a loop = {:.2}% (classic: {:.2}%)\n\
+         - Paris: of {} routes, {:.2}% with a loop (classic: {:.2}%)\n\
          - diamonds, classic: {} — Paris: {}\n\
          - mean virtual probing time per destination: {:.1} s\n\
          - budget-degraded routes (classic / Paris): {} / {} — quarantined units: {}",
@@ -266,6 +266,13 @@ mod tests {
         }
         let rows = text.lines().filter(|l| l.starts_with("| ") && !l.starts_with("| metric"));
         assert_eq!(rows.count(), PUBLISHED.len(), "table rows in report:\n{text}");
+        // The Paris count is every route measured, not the looping ones.
+        let (p, c) = (&result.paris_report, &result.classic_report);
+        let paris = format!(
+            "- Paris: of {} routes, {:.2}% with a loop (classic: {:.2}%)",
+            p.routes_total, p.pct_routes_with_loop, c.pct_routes_with_loop
+        );
+        assert!(text.lines().any(|l| l == paris), "missing {paris:?} in report:\n{text}");
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //!   state itself;
 //! * no allocation per unit or per destination: `run` and
 //!   `run_multipath` over a net with four times the destinations make
-//!   at most a logarithmic number of allocation calls more.
+//!   at most a logarithmic number of allocation calls more;
+//! * no state per node beyond an index: a simulator over that net's
+//!   topology requests at most 8 bytes more per node than one over the
+//!   smaller net's, whatever its fixed part (the next-hop table, the
+//!   arena) holds.
 //!
 //! The file contains exactly one `#[test]`: the counting allocator is
 //! installed process-wide (`#[global_allocator]` is a program-level
@@ -23,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use pt_campaign::{
     run, run_checkpointed, run_multipath, CampaignConfig, CheckpointConfig, MultipathConfig,
 };
+use pt_netsim::Simulator;
 use pt_topogen::{generate, InternetConfig, SyntheticInternet};
 
 /// `System`, tallying every allocation entry point's calls and the
@@ -146,4 +151,19 @@ fn checkpointing_every_four_units_builds_no_simulator_per_block() {
             large.dests.len()
         );
     }
+
+    // A unit touches a few dozen nodes, so a simulator holds state for
+    // those and one 4-byte index per node of the topology. A node state
+    // and a delivery lane per node made it 64 bytes.
+    let sim_bytes =
+        |net: &SyntheticInternet| requested_by(|| Simulator::new(net.topology.clone(), 1)).0;
+    let (small_nodes, large_nodes) = (net.topology.nodes.len(), large.topology.nodes.len());
+    let (small_sim, large_sim) = (sim_bytes(&net), sim_bytes(&large));
+    let extra_nodes = (large_nodes - small_nodes) as u64;
+    assert!(
+        large_sim <= small_sim + 8 * extra_nodes,
+        "a simulator over {small_nodes} nodes requested {small_sim} bytes, over {large_nodes} \
+         nodes {large_sim}: {} bytes per extra node, over 8",
+        large_sim.saturating_sub(small_sim) / extra_nodes
+    );
 }

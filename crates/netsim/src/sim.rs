@@ -61,11 +61,12 @@
 //! events move 4-byte [`PacketRef`] handles, stateful arrivals mutate
 //! TTL/NAT fields in place, and both slots and payload buffers are
 //! recycled, so steady-state forwarding performs no per-event heap
-//! allocation. Node state is *epoch-lazy*: [`Simulator::reset`] bumps an
-//! epoch instead of touching every node, and a node's IP-ID counter,
-//! rate-limiter fill and routing table are re-derived from the seed on
-//! first use after a reset. That makes reset O(in-flight + delivered),
-//! which is what lets the campaign runner afford a pristine simulator
+//! allocation. Node state is *sparse*: a node's IP-ID counter,
+//! rate-limiter fill and routing table are derived from the seed when a
+//! unit first touches the node, and are held for the touched nodes only
+//! — a unit's few dozen, of a topology's thousands — behind one 4-byte
+//! index per node. So [`Simulator::reset`] is O(in-flight + delivered +
+//! touched), which lets the campaign runner afford a pristine simulator
 //! per `(destination, round)` work unit ([`SimulatorPool`]).
 
 use std::collections::VecDeque;
@@ -154,8 +155,12 @@ struct Arrival {
     last_transit: SimTime,
 }
 
-#[derive(Debug, Clone)]
+/// A touched node's state: an entry of `SimState::touched`.
+#[derive(Debug)]
 struct NodeState {
+    /// The node it belongs to: an index in `SimState::slot_of`, stale
+    /// after a reset, counts only while the entry it finds names it.
+    node: NodeId,
     /// This simulator's copy of the node's table, taken at the first route
     /// change here since the last reset; `None` (one null word) reads the
     /// topology's. Changes hit only `DestInfo::chain` routers (≤ 2 routes
@@ -166,36 +171,30 @@ struct NodeState {
     ip_id: u16,
     /// Token-bucket rate-limiter fill. `u32::MAX` is the untouched
     /// sentinel (the bucket starts full on first use); the capacity
-    /// lives in the router's immutable config, so the slot stays a
-    /// pure function of `(seed, idx)`.
+    /// lives in the router's immutable config, so the entry stays a
+    /// pure function of `(seed, node)`.
     icmp_tokens: u32,
     /// When `icmp_tokens` was last settled (whole-token boundaries
     /// only, so fractional refill credit carries forward exactly).
     icmp_tokens_at: SimTime,
-    /// Whether this node is already listed in `SimState::dirty_inboxes`
-    /// for the current epoch (keeps that list O(distinct nodes), not
-    /// O(deliveries)).
-    inbox_dirty: bool,
-    /// Which simulator epoch this slot was derived for. A slot whose
-    /// epoch trails the simulator's is *stale*: its contents are
-    /// leftovers from before the last [`Simulator::reset`] and must be
-    /// re-derived before use ([`SimState::freshen`]).
-    epoch: u64,
+    /// The node's delivery lane in `SimState::lanes`, from its first
+    /// delivery since the last reset.
+    lane: Option<usize>,
 }
 
 impl NodeState {
-    /// Derive node `idx`'s state for `epoch` from the simulator seed —
-    /// a pure function of `(seed, idx)`, so it does not matter *when*
-    /// (or in what order) stale slots get re-derived.
-    fn fresh(seed: u64, idx: usize, epoch: u64) -> NodeState {
+    /// Derive `node`'s state from the simulator seed — a pure function
+    /// of `(seed, node)`, so it does not matter *when* (or in what
+    /// order) nodes are first touched.
+    fn fresh(seed: u64, node: NodeId) -> NodeState {
         NodeState {
+            node,
             // O(1) and allocation-free: the table stays in the topology.
             routing: None,
-            ip_id: (node_seed(seed, NodeId(idx)) >> 32) as u16,
+            ip_id: (node_seed(seed, node) >> 32) as u16,
             icmp_tokens: u32::MAX,
             icmp_tokens_at: SimTime::ZERO,
-            inbox_dirty: false,
-            epoch,
+            lane: None,
         }
     }
 }
@@ -242,18 +241,17 @@ struct SimState {
     /// Longest-prefix lookups made: the tests' layer number.
     #[cfg(test)]
     lookups: u64,
-    nodes: Vec<NodeState>,
-    /// Delivery lanes, one per node, indexed by `NodeId` — no hashing
-    /// anywhere on the delivery or drain path. Only a node that received
-    /// something since the last reset holds an allocated lane.
-    inbox: Vec<VecDeque<(SimTime, Packet)>>,
-    /// Nodes whose lane went non-empty since the last reset, so reset
-    /// drains O(touched) lanes instead of sweeping every node.
-    dirty_inboxes: Vec<NodeId>,
-    /// The lanes reset drained, capacity kept, for the next nodes that
-    /// receive something: a campaign's every destination host gets a
-    /// lane, and a fresh one per destination would allocate per unit.
-    spare_lanes: Vec<VecDeque<(SimTime, Packet)>>,
+    /// Each node's index into `touched` ([`SimState::slot`]): the one
+    /// word per node a simulator holds, and no hashing on any path.
+    slot_of: Vec<u32>,
+    /// The nodes touched since the last reset, in first-touch order.
+    touched: Vec<NodeState>,
+    /// Delivery lanes in first-receive order, so the probing source gets
+    /// lane 0 every unit: a ring of a handful of slots, not a
+    /// destination's hundred. Reset drains the first `lanes_used` and
+    /// keeps every lane, so no destination host's delivery allocates.
+    lanes: Vec<VecDeque<(SimTime, Packet)>>,
+    lanes_used: usize,
     stats: SimStats,
     /// Recycled buffer for quoting offending packets into ICMP, so the
     /// response path performs no per-packet allocation.
@@ -262,8 +260,8 @@ struct SimState {
     arena: PacketArena,
     /// Seed all node state derives from (current epoch's).
     seed: u64,
-    /// Bumped by [`Simulator::reset`]; node slots lazily re-derive when
-    /// their recorded epoch trails this.
+    /// Bumped by [`Simulator::reset`]: a per-destination entry of the
+    /// next-hop table is read only in its epoch.
     epoch: u64,
 }
 
@@ -406,14 +404,13 @@ fn hop_slot(node: NodeId, dst: Ipv4Addr) -> usize {
 
 impl Simulator {
     /// Build a simulator over `topology`, deriving all randomness from
-    /// `seed`.
+    /// `seed`. Per node it holds one 4-byte index and no state.
     pub fn new(topology: Arc<Topology>, seed: u64) -> Self {
-        // Node slots start stale (epoch 0 < 1) and derive themselves
-        // from `seed` on first touch, so construction clones one cheap
-        // slot per node instead of deriving every slot up front.
         let state = SimState {
-            nodes: vec![NodeState::fresh(seed, 0, 0); topology.nodes.len()],
-            inbox: (0..topology.nodes.len()).map(|_| VecDeque::new()).collect(),
+            slot_of: vec![0; topology.nodes.len()],
+            touched: Vec::new(),
+            lanes: Vec::new(),
+            lanes_used: 0,
             clock: SimTime::ZERO,
             next_seq: 0,
             queue: EventWheel::new(),
@@ -427,8 +424,6 @@ impl Simulator {
             table: true,
             #[cfg(test)]
             lookups: 0,
-            dirty_inboxes: Vec::new(),
-            spare_lanes: Vec::new(),
             stats: SimStats::default(),
             scratch: Vec::new(),
             arena: PacketArena::new(),
@@ -440,13 +435,13 @@ impl Simulator {
 
     /// Rewind to the state `Simulator::new(topology, seed)` would
     /// produce, while keeping every allocation warm: the event queue's
-    /// capacity, the arena's slots and payload-buffer pool, the inbox
-    /// lanes (as spares for whichever nodes receive next) and the ICMP
-    /// scratch buffer all survive. Node state is
-    /// epoch-lazy, so the cost is O(in-flight + undelivered packets),
-    /// *not* O(nodes) — cheap enough to call once per `(destination,
-    /// round)` campaign work unit. The next-hop table survives too, which
-    /// no run can tell (the module docs say why).
+    /// capacity, the arena's slots and payload-buffer pool, the drained
+    /// delivery lanes, the touched-node list and the ICMP scratch buffer
+    /// all survive. Clearing the list leaves every node's index stale,
+    /// so the cost is O(in-flight + undelivered + touched), *not*
+    /// O(nodes) — cheap enough to call once per `(destination, round)`
+    /// campaign work unit. The next-hop table survives too, which no run
+    /// can tell (the module docs say why).
     pub fn reset(&mut self, seed: u64) {
         let st = &mut self.state;
         // clear() keeps the queue's capacity warm.
@@ -457,18 +452,13 @@ impl Simulator {
             }
         });
         st.route_horizon = NEVER;
-        // Spares go back last-dirtied first, so they come out in the
-        // order the nodes first received: a node that receives first in
-        // every unit, the probing source, gets its own lane back, and
-        // its deliveries cycle through the small ring they need rather
-        // than a destination's.
-        for node in st.dirty_inboxes.drain(..).rev() {
-            let mut lane = std::mem::take(&mut st.inbox[node.0]);
+        for lane in &mut st.lanes[..st.lanes_used] {
             for (_, packet) in lane.drain(..) {
                 st.arena.recycle_packet(packet);
             }
-            st.spare_lanes.push(lane);
         }
+        st.lanes_used = 0;
+        st.touched.clear();
         debug_assert!(st.arena.is_empty(), "in-flight packet leaked across reset");
         st.clock = SimTime::ZERO;
         st.next_seq = 0;
@@ -606,10 +596,8 @@ impl Simulator {
                 }
             }
             EventKind::RouteSet { node, prefix, next_hop } => {
-                st.freshen(node);
                 let base = &self.topo.node(node).routing;
-                let own =
-                    st.nodes[node.0].routing.get_or_insert_with(|| Box::new((**base).clone()));
+                let own = st.node(node).routing.get_or_insert_with(|| Box::new((**base).clone()));
                 match next_hop {
                     Some(nh) => own.set(prefix, nh),
                     None => _ = own.remove(prefix),
@@ -643,7 +631,8 @@ impl Simulator {
 
     /// Pop the oldest delivery to `node`, if any.
     pub fn pop_delivery(&mut self, node: NodeId) -> Option<(SimTime, Packet)> {
-        self.state.inbox[node.0].pop_front()
+        let lane = self.state.touched[self.state.slot(node)?].lane?;
+        self.state.lanes[lane].pop_front()
     }
 
     /// A cleared payload buffer from the arena's recycling pool (fresh
@@ -664,15 +653,25 @@ impl Simulator {
 }
 
 impl SimState {
-    /// Re-derive `node`'s state if it is stale (first touch after a
-    /// reset). Every path that reads or writes mutable node state goes
-    /// through here first.
-    #[inline]
-    fn freshen(&mut self, node: NodeId) {
-        let st = &mut self.nodes[node.0];
-        if st.epoch != self.epoch {
-            *st = NodeState::fresh(self.seed, node.0, self.epoch);
-        }
+    /// `node`'s index into `touched`, if it was touched since the last
+    /// reset: its index counts only when the entry there names it.
+    fn slot(&self, node: NodeId) -> Option<usize> {
+        let slot = self.slot_of[node.0] as usize;
+        (self.touched.get(slot)?.node == node).then_some(slot)
+    }
+
+    /// `node`'s state, derived from the seed on its first touch since
+    /// the last reset. Every path that writes node state goes through
+    /// here.
+    fn node(&mut self, node: NodeId) -> &mut NodeState {
+        let slot = self.slot(node).unwrap_or_else(|| {
+            // At most one entry per node, so this fails only past 2^32.
+            let slot = u32::try_from(self.touched.len()).expect("at most 2^32 nodes");
+            self.slot_of[node.0] = slot;
+            self.touched.push(NodeState::fresh(self.seed, node));
+            self.touched.len() - 1
+        });
+        &mut self.touched[slot]
     }
 
     /// The next birth stamp: one per packet entering or originated in
@@ -754,16 +753,16 @@ impl SimState {
         self.stats.delivered += 1;
         let packet = self.arena.take(packet);
         let response = self.local_response(node, &topo.node(node).kind, &packet);
-        self.freshen(node);
-        let st = &mut self.nodes[node.0];
-        if !st.inbox_dirty {
-            st.inbox_dirty = true;
-            self.dirty_inboxes.push(node);
-            // Reset took every lane it drained, so this one holds
-            // nothing: a spare's capacity serves instead.
-            self.inbox[node.0] = self.spare_lanes.pop().unwrap_or_default();
+        let used = self.lanes_used;
+        let lane = *self.node(node).lane.get_or_insert(used);
+        if lane == used {
+            // A first delivery since the reset: a drained lane, or a new one.
+            self.lanes_used += 1;
+            if lane == self.lanes.len() {
+                self.lanes.push(VecDeque::new());
+            }
         }
-        self.inbox[node.0].push_back((self.clock, packet));
+        self.lanes[lane].push_back((self.clock, packet));
         if let Some(resp) = response {
             self.originate(topo, node, resp);
         }
@@ -858,23 +857,23 @@ impl SimState {
     /// if it holds one, the ICMP spends it.
     fn rate_limited(&mut self, node: NodeId, cfg: &RouterConfig) -> bool {
         let Some(tb) = cfg.icmp_rate_limit else { return false };
-        self.freshen(node);
-        let state = &mut self.nodes[node.0];
+        let clock = self.clock;
+        let state = self.node(node);
         if state.icmp_tokens == u32::MAX {
-            // First touch after (re-)derivation: the bucket starts
-            // full. The sentinel keeps `NodeState::fresh` a pure
-            // function of `(seed, idx)` without knowing `burst`.
+            // The first ICMP since the entry was derived: the bucket
+            // starts full. The sentinel keeps `NodeState::fresh` a pure
+            // function of `(seed, node)` without knowing `burst`.
             state.icmp_tokens = tb.burst;
-            state.icmp_tokens_at = self.clock;
+            state.icmp_tokens_at = clock;
         } else {
             let interval = tb.interval.nanos().max(1);
-            let minted = self.clock.since(state.icmp_tokens_at).nanos() / interval;
+            let minted = clock.since(state.icmp_tokens_at).nanos() / interval;
             if minted > 0 {
                 let fill = u64::from(state.icmp_tokens).saturating_add(minted);
                 if fill >= u64::from(tb.burst) {
                     state.icmp_tokens = tb.burst;
                     // A full bucket stops accruing credit.
-                    state.icmp_tokens_at = self.clock;
+                    state.icmp_tokens_at = clock;
                 } else {
                     state.icmp_tokens = fill as u32;
                     // Advance by whole tokens only, so fractional
@@ -938,8 +937,7 @@ impl SimState {
         initial_ttl: u8,
         transport: Transport,
     ) -> Packet {
-        self.freshen(node);
-        let state = &mut self.nodes[node.0];
+        let state = self.node(node);
         let mut ip = Ipv4Header::new(src, dst, transport.protocol(), initial_ttl);
         ip.identification = state.ip_id;
         state.ip_id = state.ip_id.wrapping_add(1);
@@ -1029,10 +1027,9 @@ impl SimState {
 
     /// `node`'s live routing table: see [`Simulator::routing_of`].
     fn routing<'a>(&'a self, topo: &'a Topology, node: NodeId) -> &'a RoutingTable {
-        let st = &self.nodes[node.0];
-        match &st.routing {
-            Some(own) if st.epoch == self.epoch => own,
-            _ => &topo.node(node).routing,
+        match self.slot(node).and_then(|slot| self.touched[slot].routing.as_deref()) {
+            Some(own) => own,
+            None => &topo.node(node).routing,
         }
     }
 
@@ -1155,11 +1152,12 @@ enum Lost {
 ///
 /// [`SimulatorPool::acquire`] hands out a simulator reset to the given
 /// seed — behaviorally identical to `Simulator::new(topology, seed)`,
-/// but with its event queue, arena slots, payload buffers and inbox
-/// lanes already warm when a previously released simulator was
-/// available. Campaign workers keep one pool each, so per-destination
-/// trace tasks pay no construction or steady-state allocation cost
-/// after their first work unit.
+/// but with its event queue, arena slots, payload buffers, delivery
+/// lanes and next-hop table already warm when a previously released
+/// simulator was available. Campaign workers keep one pool each, so
+/// per-destination trace tasks pay no construction or steady-state
+/// allocation cost after their first work unit, and each pooled
+/// simulator holds one 4-byte index per node of the topology.
 #[derive(Debug)]
 pub struct SimulatorPool {
     topo: Arc<Topology>,
@@ -1692,6 +1690,62 @@ mod tests {
         reused.reset(42);
         let got = run(&mut reused);
         assert_eq!(got, expected, "reset(seed) must equal new(topo, seed)");
+    }
+
+    #[test]
+    fn a_stale_index_reads_as_untouched() {
+        // S — r1 — r2 — D, each router allowed one ICMP error a second.
+        let mut b = TopologyBuilder::new();
+        let limited = || RouterConfig::rate_limited(SimDuration::from_millis(1000), 1);
+        let s = b.host("S", HostConfig::default());
+        let r1 = b.router("r1", limited());
+        let r2 = b.router("r2", limited());
+        let d = b.host("D", HostConfig::default());
+        b.link(s, r1, SimDuration::from_millis(1), 0.0);
+        b.link(r1, r2, SimDuration::from_millis(1), 0.0);
+        b.link(r2, d, SimDuration::from_millis(1), 0.0);
+        b.default_via(s, r1);
+        b.default_via(r1, r2);
+        b.default_via(r2, d);
+        b.default_via(d, r2);
+        let s_pfx = b.subnet_of(s);
+        b.route_via(r2, s_pfx, r1);
+        b.route_via(r1, s_pfx, s);
+        let dst = b.addr_of(d);
+        let topo = Arc::new(b.build());
+        let (src, r2_addr) = (src_addr(&topo, s), topo.node(r2).primary_addr());
+        // r2 is touched first and holds every kind of node state: its
+        // own table (the default route removed), a spent token bucket,
+        // a moved IP-ID and a delivery.
+        let unit = |sim: &mut Simulator| {
+            sim.schedule_route_set(SimTime::ZERO, r2, Ipv4Prefix::DEFAULT, None);
+            sim.run_to_quiescence();
+            sim.inject(s, udp_probe(src, dst, 2, 33435));
+            sim.inject(s, udp_probe(src, r2_addr, 30, 33436));
+            sim.run_to_quiescence();
+        };
+        let mut fresh = Simulator::new(topo.clone(), 42);
+        unit(&mut fresh);
+        // Before the reset r1 was touched first, so after it r1's index
+        // finds r2's entry.
+        let mut reused = Simulator::new(topo.clone(), 7);
+        reused.inject(s, udp_probe(src, dst, 1, 33437));
+        reused.run_to_quiescence();
+        reused.reset(42);
+        unit(&mut reused);
+        assert_eq!(reused.state.slot_of[r1.0], reused.state.slot_of[r2.0], "r1's index is stale");
+        assert!(reused.pop_delivery(r1).is_none(), "r1 received nothing");
+        assert!(std::ptr::eq(reused.routing_of(r1), &*topo.node(r1).routing), "topology's table");
+        // r1's first Time Exceeded finds its bucket full and carries the
+        // IP-ID its seed derives, as in the fresh simulator.
+        for sim in [&mut fresh, &mut reused] {
+            sim.inject(s, udp_probe(src, dst, 1, 33438));
+            sim.run_to_quiescence();
+        }
+        let got = drain(&mut reused, s);
+        assert_eq!(got.len(), 3, "r2's Time Exceeded and Port Unreachable, r1's Time Exceeded");
+        assert_eq!(got[2].1.ip.identification, (node_seed(42, r1) >> 32) as u16);
+        assert_eq!((got, reused.stats()), (drain(&mut fresh, s), fresh.stats()));
     }
 
     #[test]
