@@ -782,8 +782,10 @@ fn schedule_dynamics(
 /// count.
 #[derive(Debug, Clone)]
 pub struct MultipathConfig {
-    /// Discovery rounds per destination (one is usually enough — the
-    /// stopping rule already bounds the per-hop miss probability).
+    /// Discovery rounds per destination (one is usually enough: the
+    /// stopping rule bounds each test that ends a hop's enumeration by
+    /// `mda.alpha`, which keeps a hop's misses rare but does not bound
+    /// them by `alpha`).
     pub rounds: usize,
     /// Worker threads claiming `(destination, round)` units. Purely a
     /// performance knob: results are bit-identical for any value.
@@ -813,9 +815,12 @@ impl Default for MultipathConfig {
         MultipathConfig {
             rounds: 1,
             workers: 8,
-            // Campaign-grade confidence: the per-hop stopping rule at
-            // the MDA paper's alpha = 0.05 misses an interface at ~3-5%
-            // of balanced hops by design (that *is* alpha), which
+            // Campaign-grade confidence. Alpha bounds one stopping test
+            // (k interfaces seen, a (k + 1)-th unseen); a width-K hop
+            // passes K - 1 of them and a walk may cross several
+            // balanced hops, so neither a hop's miss probability nor a
+            // walk's is alpha. At the MDA paper's alpha = 0.05 an
+            // interface goes missing at ~3-5% of balanced hops, which
             // compounds over a campaign's whole destination list.
             // alpha = 0.01 costs ~3 extra probes per hop and brings
             // full-recovery accuracy against planted ground truth above

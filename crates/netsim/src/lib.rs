@@ -37,6 +37,8 @@ pub mod addr;
 pub mod arena;
 pub mod builder;
 pub mod node;
+#[cfg(test)]
+mod reference;
 pub mod routing;
 pub mod scenarios;
 pub mod sim;

@@ -49,10 +49,10 @@
 //! after the entry is read, from the leaving node's seed.
 //!
 //! A run is a pure function of `(topology, seed, injected packets,
-//! scheduled route changes)` — and the same function whether walks are
-//! fused or cut after every hop and whether hops come from the table,
-//! which the tests below check with a hop limit and a table switch only
-//! they can set. The schedule is a deque kept sorted by the
+//! scheduled route changes)` — the function a naive simulator computes
+//! with one event and one route lookup per hop, which the tests below
+//! check against such a reference, written apart in test code
+//! (`reference.rs`). The schedule is a deque kept sorted by the
 //! key ([`crate::wheel::EventWheel`]): each in-flight packet is one
 //! pending stateful arrival, a tracer's window a dozen or so, and no
 //! event allocates.
@@ -222,10 +222,6 @@ struct SimState {
     /// When the earliest pending `RouteSet` applies ([`NEVER`] if none
     /// is pending). No walk crosses a router at or after it.
     route_horizon: SimTime,
-    /// Links a walk may cross before it must schedule an arrival. The
-    /// tests' reference engine: at 1 every hop is an event again.
-    #[cfg(test)]
-    hop_limit: u32,
     /// The next-hop table ([`SimState::hop`]), direct-mapped on
     /// `(node, dst)`.
     hops: Box<[Hop; HOP_SLOTS]>,
@@ -234,10 +230,6 @@ struct SimState {
     hop_stamp: u64,
     /// Whether a route change was applied since the last reset.
     routes_changed: bool,
-    /// `false` stores nothing in the table, so every hop is resolved
-    /// afresh: the tests' reference engine.
-    #[cfg(test)]
-    table: bool,
     /// Longest-prefix lookups made: the tests' layer number.
     #[cfg(test)]
     lookups: u64,
@@ -415,13 +407,9 @@ impl Simulator {
             next_seq: 0,
             queue: EventWheel::new(),
             route_horizon: NEVER,
-            #[cfg(test)]
-            hop_limit: u32::MAX,
             hops: Box::new([Hop::default(); HOP_SLOTS]),
             hop_stamp: 1,
             routes_changed: false,
-            #[cfg(test)]
-            table: true,
             #[cfg(test)]
             lookups: 0,
             stats: SimStats::default(),
@@ -1000,8 +988,6 @@ impl SimState {
         loop {
             at += next.delay;
             let fused = at < self.route_horizon;
-            #[cfg(test)]
-            let fused = fused && u32::from(transits) + 1 < self.hop_limit;
             if !fused || !next.passes(ttl) {
                 break;
             }
@@ -1116,8 +1102,6 @@ impl SimState {
         let link = topo.link(topo.node(node).ifaces[iface].link.ok_or(Lost::NoRoute)?);
         let to = link.other_end(node);
         let next = Next { to, delay: link.delay_from(node), class: Class::of(topo, to.node, dst) };
-        #[cfg(test)]
-        let stored = stored.filter(|_| self.table);
         let slot = hop_slot(node, dst);
         let ids = (u32::try_from(node.0), u32::try_from(to.node.0), u16::try_from(to.iface));
         if let (Some(epoch), (Ok(node), Ok(to), Ok(iface))) = (stored, ids) {
@@ -1203,6 +1187,7 @@ mod tests {
     use super::*;
     use crate::builder::TopologyBuilder;
     use crate::node::{HostConfig, RouterConfig};
+    use crate::reference::Reference;
     use crate::time::SimDuration;
     use pt_wire::ipv4::protocol;
     use pt_wire::UdpDatagram;
@@ -1239,8 +1224,126 @@ mod tests {
     }
 
     /// Everything delivered to `node` so far, oldest first.
-    fn drain(sim: &mut Simulator, node: NodeId) -> Vec<(SimTime, Packet)> {
+    fn drain(sim: &mut dyn Engine, node: NodeId) -> Vec<(SimTime, Packet)> {
         std::iter::from_fn(|| sim.pop_delivery(node)).collect()
+    }
+
+    /// What a test drives and observes: the simulator that ships, or
+    /// the naive reference it is held to.
+    trait Engine {
+        fn inject(&mut self, node: NodeId, packet: Packet);
+        fn schedule_route_set(
+            &mut self,
+            at: SimTime,
+            node: NodeId,
+            prefix: Ipv4Prefix,
+            next_hop: Option<NextHop>,
+        );
+        fn run_until(&mut self, t: SimTime);
+        fn run_to_quiescence(&mut self);
+        fn now(&self) -> SimTime;
+        fn in_flight(&self) -> usize;
+        fn stats(&self) -> SimStats;
+        fn pop_delivery(&mut self, node: NodeId) -> Option<(SimTime, Packet)>;
+    }
+
+    impl Engine for Simulator {
+        fn inject(&mut self, node: NodeId, packet: Packet) {
+            Simulator::inject(self, node, packet)
+        }
+        fn schedule_route_set(
+            &mut self,
+            at: SimTime,
+            node: NodeId,
+            prefix: Ipv4Prefix,
+            next_hop: Option<NextHop>,
+        ) {
+            Simulator::schedule_route_set(self, at, node, prefix, next_hop)
+        }
+        fn run_until(&mut self, t: SimTime) {
+            Simulator::run_until(self, t)
+        }
+        fn run_to_quiescence(&mut self) {
+            Simulator::run_to_quiescence(self)
+        }
+        fn now(&self) -> SimTime {
+            Simulator::now(self)
+        }
+        fn in_flight(&self) -> usize {
+            Simulator::in_flight(self)
+        }
+        fn stats(&self) -> SimStats {
+            Simulator::stats(self)
+        }
+        fn pop_delivery(&mut self, node: NodeId) -> Option<(SimTime, Packet)> {
+            Simulator::pop_delivery(self, node)
+        }
+    }
+
+    impl Engine for Reference {
+        fn inject(&mut self, node: NodeId, packet: Packet) {
+            Reference::inject(self, node, packet)
+        }
+        fn schedule_route_set(
+            &mut self,
+            at: SimTime,
+            node: NodeId,
+            prefix: Ipv4Prefix,
+            next_hop: Option<NextHop>,
+        ) {
+            Reference::schedule_route_set(self, at, node, prefix, next_hop)
+        }
+        fn run_until(&mut self, t: SimTime) {
+            Reference::run_until(self, t)
+        }
+        fn run_to_quiescence(&mut self) {
+            Reference::run_to_quiescence(self)
+        }
+        fn now(&self) -> SimTime {
+            Reference::now(self)
+        }
+        fn in_flight(&self) -> usize {
+            Reference::in_flight(self)
+        }
+        fn stats(&self) -> SimStats {
+            let crate::reference::Counters {
+                forwarded,
+                time_exceeded_sent,
+                dest_unreachable_sent,
+                echo_replies_sent,
+                tcp_responses_sent,
+                dropped_loss,
+                dropped_silent,
+                dropped_rate_limited,
+                dropped_mpls_hidden,
+                dropped_filtered,
+                dropped_no_route,
+                dropped_blackhole,
+                dropped_host_mute,
+                nat_rewrites,
+                delivered,
+            } = self.counters;
+            SimStats {
+                forwarded,
+                time_exceeded_sent,
+                dest_unreachable_sent,
+                echo_replies_sent,
+                tcp_responses_sent,
+                dropped_loss,
+                dropped_silent,
+                dropped_rate_limited,
+                dropped_mpls_hidden,
+                dropped_filtered,
+                dropped_no_route,
+                dropped_blackhole,
+                dropped_host_mute,
+                nat_rewrites,
+                delivered,
+            }
+        }
+        fn pop_delivery(&mut self, node: NodeId) -> Option<(SimTime, Packet)> {
+            self.take_delivery(node)
+        }
     }
 
     #[test]
@@ -2331,12 +2434,9 @@ mod tests {
         (sim.state.lookups - lookups, sim.stats().forwarded - forwarded)
     }
 
-    /// [`paris_trace`] over a fresh simulator, with or without the
-    /// next-hop table.
-    fn paris_trace_lookups(sc: &crate::scenarios::Scenario, table: bool) -> (u64, u64) {
-        let mut sim = Simulator::new(sc.topology.clone(), 21);
-        sim.state.table = table;
-        paris_trace(&mut sim, sc)
+    /// [`paris_trace`] over a fresh simulator.
+    fn paris_trace_lookups(sc: &crate::scenarios::Scenario) -> (u64, u64) {
+        paris_trace(&mut Simulator::new(sc.topology.clone(), 21), sc)
     }
 
     /// The layer number, held exactly: a hop is looked up once per unit,
@@ -2355,17 +2455,14 @@ mod tests {
         // r1–r5, L, A, B, C, D, E and the destination leave toward S, 12
         // pairs. 22 lookups; the parent made one per link crossed, 121.
         let per_destination = fig1(BalancerKind::PerDestination);
-        assert_eq!(paris_trace_lookups(&per_destination, true), (22, 121));
-        // Without the table (the proptest's reference) every link
-        // crossed is a lookup again.
-        assert_eq!(paris_trace_lookups(&per_destination, false), (121, 121));
+        assert_eq!(paris_trace_lookups(&per_destination), (22, 121));
         // tests/it/event_count.rs's trace: per-flow balancing at L, the flow
         // takes L → A → C → E, and the answers come back the same way: 10
         // pairs out and 10 back. L's per-flow hop is resolved every time,
         // so the 5 probes that leave it (TTL 7 to 11) look it up 5 times:
         // 24 lookups, where the parent made 120.
         let per_flow = fig1(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
-        assert_eq!(paris_trace_lookups(&per_flow, true), (24, 120));
+        assert_eq!(paris_trace_lookups(&per_flow), (24, 120));
         // The same trace again, after a reset under another seed: the
         // table outlived the reset, so no hop it stored is looked up
         // again. Under per-flow balancing only L's hop is, for the 5
@@ -2383,21 +2480,17 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Fused walks against the per-hop engine
+    // The engine against the naive per-hop reference
     // ------------------------------------------------------------------
 
-    /// A simulator whose walks stop after `hop_limit` links: 1 is the
-    /// reference, one event per hop and every hop resolved afresh by the
-    /// longest-prefix lookup and the address index, with no next-hop
-    /// table; `u32::MAX` is the engine that ships.
-    fn sim_cut_at(topo: &Arc<Topology>, seed: u64, hop_limit: u32) -> Simulator {
-        let mut sim = Simulator::new(topo.clone(), seed);
-        sim.state.hop_limit = hop_limit;
-        sim.state.table = hop_limit > 1;
-        sim
+    /// The engine that ships and the reference, each over `topo` and
+    /// `seed`, by name.
+    fn both(topo: &Arc<Topology>, seed: u64) -> [(&'static str, Box<dyn Engine>); 2] {
+        [
+            ("engine", Box::new(Simulator::new(topo.clone(), seed))),
+            ("reference", Box::new(Reference::new(topo.clone(), seed))),
+        ]
     }
-
-    const HOP_LIMITS: [u32; 4] = [1, 2, 3, u32::MAX];
 
     #[test]
     fn a_route_change_scheduled_under_a_walk_is_obeyed() {
@@ -2434,8 +2527,7 @@ mod tests {
         let topo = Arc::new(b.build());
         let toward_b = topo.iface_toward(r5, via[1]).unwrap();
         let b_addr = topo.node(via[1]).ifaces[0].addr;
-        for limit in HOP_LIMITS {
-            let mut sim = sim_cut_at(&topo, 1, limit);
+        for (name, mut sim) in both(&topo, 1) {
             sim.inject(s, udp_probe(src_addr(&topo, s), dst, 6, 33435));
             sim.schedule_route_set(
                 SimTime::ZERO + SimDuration::from_millis(3),
@@ -2444,10 +2536,10 @@ mod tests {
                 Some(NextHop::Iface(toward_b)),
             );
             sim.run_to_quiescence();
-            let got = drain(&mut sim, s);
-            assert_eq!(got.len(), 1, "hop limit {limit}");
-            assert_eq!(got[0].1.ip.src, b_addr, "hop limit {limit}: the probe took the old route");
-            assert_eq!(got[0].0, SimTime::ZERO + SimDuration::from_millis(12), "hop limit {limit}");
+            let got = drain(sim.as_mut(), s);
+            assert_eq!(got.len(), 1, "{name}");
+            assert_eq!(got[0].1.ip.src, b_addr, "{name}: the probe took the old route");
+            assert_eq!(got[0].0, SimTime::ZERO + SimDuration::from_millis(12), "{name}");
         }
     }
 
@@ -2657,18 +2749,15 @@ mod tests {
             .collect()
     }
 
-    /// Everything an observer outside the engine can see of a run: after
-    /// each `RunFor` and once more at quiescence, the clock, the packets
-    /// in flight, the counters (`forwarded` only at the end: mid-flight
-    /// it trails by the walks in progress) and every node's deliveries.
-    fn observe(net: &Net, seed: u64, script: &[Op], hop_limit: u32) -> Vec<String> {
-        observe_on(&mut sim_cut_at(&net.topo, seed, hop_limit), net, script)
-    }
-
-    /// [`observe`] over a given simulator, left quiescent.
-    fn observe_on(sim: &mut Simulator, net: &Net, script: &[Op]) -> Vec<String> {
+    /// Everything an observer outside the engine can see of a run of
+    /// `script` on `sim`, which it leaves quiescent: after each `RunFor`
+    /// and once more at quiescence, the clock, the packets in flight,
+    /// the counters (`forwarded` only at the end: mid-flight the
+    /// engine's trails by the walks in progress) and every node's
+    /// deliveries.
+    fn observe_on(sim: &mut dyn Engine, net: &Net, script: &[Op]) -> Vec<String> {
         let mut seen = Vec::new();
-        let mut look = |sim: &mut Simulator, quiescent: bool| {
+        let mut look = |sim: &mut dyn Engine, quiescent: bool| {
             let mut stats = sim.stats();
             if !quiescent {
                 stats.forwarded = 0;
@@ -2700,11 +2789,11 @@ mod tests {
     /// The next-hop table outlives a reset, and no run can tell. A
     /// simulator that ran two other seeds' units — the first applies a
     /// route change, and both cross a per-destination balancer and a
-    /// lossy link — then is reset shows an observer exactly what a fresh
-    /// one shows, on a trace and a random script after it. Each of
-    /// these fails it: a reset that keeps the stamp after an applied
-    /// change, a per-destination entry read in any epoch, and an entry
-    /// that stores the leaving node's seed for the loss draw.
+    /// lossy link — then is reset shows an observer exactly what the
+    /// naive reference shows, on a trace and a random script after it.
+    /// Each of these fails it: a reset that keeps the stamp after an
+    /// applied change, a per-destination entry read in any epoch, and
+    /// an entry that stores the leaving node's seed for the loss draw.
     #[test]
     fn a_kept_table_is_invisible_after_reset() {
         // S — r1 ~ L ⇉ {a, b} — r2 — D: r1–L loses three packets in ten,
@@ -2763,8 +2852,9 @@ mod tests {
         for case in 0..16u64 {
             let mut script = trace(34_000);
             script.extend(random_script(&mut Dice(case), &net));
+            let expected = observe_on(&mut Reference::new(net.topo.clone(), case), &net, &script);
             let mut fresh = Simulator::new(net.topo.clone(), case);
-            let expected = observe_on(&mut fresh, &net, &script);
+            observe_on(&mut fresh, &net, &script);
             let mut kept = Simulator::new(net.topo.clone(), 1_000 + case);
             observe_on(&mut kept, &net, &changed);
             kept.reset(2_000 + case);
@@ -2782,14 +2872,17 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
 
-        /// Fused and per-hop execution, with and without the next-hop
-        /// table, are one function: on the paper's figures and on random
-        /// nets, with probes of every shape and TTL, route changes
-        /// landing under packets in flight and the clock stopped at
-        /// random instants, a walk cut after 2 or 3 hops or never shows
-        /// an observer the run the table-less per-hop engine shows.
+        /// The engine that ships — fused walks, the next-hop table,
+        /// sparse node state — computes what the naive reference does
+        /// with one event and one route lookup per hop: on the paper's
+        /// figures and on random nets, with probes of every shape and
+        /// TTL, route changes landing under packets in flight and the
+        /// clock stopped at random instants, both show an observer the
+        /// same run.
         #[test]
-        fn a_walk_cut_anywhere_is_the_same_run(case in proptest::prelude::any::<u64>()) {
+        fn the_engine_shows_what_the_naive_reference_shows(
+            case in proptest::prelude::any::<u64>()
+        ) {
             use crate::scenarios;
             let mut dice = Dice(case);
             let kind = random_balancer(&mut dice);
@@ -2805,11 +2898,9 @@ mod tests {
                 _ => Net::random(&mut dice),
             };
             let script = random_script(&mut dice, &net);
-            let per_hop = observe(&net, case, &script, 1);
-            for limit in &HOP_LIMITS[1..] {
-                let fused = observe(&net, case, &script, *limit);
-                proptest::prop_assert_eq!(&fused, &per_hop, "hop limit {}: {:#?}", limit, script);
-            }
+            let [engine, reference] = both(&net.topo, case)
+                .map(|(_, mut sim)| observe_on(sim.as_mut(), &net, &script));
+            proptest::prop_assert_eq!(engine, reference, "{:#?}", script);
         }
     }
 }
