@@ -10,16 +10,61 @@
 //! multipath campaign discovered — travels as *key lines*: `N` fields
 //! of eight lowercase hex digits (an address is its big-endian
 //! integer), one space between fields, one key per line, keys
-//! ascending. Every such line of `N` fields is `9 N` bytes, which is
-//! what lets a writer size its buffer from counts alone.
+//! ascending. Every such line of `N` fields is `9 N` bytes.
 //!
 //! Every other line starts with a tag word and carries space-separated
 //! tokens; [`tagged`], [`word`] and [`tok`] take such a line apart.
+//!
+//! Writers append to a [`Sink`] and readers pull from a [`LineSource`],
+//! so one writer serves a `String` and a stream to a file alike, and
+//! one reader an in-memory text and a file read a line at a time: a
+//! record need never be held whole.
+
+/// Where written text goes: a `String` that keeps it, or anything that
+/// counts, digests or writes it as it comes.
+pub trait Sink {
+    /// Append `text`.
+    fn put(&mut self, text: &str);
+}
+
+impl Sink for String {
+    fn put(&mut self, text: &str) {
+        self.push_str(text);
+    }
+}
+
+/// Where read lines come from: a text's [`str::lines`], or a reader
+/// that holds one line at a time. A line comes as `str::lines` yields
+/// it, without its line ending, and borrows the source until the next
+/// is asked for.
+pub trait LineSource {
+    /// The next line; `None` after the last.
+    fn next_line(&mut self) -> Option<&str>;
+
+    /// At most how many bytes the lines still to come hold, if the
+    /// source knows: what bounds the room a count read from it may
+    /// reserve.
+    fn bytes_left(&self) -> Option<u64> {
+        None
+    }
+}
+
+impl LineSource for std::str::Lines<'_> {
+    fn next_line(&mut self) -> Option<&str> {
+        self.next()
+    }
+}
+
+/// `digits` as text: the ASCII the pushes below render.
+fn ascii(digits: &[u8]) -> &str {
+    std::str::from_utf8(digits).expect("digits and separators are ASCII")
+}
 
 /// Append `v` in decimal, as `{}` would.
-pub fn push_uint(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
+pub fn push_uint(out: &mut impl Sink, v: impl Into<u128>) {
+    let mut digits = [0u8; 39];
     let mut at = digits.len();
+    let mut v = v.into();
     loop {
         at -= 1;
         digits[at] = b'0' + (v % 10) as u8;
@@ -28,25 +73,33 @@ pub fn push_uint(out: &mut String, mut v: u64) {
             break;
         }
     }
-    for &d in &digits[at..] {
-        out.push(char::from(d));
-    }
+    out.put(ascii(&digits[at..]));
 }
 
 /// Append `v` as 16 lowercase hex digits, as `{:016x}` would — the form
 /// every float's bit pattern and every seed or fingerprint travels in.
-pub fn push_hex64(out: &mut String, v: u64) {
-    for shift in (0..16).rev() {
-        let nibble = ((v >> (shift * 4)) & 0xf) as u8;
-        out.push(char::from(if nibble < 10 { b'0' + nibble } else { b'a' + nibble - 10 }));
-    }
+pub fn push_hex64(out: &mut impl Sink, v: u64) {
+    let mut digits = [0u8; 16];
+    digits[..8].copy_from_slice(&hex8((v >> 32) as u32));
+    digits[8..].copy_from_slice(&hex8(v as u32));
+    out.put(ascii(&digits));
 }
 
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+/// The eight lowercase hex digits of `v`, as `{:08x}` writes them: its
+/// nibbles spread one to a byte, then all eight made digits at once.
+fn hex8(v: u32) -> [u8; 8] {
+    let mut x = u64::from(v);
+    x = (x & 0xffff_0000) << 16 | x & 0xffff;
+    x = (x & 0x0000_ff00_0000_ff00) << 8 | x & 0x0000_00ff_0000_00ff;
+    x = (x & 0x00f0_00f0_00f0_00f0) << 4 | x & 0x000f_000f_000f_000f;
+    // 1 in each byte whose nibble is past 9: those are spelled `a`..`f`.
+    let letters = (x + 0x0606_0606_0606_0606) >> 4 & 0x0101_0101_0101_0101;
+    (x + 0x3030_3030_3030_3030 + letters * u64::from(b'a' - b'0' - 10)).to_be_bytes()
+}
 
 /// Bytes of one key-line field: eight hex digits and the space or
 /// newline after them.
-pub(crate) const KEY_FIELD_LEN: usize = 9;
+const KEY_FIELD_LEN: usize = 9;
 
 /// No key has more fields (a multipath unit's discovery; the
 /// accumulators' widest is five, a loop or cycle instance's total
@@ -58,7 +111,10 @@ const MAX_KEY_FIELDS: usize = 13;
 const RENDER_LEN: usize = 16 * 4 * KEY_FIELD_LEN;
 
 /// Append one key line per key, in the order given.
-pub fn push_key_lines<const N: usize>(out: &mut String, keys: impl IntoIterator<Item = [u32; N]>) {
+pub fn push_key_lines<const N: usize>(
+    out: &mut impl Sink,
+    keys: impl IntoIterator<Item = [u32; N]>,
+) {
     const { assert!(N >= 1 && N <= MAX_KEY_FIELDS) };
     const { assert!(MAX_KEY_FIELDS * KEY_FIELD_LEN <= RENDER_LEN) };
     // Rendered on the stack and appended a buffer at a time: key lines
@@ -67,34 +123,28 @@ pub fn push_key_lines<const N: usize>(out: &mut String, keys: impl IntoIterator<
     // clearing it.)
     let mut text = [0u8; RENDER_LEN];
     let mut len = 0;
-    let flush = |out: &mut String, text: &[u8]| {
-        out.push_str(std::str::from_utf8(text).expect("hex digits and separators are ASCII"));
-    };
     for key in keys {
         if len + N * KEY_FIELD_LEN > text.len() {
-            flush(out, &text[..len]);
+            out.put(ascii(&text[..len]));
             len = 0;
         }
         let line = &mut text[len..len + N * KEY_FIELD_LEN];
         for (field, value) in line.chunks_exact_mut(KEY_FIELD_LEN).zip(key) {
-            for (digit, byte) in field.chunks_exact_mut(2).zip(value.to_be_bytes()) {
-                digit[0] = HEX_DIGITS[usize::from(byte >> 4)];
-                digit[1] = HEX_DIGITS[usize::from(byte & 0xf)];
-            }
+            field[..KEY_FIELD_LEN - 1].copy_from_slice(&hex8(value));
             field[KEY_FIELD_LEN - 1] = b' ';
         }
         line[N * KEY_FIELD_LEN - 1] = b'\n';
         len += N * KEY_FIELD_LEN;
     }
-    flush(out, &text[..len]);
+    out.put(ascii(&text[..len]));
 }
 
 /// The next line, split into tokens, with its leading `tag` consumed.
 pub fn tagged<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
+    lines: &'a mut impl LineSource,
     tag: &str,
 ) -> Result<std::str::SplitAsciiWhitespace<'a>, String> {
-    let line = lines.next().ok_or_else(|| format!("truncated at {tag:?} line"))?;
+    let line = lines.next_line().ok_or_else(|| format!("truncated at {tag:?} line"))?;
     let mut t = line.split_ascii_whitespace();
     if t.next() == Some(tag) {
         Ok(t)
@@ -148,17 +198,19 @@ fn parse_key_line<const N: usize>(line: &str) -> Option<[u32; N]> {
 /// Read the `n` key lines of a section, each mapped through `item`.
 /// The keys must ascend strictly — the canonical order is part of the
 /// format, and it is what makes a set read back a set. `n` comes from
-/// the file, so it only pre-sizes up to a bound; a larger section grows
-/// as it parses.
-pub fn read_key_lines<'a, const N: usize, T>(
-    lines: &mut impl Iterator<Item = &'a str>,
+/// the file, so it pre-sizes only up to a bound: the lines that
+/// [`LineSource::bytes_left`] can hold or, where the source does not
+/// know, 4 096; a larger section grows as it parses.
+pub fn read_key_lines<const N: usize, T>(
+    lines: &mut impl LineSource,
     n: usize,
     mut item: impl FnMut([u32; N]) -> T,
 ) -> Result<Vec<T>, String> {
-    let mut out = Vec::with_capacity(n.min(1 << 12));
+    let fit = lines.bytes_left().map_or(1 << 12, |left| left / (N * KEY_FIELD_LEN) as u64);
+    let mut out = Vec::with_capacity(n.min(usize::try_from(fit).unwrap_or(usize::MAX)));
     let mut last: Option<[u32; N]> = None;
     for _ in 0..n {
-        let line = lines.next().ok_or("truncated key lines")?;
+        let line = lines.next_line().ok_or("truncated key lines")?;
         let key = parse_key_line::<N>(line).ok_or_else(|| format!("bad key line {line:?}"))?;
         if last.is_some_and(|last| last >= key) {
             return Err(format!("key line {line:?} out of order"));
@@ -182,6 +234,12 @@ mod tests {
             let mut s = String::new();
             push_hex64(&mut s, v);
             assert_eq!(s, format!("{v:016x}"));
+        }
+        let mut s = String::new();
+        push_uint(&mut s, u128::MAX);
+        assert_eq!(s, u128::MAX.to_string());
+        for v in (0..1 << 16).map(|i: u32| i.wrapping_mul(0x9e37_79b9)).chain([0, u32::MAX]) {
+            assert_eq!(hex8(v), format!("{v:08x}").as_bytes(), "{v:#x}");
         }
     }
 

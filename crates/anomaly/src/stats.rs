@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 
 use pt_core::{HaltReason, MeasuredRoute, StrategyId};
 
-use crate::codec::{push_key_lines, push_uint, read_key_lines, tagged, tok, KEY_FIELD_LEN};
+use crate::codec::{push_key_lines, push_uint, read_key_lines, tagged, tok, LineSource, Sink};
 use crate::cycle::{for_each_cycle, CycleCause};
 use crate::diamond::for_each_triple;
 use crate::keyset::{groups, Key, KeySet};
@@ -101,10 +101,6 @@ pub struct CampaignAccumulator {
     reached: u64,
     degraded_routes: u64,
 }
-
-/// The lines whose number does not grow with the campaign — header,
-/// counts, section headers, trailer — come to less than this.
-const FRAME_MAX: usize = 1024;
 
 impl CampaignAccumulator {
     /// Fresh accumulator for one tool.
@@ -309,29 +305,18 @@ impl CampaignAccumulator {
         }
     }
 
-    /// At least the bytes [`CampaignAccumulator::snapshot_write`]
-    /// appends, and exactly that in the key lines that are nearly all
-    /// of them — so a record buffer allocated from this never regrows.
-    pub fn snapshot_len(&self) -> usize {
-        let addrs: usize = self.addr_sets().iter().map(|(_, set)| set.len()).sum();
-        let sig_rounds = self.loop_sig_rounds.len() + self.cycle_sig_rounds.len();
-        let instances = self.loop_instances.len() + self.cycle_instances.len();
-        FRAME_MAX
-            + (addrs + 3 * sig_rounds + 5 * instances + 4 * self.triples.len()) * KEY_FIELD_LEN
-    }
-
     /// Serialize this accumulator into the campaign checkpoint's line
     /// format (the grammar is in `docs/ROBUSTNESS.md`). Every set and
     /// map is emitted in sorted order, so two accumulators with equal
     /// *contents* — however the campaign was sharded across workers and
     /// merged — produce identical bytes; after a
     /// [`CampaignAccumulator::merge`] that order is the one the sets
-    /// are held in, and writing sorts and copies nothing.
-    pub fn snapshot_write(&self, out: &mut String) {
-        let start = out.len();
-        out.push_str("acc ");
-        out.push_str(self.tool.name());
-        out.push_str("\ncounts");
+    /// are held in, and writing sorts and copies nothing. `out` may be
+    /// a `String` or a stream: nothing here looks back at what it wrote.
+    pub fn snapshot_write(&self, out: &mut impl Sink) {
+        out.put("acc ");
+        out.put(self.tool.name());
+        out.put("\ncounts");
         for count in [
             self.routes_total,
             self.routes_with_loop,
@@ -342,10 +327,10 @@ impl CampaignAccumulator {
             self.reached,
             self.degraded_routes,
         ] {
-            out.push(' ');
+            out.put(" ");
             push_uint(out, count);
         }
-        out.push('\n');
+        out.put("\n");
         for (name, set) in self.addr_sets() {
             push_key_set(out, name, set);
         }
@@ -354,15 +339,13 @@ impl CampaignAccumulator {
         push_instances(out, "loop_instances", &self.loop_instances, &LOOP_CAUSES);
         push_instances(out, "cycle_instances", &self.cycle_instances, &CYCLE_CAUSES);
         push_key_set(out, "triples", &self.triples);
-        out.push_str("end_acc\n");
-        debug_assert!(out.len() - start <= self.snapshot_len(), "snapshot_len is not a bound");
+        out.put("end_acc\n");
     }
 
     /// Parse one accumulator back out of the checkpoint line stream —
-    /// the inverse of [`CampaignAccumulator::snapshot_write`].
-    pub fn snapshot_read<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
-    ) -> Result<CampaignAccumulator, String> {
+    /// the inverse of [`CampaignAccumulator::snapshot_write`], from a
+    /// text's lines or a stream alike.
+    pub fn snapshot_read(lines: &mut impl LineSource) -> Result<CampaignAccumulator, String> {
         let mut t = tagged(lines, "acc")?;
         let tool_name = t.next().ok_or("acc: missing tool")?;
         let tool = StrategyId::from_name(tool_name)
@@ -401,28 +384,28 @@ impl CampaignAccumulator {
 
 /// `keys <name> <n>`, then the section's `n` key lines.
 fn push_key_section<const N: usize>(
-    out: &mut String,
+    out: &mut impl Sink,
     name: &str,
     n: usize,
     keys: impl IntoIterator<Item = Key<N>>,
 ) {
-    out.push_str("keys ");
-    out.push_str(name);
-    out.push(' ');
+    out.put("keys ");
+    out.put(name);
+    out.put(" ");
     push_uint(out, n as u64);
-    out.push('\n');
+    out.put("\n");
     push_key_lines(out, keys);
 }
 
-fn push_key_set<const N: usize>(out: &mut String, name: &str, set: &KeySet<N>) {
+fn push_key_set<const N: usize>(out: &mut impl Sink, name: &str, set: &KeySet<N>) {
     let keys = set.keys();
     push_key_section(out, name, keys.len(), keys.iter().copied());
 }
 
 /// The key lines of the section [`push_key_section`] wrote as `name`,
 /// each mapped through `item`.
-fn read_key_section<'a, const N: usize, T>(
-    lines: &mut impl Iterator<Item = &'a str>,
+fn read_key_section<const N: usize, T>(
+    lines: &mut impl LineSource,
     name: &str,
     item: impl FnMut(Key<N>) -> T,
 ) -> Result<Vec<T>, String> {
@@ -434,8 +417,8 @@ fn read_key_section<'a, const N: usize, T>(
     read_key_lines(lines, n, item)
 }
 
-fn read_key_set<'a, const N: usize>(
-    lines: &mut impl Iterator<Item = &'a str>,
+fn read_key_set<const N: usize>(
+    lines: &mut impl LineSource,
     name: &str,
 ) -> Result<KeySet<N>, String> {
     read_key_section(lines, name, |key| key).map(KeySet::from_run)
@@ -444,7 +427,7 @@ fn read_key_set<'a, const N: usize>(
 /// One key per `(signature, cause)`: looping address, destination, the
 /// cause's index in `causes`, and the total's high and low 32 bits.
 fn push_instances<C: Copy + PartialEq>(
-    out: &mut String,
+    out: &mut impl Sink,
     name: &str,
     instances: &BTreeMap<(Signature, C), u64>,
     causes: &[C],
@@ -456,8 +439,8 @@ fn push_instances<C: Copy + PartialEq>(
     push_key_section(out, name, instances.len(), keys);
 }
 
-fn read_instances<'a, C: Copy + Ord>(
-    lines: &mut impl Iterator<Item = &'a str>,
+fn read_instances<C: Copy + Ord>(
+    lines: &mut impl LineSource,
     name: &str,
     causes: &[C],
 ) -> Result<BTreeMap<(Signature, C), u64>, String> {

@@ -60,15 +60,23 @@
 //! ([`pt_anomaly::codec`]): fields of eight hex digits — an address, a
 //! round, a count — in ascending order, `9 N` bytes for a line of `N`
 //! fields. The folds hold their sets in that same order, so writing a
-//! record sorts and copies nothing, and its buffer is allocated once at
-//! [`Checkpointed::body_capacity`] bytes and never regrown.
+//! record sorts and copies nothing.
+//!
+//! No record is ever held whole, written or replayed. Writing one runs
+//! the one body writer twice: first into a byte count — the body's
+//! length leads the header and seeds the digest — then into the digest
+//! and a fixed buffer over the file. Replay parses a body a line at a
+//! time as it reads it from the file, digesting every byte, and folds
+//! the parsed block only once the trailer matches.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use pt_anomaly::codec::{push_hex64, push_key_lines, push_uint, read_key_lines, tagged, tok, word};
+use pt_anomaly::codec::{
+    push_hex64, push_key_lines, push_uint, read_key_lines, tagged, tok, word, LineSource, Sink,
+};
 use pt_anomaly::CampaignAccumulator;
 use pt_core::TraceConfig;
 use pt_mda::BalancerClass::{self, NotBalanced, PerFlow, PerPacket, Undetermined};
@@ -94,6 +102,10 @@ const TRAILER_LEN: usize = 21;
 /// No header line is longer: magic, version, mode, three decimal
 /// fields and the fingerprint come to under 100 bytes.
 const MAX_HEADER_LEN: u64 = 128;
+
+/// The one buffer each side of the journal holds: what a record is
+/// written through, and what replay reads through.
+const IO_BUFFER: usize = 1 << 14;
 
 /// Checkpointing knobs for [`run_checkpointed`] / [`run_resumed`] and
 /// their multipath twins.
@@ -254,22 +266,25 @@ fn multipath_fingerprint(net: &SyntheticInternet, config: &MultipathConfig) -> u
 // ---------------------------------------------------------------------
 
 /// ` <v>`: one more decimal field on the current line.
-fn field(out: &mut String, v: u64) {
-    out.push(' ');
+fn field(out: &mut impl Sink, v: u64) {
+    out.put(" ");
     push_uint(out, v);
 }
 
 /// Escape a panic message so that it always fits one line: backslash,
 /// newline and carriage return are encoded.
-fn push_escaped_panic(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+fn push_escaped_panic(out: &mut impl Sink, s: &str) {
+    let mut rest = s;
+    while let Some(at) = rest.find(['\\', '\n', '\r']) {
+        out.put(&rest[..at]);
+        out.put(match rest.as_bytes()[at] {
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            _ => "\\r",
+        });
+        rest = &rest[at + 1..];
     }
+    out.put(rest);
 }
 
 fn unescape_panic(s: &str) -> String {
@@ -292,14 +307,6 @@ fn unescape_panic(s: &str) -> String {
         }
     }
     out
-}
-
-/// At least the bytes [`write_body`] appends before the mode's part:
-/// `quarantined` and a count; per unit a tag, its id and the panic
-/// text, which escaping at most doubles; `virt` and a `u128`.
-fn preamble_capacity(quarantined: &[(UnitId, String)]) -> usize {
-    let lines: usize = quarantined.iter().map(|(_, panic)| 1 + 11 + 1 + 2 * panic.len() + 1).sum();
-    (11 + 1 + 20 + 1) + lines + (5 + 39 + 1)
 }
 
 /// What a record's header and the campaign say its body may hold: the
@@ -327,16 +334,13 @@ pub(crate) trait Checkpointed: CampaignMode {
     const MODE: &'static str;
     /// Everything results-affecting about this campaign over `net`.
     fn fingerprint(&self, net: &SyntheticInternet) -> u64;
-    /// At least the bytes [`Checkpointed::write_fold`] appends for
-    /// `fold`, and close to them, from the fold's counts alone.
-    fn body_capacity(fold: &Self::Fold) -> usize;
     /// Append the canonical text of `fold` to `out`.
-    fn write_fold(fold: &Self::Fold, out: &mut String);
+    fn write_fold(fold: &Self::Fold, out: &mut impl Sink);
     /// The inverse of [`Checkpointed::write_fold`], for a record that
     /// may hold `span` and whose fold is of `healthy` units — its
     /// range's, less the quarantined.
-    fn read_fold<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
+    fn read_fold(
+        lines: &mut impl LineSource,
         span: &Span,
         healthy: usize,
     ) -> Result<Self::Fold, String>;
@@ -344,33 +348,33 @@ pub(crate) trait Checkpointed: CampaignMode {
 
 /// A record's body: the quarantined units by id, each with its panic
 /// text; the virtual-time total; then the mode's part.
-pub(crate) fn write_body<M: Checkpointed>(fold: &Folded<M::Fold>, out: &mut String) {
-    out.push_str("quarantined");
+pub(crate) fn write_body<M: Checkpointed>(fold: &Folded<M::Fold>, out: &mut impl Sink) {
+    out.put("quarantined");
     field(out, fold.quarantined.len() as u64);
-    out.push('\n');
+    out.put("\n");
     for (unit, panic) in &fold.quarantined {
-        out.push('q');
+        out.put("q");
         field(out, u64::from(*unit));
-        out.push(' ');
+        out.put(" ");
         push_escaped_panic(out, panic);
-        out.push('\n');
+        out.put("\n");
     }
-    out.push_str("virt ");
-    out.push_str(&fold.virtual_ns.to_string());
-    out.push('\n');
+    out.put("virt ");
+    push_uint(out, fold.virtual_ns);
+    out.put("\n");
     M::write_fold(&fold.measured, out);
 }
 
 /// The inverse of [`write_body`], checked against the record's own
 /// range: a body that is not the fold of `span.units` is damage.
-fn read_body<'a, M: Checkpointed>(
-    lines: &mut impl Iterator<Item = &'a str>,
+fn read_body<M: Checkpointed>(
+    lines: &mut impl LineSource,
     span: &Span,
 ) -> Result<Folded<M::Fold>, String> {
     let n: usize = tok(&mut tagged(lines, "quarantined")?, "quarantine count")?;
     let mut quarantined: Vec<(UnitId, String)> = Vec::new();
     for _ in 0..n {
-        let line = lines.next().ok_or("truncated at quarantine record")?;
+        let line = lines.next_line().ok_or("truncated at quarantine record")?;
         // The panic text is the 3rd field and may contain spaces.
         let mut f = line.splitn(3, ' ');
         if f.next() != Some("q") {
@@ -391,7 +395,7 @@ fn read_body<'a, M: Checkpointed>(
         return Err(format!("virtual-time total {virtual_ns} is not {healthy} units'"));
     }
     let measured = M::read_fold(lines, span, healthy)?;
-    match lines.next() {
+    match lines.next_line() {
         None => Ok(Folded { measured, virtual_ns, quarantined }),
         Some(line) => Err(format!("{line:?} after the body's last line")),
     }
@@ -404,18 +408,14 @@ impl Checkpointed for CampaignConfig {
         campaign_fingerprint(net, self)
     }
 
-    fn body_capacity(fold: &BlockOutput) -> usize {
-        fold.classic.snapshot_len() + fold.paris.snapshot_len()
-    }
-
     /// Both anomaly accumulators, which name no unit.
-    fn write_fold(fold: &BlockOutput, out: &mut String) {
+    fn write_fold(fold: &BlockOutput, out: &mut impl Sink) {
         fold.classic.snapshot_write(out);
         fold.paris.snapshot_write(out);
     }
 
-    fn read_fold<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
+    fn read_fold(
+        lines: &mut impl LineSource,
         _span: &Span,
         _healthy: usize,
     ) -> Result<BlockOutput, String> {
@@ -493,19 +493,15 @@ impl Checkpointed for MultipathConfig {
         multipath_fingerprint(net, self)
     }
 
-    fn body_capacity(fold: &Vec<UnitDiscovery>) -> usize {
-        fold.len() * UNIT_FIELDS * 9
-    }
-
     /// The per-unit discoveries, one key line each and no count: a
     /// record holds its range's healthy units, each once — the key
     /// lines' strict ascent refuses a unit named twice — and no other.
-    fn write_fold(fold: &Vec<UnitDiscovery>, out: &mut String) {
+    fn write_fold(fold: &Vec<UnitDiscovery>, out: &mut impl Sink) {
         push_key_lines(out, fold.iter().map(unit_key));
     }
 
-    fn read_fold<'a>(
-        lines: &mut impl Iterator<Item = &'a str>,
+    fn read_fold(
+        lines: &mut impl LineSource,
         span: &Span,
         healthy: usize,
     ) -> Result<Vec<UnitDiscovery>, String> {
@@ -517,46 +513,153 @@ impl Checkpointed for MultipathConfig {
 // Record framing.
 // ---------------------------------------------------------------------
 
-/// A 64-bit multiply-mix over 8-byte words, chained from `seed`. Each
-/// step is a bijection of the running state, so any change confined to
-/// one word — a flipped bit above all — always changes the result;
-/// dropped, swapped or foreign lines escape with probability 2⁻⁶⁴. An
-/// integrity check against tearing and rot, not against an adversary.
-fn digest64(seed: u64, bytes: &[u8]) -> u64 {
+/// A 64-bit multiply-mix over 8-byte words, chained from a seed and the
+/// length of what it covers, and fed as the bytes come: any split of
+/// the same bytes gives the same value. Each step is a bijection of the
+/// running state, so any change confined to one word — a flipped bit
+/// above all — always changes the result; dropped, swapped or foreign
+/// lines escape with probability 2⁻⁶⁴. An integrity check against
+/// tearing and rot, not against an adversary.
+#[derive(Clone, Copy)]
+struct Digest {
+    state: u64,
+    /// The bytes of the word being filled.
+    word: [u8; 8],
+    filled: usize,
+}
+
+impl Digest {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
-    let mut h = seed ^ (bytes.len() as u64).wrapping_mul(K);
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        h = step(h, u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes")));
+
+    /// The digest, under `seed`, of `len` bytes yet to be fed.
+    fn new(seed: u64, len: u64) -> Digest {
+        Digest { state: seed ^ len.wrapping_mul(Self::K), word: [0; 8], filled: 0 }
     }
-    let mut last = [0u8; 8];
-    last[..words.remainder().len()].copy_from_slice(words.remainder());
-    splitmix64(step(h, u64::from_le_bytes(last)))
-}
 
-/// The digest of one record: its header line, then its body.
-fn record_digest(header: &[u8], body: &[u8]) -> u64 {
-    digest64(digest64(0, header), body)
-}
-
-fn header_line(mode: &str, fingerprint: u64, range: &Range<u32>, body_len: usize) -> String {
-    let mut line = format!("{MAGIC} {VERSION} {mode}");
-    for v in [u64::from(range.start), u64::from(range.end), body_len as u64] {
-        field(&mut line, v);
+    fn step(&mut self, word: [u8; 8]) {
+        self.state = (self.state ^ u64::from_le_bytes(word)).wrapping_mul(Self::K).rotate_left(29);
     }
-    line.push(' ');
-    push_hex64(&mut line, fingerprint);
-    line.push('\n');
-    line
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        if self.filled > 0 {
+            let take = bytes.len().min(8 - self.filled);
+            self.word[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 8 {
+                return;
+            }
+            self.step(self.word);
+        }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.step(word.try_into().expect("chunks_exact yields 8 bytes"));
+        }
+        let rest = words.remainder();
+        self.word[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    /// The value: the last word, zero-padded, is always stepped.
+    fn finish(mut self) -> u64 {
+        self.word[self.filled..].fill(0);
+        self.step(self.word);
+        splitmix64(self.state)
+    }
 }
 
-fn trailer_line(digest: u64) -> String {
-    let mut line = String::with_capacity(TRAILER_LEN);
-    line.push_str("end ");
-    push_hex64(&mut line, digest);
-    line.push('\n');
-    line
+/// `MAGIC VERSION <mode> <start> <end> <body bytes> <fingerprint>\n`.
+fn write_header(
+    out: &mut impl Sink,
+    mode: &str,
+    fingerprint: u64,
+    range: &Range<u32>,
+    body_len: u64,
+) {
+    for word in [MAGIC, " ", VERSION, " ", mode] {
+        out.put(word);
+    }
+    for v in [u64::from(range.start), u64::from(range.end), body_len] {
+        field(out, v);
+    }
+    out.put(" ");
+    push_hex64(out, fingerprint);
+    out.put("\n");
+}
+
+/// `end <digest>\n`.
+fn write_trailer(out: &mut impl Sink, digest: u64) {
+    out.put("end ");
+    push_hex64(out, digest);
+    out.put("\n");
+}
+
+/// Counts what is written to it: a text's length, without the text.
+struct ByteCount(u64);
+
+impl Sink for ByteCount {
+    fn put(&mut self, text: &str) {
+        self.0 += text.len() as u64;
+    }
+}
+
+/// The bytes `write` writes.
+fn len_of(write: impl FnOnce(&mut ByteCount)) -> u64 {
+    let mut count = ByteCount(0);
+    write(&mut count);
+    count.0
+}
+
+/// A record on its way to a file: every piece is counted, digested and
+/// buffered. A write error is kept, and ends the writing, until the
+/// record is done.
+struct RecordWriter<W: Write> {
+    out: BufWriter<W>,
+    digest: Digest,
+    len: u64,
+    error: io::Result<()>,
+}
+
+impl<W: Write> Sink for RecordWriter<W> {
+    fn put(&mut self, text: &str) {
+        self.digest.update(text.as_bytes());
+        self.len += text.len() as u64;
+        if self.error.is_ok() {
+            self.error = self.out.write_all(text.as_bytes());
+        }
+    }
+}
+
+/// Write the record of `range`, holding `fold`, to `out` and return its
+/// length. The text is never held: the body is written once into a
+/// count — its length leads the header and seeds the digest — and once
+/// more into the digest and a fixed buffer over `out`, which is flushed
+/// before this returns.
+fn write_record<M: Checkpointed>(
+    out: impl Write,
+    fingerprint: u64,
+    range: Range<u32>,
+    fold: &Folded<M::Fold>,
+) -> io::Result<u64> {
+    let body_len = len_of(|count| write_body::<M>(fold, count));
+    let header_len = len_of(|count| write_header(count, M::MODE, fingerprint, &range, body_len));
+    let len = header_len + body_len + TRAILER_LEN as u64;
+    let mut record = RecordWriter {
+        // A record shorter than the buffer gets a buffer of its size.
+        out: BufWriter::with_capacity(IO_BUFFER.min(len as usize), out),
+        digest: Digest::new(0, header_len),
+        len: 0,
+        error: Ok(()),
+    };
+    write_header(&mut record, M::MODE, fingerprint, &range, body_len);
+    record.digest = Digest::new(record.digest.finish(), body_len);
+    write_body::<M>(fold, &mut record);
+    let digest = record.digest.finish();
+    write_trailer(&mut record, digest);
+    debug_assert_eq!(record.len, len, "the counted and the written record differ");
+    record.error?;
+    record.out.flush()?;
+    Ok(len)
 }
 
 /// The unit range and body length a parsed header announces.
@@ -623,10 +726,53 @@ struct Replayed<F> {
     fold_bytes: u64,
 }
 
+/// A record's body as a [`LineSource`]: read a line at a time through
+/// `take(body_len)`, every byte digested as it is read.
+struct BodyLines<R> {
+    body: io::Take<R>,
+    line: Vec<u8>,
+    digest: Digest,
+    /// Every line read was UTF-8.
+    utf8: bool,
+    /// The read error that ended the lines, if one did.
+    error: Option<io::Error>,
+}
+
+impl<R: BufRead> LineSource for BodyLines<R> {
+    fn next_line(&mut self) -> Option<&str> {
+        self.line.clear();
+        match self.body.read_until(b'\n', &mut self.line) {
+            Ok(0) => return None,
+            Ok(_) => self.digest.update(&self.line),
+            Err(e) => {
+                self.error = Some(e);
+                return None;
+            }
+        }
+        // Split as `str::lines` splits: at `\n` or `\r\n`.
+        let line = match self.line.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None => &self.line,
+        };
+        match std::str::from_utf8(line) {
+            Ok(line) => Some(line),
+            Err(_) => {
+                self.utf8 = false;
+                None
+            }
+        }
+    }
+
+    fn bytes_left(&self) -> Option<u64> {
+        Some(self.body.limit())
+    }
+}
+
 /// Stream the journal at `path` record by record, folding every record
 /// that chains and verifies, and stopping at the first that does not.
-/// Holds one record's body in memory at a time, and never allocates
-/// more for it than the file has bytes left.
+/// A body is parsed a line at a time as it is read and digested, so no
+/// record's text is ever held; the parsed block is folded only once the
+/// record's trailer matches.
 fn replay<M: Checkpointed>(
     path: &Path,
     fingerprint: u64,
@@ -634,10 +780,9 @@ fn replay<M: Checkpointed>(
 ) -> io::Result<Replayed<Folded<M::Fold>>> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
-    let mut reader = BufReader::with_capacity(1 << 16, file);
+    let mut reader = BufReader::with_capacity(IO_BUFFER, file);
     let mut out = Replayed { fold: Folded::default(), cursor: 0, good_len: 0, fold_bytes: 0 };
     let mut line = Vec::new();
-    let mut body = Vec::new();
     loop {
         line.clear();
         let header_len = reader.by_ref().take(MAX_HEADER_LEN).read_until(b'\n', &mut line)? as u64;
@@ -655,25 +800,35 @@ fn replay<M: Checkpointed>(
         if !chains || record_tail > left {
             break;
         }
-        body.clear();
-        // The length was just checked against the bytes the file has
-        // left; sized up front, the buffer is not grown by doubling.
-        body.reserve_exact(header.body_len as usize);
-        reader.by_ref().take(header.body_len).read_to_end(&mut body)?;
+        let mut header_digest = Digest::new(0, header_len);
+        header_digest.update(&line);
+        let mut body = BodyLines {
+            body: reader.by_ref().take(header.body_len),
+            line: Vec::new(),
+            digest: Digest::new(header_digest.finish(), header.body_len),
+            utf8: true,
+            error: None,
+        };
+        let span = Span { units: header.range.clone(), n_dests, rounds };
+        let parsed = read_body::<M>(&mut body, &span);
+        if let Some(e) = body.error {
+            return Err(e);
+        }
+        // A body that is cut short or not UTF-8 is damage, as is one
+        // that does not parse.
+        let (Ok(block), true, 0) = (parsed, body.utf8, body.body.limit()) else { break };
+        let digest = body.digest.finish();
         let mut trailer = [0u8; TRAILER_LEN];
         match reader.read_exact(&mut trailer) {
             Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
             Err(e) => return Err(e),
         }
-        if body.len() as u64 != header.body_len
-            || trailer.as_slice() != trailer_line(record_digest(&line, &body)).as_bytes()
-        {
+        let mut expected = String::with_capacity(TRAILER_LEN);
+        write_trailer(&mut expected, digest);
+        if trailer.as_slice() != expected.as_bytes() {
             break;
         }
-        let Ok(text) = std::str::from_utf8(&body) else { break };
-        let span = Span { units: header.range.clone(), n_dests, rounds };
-        let Ok(block) = read_body::<M>(&mut text.lines(), &span) else { break };
         if first {
             // The first record is the bulk of the journal: keep it as
             // parsed instead of merging it into an empty fold, which
@@ -704,52 +859,21 @@ pub(crate) struct DriveStats {
     pub(crate) units_run: u32,
 }
 
-/// One encoded record, ready to write.
-struct Record {
-    header: String,
-    /// The body, then the trailer line.
-    body: String,
-}
-
-impl Record {
-    /// Encode `fold` as the record of `range`, in a buffer allocated
-    /// once from the fold's counts.
-    fn encode<M: Checkpointed>(
-        fingerprint: u64,
-        range: Range<u32>,
-        fold: &Folded<M::Fold>,
-    ) -> Record {
-        let capacity =
-            preamble_capacity(&fold.quarantined) + M::body_capacity(&fold.measured) + TRAILER_LEN;
-        let mut body = String::with_capacity(capacity);
-        write_body::<M>(fold, &mut body);
-        let header = header_line(M::MODE, fingerprint, &range, body.len());
-        let digest = record_digest(header.as_bytes(), body.as_bytes());
-        body.push_str(&trailer_line(digest));
-        debug_assert!(body.len() <= capacity, "body_capacity is not a bound: the buffer regrew");
-        Record { header, body }
-    }
-
-    fn len(&self) -> u64 {
-        (self.header.len() + self.body.len()) as u64
-    }
-
-    fn write_to(&self, file: &mut File) -> io::Result<()> {
-        file.write_all(self.header.as_bytes())?;
-        file.write_all(self.body.as_bytes())
-    }
-
-    /// Make this record the whole journal at `path`: temp file, then
-    /// rename over the journal, so a kill at any point leaves either
-    /// the old journal or the new one, both complete (and a stale temp
-    /// file is simply overwritten). Returns an append handle on the new
-    /// journal.
-    fn install(&self, path: &Path) -> io::Result<File> {
-        let tmp = tmp_path(path);
-        self.write_to(&mut File::create(&tmp)?)?;
-        fs::rename(&tmp, path)?;
-        OpenOptions::new().append(true).open(path)
-    }
+/// Make the record of `range`, holding `fold`, the whole journal at
+/// `path`: temp file, flushed and closed, then rename over the journal,
+/// so a kill at any point leaves either the old journal or the new one,
+/// both complete (and a stale temp file is simply overwritten). Returns
+/// an append handle on the new journal and the record's length.
+fn install<M: Checkpointed>(
+    path: &Path,
+    fingerprint: u64,
+    range: Range<u32>,
+    fold: &Folded<M::Fold>,
+) -> io::Result<(File, u64)> {
+    let tmp = tmp_path(path);
+    let len = write_record::<M>(File::create(&tmp)?, fingerprint, range, fold)?;
+    fs::rename(&tmp, path)?;
+    Ok((OpenOptions::new().append(true).open(path)?, len))
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -760,13 +884,10 @@ fn tmp_path(path: &Path) -> PathBuf {
 
 /// The open journal: an append handle on [`CheckpointConfig::path`] plus
 /// the two byte counts the folding rule compares. The workers'
-/// simulators stay alive through a checkpoint, so what a fold rewrite
-/// adds on top of them and the fold is the campaign's memory peak: it
-/// is one record buffer of exactly the record's size
-/// ([`Record::encode`]) and no sorted copy of anything, and the buffer
-/// is dropped once written rather than kept for the next checkpoint —
-/// it would sit idle through a block's probing, beside the block's own
-/// fold.
+/// simulators stay alive through a checkpoint, beside the fold and the
+/// block just run; what a record adds on top of them is one fixed write
+/// buffer ([`write_record`]), never the record's text, and no sorted
+/// copy of anything.
 struct Journal<'a, M> {
     path: &'a Path,
     fingerprint: u64,
@@ -784,14 +905,14 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
     /// replacing whatever is there, a previous campaign's journal or a
     /// stale temp file alike.
     fn create(path: &'a Path, fingerprint: u64) -> io::Result<Self> {
-        let record = Record::encode::<M>(fingerprint, 0..0, &Folded::default());
+        let (file, len) = install::<M>(path, fingerprint, 0..0, &Folded::default())?;
         Ok(Journal {
             path,
             fingerprint,
-            file: record.install(path)?,
-            fold_bytes: record.len(),
+            file,
+            fold_bytes: len,
             appended: 0,
-            stats: DriveStats { bytes_written: record.len(), units_run: 0 },
+            stats: DriveStats { bytes_written: len, units_run: 0 },
             mode: std::marker::PhantomData,
         })
     }
@@ -827,10 +948,9 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
 
     /// Checkpoint: append the record of the block just run.
     fn append(&mut self, block: Range<u32>, output: &Folded<M::Fold>) -> io::Result<()> {
-        let record = Record::encode::<M>(self.fingerprint, block, output);
-        record.write_to(&mut self.file)?;
-        self.appended += record.len();
-        self.stats.bytes_written += record.len();
+        let len = write_record::<M>(&mut self.file, self.fingerprint, block, output)?;
+        self.appended += len;
+        self.stats.bytes_written += len;
         Ok(())
     }
 
@@ -841,12 +961,12 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
         if self.appended < self.fold_bytes {
             return Ok(());
         }
-        let record = Record::encode::<M>(self.fingerprint, 0..cursor, fold);
         // The old handle points at the file the rename replaces.
-        self.file = record.install(self.path)?;
-        self.fold_bytes = record.len();
+        let (file, len) = install::<M>(self.path, self.fingerprint, 0..cursor, fold)?;
+        self.file = file;
+        self.fold_bytes = len;
         self.appended = 0;
-        self.stats.bytes_written += record.len();
+        self.stats.bytes_written += len;
         Ok(())
     }
 }
@@ -968,6 +1088,52 @@ mod tests {
 
     fn file_len(path: &Path) -> u64 {
         fs::metadata(path).expect("journal exists").len()
+    }
+
+    /// One record whole, as the tests craft and inspect records — what
+    /// the journal itself never holds — written by [`write_record`].
+    struct Record {
+        header: String,
+        /// The body, then the trailer line.
+        body: String,
+    }
+
+    impl Record {
+        fn encode<M: Checkpointed>(
+            fingerprint: u64,
+            range: Range<u32>,
+            fold: &Folded<M::Fold>,
+        ) -> Record {
+            let mut bytes = Vec::new();
+            let len = write_record::<M>(&mut bytes, fingerprint, range, fold).unwrap();
+            assert_eq!(len, bytes.len() as u64);
+            let mut body = String::from_utf8(bytes).unwrap();
+            let header = body.drain(..=body.find('\n').unwrap()).collect();
+            Record { header, body }
+        }
+
+        fn len(&self) -> u64 {
+            (self.header.len() + self.body.len()) as u64
+        }
+
+        fn write_to(&self, file: &mut File) -> io::Result<()> {
+            file.write_all(self.header.as_bytes())?;
+            file.write_all(self.body.as_bytes())
+        }
+
+        /// Make this record the whole journal at `path`; an append
+        /// handle on it.
+        fn install(&self, path: &Path) -> io::Result<File> {
+            self.write_to(&mut File::create(path)?)?;
+            OpenOptions::new().append(true).open(path)
+        }
+    }
+
+    /// `bytes` digested under `seed` in one piece.
+    fn digest(seed: u64, bytes: &[u8]) -> u64 {
+        let mut digest = Digest::new(seed, bytes.len() as u64);
+        digest.update(bytes);
+        digest.finish()
     }
 
     /// The length of `fold` encoded as one record.
@@ -1300,24 +1466,67 @@ mod tests {
     #[test]
     fn digest_sees_every_single_byte_change() {
         let body: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
-        let base = digest64(0, &body);
+        let base = digest(0, &body);
         for at in [0, 7, 8, 500, 991, 992, 999] {
             for bit in 0..8 {
                 let mut flipped = body.clone();
                 flipped[at] ^= 1 << bit;
-                assert_ne!(digest64(0, &flipped), base, "byte {at}, bit {bit}");
+                assert_ne!(digest(0, &flipped), base, "byte {at}, bit {bit}");
             }
         }
-        assert_ne!(digest64(0, &body[..999]), base);
-        assert_ne!(digest64(1, &body), base);
+        assert_ne!(digest(0, &body[..999]), base);
+        assert_ne!(digest(1, &body), base);
     }
 
-    /// `body` framed as the record of `range`, as [`Record::encode`]
-    /// frames what it wrote — for bodies no fold encodes to.
+    #[test]
+    fn the_digest_is_the_same_for_every_split() {
+        let body: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        // The values of the one-shot digest this incremental one
+        // replaced: every `ptsnap v7` journal already written carries
+        // them.
+        for (seed, len, value) in [
+            (0, 1000, 0x0cc7_b9ed_c51c_32f5),
+            (0, 999, 0x7462_39b7_593e_40ff),
+            (0, 0, 0xe220_a839_7b1d_cdaf),
+            (1, 1000, 0x886b_4d71_292e_3770),
+            (0x9e37_79b9_7f4a_7c15, 13, 0x13a5_3dfe_a19b_c7f3),
+            (42, 8, 0xebe5_6fa8_1713_7462),
+        ] {
+            assert_eq!(digest(seed, &body[..len]), value, "seed {seed:#x}, {len} bytes");
+        }
+        let fed = |pieces: &[&[u8]]| {
+            let mut digest = Digest::new(7, pieces.iter().map(|p| p.len() as u64).sum());
+            for piece in pieces {
+                digest.update(piece);
+            }
+            digest.finish()
+        };
+        let whole = digest(7, &body);
+        for at in 0..=body.len() {
+            let (head, tail) = body.split_at(at);
+            assert_eq!(fed(&[head, tail]), whole, "split at {at}");
+        }
+        // Three pieces, every pair of cuts, and a byte at a time.
+        let short = &body[..40];
+        for a in 0..=short.len() {
+            for b in a..=short.len() {
+                let three = [&short[..a], &short[a..b], &short[b..]];
+                assert_eq!(fed(&three), digest(7, short), "cuts at {a} and {b}");
+            }
+        }
+        let bytes: Vec<&[u8]> = body.chunks(1).collect();
+        assert_eq!(fed(&bytes), whole);
+    }
+
+    /// `body` framed as the record of `range`, as [`write_record`]
+    /// frames what it writes — for bodies no fold encodes to.
     fn record_of<M: Checkpointed>(fingerprint: u64, range: Range<u32>, body: &str) -> Record {
-        let header = header_line(M::MODE, fingerprint, &range, body.len());
-        let digest = record_digest(header.as_bytes(), body.as_bytes());
-        Record { header, body: format!("{body}{}", trailer_line(digest)) }
+        let mut header = String::new();
+        write_header(&mut header, M::MODE, fingerprint, &range, body.len() as u64);
+        let sealed = digest(digest(0, header.as_bytes()), body.as_bytes());
+        let mut body = body.to_owned();
+        write_trailer(&mut body, sealed);
+        Record { header, body }
     }
 
     #[test]
@@ -1393,6 +1602,42 @@ mod tests {
         Record::encode::<MultipathConfig>(fingerprint, 0..23, &fold).install(&path).unwrap();
         let resumed = run_multipath_resumed(&net, &config, &ckpt(&path, 23, None)).unwrap();
         assert_eq!(multipath_digest(&resumed.expect("completes")), plain);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_body_that_still_parses_is_refused_by_its_digest() {
+        // A body is parsed as it is read, before its trailer: one that
+        // still parses after damage must be refused by the digest alone.
+        let net = generate(&InternetConfig::tiny(42));
+        let config = MultipathConfig { rounds: 2, workers: 2, seed: 7, ..Default::default() };
+        let fingerprint = config.fingerprint(&net);
+        let plain = multipath_digest(&run_multipath(&net, &config));
+        let block =
+            |units: Range<u32>| run_block(&net, &config, units, &mut worker_states(&net, &config));
+        let fold = Record::encode::<MultipathConfig>(fingerprint, 0..40, &block(0..40));
+        let intact = Record::encode::<MultipathConfig>(fingerprint, 40..60, &block(40..60));
+        // The first unit's probe count, the last hex digit of its key
+        // line's twelfth field: the line's `(destination, round)` lead
+        // it, so the lines still ascend and the body still parses.
+        let mut damaged = intact.body.clone();
+        let line = damaged.match_indices('\n').nth(1).expect("quarantined and virt lines").0 + 1;
+        assert!(damaged.starts_with("quarantined 0\nvirt "));
+        let at = line + 11 * 9 + 7;
+        let digit = if damaged.as_bytes()[at] == b'0' { "1" } else { "0" };
+        damaged.replace_range(at..=at, digit);
+        let span = Span { units: 40..60, n_dests: 40, rounds: 2 };
+        let text = &damaged[..damaged.len() - TRAILER_LEN];
+        assert!(read_body::<MultipathConfig>(&mut text.lines(), &span).is_ok());
+        let path = tmp("digest-after-parse");
+        for (body, units_run) in [(&intact.body, 20), (&damaged, 40)] {
+            let record = Record { header: intact.header.clone(), body: body.clone() };
+            record.write_to(&mut fold.install(&path).unwrap()).unwrap();
+            let (result, stats) = drive(&net, &config, &ckpt(&path, 20, None), true).unwrap();
+            assert_eq!(multipath_digest(&result.expect("completes")), plain);
+            // Damaged, the record of units 40..60 is run again.
+            assert_eq!(stats.units_run, units_run);
+        }
         let _ = fs::remove_file(&path);
     }
 

@@ -1,12 +1,14 @@
 //! Counting-allocator regression harness for the campaign engine at
-//! scale. Two properties, one `#[test]`:
+//! scale. Four properties, one `#[test]`:
 //!
 //! * the checkpoint driver's warm workers: a checkpointed campaign may
 //!   request what the plain run requests plus a small multiple of the
-//!   journal it writes — the record buffers, the per-block folds and
-//!   their merges — but not a fresh simulator per worker per block,
+//!   journal it writes — the per-block folds and their merges, the
+//!   write buffers — but not a fresh simulator per worker per block,
 //!   which is what every block paid when `run_block` built its workers'
 //!   state itself;
+//! * no journal record is held whole: resuming a finished journal
+//!   holds fewer bytes at its fullest than the journal has;
 //! * no allocation per unit or per destination: `run` and
 //!   `run_multipath` over a net with four times the destinations make
 //!   at most a logarithmic number of allocation calls more;
@@ -25,22 +27,28 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use pt_campaign::{
-    run, run_checkpointed, run_multipath, CampaignConfig, CheckpointConfig, MultipathConfig,
+    run, run_checkpointed, run_multipath, run_resumed, CampaignConfig, CheckpointConfig,
+    MultipathConfig,
 };
 use pt_netsim::Simulator;
 use pt_topogen::{generate, InternetConfig, SyntheticInternet};
 
 /// `System`, tallying every allocation entry point's calls and the
-/// bytes they request.
+/// bytes they request, and the high-water of live bytes.
 struct CountingAllocator;
 
 // Statistics: nothing is published through them, so `Relaxed`.
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
 static CALLS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
-fn tally(bytes: usize) {
+/// One call requesting `bytes`, which makes `grown` more bytes live.
+fn tally(bytes: usize, grown: usize) {
     REQUESTED.fetch_add(bytes as u64, Relaxed);
     CALLS.fetch_add(1, Relaxed);
+    let live = LIVE.fetch_add(grown as u64, Relaxed) + grown as u64;
+    PEAK.fetch_max(live, Relaxed);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -49,26 +57,28 @@ fn tally(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: the caller's layout obligations pass straight to `System`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally(layout.size());
+        tally(layout.size(), layout.size());
         System.alloc(layout)
     }
 
     // SAFETY: as `alloc`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally(layout.size());
+        tally(layout.size(), layout.size());
         System.alloc_zeroed(layout)
     }
 
     // SAFETY: `ptr` came from `System` through the methods above, with
     // this `layout`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Relaxed);
         System.dealloc(ptr, layout)
     }
 
     // SAFETY: `ptr`/`layout` as for `dealloc`; `System` validates the
     // new size against the layout's alignment.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally(new_size);
+        tally(new_size, new_size.saturating_sub(layout.size()));
+        LIVE.fetch_sub(layout.size().saturating_sub(new_size) as u64, Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -81,6 +91,15 @@ fn requested_by<T>(work: impl FnOnce() -> T) -> (u64, T) {
     let before = REQUESTED.load(Relaxed);
     let out = work();
     (REQUESTED.load(Relaxed) - before, out)
+}
+
+/// The most bytes live at once while `work` runs, above those live
+/// when it starts, and what it returned.
+fn peak_of<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let out = work();
+    (PEAK.load(Relaxed) - before, out)
 }
 
 /// Allocation calls made while `work` runs.
@@ -111,10 +130,11 @@ fn checkpointing_every_four_units_builds_no_simulator_per_block() {
     // Everything written to the journal — forty block records and a
     // fold rewrite each time they add up to the last one — is a few
     // times the file that is left, and each written byte stands for a
-    // few requested ones: a record buffer, the block's fold, the
-    // workers' folds it was merged from. Measured at 13 journals; a
-    // simulator per worker per block made it 74.
-    let allowance = 24 * journal;
+    // few requested ones: a write buffer, the block's fold, the
+    // workers' folds it was merged from. Measured at 8.5 to 9.7
+    // journals; a record built whole in a buffer before it was written
+    // made it 10.9 to 12.4, and a simulator per worker per block 74.
+    let allowance = 10 * journal;
     assert!(
         checkpointed <= plain + allowance,
         "40 blocks of 4 units requested {checkpointed} bytes, the plain run {plain}: \
@@ -165,5 +185,21 @@ fn checkpointing_every_four_units_builds_no_simulator_per_block() {
         "a simulator over {small_nodes} nodes requested {small_sim} bytes, over {large_nodes} \
          nodes {large_sim}: {} bytes per extra node, over 8",
         large_sim.saturating_sub(small_sim) / extra_nodes
+    );
+
+    // A finished journal over the larger net — a fold record and the
+    // block records after it — resumes a record at a time: the fold,
+    // parsed and merged, and one read buffer, measured at 0.59 of the
+    // journal's bytes. Reading each record's body whole before parsing
+    // it made 1.44.
+    let ckpt = CheckpointConfig { every_units: 16, ..ckpt };
+    run_checkpointed(&large, &pair, &ckpt).expect("journal written").expect("runs to completion");
+    let journal = std::fs::metadata(&path).expect("journal exists").len();
+    let (peak, resumed) = peak_of(|| run_resumed(&large, &pair, &ckpt));
+    resumed.expect("journal read").expect("finalizes");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        peak < journal,
+        "resuming a finished journal of {journal} bytes held {peak} bytes at its fullest"
     );
 }
