@@ -37,13 +37,17 @@ pub(crate) struct KeySet<const N: usize> {
     /// Disjoint from `sorted`, so the two lengths add up.
     #[allow(clippy::disallowed_types, reason = "fixed hasher; `fresh_run` sorts its output")]
     fresh: std::collections::HashSet<Hashed<N>, AddrHashBuilder>,
+    /// How many fresh keys the last seal moved: what
+    /// [`KeySet::reserve`] makes room for. The size is kept, not the
+    /// memory.
+    last_fresh: usize,
 }
 
 impl<const N: usize> KeySet<N> {
     /// The set of an ascending, duplicate-free run (a record's section,
     /// checked as it was read).
     pub(crate) fn from_run(sorted: Vec<Key<N>>) -> Self {
-        KeySet { sorted, fresh: Default::default() }
+        KeySet { sorted, ..Default::default() }
     }
 
     pub(crate) fn insert(&mut self, key: Key<N>) {
@@ -63,20 +67,29 @@ impl<const N: usize> KeySet<N> {
         run
     }
 
-    /// Move the fresh keys into the sorted run.
+    /// Move the fresh keys into the sorted run, and free their table.
     fn seal(&mut self) {
         if !self.fresh.is_empty() {
             let fresh = self.fresh_run();
+            self.last_fresh = fresh.len();
             merge_runs(&mut self.sorted, fresh);
             self.fresh = Default::default();
         }
     }
 
-    /// Union with `other`, leaving this set one sorted run.
-    pub(crate) fn absorb(&mut self, mut other: KeySet<N>) {
+    /// Make room for as many fresh keys as the last seal moved, so that
+    /// a set emptied and refilled allocates its table once per refill
+    /// instead of doubling it from empty.
+    pub(crate) fn reserve(&mut self) {
+        self.fresh.reserve(self.last_fresh);
+    }
+
+    /// Union with `other`, leaving this set one sorted run and `other`
+    /// empty but for its [`KeySet::reserve`] size.
+    pub(crate) fn absorb(&mut self, other: &mut KeySet<N>) {
         self.seal();
         other.seal();
-        merge_runs(&mut self.sorted, other.sorted);
+        merge_runs(&mut self.sorted, std::mem::take(&mut other.sorted));
     }
 
     /// Every key in ascending order: the sorted run itself unless keys
@@ -92,45 +105,61 @@ impl<const N: usize> KeySet<N> {
 }
 
 /// Merge the ascending, duplicate-free run `b` into `a`, keeping `a`
-/// one. Each key of `b` finds its place by galloping on from the last
-/// one's, so a `b` much shorter than `a` — a block against a
+/// one, in place. Each key of `b` finds its place by galloping on from
+/// the last one's, so a `b` much shorter than `a` — a block against a
 /// campaign's fold — costs a few comparisons per key, not a pass over
-/// `a`; then `a` grows by exactly the keys it lacked and its tail moves
-/// up once, slice by slice.
+/// `a`. A first pass counts the keys `a` lacks; `a` grows by exactly
+/// that many, and a second pass, from the back, moves each slice of
+/// `a`'s keys up once and puts `b`'s new keys between them.
 fn merge_runs<const N: usize>(a: &mut Vec<Key<N>>, b: Vec<Key<N>>) {
     if a.is_empty() {
         *a = b;
         return;
     }
-    // The keys `a` lacks, each with the index in `a` it goes before.
-    let mut inserts: Vec<(usize, Key<N>)> = Vec::with_capacity(b.len());
+    let mut lacking = 0;
     let mut at = 0;
-    for key in b {
-        at += gallop(&a[at..], &key);
-        if a.get(at) != Some(&key) {
-            inserts.push((at, key));
-        }
+    for key in &b {
+        at += gallop(a.len() - at, |i| a[at + i] < *key);
+        lacking += usize::from(a.get(at) != Some(key));
     }
-    let mut end = a.len();
-    a.resize(end + inserts.len(), [0; N]);
-    // Back to front: the keys from one insert's place to the next move
-    // up past every insert at or before them.
-    for (before, &(at, key)) in inserts.iter().enumerate().rev() {
-        a.copy_within(at..end, at + before + 1);
-        a[at + before] = key;
-        end = at;
+    // `a[..unmoved]` holds the keys of `a` not yet moved up, `a[free..]`
+    // the merged keys in their final places.
+    let mut unmoved = a.len();
+    a.resize(unmoved + lacking, [0; N]);
+    let mut free = a.len();
+    for key in b.iter().rev() {
+        if free == unmoved {
+            // Every new key is placed: the rest of `b` is in `a`.
+            break;
+        }
+        let above = gallop(unmoved, |i| a[unmoved - 1 - i] > *key);
+        a.copy_within(unmoved - above..unmoved, free - above);
+        (unmoved, free) = (unmoved - above, free - above);
+        if unmoved == 0 || a[unmoved - 1] != *key {
+            free -= 1;
+            a[free] = *key;
+        }
     }
 }
 
-/// The index of the first key of `run` not below `key`, found by
-/// doubling steps from the front and a binary search of the last.
-fn gallop<const N: usize>(run: &[Key<N>], key: &Key<N>) -> usize {
+/// The length of the longest prefix of `0..len` on which `holds` holds,
+/// for a `holds` that holds up to some index and not from there on:
+/// doubling steps from the front, then a binary search of the last.
+fn gallop(len: usize, holds: impl Fn(usize) -> bool) -> usize {
     let mut step = 1;
-    while step < run.len() && run[step - 1] < *key {
+    while step < len && holds(step - 1) {
         step *= 2;
     }
-    let from = step / 2;
-    from + run[from..step.min(run.len())].partition_point(|k| k < key)
+    let (mut lo, mut hi) = (step / 2, step.min(len));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// The runs of keys sharing their first `prefix` fields.
@@ -152,6 +181,14 @@ mod tests {
         (0..n as u32).map(|i| [(seed + i).wrapping_mul(0x9e37_79b9) % spread, i % 3]).collect()
     }
 
+    /// `b` merged into `a`, against the two as `BTreeSet`s' union.
+    fn check_union(a: &BTreeSet<Key<2>>, b: &BTreeSet<Key<2>>, what: &str) {
+        let mut merged: Vec<Key<2>> = a.iter().copied().collect();
+        merge_runs(&mut merged, b.iter().copied().collect());
+        let union: Vec<Key<2>> = a.union(b).copied().collect();
+        assert_eq!(merged, union, "{what}");
+    }
+
     #[test]
     fn merging_runs_is_set_union_for_every_size_ratio() {
         for (n_a, n_b, spread) in [
@@ -166,21 +203,52 @@ mod tests {
             for seed in 0..8 {
                 let a: BTreeSet<Key<2>> = keys(seed, n_a, spread).into_iter().collect();
                 let b: BTreeSet<Key<2>> = keys(seed + 100, n_b, spread).into_iter().collect();
-                let mut merged: Vec<Key<2>> = a.iter().copied().collect();
-                merge_runs(&mut merged, b.iter().copied().collect());
-                let union: Vec<Key<2>> = a.union(&b).copied().collect();
-                assert_eq!(merged, union, "{n_a} keys with {n_b}, seed {seed}");
+                check_union(&a, &b, &format!("{n_a} keys with {n_b}, seed {seed}"));
             }
         }
+    }
+
+    #[test]
+    fn merging_runs_is_set_union_wherever_the_runs_meet() {
+        let evens: BTreeSet<Key<2>> = (5..65).map(|i| [i * 2, 0]).collect();
+        for (what, b) in [
+            ("inside", (20..30).map(|i| [i * 2 + 1, 0]).collect::<BTreeSet<_>>()),
+            ("inside, every key present", (10..50).map(|i| [i * 2, 0]).collect()),
+            ("wholly below", (0..10).map(|i| [i, 0]).collect()),
+            ("wholly above", (200..230).map(|i| [i, 1]).collect()),
+            ("interleaved with duplicates", (0..90).map(|i| [i * 3 / 2, 0]).collect()),
+            ("around both ends", [[0, 0], [10, 1], [128, 0], [129, 0], [500, 0]].into()),
+            ("empty", BTreeSet::new()),
+        ] {
+            check_union(&evens, &b, what);
+            check_union(&b, &evens, &format!("{what}, swapped"));
+        }
+    }
+
+    #[test]
+    fn a_merge_with_room_to_spare_keeps_its_vector() {
+        let mut a: Vec<Key<2>> = Vec::with_capacity(64);
+        a.extend((0..20).map(|i| [i * 2, 0]));
+        let (ptr, capacity) = (a.as_ptr(), a.capacity());
+        let b: Vec<Key<2>> = (5..40).map(|i| [i, 0]).collect();
+        let union: BTreeSet<Key<2>> = a.iter().chain(&b).copied().collect();
+        merge_runs(&mut a, b);
+        assert_eq!(a, union.into_iter().collect::<Vec<_>>());
+        assert_eq!((a.as_ptr(), a.capacity()), (ptr, capacity), "the merge moved `a`");
     }
 
     #[test]
     fn gallop_finds_the_first_key_not_below() {
         let run: Vec<Key<1>> = (0..37).map(|i| [i * 2]).collect();
         for len in [0, 1, 2, 3, 4, 5, 8, 9, 37] {
+            let run = &run[..len];
             for key in 0..80 {
-                let expect = run[..len].partition_point(|k| k[0] < key);
-                assert_eq!(gallop(&run[..len], &[key]), expect, "{key} in the first {len}");
+                let below = run.partition_point(|k| k[0] < key);
+                assert_eq!(gallop(len, |i| run[i][0] < key), below, "{key} in the first {len}");
+                // And from the back, as the in-place merge walks.
+                let above = len - run.partition_point(|k| k[0] <= key);
+                let back = gallop(len, |i| run[len - 1 - i][0] > key);
+                assert_eq!(back, above, "{key} from the back of the first {len}");
             }
         }
     }
@@ -208,8 +276,14 @@ mod tests {
             other.insert(key);
             model.insert(key);
         }
-        set.absorb(other);
+        let fresh = other.len();
+        set.absorb(&mut other);
         assert!(matches!(set.keys(), Cow::Borrowed(_)), "a merge leaves one sorted run");
+        // The absorbed set is empty and holds no table, but remembers
+        // how large one to make when it is refilled.
+        assert_eq!((other.len(), other.fresh.capacity()), (0, 0));
+        other.reserve();
+        assert!(other.fresh.capacity() >= fresh, "{} < {fresh}", other.fresh.capacity());
         assert_eq!(set.keys().to_vec(), model.iter().copied().collect::<Vec<_>>());
         let by_first: usize = groups(&set.keys(), 1).map(|group| group.len()).sum();
         assert_eq!(by_first, model.len());

@@ -176,6 +176,20 @@ impl CampaignAccumulator {
         for_each_triple(route, |h, r, t| self.triples.insert([d, h.into(), t.into(), r.into()]));
     }
 
+    /// The counters, in record order.
+    fn counts_mut(&mut self) -> [&mut u64; 8] {
+        [
+            &mut self.routes_total,
+            &mut self.routes_with_loop,
+            &mut self.routes_with_cycle,
+            &mut self.probes_sent,
+            &mut self.stars,
+            &mut self.mid_route_stars,
+            &mut self.reached,
+            &mut self.degraded_routes,
+        ]
+    }
+
     /// Merge another accumulator (e.g. from a parallel shard) into this
     /// one, leaving every set of this one a single sorted run: what a
     /// later merge or snapshot then reads without sorting or copying.
@@ -184,27 +198,46 @@ impl CampaignAccumulator {
     /// # Panics
     /// Panics when merging accumulators of different tools.
     pub fn merge(&mut self, mut other: CampaignAccumulator) {
+        self.absorb(&mut other);
+    }
+
+    /// [`CampaignAccumulator::merge`], leaving `other` as empty as
+    /// [`CampaignAccumulator::new`] makes it but for the size of each
+    /// set, which [`CampaignAccumulator::reserve_for_refill`] reads.
+    ///
+    /// # Panics
+    /// Panics when merging accumulators of different tools.
+    pub fn absorb(&mut self, other: &mut CampaignAccumulator) {
         assert_eq!(self.tool, other.tool, "cannot merge different tools");
         for (mine, theirs) in self.addr_sets_mut().into_iter().zip(other.addr_sets_mut()) {
-            mine.absorb(std::mem::take(theirs));
+            mine.absorb(theirs);
         }
-        self.loop_sig_rounds.absorb(other.loop_sig_rounds);
-        self.cycle_sig_rounds.absorb(other.cycle_sig_rounds);
-        self.triples.absorb(other.triples);
-        for (k, n) in other.loop_instances {
+        self.loop_sig_rounds.absorb(&mut other.loop_sig_rounds);
+        self.cycle_sig_rounds.absorb(&mut other.cycle_sig_rounds);
+        self.triples.absorb(&mut other.triples);
+        for (k, n) in std::mem::take(&mut other.loop_instances) {
             *self.loop_instances.entry(k).or_insert(0) += n;
         }
-        for (k, n) in other.cycle_instances {
+        for (k, n) in std::mem::take(&mut other.cycle_instances) {
             *self.cycle_instances.entry(k).or_insert(0) += n;
         }
-        self.routes_total += other.routes_total;
-        self.routes_with_loop += other.routes_with_loop;
-        self.routes_with_cycle += other.routes_with_cycle;
-        self.probes_sent += other.probes_sent;
-        self.stars += other.stars;
-        self.mid_route_stars += other.mid_route_stars;
-        self.reached += other.reached;
-        self.degraded_routes += other.degraded_routes;
+        for (mine, theirs) in self.counts_mut().into_iter().zip(other.counts_mut()) {
+            *mine += std::mem::take(theirs);
+        }
+    }
+
+    /// Make room in each set for as many keys as it held when an
+    /// [`CampaignAccumulator::absorb`] last emptied it. An accumulator
+    /// emptied and refilled over and over, as a campaign worker's is
+    /// block after block, then allocates each set's hash table once per
+    /// refill instead of doubling it from empty.
+    pub fn reserve_for_refill(&mut self) {
+        for set in self.addr_sets_mut() {
+            set.reserve();
+        }
+        self.loop_sig_rounds.reserve();
+        self.cycle_sig_rounds.reserve();
+        self.triples.reserve();
     }
 
     /// Every responding address discovered across the campaign, in
@@ -353,16 +386,7 @@ impl CampaignAccumulator {
         let mut acc = CampaignAccumulator::new(tool);
 
         let mut t = tagged(lines, "counts")?;
-        for count in [
-            &mut acc.routes_total,
-            &mut acc.routes_with_loop,
-            &mut acc.routes_with_cycle,
-            &mut acc.probes_sent,
-            &mut acc.stars,
-            &mut acc.mid_route_stars,
-            &mut acc.reached,
-            &mut acc.degraded_routes,
-        ] {
+        for count in acc.counts_mut() {
             *count = tok(&mut t, "count")?;
         }
         if acc.stars > acc.probes_sent {
@@ -797,6 +821,32 @@ mod tests {
         let mut merged = String::new();
         shard_a.snapshot_write(&mut merged);
         assert_eq!(merged, bytes, "sharding must not leak into snapshot bytes");
+    }
+
+    #[test]
+    fn an_absorbed_accumulator_is_empty_and_refills_as_a_fresh_one() {
+        let tool = StrategyId::ClassicUdp;
+        let text = |acc: &CampaignAccumulator| {
+            let mut text = String::new();
+            acc.snapshot_write(&mut text);
+            text
+        };
+        let empty = text(&CampaignAccumulator::new(tool));
+        let mut kept = CampaignAccumulator::new(tool);
+        kept.ingest(0, &route(tool, 100, vec![Some(2), Some(3), Some(3)]));
+        kept.ingest(1, &route(tool, 101, vec![Some(2), Some(9), Some(2)]));
+        let mut total = CampaignAccumulator::new(tool);
+        total.absorb(&mut kept);
+        assert_eq!(text(&kept), empty);
+        assert_ne!(text(&total), empty);
+
+        kept.reserve_for_refill();
+        let mut fresh = CampaignAccumulator::new(tool);
+        for acc in [&mut kept, &mut fresh] {
+            acc.ingest(2, &route(tool, 102, vec![Some(5), Some(7), Some(5)]));
+            acc.ingest(3, &route(tool, 100, vec![Some(2), Some(4), None]));
+        }
+        assert_eq!(text(&kept), text(&fresh));
     }
 
     #[test]

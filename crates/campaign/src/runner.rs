@@ -213,11 +213,12 @@ pub(crate) struct BlockOutput {
 /// (its `Default`): what one worker accumulates, what a block's workers
 /// merge into, and what the checkpoint engine merges blocks into.
 pub(crate) trait Fold: Default + Send {
-    /// Fold another fold in, leaving this one in the order a checkpoint
-    /// record writes it.
-    fn absorb(&mut self, other: Self);
-    /// Make room for `units` more units, once, where the fold keeps
-    /// something per unit.
+    /// Fold `other` in and leave it empty, this one in the order a
+    /// checkpoint record writes it.
+    fn absorb(&mut self, other: &mut Self);
+    /// Make room, once, as a worker's emptied fold starts a block of
+    /// `units` units: for each unit where the fold keeps one per unit,
+    /// for as many keys as each set held last where it keeps sets.
     fn reserve(&mut self, _units: usize) {}
 }
 
@@ -231,9 +232,16 @@ impl Default for BlockOutput {
 }
 
 impl Fold for BlockOutput {
-    fn absorb(&mut self, other: BlockOutput) {
-        self.classic.merge(other.classic);
-        self.paris.merge(other.paris);
+    fn absorb(&mut self, other: &mut BlockOutput) {
+        self.classic.absorb(&mut other.classic);
+        self.paris.absorb(&mut other.paris);
+    }
+
+    /// The sets' sizes at their last merge, whatever the block's units:
+    /// a block holds about as many keys as the one before it.
+    fn reserve(&mut self, _units: usize) {
+        self.classic.reserve_for_refill();
+        self.paris.reserve_for_refill();
     }
 }
 
@@ -253,10 +261,10 @@ pub(crate) struct Folded<F> {
 }
 
 impl<F: Fold> Fold for Folded<F> {
-    fn absorb(&mut self, other: Self) {
-        self.measured.absorb(other.measured);
-        self.virtual_ns += other.virtual_ns;
-        self.quarantined.extend(other.quarantined);
+    fn absorb(&mut self, other: &mut Self) {
+        self.measured.absorb(&mut other.measured);
+        self.virtual_ns += std::mem::take(&mut other.virtual_ns);
+        self.quarantined.append(&mut other.quarantined);
         // Which worker or block met which panic is scheduling noise.
         self.quarantined.sort_unstable_by_key(|q| q.0);
     }
@@ -366,17 +374,24 @@ pub(crate) fn finish<M: CampaignMode>(
 /// for the next destination, and the scratch's hop records and probe
 /// registry recycle across every unit — so a worker's steady-state loop
 /// performs no heap allocation at all, and a block after the first
-/// builds no simulator.
-pub(crate) struct WorkerState<S> {
+/// builds no simulator. The worker's fold outlives the block too:
+/// [`run_block`] empties it into the block's, and it keeps only the
+/// sizes its sets reached, for the next block's [`Fold::reserve`].
+pub(crate) struct WorkerState<M: CampaignMode> {
     pool: SimulatorPool,
-    scratch: S,
+    scratch: M::Scratch,
+    fold: Folded<M::Fold>,
 }
 
-impl<S: Default> WorkerState<S> {
+impl<M: CampaignMode> WorkerState<M> {
     /// A cold state: the simulator is built by the first unit run over
     /// it, on the worker's own thread.
     fn new(net: &SyntheticInternet) -> Self {
-        WorkerState { pool: SimulatorPool::new(net.topology.clone()), scratch: S::default() }
+        WorkerState {
+            pool: SimulatorPool::new(net.topology.clone()),
+            scratch: M::Scratch::default(),
+            fold: Folded::default(),
+        }
     }
 }
 
@@ -384,7 +399,7 @@ impl<S: Default> WorkerState<S> {
 pub(crate) fn worker_states<M: CampaignMode>(
     net: &SyntheticInternet,
     mode: &M,
-) -> Vec<WorkerState<M::Scratch>> {
+) -> Vec<WorkerState<M>> {
     (0..mode.common().workers).map(|_| WorkerState::new(net)).collect()
 }
 
@@ -441,7 +456,7 @@ pub(crate) fn run_block<M: CampaignMode>(
     net: &SyntheticInternet,
     mode: &M,
     units: Range<UnitId>,
-    workers: &mut [WorkerState<M::Scratch>],
+    workers: &mut [WorkerState<M>],
 ) -> Folded<M::Fold> {
     let n_workers = workers.len().min(units.len());
 
@@ -470,10 +485,12 @@ pub(crate) fn run_block<M: CampaignMode>(
         }
     };
 
-    // Each worker's fold reserves a fair share of the block's units.
+    // A worker's fair share of the block's units, which its fold
+    // reserves room for where it keeps one entry per unit.
     let share = units.len().div_ceil(n_workers.max(1));
-    let outputs: Vec<Folded<M::Fold>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers[..n_workers]
+    let workers = &mut workers[..n_workers];
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
             .iter_mut()
             .map(|state| {
                 let claim = claimer();
@@ -482,12 +499,14 @@ pub(crate) fn run_block<M: CampaignMode>(
             .collect();
         // A worker thread only dies if the quarantine machinery itself
         // panicked (unit panics are caught inside `run_worker`).
-        handles.into_iter().map(|h| h.join().expect("campaign worker died")).collect()
+        for handle in handles {
+            handle.join().expect("campaign worker died");
+        }
     });
 
     let mut merged = Folded::default();
-    for out in outputs {
-        merged.absorb(out);
+    for state in workers {
+        merged.absorb(&mut state.fold);
     }
     merged
 }
@@ -515,7 +534,7 @@ fn run_unit<M: CampaignMode>(
     mode: &M,
     common: &Common<'_>,
     at: &Coords,
-    state: &mut WorkerState<M::Scratch>,
+    state: &mut WorkerState<M>,
 ) -> (M::Unit, u64) {
     let sim = state.pool.acquire(splitmix64(at.stream ^ common.sim_salt));
     let mut tx = SimTransport::new(sim, net.source);
@@ -542,21 +561,20 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One worker: fold every unit `claim` hands out, until it hands out
-/// none. `claim` is the scheduler's whole freedom — production passes
-/// [`run_block`]'s shared cursor; a test substitutes any schedule. The
-/// fold reserves room for the `expected` units up front rather than
-/// growing unit by unit.
+/// One worker: fold every unit `claim` hands out into the state's
+/// fold, until it hands out none. `claim` is the scheduler's whole
+/// freedom — production passes [`run_block`]'s shared cursor; a test
+/// substitutes any schedule. The fold, emptied by the last block's
+/// merge, first reserves room for the `expected` units ([`Fold::reserve`]).
 fn run_worker<M: CampaignMode>(
     mut claim: impl FnMut() -> Option<UnitId>,
     expected: usize,
     net: &SyntheticInternet,
     mode: &M,
-    state: &mut WorkerState<M::Scratch>,
-) -> Folded<M::Fold> {
+    state: &mut WorkerState<M>,
+) {
     let common = mode.common();
-    let mut out = Folded::<M::Fold>::default();
-    out.measured.reserve(expected);
+    state.fold.measured.reserve(expected);
     while let Some(unit) = claim() {
         let at = unit_coords(unit, net.dests.len(), &common);
         // Unit isolation: a panicking unit is quarantined, not fatal.
@@ -565,20 +583,21 @@ fn run_worker<M: CampaignMode>(
         // the unwind discards *all* of the unit's work.
         match catch_unwind(AssertUnwindSafe(|| run_unit(net, mode, &common, &at, state))) {
             Ok((done, virtual_ns)) => {
-                mode.ingest(&at, done, &mut state.scratch, &mut out.measured);
-                out.virtual_ns += u128::from(virtual_ns);
+                mode.ingest(&at, done, &mut state.scratch, &mut state.fold.measured);
+                state.fold.virtual_ns += u128::from(virtual_ns);
             }
             Err(payload) => {
                 // The unwind may have left the pooled simulator (lost
                 // with the dropped transport) and the scratch in
                 // arbitrary states; rebuild both so nothing poisoned
-                // leaks into later units.
-                *state = WorkerState::new(net);
-                out.quarantined.push((unit, panic_text(payload)));
+                // leaks into later units. The fold holds only units
+                // that returned, so it stays.
+                state.pool = SimulatorPool::new(net.topology.clone());
+                state.scratch = M::Scratch::default();
+                state.fold.quarantined.push((unit, panic_text(payload)));
             }
         }
     }
-    out
 }
 
 impl CampaignMode for CampaignConfig {
@@ -952,7 +971,8 @@ impl Fold for Vec<UnitDiscovery> {
         Vec::reserve(self, units);
     }
 
-    fn absorb(&mut self, other: Self) {
+    fn absorb(&mut self, other: &mut Self) {
+        let other = std::mem::take(other);
         let joint = self.len().saturating_sub(1);
         // The first fold absorbed — a one-worker block's only one — is
         // taken whole, not copied beside the workers' simulators.
@@ -1464,6 +1484,34 @@ mod tests {
     }
 
     #[test]
+    fn a_block_folds_the_same_on_warm_workers_as_on_fresh_ones() {
+        // Workers keep their folds, emptied, from block to block, and
+        // size them from the last one. Nothing of that may show: block
+        // k's record is the same after blocks 0..k as on fresh workers.
+        let net = generate(&InternetConfig::tiny(42));
+        let text = |fold: &Folded<BlockOutput>| {
+            let mut text = String::new();
+            crate::snapshot::write_body::<CampaignConfig>(fold, &mut text);
+            text
+        };
+        for workers in [1, 2, 3] {
+            let cfg = CampaignConfig { rounds: 3, workers, seed: 99, ..Default::default() };
+            let mut warm = worker_states(&net, &cfg);
+            // Blocks of 24, 8, 40 and 24 units, so that a block meets
+            // sets sized for a smaller one and for a larger one.
+            for units in [0..24, 24..32, 32..72, 72..96] {
+                let kept = run_block(&net, &cfg, units.clone(), &mut warm);
+                let fresh = run_block(&net, &cfg, units.clone(), &mut worker_states(&net, &cfg));
+                assert!(kept.measured.paris.report().routes_total > 0);
+                assert!(
+                    text(&kept) == text(&fresh),
+                    "{workers} workers: units {units:?} fold differently on warm workers"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn injected_runaway_unit_is_cut_by_the_watchdog_budget() {
         let net = generate(&InternetConfig::tiny(42));
         let config = |workers: usize, runaway: &[u32]| CampaignConfig {
@@ -1629,12 +1677,15 @@ mod tests {
             .windows(2)
             .map(|cut| {
                 let mut run = order[cut[0]..cut[1]].iter().copied();
-                run_worker(|| run.next(), cut[1] - cut[0], net, mode, state)
+                run_worker(|| run.next(), cut[1] - cut[0], net, mode, state);
+                let mut fold = Folded::default();
+                fold.absorb(&mut state.fold);
+                fold
             })
             .collect();
         shuffle(&mut folds, rng);
         let mut merged = Folded::default();
-        for fold in folds {
+        for fold in &mut folds {
             merged.absorb(fold);
         }
         finish(net, mode, merged)

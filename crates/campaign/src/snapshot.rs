@@ -603,6 +603,16 @@ impl Sink for ByteCount {
     }
 }
 
+/// Matches what is written to it against the front of a text: holds
+/// the text not yet matched, or `None` once a piece differed.
+struct Matches<'a>(Option<&'a [u8]>);
+
+impl Sink for Matches<'_> {
+    fn put(&mut self, text: &str) {
+        self.0 = self.0.and_then(|rest| rest.strip_prefix(text.as_bytes()));
+    }
+}
+
 /// The bytes `write` writes.
 fn len_of(write: impl FnOnce(&mut ByteCount)) -> u64 {
     let mut count = ByteCount(0);
@@ -804,19 +814,21 @@ fn replay<M: Checkpointed>(
         header_digest.update(&line);
         let mut body = BodyLines {
             body: reader.by_ref().take(header.body_len),
-            line: Vec::new(),
+            // One line buffer serves every header and body line.
+            line: std::mem::take(&mut line),
             digest: Digest::new(header_digest.finish(), header.body_len),
             utf8: true,
             error: None,
         };
         let span = Span { units: header.range.clone(), n_dests, rounds };
         let parsed = read_body::<M>(&mut body, &span);
+        line = body.line;
         if let Some(e) = body.error {
             return Err(e);
         }
         // A body that is cut short or not UTF-8 is damage, as is one
         // that does not parse.
-        let (Ok(block), true, 0) = (parsed, body.utf8, body.body.limit()) else { break };
+        let (Ok(mut block), true, 0) = (parsed, body.utf8, body.body.limit()) else { break };
         let digest = body.digest.finish();
         let mut trailer = [0u8; TRAILER_LEN];
         match reader.read_exact(&mut trailer) {
@@ -824,9 +836,9 @@ fn replay<M: Checkpointed>(
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
             Err(e) => return Err(e),
         }
-        let mut expected = String::with_capacity(TRAILER_LEN);
+        let mut expected = Matches(Some(&trailer));
         write_trailer(&mut expected, digest);
-        if trailer.as_slice() != expected.as_bytes() {
+        if expected.0 != Some(&[]) {
             break;
         }
         if first {
@@ -835,7 +847,7 @@ fn replay<M: Checkpointed>(
             // would hold both at once.
             out.fold = block;
         } else {
-            out.fold.absorb(block);
+            out.fold.absorb(&mut block);
         }
         out.cursor = header.range.end;
         let record_len = header_len + record_tail;
@@ -1001,10 +1013,10 @@ fn drive<M: Checkpointed>(
     let mut workers = worker_states(net, mode);
     while cursor < n_units {
         let end = n_units.min(cursor.saturating_add(every));
-        let block = run_block(net, mode, cursor..end, &mut workers);
+        let mut block = run_block(net, mode, cursor..end, &mut workers);
         journal.stats.units_run += end - cursor;
         journal.append(cursor..end, &block)?;
-        fold.absorb(block);
+        fold.absorb(&mut block);
         cursor = end;
         journal.fold_if_due(cursor, &fold)?;
         checkpoints += 1;
