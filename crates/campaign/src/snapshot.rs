@@ -70,7 +70,7 @@
 //! the parsed block only once the trailer matches.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -103,7 +103,7 @@ const TRAILER_LEN: usize = 21;
 /// fields and the fingerprint come to under 100 bytes.
 const MAX_HEADER_LEN: u64 = 128;
 
-/// The one buffer each side of the journal holds: what a record is
+/// The one buffer each side of the journal holds: what every record is
 /// written through, and what replay reads through.
 const IO_BUFFER: usize = 1 << 14;
 
@@ -621,21 +621,38 @@ fn len_of(write: impl FnOnce(&mut ByteCount)) -> u64 {
 }
 
 /// A record on its way to a file: every piece is counted, digested and
-/// buffered. A write error is kept, and ends the writing, until the
-/// record is done.
-struct RecordWriter<W: Write> {
-    out: BufWriter<W>,
+/// gathered in the journal's buffer. A write error is kept, and ends
+/// the writing, until the record is done.
+struct RecordWriter<'b, W: Write> {
+    out: W,
+    buf: &'b mut Vec<u8>,
     digest: Digest,
     len: u64,
     error: io::Result<()>,
 }
 
-impl<W: Write> Sink for RecordWriter<W> {
+impl<W: Write> RecordWriter<'_, W> {
+    /// Buffer `bytes`, first emptying the buffer into the file if they do
+    /// not fit; a piece larger than the whole buffer goes straight there.
+    fn buffer(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if bytes.len() > self.buf.capacity() - self.buf.len() {
+            self.out.write_all(self.buf)?;
+            self.buf.clear();
+            if bytes.len() > self.buf.capacity() {
+                return self.out.write_all(bytes);
+            }
+        }
+        self.buf.extend_from_slice(bytes);
+        Ok(())
+    }
+}
+
+impl<W: Write> Sink for RecordWriter<'_, W> {
     fn put(&mut self, text: &str) {
         self.digest.update(text.as_bytes());
         self.len += text.len() as u64;
         if self.error.is_ok() {
-            self.error = self.out.write_all(text.as_bytes());
+            self.error = self.buffer(text.as_bytes());
         }
     }
 }
@@ -643,10 +660,11 @@ impl<W: Write> Sink for RecordWriter<W> {
 /// Write the record of `range`, holding `fold`, to `out` and return its
 /// length. The text is never held: the body is written once into a
 /// count — its length leads the header and seeds the digest — and once
-/// more into the digest and a fixed buffer over `out`, which is flushed
-/// before this returns.
+/// more into the digest and the journal's `buf`, which never grows and
+/// is written out, and `out` flushed, before this returns.
 fn write_record<M: Checkpointed>(
     out: impl Write,
+    buf: &mut Vec<u8>,
     fingerprint: u64,
     range: Range<u32>,
     fold: &Folded<M::Fold>,
@@ -654,13 +672,9 @@ fn write_record<M: Checkpointed>(
     let body_len = len_of(|count| write_body::<M>(fold, count));
     let header_len = len_of(|count| write_header(count, M::MODE, fingerprint, &range, body_len));
     let len = header_len + body_len + TRAILER_LEN as u64;
-    let mut record = RecordWriter {
-        // A record shorter than the buffer gets a buffer of its size.
-        out: BufWriter::with_capacity(IO_BUFFER.min(len as usize), out),
-        digest: Digest::new(0, header_len),
-        len: 0,
-        error: Ok(()),
-    };
+    buf.clear();
+    let mut record =
+        RecordWriter { out, buf, digest: Digest::new(0, header_len), len: 0, error: Ok(()) };
     write_header(&mut record, M::MODE, fingerprint, &range, body_len);
     record.digest = Digest::new(record.digest.finish(), body_len);
     write_body::<M>(fold, &mut record);
@@ -668,6 +682,7 @@ fn write_record<M: Checkpointed>(
     write_trailer(&mut record, digest);
     debug_assert_eq!(record.len, len, "the counted and the written record differ");
     record.error?;
+    record.out.write_all(record.buf)?;
     record.out.flush()?;
     Ok(len)
 }
@@ -878,12 +893,13 @@ pub(crate) struct DriveStats {
 /// an append handle on the new journal and the record's length.
 fn install<M: Checkpointed>(
     path: &Path,
+    buf: &mut Vec<u8>,
     fingerprint: u64,
     range: Range<u32>,
     fold: &Folded<M::Fold>,
 ) -> io::Result<(File, u64)> {
     let tmp = tmp_path(path);
-    let len = write_record::<M>(File::create(&tmp)?, fingerprint, range, fold)?;
+    let len = write_record::<M>(File::create(&tmp)?, buf, fingerprint, range, fold)?;
     fs::rename(&tmp, path)?;
     Ok((OpenOptions::new().append(true).open(path)?, len))
 }
@@ -894,16 +910,16 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-/// The open journal: an append handle on [`CheckpointConfig::path`] plus
-/// the two byte counts the folding rule compares. The workers'
-/// simulators stay alive through a checkpoint, beside the fold and the
-/// block just run; what a record adds on top of them is one fixed write
-/// buffer ([`write_record`]), never the record's text, and no sorted
-/// copy of anything.
+/// The open journal: an append handle on [`CheckpointConfig::path`], the
+/// write buffer every record goes through ([`write_record`]), and the two
+/// byte counts the folding rule compares. Beside the workers' simulators,
+/// the fold and the block just run, a record adds nothing but that
+/// buffer: never its text, and no sorted copy of anything.
 struct Journal<'a, M> {
     path: &'a Path,
     fingerprint: u64,
     file: File,
+    buf: Vec<u8>,
     /// Size of the `0..cursor` record the file starts with.
     fold_bytes: u64,
     /// Bytes of block records appended after it.
@@ -917,11 +933,13 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
     /// replacing whatever is there, a previous campaign's journal or a
     /// stale temp file alike.
     fn create(path: &'a Path, fingerprint: u64) -> io::Result<Self> {
-        let (file, len) = install::<M>(path, fingerprint, 0..0, &Folded::default())?;
+        let mut buf = Vec::with_capacity(IO_BUFFER);
+        let (file, len) = install::<M>(path, &mut buf, fingerprint, 0..0, &Folded::default())?;
         Ok(Journal {
             path,
             fingerprint,
             file,
+            buf,
             fold_bytes: len,
             appended: 0,
             stats: DriveStats { bytes_written: len, units_run: 0 },
@@ -951,6 +969,7 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
             path,
             fingerprint,
             file,
+            buf: Vec::with_capacity(IO_BUFFER),
             fold_bytes: replayed.fold_bytes,
             appended: replayed.good_len - replayed.fold_bytes,
             stats: DriveStats::default(),
@@ -959,8 +978,8 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
     }
 
     /// Checkpoint: append the record of the block just run.
-    fn append(&mut self, block: Range<u32>, output: &Folded<M::Fold>) -> io::Result<()> {
-        let len = write_record::<M>(&mut self.file, self.fingerprint, block, output)?;
+    fn append(&mut self, range: Range<u32>, block: &Folded<M::Fold>) -> io::Result<()> {
+        let len = write_record::<M>(&mut self.file, &mut self.buf, self.fingerprint, range, block)?;
         self.appended += len;
         self.stats.bytes_written += len;
         Ok(())
@@ -974,11 +993,10 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
             return Ok(());
         }
         // The old handle points at the file the rename replaces.
-        let (file, len) = install::<M>(self.path, self.fingerprint, 0..cursor, fold)?;
-        self.file = file;
-        self.fold_bytes = len;
+        (self.file, self.fold_bytes) =
+            install::<M>(self.path, &mut self.buf, self.fingerprint, 0..cursor, fold)?;
         self.appended = 0;
-        self.stats.bytes_written += len;
+        self.stats.bytes_written += self.fold_bytes;
         Ok(())
     }
 }
@@ -1117,7 +1135,8 @@ mod tests {
             fold: &Folded<M::Fold>,
         ) -> Record {
             let mut bytes = Vec::new();
-            let len = write_record::<M>(&mut bytes, fingerprint, range, fold).unwrap();
+            let mut buf = Vec::with_capacity(IO_BUFFER);
+            let len = write_record::<M>(&mut bytes, &mut buf, fingerprint, range, fold).unwrap();
             assert_eq!(len, bytes.len() as u64);
             let mut body = String::from_utf8(bytes).unwrap();
             let header = body.drain(..=body.find('\n').unwrap()).collect();

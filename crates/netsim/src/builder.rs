@@ -209,11 +209,6 @@ impl TopologyBuilder {
         self.nodes[node.0].ifaces[idx].addr
     }
 
-    /// Number of nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Finish, producing the immutable topology. Each node's routing
     /// table is frozen into a shared `Arc` that every simulator over this
     /// topology borrows instead of copying.

@@ -2675,9 +2675,8 @@ mod tests {
             b.default_via(d, prev);
             if dice.roll(3) == 0 {
                 let gateway = dice.pick(&spine);
-                let inside: Vec<Ipv4Prefix> = (gateway.0 + 1..b.node_count())
-                    .flat_map(|n| b.subnets_of(NodeId(n)).to_vec())
-                    .collect();
+                let inside: Vec<Ipv4Prefix> =
+                    (gateway.0 + 1..=d.0).flat_map(|n| b.subnets_of(NodeId(n)).to_vec()).collect();
                 let public = b.iface_addr(gateway, 0);
                 b.set_router_config(gateway, RouterConfig::nat_gateway(public, inside));
             }

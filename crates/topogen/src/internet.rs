@@ -28,8 +28,6 @@ use pt_netsim::topology::{NodeId, Topology};
 use pt_netsim::TopologyBuilder;
 use pt_wire::{FlowPolicy, UnreachableCode};
 
-use crate::aslabel::{AsMap, AsTier, Asn};
-
 /// One-way delay of every generated link. §4's anomalies come from hop
 /// counts, not round-trip times, so one value serves every link.
 const LINK_DELAY: SimDuration = SimDuration::from_millis(1);
@@ -225,8 +223,6 @@ pub struct SyntheticInternet {
     pub source: NodeId,
     /// Per-destination records, in generation order.
     pub dests: Vec<DestInfo>,
-    /// Ground-truth prefix→AS map (§3's AS-level coverage substitute).
-    pub as_map: AsMap,
     /// The configuration that produced this network.
     pub config: InternetConfig,
 }
@@ -240,7 +236,6 @@ pub fn generate(config: &InternetConfig) -> SyntheticInternet {
     assert!(config.n_destinations > 0, "need at least one destination");
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut b = TopologyBuilder::new();
-    let mut as_map = AsMap::new();
 
     // --- Access network: S — a1 — a2 (the hops min_ttl=2 skips). ---
     let source = b.host("S", HostConfig::default());
@@ -252,11 +247,6 @@ pub fn generate(config: &InternetConfig) -> SyntheticInternet {
     b.default_via(source, a1);
     b.default_via(a1, a2);
     b.route_via(a1, s_prefix, source);
-    for node in [source, a1, a2] {
-        for pfx in b.subnets_of(node) {
-            as_map.insert(*pfx, Asn(1), AsTier::Source);
-        }
-    }
 
     // --- Core mesh. ---
     let core: Vec<NodeId> = (0..config.n_core)
@@ -274,18 +264,11 @@ pub fn generate(config: &InternetConfig) -> SyntheticInternet {
     for &c in &core[1..] {
         b.route_via(c, s_prefix, core[0]);
     }
-    // One tier-1 AS per core router (the study crossed all nine tier-1s).
-    for (i, &c) in core.iter().enumerate() {
-        for pfx in b.subnets_of(c) {
-            as_map.insert(*pfx, Asn(100 + i as u32), AsTier::Tier1);
-        }
-    }
 
     // --- Branches. ---
     let mut dests = Vec::with_capacity(config.n_destinations);
     for di in 0..config.n_destinations {
         let owner = core[rng.gen_range(0..core.len())];
-        let first_node = b.node_count();
         let branch = Branch {
             b: &mut b,
             rng: &mut rng,
@@ -299,13 +282,6 @@ pub fn generate(config: &InternetConfig) -> SyntheticInternet {
             chain: Vec::new(),
         };
         let info = branch.build();
-        // Every node the branch created belongs to this stub AS.
-        let stub_asn = Asn(1000 + di as u32);
-        for node_idx in first_node..b.node_count() {
-            for pfx in b.subnets_of(NodeId(node_idx)) {
-                as_map.insert(*pfx, stub_asn, AsTier::Stub);
-            }
-        }
         // Core routing: every core router reaches this destination via the
         // owner; the owner hands off to the branch head.
         let dest_route = Ipv4Prefix::host(info.addr);
@@ -315,13 +291,7 @@ pub fn generate(config: &InternetConfig) -> SyntheticInternet {
         dests.push(info);
     }
 
-    SyntheticInternet {
-        topology: Arc::new(b.build()),
-        source,
-        dests,
-        as_map,
-        config: config.clone(),
-    }
+    SyntheticInternet { topology: Arc::new(b.build()), source, dests, config: config.clone() }
 }
 
 /// One destination's branch while it is built: the generator's state,
@@ -706,34 +676,6 @@ mod tests {
                 pt_core::trace(&mut tx, &mut strat, d.addr, pt_core::TraceConfig::default());
             assert!(!route.hops.is_empty(), "destination {i}");
         }
-    }
-
-    #[test]
-    fn as_map_labels_every_interface() {
-        use crate::aslabel::AsTier;
-        let net = generate(&InternetConfig::tiny(19));
-        // Every interface address in the topology maps to some AS, and
-        // the tiers come out right: source for S-side, tier-1 for cores,
-        // stub for destinations.
-        for node in &net.topology.nodes {
-            for iface in &node.ifaces {
-                let asn = net.as_map.lookup(iface.addr);
-                assert!(asn.is_some(), "unmapped interface {} on {}", iface.addr, node.name);
-            }
-        }
-        let s_addr = net.topology.node(net.source).primary_addr();
-        let s_asn = net.as_map.lookup(s_addr).unwrap();
-        assert_eq!(net.as_map.tier(s_asn), Some(AsTier::Source));
-        for d in &net.dests {
-            let asn = net.as_map.lookup(d.addr).unwrap();
-            assert_eq!(net.as_map.tier(asn), Some(AsTier::Stub), "dest {}", d.addr);
-        }
-        // One tier-1 per core router.
-        assert_eq!(net.as_map.tier1s().len(), net.config.n_core);
-        // Distinct stubs have distinct AS numbers.
-        let stub_asns: std::collections::BTreeSet<_> =
-            net.dests.iter().map(|d| net.as_map.lookup(d.addr).unwrap()).collect();
-        assert_eq!(stub_asns.len(), net.dests.len());
     }
 
     #[test]

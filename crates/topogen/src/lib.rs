@@ -17,8 +17,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]
 
-pub mod aslabel;
 pub mod internet;
 
-pub use aslabel::{coverage, AsCoverage, AsMap, AsTier, Asn};
 pub use internet::{generate, DestInfo, DestTruth, InternetConfig, SyntheticInternet};

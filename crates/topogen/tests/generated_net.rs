@@ -5,6 +5,7 @@
 //! that moves a node id, an address, a route or an RNG draw fails here
 //! before any campaign digest has to notice.
 
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use pt_netsim::node::NodeKind;
@@ -87,4 +88,32 @@ fn the_tiny_net_is_pinned() {
 #[test]
 fn the_hostile_net_is_pinned() {
     pin("hostile(7)", &InternetConfig::hostile(7), 382, 426, 0x87fb_6aa6_b1ca_b5cd);
+}
+
+/// Each node's interfaces are drawn from /24s no other node draws on, so
+/// no two nodes share an address, and every destination is the address
+/// of a host of its own.
+#[test]
+fn every_node_addresses_from_subnets_of_its_own() {
+    for (name, config) in [
+        ("default", InternetConfig::default()),
+        ("tiny(42)", InternetConfig::tiny(42)),
+        ("hostile(7)", InternetConfig::hostile(7)),
+    ] {
+        let net = generate(&config);
+        let topo = &net.topology;
+        let mut pools = BTreeMap::new();
+        for (i, node) in topo.nodes.iter().enumerate() {
+            for iface in &node.ifaces {
+                let owner = *pools.entry(u32::from(iface.addr) >> 8).or_insert(i);
+                assert_eq!(owner, i, "{name}: {} shares a /24 with node {owner}", iface.addr);
+            }
+        }
+        let mut hosts = BTreeMap::new();
+        for (di, d) in net.dests.iter().enumerate() {
+            let host = topo.owner_of(d.addr).expect("a destination is some node's address");
+            assert!(matches!(topo.node(host).kind, NodeKind::Host(_)), "{name}: dest {di}");
+            assert_eq!(hosts.insert(host.0, di), None, "{name}: dest {di} shares its host");
+        }
+    }
 }
