@@ -226,6 +226,34 @@ impl CampaignAccumulator {
         }
     }
 
+    /// Sort the keys ingested since the last merge into each set's run
+    /// and free their hash tables, as [`CampaignAccumulator::absorb`]
+    /// does first: a campaign worker seals its own accumulator before
+    /// its block's join, so that the join merges sorted runs only.
+    pub fn seal(&mut self) {
+        for set in self.addr_sets_mut() {
+            set.seal();
+        }
+        self.loop_sig_rounds.seal();
+        self.cycle_sig_rounds.seal();
+        self.triples.seal();
+    }
+
+    /// Grow each set's run once, for the keys the same set of the sealed
+    /// `others` adds to it: absorbing those accumulators in turn then
+    /// grows no run further.
+    pub fn reserve_for_merge<'a>(
+        &mut self,
+        others: impl Iterator<Item = &'a CampaignAccumulator> + Clone,
+    ) {
+        for (i, set) in self.addr_sets_mut().into_iter().enumerate() {
+            set.reserve_for_merge(others.clone().map(|o| o.addr_sets()[i].1));
+        }
+        self.loop_sig_rounds.reserve_for_merge(others.clone().map(|o| &o.loop_sig_rounds));
+        self.cycle_sig_rounds.reserve_for_merge(others.clone().map(|o| &o.cycle_sig_rounds));
+        self.triples.reserve_for_merge(others.map(|o| &o.triples));
+    }
+
     /// Make room in each set for as many keys as it held when an
     /// [`CampaignAccumulator::absorb`] last emptied it. An accumulator
     /// emptied and refilled over and over, as a campaign worker's is
@@ -847,6 +875,42 @@ mod tests {
             acc.ingest(3, &route(tool, 100, vec![Some(2), Some(4), None]));
         }
         assert_eq!(text(&kept), text(&fresh));
+    }
+
+    #[test]
+    fn sealed_shards_merge_into_what_unsealed_ones_do() {
+        // A block's join: each worker seals its own shard, then the first
+        // is grown once for the others and absorbs them in turn.
+        let tool = StrategyId::ClassicUdp;
+        let shards = || {
+            let mut shards = [(); 3].map(|()| CampaignAccumulator::new(tool));
+            for (i, dest) in (100..106).enumerate() {
+                let hops = vec![Some(2), Some(3 + i as u8 % 2), Some(3), None];
+                shards[i % 3].ingest(i % 2, &route(tool, dest, hops));
+            }
+            shards
+        };
+        let text = |acc: &CampaignAccumulator| {
+            let mut text = String::new();
+            acc.snapshot_write(&mut text);
+            text
+        };
+        let mut plain = CampaignAccumulator::new(tool);
+        for mut shard in shards() {
+            plain.absorb(&mut shard);
+        }
+        let mut sealed = shards();
+        for shard in &mut sealed {
+            shard.seal();
+        }
+        let [first, rest @ ..] = &mut sealed;
+        let mut joined = CampaignAccumulator::new(tool);
+        joined.absorb(first);
+        joined.reserve_for_merge(rest.iter());
+        for shard in rest {
+            joined.absorb(shard);
+        }
+        assert_eq!(text(&joined), text(&plain));
     }
 
     #[test]

@@ -220,6 +220,17 @@ pub(crate) trait Fold: Default + Send {
     /// `units` units: for each unit where the fold keeps one per unit,
     /// for as many keys as each set held last where it keeps sets.
     fn reserve(&mut self, _units: usize) {}
+    /// Put what was folded since the last absorb in the order absorb
+    /// leaves: what a worker does to its own fold at the end of a block,
+    /// beside the other workers, so that the block's join only merges.
+    fn seal(&mut self) {}
+    /// Grow this fold once, before `parts` are absorbed into it in turn,
+    /// by what they add to it: at most the sum of their sizes.
+    fn reserve_for<'a>(&mut self, _parts: impl Iterator<Item = &'a Self> + Clone)
+    where
+        Self: 'a,
+    {
+    }
 }
 
 impl Default for BlockOutput {
@@ -242,6 +253,16 @@ impl Fold for BlockOutput {
     fn reserve(&mut self, _units: usize) {
         self.classic.reserve_for_refill();
         self.paris.reserve_for_refill();
+    }
+
+    fn seal(&mut self) {
+        self.classic.seal();
+        self.paris.seal();
+    }
+
+    fn reserve_for<'a>(&mut self, parts: impl Iterator<Item = &'a Self> + Clone) {
+        self.classic.reserve_for_merge(parts.clone().map(|p| &p.classic));
+        self.paris.reserve_for_merge(parts.map(|p| &p.paris));
     }
 }
 
@@ -267,6 +288,17 @@ impl<F: Fold> Fold for Folded<F> {
         self.quarantined.append(&mut other.quarantined);
         // Which worker or block met which panic is scheduling noise.
         self.quarantined.sort_unstable_by_key(|q| q.0);
+    }
+
+    fn seal(&mut self) {
+        self.measured.seal();
+    }
+
+    fn reserve_for<'a>(&mut self, parts: impl Iterator<Item = &'a Self> + Clone)
+    where
+        Self: 'a,
+    {
+        self.measured.reserve_for(parts.map(|p| &p.measured));
     }
 }
 
@@ -440,24 +472,28 @@ fn run_whole<M: CampaignMode>(net: &SyntheticInternet, mode: &M) -> M::Result {
     let n_units = n_units(net, &mode.common());
     // The states are dropped with this statement: finalizing holds the
     // fold, not the simulators beside it.
-    let fold = run_block(net, mode, 0..n_units, &mut worker_states(net, mode));
+    let (fold, ()) = run_block(net, mode, 0..n_units, &mut worker_states(net, mode), || ());
     finish(net, mode, fold)
 }
 
 /// Execute one contiguous block of units, one thread per state of
-/// `workers` — the whole campaign for [`run`] / [`run_multipath`], one
-/// checkpoint block for the crash-safe engine in [`crate::snapshot`],
-/// which passes the same states block after block. Results are
-/// independent of the block partitioning, of which worker claims which
-/// unit and of what the states ran before, because every unit's draws
-/// derive from `(seed, destination, round)` alone and the fold is
-/// order-insensitive.
-pub(crate) fn run_block<M: CampaignMode>(
+/// `workers`, and run `beside` on the calling thread meanwhile — the
+/// whole campaign for [`run`] / [`run_multipath`], with nothing beside
+/// it, or one checkpoint block for the crash-safe engine in
+/// [`crate::snapshot`], which passes the same states block after block
+/// and journals the block before beside this one. Returns the block's
+/// fold and what `beside` returned, once every worker has joined.
+/// Results are independent of the block partitioning, of which worker
+/// claims which unit and of what the states ran before, because every
+/// unit's draws derive from `(seed, destination, round)` alone and the
+/// fold is order-insensitive.
+pub(crate) fn run_block<M: CampaignMode, R>(
     net: &SyntheticInternet,
     mode: &M,
     units: Range<UnitId>,
     workers: &mut [WorkerState<M>],
-) -> Folded<M::Fold> {
+    beside: impl FnOnce() -> R,
+) -> (Folded<M::Fold>, R) {
     let n_workers = workers.len().min(units.len());
 
     // One shared cursor over the block's *runs*: a run is one
@@ -489,7 +525,7 @@ pub(crate) fn run_block<M: CampaignMode>(
     // reserves room for where it keeps one entry per unit.
     let share = units.len().div_ceil(n_workers.max(1));
     let workers = &mut workers[..n_workers];
-    std::thread::scope(|scope| {
+    let beside = std::thread::scope(|scope| {
         let handles: Vec<_> = workers
             .iter_mut()
             .map(|state| {
@@ -497,18 +533,26 @@ pub(crate) fn run_block<M: CampaignMode>(
                 scope.spawn(move || run_worker(claim, share, net, mode, state))
             })
             .collect();
+        let beside = beside();
         // A worker thread only dies if the quarantine machinery itself
         // panicked (unit panics are caught inside `run_worker`).
         for handle in handles {
             handle.join().expect("campaign worker died");
         }
+        beside
     });
 
+    // Each worker sealed its fold: what is left is merging sorted runs,
+    // into the first worker's, grown once for all the others.
     let mut merged = Folded::default();
-    for state in workers {
-        merged.absorb(&mut state.fold);
+    if let Some((first, rest)) = workers.split_first_mut() {
+        merged.absorb(&mut first.fold);
+        merged.reserve_for(rest.iter().map(|state| &state.fold));
+        for state in rest {
+            merged.absorb(&mut state.fold);
+        }
     }
-    merged
+    (merged, beside)
 }
 
 /// Decode a unit id, `dest × rounds + round`, into its destination and
@@ -562,10 +606,11 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// One worker: fold every unit `claim` hands out into the state's
-/// fold, until it hands out none. `claim` is the scheduler's whole
-/// freedom — production passes [`run_block`]'s shared cursor; a test
-/// substitutes any schedule. The fold, emptied by the last block's
-/// merge, first reserves room for the `expected` units ([`Fold::reserve`]).
+/// fold, until it hands out none, then seal the fold ([`Fold::seal`]).
+/// `claim` is the scheduler's whole freedom — production passes
+/// [`run_block`]'s shared cursor; a test substitutes any schedule. The
+/// fold, emptied by the last block's merge, first reserves room for the
+/// `expected` units ([`Fold::reserve`]).
 fn run_worker<M: CampaignMode>(
     mut claim: impl FnMut() -> Option<UnitId>,
     expected: usize,
@@ -598,6 +643,7 @@ fn run_worker<M: CampaignMode>(
             }
         }
     }
+    state.fold.seal();
 }
 
 impl CampaignMode for CampaignConfig {
@@ -965,10 +1011,16 @@ pub struct MultipathResult {
 }
 
 /// What a block of multipath units found. Once absorbed, in
-/// `(destination, round)` order — which *is* unit order.
+/// `(destination, round)` order — which *is* unit order. A worker
+/// claims a block's units in ascending order, so its fold needs no
+/// seal.
 impl Fold for Vec<UnitDiscovery> {
     fn reserve(&mut self, units: usize) {
         Vec::reserve(self, units);
+    }
+
+    fn reserve_for<'a>(&mut self, parts: impl Iterator<Item = &'a Self> + Clone) {
+        self.reserve_exact(parts.map(Vec::len).sum());
     }
 
     fn absorb(&mut self, other: &mut Self) {
@@ -1435,7 +1487,8 @@ mod tests {
             let mut cold_after_second = false;
             let folds: Vec<Folded<BlockOutput>> = (0..5u32)
                 .map(|block| {
-                    let fold = run_block(&net, &cfg, block * 16..(block + 1) * 16, &mut states);
+                    let fold =
+                        run_block(&net, &cfg, block * 16..(block + 1) * 16, &mut states, || ()).0;
                     if block == 1 {
                         cold_after_second = format!("{:?}", states[0].scratch) == cold;
                     }
@@ -1461,7 +1514,7 @@ mod tests {
             assert_eq!(hit[1].measured.classic.report().routes_total, 15);
             let clean_config =
                 CampaignConfig { rounds: 2, workers, seed: 99, ..Default::default() };
-            let alone = run_block(&net, &clean_config, 31..32, &mut states);
+            let alone = run_block(&net, &clean_config, 31..32, &mut states, || ()).0;
             assert!(alone.virtual_ns > 0);
             assert_eq!(hit[1].virtual_ns, clean[1].virtual_ns - alone.virtual_ns);
             // …the state it unwound through was rebuilt (one worker
@@ -1500,8 +1553,9 @@ mod tests {
             // Blocks of 24, 8, 40 and 24 units, so that a block meets
             // sets sized for a smaller one and for a larger one.
             for units in [0..24, 24..32, 32..72, 72..96] {
-                let kept = run_block(&net, &cfg, units.clone(), &mut warm);
-                let fresh = run_block(&net, &cfg, units.clone(), &mut worker_states(&net, &cfg));
+                let kept = run_block(&net, &cfg, units.clone(), &mut warm, || ()).0;
+                let fresh =
+                    run_block(&net, &cfg, units.clone(), &mut worker_states(&net, &cfg), || ()).0;
                 assert!(kept.measured.paris.report().routes_total > 0);
                 assert!(
                     text(&kept) == text(&fresh),
@@ -1637,7 +1691,7 @@ mod tests {
         let (done, result) = std::sync::mpsc::channel();
         let units = block.clone();
         let runner = std::thread::spawn(move || {
-            let out = run_block(&net, &cfg, units, &mut worker_states(&net, &cfg));
+            let out = run_block(&net, &cfg, units, &mut worker_states(&net, &cfg), || ()).0;
             let unit_of = |u: &UnitDiscovery| (u.round * net.dests.len() + u.dest) as UnitId;
             // The receiver is gone only if the wait below timed out.
             let _ = done.send(out.measured.iter().map(unit_of).collect::<Vec<_>>());

@@ -28,7 +28,12 @@
 //! one, whose accumulator records this reader does not speak).
 //!
 //! A checkpoint appends one record holding only the block just run, so
-//! its cost is the block's, not the campaign's so far. Records chain:
+//! its cost is the block's, not the campaign's so far, and the workers
+//! never wait for it: a block's record is written, and folded in, while
+//! the workers run the next block. A kill through
+//! [`CheckpointConfig::stop_after_checkpoints`] still journals every
+//! block it ran; a hard crash loses at most the block in flight and the
+//! one being written. Records chain:
 //! the first starts at unit 0 and each next one starts where the last
 //! ended. The digest covers the header line and the body. Replay stops
 //! at the first record that does not chain, is cut short, fails its
@@ -115,8 +120,9 @@ pub struct CheckpointConfig {
     /// occasionally rewritten atomically through `<path>.tmp`.
     pub path: PathBuf,
     /// Units per checkpoint block: the campaign journals after every
-    /// `every_units` completed units (and once more at the end). A
-    /// crash loses at most one block of work.
+    /// `every_units` completed units (and once more at the end), while
+    /// the next block runs. A crash loses at most two blocks of work:
+    /// the one running and the one being journaled.
     pub every_units: u32,
     /// Testing hook: stop — returning `Ok(None)` with the journal on
     /// disk — after this many checkpoints, *as if the process had been
@@ -977,7 +983,20 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
         })
     }
 
-    /// Checkpoint: append the record of the block just run.
+    /// Checkpoint the block of `range`: append its record, fold it into
+    /// `fold`, then fold the journal if that is due.
+    fn commit(
+        &mut self,
+        fold: &mut Folded<M::Fold>,
+        range: Range<u32>,
+        mut block: Folded<M::Fold>,
+    ) -> io::Result<()> {
+        self.append(range.clone(), &block)?;
+        fold.absorb(&mut block);
+        self.fold_if_due(range.end, fold)
+    }
+
+    /// Append the record of a block.
     fn append(&mut self, range: Range<u32>, block: &Folded<M::Fold>) -> io::Result<()> {
         let len = write_record::<M>(&mut self.file, &mut self.buf, self.fingerprint, range, block)?;
         self.appended += len;
@@ -1002,7 +1021,13 @@ impl<'a, M: Checkpointed> Journal<'a, M> {
 }
 
 /// The one checkpoint driver: run the campaign block by block from the
-/// journal's cursor, journaling each block.
+/// journal's cursor, journaling each block while the workers run the
+/// next. At most one block is run and not yet journaled; it is
+/// committed ([`Journal::commit`]) beside the next block, or before the
+/// driver returns — at the end, or at a `stop_after_checkpoints` kill,
+/// past which no block is started. A hard crash loses at most the block
+/// in flight and the one being journaled; an I/O error from a commit is
+/// returned once the block beside it has joined.
 fn drive<M: Checkpointed>(
     net: &SyntheticInternet,
     mode: &M,
@@ -1029,19 +1054,27 @@ fn drive<M: Checkpointed>(
     let mut checkpoints = 0usize;
     // Warm from the first block on: a later block builds no simulator.
     let mut workers = worker_states(net, mode);
+    // The block run but not yet journaled.
+    let mut pending: Option<(Range<u32>, Folded<M::Fold>)> = None;
     while cursor < n_units {
         let end = n_units.min(cursor.saturating_add(every));
-        let mut block = run_block(net, mode, cursor..end, &mut workers);
+        let (block, committed) = run_block(net, mode, cursor..end, &mut workers, || {
+            pending.take().map_or(Ok(()), |(range, block)| journal.commit(&mut fold, range, block))
+        });
+        committed?;
         journal.stats.units_run += end - cursor;
-        journal.append(cursor..end, &block)?;
-        fold.absorb(&mut block);
+        pending = Some((cursor..end, block));
         cursor = end;
-        journal.fold_if_due(cursor, &fold)?;
         checkpoints += 1;
-        if cursor < n_units && ckpt.stop_after_checkpoints.is_some_and(|limit| checkpoints >= limit)
-        {
-            return Ok((None, journal.stats));
+        if ckpt.stop_after_checkpoints.is_some_and(|limit| checkpoints >= limit) {
+            break;
         }
+    }
+    if let Some((range, block)) = pending {
+        journal.commit(&mut fold, range, block)?;
+    }
+    if cursor < n_units {
+        return Ok((None, journal.stats));
     }
     Ok((Some(finish(net, mode, fold)), journal.stats))
 }
@@ -1193,7 +1226,7 @@ mod tests {
         write_body::<CampaignConfig>(&replayed.fold, &mut journaled);
         let mut direct = String::new();
         let serial = CampaignConfig { workers: 1, ..config };
-        let whole = run_block(&net, &serial, 0..80, &mut worker_states(&net, &serial));
+        let whole = run_block(&net, &serial, 0..80, &mut worker_states(&net, &serial), || ()).0;
         write_body::<CampaignConfig>(&whole, &mut direct);
         assert!(journaled == direct, "journal replay changed the fold's canonical bytes");
         let _ = fs::remove_file(&path);
@@ -1396,7 +1429,9 @@ mod tests {
                 &config,
                 replayed.cursor - 16..replayed.cursor,
                 &mut worker_states(net, &config),
-            );
+                || (),
+            )
+            .0;
             let bound = 2 * record_len::<CampaignConfig>(&replayed.fold, 0..replayed.cursor)
                 + record_len::<CampaignConfig>(&block, replayed.cursor - 16..replayed.cursor);
             assert!(
@@ -1459,6 +1494,56 @@ mod tests {
             assert_eq!(stats, DriveStats::default(), "nothing run, nothing written");
             assert!(fs::read(&path).unwrap() == bytes, "the journal is untouched");
             assert!(!tmp_path(&path).exists(), "the stale temp file is gone");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    /// The journal that `mode` leaves killed at each of its checkpoints in
+    /// turn, `every` units a block: each holds exactly the blocks up to
+    /// the kill, and no unit past them was run.
+    fn journals_killed_at_every_checkpoint<M: Checkpointed>(
+        net: &SyntheticInternet,
+        mode: &M,
+        every: u32,
+        path: &Path,
+    ) -> Vec<Vec<u8>> {
+        let n = n_units(net, &mode.common());
+        let shape = (net.dests.len(), mode.common().rounds);
+        (1..=n.div_ceil(every))
+            .map(|k| {
+                let (result, stats) =
+                    drive(net, mode, &ckpt(path, every, Some(k as usize)), false).unwrap();
+                let cursor = n.min(k * every);
+                let case = format!("{} blocks of {every}, killed at checkpoint {k}", M::MODE);
+                assert_eq!(result.is_some(), cursor == n, "{case}");
+                let replayed = replay::<M>(path, mode.fingerprint(net), shape).unwrap();
+                assert_eq!(replayed.cursor, cursor, "{case}: the journal ends elsewhere");
+                assert_eq!(stats.units_run, cursor, "{case}: a block past the kill ran");
+                fs::read(path).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_kill_journals_every_block_before_it_and_runs_none_after() {
+        // The driver journals a block while the workers run the next; a
+        // kill still commits the block it ends and starts no other.
+        let net = generate(&InternetConfig::tiny(42));
+        let path = tmp("exact-kill");
+        for every in [7, 17] {
+            let side = [1, 3].map(|workers| {
+                let config = CampaignConfig { rounds: 2, workers, seed: 99, ..Default::default() };
+                journals_killed_at_every_checkpoint(&net, &config, every, &path)
+            });
+            let multi = [1, 3].map(|workers| {
+                let config = MultipathConfig { rounds: 2, workers, seed: 7, ..Default::default() };
+                journals_killed_at_every_checkpoint(&net, &config, every, &path)
+            });
+            // Every journal, the complete run's last, is the same bytes
+            // for any worker count.
+            for (mode, [one, three]) in [("side-by-side", side), ("multipath", multi)] {
+                assert!(one == three, "{mode}, blocks of {every}: journals differ by worker count");
+            }
         }
         let _ = fs::remove_file(&path);
     }
@@ -1570,8 +1655,9 @@ mod tests {
         let config = MultipathConfig { rounds: 2, workers: 2, seed: 7, ..Default::default() };
         let fingerprint = config.fingerprint(&net);
         let plain = multipath_digest(&run_multipath(&net, &config));
-        let block =
-            |units: Range<u32>| run_block(&net, &config, units, &mut worker_states(&net, &config));
+        let block = |units: Range<u32>| {
+            run_block(&net, &config, units, &mut worker_states(&net, &config), || ()).0
+        };
         let quarantined = |unit: u32| (unit, "crafted".to_owned());
         // A craft, and why reading the record of units 23..46 — which are
         // destination 11's round 1 and both rounds of destinations 12..23 —
@@ -1644,8 +1730,9 @@ mod tests {
         let config = MultipathConfig { rounds: 2, workers: 2, seed: 7, ..Default::default() };
         let fingerprint = config.fingerprint(&net);
         let plain = multipath_digest(&run_multipath(&net, &config));
-        let block =
-            |units: Range<u32>| run_block(&net, &config, units, &mut worker_states(&net, &config));
+        let block = |units: Range<u32>| {
+            run_block(&net, &config, units, &mut worker_states(&net, &config), || ()).0
+        };
         let fold = Record::encode::<MultipathConfig>(fingerprint, 0..40, &block(0..40));
         let intact = Record::encode::<MultipathConfig>(fingerprint, 40..60, &block(40..60));
         // The first unit's probe count, the last hex digit of its key
@@ -1682,7 +1769,8 @@ mod tests {
         // One line, whatever the unit count.
         let mut sizes = Vec::new();
         for units in [0..0, 0..1, 0..256] {
-            let fold = run_block(&net, &config, units.clone(), &mut worker_states(&net, &config));
+            let fold =
+                run_block(&net, &config, units.clone(), &mut worker_states(&net, &config), || ()).0;
             assert!(fold.quarantined.is_empty());
             let record = Record::encode::<CampaignConfig>(fingerprint, units.clone(), &fold);
             assert_eq!(virt_lines(&record.body), 1, "{units:?}");
@@ -1704,7 +1792,7 @@ mod tests {
         // A total that is not a decimal `u128`, or that is more than the
         // record's units can have run for, makes the record damage.
         let span = Span { units: 0..16, n_dests: 40, rounds: 7 };
-        let fold = run_block(&net, &config, 0..16, &mut worker_states(&net, &config));
+        let fold = run_block(&net, &config, 0..16, &mut worker_states(&net, &config), || ()).0;
         let mut body = String::new();
         write_body::<CampaignConfig>(&fold, &mut body);
         let total = format!("virt {}\n", fold.virtual_ns);

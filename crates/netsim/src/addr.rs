@@ -70,39 +70,24 @@ impl core::fmt::Display for Ipv4Prefix {
     }
 }
 
-/// Hands out unique addresses for simulated nodes, carving /24s out of a
-/// base /8 so that sibling interfaces share a subnet when asked.
+/// Hands out disjoint /24 subnets of a base /8 for simulated nodes; the
+/// builder names a subnet's addresses with [`Ipv4Prefix::nth`].
 #[derive(Debug)]
 pub struct AddrAllocator {
     next_subnet: u32,
-    next_host: u32,
     base: u32,
 }
 
 impl AddrAllocator {
     /// Allocator over `base/8` (e.g. `10.0.0.0`).
     pub fn new(base: Ipv4Addr) -> Self {
-        AddrAllocator { next_subnet: 0, next_host: 1, base: u32::from(base) & 0xff00_0000 }
+        AddrAllocator { next_subnet: 0, base: u32::from(base) & 0xff00_0000 }
     }
 
-    /// Begin a fresh /24 subnet; subsequent [`AddrAllocator::next`] calls
-    /// allocate inside it.
+    /// A fresh /24 subnet, disjoint from every one handed out before.
     pub fn next_subnet(&mut self) -> Ipv4Prefix {
         self.next_subnet += 1;
-        self.next_host = 1;
         Ipv4Prefix::new(Ipv4Addr::from(self.base + (self.next_subnet << 8)), 24)
-    }
-
-    /// The next unique address in the current subnet, spilling into a new
-    /// subnet after 254 hosts.
-    #[allow(clippy::should_implement_trait, reason = "never exhausted, so no Iterator")]
-    pub fn next(&mut self) -> Ipv4Addr {
-        if self.next_host >= 255 {
-            self.next_subnet();
-        }
-        let addr = Ipv4Addr::from(self.base + (self.next_subnet << 8) + self.next_host);
-        self.next_host += 1;
-        addr
     }
 }
 
@@ -135,11 +120,15 @@ mod tests {
 
     #[test]
     fn allocator_hands_out_unique_addresses() {
+        // Every address of 1000 subnets, named as the builder names them.
         let mut alloc = AddrAllocator::new(Ipv4Addr::new(10, 0, 0, 0));
-        alloc.next_subnet();
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..1000 {
-            assert!(seen.insert(alloc.next()), "duplicate address");
+            let subnet = alloc.next_subnet();
+            assert_eq!(subnet.len(), 24);
+            for i in 0..256 {
+                assert!(seen.insert(subnet.nth(i)), "duplicate address");
+            }
         }
     }
 
@@ -147,13 +136,14 @@ mod tests {
     fn allocator_subnets_are_disjoint() {
         let mut alloc = AddrAllocator::new(Ipv4Addr::new(10, 0, 0, 0));
         let s1 = alloc.next_subnet();
-        let a1 = alloc.next();
         let s2 = alloc.next_subnet();
-        let a2 = alloc.next();
-        assert!(s1.contains(a1));
-        assert!(s2.contains(a2));
-        assert!(!s1.contains(a2));
-        assert!(!s2.contains(a1));
+        for i in [0, 1, 254, 255] {
+            let (a1, a2) = (s1.nth(i), s2.nth(i));
+            assert!(s1.contains(a1));
+            assert!(s2.contains(a2));
+            assert!(!s1.contains(a2));
+            assert!(!s2.contains(a1));
+        }
     }
 
     #[test]
