@@ -68,7 +68,7 @@ impl<const N: usize> KeySet<N> {
     }
 
     /// Move the fresh keys into the sorted run, and free their table.
-    pub(crate) fn seal(&mut self) {
+    fn seal(&mut self) {
         if !self.fresh.is_empty() {
             let fresh = self.fresh_run();
             self.last_fresh = fresh.len();
@@ -84,20 +84,9 @@ impl<const N: usize> KeySet<N> {
         self.fresh.reserve(self.last_fresh);
     }
 
-    /// Grow the sorted run once, by the keys of each of the sealed
-    /// `others` that it lacks, so that absorbing them in turn grows it no
-    /// further: to their union exactly when there is one other, and never
-    /// past the sum of their lengths. An empty run grows by nothing: it
-    /// takes the first run absorbed into it whole.
-    pub(crate) fn reserve_for_merge<'a>(&mut self, others: impl Iterator<Item = &'a KeySet<N>>) {
-        if !self.sorted.is_empty() {
-            let more = others.map(|other| lacking(&self.sorted, &other.sorted)).sum();
-            self.sorted.reserve_exact(more);
-        }
-    }
-
     /// Union with `other`, leaving this set one sorted run and `other`
-    /// empty but for its [`KeySet::reserve`] size.
+    /// empty but for its [`KeySet::reserve`] size. An empty set takes
+    /// `other`'s run whole.
     pub(crate) fn absorb(&mut self, other: &mut KeySet<N>) {
         self.seal();
         other.seal();
@@ -189,9 +178,15 @@ pub(crate) fn groups<const N: usize>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    /// Where a set's sorted run lives, and its capacity: what shows a
+    /// run moved rather than copied.
+    pub(crate) fn run_at<const N: usize>(set: &KeySet<N>) -> (usize, usize) {
+        (set.sorted.as_ptr() as usize, set.sorted.capacity())
+    }
 
     /// A small multiplicative generator: the tests need arbitrary, not
     /// random, keys.
@@ -253,47 +248,6 @@ mod tests {
         merge_runs(&mut a, b);
         assert_eq!(a, union.into_iter().collect::<Vec<_>>());
         assert_eq!((a.as_ptr(), a.capacity()), (ptr, capacity), "the merge moved `a`");
-    }
-
-    #[test]
-    fn a_join_grows_the_first_run_once_by_what_the_others_add() {
-        // Sealed workers' sets merged as a block's join merges them: the
-        // first worker's run, grown once, then each other absorbed.
-        let sealed = |seed: u32, n: usize| {
-            let mut set = KeySet::<2>::default();
-            for key in keys(seed, n, 90) {
-                set.insert(key);
-            }
-            set.seal();
-            set
-        };
-        for sizes in [&[50, 80][..], &[50, 80, 30], &[0, 40, 60], &[40, 0]] {
-            let mut sets: Vec<KeySet<2>> =
-                sizes.iter().enumerate().map(|(i, &n)| sealed(i as u32 + 1, n)).collect();
-            let union: Vec<Key<2>> = sets
-                .iter()
-                .flat_map(|s| s.keys().to_vec())
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            let (first, rest) = sets.split_first_mut().unwrap();
-            let mut merged = KeySet::default();
-            merged.absorb(first);
-            merged.reserve_for_merge(rest.iter());
-            let (ptr, capacity) = (merged.sorted.as_ptr(), merged.sorted.capacity());
-            for other in rest {
-                merged.absorb(other);
-            }
-            assert_eq!(merged.keys().to_vec(), union, "{sizes:?}");
-            if sizes[0] > 0 {
-                let grown = (merged.sorted.as_ptr(), merged.sorted.capacity());
-                assert_eq!(grown, (ptr, capacity), "{sizes:?}: the run grew again");
-                // One other: to the union exactly. More: no further than
-                // the sum of their lengths.
-                let most = if sizes.len() == 2 { union.len() } else { sizes.iter().sum() };
-                assert!(capacity <= most, "{sizes:?}: {capacity} > {most}");
-            }
-        }
     }
 
     #[test]

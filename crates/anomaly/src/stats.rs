@@ -204,6 +204,9 @@ impl CampaignAccumulator {
     /// [`CampaignAccumulator::merge`], leaving `other` as empty as
     /// [`CampaignAccumulator::new`] makes it but for the size of each
     /// set, which [`CampaignAccumulator::reserve_for_refill`] reads.
+    /// Into an empty accumulator, `other`'s sorted runs and instance maps
+    /// move whole: a campaign worker sorts its own block this way, and a
+    /// journal's first record is folded without a copy.
     ///
     /// # Panics
     /// Panics when merging accumulators of different tools.
@@ -215,43 +218,11 @@ impl CampaignAccumulator {
         self.loop_sig_rounds.absorb(&mut other.loop_sig_rounds);
         self.cycle_sig_rounds.absorb(&mut other.cycle_sig_rounds);
         self.triples.absorb(&mut other.triples);
-        for (k, n) in std::mem::take(&mut other.loop_instances) {
-            *self.loop_instances.entry(k).or_insert(0) += n;
-        }
-        for (k, n) in std::mem::take(&mut other.cycle_instances) {
-            *self.cycle_instances.entry(k).or_insert(0) += n;
-        }
+        add_instances(&mut self.loop_instances, &mut other.loop_instances);
+        add_instances(&mut self.cycle_instances, &mut other.cycle_instances);
         for (mine, theirs) in self.counts_mut().into_iter().zip(other.counts_mut()) {
             *mine += std::mem::take(theirs);
         }
-    }
-
-    /// Sort the keys ingested since the last merge into each set's run
-    /// and free their hash tables, as [`CampaignAccumulator::absorb`]
-    /// does first: a campaign worker seals its own accumulator before
-    /// its block's join, so that the join merges sorted runs only.
-    pub fn seal(&mut self) {
-        for set in self.addr_sets_mut() {
-            set.seal();
-        }
-        self.loop_sig_rounds.seal();
-        self.cycle_sig_rounds.seal();
-        self.triples.seal();
-    }
-
-    /// Grow each set's run once, for the keys the same set of the sealed
-    /// `others` adds to it: absorbing those accumulators in turn then
-    /// grows no run further.
-    pub fn reserve_for_merge<'a>(
-        &mut self,
-        others: impl Iterator<Item = &'a CampaignAccumulator> + Clone,
-    ) {
-        for (i, set) in self.addr_sets_mut().into_iter().enumerate() {
-            set.reserve_for_merge(others.clone().map(|o| o.addr_sets()[i].1));
-        }
-        self.loop_sig_rounds.reserve_for_merge(others.clone().map(|o| &o.loop_sig_rounds));
-        self.cycle_sig_rounds.reserve_for_merge(others.clone().map(|o| &o.cycle_sig_rounds));
-        self.triples.reserve_for_merge(others.map(|o| &o.triples));
     }
 
     /// Make room in each set for as many keys as it held when an
@@ -431,6 +402,18 @@ impl CampaignAccumulator {
         acc.cycle_instances = read_instances(lines, "cycle_instances", &CYCLE_CAUSES)?;
         acc.triples = read_key_set(lines, "triples")?;
         tagged(lines, "end_acc").map(|_| acc)
+    }
+}
+
+/// Add the totals of `theirs` into `mine` and leave `theirs` empty. The
+/// larger map is kept and the smaller added into it, so an empty `mine`
+/// takes `theirs` whole.
+fn add_instances<K: Ord>(mine: &mut BTreeMap<K, u64>, theirs: &mut BTreeMap<K, u64>) {
+    if mine.len() < theirs.len() {
+        std::mem::swap(mine, theirs);
+    }
+    for (k, n) in std::mem::take(theirs) {
+        *mine.entry(k).or_insert(0) += n;
     }
 }
 
@@ -670,6 +653,7 @@ impl ComparisonReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyset::tests::run_at;
     use pt_core::{HaltReason, Hop, ProbeResult, ResponseKind};
     use pt_netsim::time::SimDuration;
 
@@ -879,8 +863,9 @@ mod tests {
 
     #[test]
     fn sealed_shards_merge_into_what_unsealed_ones_do() {
-        // A block's join: each worker seals its own shard, then the first
-        // is grown once for the others and absorbs them in turn.
+        // A block's join: each worker seals its own shard by absorbing
+        // it into an empty accumulator, then the sealed shards are
+        // absorbed in turn.
         let tool = StrategyId::ClassicUdp;
         let shards = || {
             let mut shards = [(); 3].map(|()| CampaignAccumulator::new(tool));
@@ -899,18 +884,48 @@ mod tests {
         for mut shard in shards() {
             plain.absorb(&mut shard);
         }
-        let mut sealed = shards();
-        for shard in &mut sealed {
-            shard.seal();
-        }
-        let [first, rest @ ..] = &mut sealed;
+        let sealed = shards().map(|mut shard| {
+            let mut sealed = CampaignAccumulator::new(tool);
+            sealed.absorb(&mut shard);
+            sealed
+        });
         let mut joined = CampaignAccumulator::new(tool);
-        joined.absorb(first);
-        joined.reserve_for_merge(rest.iter());
-        for shard in rest {
-            joined.absorb(shard);
+        for mut shard in sealed {
+            joined.absorb(&mut shard);
         }
         assert_eq!(text(&joined), text(&plain));
+    }
+
+    #[test]
+    fn an_empty_accumulator_takes_what_it_absorbs_whole() {
+        // A replayed journal's first record, absorbed into the empty
+        // fold: its runs move, and no copy of them is made beside it.
+        let tool = StrategyId::ClassicUdp;
+        let text = |acc: &CampaignAccumulator| {
+            let mut text = String::new();
+            acc.snapshot_write(&mut text);
+            text
+        };
+        let mut block = CampaignAccumulator::new(tool);
+        block.ingest(0, &route(tool, 100, vec![Some(2), Some(3), Some(3)]));
+        block.ingest(0, &route(tool, 101, vec![Some(5), Some(6), Some(8)]));
+        block.ingest(1, &route(tool, 101, vec![Some(5), Some(7), Some(8)]));
+        block.ingest(1, &route(tool, 102, vec![Some(2), Some(9), Some(2)]));
+        let record = text(&block);
+        let mut parsed = CampaignAccumulator::snapshot_read(&mut record.lines()).expect("parses");
+        let runs = |acc: &CampaignAccumulator| {
+            let mut runs: Vec<_> = acc.addr_sets().iter().map(|(_, set)| run_at(set)).collect();
+            runs.extend([run_at(&acc.loop_sig_rounds), run_at(&acc.cycle_sig_rounds)]);
+            runs.push(run_at(&acc.triples));
+            runs
+        };
+        let held = runs(&parsed);
+        assert!(held.iter().all(|&(_, capacity)| capacity > 0), "{held:?}");
+        let mut fold = CampaignAccumulator::new(tool);
+        fold.absorb(&mut parsed);
+        assert_eq!(runs(&fold), held, "a run was copied");
+        assert_eq!(text(&fold), record);
+        assert_eq!(text(&parsed), text(&CampaignAccumulator::new(tool)));
     }
 
     #[test]

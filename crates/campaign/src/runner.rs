@@ -214,23 +214,13 @@ pub(crate) struct BlockOutput {
 /// merge into, and what the checkpoint engine merges blocks into.
 pub(crate) trait Fold: Default + Send {
     /// Fold `other` in and leave it empty, this one in the order a
-    /// checkpoint record writes it.
+    /// checkpoint record writes it. An empty fold takes `other` whole:
+    /// that is how a worker sorts its own fold at a block's end.
     fn absorb(&mut self, other: &mut Self);
     /// Make room, once, as a worker's emptied fold starts a block of
     /// `units` units: for each unit where the fold keeps one per unit,
     /// for as many keys as each set held last where it keeps sets.
     fn reserve(&mut self, _units: usize) {}
-    /// Put what was folded since the last absorb in the order absorb
-    /// leaves: what a worker does to its own fold at the end of a block,
-    /// beside the other workers, so that the block's join only merges.
-    fn seal(&mut self) {}
-    /// Grow this fold once, before `parts` are absorbed into it in turn,
-    /// by what they add to it: at most the sum of their sizes.
-    fn reserve_for<'a>(&mut self, _parts: impl Iterator<Item = &'a Self> + Clone)
-    where
-        Self: 'a,
-    {
-    }
 }
 
 impl Default for BlockOutput {
@@ -253,16 +243,6 @@ impl Fold for BlockOutput {
     fn reserve(&mut self, _units: usize) {
         self.classic.reserve_for_refill();
         self.paris.reserve_for_refill();
-    }
-
-    fn seal(&mut self) {
-        self.classic.seal();
-        self.paris.seal();
-    }
-
-    fn reserve_for<'a>(&mut self, parts: impl Iterator<Item = &'a Self> + Clone) {
-        self.classic.reserve_for_merge(parts.clone().map(|p| &p.classic));
-        self.paris.reserve_for_merge(parts.map(|p| &p.paris));
     }
 }
 
@@ -288,17 +268,6 @@ impl<F: Fold> Fold for Folded<F> {
         self.quarantined.append(&mut other.quarantined);
         // Which worker or block met which panic is scheduling noise.
         self.quarantined.sort_unstable_by_key(|q| q.0);
-    }
-
-    fn seal(&mut self) {
-        self.measured.seal();
-    }
-
-    fn reserve_for<'a>(&mut self, parts: impl Iterator<Item = &'a Self> + Clone)
-    where
-        Self: 'a,
-    {
-        self.measured.reserve_for(parts.map(|p| &p.measured));
     }
 }
 
@@ -407,12 +376,16 @@ pub(crate) fn finish<M: CampaignMode>(
 /// registry recycle across every unit — so a worker's steady-state loop
 /// performs no heap allocation at all, and a block after the first
 /// builds no simulator. The worker's fold outlives the block too:
-/// [`run_block`] empties it into the block's, and it keeps only the
+/// [`run_worker`] empties it at the block's end, and it keeps only the
 /// sizes its sets reached, for the next block's [`Fold::reserve`].
 pub(crate) struct WorkerState<M: CampaignMode> {
     pool: SimulatorPool,
     scratch: M::Scratch,
     fold: Folded<M::Fold>,
+    /// The block's fold, absorbed out of `fold` into this empty one at
+    /// the block's end, for [`run_block`]'s join to take. It stays here,
+    /// not in the thread's join packet, which would be a fold's size.
+    sorted: Folded<M::Fold>,
 }
 
 impl<M: CampaignMode> WorkerState<M> {
@@ -423,6 +396,7 @@ impl<M: CampaignMode> WorkerState<M> {
             pool: SimulatorPool::new(net.topology.clone()),
             scratch: M::Scratch::default(),
             fold: Folded::default(),
+            sorted: Folded::default(),
         }
     }
 }
@@ -542,15 +516,11 @@ pub(crate) fn run_block<M: CampaignMode, R>(
         beside
     });
 
-    // Each worker sealed its fold: what is left is merging sorted runs,
-    // into the first worker's, grown once for all the others.
+    // Each worker sorted its fold: what is left is merging runs, the
+    // first taken whole.
     let mut merged = Folded::default();
-    if let Some((first, rest)) = workers.split_first_mut() {
-        merged.absorb(&mut first.fold);
-        merged.reserve_for(rest.iter().map(|state| &state.fold));
-        for state in rest {
-            merged.absorb(&mut state.fold);
-        }
+    for state in workers {
+        merged.absorb(&mut state.sorted);
     }
     (merged, beside)
 }
@@ -606,11 +576,12 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// One worker: fold every unit `claim` hands out into the state's
-/// fold, until it hands out none, then seal the fold ([`Fold::seal`]).
-/// `claim` is the scheduler's whole freedom — production passes
-/// [`run_block`]'s shared cursor; a test substitutes any schedule. The
-/// fold, emptied by the last block's merge, first reserves room for the
-/// `expected` units ([`Fold::reserve`]).
+/// fold, until it hands out none, then absorb the fold into the state's
+/// empty `sorted` one — so it is sorted on the worker's own thread,
+/// beside the other workers. `claim` is the scheduler's whole freedom —
+/// production passes [`run_block`]'s shared cursor; a test substitutes
+/// any schedule. The fold, emptied at the last block's end, first
+/// reserves room for the `expected` units ([`Fold::reserve`]).
 fn run_worker<M: CampaignMode>(
     mut claim: impl FnMut() -> Option<UnitId>,
     expected: usize,
@@ -643,7 +614,7 @@ fn run_worker<M: CampaignMode>(
             }
         }
     }
-    state.fold.seal();
+    state.sorted.absorb(&mut state.fold);
 }
 
 impl CampaignMode for CampaignConfig {
@@ -1012,22 +983,18 @@ pub struct MultipathResult {
 
 /// What a block of multipath units found. Once absorbed, in
 /// `(destination, round)` order — which *is* unit order. A worker
-/// claims a block's units in ascending order, so its fold needs no
-/// seal.
+/// claims a block's units in ascending order, so absorbing its fold
+/// into an empty one sorts nothing.
 impl Fold for Vec<UnitDiscovery> {
     fn reserve(&mut self, units: usize) {
         Vec::reserve(self, units);
     }
 
-    fn reserve_for<'a>(&mut self, parts: impl Iterator<Item = &'a Self> + Clone) {
-        self.reserve_exact(parts.map(Vec::len).sum());
-    }
-
     fn absorb(&mut self, other: &mut Self) {
         let other = std::mem::take(other);
         let joint = self.len().saturating_sub(1);
-        // The first fold absorbed — a one-worker block's only one — is
-        // taken whole, not copied beside the workers' simulators.
+        // A fold absorbed into an empty one — a worker's at its block's
+        // end, the first at a join — is taken whole, not copied.
         if self.is_empty() {
             *self = other;
         } else {
@@ -1732,9 +1699,7 @@ mod tests {
             .map(|cut| {
                 let mut run = order[cut[0]..cut[1]].iter().copied();
                 run_worker(|| run.next(), cut[1] - cut[0], net, mode, state);
-                let mut fold = Folded::default();
-                fold.absorb(&mut state.fold);
-                fold
+                std::mem::take(&mut state.sorted)
             })
             .collect();
         shuffle(&mut folds, rng);

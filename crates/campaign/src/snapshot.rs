@@ -862,14 +862,9 @@ fn replay<M: Checkpointed>(
         if expected.0 != Some(&[]) {
             break;
         }
-        if first {
-            // The first record is the bulk of the journal: keep it as
-            // parsed instead of merging it into an empty fold, which
-            // would hold both at once.
-            out.fold = block;
-        } else {
-            out.fold.absorb(&mut block);
-        }
+        // The first record, the bulk of the journal, moves into the
+        // empty fold whole: nothing holds it twice.
+        out.fold.absorb(&mut block);
         out.cursor = header.range.end;
         let record_len = header_len + record_tail;
         if first {

@@ -75,11 +75,6 @@ impl TopologyBuilder {
         self.node_subnets[node.0][0]
     }
 
-    /// All subnets backing `node`'s interfaces.
-    pub fn subnets_of(&self, node: NodeId) -> &[Ipv4Prefix] {
-        &self.node_subnets[node.0]
-    }
-
     /// Give `node` an extra interface with a caller-chosen address that is
     /// not attached to any link (e.g. a NAT public address or loopback).
     pub fn loopback(&mut self, node: NodeId, addr: Ipv4Addr) {

@@ -2675,8 +2675,10 @@ mod tests {
             b.default_via(d, prev);
             if dice.roll(3) == 0 {
                 let gateway = dice.pick(&spine);
+                // A node takes a second subnet past 250 interfaces; these
+                // have a few, so each one's interfaces are in its first.
                 let inside: Vec<Ipv4Prefix> =
-                    (gateway.0 + 1..=d.0).flat_map(|n| b.subnets_of(NodeId(n)).to_vec()).collect();
+                    (gateway.0 + 1..=d.0).map(|n| b.subnet_of(NodeId(n))).collect();
                 let public = b.iface_addr(gateway, 0);
                 b.set_router_config(gateway, RouterConfig::nat_gateway(public, inside));
             }
