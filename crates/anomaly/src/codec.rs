@@ -101,13 +101,9 @@ fn hex8(v: u32) -> [u8; 8] {
 /// newline after them.
 const KEY_FIELD_LEN: usize = 9;
 
-/// No key has more fields (a multipath unit's discovery; the
-/// accumulators' widest is five, a loop or cycle instance's total
-/// under its signature and cause).
-const MAX_KEY_FIELDS: usize = 13;
-
 /// The stack buffer key lines are rendered in: sixteen of the
-/// accumulators' four-field `triples` lines, four of the widest there is.
+/// accumulators' four-field `triples` lines. A key of any width that
+/// fits it can be written.
 const RENDER_LEN: usize = 16 * 4 * KEY_FIELD_LEN;
 
 /// Append one key line per key, in the order given.
@@ -115,8 +111,7 @@ pub fn push_key_lines<const N: usize>(
     out: &mut impl Sink,
     keys: impl IntoIterator<Item = [u32; N]>,
 ) {
-    const { assert!(N >= 1 && N <= MAX_KEY_FIELDS) };
-    const { assert!(MAX_KEY_FIELDS * KEY_FIELD_LEN <= RENDER_LEN) };
+    const { assert!(N >= 1 && N * KEY_FIELD_LEN <= RENDER_LEN) };
     // Rendered on the stack and appended a buffer at a time: key lines
     // are nearly all of a checkpoint's bytes. (The buffer is no longer
     // than that, because a caller with one key to write pays for
@@ -274,8 +269,8 @@ mod tests {
             let err = read(bad, 2).expect_err(bad);
             assert!(err.contains(why), "{bad:?}: {err}");
         }
-        // The widest key there is — a multipath unit's — over more than
-        // one buffer.
+        // A thirteen-field key (a multipath unit's line is one) over more
+        // than one buffer.
         let wide: Vec<[u32; 13]> = (0..9u32)
             .map(|i| std::array::from_fn(|f| i << 28 | (f as u32).wrapping_mul(i)))
             .collect();

@@ -373,11 +373,14 @@ pub(crate) fn finish<M: CampaignMode>(
 /// After the first unit, every acquire hands back the same simulator
 /// (arena slots, payload buffers and event-queue capacity intact) reset
 /// for the next destination, and the scratch's hop records and probe
-/// registry recycle across every unit — so a worker's steady-state loop
-/// performs no heap allocation at all, and a block after the first
-/// builds no simulator. The worker's fold outlives the block too:
-/// [`run_worker`] empties it at the block's end, and it keeps only the
-/// sizes its sets reached, for the next block's [`Fold::reserve`].
+/// registry recycle across every unit — so a block after the first
+/// builds no simulator, and a warm unit allocates only when its dynamics
+/// schedule a route change: a balancer flap clones the route it
+/// rotates, and the simulator copies the node's routing table to apply
+/// any change (`tests/alloc_steady_state.rs` bounds both). The worker's
+/// fold outlives the block too: [`run_worker`] empties it at the
+/// block's end, and it keeps only the sizes its sets reached, for the
+/// next block's [`Fold::reserve`].
 pub(crate) struct WorkerState<M: CampaignMode> {
     pool: SimulatorPool,
     scratch: M::Scratch,

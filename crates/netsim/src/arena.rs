@@ -21,9 +21,10 @@
 //!   never holds more than were out at once: one unit's probes, which a
 //!   simulator reset hands back together.
 //!
-//! The sorted deque the queue became in PR 20 shifts entries on insert,
+//! The event queue is a sorted deque, which shifts entries on insert,
 //! so the small event still pays: carrying the packet inside it measured
-//! 8–12 % slower on `survey` (`docs/PERFORMANCE.md`, PR 20).
+//! 8–12 % slower on `survey` (`docs/PERFORMANCE.md`,
+//! "Decisions taken against an alternative").
 //!
 //! The arena is deliberately not generation-checked: refs are created
 //! and consumed only by the simulator's event loop, which owns every

@@ -41,12 +41,11 @@
 //! and so does the [`Simulator::reset`] that reverts one: a change
 //! scheduled but not applied already stops walks at its instant. So a
 //! destination's next round finds the hops the last one resolved. The
-//! table is never swept. It stores single-interface routes and
-//! per-destination balancing, which is a function of `(seed, node, dst)`
-//! and so is read only in its seed's epoch; per-flow and per-packet
-//! balancing, blackholes, missing routes and unattached interfaces are
-//! resolved every time. A lossy link's draw is the packet's own, taken
-//! after the entry is read, from the leaving node's seed.
+//! table is never swept. It stores single-interface routes only;
+//! balanced routes of every kind, blackholes, missing routes and
+//! unattached interfaces are resolved every time. A lossy link's draw
+//! is the packet's own, taken after the entry is read, from the leaving
+//! node's seed.
 //!
 //! A run is a pure function of `(topology, seed, injected packets,
 //! scheduled route changes)` — the function a naive simulator computes
@@ -250,11 +249,8 @@ struct SimState {
     scratch: Vec<u8>,
     /// Slab holding every in-flight packet; events carry [`PacketRef`]s.
     arena: PacketArena,
-    /// Seed all node state derives from (current epoch's).
+    /// Seed all node state derives from.
     seed: u64,
-    /// Bumped by [`Simulator::reset`]: a per-destination entry of the
-    /// next-hop table is read only in its epoch.
-    epoch: u64,
 }
 
 /// Later than any event.
@@ -301,13 +297,14 @@ fn draw(node_seed: u64, birth: u64, ttl: u8, purpose: Draw) -> u64 {
     splitmix64(node_seed ^ splitmix64(packet))
 }
 
-/// Entries in the next-hop table (24 KiB of [`Hop`]s). A campaign unit
+/// Entries in the next-hop table (20 KiB of [`Hop`]s). A campaign unit
 /// stores at most 41 distinct `(node, dst)` pairs on any `ptbench`
-/// workload (p99 31–35, mean 22; `docs/PERFORMANCE.md`), and its
-/// destination's next rounds read the same ones, so 512 slots hold a
-/// destination at under 8 % load, and collisions cost 0.9–2.0 % of hops
-/// a second lookup (1024 slots halve that at twice the memory; 256
-/// double it). Earlier destinations' entries stay until overwritten.
+/// workload (p99 31–35, mean 22), and its destination's next rounds
+/// read the same ones, so 512 slots hold a destination at under 8 %
+/// load, and collisions cost 0.9–2.0 % of hops a second lookup (1024
+/// slots halve that at twice the memory; 256 double it;
+/// `docs/PERFORMANCE.md`, "Decisions taken against an alternative").
+/// Earlier destinations' entries stay until overwritten.
 const HOP_SLOTS: usize = 512;
 
 /// What the node at a hop's far end does with a packet addressed to
@@ -369,16 +366,12 @@ impl Next {
 }
 
 /// A next-hop table entry: `node`'s hop toward `dst` under the tables of
-/// `stamp`, and the link's loss, in 48 bytes: node ids and the interface
+/// `stamp`, and the link's loss, in 40 bytes: node ids and the interface
 /// index are narrowed, and a hop whose ids do not fit is resolved every
 /// time instead of stored. The default is vacant: stamps start at 1.
 #[derive(Debug, Clone, Copy, Default)]
 struct Hop {
     stamp: u64,
-    /// The epoch whose seed a per-destination balancer picked the egress
-    /// under, the only epoch that reads the entry; 0 for a hop the seed
-    /// does not decide, which every epoch reads.
-    epoch: u64,
     loss: f64,
     delay: SimDuration,
     node: u32,
@@ -416,7 +409,6 @@ impl Simulator {
             scratch: Vec::new(),
             arena: PacketArena::new(),
             seed,
-            epoch: 1,
         };
         Simulator { topo: topology, state }
     }
@@ -452,7 +444,6 @@ impl Simulator {
         st.next_seq = 0;
         st.stats = SimStats::default();
         st.seed = seed;
-        st.epoch += 1;
         // Entries made since a route change read tables this reverts.
         if std::mem::take(&mut st.routes_changed) {
             st.hop_stamp += 1;
@@ -1026,7 +1017,8 @@ impl SimState {
     /// packet. Always inlined into the walk, so a hop from the table
     /// stays in registers: out of line, its result went through the
     /// stack, and builds differing by one dead term read `mda_fanout`
-    /// 25–40 % apart (`docs/PERFORMANCE.md`, PR 25).
+    /// 25–40 % apart (`docs/PERFORMANCE.md`, "Decisions taken against an
+    /// alternative").
     #[inline(always)]
     fn hop(
         &mut self,
@@ -1041,7 +1033,6 @@ impl SimState {
         let (next, loss) = if held.stamp == self.hop_stamp
             && held.node as usize == node.0
             && held.dst == u32::from(dst)
-            && (held.epoch == 0 || held.epoch == self.epoch)
         {
             let to = Endpoint { node: NodeId(held.to as usize), iface: held.iface.into() };
             (Next { to, delay: held.delay, class: held.class }, held.loss)
@@ -1061,9 +1052,8 @@ impl SimState {
     /// The hop [`SimState::hop`] did not find in the table: the
     /// longest-prefix lookup, the balancer's choice, the link and the
     /// class of its far end, with the link's loss; stored when they are a
-    /// function of `(tables, node, dst)` alone, or of the epoch's seed
-    /// too for a per-destination balancer. Kept out of line, so the walk
-    /// stays small.
+    /// function of `(tables, node, dst)` alone, as a single-interface
+    /// route's are. Kept out of line, so the walk stays small.
     #[inline(never)]
     fn resolve(
         &mut self,
@@ -1080,22 +1070,20 @@ impl SimState {
         }
         let seed = node_seed(self.seed, node);
         let routing = self.routing(topo, node);
-        // `Some(epoch)`: the entry is stored, for that epoch (0: any).
+        // Only a single-interface route's hop is stored.
         let (iface, stored) = match routing.lookup(dst).ok_or(Lost::NoRoute)? {
-            NextHop::Iface(i) => (*i, Some(0)),
+            NextHop::Iface(i) => (*i, true),
             NextHop::Blackhole => return Err(Lost::Blackhole),
             NextHop::Balanced { kind, egresses } => {
                 let salted = |key: u64| splitmix64(key ^ balancer_salt(seed));
-                let (word, stored) = match kind {
+                let word = match kind {
                     BalancerKind::PerFlow(policy) => {
-                        (salted(policy.flow_key(self.arena.get(packet)).0), None)
+                        salted(policy.flow_key(self.arena.get(packet)).0)
                     }
-                    BalancerKind::PerPacket => (draw(seed, birth, ttl, Draw::Egress), None),
-                    BalancerKind::PerDestination => {
-                        (salted(u64::from(u32::from(dst))), Some(self.epoch))
-                    }
+                    BalancerKind::PerPacket => draw(seed, birth, ttl, Draw::Egress),
+                    BalancerKind::PerDestination => salted(u64::from(u32::from(dst))),
                 };
-                (egresses[(word % egresses.len() as u64) as usize], stored)
+                (egresses[(word % egresses.len() as u64) as usize], false)
             }
         };
         // Loopback/unattached interface: nowhere to go.
@@ -1104,10 +1092,9 @@ impl SimState {
         let next = Next { to, delay: link.delay_from(node), class: Class::of(topo, to.node, dst) };
         let slot = hop_slot(node, dst);
         let ids = (u32::try_from(node.0), u32::try_from(to.node.0), u16::try_from(to.iface));
-        if let (Some(epoch), (Ok(node), Ok(to), Ok(iface))) = (stored, ids) {
+        if let (true, (Ok(node), Ok(to), Ok(iface))) = (stored, ids) {
             self.hops[slot] = Hop {
                 stamp: self.hop_stamp,
-                epoch,
                 loss: link.loss,
                 delay: next.delay,
                 node,
@@ -2439,39 +2426,40 @@ mod tests {
         paris_trace(&mut Simulator::new(sc.topology.clone(), 21), sc)
     }
 
-    /// The layer number, held exactly: a hop is looked up once per unit,
-    /// and a hop the seed does not decide not again after a reset.
+    /// The layer number, held exactly: a single-interface hop is looked up
+    /// once per unit, and not again after a reset; a balanced hop every
+    /// time a packet leaves it.
     /// If a change makes the walk resolve every hop again, these counts
     /// go back to one per link crossed before any wall clock notices.
     #[test]
     fn a_paris_trace_looks_each_hop_up_once() {
         use crate::scenarios::fig1;
         use pt_wire::FlowPolicy;
-        // Per-destination balancing at L is a function of (seed, L, dst)
-        // and is stored. The flow takes L → B → D → E. Probes leave S,
-        // r1–r5, L, B, D and E toward the destination: 10 pairs. Answers
-        // come from r2–r5, L, D (B is silent), E and the destination
-        // twice, and go back by E → C → A → L (C is silent) or D → B → L:
-        // r1–r5, L, A, B, C, D, E and the destination leave toward S, 12
-        // pairs. 22 lookups; the parent made one per link crossed, 121.
+        // Per-destination balancing at L: the flow takes L → B → D → E.
+        // Probes leave S, r1–r5, L, B, D and E toward the destination: 10
+        // pairs. Answers come from r2–r5, L, D (B is silent), E and the
+        // destination twice, and go back by E → C → A → L (C is silent)
+        // or D → B → L: r1–r5, L, A, B, C, D, E and the destination leave
+        // toward S, 12 pairs. L's balanced hop is resolved for each of
+        // the 5 probes that leave it (TTL 7 to 11): 26 lookups, where a
+        // walk without the table makes one per link crossed, 121.
         let per_destination = fig1(BalancerKind::PerDestination);
-        assert_eq!(paris_trace_lookups(&per_destination), (22, 121));
+        assert_eq!(paris_trace_lookups(&per_destination), (26, 121));
         // tests/it/event_count.rs's trace: per-flow balancing at L, the flow
         // takes L → A → C → E, and the answers come back the same way: 10
         // pairs out and 10 back. L's per-flow hop is resolved every time,
         // so the 5 probes that leave it (TTL 7 to 11) look it up 5 times:
-        // 24 lookups, where the parent made 120.
+        // 24 lookups, of 120 links crossed.
         let per_flow = fig1(BalancerKind::PerFlow(FlowPolicy::FiveTuple));
         assert_eq!(paris_trace_lookups(&per_flow), (24, 120));
         // The same trace again, after a reset under another seed: the
         // table outlived the reset, so no hop it stored is looked up
-        // again. Under per-flow balancing only L's hop is, for the 5
-        // probes that leave it, where a reset that emptied the table
-        // made the trace look up all 24 again. L's per-destination hop
-        // is stored for one epoch, its seed's: looked up once, where it
-        // was 22 again. (Seed 5 maps the flow, and the destination, to
-        // the egress seed 21 does, so the trace crosses the same links.)
-        for (sc, again) in [(&per_flow, (5, 120)), (&per_destination, (1, 121))] {
+        // again. Only L's balanced hop is, for the 5 probes that leave
+        // it, where a reset that emptied the table made the trace look up
+        // all 24 or 26 again. (Seed 5 maps the flow, and the destination,
+        // to the egress seed 21 does, so the trace crosses the same
+        // links.)
+        for (sc, again) in [(&per_flow, (5, 120)), (&per_destination, (5, 121))] {
             let mut sim = Simulator::new(sc.topology.clone(), 21);
             paris_trace(&mut sim, sc);
             sim.reset(5);
@@ -2793,8 +2781,8 @@ mod tests {
     /// lossy link — then is reset shows an observer exactly what the
     /// naive reference shows, on a trace and a random script after it.
     /// Each of these fails it: a reset that keeps the stamp after an
-    /// applied change, a per-destination entry read in any epoch, and
-    /// an entry that stores the leaving node's seed for the loss draw.
+    /// applied change, and an entry that stores the leaving node's seed
+    /// for the loss draw.
     #[test]
     fn a_kept_table_is_invisible_after_reset() {
         // S — r1 ~ L ⇉ {a, b} — r2 — D: r1–L loses three packets in ten,

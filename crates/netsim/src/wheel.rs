@@ -5,17 +5,18 @@
 //! own simulator, and a packet in flight is one pending event — its next
 //! *stateful* arrival, however many routers it crosses on the way
 //! ([`crate::sim`]) — so the schedule never holds more than about 16
-//! events (`docs/PERFORMANCE.md`; `tests/it/queue_depth.rs` pins
-//! the traffic). At that size the cheapest exact priority queue is the
-//! obvious one: a [`VecDeque`] in ascending key order. `schedule` scans
-//! back from the tail — a new event is almost always among the latest —
-//! and inserts, O(events later than the new one); `pop` takes the front.
+//! events (`docs/PERFORMANCE.md`, "Decisions taken against an
+//! alternative"; `tests/it/queue_depth.rs` pins the traffic). At that
+//! size the cheapest exact priority queue is the obvious one: a
+//! [`VecDeque`] in ascending key order. `schedule` scans back from the
+//! tail — a new event is almost always among the latest — and inserts,
+//! O(events later than the new one); `pop` takes the front.
 //! The deque grows to the high-water occupancy and stays there, so the
 //! steady state performs no heap allocation.
 //!
-//! The type keeps the name of the timing wheel it replaced in PR 20
-//! because `ptbench` imports it; ROADMAP item 1 carries the rename to
-//! `EventQueue` for the next `benchmark` PR.
+//! The type keeps the name of the timing wheel it replaced because
+//! `ptbench` imports it; ROADMAP item 5 carries the rename to
+//! `EventQueue`.
 
 use std::collections::VecDeque;
 

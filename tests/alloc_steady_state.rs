@@ -20,6 +20,11 @@
 //!   sequential `window = 1` discipline and the windowed default, whose
 //!   speculative probes and truncated hops must recycle too.
 //!
+//! A unit that schedules a route change, as a campaign's balancer flap
+//! does, is the one exception, and a bounded one: it clones the route
+//! it changes, and applying the change copies the node's routing table
+//! into the simulator ([`MAX_ALLOCATIONS_PER_ROUTE_CHANGE`]).
+//!
 //! The file contains exactly one `#[test]`: the counting allocator is
 //! installed process-wide (`#[global_allocator]` is a program-level
 //! choice), and this file existing solely for that hook keeps the
@@ -33,7 +38,9 @@ use std::cell::Cell;
 use paris_traceroute_repro::anomaly::{for_each_cycle, for_each_loop, for_each_triple};
 use paris_traceroute_repro::core::{trace_with, ClassicUdp, ParisUdp, TraceConfig, TraceScratch};
 use paris_traceroute_repro::mda::{discover_with, MdaConfig, MdaScratch};
-use paris_traceroute_repro::netsim::{scenarios, SimTransport, SimulatorPool};
+use paris_traceroute_repro::netsim::{
+    scenarios, NextHop, SimDuration, SimTransport, SimulatorPool,
+};
 use paris_traceroute_repro::topogen::{generate, InternetConfig};
 
 /// `System`, but counting every allocation entry point. Deallocations
@@ -90,6 +97,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The most allocation calls one unit that schedules a balancer flap may
+/// make. Every such unit on `tiny(42)` below makes 4: one for the cloned
+/// egress list, and three for the copy of the balancer's routing table
+/// that the simulator makes to apply the change.
+const MAX_ALLOCATIONS_PER_ROUTE_CHANGE: u64 = 4;
 
 /// Allocations made by *this* thread so far.
 fn allocations() -> u64 {
@@ -199,7 +212,10 @@ fn steady_state_trace_pair_allocates_nothing() {
     // unit (a silent host's star run parks eight probes) and each pooled
     // payload buffer has served a classic probe, whose payload outgrows
     // a Paris one's; the measured pass probes every destination again,
-    // through other flows.
+    // through other flows. Every third unit toward a balanced
+    // destination schedules a flap as the campaign's dynamics do — the
+    // matched route with its egresses rotated, 80 ms in — and is the
+    // only kind of unit allowed to allocate.
     let net = generate(&InternetConfig::tiny(42));
     let mut pool = SimulatorPool::new(net.topology.clone());
     let mut scratch = TraceScratch::new();
@@ -210,8 +226,25 @@ fn steady_state_trace_pair_allocates_nothing() {
         } else {
             TraceConfig { window: 1, ..TraceConfig::paper() }
         };
-        let addr = net.dests[usize::from(seed) % net.dests.len()].addr;
+        let dest = &net.dests[usize::from(seed) % net.dests.len()];
+        let addr = dest.addr;
         let mut tx = SimTransport::new(pool.acquire(u64::from(seed)), net.source);
+        let sim = tx.simulator_mut();
+        let flap = dest.chain.iter().filter(|_| seed.is_multiple_of(3)).find_map(|&node| {
+            let Some((prefix, NextHop::Balanced { kind, egresses })) =
+                sim.routing_of(node).lookup_entry(addr)
+            else {
+                return None;
+            };
+            let mut egresses = egresses.clone();
+            egresses.rotate_left(1);
+            Some((node, prefix, NextHop::Balanced { kind: *kind, egresses }))
+        });
+        let changed = flap.is_some();
+        if let Some((node, prefix, next_hop)) = flap {
+            let at = sim.now() + SimDuration::from_millis(80);
+            sim.schedule_route_set(at, node, prefix, Some(next_hop));
+        }
         let mut paris = ParisUdp::new(41_000 + seed, 52_000);
         let paris_route = trace_with(&mut tx, &mut paris, addr, config, scratch);
         let mut classic = ClassicUdp::new(seed);
@@ -223,22 +256,36 @@ fn steady_state_trace_pair_allocates_nothing() {
             for_each_triple(&route, |_, _, _| anomalies += 1);
             scratch.recycle(route);
         }
+        changed
     };
 
     let dests = net.dests.len() as u16;
     for seed in 0..2 * dests {
         net_unit(&mut pool, &mut scratch, seed);
     }
-    let before = allocations();
+    let (mut steady, mut per_change) = (0, Vec::new());
     for seed in 2 * dests..3 * dests {
-        net_unit(&mut pool, &mut scratch, seed);
+        let before = allocations();
+        let changed = net_unit(&mut pool, &mut scratch, seed);
+        let made = allocations() - before;
+        if changed {
+            per_change.push(made);
+        } else {
+            steady += made;
+        }
     }
-    let during = allocations() - before;
 
     assert!(anomalies > 0, "the analyses must have had something to find");
     assert_eq!(
-        during, 0,
+        steady, 0,
         "trace pairs and their loop, cycle and triple analyses toward {dests} distinct \
-         destinations must be allocation-free, saw {during} allocations"
+         destinations must be allocation-free, saw {steady} allocations"
+    );
+    assert!(!per_change.is_empty(), "some measured units must schedule a route change");
+    let most = per_change.iter().max().copied().unwrap_or(0);
+    assert!(
+        most > 0 && most <= MAX_ALLOCATIONS_PER_ROUTE_CHANGE,
+        "a unit that schedules a route change made {most} allocations \
+         (allowed {MAX_ALLOCATIONS_PER_ROUTE_CHANGE}); all: {per_change:?}"
     );
 }

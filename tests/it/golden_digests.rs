@@ -10,15 +10,15 @@
 //! loss and per-packet-balancer draws to `(seed, node, birth, TTL)` — a
 //! re-draw of every random outcome, so every value moved — from the
 //! engine that still ran one event per hop. Fusing transit hops into
-//! one event, in the same PR, left all of them as recorded
-//! (`docs/PERFORMANCE.md` lists the parent's values beside these).
+//! one event, in the same PR, left all of them as recorded.
 //! Four of the six were recorded once more, by the PR that sums virtual
 //! time as integer nanoseconds instead of adding a float per unit in
 //! unit order: `CAMPAIGN`, the default-dynamics campaign and the
 //! multipath example moved in their `mean_virtual_secs` line alone, by
 //! 5, 3 and 1 ulp — the float sum had drifted from the exact mean —
 //! and every other line of every digest text stayed as it was
-//! (`docs/PERFORMANCE.md` puts the bit patterns side by side).
+//! (`git log -p --follow` on this file shows each value a constant
+//! replaced).
 //!
 //! The hash covers the whole digest text, so these constants also hold
 //! that a fixed seed runs to the same digest every time and that the
