@@ -13,7 +13,8 @@
 //! ascending. Every such line of `N` fields is `9 N` bytes.
 //!
 //! Every other line starts with a tag word and carries space-separated
-//! tokens; [`tagged`], [`word`] and [`tok`] take such a line apart.
+//! tokens: [`push_field`] writes a number as one, and [`tagged`],
+//! [`word`] and [`tok`] take such a line apart.
 //!
 //! Writers append to a [`Sink`] and readers pull from a [`LineSource`],
 //! so one writer serves a `String` and a stream to a file alike, and
@@ -74,6 +75,13 @@ pub fn push_uint(out: &mut impl Sink, v: impl Into<u128>) {
         }
     }
     out.put(ascii(&digits[at..]));
+}
+
+/// ` <v>`: one more decimal field on a tagged line — the writer twin
+/// of [`tok`].
+pub fn push_field(out: &mut impl Sink, v: impl Into<u128>) {
+    out.put(" ");
+    push_uint(out, v);
 }
 
 /// Append `v` as 16 lowercase hex digits, as `{:016x}` would — the form

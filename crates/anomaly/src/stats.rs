@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 
 use pt_core::{HaltReason, MeasuredRoute, StrategyId};
 
-use crate::codec::{push_key_lines, push_uint, read_key_lines, tagged, tok, LineSource, Sink};
+use crate::codec::{push_field, push_key_lines, read_key_lines, tagged, tok, LineSource, Sink};
 use crate::cycle::{for_each_cycle, CycleCause};
 use crate::diamond::for_each_triple;
 use crate::keyset::{groups, Key, KeySet};
@@ -69,6 +69,40 @@ fn signatures(sig_rounds: &[Key<3>]) -> BTreeSet<Signature> {
     groups(sig_rounds, 2).map(|rounds| (rounds[0][0].into(), rounds[0][1].into())).collect()
 }
 
+/// An accumulator's counters: the `counts` line of its record, in
+/// [`Counts::all`]'s order.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    routes_total: u64,
+    /// Routes with at least one loop (or cycle). Not a function of the
+    /// signature keys: one `(destination, round)` may hold several
+    /// routes.
+    routes_with_loop: u64,
+    routes_with_cycle: u64,
+    /// Responses are the probes sent less the stars.
+    probes_sent: u64,
+    stars: u64,
+    mid_route_stars: u64,
+    reached: u64,
+    degraded_routes: u64,
+}
+
+impl Counts {
+    /// Every counter, in record order.
+    fn all(&mut self) -> [&mut u64; 8] {
+        [
+            &mut self.routes_total,
+            &mut self.routes_with_loop,
+            &mut self.routes_with_cycle,
+            &mut self.probes_sent,
+            &mut self.stars,
+            &mut self.mid_route_stars,
+            &mut self.reached,
+            &mut self.degraded_routes,
+        ]
+    }
+}
+
 /// Accumulates one tool's observations across a whole campaign. Each
 /// fact is held once: what a report needs beyond these fields it
 /// derives from them.
@@ -77,12 +111,7 @@ pub struct CampaignAccumulator {
     /// Which tool produced these routes.
     pub tool: StrategyId,
     rounds_seen: KeySet<1>,
-    routes_total: u64,
-    /// Routes with at least one loop (or cycle). Not a function of the
-    /// signature keys: one `(destination, round)` may hold several
-    /// routes.
-    routes_with_loop: u64,
-    routes_with_cycle: u64,
+    counts: Counts,
     dests: KeySet<1>,
     addrs_seen: KeySet<1>,
     /// `[looping address, destination, round]`: a signature's rounds,
@@ -94,12 +123,6 @@ pub struct CampaignAccumulator {
     /// `[destination, head, tail, middle]`: every destination's route
     /// graph in one set; a diamond is a group of two or more middles.
     triples: KeySet<4>,
-    /// Responses are the probes sent less the stars.
-    probes_sent: u64,
-    stars: u64,
-    mid_route_stars: u64,
-    reached: u64,
-    degraded_routes: u64,
 }
 
 impl CampaignAccumulator {
@@ -108,9 +131,7 @@ impl CampaignAccumulator {
         CampaignAccumulator {
             tool,
             rounds_seen: KeySet::default(),
-            routes_total: 0,
-            routes_with_loop: 0,
-            routes_with_cycle: 0,
+            counts: Counts::default(),
             dests: KeySet::default(),
             addrs_seen: KeySet::default(),
             loop_sig_rounds: KeySet::default(),
@@ -118,11 +139,6 @@ impl CampaignAccumulator {
             loop_instances: BTreeMap::new(),
             cycle_instances: BTreeMap::new(),
             triples: KeySet::default(),
-            probes_sent: 0,
-            stars: 0,
-            mid_route_stars: 0,
-            reached: 0,
-            degraded_routes: 0,
         }
     }
 
@@ -144,17 +160,18 @@ impl CampaignAccumulator {
     pub fn ingest(&mut self, round: usize, route: &MeasuredRoute) {
         let round = u32::try_from(round).expect("rounds fit the 32-bit unit id space");
         self.rounds_seen.insert([round]);
-        self.routes_total += 1;
+        self.counts.routes_total += 1;
         let d = u32::from(route.destination);
         self.dests.insert([d]);
         for a in route.hops.iter().filter_map(|h| h.probe.addr) {
             self.addrs_seen.insert([a.into()]);
         }
-        self.probes_sent += route.probes_sent() as u64;
-        self.stars += route.stars() as u64;
-        self.mid_route_stars += route.mid_route_stars() as u64;
-        self.reached += u64::from(route.reached_destination());
-        self.degraded_routes += u64::from(route.halt == HaltReason::Budget);
+        let c = &mut self.counts;
+        c.probes_sent += route.probes_sent() as u64;
+        c.stars += route.stars() as u64;
+        c.mid_route_stars += route.mid_route_stars() as u64;
+        c.reached += u64::from(route.reached_destination());
+        c.degraded_routes += u64::from(route.halt == HaltReason::Budget);
 
         let mut looped = false;
         for_each_loop(route, |l| {
@@ -163,7 +180,7 @@ impl CampaignAccumulator {
             let key = ((l.addr, route.destination), l.cause);
             *self.loop_instances.entry(key).or_insert(0) += 1;
         });
-        self.routes_with_loop += u64::from(looped);
+        self.counts.routes_with_loop += u64::from(looped);
         let mut cycled = false;
         for_each_cycle(route, |c| {
             cycled = true;
@@ -171,23 +188,9 @@ impl CampaignAccumulator {
             let key = ((c.addr, route.destination), c.cause);
             *self.cycle_instances.entry(key).or_insert(0) += 1;
         });
-        self.routes_with_cycle += u64::from(cycled);
+        self.counts.routes_with_cycle += u64::from(cycled);
 
         for_each_triple(route, |h, r, t| self.triples.insert([d, h.into(), t.into(), r.into()]));
-    }
-
-    /// The counters, in record order.
-    fn counts_mut(&mut self) -> [&mut u64; 8] {
-        [
-            &mut self.routes_total,
-            &mut self.routes_with_loop,
-            &mut self.routes_with_cycle,
-            &mut self.probes_sent,
-            &mut self.stars,
-            &mut self.mid_route_stars,
-            &mut self.reached,
-            &mut self.degraded_routes,
-        ]
     }
 
     /// Merge another accumulator (e.g. from a parallel shard) into this
@@ -220,7 +223,7 @@ impl CampaignAccumulator {
         self.triples.absorb(&mut other.triples);
         add_instances(&mut self.loop_instances, &mut other.loop_instances);
         add_instances(&mut self.cycle_instances, &mut other.cycle_instances);
-        for (mine, theirs) in self.counts_mut().into_iter().zip(other.counts_mut()) {
+        for (mine, theirs) in self.counts.all().into_iter().zip(other.counts.all()) {
             *mine += std::mem::take(theirs);
         }
     }
@@ -309,24 +312,25 @@ impl CampaignAccumulator {
         let diamonds_total = dests_with_diamond.len() as u64;
         dests_with_diamond.dedup();
         let (dests, addrs) = (self.dests.len() as u64, self.addrs_seen.len() as u64);
+        let c = self.counts;
         ToolReport {
             tool: self.tool,
             rounds: self.rounds_seen.len() as u64,
-            routes_total: self.routes_total,
+            routes_total: c.routes_total,
             destinations: dests,
             addresses_discovered: addrs,
-            probes_sent: self.probes_sent,
-            responses: self.probes_sent - self.stars,
-            stars: self.stars,
-            mid_route_stars: self.mid_route_stars,
-            degraded_routes: self.degraded_routes,
-            pct_routes_reaching_destination: pct(self.reached, self.routes_total),
-            pct_routes_with_loop: pct(self.routes_with_loop, self.routes_total),
+            probes_sent: c.probes_sent,
+            responses: c.probes_sent - c.stars,
+            stars: c.stars,
+            mid_route_stars: c.mid_route_stars,
+            degraded_routes: c.degraded_routes,
+            pct_routes_reaching_destination: pct(c.reached, c.routes_total),
+            pct_routes_with_loop: pct(c.routes_with_loop, c.routes_total),
             pct_dests_with_loop: pct(dests_with_loop, dests),
             pct_addrs_in_loop: pct(addrs_in_loop, addrs),
             loop_signatures: loop_sigs,
             pct_loop_sigs_single_round: pct(loop_sigs_single_round, loop_sigs),
-            pct_routes_with_cycle: pct(self.routes_with_cycle, self.routes_total),
+            pct_routes_with_cycle: pct(c.routes_with_cycle, c.routes_total),
             pct_dests_with_cycle: pct(dests_with_cycle, dests),
             pct_addrs_in_cycle: pct(addrs_in_cycle, addrs),
             cycle_signatures: cycle_sigs,
@@ -349,18 +353,9 @@ impl CampaignAccumulator {
         out.put("acc ");
         out.put(self.tool.name());
         out.put("\ncounts");
-        for count in [
-            self.routes_total,
-            self.routes_with_loop,
-            self.routes_with_cycle,
-            self.probes_sent,
-            self.stars,
-            self.mid_route_stars,
-            self.reached,
-            self.degraded_routes,
-        ] {
-            out.put(" ");
-            push_uint(out, count);
+        let mut counts = self.counts;
+        for count in counts.all() {
+            push_field(out, *count);
         }
         out.put("\n");
         for (name, set) in self.addr_sets() {
@@ -385,11 +380,12 @@ impl CampaignAccumulator {
         let mut acc = CampaignAccumulator::new(tool);
 
         let mut t = tagged(lines, "counts")?;
-        for count in acc.counts_mut() {
+        for count in acc.counts.all() {
             *count = tok(&mut t, "count")?;
         }
-        if acc.stars > acc.probes_sent {
-            return Err(format!("{} stars of {} probes", acc.stars, acc.probes_sent));
+        let Counts { stars, probes_sent, .. } = acc.counts;
+        if stars > probes_sent {
+            return Err(format!("{stars} stars of {probes_sent} probes"));
         }
 
         let names = acc.addr_sets().map(|(name, _)| name);
@@ -426,8 +422,7 @@ fn push_key_section<const N: usize>(
 ) {
     out.put("keys ");
     out.put(name);
-    out.put(" ");
-    push_uint(out, n as u64);
+    push_field(out, n as u64);
     out.put("\n");
     push_key_lines(out, keys);
 }

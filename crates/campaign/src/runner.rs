@@ -52,9 +52,13 @@ pub struct DynamicsConfig {
     pub forwarding_loop_delay: SimDuration,
     /// How long a transient forwarding loop lasts.
     pub forwarding_loop_window: SimDuration,
-    /// Per-trace probability that a load balancer's egress mapping flips
-    /// mid-trace, [`BALANCER_FLAP_AFTER`] after it starts (→ routing-change
-    /// loops; the source of the paper's 0.25% Paris-only loops).
+    /// Per-trace probability, toward a destination behind a load
+    /// balancer, that the balancer rotates its egress list mid-trace,
+    /// 80 ms after the trace starts: every flow rehashes, so a trace may
+    /// cross the change (→ routing-change loops). Meant as the source of
+    /// the paper's 0.25 % Paris-only loops, yet at the paper's scale the
+    /// run reads 0.00 %; whether a flap ever yields a loop that classic
+    /// lacks is open (ROADMAP item 20).
     pub balancer_flap_prob: f64,
 }
 
@@ -101,13 +105,6 @@ pub struct InjectConfig {
     /// trace never terminates organically and only a watchdog budget
     /// (or the max-TTL ceiling) ends it.
     pub runaway_units: BTreeSet<u32>,
-}
-
-impl InjectConfig {
-    /// No injected faults (the default).
-    pub fn none() -> Self {
-        InjectConfig::default()
-    }
 }
 
 /// One quarantined `(destination, round)` unit: the worker caught its
@@ -164,7 +161,7 @@ impl Default for CampaignConfig {
             trace: TraceConfig::paper(),
             dynamics: DynamicsConfig::default(),
             seed: 20061025, // the paper's publication date
-            inject: InjectConfig::none(),
+            inject: InjectConfig::default(),
         }
     }
 }
@@ -867,7 +864,7 @@ impl Default for MultipathConfig {
             mda: MdaConfig { alpha: 0.01, ..MdaConfig::default() },
             adaptive: false,
             seed: 20061025,
-            inject: InjectConfig::none(),
+            inject: InjectConfig::default(),
         }
     }
 }
@@ -1721,7 +1718,7 @@ mod tests {
         let net = generate(&InternetConfig::tiny(42));
         let panic_units = |units: [u32; 2]| InjectConfig {
             panic_units: BTreeSet::from(units),
-            ..InjectConfig::none()
+            ..InjectConfig::default()
         };
         // Nothing a schedule can reorder reaches the result: the
         // virtual-time total is a sum of integers, order-free by

@@ -80,7 +80,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use pt_anomaly::codec::{
-    push_hex64, push_key_lines, push_uint, read_key_lines, tagged, tok, word, LineSource, Sink,
+    push_field, push_hex64, push_key_lines, read_key_lines, tagged, tok, word, LineSource, Sink,
 };
 use pt_anomaly::CampaignAccumulator;
 use pt_core::TraceConfig;
@@ -91,8 +91,8 @@ use pt_topogen::{InternetConfig, SyntheticInternet};
 
 use crate::runner::{
     finish, n_units, run_block, worker_states, BlockOutput, CampaignConfig, CampaignMode,
-    CampaignResult, DynamicsConfig, Fold, Folded, InjectConfig, MultipathConfig, MultipathResult,
-    UnitDiscovery, UnitId,
+    CampaignResult, Common, DynamicsConfig, Fold, Folded, InjectConfig, MultipathConfig,
+    MultipathResult, UnitDiscovery, UnitId,
 };
 
 /// Magic prefix of every record header; bump the version when the
@@ -130,13 +130,6 @@ pub struct CheckpointConfig {
     pub stop_after_checkpoints: Option<usize>,
 }
 
-impl CheckpointConfig {
-    /// Checkpoint to `path` every 64 units, running to completion.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointConfig { path: path.into(), every_units: 64, stop_after_checkpoints: None }
-    }
-}
-
 fn invalid<E: std::fmt::Display>(err: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("campaign snapshot: {err}"))
 }
@@ -149,21 +142,10 @@ fn mix(h: u64, v: u64) -> u64 {
     splitmix64(h ^ splitmix64(v))
 }
 
-fn mix_inject(mut h: u64, inject: &InjectConfig) -> u64 {
-    let InjectConfig { panic_units, runaway_units } = inject;
-    for &u in panic_units {
-        h = mix(h, 0x70616e_u64 ^ u64::from(u));
-    }
-    for &u in runaway_units {
-        h = mix(h, 0x72756e_u64 ^ u64::from(u));
-    }
-    h
-}
-
 /// The network, as the config that generated it: every field, so two
 /// nets that differ anywhere — not only in size or first address —
 /// fingerprint apart.
-fn mix_net(mut h: u64, net: &SyntheticInternet) -> u64 {
+fn net_words(net: &SyntheticInternet) -> [u64; 17] {
     let InternetConfig {
         seed,
         n_destinations,
@@ -183,7 +165,7 @@ fn mix_net(mut h: u64, net: &SyntheticInternet) -> u64 {
         udp_filter,
         asym_return,
     } = net.config;
-    for v in [
+    [
         seed,
         n_destinations as u64,
         n_core as u64,
@@ -201,81 +183,12 @@ fn mix_net(mut h: u64, net: &SyntheticInternet) -> u64 {
         mpls_tunnel.to_bits(),
         udp_filter.to_bits(),
         asym_return.to_bits(),
-    ] {
-        h = mix(h, v);
-    }
-    h
-}
-
-/// Everything that changes a side-by-side campaign's results, folded
-/// into one value. Workers are deliberately excluded — worker count is
-/// a pure performance knob, and resuming under a different one is
-/// legal and byte-identical. The configs are destructured exhaustively
-/// so that a new field fails to compile here until it is classified.
-fn campaign_fingerprint(net: &SyntheticInternet, config: &CampaignConfig) -> u64 {
-    let CampaignConfig { rounds, workers: _, trace, dynamics, seed, inject } = config;
-    let TraceConfig { min_ttl, window, probe_budget } = *trace;
-    let DynamicsConfig {
-        forwarding_loop_prob,
-        forwarding_loop_delay,
-        forwarding_loop_window,
-        balancer_flap_prob,
-    } = *dynamics;
-    let mut h = mix(0x7369_6465, *seed); // "side"
-    h = mix(h, *rounds as u64);
-    h = mix_net(h, net);
-    for v in [
-        u64::from(min_ttl),
-        u64::from(window),
-        u64::from(probe_budget),
-        forwarding_loop_prob.to_bits(),
-        forwarding_loop_delay.nanos(),
-        forwarding_loop_window.nanos(),
-        balancer_flap_prob.to_bits(),
-    ] {
-        h = mix(h, v);
-    }
-    mix_inject(h, inject)
-}
-
-/// The multipath counterpart of [`campaign_fingerprint`]. The ports
-/// and the adaptive jitter seed are drawn per unit, so what `mda` holds
-/// of them never counts.
-fn multipath_fingerprint(net: &SyntheticInternet, config: &MultipathConfig) -> u64 {
-    let MultipathConfig { rounds, workers: _, mda, adaptive, seed, inject } = config;
-    let MdaConfig {
-        alpha,
-        max_flows_per_hop,
-        window,
-        base_src_port: _,
-        dst_port: _,
-        adaptive: _,
-        probe_budget,
-    } = *mda;
-    let mut h = mix(0x6d64_6121, *seed); // "mda!"
-    h = mix(h, *rounds as u64);
-    h = mix_net(h, net);
-    for v in [
-        alpha.to_bits(),
-        max_flows_per_hop as u64,
-        u64::from(window),
-        u64::from(probe_budget),
-        u64::from(*adaptive),
-    ] {
-        h = mix(h, v);
-    }
-    mix_inject(h, inject)
+    ]
 }
 
 // ---------------------------------------------------------------------
 // Shared line-format helpers.
 // ---------------------------------------------------------------------
-
-/// ` <v>`: one more decimal field on the current line.
-fn field(out: &mut impl Sink, v: u64) {
-    out.put(" ");
-    push_uint(out, v);
-}
 
 /// Escape a panic message so that it always fits one line: backslash,
 /// newline and carriage return are encoded.
@@ -329,17 +242,41 @@ pub(crate) struct Span {
 // ---------------------------------------------------------------------
 
 /// What the checkpoint driver needs from a campaign mode on top of
-/// running it: a name for the record header, the fingerprint that ties
-/// a journal to one campaign, and the canonical codec of what the mode
-/// measured (used alike for one block's record and for the folded
-/// `0..cursor` record). The codec takes folds as [`Fold::absorb`]
-/// leaves them — what [`run_block`] returns and what the driver merges
-/// blocks into.
+/// running it: a name for the record header, what ties a journal to one
+/// campaign, and the canonical codec of what the mode measured (used
+/// alike for one block's record and for the folded `0..cursor` record).
+/// The codec takes folds as [`Fold::absorb`] leaves them — what
+/// [`run_block`] returns and what the driver merges blocks into.
 pub(crate) trait Checkpointed: CampaignMode {
     /// The mode word of the record header.
     const MODE: &'static str;
-    /// Everything results-affecting about this campaign over `net`.
-    fn fingerprint(&self, net: &SyntheticInternet) -> u64;
+    /// Where the mode's fingerprint starts, so that the two modes'
+    /// fingerprints differ.
+    const SALT: u64;
+    /// The mode's own results-affecting settings, its config
+    /// destructured exhaustively so that a new field fails to compile
+    /// until it is hashed here, read through [`CampaignMode::common`],
+    /// or named as never counting.
+    fn fingerprint_words(&self) -> impl IntoIterator<Item = u64>;
+
+    /// Everything results-affecting about this campaign over `net`,
+    /// folded into one value: the settings both modes hold, the network,
+    /// the mode's own words, then the injected faults. Workers are
+    /// deliberately excluded — worker count is a pure performance knob,
+    /// and resuming under a different one is legal and byte-identical.
+    fn fingerprint(&self, net: &SyntheticInternet) -> u64 {
+        let Common { rounds, workers: _, seed, inject, sim_salt: _ } = self.common();
+        let InjectConfig { panic_units, runaway_units } = inject;
+        let panics = panic_units.iter().map(|&u| 0x70616e ^ u64::from(u));
+        let runaways = runaway_units.iter().map(|&u| 0x72756e ^ u64::from(u));
+        [seed, rounds as u64]
+            .into_iter()
+            .chain(net_words(net))
+            .chain(self.fingerprint_words())
+            .chain(panics)
+            .chain(runaways)
+            .fold(Self::SALT, mix)
+    }
     /// Append the canonical text of `fold` to `out`.
     fn write_fold(fold: &Self::Fold, out: &mut impl Sink);
     /// The inverse of [`Checkpointed::write_fold`], for a record that
@@ -356,17 +293,17 @@ pub(crate) trait Checkpointed: CampaignMode {
 /// text; the virtual-time total; then the mode's part.
 pub(crate) fn write_body<M: Checkpointed>(fold: &Folded<M::Fold>, out: &mut impl Sink) {
     out.put("quarantined");
-    field(out, fold.quarantined.len() as u64);
+    push_field(out, fold.quarantined.len() as u64);
     out.put("\n");
     for (unit, panic) in &fold.quarantined {
         out.put("q");
-        field(out, u64::from(*unit));
+        push_field(out, *unit);
         out.put(" ");
         push_escaped_panic(out, panic);
         out.put("\n");
     }
-    out.put("virt ");
-    push_uint(out, fold.virtual_ns);
+    out.put("virt");
+    push_field(out, fold.virtual_ns);
     out.put("\n");
     M::write_fold(&fold.measured, out);
 }
@@ -409,9 +346,26 @@ fn read_body<M: Checkpointed>(
 
 impl Checkpointed for CampaignConfig {
     const MODE: &'static str = "side-by-side";
+    const SALT: u64 = 0x7369_6465; // "side"
 
-    fn fingerprint(&self, net: &SyntheticInternet) -> u64 {
-        campaign_fingerprint(net, self)
+    fn fingerprint_words(&self) -> impl IntoIterator<Item = u64> {
+        let CampaignConfig { rounds: _, workers: _, trace, dynamics, seed: _, inject: _ } = self;
+        let TraceConfig { min_ttl, window, probe_budget } = *trace;
+        let DynamicsConfig {
+            forwarding_loop_prob,
+            forwarding_loop_delay,
+            forwarding_loop_window,
+            balancer_flap_prob,
+        } = *dynamics;
+        [
+            u64::from(min_ttl),
+            u64::from(window),
+            u64::from(probe_budget),
+            forwarding_loop_prob.to_bits(),
+            forwarding_loop_delay.nanos(),
+            forwarding_loop_window.nanos(),
+            balancer_flap_prob.to_bits(),
+        ]
     }
 
     /// Both anomaly accumulators, which name no unit.
@@ -494,9 +448,28 @@ fn unit_of_key(key: [u32; UNIT_FIELDS], span: &Span) -> Result<UnitDiscovery, St
 
 impl Checkpointed for MultipathConfig {
     const MODE: &'static str = "multipath";
+    const SALT: u64 = 0x6d64_6121; // "mda!"
 
-    fn fingerprint(&self, net: &SyntheticInternet) -> u64 {
-        multipath_fingerprint(net, self)
+    /// The ports and the adaptive jitter seed are drawn per unit, so
+    /// what `mda` holds of them never counts.
+    fn fingerprint_words(&self) -> impl IntoIterator<Item = u64> {
+        let MultipathConfig { rounds: _, workers: _, mda, adaptive, seed: _, inject: _ } = self;
+        let MdaConfig {
+            alpha,
+            max_flows_per_hop,
+            window,
+            base_src_port: _,
+            dst_port: _,
+            adaptive: _,
+            probe_budget,
+        } = *mda;
+        [
+            alpha.to_bits(),
+            max_flows_per_hop as u64,
+            u64::from(window),
+            u64::from(probe_budget),
+            u64::from(*adaptive),
+        ]
     }
 
     /// The per-unit discoveries, one key line each and no count: a
@@ -586,7 +559,7 @@ fn write_header(
         out.put(word);
     }
     for v in [u64::from(range.start), u64::from(range.end), body_len] {
-        field(out, v);
+        push_field(out, v);
     }
     out.put(" ");
     push_hex64(out, fingerprint);
@@ -693,16 +666,15 @@ fn write_record<M: Checkpointed>(
     Ok(len)
 }
 
-/// The unit range and body length a parsed header announces.
-struct Header {
-    range: Range<u32>,
-    body_len: u64,
-}
-
-/// Parse one header line. `Ok(None)`: not a header (torn or rotted).
-/// `Err`: a header, but of another format version, mode or campaign —
-/// the resume must be refused, not repaired.
-fn parse_header(line: &[u8], mode: &str, fingerprint: u64) -> io::Result<Option<Header>> {
+/// Parse one header line into the unit range and body length it
+/// announces. `Ok(None)`: not a header (torn or rotted). `Err`: a
+/// header, but of another format version, mode or campaign — the resume
+/// must be refused, not repaired.
+fn parse_header(
+    line: &[u8],
+    mode: &str,
+    fingerprint: u64,
+) -> io::Result<Option<(Range<u32>, u64)>> {
     let Some(line) = line.strip_suffix(b"\n").and_then(|l| std::str::from_utf8(l).ok()) else {
         return Ok(None);
     };
@@ -726,11 +698,11 @@ fn parse_header(line: &[u8], mode: &str, fingerprint: u64) -> io::Result<Option<
         let got_fingerprint = u64::from_str_radix(word(&mut t, "fingerprint")?, 16)
             .map_err(|e| format!("bad fingerprint: {e}"))?;
         match t.next() {
-            None => Ok((got_mode, got_fingerprint, Header { range, body_len })),
+            None => Ok((got_mode, got_fingerprint, range, body_len)),
             Some(extra) => Err(format!("trailing {extra:?}")),
         }
     })();
-    let Ok((got_mode, got_fingerprint, header)): Result<_, String> = parsed else {
+    let Ok((got_mode, got_fingerprint, range, body_len)): Result<_, String> = parsed else {
         return Ok(None);
     };
     if got_mode != mode {
@@ -742,10 +714,11 @@ fn parse_header(line: &[u8], mode: &str, fingerprint: u64) -> io::Result<Option<
              refusing to resume under a different configuration"
         )));
     }
-    Ok(Some(header))
+    Ok(Some((range, body_len)))
 }
 
-/// What replaying a journal recovered.
+/// What replaying a journal recovered: nothing, for a fresh campaign.
+#[derive(Default)]
 struct Replayed<F> {
     /// The fold of every intact, chained record.
     fold: F,
@@ -812,36 +785,36 @@ fn replay<M: Checkpointed>(
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
     let mut reader = BufReader::with_capacity(IO_BUFFER, file);
-    let mut out = Replayed { fold: Folded::default(), cursor: 0, good_len: 0, fold_bytes: 0 };
+    let mut out = Replayed::<Folded<M::Fold>>::default();
     let mut line = Vec::new();
     loop {
         line.clear();
         let header_len = reader.by_ref().take(MAX_HEADER_LEN).read_until(b'\n', &mut line)? as u64;
         let first = out.good_len == 0;
-        let header = match parse_header(&line, M::MODE, fingerprint)? {
+        let (range, body_len) = match parse_header(&line, M::MODE, fingerprint)? {
             Some(header) => header,
             // The first record is installed by rename, never torn: a
             // file that does not open with a header is not a journal.
             None if first => return Err(invalid("no ptsnap record header at the start")),
             None => break,
         };
-        let chains = header.range.start == out.cursor && header.range.end >= out.cursor;
+        let chains = range.start == out.cursor && range.end >= out.cursor;
         let left = file_len.saturating_sub(out.good_len + header_len);
-        let record_tail = header.body_len.saturating_add(TRAILER_LEN as u64);
+        let record_tail = body_len.saturating_add(TRAILER_LEN as u64);
         if !chains || record_tail > left {
             break;
         }
         let mut header_digest = Digest::new(0, header_len);
         header_digest.update(&line);
         let mut body = BodyLines {
-            body: reader.by_ref().take(header.body_len),
+            body: reader.by_ref().take(body_len),
             // One line buffer serves every header and body line.
             line: std::mem::take(&mut line),
-            digest: Digest::new(header_digest.finish(), header.body_len),
+            digest: Digest::new(header_digest.finish(), body_len),
             utf8: true,
             error: None,
         };
-        let span = Span { units: header.range.clone(), n_dests, rounds };
+        let span = Span { units: range, n_dests, rounds };
         let parsed = read_body::<M>(&mut body, &span);
         line = body.line;
         if let Some(e) = body.error {
@@ -865,7 +838,7 @@ fn replay<M: Checkpointed>(
         // The first record, the bulk of the journal, moves into the
         // empty fold whole: nothing holds it twice.
         out.fold.absorb(&mut block);
-        out.cursor = header.range.end;
+        out.cursor = span.units.end;
         let record_len = header_len + record_tail;
         if first {
             out.fold_bytes = record_len;
@@ -930,50 +903,39 @@ struct Journal<'a, M> {
 }
 
 impl<'a, M: Checkpointed> Journal<'a, M> {
-    /// Start a fresh journal at `path` — the record of no units —
+    /// Open the journal at `path` for appending after `replayed`,
+    /// cutting off a damaged tail so the next record chains. Where
+    /// nothing was replayed — a fresh campaign, or a journal whose first
+    /// record is damaged — start a fresh journal, the record of no units,
     /// replacing whatever is there, a previous campaign's journal or a
     /// stale temp file alike.
-    fn create(path: &'a Path, fingerprint: u64) -> io::Result<Self> {
+    fn open(
+        path: &'a Path,
+        fingerprint: u64,
+        replayed: &Replayed<Folded<M::Fold>>,
+    ) -> io::Result<Self> {
         let mut buf = Vec::with_capacity(IO_BUFFER);
-        let (file, len) = install::<M>(path, &mut buf, fingerprint, 0..0, &Folded::default())?;
+        let (file, fold_bytes, bytes_written) = if replayed.good_len == 0 {
+            let (file, len) = install::<M>(path, &mut buf, fingerprint, 0..0, &Folded::default())?;
+            (file, len, len)
+        } else {
+            // A kill between a fold's write and its rename leaves this.
+            match fs::remove_file(tmp_path(path)) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+            let file = OpenOptions::new().append(true).open(path)?;
+            file.set_len(replayed.good_len)?;
+            (file, replayed.fold_bytes, 0)
+        };
         Ok(Journal {
             path,
             fingerprint,
             file,
             buf,
-            fold_bytes: len,
-            appended: 0,
-            stats: DriveStats { bytes_written: len, units_run: 0 },
-            mode: std::marker::PhantomData,
-        })
-    }
-
-    /// Reopen the journal at `path` for appending after `replayed`,
-    /// cutting off a damaged tail so the next record chains.
-    fn reopen(
-        path: &'a Path,
-        fingerprint: u64,
-        replayed: &Replayed<Folded<M::Fold>>,
-    ) -> io::Result<Self> {
-        if replayed.good_len == 0 {
-            // Even the first record was damaged: nothing to keep.
-            return Journal::create(path, fingerprint);
-        }
-        // A kill between a fold's write and its rename leaves this.
-        match fs::remove_file(tmp_path(path)) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-            _ => {}
-        }
-        let file = OpenOptions::new().append(true).open(path)?;
-        file.set_len(replayed.good_len)?;
-        Ok(Journal {
-            path,
-            fingerprint,
-            file,
-            buf: Vec::with_capacity(IO_BUFFER),
-            fold_bytes: replayed.fold_bytes,
+            fold_bytes,
             appended: replayed.good_len - replayed.fold_bytes,
-            stats: DriveStats::default(),
+            stats: DriveStats { bytes_written, units_run: 0 },
             mode: std::marker::PhantomData,
         })
     }
@@ -1031,20 +993,20 @@ fn drive<M: Checkpointed>(
 ) -> io::Result<(Option<M::Result>, DriveStats)> {
     let n_units = n_units(net, &mode.common());
     let fingerprint = mode.fingerprint(net);
-    let (mut journal, mut fold, mut cursor) = if resume {
+    let replayed = if resume {
         let shape = (net.dests.len(), mode.common().rounds);
-        let replayed = replay::<M>(&ckpt.path, fingerprint, shape)?;
-        if replayed.cursor > n_units {
-            return Err(invalid(format!(
-                "cursor {} exceeds the campaign's {n_units} units",
-                replayed.cursor
-            )));
-        }
-        let journal = Journal::<M>::reopen(&ckpt.path, fingerprint, &replayed)?;
-        (journal, replayed.fold, replayed.cursor)
+        replay::<M>(&ckpt.path, fingerprint, shape)?
     } else {
-        (Journal::<M>::create(&ckpt.path, fingerprint)?, Folded::default(), 0)
+        Replayed::default()
     };
+    if replayed.cursor > n_units {
+        return Err(invalid(format!(
+            "cursor {} exceeds the campaign's {n_units} units",
+            replayed.cursor
+        )));
+    }
+    let mut journal = Journal::<M>::open(&ckpt.path, fingerprint, &replayed)?;
+    let Replayed { mut fold, mut cursor, .. } = replayed;
     let every = ckpt.every_units.max(1);
     let mut checkpoints = 0usize;
     // Warm from the first block on: a later block builds no simulator.

@@ -304,29 +304,25 @@ struct HopState {
     starves: u8,
 }
 
+/// `v`, emptied, leaving an empty `Vec` in its place: its capacity
+/// moves with it.
+fn emptied<T>(v: &mut Vec<T>) -> Vec<T> {
+    let mut v = std::mem::take(v);
+    v.clear();
+    v
+}
+
 impl HopState {
+    /// A fresh state for `ttl` that keeps its vectors' capacity.
     fn reset(&mut self, ttl: u8) {
-        self.ttl = ttl;
-        self.slots.clear();
-        self.committed = 0;
-        self.interfaces.clear();
-        self.flows.clear();
-        self.stars = 0;
-        self.answered = 0;
-        self.terminals = 0;
-        self.probes_sent = 0;
-        self.enum_done = false;
-        self.converged = false;
-        self.classify_target = 0;
-        self.class_launched = 0;
-        self.class_resolved = 0;
-        self.class_answered = 0;
-        self.class_addrs.clear();
-        self.paced = false;
-        self.pace = SimDuration::ZERO;
-        self.gate = SimTime::ZERO;
-        self.pace_bumped_at = SimTime::ZERO;
-        self.starves = 0;
+        *self = HopState {
+            ttl,
+            slots: emptied(&mut self.slots),
+            interfaces: emptied(&mut self.interfaces),
+            flows: emptied(&mut self.flows),
+            class_addrs: emptied(&mut self.class_addrs),
+            ..HopState::default()
+        };
     }
 
     /// Any answer at this hop, committed or not — evidence the router
@@ -559,26 +555,6 @@ impl MdaScratch {
             links.clear();
             self.links_pool.push(links);
         }
-    }
-
-    fn take_record(&mut self, ttl: u8) -> HopInterfaces {
-        let mut rec = self.record_pool.pop().unwrap_or_else(|| HopInterfaces {
-            ttl,
-            interfaces: Vec::new(),
-            flows: Vec::new(),
-            probes_sent: 0,
-            stars: 0,
-            converged: false,
-            class: BalancerClass::NotBalanced,
-        });
-        rec.ttl = ttl;
-        rec.interfaces.clear();
-        rec.flows.clear();
-        rec.probes_sent = 0;
-        rec.stars = 0;
-        rec.converged = false;
-        rec.class = BalancerClass::NotBalanced;
-        rec
     }
 }
 
@@ -838,17 +814,21 @@ pub fn discover_with<T: Transport>(
     // warm capacity for the next walk.
     let mut hops: Vec<HopInterfaces> = scratch.hops_pool.pop().unwrap_or_default();
     hops.clear();
-    for i in 0..kept {
-        let mut rec = scratch.take_record(scratch.states[i].ttl);
-        let st = &scratch.states[i];
-        rec.interfaces.extend_from_slice(&st.interfaces);
-        rec.interfaces.sort_unstable();
-        rec.flows.extend_from_slice(&st.flows);
-        rec.probes_sent = st.probes_sent;
-        rec.stars = st.stars;
-        rec.converged = st.converged;
-        rec.class = st.class();
-        hops.push(rec);
+    for st in &scratch.states[..kept] {
+        let pooled = scratch.record_pool.pop().map(|rec| (rec.interfaces, rec.flows));
+        let (mut interfaces, mut flows) = pooled.unwrap_or_default();
+        interfaces.clone_from(&st.interfaces);
+        interfaces.sort_unstable();
+        flows.clone_from(&st.flows);
+        hops.push(HopInterfaces {
+            ttl: st.ttl,
+            interfaces,
+            flows,
+            probes_sent: st.probes_sent,
+            stars: st.stars,
+            converged: st.converged,
+            class: st.class(),
+        });
     }
     let mut links: Vec<DagLink> = scratch.links_pool.pop().unwrap_or_default();
     links.clear();

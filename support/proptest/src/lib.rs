@@ -3,7 +3,8 @@
 //! The build environment cannot reach crates.io, so this vendors the
 //! subset of the proptest API the workspace's property tests use: the
 //! [`proptest!`] macro, `prop_assert!`/`prop_assert_eq!`, [`any`],
-//! integer-range and tuple strategies, [`Strategy::prop_map`],
+//! integer-range and tuple strategies,
+//! [`Strategy::prop_map`](crate::strategy::Strategy::prop_map),
 //! [`collection::vec`] and [`option::weighted`].
 //!
 //! Inputs are drawn from a deterministic RNG seeded from the test's

@@ -34,13 +34,24 @@
 //! (`multipath_digest` alone runs to 14 KB) followed by the bit
 //! pattern of `mean_virtual_secs`, which `report_digest` leaves out
 //! and which is the field that moves when a send timestamp does.
+//!
+//! The last two tests hash journal bytes instead: the `ptsnap v7`
+//! journal `campaign_killed_and_resumed`'s campaign leaves at its kill
+//! and after its resume, and a multipath journal with quarantined units,
+//! killed and resumed. Every other journal test compares a build with
+//! itself, so a change that writer and reader make alike — another
+//! fingerprint salt, renumbered balancer classes — passes them all while
+//! every journal an earlier build wrote is refused or misread. A PR that
+//! *means* to move journal bytes updates these constants too and says
+//! why; a PR that does not must leave them as they are.
 
 use std::fmt::Write;
 use std::path::PathBuf;
 
 use paris_traceroute_repro::campaign::{
     multipath_digest, replay_unit, report_digest, run, run_checkpointed, run_multipath,
-    run_resumed, CampaignConfig, CampaignResult, CheckpointConfig, DynamicsConfig, MultipathConfig,
+    run_multipath_checkpointed, run_multipath_resumed, run_resumed, CampaignConfig, CampaignResult,
+    CheckpointConfig, DynamicsConfig, MultipathConfig,
 };
 use paris_traceroute_repro::core::{MeasuredRoute, TraceConfig};
 use paris_traceroute_repro::topogen::{generate, InternetConfig};
@@ -168,4 +179,56 @@ fn campaign_killed_and_resumed() {
         .expect("resumed run completes");
     let _ = std::fs::remove_file(&path);
     assert_golden("killed and resumed", &campaign_text(&result), CAMPAIGN);
+}
+
+/// A checkpoint config killed after its second checkpoint, journaling
+/// every `every_units` units to a file of this process's own.
+fn killed_at_two(name: &str, every_units: u32) -> CheckpointConfig {
+    let mut path: PathBuf = std::env::temp_dir();
+    path.push(format!("pt-golden-{name}-{}.snap", std::process::id()));
+    CheckpointConfig { path, every_units, stop_after_checkpoints: Some(2) }
+}
+
+fn journal_text(ckpt: &CheckpointConfig) -> String {
+    std::fs::read_to_string(&ckpt.path).expect("a journal is text")
+}
+
+#[test]
+fn journal_killed_and_resumed() {
+    // `campaign_killed_and_resumed`'s journal, byte for byte: the two
+    // block records the kill leaves, then the folds and records the
+    // resume writes after them.
+    let net = tiny42();
+    let config = campaign_config();
+    let ckpt = killed_at_two("side", 32);
+    let early = run_checkpointed(net, &config, &ckpt).expect("journal is writable");
+    assert!(early.is_none(), "killed after the second checkpoint");
+    let killed = journal_text(&ckpt);
+    let resume = CheckpointConfig { stop_after_checkpoints: None, ..ckpt };
+    let config = CampaignConfig { workers: 1, ..config };
+    assert!(run_resumed(net, &config, &resume).expect("journal loads").is_some());
+    let resumed = journal_text(&resume);
+    let _ = std::fs::remove_file(&resume.path);
+    assert_golden("side-by-side journal at the kill", &killed, 0xd49b_5cc1_bb80_fbdc);
+    assert_golden("side-by-side journal resumed", &resumed, 0xc02a_91ff_d4be_53c6);
+}
+
+#[test]
+fn multipath_journal_with_a_quarantined_unit() {
+    // Units 5 and 41 panic: one is quarantined before the kill, one
+    // after it, so the `q` lines are pinned beside the units' key lines,
+    // balancer classes included.
+    let net = tiny42();
+    let mut config = MultipathConfig { rounds: 2, workers: 4, seed: 99, ..Default::default() };
+    config.inject.panic_units.extend([5, 41]);
+    let ckpt = killed_at_two("multipath", 16);
+    let early = run_multipath_checkpointed(net, &config, &ckpt).expect("journal is writable");
+    assert!(early.is_none(), "killed after the second checkpoint");
+    let resume = CheckpointConfig { stop_after_checkpoints: None, ..ckpt };
+    let result = run_multipath_resumed(net, &config, &resume).expect("journal loads");
+    let journal = journal_text(&resume);
+    let _ = std::fs::remove_file(&resume.path);
+    let quarantined = result.expect("resumed run completes").quarantined;
+    assert_eq!(quarantined.iter().map(|q| q.unit).collect::<Vec<_>>(), [5, 41]);
+    assert_golden("multipath journal, killed and resumed", &journal, 0x1c97_ff10_ba8b_f2bf);
 }
