@@ -69,6 +69,14 @@ fn signatures(sig_rounds: &[Key<3>]) -> BTreeSet<Signature> {
     groups(sig_rounds, 2).map(|rounds| (rounds[0][0].into(), rounds[0][1].into())).collect()
 }
 
+/// The one-field sets' record sections, in
+/// `CampaignAccumulator::addr_sets` order: rounds, destinations and
+/// responding addresses.
+const ADDR_SETS: [&str; 3] = ["rounds", "dests", "addrs_seen"];
+const ROUNDS: usize = 0;
+const DESTS: usize = 1;
+const ADDRS: usize = 2;
+
 /// An accumulator's counters: the `counts` line of its record, in
 /// [`Counts::all`]'s order.
 #[derive(Debug, Clone, Copy, Default)]
@@ -110,10 +118,9 @@ impl Counts {
 pub struct CampaignAccumulator {
     /// Which tool produced these routes.
     pub tool: StrategyId,
-    rounds_seen: KeySet<1>,
     counts: Counts,
-    dests: KeySet<1>,
-    addrs_seen: KeySet<1>,
+    /// Indexed by [`ROUNDS`], [`DESTS`] and [`ADDRS`].
+    addr_sets: [KeySet<1>; 3],
     /// `[looping address, destination, round]`: a signature's rounds,
     /// and, projected, the addresses and destinations that showed one.
     loop_sig_rounds: KeySet<3>,
@@ -130,26 +137,14 @@ impl CampaignAccumulator {
     pub fn new(tool: StrategyId) -> Self {
         CampaignAccumulator {
             tool,
-            rounds_seen: KeySet::default(),
             counts: Counts::default(),
-            dests: KeySet::default(),
-            addrs_seen: KeySet::default(),
+            addr_sets: Default::default(),
             loop_sig_rounds: KeySet::default(),
             cycle_sig_rounds: KeySet::default(),
             loop_instances: BTreeMap::new(),
             cycle_instances: BTreeMap::new(),
             triples: KeySet::default(),
         }
-    }
-
-    /// The one-field sets, named as their record sections are.
-    fn addr_sets(&self) -> [(&'static str, &KeySet<1>); 3] {
-        [("rounds", &self.rounds_seen), ("dests", &self.dests), ("addrs_seen", &self.addrs_seen)]
-    }
-
-    /// [`CampaignAccumulator::addr_sets`], mutably and in the same order.
-    fn addr_sets_mut(&mut self) -> [&mut KeySet<1>; 3] {
-        [&mut self.rounds_seen, &mut self.dests, &mut self.addrs_seen]
     }
 
     /// Fold in one measured route observed during `round`.
@@ -159,12 +154,12 @@ impl CampaignAccumulator {
     /// bound the rounds, are 32-bit too.
     pub fn ingest(&mut self, round: usize, route: &MeasuredRoute) {
         let round = u32::try_from(round).expect("rounds fit the 32-bit unit id space");
-        self.rounds_seen.insert([round]);
+        self.addr_sets[ROUNDS].insert([round]);
         self.counts.routes_total += 1;
         let d = u32::from(route.destination);
-        self.dests.insert([d]);
+        self.addr_sets[DESTS].insert([d]);
         for a in route.hops.iter().filter_map(|h| h.probe.addr) {
-            self.addrs_seen.insert([a.into()]);
+            self.addr_sets[ADDRS].insert([a.into()]);
         }
         let c = &mut self.counts;
         c.probes_sent += route.probes_sent() as u64;
@@ -215,7 +210,7 @@ impl CampaignAccumulator {
     /// Panics when merging accumulators of different tools.
     pub fn absorb(&mut self, other: &mut CampaignAccumulator) {
         assert_eq!(self.tool, other.tool, "cannot merge different tools");
-        for (mine, theirs) in self.addr_sets_mut().into_iter().zip(other.addr_sets_mut()) {
+        for (mine, theirs) in self.addr_sets.iter_mut().zip(&mut other.addr_sets) {
             mine.absorb(theirs);
         }
         self.loop_sig_rounds.absorb(&mut other.loop_sig_rounds);
@@ -234,7 +229,7 @@ impl CampaignAccumulator {
     /// block after block, then allocates each set's hash table once per
     /// refill instead of doubling it from empty.
     pub fn reserve_for_refill(&mut self) {
-        for set in self.addr_sets_mut() {
+        for set in &mut self.addr_sets {
             set.reserve();
         }
         self.loop_sig_rounds.reserve();
@@ -245,7 +240,7 @@ impl CampaignAccumulator {
     /// Every responding address discovered across the campaign, in
     /// address order.
     pub fn addresses_seen(&self) -> Vec<Ipv4Addr> {
-        self.addrs_seen.keys().iter().map(|&[a]| Ipv4Addr::from(a)).collect()
+        self.addr_sets[ADDRS].keys().iter().map(|&[a]| Ipv4Addr::from(a)).collect()
     }
 
     /// Loop signatures observed (for differencing). Ordered so that
@@ -311,11 +306,12 @@ impl CampaignAccumulator {
             diamonds(&self.triples.keys()).map(|[d, _, _]| d).collect();
         let diamonds_total = dests_with_diamond.len() as u64;
         dests_with_diamond.dedup();
-        let (dests, addrs) = (self.dests.len() as u64, self.addrs_seen.len() as u64);
+        let len = |set: usize| self.addr_sets[set].len() as u64;
+        let (dests, addrs) = (len(DESTS), len(ADDRS));
         let c = self.counts;
         ToolReport {
             tool: self.tool,
-            rounds: self.rounds_seen.len() as u64,
+            rounds: len(ROUNDS),
             routes_total: c.routes_total,
             destinations: dests,
             addresses_discovered: addrs,
@@ -358,7 +354,7 @@ impl CampaignAccumulator {
             push_field(out, *count);
         }
         out.put("\n");
-        for (name, set) in self.addr_sets() {
+        for (name, set) in ADDR_SETS.into_iter().zip(&self.addr_sets) {
             push_key_set(out, name, set);
         }
         push_key_set(out, "loop_rounds", &self.loop_sig_rounds);
@@ -388,8 +384,7 @@ impl CampaignAccumulator {
             return Err(format!("{stars} stars of {probes_sent} probes"));
         }
 
-        let names = acc.addr_sets().map(|(name, _)| name);
-        for (name, set) in names.into_iter().zip(acc.addr_sets_mut()) {
+        for (name, set) in ADDR_SETS.into_iter().zip(&mut acc.addr_sets) {
             *set = read_key_set(lines, name)?;
         }
         acc.loop_sig_rounds = read_key_set(lines, "loop_rounds")?;
@@ -909,7 +904,7 @@ mod tests {
         let record = text(&block);
         let mut parsed = CampaignAccumulator::snapshot_read(&mut record.lines()).expect("parses");
         let runs = |acc: &CampaignAccumulator| {
-            let mut runs: Vec<_> = acc.addr_sets().iter().map(|(_, set)| run_at(set)).collect();
+            let mut runs: Vec<_> = acc.addr_sets.iter().map(run_at).collect();
             runs.extend([run_at(&acc.loop_sig_rounds), run_at(&acc.cycle_sig_rounds)]);
             runs.push(run_at(&acc.triples));
             runs

@@ -6,18 +6,18 @@
 //! and keeps that birth across every hop; a route change is stamped when
 //! scheduled. The two random decisions — link loss and per-packet
 //! balancing — are each one hash of `(seed, node, birth, TTL, purpose)`
-//! ([`draw`]), never a stream some node advances. So what a router does
+//! (`draw`), never a stream some node advances. So what a router does
 //! to a packet it only passes on depends on the packet and the routing
 //! tables, not on which other packets came by first.
 //!
 //! **Walks.** Those hops are therefore not run as events. Leaving a
-//! node, a packet *walks* ([`SimState::walk`]) across every router that
-//! would merely decrement its TTL and forward it, and one [`Arrival`] is
+//! node, a packet *walks* (`SimState::walk`) across every router that
+//! would merely decrement its TTL and forward it, and one `Arrival` is
 //! scheduled where something else happens: expiry, delivery, a host, a
 //! router whose treatment depends on the packet (a UDP filter, a NAT
 //! gateway) or that passes nothing on (a broken router), a drop, or the
 //! instant of the next pending route change. So what a router does to a
-//! packet is decided in one place, [`SimState::process_arrival`]. The
+//! packet is decided in one place, `SimState::process_arrival`. The
 //! walk reads the next-hop table and writes only the queue (and the
 //! table, on a miss); the TTL it owes and the `forwarded` count are
 //! settled when that arrival pops, and a route change scheduled under a
@@ -28,15 +28,15 @@
 //!
 //! **The next-hop table.** Everything a walk reads about a hop — the
 //! neighbour and the interface it lands on, the link's delay and loss,
-//! and the neighbour's [`Class`]: whether it owns the destination, and
+//! and the neighbour's `Class`: whether it owns the destination, and
 //! if not, whether it passes packets on — is a function of `(routing
 //! tables, node, ip.dst)`, and every probe of a trace crosses the
 //! routers its predecessor crossed, answers included (§2.1).
-//! [`SimState::resolve`] finds it by the longest-prefix lookup and the
+//! `SimState::resolve` finds it by the longest-prefix lookup and the
 //! address index when a hop is first needed and keeps it in a
-//! direct-mapped table of [`HOP_SLOTS`] entries keyed by `(node, dst)`,
+//! direct-mapped table of `HOP_SLOTS` entries keyed by `(node, dst)`,
 //! so a probe's hop and its answer's hop through one router are both
-//! resident; [`SimState::hop`] reads it there. An entry holds while its
+//! resident; `SimState::hop` reads it there. An entry holds while its
 //! stamp is the simulator's, which every *applied* route change bumps,
 //! and so does the [`Simulator::reset`] that reverts one: a change
 //! scheduled but not applied already stops walks at its instant. So a

@@ -6,15 +6,15 @@
 //!
 //! `tests/alloc_steady_state.rs` stays a binary of its own: it installs
 //! a counting `#[global_allocator]`, which would count every test running
-//! beside it in this process. `tests/end_to_end.rs`,
-//! `tests/campaign_pipeline.rs` and `tests/proptest_invariants.rs` keep
-//! their own binaries and established test names; new root tests are
-//! modules here.
+//! beside it in this process. `tests/end_to_end.rs` and
+//! `tests/proptest_invariants.rs` keep their own binaries and established
+//! test names; new root tests are modules here.
 
 use std::sync::OnceLock;
 
 use paris_traceroute_repro::topogen::{generate, InternetConfig, SyntheticInternet};
 
+mod campaign_pipeline;
 mod checkpoint_resume;
 mod event_count;
 mod golden_digests;
