@@ -110,7 +110,24 @@ check_performance() {
   [ -z "$out" ] || { printf '%s\n' "$out"; return 1; }
 }
 plant_performance() { printf 'As docs/PERFORMANCE.md\nrecords for PR 7.\n' >> README.md; }
-named=(reference deque lint bench_record performance)
+# One test binary per crate: each links its crate and every dependency
+# again, so a crate's integration tests are modules of its tests/it.
+# Beside it stay the three harnesses that must run alone in a process:
+# two install a counting #[global_allocator], one times the wall clock.
+check_test_binaries() {
+  local f bad=0
+  for f in tests/*.rs tests/*/main.rs crates/*/tests/*.rs crates/*/tests/*/main.rs; do
+    case $f in
+      tests/it.rs | tests/it/main.rs | crates/*/tests/it.rs | crates/*/tests/it/main.rs) ;;
+      tests/alloc_steady_state.rs | crates/campaign/tests/alloc_checkpoint.rs) ;;
+      crates/netsim/tests/degree_independence.rs) ;;
+      *) [ ! -e "$f" ] || { echo "$f: make it a module of its crate's tests/it"; bad=1; } ;;
+    esac
+  done
+  return $bad
+}
+plant_test_binaries() { touch crates/wire/tests/stray.rs; }
+named=(reference deque lint bench_record performance test_binaries)
 
 rows() { tail -n +2 "$repo/ci/bans.tsv"; }
 failed=0

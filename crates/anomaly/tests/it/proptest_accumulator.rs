@@ -28,9 +28,7 @@ use pt_core::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind, Strateg
 use pt_netsim::time::SimDuration;
 use pt_wire::UnreachableCode;
 
-fn addr(x: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, x / 4, x)
-}
+use crate::addr;
 
 /// The old shape of the accumulator, fed whole routes in one piece.
 struct Model {

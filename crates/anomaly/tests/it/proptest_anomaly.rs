@@ -6,11 +6,8 @@ use proptest::prelude::*;
 use pt_anomaly::{find_cycles, find_loops, DestinationGraph};
 use pt_core::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind, StrategyId};
 use pt_netsim::time::SimDuration;
-use std::net::Ipv4Addr;
 
-fn addr(x: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, x)
-}
+use crate::addr;
 
 fn probe(slot: Option<u8>) -> ProbeResult {
     match slot {

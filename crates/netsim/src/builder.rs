@@ -22,9 +22,6 @@ pub struct TopologyBuilder {
     /// Each node's address pools; a new /24 is appended when a node grows
     /// past ~250 interfaces (core routers in large topologies do).
     node_subnets: Vec<Vec<Ipv4Prefix>>,
-    /// Per-node routing tables under construction; frozen into shared
-    /// `Arc`s by [`TopologyBuilder::build`].
-    tables: Vec<RoutingTable>,
 }
 
 impl Default for TopologyBuilder {
@@ -41,7 +38,6 @@ impl TopologyBuilder {
             links: Vec::new(),
             alloc: AddrAllocator::new(Ipv4Addr::new(10, 0, 0, 0)),
             node_subnets: Vec::new(),
-            tables: Vec::new(),
         }
     }
 
@@ -49,12 +45,11 @@ impl TopologyBuilder {
         let id = NodeId(self.nodes.len());
         let subnet = self.alloc.next_subnet();
         self.node_subnets.push(vec![subnet]);
-        self.tables.push(RoutingTable::new());
         self.nodes.push(Node {
             name: name.to_string(),
             kind,
             ifaces: Vec::new(),
-            routing: std::sync::Arc::new(RoutingTable::new()),
+            routing: RoutingTable::new(),
         });
         id
     }
@@ -155,7 +150,7 @@ impl TopologyBuilder {
     /// Panics if the nodes are not linked.
     pub fn route_via(&mut self, node: NodeId, prefix: Ipv4Prefix, neighbor: NodeId) {
         let iface = self.iface_toward(node, neighbor);
-        self.tables[node.0].set(prefix, NextHop::Iface(iface));
+        self.nodes[node.0].routing.set(prefix, NextHop::Iface(iface));
     }
 
     /// Default-route `node` via `neighbor`.
@@ -174,12 +169,12 @@ impl TopologyBuilder {
     ) {
         assert!(neighbors.len() >= 2, "a balancer needs at least two egresses");
         let egresses: Vec<usize> = neighbors.iter().map(|n| self.iface_toward(node, *n)).collect();
-        self.tables[node.0].set(prefix, NextHop::Balanced { kind, egresses });
+        self.nodes[node.0].routing.set(prefix, NextHop::Balanced { kind, egresses });
     }
 
     /// Blackhole `prefix` at `node`.
     pub fn blackhole(&mut self, node: NodeId, prefix: Ipv4Prefix) {
-        self.tables[node.0].set(prefix, NextHop::Blackhole);
+        self.nodes[node.0].routing.set(prefix, NextHop::Blackhole);
     }
 
     /// Replace a router's behaviour config. Useful when the config needs
@@ -204,19 +199,14 @@ impl TopologyBuilder {
         self.nodes[node.0].ifaces[idx].addr
     }
 
-    /// Finish, producing the immutable topology. Each node's routing
-    /// table is frozen into a shared `Arc` that every simulator over this
-    /// topology borrows instead of copying.
-    pub fn build(mut self) -> Topology {
+    /// Finish, producing the immutable topology.
+    pub fn build(self) -> Topology {
         let mut addr_owner = crate::routing::AddrMap::default();
         for (i, node) in self.nodes.iter().enumerate() {
             for iface in &node.ifaces {
                 let prev = addr_owner.insert(iface.addr, NodeId(i));
                 assert!(prev.is_none(), "duplicate interface address {}", iface.addr);
             }
-        }
-        for (node, table) in self.nodes.iter_mut().zip(self.tables) {
-            node.routing = std::sync::Arc::new(table);
         }
         Topology { nodes: self.nodes, links: self.links, addr_owner }
     }

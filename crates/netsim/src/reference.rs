@@ -139,7 +139,7 @@ impl Reference {
     pub fn new(topo: Arc<Topology>, seed: u64) -> Reference {
         let n = topo.len();
         Reference {
-            routes: topo.nodes.iter().map(|node| (*node.routing).clone()).collect(),
+            routes: topo.nodes.iter().map(|node| node.routing.clone()).collect(),
             ip_ids: (0..n).map(|i| (node_seed(seed, NodeId(i)) >> 32) as u16).collect(),
             buckets: vec![None; n],
             inbox: vec![VecDeque::new(); n],

@@ -314,7 +314,7 @@ mod overlay_tests {
         let mut b = TopologyBuilder::new();
         let r = b.router("r", RouterConfig::default());
         let mut topo = b.build();
-        topo.nodes[r.0].routing = Arc::new(base());
+        topo.nodes[r.0].routing = base();
         let topo = Arc::new(topo);
         (Simulator::new(topo.clone(), 1), topo, r)
     }
@@ -332,7 +332,7 @@ mod overlay_tests {
     #[test]
     fn pristine_overlay_mirrors_base() {
         let (sim, topo, r) = sim();
-        assert!(std::ptr::eq(sim.routing_of(r), &*topo.node(r).routing), "no copy before a change");
+        assert!(std::ptr::eq(sim.routing_of(r), &topo.node(r).routing), "no copy before a change");
         assert_eq!(lookup(&sim, r, [10, 2, 3, 4]), Some(&NextHop::Iface(1)));
         assert_eq!(lookup(&sim, r, [10, 9, 9, 9]), Some(&NextHop::Iface(9)));
         assert_eq!(lookup(&sim, r, [192, 0, 2, 1]), Some(&NextHop::Iface(0)));
@@ -386,7 +386,7 @@ mod overlay_tests {
         let (mut sim, topo, r) = sim();
         change(&mut sim, r, Ipv4Prefix::DEFAULT, Some(NextHop::Blackhole));
         change(&mut sim, r, p([10, 0, 0, 0], 8), None);
-        assert_eq!(&*topo.node(r).routing, &base());
+        assert_eq!(&topo.node(r).routing, &base());
         sim.reset(1);
         assert_eq!(sim.routing_of(r), &base(), "reset reads the shared table again");
     }

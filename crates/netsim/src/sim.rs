@@ -576,7 +576,7 @@ impl Simulator {
             }
             EventKind::RouteSet { node, prefix, next_hop } => {
                 let base = &self.topo.node(node).routing;
-                let own = st.node(node).routing.get_or_insert_with(|| Box::new((**base).clone()));
+                let own = st.node(node).routing.get_or_insert_with(|| Box::new(base.clone()));
                 match next_hop {
                     Some(nh) => own.set(prefix, nh),
                     None => _ = own.remove(prefix),
@@ -1825,7 +1825,7 @@ mod tests {
         unit(&mut reused);
         assert_eq!(reused.state.slot_of[r1.0], reused.state.slot_of[r2.0], "r1's index is stale");
         assert!(reused.pop_delivery(r1).is_none(), "r1 received nothing");
-        assert!(std::ptr::eq(reused.routing_of(r1), &*topo.node(r1).routing), "topology's table");
+        assert!(std::ptr::eq(reused.routing_of(r1), &topo.node(r1).routing), "topology's table");
         // r1's first Time Exceeded finds its bucket full and carries the
         // IP-ID its seed derives, as in the fresh simulator.
         for sim in [&mut fresh, &mut reused] {

@@ -9,7 +9,6 @@
 //! routing table.
 
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 use crate::node::NodeKind;
 use crate::routing::{AddrMap, RoutingTable};
@@ -86,11 +85,11 @@ pub struct Node {
     pub kind: NodeKind,
     /// Interfaces, indexed by position.
     pub ifaces: Vec<Interface>,
-    /// Boot-time routing table, shared immutably with every simulator.
-    /// A simulator copies it only at the first route change applied at
-    /// this node, so constructing a simulator is O(1) per node however
-    /// many routes the node carries.
-    pub routing: Arc<RoutingTable>,
+    /// Boot-time routing table, read in place by every simulator over
+    /// the (shared) topology. A simulator copies it only at the first
+    /// route change applied at this node, so constructing a simulator is
+    /// O(1) per node however many routes the node carries.
+    pub routing: RoutingTable,
 }
 
 impl Node {

@@ -143,7 +143,7 @@ proptest! {
         let mut b = TopologyBuilder::new();
         let r = b.router("r", RouterConfig::default());
         let mut topo = b.build();
-        topo.nodes[r.0].routing = Arc::new(base.clone());
+        topo.nodes[r.0].routing = base.clone();
         let topo = Arc::new(topo);
         let mut sim = Simulator::new(topo, 1);
         for op in &ops[split..] {
@@ -183,7 +183,7 @@ proptest! {
         let mut b = TopologyBuilder::new();
         let r = b.router("r", RouterConfig::default());
         let mut topo = b.build();
-        topo.nodes[r.0].routing = Arc::new(base.clone());
+        topo.nodes[r.0].routing = base.clone();
         let topo = Arc::new(topo);
         let mut sim = Simulator::new(topo.clone(), 1);
         let twin = Simulator::new(topo.clone(), 1);

@@ -8,10 +8,12 @@ use std::net::Ipv4Addr;
 
 use pt_netsim::node::BalancerKind;
 use pt_netsim::{scenarios, NodeId, Topology};
-use pt_topogen::{generate, InternetConfig};
+use pt_topogen::InternetConfig;
 use pt_wire::FlowPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::generated;
 
 /// The oracle: what `Node::owns_addr` used to answer, asked of every node.
 fn scan(topo: &Topology, addr: Ipv4Addr) -> Option<NodeId> {
@@ -45,7 +47,7 @@ fn owner_of_equals_the_interface_scan_on_generated_internets() {
             ("tiny", InternetConfig::tiny(seed)),
             ("hostile", InternetConfig::hostile(seed)),
         ] {
-            check(&format!("{name}/{seed}"), &generate(&cfg).topology);
+            check(&format!("{name}/{seed}"), &generated(&cfg).topology);
         }
     }
 }

@@ -5,10 +5,12 @@
 //! source prefix and a default); the per-destination host routes live on
 //! core routers, which no change touches.
 
-use pt_topogen::{generate, InternetConfig};
+use pt_topogen::InternetConfig;
+
+use crate::generated;
 
 fn check(name: &str, config: &InternetConfig) {
-    let net = generate(config);
+    let net = generated(config);
     for dest in &net.dests {
         for &node in &dest.chain {
             let routes = net.topology.node(node).routing.len();

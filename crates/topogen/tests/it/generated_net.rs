@@ -9,7 +9,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use pt_netsim::node::NodeKind;
-use pt_topogen::{generate, InternetConfig, SyntheticInternet};
+use pt_topogen::{InternetConfig, SyntheticInternet};
+
+use crate::generated;
 
 /// FNV-1a, 64 bits: a fixed function of the bytes, on every platform.
 fn fnv(text: &str) -> u64 {
@@ -66,8 +68,8 @@ fn project(net: &SyntheticInternet) -> String {
 }
 
 fn pin(name: &str, config: &InternetConfig, nodes: usize, links: usize, hash: u64) {
-    let net = generate(config);
-    let got = fnv(&project(&net));
+    let net = generated(config);
+    let got = fnv(&project(net));
     assert_eq!(
         (net.topology.nodes.len(), net.topology.links.len(), got),
         (nodes, links, hash),
@@ -100,7 +102,7 @@ fn every_node_addresses_from_subnets_of_its_own() {
         ("tiny(42)", InternetConfig::tiny(42)),
         ("hostile(7)", InternetConfig::hostile(7)),
     ] {
-        let net = generate(&config);
+        let net = generated(&config);
         let topo = &net.topology;
         let mut pools = BTreeMap::new();
         for (i, node) in topo.nodes.iter().enumerate() {

@@ -1,6 +1,7 @@
 //! Golden digests: fixed-seed campaign results pinned by committed
-//! values, so "byte-identical to the parent commit" is a test and not
-//! a by-hand diff of `examples/campaign_digest` output.
+//! values, so "byte-identical to the parent commit" is a test,
+//! `cargo test --test it golden_digests::`, and not a by-hand diff of
+//! two builds' printed digests.
 //!
 //! `worker_invariance.rs`, `checkpoint_resume.rs` and
 //! `replay_oracle.rs` compare a run with another run of the same
@@ -14,7 +15,7 @@
 //! Four of the six were recorded once more, by the PR that sums virtual
 //! time as integer nanoseconds instead of adding a float per unit in
 //! unit order: `CAMPAIGN`, the default-dynamics campaign and the
-//! multipath example moved in their `mean_virtual_secs` line alone, by
+//! multipath campaign moved in their `mean_virtual_secs` line alone, by
 //! 5, 3 and 1 ulp — the float sum had drifted from the exact mean —
 //! and every other line of every digest text stayed as it was
 //! (`git log -p --follow` on this file shows each value a constant
@@ -63,12 +64,13 @@ fn fnv1a64(text: &str) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// `examples/campaign_digest.rs`'s campaign — and, because where a
-/// campaign is cut and who resumes it leave no trace, the same campaign
-/// killed at a checkpoint and resumed.
+/// The canonical fixed-seed campaign over `tiny(42)` — and, because
+/// where a campaign is cut and who resumes it leave no trace, the same
+/// campaign killed at a checkpoint and resumed.
 const CAMPAIGN: u64 = 0xa6aa_48f3_3fe0_81e5;
 
-/// `examples/campaign_digest.rs`'s configuration.
+/// The canonical campaign's configuration. Routing dynamics are off, so
+/// its digest isolates the deterministic forwarding and response path.
 fn campaign_config() -> CampaignConfig {
     CampaignConfig {
         rounds: 3,

@@ -1,14 +1,14 @@
-//! Most of the workspace's integration suite, as one test binary: one
+//! The umbrella crate's integration suite, as one test binary: one
 //! module per family of claims, all linked against the umbrella crate
-//! once. `docs/ROBUSTNESS.md` ("Claims and the tests that hold them")
-//! names, for each paper claim and repository contract, the one test
-//! here (or beside it) that fails when it breaks.
+//! once. A crate's integration tests are one such binary, `tests/it`,
+//! and `docs/ROBUSTNESS.md` ("Claims and the tests that hold them")
+//! names, for each paper claim and repository contract, the one test in
+//! one of them (or beside it) that fails when it breaks. Pick a module
+//! with a path filter: `cargo test --test it end_to_end::`.
 //!
 //! `tests/alloc_steady_state.rs` stays a binary of its own: it installs
 //! a counting `#[global_allocator]`, which would count every test running
-//! beside it in this process. `tests/end_to_end.rs` and
-//! `tests/proptest_invariants.rs` keep their own binaries and established
-//! test names; new root tests are modules here.
+//! beside it in this process. New root tests are modules here.
 
 use std::sync::OnceLock;
 
@@ -16,10 +16,12 @@ use paris_traceroute_repro::topogen::{generate, InternetConfig, SyntheticInterne
 
 mod campaign_pipeline;
 mod checkpoint_resume;
+mod end_to_end;
 mod event_count;
 mod golden_digests;
 mod hostile_ground_truth;
 mod mda_ground_truth;
+mod proptest_invariants;
 mod proptest_snapshot;
 mod queue_depth;
 mod replay_oracle;
