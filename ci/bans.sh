@@ -111,17 +111,30 @@ check_performance() {
 }
 plant_performance() { printf 'As docs/PERFORMANCE.md\nrecords for PR 7.\n' >> README.md; }
 # One test binary per crate: each links its crate and every dependency
-# again, so a crate's integration tests are modules of its tests/it.
+# again, so a crate's integration tests are modules of one binary, `it`:
+# tests/it.rs or tests/it/main.rs, or the one file a `[[test]]` stanza
+# with `name = "it"` in the crate's manifest names.
 # Beside it stay the three harnesses that must run alone in a process:
 # two install a counting #[global_allocator], one times the wall clock.
 check_test_binaries() {
-  local f bad=0
-  for f in tests/*.rs tests/*/main.rs crates/*/tests/*.rs crates/*/tests/*/main.rs; do
-    case $f in
-      tests/it.rs | tests/it/main.rs | crates/*/tests/it.rs | crates/*/tests/it/main.rs) ;;
-      tests/alloc_steady_state.rs | crates/campaign/tests/alloc_checkpoint.rs) ;;
-      crates/netsim/tests/degree_independence.rs) ;;
-      *) [ ! -e "$f" ] || { echo "$f: make it a module of its crate's tests/it"; bad=1; } ;;
+  local dir f stanza bad=0
+  local -a bins
+  for dir in . crates/*; do
+    bins=()
+    for f in "$dir"/tests/*.rs "$dir"/tests/*/main.rs; do
+      [ -e "$f" ] || continue
+      case ${f#./} in
+        tests/alloc_steady_state.rs | crates/campaign/tests/alloc_checkpoint.rs) ;;
+        crates/netsim/tests/degree_independence.rs) ;;
+        *) bins+=("${f#"$dir"/}") ;;
+      esac
+    done
+    stanza=$(printf '[[test]]\nname = "it"\npath = "%s"' "${bins[0]-}")
+    case ${#bins[@]}:${bins[0]-} in
+      0: | 1:tests/it.rs | 1:tests/it/main.rs) ;;
+      1:*) [[ $(< "$dir/Cargo.toml") == *"$stanza"* ]] ||
+        { echo "${dir#./}/${bins[0]}: name its binary \`it\` in its Cargo.toml"; bad=1; } ;;
+      *) echo "${dir#./}/tests: ${bins[*]}: one test binary per crate, \`it\`"; bad=1 ;;
     esac
   done
   return $bad

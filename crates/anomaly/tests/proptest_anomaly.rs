@@ -1,13 +1,28 @@
 //! Property tests for the anomaly detectors over arbitrary synthetic
 //! measured routes: the formal §4 definitions, checked against naive
 //! reference implementations.
+//!
+//! This file is the root of the crate's one integration-test binary,
+//! `it` (named in `Cargo.toml`); the accumulator's differential test is
+//! its module `proptest_accumulator`, in `proptest_anomaly/`. Pick one
+//! with a path filter: `cargo test -p pt-anomaly --test it proptest_accumulator::`.
 
 use proptest::prelude::*;
 use pt_anomaly::{find_cycles, find_loops, DestinationGraph};
 use pt_core::{HaltReason, Hop, MeasuredRoute, ProbeResult, ResponseKind, StrategyId};
 use pt_netsim::time::SimDuration;
+use std::net::Ipv4Addr;
 
-use crate::addr;
+#[path = "proptest_anomaly/proptest_accumulator.rs"]
+mod proptest_accumulator;
+
+/// The address a generated route names by `x`. Distinct `x` give
+/// distinct addresses, in the same order, so a property over the bytes
+/// is a property over the addresses; `x / 4` in the third octet spreads
+/// them over several /24s.
+fn addr(x: u8) -> Ipv4Addr {
+    Ipv4Addr::new(10, 0, x / 4, x)
+}
 
 fn probe(slot: Option<u8>) -> ProbeResult {
     match slot {

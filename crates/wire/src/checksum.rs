@@ -41,7 +41,7 @@ impl Checksum {
     /// at the end instead of after every word. One's-complement
     /// addition is associative and commutative, so the result is
     /// bit-identical to folding word by word with
-    /// [`Checksum::add_word`] — `tests/it.rs` holds that
+    /// [`Checksum::add_word`] — `tests/proptest_wire.rs` holds that
     /// reference and pins the equality — while the inner loop is
     /// branch-free and auto-vectorizable. Sound for buffers up to 2^34
     /// bytes, far beyond any packet.
